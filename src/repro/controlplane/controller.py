@@ -26,8 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from collections import deque
 
-import networkx as nx
-
 from ..core.bloom import murmur3_32
 from ..netmodel.rules import Drop, FlowRule, Forward, Match
 from ..netmodel.topology import PortRef, Topology
@@ -36,8 +34,11 @@ from .messages import Channel, FlowMod, FlowModOp, TableFlush
 __all__ = ["Controller", "RoutingError", "ecmp_next_hops"]
 
 
-def ecmp_next_hops(graph: "nx.Graph", target: str, seed: str) -> Dict[str, str]:
+def ecmp_next_hops(graph, target: str, seed: str) -> Dict[str, str]:
     """Shortest-path next hops towards ``target``, ECMP-style tie-breaking.
+
+    ``graph`` is anything with ``neighbors(node)``: a
+    :class:`~repro.netmodel.topology.SwitchGraph` or a networkx graph.
 
     A BFS from the target whose neighbour visit order is permuted by a
     stable hash of ``(seed, neighbour)``.  Different seeds (we use the
@@ -77,7 +78,7 @@ class Controller:
     def __init__(self, topo: Topology, channel: Optional[Channel] = None) -> None:
         self.topo = topo
         self.channel = channel or Channel()
-        self._graph = topo.to_networkx()
+        self._graph = topo.switch_graph()
 
     # -- primitive rule operations ------------------------------------------
 
@@ -137,26 +138,21 @@ class Controller:
 
     def refresh_graph(self) -> None:
         """Re-derive the switch graph after topology changes."""
-        self._graph = self.topo.to_networkx()
+        self._graph = self.topo.switch_graph()
 
     def shortest_switch_path(self, src_switch: str, dst_switch: str) -> List[str]:
         """Switch-level shortest path (hop count), deterministic tie-break."""
         if src_switch == dst_switch:
             return [src_switch]
-        try:
-            # nx returns one shortest path; sort neighbours for determinism.
-            return nx.shortest_path(self._graph, src_switch, dst_switch)
-        except nx.NetworkXNoPath:
-            raise RoutingError(
-                f"no path between {src_switch} and {dst_switch}"
-            ) from None
-        except nx.NodeNotFound as exc:
-            raise RoutingError(str(exc)) from None
-
-    def _egress_port(self, from_switch: str, to_switch: str) -> int:
-        """The local port on ``from_switch`` wired towards ``to_switch``."""
-        ports = self._graph.edges[from_switch, to_switch]["ports"]
-        return ports[from_switch]
+        for switch_id in (src_switch, dst_switch):
+            if switch_id not in self._graph:
+                raise RoutingError(f"{switch_id} is not in {self.topo.name}")
+        # Among equal-cost paths the choice follows neighbour order, which
+        # is edge insertion in Topology.internal_links() order.
+        path = self._graph.shortest_path(src_switch, dst_switch)
+        if path is None:
+            raise RoutingError(f"no path between {src_switch} and {dst_switch}")
+        return path
 
     # -- intent compilers -----------------------------------------------------
 
@@ -183,7 +179,7 @@ class Controller:
                     nxt = next_hops.get(switch_id)
                     if nxt is None:
                         continue  # switch cannot reach the host; leave a miss
-                    out_port = self._egress_port(switch_id, nxt)
+                    out_port = self._graph.egress_port(switch_id, nxt)
                 rule = FlowRule(
                     priority, Match.build(dst=prefix), Forward(out_port)
                 )
@@ -218,7 +214,7 @@ class Controller:
                     raise RoutingError(
                         f"no link {switch_id} -> {nxt} in {self.topo.name}"
                     )
-                out_port = self._egress_port(switch_id, nxt)
+                out_port = self._graph.egress_port(switch_id, nxt)
             else:
                 out_port = exit_port
             rule_match = (

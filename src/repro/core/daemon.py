@@ -60,11 +60,10 @@ import socket
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs import (
     DEFAULT_BUCKETS,
-    MetricsEndpoint,
     MetricsRegistry,
     Observability,
 )
@@ -105,6 +104,9 @@ from .vector import (
     WireBatchVerifier,
 )
 from .verifier import Verdict, Verifier
+
+if TYPE_CHECKING:
+    from ..obs.httpd import MetricsEndpoint
 
 __all__ = [
     "VeriDPDaemon",

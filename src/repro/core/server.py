@@ -24,6 +24,7 @@ from ..controlplane.messages import Channel, FlowMod
 from ..netmodel.topology import Topology
 from ..obs import Observability
 from .bloom import BloomTagScheme
+from .coverage import CoverageTracker
 from .localization import LocalizationResult, PathInferLocalizer
 from .pathtable import BUILD_STATS, PathTable, PathTableBuilder, SnapshotProvider
 from .reports import PortCodec, ReportDecodeError, TagReport, unpack_report
@@ -156,10 +157,6 @@ class VeriDPServer:
         if fast_path:
             self.table.compile_matchers(self.hs)
         self.verifier = Verifier(self.table, self.hs, fast_path=fast_path)
-        # Runtime import: repro.analysis pulls this module in at package
-        # init, so a top-level import would be circular.
-        from ..analysis.coverage import CoverageTracker
-
         #: Coverage over the live table, fed by every verification on the
         #: direct report path; the active prober closes its dark list.
         self.coverage = CoverageTracker(self.table)

@@ -72,6 +72,7 @@ class SwitchPredicates:
             port: acl.to_bdd(hs) for port, acl in info.out_acl.items()
         }
         self._fwd_by_inport: Dict[Optional[int], Dict[int, int]] = {}
+        self._slices_by_inport: Dict[Optional[int], list] = {}
         self._table = info.flow_table
         self._ingress_sensitive = any(
             rule.match.in_port is not None for rule in info.flow_table
@@ -136,9 +137,18 @@ class SwitchPredicates:
         if remaining != self.hs.empty:
             yield (DROP_PORT, remaining, ())  # table miss drops
 
-    def _expand_slices(self, in_port: Optional[int]):
-        """Full-pipeline slices for one ingress (start in table 0)."""
-        yield from self._expand_table(in_port, 0, self.hs.all_match, ())
+    def _expand_slices(self, in_port: Optional[int]) -> list:
+        """Full-pipeline slices for one ingress (start in table 0).
+
+        Expanded once per ingress class: every port shares one list unless
+        some rule matches on ``in_port``.
+        """
+        key = in_port if self._ingress_sensitive else None
+        slices = self._slices_by_inport.get(key)
+        if slices is None:
+            slices = list(self._expand_table(key, 0, self.hs.all_match, ()))
+            self._slices_by_inport[key] = slices
+        return slices
 
     def forwarding_predicates(self, in_port: Optional[int] = None) -> Dict[int, int]:
         """``P_y^fwd`` for every output port ``y`` including ``DROP_PORT``.
@@ -156,7 +166,7 @@ class SwitchPredicates:
         bdd = self.hs.bdd
         preds: Dict[int, int] = {port: self.hs.empty for port in self._ports}
         preds[DROP_PORT] = self.hs.empty
-        for out, effective, _ in self._expand_slices(key):
+        for out, effective, _ in self._expand_slices(in_port):
             preds[out] = bdd.or_(preds[out], effective)
         self._fwd_by_inport[key] = preds
         return preds

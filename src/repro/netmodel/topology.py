@@ -15,13 +15,14 @@ A global port is a :class:`PortRef` ``(switch_id, port_no)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .rules import Acl, DROP_PORT, FlowTable
 
-__all__ = ["PortRef", "SwitchInfo", "Topology"]
+if TYPE_CHECKING:
+    import networkx as nx
+
+__all__ = ["PortRef", "SwitchInfo", "SwitchGraph", "Topology"]
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +60,85 @@ class SwitchInfo:
         self.flow_table = FlowTable()
         self.in_acl = {}
         self.out_acl = {}
+
+
+class SwitchGraph:
+    """Switch-level adjacency with the wired ports recorded on each edge.
+
+    The four graph operations routing needs, without networkx.  Neighbour
+    order is edge-insertion order, and :meth:`shortest_path` expands in the
+    order of ``networkx.bidirectional_shortest_path``, so every route is
+    the one the networkx graph of :meth:`Topology.to_networkx` yields.
+    """
+
+    def __init__(
+        self, switches: Iterable[str], links: Iterable[Tuple[PortRef, PortRef]]
+    ) -> None:
+        self._adj: Dict[str, Dict[str, Dict[str, int]]] = {s: {} for s in switches}
+        for a, b in links:
+            # Parallel links: first keeps the neighbour slot, last the ports.
+            ports = {a.switch: a.port, b.switch: b.port}
+            self._adj[a.switch][b.switch] = ports
+            self._adj[b.switch][a.switch] = ports
+
+    def __contains__(self, switch_id: str) -> bool:
+        return switch_id in self._adj
+
+    def neighbors(self, switch_id: str) -> Iterator[str]:
+        """Adjacent switches, in edge-insertion order."""
+        return iter(self._adj[switch_id])
+
+    def has_edge(self, a: str, b: str) -> bool:
+        return b in self._adj.get(a, ())
+
+    def egress_port(self, from_switch: str, to_switch: str) -> int:
+        """The local port on ``from_switch`` wired towards ``to_switch``."""
+        return self._adj[from_switch][to_switch][from_switch]
+
+    def shortest_path(self, source: str, target: str) -> Optional[List[str]]:
+        """A hop-count shortest path, or ``None`` when disconnected."""
+        if source == target:
+            return [source]
+        found = self._bidirectional_search(source, target)
+        if found is None:
+            return None
+        pred, succ, meet = found
+        path = []
+        node: Optional[str] = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[meet]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
+
+    def _bidirectional_search(self, source: str, target: str):
+        """BFS from both ends; ``(pred, succ, meeting node)`` or ``None``.
+
+        Grows the smaller fringe (forward on ties) one level at a time and
+        stops at the first node both searches have reached.
+        """
+        pred: Dict[str, Optional[str]] = {source: None}
+        succ: Dict[str, Optional[str]] = {target: None}
+        forward, reverse = [source], [target]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                seen, other, fringe = pred, succ, forward
+            else:
+                level, reverse = reverse, []
+                seen, other, fringe = succ, pred, reverse
+            for v in level:
+                for w in self._adj[v]:
+                    if w not in seen:
+                        seen[w] = v
+                        fringe.append(w)
+                    if w in other:
+                        return pred, succ, w
+        return None
 
 
 class Topology:
@@ -262,11 +342,17 @@ class Topology:
 
     # -- derived views ------------------------------------------------------
 
-    def to_networkx(self) -> "nx.Graph":
-        """Switch-level graph with ports recorded on the edges.
+    def switch_graph(self) -> SwitchGraph:
+        """Switch-level adjacency, edges in :meth:`internal_links` order.
 
-        Used by the controller's shortest-path computation.
+        Used by the controller's route computation.
         """
+        return SwitchGraph(self.switches, self.internal_links())
+
+    def to_networkx(self) -> "nx.Graph":
+        """The same graph as a ``networkx.Graph`` (needs the ``dev`` extra)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.switches)
         for a, b in self.internal_links():

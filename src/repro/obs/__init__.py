@@ -14,7 +14,9 @@ dependencies (stdlib only):
   incident,
 * :mod:`repro.obs.exposition` — Prometheus text format v0.0.4 + JSON,
 * :mod:`repro.obs.httpd`      — the live ``/metrics`` / ``/healthz`` /
-  ``/varz`` endpoint served by a stdlib ``http.server``.
+  ``/varz`` endpoint served by a stdlib ``http.server``; imported only
+  when an endpoint is asked for, so a process without ``metrics_port``
+  never loads ``http.server`` and what it pulls in.
 
 :class:`Observability` bundles one registry and one tracer; the
 :class:`~repro.core.server.VeriDPServer` creates one by default and the
@@ -24,7 +26,7 @@ catalogue and span taxonomy are documented in DESIGN.md §8.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .exposition import (
     CONTENT_TYPE_PROMETHEUS,
@@ -33,7 +35,6 @@ from .exposition import (
     render_prometheus,
     snapshot_to_dict,
 )
-from .httpd import MetricsEndpoint
 from .metrics import (
     DEFAULT_BUCKETS,
     IO_BUCKETS,
@@ -44,6 +45,9 @@ from .metrics import (
     MetricsSnapshot,
 )
 from .tracing import Span, Tracer
+
+if TYPE_CHECKING:
+    from .httpd import MetricsEndpoint
 
 __all__ = [
     "Observability",
@@ -63,6 +67,14 @@ __all__ = [
     "parse_prometheus_text",
     "CONTENT_TYPE_PROMETHEUS",
 ]
+
+
+def __getattr__(name: str):
+    if name == "MetricsEndpoint":
+        from .httpd import MetricsEndpoint
+
+        return MetricsEndpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Observability:
@@ -87,4 +99,6 @@ class Observability:
         varz=None,
     ) -> MetricsEndpoint:
         """Build (but do not start) an HTTP endpoint over this bundle."""
+        from .httpd import MetricsEndpoint
+
         return MetricsEndpoint(self, host=host, port=port, health=health, varz=varz)

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.coverage import CoverageTracker
+from ..core.coverage import CoverageTracker
 from ..core.server import Incident, VeriDPServer
 from ..dataplane.network import DataPlaneNetwork, DeliveryStatus
 from ..netmodel.packet import Header

@@ -251,7 +251,7 @@ class SliceRegistry:
     def entry_resolver(self) -> Callable:
         """A ``(inport, outport, entry) -> tenant|None`` attribution hook.
 
-        Used by :meth:`repro.analysis.coverage.CoverageTracker.dark_paths`
+        Used by :meth:`repro.core.coverage.CoverageTracker.dark_paths`
         to filter the dark list per tenant: a path belongs to the tenant
         owning its delivery port when that port is owned, else to the
         tenant whose footprint its destination falls in.

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..bdd.headerspace import parse_ipv4, parse_prefix
 from ..controlplane.controller import Controller
 from ..controlplane.messages import Channel
@@ -91,7 +89,7 @@ def lpm_ruleset_for(
     """
     from ..controlplane.controller import ecmp_next_hops
 
-    graph = topo.to_networkx()
+    graph = topo.switch_graph()
     ruleset: Dict[str, List[Tuple[str, int]]] = {
         sid: [] for sid in topo.switches
     }
@@ -105,7 +103,6 @@ def lpm_ruleset_for(
                 nxt = next_hops.get(switch_id)
                 if nxt is None:
                     continue
-                ports = graph.edges[switch_id, nxt]["ports"]
-                out_port = ports[switch_id]
+                out_port = graph.egress_port(switch_id, nxt)
             ruleset[switch_id].append((prefix, out_port))
     return ruleset

@@ -191,7 +191,13 @@ def build_jellyfish(
     Built with networkx's random regular graph generator; hosts round-robin
     on extra ports.  Jellyfish topologies stress ECMP routing diversity.
     """
-    import networkx as _nx
+    try:
+        import networkx as _nx
+    except ImportError:
+        raise ImportError(
+            "build_jellyfish needs networkx: install the 'dev' extra "
+            "(pip install -e '.[dev]')"
+        ) from None
 
     if num_switches * degree % 2:
         raise ValueError("num_switches * degree must be even for a regular graph")
