@@ -764,6 +764,22 @@ class BDD:
                 raise ValueError(f"assignment missing variable level {level}") from exc
         return u == TRUE
 
+    def evaluate_value(self, f: int, value: int) -> bool:
+        """Evaluate ``f`` against a header packed into one integer.
+
+        Same input format as :meth:`FlatBDD.evaluate_value` (level 0 is the
+        most significant of ``num_vars`` bits) without compiling ``f``
+        first: each variable's bit is one shift, not a dict lookup.
+        """
+        u = f
+        top = self.num_vars - 1
+        level = self._level
+        low = self._low
+        high = self._high
+        while u > TRUE:
+            u = high[u] if (value >> (top - level[u])) & 1 else low[u]
+        return u == TRUE
+
     # ------------------------------------------------------------------
     # flat compilation (the verification fast path)
     # ------------------------------------------------------------------

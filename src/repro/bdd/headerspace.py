@@ -301,16 +301,10 @@ class HeaderSpace:
     def contains(self, header_set: int, header: Mapping[str, int]) -> bool:
         """Is the concrete ``header`` a member of ``header_set``?
 
-        Walks the BDD once with the header bits instead of materialising the
-        singleton BDD — this is the verification fast path.
+        Packs the header into one integer (:meth:`header_value`) and walks
+        the BDD once with it instead of materialising the singleton BDD.
         """
-        bits: Dict[int, bool] = {}
-        for field in self.layout.fields:
-            value = header[field.name]
-            base = self.layout.offset(field.name)
-            for i in range(field.width):
-                bits[base + i] = bool((value >> (field.width - 1 - i)) & 1)
-        return self.bdd.evaluate(header_set, bits)
+        return self.bdd.evaluate_value(header_set, self.header_value(header))
 
     def header_value(self, header: Mapping[str, int]) -> int:
         """Pack a concrete header into one integer (level 0 = MSB).

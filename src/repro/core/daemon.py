@@ -95,7 +95,7 @@ from .resilience import (
     WorkerSupervisor,
     drop_stat_aliases,
 )
-from .server import Incident, VeriDPServer
+from .server import VeriDPServer
 from .vector import (
     HAVE_NUMPY as _HAVE_VECTOR,
     MIN_BATCH as _VECTOR_MIN_BATCH,
@@ -654,63 +654,65 @@ class VeriDPDaemon:
             self._process_batch(verifier, salvage)
 
     def _process_batch(self, verifier: "Verifier", payloads: List[bytes]) -> None:
+        server = self.server
+        codec = server.codec
+        # Repeats of a failing payload the server's log already holds are
+        # neither decoded nor verified again.  One slot per payload keeps
+        # the failures in arrival order: a slot ends up holding the
+        # payload's failing result (a repeat's is its record's), or None.
+        with self._lock:
+            known, epoch = server.split_known(payloads, verifier)
+        slots: list = [None if k is None else k.verification for k in known]
         reports = []
-        sources: List[bytes] = []
+        positions: List[int] = []
         malformed = 0
-        codec = self.server.codec
         # Spans are batch-granular on purpose: one ring append per batch is
         # noise-level cost, one per report would not be (see DESIGN.md §8).
         with self.obs.span("decode", reports=len(payloads)):
-            for payload in payloads:
+            for index, payload in enumerate(payloads):
+                if slots[index] is not None:
+                    continue
                 try:
                     reports.append(unpack_report(payload, codec))
-                    sources.append(payload)
+                    positions.append(index)
                 except ReportDecodeError as exc:
                     malformed += 1
                     self.dead_letters.add(payload, "decode", exc)
-        incidents: List[Incident] = []
         verify_errors = 0
-        failures = []
         if reports:
             # Pure computation outside the lock.
             try:
                 with self.obs.span("verify", reports=len(reports)):
                     batch_result = verifier.verify_batch(reports)
-                failures = batch_result.failures
+                failed = iter(batch_result.failures)
+                for index, verdict in zip(positions, batch_result.verdicts):
+                    if verdict is not Verdict.PASS:
+                        slots[index] = next(failed)
                 self._batch_hist.observe(batch_result.elapsed_s)
             except Exception:
                 # One poisoned report must not take down its batch-mates:
                 # retry one by one and dead-letter only the culprit(s).
-                failures = []
-                for report, payload in zip(reports, sources):
+                for index, report in zip(positions, reports):
                     try:
                         result = verifier.verify(report)
                     except Exception as exc:
                         verify_errors += 1
-                        self.dead_letters.add(payload, "verify", exc)
+                        self.dead_letters.add(payloads[index], "verify", exc)
                         continue
-                    if not result.passed:
-                        failures.append(result)
-        if failures:
-            with self.obs.span("localize", failures=len(failures)):
-                for failure in failures:
-                    localization = None
-                    if self.server.localize_failures:
-                        try:
-                            localization = self.server.localizer.localize(
-                                failure.report
-                            )
-                        except Exception:  # pragma: no cover - defensive
-                            localization = None
-                    incidents.append(
-                        Incident(verification=failure, localization=localization)
-                    )
+                    slots[index] = None if result.passed else result
+        failures = [
+            (payload, result)
+            for payload, result in zip(payloads, slots)
+            if result is not None
+        ]
         with self._lock:
-            self.processed += len(reports) - verify_errors
+            self.processed += len(payloads) - malformed - verify_errors
             self.malformed += malformed
             self.verify_errors += verify_errors
-            if incidents:
-                self.server.log_incidents(incidents)
+            if failures:
+                # Localization and the log share state across workers (the
+                # payload map, the localizer's classes): one at a time.
+                server.record_failures(failures, epoch)
 
     # -- maintenance -----------------------------------------------------------
 

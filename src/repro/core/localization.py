@@ -21,7 +21,7 @@ Two algorithms are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..netmodel.hops import Hop
 from ..netmodel.rules import DROP_PORT
@@ -41,6 +41,7 @@ __all__ = [
     "LocalizationResult",
     "CandidatePath",
     "PathInferLocalizer",
+    "ForwardingClassLocalizer",
     "StrawmanLocalizer",
     "first_bloom_miss",
 ]
@@ -67,7 +68,7 @@ def first_bloom_miss(scheme: BloomTagScheme, tag: int, hops: Sequence[Hop]) -> i
     return -1
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidatePath:
     """One possible real path, with the switch blamed for the deviation."""
 
@@ -80,7 +81,7 @@ class CandidatePath:
         return f"blame {blame}: {path}"
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalizationResult:
     """All candidate real paths recovered for one failed report."""
 
@@ -160,8 +161,17 @@ class PathInferLocalizer:
     # and (2) a deviating hop that lands directly on the reported output
     # port is itself a complete dev_path.
 
-    def localize(self, report: TagReport) -> LocalizationResult:
-        """Run ``PathInfer`` for one failed report."""
+    def localize(
+        self, report: TagReport, selected: Optional[List[int]] = None
+    ) -> LocalizationResult:
+        """Run ``PathInfer`` for one failed report.
+
+        ``selected`` collects the slice predicates of every control-plane
+        walk the run makes (see :meth:`PathTableBuilder.expected_path`):
+        together with ``(inport, outport, tag)`` they are everything the
+        answer depends on, which is what :class:`ForwardingClassLocalizer`
+        shares runs by.
+        """
         result = LocalizationResult(report=report)
         header = report.header.as_dict()
         tag = report.tag
@@ -169,7 +179,7 @@ class PathInferLocalizer:
         # Phase 1: the longest prefix of the correct path consistent with
         # the tag (Algorithm 4 lines 2-7).  com_path keeps the hop at which
         # the path may deviate on top.
-        correct = self.builder.expected_path(report.inport, header)
+        correct = self.builder.expected_path(report.inport, header, selected)
         miss = first_bloom_miss(self.scheme, tag, correct)
         # com_path keeps the hop at which the path may deviate on top: the
         # prefix up to (and including) the first tag-inconsistent hop.
@@ -195,7 +205,7 @@ class PathInferLocalizer:
                 if peer is None:
                     continue
                 # Chase downstream flow tables (GetPath from the next hop).
-                downstream = self.builder.expected_path(peer, header)
+                downstream = self.builder.expected_path(peer, header, selected)
                 down_miss = first_bloom_miss(self.scheme, tag, downstream)
                 consistent = (
                     downstream[:down_miss] if down_miss >= 0 else downstream
@@ -234,3 +244,80 @@ class PathInferLocalizer:
         candidate = CandidatePath(hops=hops, blamed_switch=blamed)
         if all(existing.hops != candidate.hops for existing in result.candidates):
             result.candidates.append(candidate)
+
+
+class ForwardingClassLocalizer:
+    """``PathInfer`` once per forwarding class instead of once per report.
+
+    Algorithm 4 reads a report's header only through the control-plane
+    walks it makes (``GetPath`` from the entry port and from every port it
+    chases downstream); everything else it reads is ``(inport, outport,
+    tag)`` and the topology.  Each walk records the slice predicates it
+    chose, and because the slices at an ingress partition the header
+    space, a second header inside all of them makes every one of those
+    walks hop for hop — so the run's ``candidates`` are its answer too
+    ("Forwarding Tables Verification through Representative Header Sets":
+    one witness per class is enough).  A run that crossed a rewrite
+    records the empty set and is never shared.
+
+    The guard is kept as the run's distinct predicate ids and tested by
+    read-only BDD walks.  Materialising the conjunction would call
+    ``BDD.and_`` on the shared manager from a daemon worker thread while
+    the control thread may be applying rules to it.
+
+    ``epoch`` names the configuration the stored answers were computed
+    under; when its value moves, they are forgotten.
+    """
+
+    def __init__(
+        self, inner: PathInferLocalizer, epoch: Callable[[], object]
+    ) -> None:
+        self.inner = inner
+        self._epoch = epoch
+        self._held_epoch: object = None
+        #: (inport, outport, tag) -> [(guard predicates, shared candidates)]
+        self._held: Dict[tuple, List[Tuple[Tuple[int, ...], List[CandidatePath]]]] = {}
+        self.runs = 0  # reports that ran PathInfer
+        self.shared = 0  # reports answered by a stored class
+
+    @property
+    def classes(self) -> int:
+        """Guards currently stored."""
+        return sum(len(held) for held in self._held.values())
+
+    def forget(self) -> None:
+        """Drop every stored class."""
+        self._held.clear()
+
+    def localize(self, report: TagReport) -> LocalizationResult:
+        """The same result ``inner.localize(report)`` returns.
+
+        A shared answer carries this report and the stored run's
+        ``candidates`` list itself (read-only by convention).
+        """
+        epoch = self._epoch()
+        if epoch != self._held_epoch:
+            self.forget()
+            self._held_epoch = epoch
+        hs = self.inner.builder.hs
+        holds = hs.bdd.evaluate_value
+        value = hs.header_value(report.header.as_dict())
+        key = (report.inport, report.outport, report.tag)
+        held = self._held.get(key)
+        if held is not None:
+            for guard, candidates in held:
+                for pred in guard:
+                    if not holds(pred, value):
+                        break
+                else:
+                    self.shared += 1
+                    return LocalizationResult(report, candidates)
+        selected: List[int] = []
+        result = self.inner.localize(report, selected)
+        self.runs += 1
+        if hs.empty not in selected:
+            guard = tuple(dict.fromkeys(selected))
+            if held is None:
+                held = self._held[key] = []
+            held.append((guard, result.candidates))
+        return result

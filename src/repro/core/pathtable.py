@@ -922,29 +922,49 @@ class PathTableBuilder:
 
     # -- control-plane path query (used by the localizer) --------------------
 
-    def expected_path(self, entry: PortRef, header: Dict[str, int]) -> List[Hop]:
+    def expected_path(
+        self,
+        entry: PortRef,
+        header: Dict[str, int],
+        selected: Optional[List[int]] = None,
+    ) -> List[Hop]:
         """``GetPath(inport, header)``: the concrete path the control plane
         prescribes for one header injected at ``entry``.
 
         Walks transfer actions picking the slice containing the current
         header (applying any rewrites to it along the way), until an edge
         port, ``⊥``, a revisited port, or the TTL bound.
+
+        ``selected``, when given, collects the predicate of every slice the
+        walk chose.  The slices at an ingress partition the header space,
+        so any header inside all collected predicates takes this same walk.
+        That stops holding once a rewrite changes the header the later
+        predicates are tested against: such a walk (or one no slice
+        claimed) collects the empty set instead, which no header is in.
         """
         hops: List[Hop] = []
         current = entry
         visited = set()
-        live_header = dict(header)
+        hs = self.hs
+        holds = hs.bdd.evaluate_value
+        live_header = header
+        value = hs.header_value(header)
         while len(hops) < self.max_path_length and current not in visited:
             visited.add(current)
             chosen: Optional[TransferAction] = None
             for action in self._actions_at(current.switch, current.port):
-                if self.hs.contains(action.pred, live_header):
+                if holds(action.pred, value):
                     chosen = action
                     break
             if chosen is None:  # defensive: transfer slices partition space
+                if selected is not None:
+                    selected.append(hs.empty)
                 break
+            if selected is not None:
+                selected.append(hs.empty if chosen.rewrites else chosen.pred)
             if chosen.rewrites:
-                live_header = self.hs.rewrite_header(live_header, chosen.rewrites)
+                live_header = hs.rewrite_header(live_header, chosen.rewrites)
+                value = hs.header_value(live_header)
             hops.append(Hop(current.port, current.switch, chosen.out_port))
             egress = PortRef(current.switch, chosen.out_port)
             if chosen.out_port == DROP_PORT or self.topo.is_edge_port(egress):

@@ -67,6 +67,9 @@ class PortCodec:
     def __init__(self, switch_ids: Iterable[str] = ()) -> None:
         self._index: Dict[str, int] = {}
         self._names: List[str] = []
+        #: wire id -> the one PortRef every decode of it returns (at most
+        #: 2**14 of them), so a log of reports does not hold a copy each.
+        self._refs: Dict[int, PortRef] = {}
         for sid in switch_ids:
             self.register(sid)
 
@@ -101,6 +104,9 @@ class PortCodec:
 
     def decode(self, wire_id: int) -> PortRef:
         """``14-bit id -> PortRef``."""
+        ref = self._refs.get(wire_id)
+        if ref is not None:
+            return ref
         if not 0 <= wire_id < (1 << 14):
             raise ValueError(f"wire port id {wire_id} does not fit in 14 bits")
         switch_index = wire_id >> 6
@@ -110,13 +116,14 @@ class PortCodec:
         except IndexError:
             raise ValueError(f"unknown switch index {switch_index}") from None
         port = DROP_PORT if port_code == _WIRE_DROP_PORT else port_code
-        return PortRef(switch_id, port)
+        ref = self._refs[wire_id] = PortRef(switch_id, port)
+        return ref
 
     def __len__(self) -> int:
         return len(self._names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagReport:
     """The 4-tuple a reporting switch sends to the VeriDP server.
 

@@ -15,9 +15,8 @@ The server sits beside the controller.  It
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.headerspace import HeaderSpace
 from ..controlplane.messages import Channel, FlowMod
@@ -25,7 +24,11 @@ from ..netmodel.topology import Topology
 from ..obs import Observability
 from .bloom import BloomTagScheme
 from .coverage import CoverageTracker
-from .localization import LocalizationResult, PathInferLocalizer
+from .localization import (
+    ForwardingClassLocalizer,
+    LocalizationResult,
+    PathInferLocalizer,
+)
 from .pathtable import BUILD_STATS, PathTable, PathTableBuilder, SnapshotProvider
 from .reports import PortCodec, ReportDecodeError, TagReport, unpack_report
 from .verifier import VerificationResult, Verdict, Verifier
@@ -33,7 +36,7 @@ from .verifier import VerificationResult, Verdict, Verifier
 __all__ = ["VeriDPServer", "Incident"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Incident:
     """One detected inconsistency: the failed verification + localization."""
 
@@ -160,21 +163,28 @@ class VeriDPServer:
         #: Coverage over the live table, fed by every verification on the
         #: direct report path; the active prober closes its dark list.
         self.coverage = CoverageTracker(self.table)
-        self.localizer = PathInferLocalizer(self.builder, self.scheme, topo)
+        # A persistent fault is one failing report per sampled packet, so
+        # the failure path is built to cost per distinct fault: Algorithm 4
+        # runs once per forwarding class (the localizer holds the answers),
+        # and the log holds one record per distinct failing payload.
+        self.localizer = ForwardingClassLocalizer(
+            PathInferLocalizer(self.builder, self.scheme, topo),
+            self._failure_epoch,
+        )
         self.incidents: List[Incident] = []
         self.incidents_total = 0  # survives drain_incidents(), unlike len()
+        self.incident_records = 0  # distinct objects in the live log
+        #: failing payload -> its record in the live log.  Lives and dies
+        #: with the log and with the configuration the verdicts were made
+        #: under, so it holds nothing the log does not already hold.
+        self._interned: Dict[bytes, Incident] = {}
+        self._interned_epoch: object = None
         self.decode_errors = 0
         self.localization_errors = 0
         self.localizations = 0
-        self._dirty = False
-        # A persistent fault produces one identical failing report per
-        # sampled packet; running Algorithm 4 once per *distinct* failure is
-        # enough.  Bounded FIFO cache, invalidated on configuration change.
-        self._localization_cache: "OrderedDict[tuple, LocalizationResult]" = (
-            OrderedDict()
-        )
+        #: Localizations an interned record or a stored class answered.
         self.localization_cache_hits = 0
-        self.localization_cache_max = 4096
+        self._dirty = False
         # -- multi-tenant slicing (repro.slice) -----------------------------
         #: The :class:`~repro.slice.registry.SliceRegistry`, when sliced.
         self.slices = None
@@ -347,8 +357,14 @@ class VeriDPServer:
         )
         reg.counter(
             "veridp_localization_cache_hits_total",
-            "Localizations served from the bounded result cache.",
+            "Localizations answered by an interned incident record or a "
+            "stored forwarding class instead of a PathInfer run.",
             callback=lambda: self.localization_cache_hits,
+        )
+        reg.gauge(
+            "veridp_localization_classes",
+            "Forwarding classes whose PathInfer answer is held for sharing.",
+            callback=lambda: self.localizer.classes,
         )
         reg.counter(
             "veridp_localization_errors_total",
@@ -364,6 +380,12 @@ class VeriDPServer:
             "veridp_incident_log_size",
             "Incidents currently waiting in the operator log.",
             callback=lambda: len(self.incidents),
+        )
+        reg.gauge(
+            "veridp_incident_records",
+            "Distinct incident records alive in the operator log (repeats "
+            "of one failing payload share one).",
+            callback=lambda: self.incident_records,
         )
         reg.gauge(
             "veridp_path_table_version",
@@ -622,10 +644,10 @@ class VeriDPServer:
         # of the server's long-lived statistics (and the repair engine
         # reads them across rebuilds).
         self.verifier.table = self.table
-        # The flow cache keyed headers against the *old* table's paths;
-        # invalidate it exactly like the localization cache below.
+        # The flow cache keyed headers against the *old* table's paths.
+        # (Remembered failures need no flush here: they are stamped with
+        # _failure_epoch, which the new table and state_version just moved.)
         self.verifier.invalidate_fast_path()
-        self._localization_cache.clear()
         # The rebuild replaced every entry object; accumulated coverage
         # vouched for entries that no longer exist.
         self.coverage.retarget(self.table)
@@ -762,15 +784,14 @@ class VeriDPServer:
 
     def _note_rule_applied(self) -> None:
         # The path table mutated in place; its version bump already
-        # invalidates the verifier's flow cache and compiled-matcher index.
-        # Localization results are keyed on reports, not table versions, so
-        # that cache needs an explicit flush.
+        # invalidates the verifier's flow cache and compiled-matcher index,
+        # and with state_version below it moves _failure_epoch, which
+        # retires every remembered failure.
         if self.coalesce_ms <= 0:
             # Immediate-apply mode: the table just changed, so isolation
             # re-proves now.  (Coalesced mode rechecks at the flush.)
             self._recheck_isolation()
         self.state_version += 1
-        self._localization_cache.clear()
         self._rules_since_snapshot += 1
         if (
             self.snapshot_every is not None
@@ -810,12 +831,23 @@ class VeriDPServer:
         it went on to reject).  ``record=False`` skips the append — for
         re-ingestion paths whose payloads were already logged at first
         arrival (daemon failure re-ingest, dead-letter retries).
+
+        A payload the live log already holds a failure record for is not
+        decoded or verified again (see :meth:`split_known`).
         """
         if record and self.persist is not None:
             self.persist.log_report(payload)
-        with self.obs.span("decode"):
-            report = unpack_report(payload, self.codec)
-        return self.receive_report(report)
+        self.maybe_flush_updates()
+        self.refresh_if_dirty()
+        (known,), epoch = self.split_known((payload,), self.verifier)
+        if known is not None:
+            verification = known.verification
+            self._attribute(verification.report)
+        else:
+            with self.obs.span("decode"):
+                report = unpack_report(payload, self.codec)
+            verification = self._verify(report)
+        return self._receive(verification, payload, epoch)
 
     def try_receive_report_bytes(
         self, payload: bytes, record: bool = True
@@ -826,76 +858,190 @@ class VeriDPServer:
         that cannot be decoded — the transport-facing entry point for
         ingestion paths without their own dead-letter handling.
         """
-        if record and self.persist is not None:
-            self.persist.log_report(payload)
         try:
-            report = unpack_report(payload, self.codec)
+            return self.receive_report_bytes(payload, record)
         except ReportDecodeError:
             self.decode_errors += 1
             return None
-        return self.receive_report(report)
 
     def receive_report(self, report: TagReport) -> Incident:
         """Verify one report; on failure, localize.  Always returns a record
         (with a PASS verdict when nothing is wrong)."""
         self.maybe_flush_updates()
         self.refresh_if_dirty()
+        epoch = self._failure_epoch()
+        return self._receive(self._verify(report), None, epoch)
+
+    def _attribute(self, report: TagReport) -> None:
         if self.slices is not None:
             # Tenant attribution is a few integer masks (LPM dict), so the
             # sliced hot path stays tenant-count-independent.
             tenant = self.slices.classify_dst(report.header.dst_ip) or ""
             self.tenant_reports[tenant] = self.tenant_reports.get(tenant, 0) + 1
+
+    def _verify(self, report: TagReport) -> VerificationResult:
+        self._attribute(report)
         with self.obs.span("verify") as span:
             verification = self.verifier.verify(report)
             span.set("verdict", verification.verdict.value)
-        self.coverage.observe(verification)
-        localization = None
-        if not verification.passed and self.localize_failures:
-            # Localization is best-effort diagnosis: a report exotic enough
-            # to crash Algorithm 4 (e.g. a switch the path table has never
-            # seen) must still produce its incident, just unlocalized.
-            try:
-                with self.obs.span("localize"):
-                    localization = self._localize_cached(report)
-            except Exception:
-                self.localization_errors += 1
-        incident = Incident(verification=verification, localization=localization)
-        if not verification.passed:
-            self.log_incidents([incident])
-        return incident
+        return verification
 
-    def log_incidents(self, incidents: List[Incident]) -> None:
+    def _receive(
+        self, verification: VerificationResult, payload: Optional[bytes], epoch: tuple
+    ) -> Incident:
+        self.coverage.observe(verification)
+        if verification.passed:
+            return Incident(verification=verification)
+        return self.record_failures([(payload, verification)], epoch)[0]
+
+    # -- the failure path ------------------------------------------------------
+    #
+    # Two calls, so a caller can verify between them without holding its
+    # lock: split_known (what the log already answers, and the epoch the
+    # rest must be verified under) and record_failures (log everything).
+
+    def _failure_epoch(self) -> tuple:
+        """The configuration a remembered failure answer was computed under.
+
+        A verdict depends on the table, Algorithm 4 on the transfer
+        predicates too, which a coalescing window moves (``state_version``)
+        before the table catches up (``table.version``).  The table is
+        named by ``id`` so a stamp does not keep a replaced table alive;
+        every replacement also moves ``state_version``.  Every mutation
+        bumps its version *after* it lands, so a verdict made between two
+        equal readings of the epoch was made under that configuration.
+        """
+        table = self.table
+        return (id(table), table.version, self.state_version)
+
+    def _interned_at(self, epoch: tuple) -> Dict[bytes, Incident]:
+        """The payload map, emptied first if the configuration moved."""
+        if epoch != self._interned_epoch:
+            self._interned = {}
+            self._interned_epoch = epoch
+        return self._interned
+
+    def split_known(
+        self, payloads: Sequence[bytes], verifier: Verifier
+    ) -> Tuple[List[Optional[Incident]], tuple]:
+        """Per payload, the live log's record of that exact failing payload.
+
+        Returns ``(known, epoch)``.  ``known[i]`` is ``None`` when payload
+        ``i`` has to be decoded and verified; otherwise it was counted on
+        ``verifier`` as the repeat it is, and the caller hands
+        ``known[i].verification`` to :meth:`record_failures` in its place.
+        Only records made under the current configuration answer: a rule
+        change empties the map (the log itself keeps its entries).
+        ``epoch`` is that configuration, read *before* the caller verifies
+        anything; :meth:`record_failures` needs it back.
+        """
+        epoch = self._failure_epoch()
+        interned = self._interned_at(epoch)
+        if not interned:
+            return [None] * len(payloads), epoch
+        known = [interned.get(payload) for payload in payloads]
+        for incident in known:
+            if incident is not None:
+                verifier.count_repeat(incident.verification.verdict)
+        return known, epoch
+
+    def record_failures(
+        self,
+        failures: List[Tuple[Optional[bytes], VerificationResult]],
+        epoch: tuple,
+    ) -> List[Incident]:
+        """Turn failed reports into log entries, in the order given.
+
+        The single place a failure is localized and recorded; every
+        deployment shape ends here (the direct daemon per batch, the
+        sharded daemon and the cluster coordinator through
+        :meth:`receive_report_bytes`).  Each item pairs the report's wire
+        payload (``None`` when it arrived as an object) with its failing
+        result; ``epoch`` is what :meth:`split_known` returned before those
+        results were made.
+
+        A payload the live log already holds appends that same
+        :class:`Incident` object again — eight bytes, no PathInfer — while
+        ``incidents_total``, ``localizations`` and the error/hit counters
+        advance as if it had been processed afresh.  If the configuration
+        moved since ``epoch`` (a rule landed while the caller verified),
+        the verdicts are still logged but the map is neither read nor
+        written: the next arrival of those payloads is verified again.
+        Not thread-safe: concurrent callers serialise it (the daemons hold
+        their lock).
+        """
+        current = self._failure_epoch()
+        interned = self._interned_at(current) if current == epoch else None
+        logged: List[Incident] = []
+        records = 0
+        with self.obs.span("localize", failures=len(failures)):
+            for payload, verification in failures:
+                incident = None
+                if interned is not None and payload is not None:
+                    incident = interned.get(payload)
+                if incident is not None:
+                    if self.localize_failures:
+                        self.localizations += 1
+                        if incident.localization is None:
+                            self.localization_errors += 1
+                        else:
+                            self.localization_cache_hits += 1
+                else:
+                    incident = Incident(verification, self._localize(verification.report))
+                    records += 1
+                    if interned is not None and payload is not None:
+                        interned[payload] = incident
+                logged.append(incident)
+        self.log_incidents(logged, records)
+        return logged
+
+    def _localize(self, report: TagReport) -> Optional[LocalizationResult]:
+        """Algorithm 4 for one fresh failure (``None`` = unlocalized)."""
+        if not self.localize_failures:
+            return None
+        self.localizations += 1
+        localizer = self.localizer
+        shared = localizer.shared
+        # Localization is best-effort diagnosis: a report exotic enough to
+        # crash Algorithm 4 (e.g. a switch the path table has never seen)
+        # must still produce its incident, just unlocalized.
+        try:
+            result = localizer.localize(report)
+        except Exception:
+            self.localization_errors += 1
+            return None
+        self.localization_cache_hits += localizer.shared - shared
+        return result
+
+    def log_incidents(
+        self, incidents: List[Incident], records: Optional[int] = None
+    ) -> None:
         """Append detected inconsistencies to the operator log (counted).
 
-        The single entry point for incident recording: ``incidents_total``
-        keeps growing across :meth:`drain_incidents`, so the
-        ``veridp_incidents_total`` counter stays monotonic even though the
-        log itself is drained.
+        ``incidents_total`` keeps growing across :meth:`drain_incidents`,
+        so the ``veridp_incidents_total`` counter stays monotonic even
+        though the log itself is drained.  ``records`` is how many of the
+        entries are objects the log did not hold yet (all of them unless
+        the caller says otherwise).
         """
         with self.obs.span("incident", count=len(incidents)):
             self.incidents.extend(incidents)
             self.incidents_total += len(incidents)
-
-    def _localize_cached(self, report: TagReport) -> LocalizationResult:
-        self.localizations += 1
-        key = (report.inport, report.outport, report.header, report.tag)
-        cached = self._localization_cache.get(key)
-        if cached is not None:
-            self.localization_cache_hits += 1
-            self._localization_cache.move_to_end(key)
-            return cached
-        result = self.localizer.localize(report)
-        self._localization_cache[key] = result
-        if len(self._localization_cache) > self.localization_cache_max:
-            self._localization_cache.popitem(last=False)
-        return result
+            self.incident_records += len(incidents) if records is None else records
 
     # -- operator-facing state ----------------------------------------------
 
     def drain_incidents(self) -> List[Incident]:
-        """Return and clear the inconsistency log."""
+        """Return and clear the inconsistency log.
+
+        What was remembered on the log's behalf goes with it: the payload
+        map and the localizer's stored classes.
+        """
         incidents = self.incidents
         self.incidents = []
+        self.incident_records = 0
+        self._interned = {}
+        self.localizer.forget()
         return incidents
 
     def stats(self) -> Dict[str, object]:
@@ -914,10 +1060,12 @@ class VeriDPServer:
             "failed": verifier.failure_count,
             "incidents": len(self.incidents),
             "incidents_total": self.incidents_total,
+            "incident_records": self.incident_records,
             "decode_errors": self.decode_errors,
             "localizations": self.localizations,
             "localization_errors": self.localization_errors,
             "localization_cache_hits": self.localization_cache_hits,
+            "localization_classes": self.localizer.classes,
             "path_table_pairs": table_stats.num_pairs,
             "path_table_paths": table_stats.num_paths,
             "path_table_version": self.table.version,

@@ -83,7 +83,7 @@ class Verdict(enum.Enum):
         return self is Verdict.PASS
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationResult:
     """A verdict plus the matched path (when one exists) and timing."""
 
@@ -293,6 +293,24 @@ class Verifier:
             expected_tag=None if matched is None else matched.tag,
             elapsed_s=elapsed,
         )
+
+    def count_repeat(self, verdict: Verdict) -> None:
+        """Account for a report whose verdict the caller already holds.
+
+        No matcher ran, but the counters move as :meth:`verify` would have
+        moved them; only ``total_time_s`` stays put, since no time was
+        spent.  On the fast path the repeat is booked as a flow-cache hit
+        (an unknown pair never reaches the cache).  That hit is assumed,
+        not observed: the FIFO cache may have evicted the flow since, so
+        ``flow_cache_hit_ratio`` is an upper bound while repeats arrive.
+        """
+        self.counters[verdict] += 1
+        if not self.fast_path:
+            self.slow_verifications += 1
+            return
+        self.fast_verifications += 1
+        if verdict is not Verdict.FAIL_UNKNOWN_PAIR and self.flow_cache_size > 0:
+            self.flow_cache_hits += 1
 
     def verify_batch(
         self, reports: Sequence[TagReport], vector: bool = False

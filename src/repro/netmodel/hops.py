@@ -16,7 +16,7 @@ from .rules import DROP_PORT
 __all__ = ["Hop", "format_path", "path_switches"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Hop:
     """One switch traversal: ``<in_port, switch, out_port>``.
 

@@ -23,7 +23,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     """An immutable TCP/IP 5-tuple.
 

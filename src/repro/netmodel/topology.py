@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 __all__ = ["PortRef", "SwitchInfo", "SwitchGraph", "Topology"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PortRef:
     """A globally unique reference to one port of one switch."""
 

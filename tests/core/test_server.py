@@ -154,12 +154,36 @@ class TestLocalizationCache:
 
     def test_distinct_failures_miss_cache(self, wired):
         scenario, server, net = wired
+        to_h3 = scenario.header_between("H1", "H3")
+        to_h2 = scenario.header_between("H1", "H2")
+        for switch, header, in_port in (("S2", to_h3, 3), ("S1", to_h2, 1)):
+            rule = net.switch(switch).table.lookup(header, in_port)
+            ModifyRuleOutput(switch, rule.rule_id, 1).apply(net)
+        # Two faults on two destinations: nothing one PathInfer run walked
+        # says anything about the other.
+        net.inject_from_host("H1", to_h3)
+        net.inject_from_host("H1", to_h2)
+        assert len(server.incidents) == 2
+        assert server.localization_cache_hits == 0
+        assert server.localizer.runs == 2
+
+    def test_same_forwarding_class_shares_one_pathinfer_run(self, wired):
+        scenario, server, net = wired
         header = scenario.header_between("H1", "H3")
         rule = net.switch("S2").table.lookup(header, 3)
         ModifyRuleOutput("S2", rule.rule_id, 1).apply(net)
         net.inject_from_host("H1", header)
+        # No rule reads src_port: another ephemeral port is another payload
+        # (its own record, its own report) in the same forwarding class.
         net.inject_from_host("H1", header.with_(src_port=4242))
-        assert server.localization_cache_hits == 0
+        first, second = server.incidents
+        assert first is not second
+        assert second.verification.report.header.src_port == 4242
+        assert second.localization.report is second.verification.report
+        assert second.localization.candidates is first.localization.candidates
+        assert server.localizer.runs == 1
+        assert server.localization_cache_hits == 1
+        assert server.stats()["localization_classes"] == 1
 
     def test_cache_invalidated_by_rule_change(self, wired):
         scenario, server, net = wired
