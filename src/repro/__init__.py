@@ -27,6 +27,14 @@ Subpackages:
 * :mod:`repro.analysis`     — the Section 6 experiment harnesses.
 """
 
+import os
+
+# Nothing under this package calls BLAS (no dot/matmul/linalg), yet importing
+# numpy starts an OpenBLAS thread per core, paid in every serve process and
+# shard worker.  One thread unless the operator has said otherwise; this has
+# to run before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]

@@ -6,7 +6,8 @@ expressions.  :mod:`repro.bdd.engine` is a from-scratch ROBDD manager;
 provides match-predicate constructors.
 """
 
-from .atomic import AtomicUniverse, compute_atoms
+from typing import TYPE_CHECKING
+
 from .engine import BDD, FALSE, TRUE
 from .headerspace import (
     DEFAULT_FIELDS,
@@ -18,6 +19,9 @@ from .headerspace import (
     parse_prefix,
     range_to_prefixes,
 )
+
+if TYPE_CHECKING:
+    from .atomic import AtomicUniverse, compute_atoms
 
 __all__ = [
     "BDD",
@@ -34,3 +38,12 @@ __all__ = [
     "format_ipv4",
     "range_to_prefixes",
 ]
+
+
+def __getattr__(name: str):
+    # Atomic predicates serve the offline AtomicPathTableBuilder only.
+    if name in ("AtomicUniverse", "compute_atoms"):
+        from . import atomic
+
+        return getattr(atomic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

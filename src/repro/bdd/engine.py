@@ -178,8 +178,9 @@ class BDD:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        #: Build generation: bumped by new_generation(); apply memos live
-        #: exactly one generation.
+        #: Build generation: bumped by new_generation(), which retires the
+        #: apply memos.  Its one caller is the end of server construction;
+        #: the memos of later update flushes live until evicted.
         self.generation = 0
         # single-variable nodes are ubiquitous; build them lazily
         self._var_nodes: Dict[int, int] = {}
@@ -843,9 +844,15 @@ class BDD:
         """Start a new build generation: retire the apply memos, keep nodes.
 
         Apply memos (ite/not/and/or) survive across calls *within* one
-        generation — a full table build or one coalesced update flush — so
-        repeated sub-expressions hit.  Call this at generation boundaries to
-        return the memory without touching the unique table.
+        generation, so repeated sub-expressions hit.  A generation is a
+        piece of work whose operands nothing afterwards shares: the initial
+        table build (``VeriDPServer.__init__``) and the initial slice proof
+        (``set_slices``), each of which ends with this call and returns the
+        memory without touching the unique table.  An update flush is *not*
+        one: consecutive flushes rebuild overlapping sub-expressions, and
+        retiring per flush was measured on ``rule_churn`` to trade 1.4 MiB
+        for +12% rule-to-verdict latency and missed detection deadlines
+        (EXPERIMENTS.md "Fixed costs").
         """
         self.clear_caches()
         self.generation += 1
@@ -859,15 +866,22 @@ class BDD:
             "evictions": self.cache_evictions,
         }
 
-    def stats(self) -> Dict[str, int]:
-        """Allocation and cache-size counters, for capacity benchmarks."""
+    def memo_sizes(self) -> Dict[str, int]:
+        """Entries held by each operation memo :meth:`clear_caches` drops."""
         return {
-            "nodes": len(self._level),
             "ite_cache": len(self._ite_cache),
             "not_cache": len(self._not_cache),
             "and_memo": len(self._and_memo),
             "or_memo": len(self._or_memo),
             "quant_cache": len(self._quant_cache),
+            "count_cache": len(self._count_cache),
+        }
+
+    def stats(self) -> Dict[str, int]:
+        """Allocation and cache-size counters, for capacity benchmarks."""
+        return {
+            "nodes": len(self._level),
+            **self.memo_sizes(),
             "size_cache": len(self._size_cache),
             "op_cache_max": self.op_cache_max,
             "cache_hits": self.cache_hits,

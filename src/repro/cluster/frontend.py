@@ -63,15 +63,20 @@ __all__ = [
     "routing_key_of",
 ]
 
-try:
-    import asyncio
-
-    HAVE_ASYNCIO = True
-except Exception:  # pragma: no cover - asyncio is stdlib everywhere we run
-    asyncio = None  # type: ignore[assignment]
-    HAVE_ASYNCIO = False
-
 import selectors
+
+
+def _import_asyncio():
+    """asyncio, loaded when an engine first needs it (``None`` if missing).
+
+    It brings ssl, logging and concurrent.futures with it, which a process
+    running :class:`SelectorIngest` never uses.
+    """
+    try:
+        import asyncio
+    except ImportError:  # pragma: no cover - stdlib everywhere we run
+        return None
+    return asyncio
 
 
 def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
@@ -442,7 +447,8 @@ class AsyncioIngest:
         frontend: ClusterFrontend,
         ingest_batch: int = DEFAULT_INGEST_BATCH,
     ) -> None:
-        if not HAVE_ASYNCIO:
+        self._asyncio = _import_asyncio()
+        if self._asyncio is None:
             raise RuntimeError("asyncio is unavailable; use SelectorIngest")
         self.frontend = frontend
         # > 1 selects the frame-native drain loop (one readability wakeup
@@ -480,6 +486,7 @@ class AsyncioIngest:
     def start(self) -> "AsyncioIngest":
         if self._loop is not None:
             return self
+        asyncio = self._asyncio
         self._loop = asyncio.new_event_loop()
         started = threading.Event()
 
@@ -528,7 +535,9 @@ class AsyncioIngest:
                 pass
 
     def _run(self, coro) -> None:
-        asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout=5)
+        self._asyncio.run_coroutine_threadsafe(coro, self._loop).result(
+            timeout=5
+        )
 
     # -- protocols ---------------------------------------------------------
 
@@ -557,7 +566,7 @@ class AsyncioIngest:
             return
         ingest = self
 
-        class Proto(asyncio.DatagramProtocol):
+        class Proto(self._asyncio.DatagramProtocol):
             def datagram_received(self, data: bytes, addr) -> None:
                 ingest.datagrams += 1
                 ingest.frontend.submit(data)
@@ -590,7 +599,7 @@ class AsyncioIngest:
             finally:
                 writer.close()
 
-        server = await asyncio.start_server(handle, sock=sock)
+        server = await self._asyncio.start_server(handle, sock=sock)
         self._servers.append(server)
 
 
@@ -725,7 +734,7 @@ def build_ingest(
 ):
     """Pick the ingest engine: ``asyncio`` (default), ``selectors``."""
     if engine == "auto":
-        engine = "asyncio" if HAVE_ASYNCIO else "selectors"
+        engine = "asyncio" if _import_asyncio() is not None else "selectors"
     if engine == "asyncio":
         return AsyncioIngest(frontend, ingest_batch=ingest_batch)
     if engine == "selectors":

@@ -16,7 +16,8 @@ This package is the paper's primary contribution:
   future work #2).
 """
 
-from .atomic_builder import AtomicPathTableBuilder
+from typing import TYPE_CHECKING
+
 from .daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
 from .bloom import BloomTagScheme, XorTagScheme, murmur3_32
 from .incremental import IncrementalPathTable, LpmProvider, PrefixRuleTree, RuleDelta
@@ -34,8 +35,6 @@ from .pathtable import (
     ReachRecord,
     SnapshotProvider,
 )
-from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
-from .queries import PolicyChecker, QueryResult
 from .reports import (
     PortCodec,
     ReportDecodeError,
@@ -60,6 +59,33 @@ from .sampling import (
 )
 from .server import Incident, VeriDPServer
 from .verifier import BatchVerificationResult, VerificationResult, Verdict, Verifier
+
+if TYPE_CHECKING:
+    from .atomic_builder import AtomicPathTableBuilder
+    from .queries import PolicyChecker, QueryResult
+    from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
+
+#: Offline tools no serve shape runs: resolved on first use, so a serve
+#: process never loads them (``tests/test_import_budget.py`` is the gate).
+_LAZY = {
+    "AtomicPathTableBuilder": "atomic_builder",
+    "PolicyChecker": "queries",
+    "QueryResult": "queries",
+    "RepairAction": "repair",
+    "RepairEngine": "repair",
+    "RepairOutcome": "repair",
+    "RepairResult": "repair",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "BatchVerificationResult",

@@ -124,6 +124,15 @@ __all__ = [
 
 _STOP = object()
 
+#: Most reports the direct daemon's worker takes from its queue at once, and
+#: so the most rows one wire-kernel call verifies.  What it spreads is the
+#: kernel's fixed cost per call (80-140 us): a row costs 6-7x less at 4,096
+#: rows than in a lone 128-row frame, 16k rows would buy another 3-11% for
+#: 1.7 MiB of temporaries instead of 0.5, and no deployment has asked for a
+#: different value, hence a constant (DESIGN.md §11.2).  It bounds a
+#: backlog only: a worker never waits for rows to arrive.
+_VERIFY_MAX_ROWS = 4096
+
 
 def _log_frame(persist, frame: Frame) -> None:
     """WAL a frame as one ``RT_REPORT_BATCH`` record (durable servers)."""
@@ -143,9 +152,11 @@ class VeriDPDaemon:
     """Multi-worker report verification on top of a :class:`VeriDPServer`.
 
     The underlying server's verify/localize machinery is pure computation
-    over a shared read-only path table; workers drain the queue in batches
-    (up to ``batch_size`` reports at a time) and serialise only one
-    counter/incident update per batch under a lock.
+    over a shared read-only path table; workers drain the queue in slices
+    (whatever is queued, up to ``_VERIFY_MAX_ROWS`` reports: all of a
+    slice's frames in one wire-kernel call, its scalar payloads
+    ``batch_size`` at a time) and serialise only one counter/incident
+    update per batch under a lock.
 
     The ingestion queue is a :class:`PolicyQueue`: ``overflow`` selects what
     a full queue does (``"block"``, ``"drop-oldest"``, ``"drop-new"``), and
@@ -373,6 +384,11 @@ class VeriDPDaemon:
             "Report frames handed to the daemon by batched ingestion.",
             callback=lambda: self.frames,
         )
+        self._call_rows_hist = reg.histogram(
+            "veridp_verify_call_rows",
+            "Frame rows verified per wire-kernel call.",
+            buckets=(32, 64, 128, 256, 512, 1024, 2048, 4096),
+        ).labels()
         self._frame_rows_hist = reg.histogram(
             "veridp_ingest_frame_rows",
             "Reports per frame at the queue handoff.",
@@ -548,17 +564,23 @@ class VeriDPDaemon:
         q = self._queue
         batch_size = self.batch_size
         while True:
-            # One blocking wait, then everything already queued up to a
-            # batch — frames come back whole (a _STOP seen anywhere in the
-            # slice ends this worker after the slice is processed; stop()
-            # enqueues one _STOP per worker, and they are interchangeable).
-            items = q.get_many(batch_size)
+            # One blocking wait for the first item, then whatever is already
+            # queued behind it, up to _VERIFY_MAX_ROWS reports: frames come
+            # back whole, and all of a slice's frames share one kernel call,
+            # so the call is as deep as the backlog and an idle daemon still
+            # verifies a frame the moment it arrives.
+            items = q.get_many(_VERIFY_MAX_ROWS)
             stop = False
             batch: List[bytes] = []
             frames: List[Frame] = []
             done = 0
             for item in items:
                 if item is _STOP:
+                    # stop() enqueues one token per worker and a deep slice
+                    # can hold several: this worker ends after the slice,
+                    # the other tokens go back for the workers they are for.
+                    if stop:
+                        q.put(_STOP, force=True)
                     stop = True
                     done += 1
                 elif isinstance(item, Frame):
@@ -567,24 +589,26 @@ class VeriDPDaemon:
                 else:
                     batch.append(item)
                     done += 1
-            if batch:
+            for start in range(0, len(batch), batch_size):
+                chunk = batch[start : start + batch_size]
                 try:
-                    self._process_batch(verifier, batch)
+                    self._process_batch(verifier, chunk)
                 except Exception as exc:  # pragma: no cover - last resort
                     # A batch must never kill a worker: dead-letter it
                     # wholesale and carry on.
-                    for payload in batch:
+                    for payload in chunk:
                         self.dead_letters.add(payload, "verify", exc)
                     with self._lock:
-                        self.verify_errors += len(batch)
-            for frame in frames:
+                        self.verify_errors += len(chunk)
+            if frames:
                 try:
-                    self._process_frame(verifier, frame)
+                    self._process_frames(verifier, frames)
                 except Exception as exc:  # pragma: no cover - last resort
-                    for payload in frame.rows():
-                        self.dead_letters.add(payload, "verify", exc)
+                    for frame in frames:
+                        for payload in frame.rows():
+                            self.dead_letters.add(payload, "verify", exc)
                     with self._lock:
-                        self.verify_errors += frame.count
+                        self.verify_errors += sum(f.count for f in frames)
             q.task_done(done)
             if stop:
                 return
@@ -623,26 +647,29 @@ class VeriDPDaemon:
                     return None
             return self._wirev
 
-    def _process_frame(self, verifier: "Verifier", frame: Frame) -> None:
-        """Verify a frame: bulk-pass clean rows via the wire kernel, route
-        every flagged row (failure, malformed, scalar-only pair) through
-        :meth:`_process_batch` so incidents / DLQ records / counters are
-        bit-identical to per-datagram ingestion."""
-        n = frame.count
+    def _process_frames(self, verifier: "Verifier", frames: List[Frame]) -> None:
+        """Verify a slice's frames in one wire-kernel call: bulk-pass clean
+        rows, route every flagged row (failure, malformed, scalar-only pair)
+        through :meth:`_process_batch` in arrival order so incidents / DLQ
+        records / counters are bit-identical to per-datagram ingestion."""
+        # (joining a lone frame's payload returns that same bytes object)
+        payload = b"".join([frame.payload() for frame in frames])
+        n = len(payload) // REPORT_SIZE
         wirev = self._wire_verifier() if n >= _VECTOR_MIN_BATCH else None
-        if wirev is None:
-            self._process_batch(verifier, list(frame.rows()))
+        codes = None
+        if wirev is not None:
+            try:
+                with self.obs.span("verify", reports=n):
+                    started = time.perf_counter()
+                    codes = wirev.verify_frame(payload)
+                    elapsed = time.perf_counter() - started
+            except Exception:
+                pass  # the scalar path below reaches the same verdicts
+        if codes is None:
+            self._process_batch(verifier, _unframe_batch(payload, []))
             return
-        payload = frame.payload()
-        try:
-            with self.obs.span("verify", reports=n):
-                started = time.perf_counter()
-                codes = wirev.verify_frame(payload)
-                elapsed = time.perf_counter() - started
-            self._batch_hist.observe(elapsed)
-        except Exception:
-            self._process_batch(verifier, list(frame.rows()))
-            return
+        self._batch_hist.observe(elapsed)
+        self._call_rows_hist.observe(n)
         flagged = codes.nonzero()[0]
         pass_rows = n - int(flagged.shape[0])
         if pass_rows:
@@ -650,7 +677,10 @@ class VeriDPDaemon:
                 self.processed += pass_rows
                 self._wire_pass += pass_rows
         if flagged.shape[0]:
-            salvage = [frame.row(int(i)) for i in flagged.tolist()]
+            salvage = [
+                payload[o : o + REPORT_SIZE]
+                for o in (flagged * REPORT_SIZE).tolist()
+            ]
             self._process_batch(verifier, salvage)
 
     def _process_batch(self, verifier: "Verifier", payloads: List[bytes]) -> None:

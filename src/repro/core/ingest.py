@@ -9,9 +9,10 @@ batched fast path:
   accumulates exact-size datagrams into one frame with zero per-report
   allocations (each receive slot is one byte larger than a report so a
   kernel-truncated oversize datagram is *detected*, not silently eaten),
-* :func:`drain_socket` — the non-blocking opportunistic drain loop used by
+* :func:`drain_socket` — the non-blocking opportunistic drain used by
   :class:`~repro.core.daemon.UdpReportListener` and the cluster frontend's
-  ingest engines after their one blocking wakeup,
+  ingest engines after their one blocking wakeup: one ``recvmmsg`` per
+  wakeup where libc has it, one ``recv_into`` per datagram elsewhere,
 * :func:`screen_frame` — the vectorized equivalent of running
   :func:`~repro.core.reports.payload_precheck` over every row of a frame,
 * column extractors (:func:`pair_keys`, :func:`dst_ips`,
@@ -24,7 +25,10 @@ bit-identical either way (the hypothesis parity suite pins this).
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import socket
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from .reports import REPORT_SIZE, REPORT_VERSION, payload_precheck
@@ -60,26 +64,127 @@ DEFAULT_INGEST_BATCH = 128
 _HASH_MULT = 2654435761
 
 
+#: A receive slot: one report plus the byte that catches an oversize datagram.
+_SLOT_SIZE = REPORT_SIZE + 1
+
+
+# struct iovec / msghdr / mmsghdr as Linux lays them out (socket(7), recvmmsg(2)).
+
+
+class _IoVec(ctypes.Structure):
+    _fields_ = [("iov_base", ctypes.c_void_p), ("iov_len", ctypes.c_size_t)]
+
+
+class _MsgHdr(ctypes.Structure):
+    _fields_ = [
+        ("msg_name", ctypes.c_void_p),
+        ("msg_namelen", ctypes.c_uint),
+        ("msg_iov", ctypes.POINTER(_IoVec)),
+        ("msg_iovlen", ctypes.c_size_t),
+        ("msg_control", ctypes.c_void_p),
+        ("msg_controllen", ctypes.c_size_t),
+        ("msg_flags", ctypes.c_int),
+    ]
+
+
+class _MMsgHdr(ctypes.Structure):
+    _fields_ = [("msg_hdr", _MsgHdr), ("msg_len", ctypes.c_uint)]
+
+
+def _load_recvmmsg():
+    """libc's ``recvmmsg``, or ``None`` where there is none to call.
+
+    ``CDLL(None)`` is the process's own symbol table — no file lookup
+    (``ctypes.util.find_library`` runs ldconfig or a compiler to find one).
+    The structures above are Linux's, and the lengths come back as a numpy
+    column: on another platform or without numpy the per-datagram loop
+    keeps the job.
+    """
+    if not HAVE_NUMPY or not sys.platform.startswith("linux"):
+        return None
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+    except (OSError, TypeError):  # pragma: no cover - no dlopen(NULL) here
+        return None
+    if not hasattr(libc, "recvmmsg"):
+        return None
+    fn = libc.recvmmsg
+    fn.argtypes = [
+        ctypes.c_int,  # sockfd
+        ctypes.c_void_p,  # struct mmsghdr *msgvec
+        ctypes.c_uint,  # vlen
+        ctypes.c_int,  # flags
+        ctypes.c_void_p,  # struct timespec *timeout
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_recvmmsg = _load_recvmmsg()
+_MMSG_SIZE = ctypes.sizeof(_MMsgHdr)
+
+#: errno values that mean "nothing (more) to receive right now".
+_DRAINED = (errno.EAGAIN, errno.EINTR)
+
+
 class FrameBuffer:
     """Preallocated receive buffer assembling exact-size datagrams into a frame.
 
-    Each receive slot is ``REPORT_SIZE + 1`` bytes: a well-formed report
-    fills exactly ``REPORT_SIZE`` of them, while any longer datagram is
-    truncated by the kernel to ``REPORT_SIZE + 1`` — so ``nbytes`` alone
+    Each receive slot is its own ``REPORT_SIZE + 1`` bytes: a well-formed
+    report fills exactly ``REPORT_SIZE`` of them, while any longer datagram
+    is truncated by the kernel to ``REPORT_SIZE + 1`` — so ``nbytes`` alone
     distinguishes valid / undersized / oversized without a second syscall.
-    Slots overlap by one byte; the spillover byte of slot *i* is the first
-    byte of slot *i+1* and is only ever observed before that slot commits.
+    Slots do not overlap, so one ``recvmmsg`` can fill many at once; the
+    spare byte of each is dropped when :meth:`take` gathers the frame.
+    Committed rows are always the first ``rows`` slots: a batch that held
+    an odd datagram is compacted, an all-report batch is committed in place.
     """
 
-    __slots__ = ("capacity", "rows", "_buf", "_mv")
+    __slots__ = (
+        "capacity",
+        "rows",
+        "_buf",
+        "_mv",
+        "_slots",
+        "_iov",
+        "_msgs",
+        "_msgs_addr",
+        "_lens",
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.rows = 0
-        self._buf = bytearray(capacity * REPORT_SIZE + 1)
+        self._buf = bytearray(capacity * _SLOT_SIZE)
         self._mv = memoryview(self._buf)
+        self._slots = None
+        self._msgs = None
+        if HAVE_NUMPY:
+            # The view pins the bytearray (it cannot be resized while
+            # exported), so the slot addresses below stay valid.
+            self._slots = np.frombuffer(self._buf, dtype=np.uint8).reshape(
+                capacity, _SLOT_SIZE
+            )
+        if _recvmmsg is not None:
+            # One mmsghdr + one iovec per slot, built once: a drain passes
+            # the kernel a window of this array and reads msg_len back.
+            base = self._slots.ctypes.data
+            self._iov = (_IoVec * capacity)()
+            self._msgs = (_MMsgHdr * capacity)()
+            for i in range(capacity):
+                iov = self._iov[i]
+                iov.iov_base = base + i * _SLOT_SIZE
+                iov.iov_len = _SLOT_SIZE
+                hdr = self._msgs[i].msg_hdr
+                hdr.msg_iov = ctypes.pointer(iov)
+                hdr.msg_iovlen = 1
+            self._msgs_addr = ctypes.addressof(self._msgs)
+            word = ctypes.sizeof(ctypes.c_uint)
+            self._lens = np.frombuffer(self._msgs, dtype=np.uint32)[
+                _MMsgHdr.msg_len.offset // word :: _MMSG_SIZE // word
+            ]
 
     @property
     def full(self) -> bool:
@@ -87,8 +192,8 @@ class FrameBuffer:
 
     def slot(self) -> memoryview:
         """The next receive slot (``REPORT_SIZE + 1`` bytes)."""
-        off = self.rows * REPORT_SIZE
-        return self._mv[off : off + REPORT_SIZE + 1]
+        off = self.rows * _SLOT_SIZE
+        return self._mv[off : off + _SLOT_SIZE]
 
     def commit(self) -> None:
         """Accept the current slot's first ``REPORT_SIZE`` bytes as a row."""
@@ -96,14 +201,45 @@ class FrameBuffer:
 
     def slot_bytes(self, nbytes: int) -> bytes:
         """Copy out the current (uncommitted) slot's first ``nbytes`` bytes."""
-        off = self.rows * REPORT_SIZE
+        off = self.rows * _SLOT_SIZE
         return bytes(self._mv[off : off + nbytes])
 
     def take(self) -> bytes:
         """Return the accumulated frame bytes and reset for the next drain."""
-        frame = bytes(self._mv[: self.rows * REPORT_SIZE])
+        rows = self.rows
         self.rows = 0
-        return frame
+        if self._slots is not None:
+            return self._slots[:rows, :REPORT_SIZE].tobytes()
+        mv = self._mv
+        return b"".join(
+            mv[off : off + REPORT_SIZE]
+            for off in range(0, rows * _SLOT_SIZE, _SLOT_SIZE)
+        )
+
+    def _recv_batch(self, fd: int, want: int, odd: List[Tuple[bytes, int]]) -> int:
+        """One ``recvmmsg`` into the next ``want`` free slots.
+
+        Returns the datagrams received (reports are committed, anything
+        else is appended to ``odd``), or ``-errno`` when the call failed.
+        """
+        rows = self.rows
+        got = _recvmmsg(
+            fd, self._msgs_addr + rows * _MMSG_SIZE, want, socket.MSG_DONTWAIT, None
+        )
+        if got < 0:
+            return -ctypes.get_errno()
+        ok = self._lens[rows : rows + got] == REPORT_SIZE
+        good = int(np.count_nonzero(ok))
+        if good != got:
+            slots, lens = self._slots, self._lens
+            for i in (~ok).nonzero()[0].tolist():
+                nbytes = int(lens[rows + i])
+                odd.append((slots[rows + i, :nbytes].tobytes(), nbytes))
+            # Close the gaps the odd datagrams left (the fancy-indexed
+            # right side is a copy, so the overlap is safe).
+            slots[rows : rows + good] = slots[rows + ok.nonzero()[0]]
+        self.rows = rows + good
+        return got
 
 
 def drain_socket(
@@ -119,10 +255,33 @@ def drain_socket(
     REPORT_SIZE + 1`` flags an oversize datagram the kernel truncated.
     Stops at the buffer capacity, the optional ``limit``, or an empty
     socket queue, whichever comes first.
+
+    Where libc has ``recvmmsg`` a whole wakeup's datagrams cost one
+    syscall (a second only when odd datagrams left slots free); elsewhere,
+    and if the kernel refuses the call, the per-datagram loop does the
+    same job with the same result.
     """
     count = 0
     odd: List[Tuple[bytes, int]] = []
+    batched = fb._msgs is not None
+    fd = sock.fileno() if batched else -1
     while not fb.full and (limit is None or count < limit):
+        if batched:
+            want = fb.capacity - fb.rows
+            if limit is not None:
+                want = min(want, limit - count)
+            got = fb._recv_batch(fd, want, odd)
+            if got >= 0:
+                count += got
+                if got < want:
+                    break  # the queue ran dry inside the call
+                continue
+            if -got in _DRAINED:
+                break
+            # Not an empty queue: a kernel without the syscall (ENOSYS
+            # under a seccomp filter) or a socket fault.  The loop below
+            # works on the first and reports the second as it always has.
+            batched = False
         try:
             nbytes = sock.recv_into(fb.slot())
         except OSError:

@@ -159,6 +159,11 @@ class VeriDPServer:
             self.state_version = 0
         if fast_path:
             self.table.compile_matchers(self.hs)
+        # The table and its matchers are built, and reports are verified on
+        # the compiled matchers: the build's apply memos are scratch from
+        # here on, and a worker forked later should not inherit them.
+        # (Update flushes keep theirs; see BDD.new_generation.)
+        self.hs.bdd.new_generation()
         self.verifier = Verifier(self.table, self.hs, fast_path=fast_path)
         #: Coverage over the live table, fed by every verification on the
         #: direct report path; the active prober closes its dark list.
@@ -238,6 +243,8 @@ class VeriDPServer:
         )
         incidents = self.isolation.check_full()
         self._log_isolation(incidents)
+        # The full sweep is construction-sized work with its own memos.
+        self.hs.bdd.new_generation()
         return incidents
 
     def _log_isolation(self, incidents) -> None:
@@ -1096,6 +1103,8 @@ class VeriDPServer:
             "update_flushes": self.update_flushes,
             "update_flush_events": self.update_flush_events,
             "bdd_cache": self.hs.bdd.cache_counters(),
+            "bdd_generation": self.hs.bdd.generation,
+            "bdd_memos": self.hs.bdd.memo_sizes(),
         }
         if self.slices is not None:
             out["tenants"] = {

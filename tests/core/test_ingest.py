@@ -6,11 +6,14 @@ listener — including the oversize-datagram detection that replaced the old
 magic 2048-byte receive buffer.
 """
 
+import ctypes
+import errno
 import socket
 import time
 
 import pytest
 
+from repro.core import ingest
 from repro.core.daemon import (
     ShardedVeriDPDaemon,
     UdpReportListener,
@@ -163,6 +166,32 @@ class TestDrainSocket:
             rx.setblocking(False)
             count, odd = drain_socket(rx, FrameBuffer(4))
             assert (count, odd) == (0, [])
+        finally:
+            rx.close()
+            tx.close()
+
+    @pytest.mark.skipif(ingest._recvmmsg is None, reason="no recvmmsg here")
+    def test_kernel_without_recvmmsg_falls_back_to_the_loop(self, monkeypatch):
+        # libc has the symbol, the kernel refuses the call (ENOSYS under a
+        # seccomp filter): the drain must still empty the socket, or the
+        # selector engines would spin on a readable socket forever.
+        calls = []
+
+        def refused(fd, msgvec, vlen, flags, timeout):
+            calls.append(vlen)
+            ctypes.set_errno(errno.ENOSYS)
+            return -1
+
+        rx, tx = self.make_pair()
+        try:
+            fb = FrameBuffer(8)
+            monkeypatch.setattr(ingest, "_recvmmsg", refused)
+            self.send_and_settle(tx, rx, [make_row(), b"short", make_row(fill=7)])
+            rx.setblocking(False)
+            count, odd = drain_socket(rx, fb)
+            assert calls == [8]
+            assert (count, odd) == (3, [(b"short", 5)])
+            assert fb.take() == make_row() + make_row(fill=7)
         finally:
             rx.close()
             tx.close()

@@ -200,3 +200,89 @@ class TestLocalizationCache:
         )
         net.inject_from_host("H1", header)
         assert server.localization_cache_hits == 0
+
+
+class TestBuildMemosRetired:
+    """Construction ends the BDD's memo generation on every boot path: the
+    apply memos are build scratch once the table, its matchers and the
+    initial slice proof exist, and the table itself must not notice."""
+
+    @staticmethod
+    def reference_fingerprint(scenario):
+        from repro.bdd.headerspace import HeaderSpace
+        from repro.core.pathtable import PathTableBuilder
+        from repro.persist.snapshot import table_fingerprint
+
+        hs = HeaderSpace()
+        table = PathTableBuilder(scenario.topo, hs).build()
+        return table_fingerprint(table, hs.bdd), hs.bdd.stats()["ite_cache"]
+
+    @staticmethod
+    def check(server, fingerprint, generation=1):
+        from repro.persist.snapshot import table_fingerprint
+
+        memos = server.hs.bdd.stats()
+        assert memos["ite_cache"] == memos["and_memo"] == memos["or_memo"] == 0
+        assert memos["generation"] == generation
+        assert server.stats()["bdd_generation"] == generation
+        assert set(server.stats()["bdd_memos"].values()) == {0}
+        assert table_fingerprint(server.table, server.hs.bdd) == fingerprint
+
+    def test_static_build(self):
+        scenario = build_linear(4)
+        fingerprint, build_memos = self.reference_fingerprint(scenario)
+        assert build_memos > 0  # there was something to retire
+        self.check(VeriDPServer(scenario.topo, scenario.channel), fingerprint)
+
+    def test_incremental_build_and_no_retirement_per_flush(self):
+        # Seeded from the rule tree, which starts empty.
+        scenario = build_linear(4, install_routes=False)
+        fingerprint, _ = self.reference_fingerprint(scenario)
+        server = VeriDPServer(
+            scenario.topo, channel=None, incremental=True, coalesce_ms=5.0
+        )
+        self.check(server, fingerprint)
+        # A flush is not a generation: consecutive flushes share operands,
+        # so their memos stay for the next one.
+        from repro.topologies.base import lpm_ruleset_for
+
+        ruleset = lpm_ruleset_for(scenario.topo, scenario.subnets)
+        for switch in sorted(ruleset):
+            for prefix, port in ruleset[switch]:
+                server.apply_rule_update(switch, prefix, port)
+        server.flush_pending_updates()
+        assert server.hs.bdd.generation == 1
+        assert sum(server.stats()["bdd_memos"].values()) > 0
+
+    def test_state_dir_bootstrap_and_snapshot_boot(self, tmp_path):
+        scenario = build_linear(4)
+        fingerprint, _ = self.reference_fingerprint(scenario)
+        server = VeriDPServer(scenario.topo, state_dir=str(tmp_path), fsync="never")
+        assert server.boot_source == "bootstrap"
+        self.check(server, fingerprint)
+        server.close()
+        server = VeriDPServer(scenario.topo, state_dir=str(tmp_path), fsync="never")
+        assert server.boot_source == "snapshot"
+        self.check(server, fingerprint)
+        server.close()
+
+    def test_set_slices_retires_its_initial_proof(self):
+        from repro.slice.registry import SliceRegistry, TenantSpec
+
+        scenario = build_linear(4)
+        fingerprint, _ = self.reference_fingerprint(scenario)
+        server = VeriDPServer(scenario.topo, scenario.channel)
+        hosts = sorted(scenario.subnets)
+        registry = SliceRegistry(server.hs, scenario.topo)
+        for name, pair in (("red", hosts[:2]), ("blue", hosts[2:4])):
+            registry.register(
+                TenantSpec(
+                    name=name,
+                    prefixes=tuple(scenario.subnets[h] for h in pair),
+                    hosts=tuple(pair),
+                )
+            )
+        assert server.hs.bdd.stats()["ite_cache"] > 0  # compiling footprints
+        server.set_slices(registry)
+        assert server.isolation.full_checks == 1
+        self.check(server, fingerprint, generation=2)

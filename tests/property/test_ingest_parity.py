@@ -4,18 +4,28 @@ Every vectorized helper on the frame path must be *bit-identical* to the
 scalar code it replaced: the screen to ``payload_precheck`` (including the
 exact dead-letter reason strings), the column extraction to
 ``unpack_report``-style field decoding, the shard split to the scalar
-Knuth hash, the tenant LPM batch to the scalar longest-prefix probe, and
-the O(1) LRU sampler eviction to the old min-scan policy.
+Knuth hash, the tenant LPM batch to the scalar longest-prefix probe, the
+O(1) LRU sampler eviction to the old min-scan policy, and the ``recvmmsg``
+socket drain to the per-datagram ``recv_into`` loop it falls back to.
 """
 
+import socket
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.daemon import _shard_of
-from repro.core.ingest import HAVE_NUMPY, screen_frame, shard_split
+from repro.core import ingest
+from repro.core.ingest import (
+    HAVE_NUMPY,
+    FrameBuffer,
+    drain_socket,
+    screen_frame,
+    shard_split,
+)
 from repro.core.reports import REPORT_SIZE, REPORT_VERSION, payload_precheck
 from repro.core.sampling import FlowSampler
 from repro.slice.registry import SliceRegistry, TenantSpec
@@ -244,3 +254,91 @@ class TestSamplerLruParity:
             sampler.should_sample(key, float(i))
         assert sampler.active_flows == len(set(keys))
         assert sampler.seen_count == len(keys)
+
+
+# -- socket drain parity ----------------------------------------------------
+
+#: What a switch, a fuzzer or a stray sender can put on the report port:
+#: reports (good and bad version), anything shorter (the empty datagram
+#: included), anything longer.
+datagrams = st.lists(
+    st.one_of(
+        rows,
+        rows,
+        st.binary(min_size=0, max_size=REPORT_SIZE - 1),
+        st.binary(min_size=REPORT_SIZE + 1, max_size=3 * REPORT_SIZE),
+    ),
+    min_size=0,
+    max_size=24,
+)
+
+
+def loop_model(sent, capacity, committed, limit):
+    """What the per-datagram loop does to ``sent``, in plain Python."""
+    count, rows_, odd = 0, [], []
+    for payload in sent:
+        if committed + len(rows_) >= capacity:
+            break
+        if limit is not None and count >= limit:
+            break
+        count += 1
+        if len(payload) == REPORT_SIZE:
+            rows_.append(payload)
+        else:
+            nbytes = min(len(payload), REPORT_SIZE + 1)
+            odd.append((payload[:nbytes], nbytes))
+    return count, b"".join(rows_), odd
+
+
+@pytest.mark.skipif(ingest._recvmmsg is None, reason="no recvmmsg on this platform")
+class TestDrainParity:
+    def drain_once(self, fb, sent, committed, limit, settle):
+        """Send ``sent`` over a fresh loopback pair and drain it into ``fb``
+        (``committed`` rows already in it, as the listener's blocking
+        receive leaves it).  A fresh pair, so a datagram that lands late
+        cannot turn up in a later example."""
+        first = bytes([REPORT_VERSION]) * REPORT_SIZE
+        for _ in range(committed):
+            fb.slot()[:REPORT_SIZE] = first
+            fb.commit()
+        rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            rx.bind(("127.0.0.1", 0))
+            rx.setblocking(False)
+            tx.connect(rx.getsockname())
+            for payload in sent:
+                tx.send(payload)
+            time.sleep(settle)  # loopback delivery is fast, not synchronous
+            count, odd = drain_socket(rx, fb, limit)
+        finally:
+            rx.close()
+            tx.close()
+        frame = fb.take()
+        assert frame[: committed * REPORT_SIZE] == first * committed
+        return count, frame[committed * REPORT_SIZE :], odd
+
+    @given(
+        sent=datagrams,
+        capacity=st.integers(1, 12),
+        committed=st.integers(0, 1),
+        limit=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_recvmmsg_drain_matches_the_loop(self, sent, capacity, committed, limit):
+        committed = min(committed, capacity - 1)
+        batched = FrameBuffer(capacity)
+        recvmmsg, ingest._recvmmsg = ingest._recvmmsg, None
+        try:
+            looped = FrameBuffer(capacity)
+        finally:
+            ingest._recvmmsg = recvmmsg
+        assert batched._msgs is not None and looped._msgs is None
+        expected = loop_model(sent, capacity, committed, limit)
+        for fb in (batched, looped):
+            got = self.drain_once(fb, sent, committed, limit, 0.0005)
+            if got[0] < expected[0]:
+                # A datagram still in flight at the drain is the harness's
+                # lateness; a real shortfall repeats.
+                got = self.drain_once(fb, sent, committed, limit, 0.2)
+            assert got == expected

@@ -21,6 +21,13 @@ FORBIDDEN = (
     "repro.dataplane",
     "repro.baselines",
     "repro.configlang",
+    # Offline tools repro.core and repro.bdd export but no serve shape runs.
+    "repro.core.atomic_builder",
+    "repro.core.repair",
+    "repro.core.queries",
+    "repro.bdd.atomic",
+    # Only AsyncioIngest needs it (with ssl, logging, concurrent.futures).
+    "asyncio",
 )
 
 SERVE = """
@@ -44,8 +51,8 @@ daemon.stop()
 """
 
 
-def _run(script: str) -> str:
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _run(script: str, env=None) -> str:
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
         env=env,
@@ -80,3 +87,47 @@ conn.close()
         + "print('http.server' in sys.modules)\n"
     )
     assert _run(script).split() == ["200", "True"]
+
+
+def test_selectors_cluster_never_loads_asyncio():
+    script = """
+import sys
+from repro.cluster import VeriDPCluster
+from repro.core import VeriDPServer
+from repro.topologies import build_linear
+
+scenario = build_linear(3)
+server = VeriDPServer(scenario.topo, scenario.channel)
+with VeriDPCluster(server, nodes=1, engine="selectors") as cluster:
+    cluster.listen_udp()
+    print(cluster.stats()["engine"], "asyncio" in sys.modules)
+"""
+    assert _run(script).split() == ["selectors", "False"]
+
+
+def test_lazy_exports_still_resolve():
+    script = """
+from repro.bdd import AtomicUniverse, compute_atoms
+from repro.core import AtomicPathTableBuilder, PolicyChecker, RepairEngine
+import repro.core
+print([n for n in repro.core.__all__ if not hasattr(repro.core, n)])
+from repro.core import *
+print(RepairResult.__module__, QueryResult.__module__)
+"""
+    assert _run(script).split() == ["[]", "repro.core.repair", "repro.core.queries"]
+
+
+def test_numpy_starts_no_blas_pool():
+    # Nothing under repro calls BLAS; a fresh import must not pay for (or
+    # keep resident) an OpenBLAS thread per core.  The operator's own
+    # setting still wins.
+    script = """
+import os, sys
+import repro.core
+assert "numpy" in sys.modules
+print(os.environ["OPENBLAS_NUM_THREADS"])
+print([l.split()[1] for l in open("/proc/self/status") if l.startswith("Threads:")][0])
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _run(script, env).split() == ["1", "1"]
+    assert _run(script, dict(env, OPENBLAS_NUM_THREADS="2")).split()[0] == "2"
