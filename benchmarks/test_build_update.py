@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.bdd.headerspace import HeaderSpace
-from repro.core.daemon import build_pair_spec, build_shard_specs, replica_digest, _shard_of
+from repro.core.replica import build_pair_spec, build_shard_specs, replica_digest, _shard_of
 from repro.core.incremental import IncrementalPathTable
 from repro.core.pathtable import PathTableBuilder
 from repro.core.reports import PortCodec

@@ -48,12 +48,18 @@ def main() -> None:
     listener.start()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     print(f"VeriDP daemon listening on UDP {listener.address}")
+    sent = 0
+
+    def ship(payload: bytes) -> None:
+        nonlocal sent
+        sender.sendto(payload, listener.address)
+        sent += 1
 
     # The data plane ships report bytes to the UDP socket — the real wire.
     net = DataPlaneNetwork(
         scenario.topo,
         scenario.channel,
-        report_sink=lambda payload: sender.sendto(payload, listener.address),
+        report_sink=ship,
         sampler_factory=lambda sid: FlowSampler(default_interval=interval),
     )
 
@@ -87,6 +93,11 @@ def main() -> None:
             print(f"[t={event.time:.2f}s] fault injected: {fault.describe()}")
         net.inject_from_host(event.src_host, event.header, now=event.time)
 
+    # join() waits for the queue only: first let the listener hand over
+    # every datagram still in flight on the socket.
+    deadline = time.monotonic() + 10
+    while daemon.submitted < sent and time.monotonic() < deadline:
+        time.sleep(0.01)
     daemon.join()
 
     # 5. Roll up incidents, repair, report coverage.
@@ -110,7 +121,7 @@ def main() -> None:
         incident = server.drain_incidents()[0]
         result = engine.repair(incident)
         print(f"\nrepair: {result}")
-        net.report_sink = lambda payload: sender.sendto(payload, listener.address)
+        net.report_sink = ship
         daemon.start()
 
     tracker = CoverageTracker(server.table)

@@ -179,7 +179,7 @@ def measure_vector_verification_time(
     across repeats.
     """
     from ..core import vector as vec
-    from ..core.daemon import build_shard_specs, wire_packing
+    from ..core.replica import build_shard_specs, wire_packing
 
     if not vec.HAVE_NUMPY:
         raise RuntimeError("the vector timing harness requires numpy")
@@ -227,7 +227,7 @@ def check_vector_wire_parity(
     and malformed payloads included when the default set is used).
     """
     from ..core import vector as vec
-    from ..core.daemon import _verify_wire, build_shard_specs, wire_packing
+    from ..core.replica import _verify_wire, build_shard_specs, wire_packing
 
     if not vec.HAVE_NUMPY:
         return []

@@ -358,7 +358,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         daemon = ShardedVeriDPDaemon(
             server,
             workers=args.workers,
-            vector=False if args.no_vector else None,
             metrics_port=args.metrics_port,
             metrics_host=args.metrics_host,
         )
@@ -442,7 +441,6 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
         engine=args.engine,
         batch_size=args.batch_size,
         ingest_batch=args.ingest_batch,
-        vector=False if args.no_vector else None,
     )
     endpoint = None
     try:
@@ -919,10 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="ft4")
     serve.add_argument("--mode", choices=["thread", "sharded"], default="thread")
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--no-vector", action="store_true",
-                       help="sharded mode: disable the numpy vector "
-                            "dispatch kernel (scalar per-report matching; "
-                            "vector is on by default when numpy imports)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="UDP bind address for tag reports")
     serve.add_argument("--port", type=int, default=0,

@@ -8,7 +8,7 @@ resync protocol across process boundaries so verification scales out:
 * :mod:`repro.cluster.ring`        — consistent-hash placement,
 * :mod:`repro.cluster.frontend`    — asyncio/selectors multi-socket
   ingestion + exactly-once batch routing,
-* :mod:`repro.cluster.node`        — a verification worker behind TCP,
+* :mod:`repro.cluster.node`        — a shard replica behind TCP,
 * :mod:`repro.cluster.coordinator` — membership, rebalancing, resync and
   fleet-wide aggregation,
 * :mod:`repro.cluster.cluster`     — the :class:`VeriDPCluster` facade.

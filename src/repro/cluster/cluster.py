@@ -30,7 +30,6 @@ class VeriDPCluster:
         engine: str = "auto",
         batch_size: int = 256,
         ingest_batch: Optional[int] = None,
-        vector: Optional[bool] = None,
         vnodes: int = 64,
         persist=None,
         observer=None,
@@ -45,7 +44,6 @@ class VeriDPCluster:
             server,
             frontend=self.frontend,
             node_mode=node_mode,
-            vector=vector,
             vnodes=vnodes,
         )
         if ingest_batch is None:

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.daemon import build_pair_spec, replica_digest, wire_packing
+from ..core.replica import Delta, build_pair_spec, replica_digest, wire_packing
 from ..obs import MetricsRegistry, Observability
 from .frontend import ClusterFrontend, routing_key_of
 from .node import NodeHandle, start_node
@@ -80,7 +80,6 @@ class ClusterCoordinator:
         server,
         frontend: Optional[ClusterFrontend] = None,
         node_mode: str = "thread",
-        vector: Optional[bool] = None,
         vnodes: int = 64,
         heartbeat_timeout: float = 3.0,
     ) -> None:
@@ -88,7 +87,6 @@ class ClusterCoordinator:
         self.frontend = frontend or ClusterFrontend(persist=server.persist)
         self.frontend.ring.vnodes = vnodes
         self.node_mode = node_mode
-        self.vector = vector
         self.heartbeat_timeout = heartbeat_timeout
         self._packing = wire_packing(server.hs.layout)
         self._members: Dict[str, _Member] = {}
@@ -204,12 +202,7 @@ class ClusterCoordinator:
         """
         with self._lock:
             node_id = node_id or f"node-{next(self._ids)}"
-            handle = start_node(
-                node_id,
-                self._packing,
-                mode=self.node_mode,
-                vector=self.vector,
-            )
+            handle = start_node(node_id, self._packing, mode=self.node_mode)
             control = MessageStream.connect(handle.address)
             member = _Member(handle, control)
             # 1. who loses keys to the newcomer?
@@ -487,7 +480,7 @@ class ClusterCoordinator:
                     member.control.send(MSG_FLUSH, (token,))
                     while True:
                         mtype, body = member.control.recv(timeout=timeout)
-                        if mtype == MSG_FLUSH_REPLY and body[1] == token:
+                        if mtype == MSG_FLUSH_REPLY and body.token == token:
                             break
             except (OSError, ConnectionError):
                 continue  # check_nodes() will fail it over
@@ -495,35 +488,22 @@ class ClusterCoordinator:
         self.flushes += 1
         return folded
 
-    def _merge_reply(self, body) -> int:
-        (
-            node_id,
-            _token,
-            processed,
-            malformed,
-            counters,
-            failures,
-            crashed,
-            unknown,
-            malformed_sample,
-            last_seq,
-            snapshot,
-        ) = body
+    def _merge_reply(self, delta: Delta) -> int:
         with self._lock:
-            self.processed += processed
-            self.malformed += malformed
-            self.crashed += len(crashed)
-            for verdict, count in counters.items():
+            self.processed += delta.processed
+            self.malformed += delta.malformed
+            self.crashed += len(delta.crashed)
+            for verdict, count in delta.counters.items():
                 self.counters[verdict] += count
-            for payload in malformed_sample:
+            for payload in delta.malformed_sample:
                 if len(self.malformed_sample) < _SAMPLE_CAP:
                     self.malformed_sample.append(payload)
-            self.registry.merge(snapshot)
-        self.frontend.ack(node_id, last_seq)
+            self.registry.merge(delta.metrics)
+        self.frontend.ack(delta.source, delta.seq)
         # Failures re-ingest through the authoritative server for
         # localization (Algorithm 4) and incident logging; the cluster
         # verdict ledger already counted them from the node's counters.
-        for payload, verdict in failures:
+        for payload, verdict in delta.failures:
             self.incidents.append((payload, verdict))
             try:
                 self.server.try_receive_report_bytes(payload, record=False)
@@ -531,8 +511,8 @@ class ClusterCoordinator:
                 pass
         # Unknown-pair payloads: only the authoritative table can verdict
         # these (routing race vs genuinely unknown pair).
-        folded = processed + malformed
-        for payload in unknown:
+        folded = delta.processed + delta.malformed
+        for payload in delta.unknown:
             incident = self.server.try_receive_report_bytes(
                 payload, record=False
             )

@@ -37,7 +37,7 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.daemon import frame_batch, unframe_batch
+from ..core.replica import frame_batch, unframe_batch
 from ..core.ingest import (
     DEFAULT_INGEST_BATCH,
     HAVE_NUMPY,

@@ -1,30 +1,29 @@
 """A cluster verification node: one shard replica behind a TCP server.
 
-This is the sharded daemon's ``_shard_worker_main`` promoted across a
-process boundary: the same compiled pair-replica dict, the same vector
-kernel (:class:`~repro.core.vector.WireBatchVerifier`) and the same
-pair-delta / ``replica_digest`` resync protocol — but spoken over
-length-prefixed sockets (:mod:`repro.cluster.protocol`) instead of
-``multiprocessing`` queues, so a node can live in another process or on
-another machine.
+A node is the TCP transport over a :class:`~repro.core.replica.ShardReplica`
+— the same compiled pair replica, vector kernel, pair-delta patch,
+``replica_digest`` and flush delta the sharded daemon's workers run over
+``multiprocessing`` queues — spoken over length-prefixed sockets
+(:mod:`repro.cluster.protocol`), so a node can live in another process or
+on another machine.
 
-Differences from the in-process worker, all in service of exactly-once
-verdict accounting under membership change (DESIGN.md §14):
+What the transport adds, all in service of exactly-once verdict accounting
+under membership change (DESIGN.md §14):
 
 * **batch seqs** — every ``MSG_BATCH`` carries the frontend's per-node
   sequence number; a ``MSG_FLUSH_REPLY`` reports the highest seq whose
   results it folds in, which is the frontend's ack to drop the batch from
   its redelivery buffer,
-* **unknown pairs are not verdicts** — a payload whose ``(inport,
-  outport)`` pair is absent from this node's replica is *shipped back*
-  in the flush reply instead of being counted ``FAIL_UNKNOWN_PAIR``:
+* **unknown pairs are not verdicts** — the node's replica sets aside a
+  payload whose ``(inport, outport)`` pair it does not hold and ships it
+  back in the flush reply instead of counting ``FAIL_UNKNOWN_PAIR``:
   during a rebalance the pair may simply be in flight to another node,
   and only the coordinator (holding the authoritative table) can tell a
   routing race from a genuinely unknown pair,
 * **tenant attribution** — pair specs arrive tagged with their owning
-  tenant, and the node counts per-tenant reports under a ``node`` label,
-  so ``veridp_cluster_tenant_reports_total`` aggregates across the fleet
-  by summing out the node label.
+  tenant, and the replica counts per-tenant reports under a ``node``
+  label, so ``veridp_cluster_tenant_reports_total`` aggregates across the
+  fleet by summing out the node label.
 
 A node is deliberately ignorant of topology, codec and BDD manager — its
 replica is flat integer arrays, exactly like a shard worker's.
@@ -35,21 +34,9 @@ from __future__ import annotations
 import multiprocessing
 import socket
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.daemon import replica_digest, verify_wire
-from ..core.vector import (
-    HAVE_NUMPY as _HAVE_VECTOR,
-    MIN_BATCH as _VECTOR_MIN_BATCH,
-    VMALFORMED as _VCODE_MALFORMED,
-    VSCALAR as _VCODE_SCALAR,
-    VUNKNOWN as _VCODE_UNKNOWN,
-    WireBatchVerifier,
-)
-from ..core.reports import REPORT_SIZE
-from ..core.verifier import Verdict
-from ..obs import DEFAULT_BUCKETS, MetricsRegistry
+from ..core.replica import ShardReplica
 from .protocol import (
     MSG_BATCH,
     MSG_DIGEST,
@@ -68,32 +55,23 @@ from .protocol import (
 
 __all__ = ["VerificationNode", "NodeHandle", "start_node", "node_process_main"]
 
-_PASS = Verdict.PASS.value
-_FAIL_MISMATCH = Verdict.FAIL_TAG_MISMATCH.value
-_FAIL_NO_PATH = Verdict.FAIL_NO_PATH.value
 
-#: Bound on undecodable-payload samples shipped per flush (the count is
-#: always exact; the evidence volume is capped, as in the sharded daemon).
-_MALFORMED_SAMPLE = 64
-
-_VCODE_TO_VALUE = (
-    Verdict.PASS.value,
-    Verdict.FAIL_TAG_MISMATCH.value,
-    Verdict.FAIL_NO_PATH.value,
-    Verdict.FAIL_UNKNOWN_PAIR.value,
-)
-
-try:  # the node runs fine without numpy (scalar matcher + python counts)
-    import numpy as np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+def _untag(body: Dict) -> Tuple[Dict, Dict]:
+    """Split ``{pair: (spec, tenant) | None}`` into specs and tenants."""
+    specs = {}
+    tenants = {}
+    for key, tagged in body.items():
+        if tagged is None:
+            specs[key] = None
+        else:
+            specs[key], tenants[key] = tagged
+    return specs, tenants
 
 
 class VerificationNode:
     """One verification worker process/thread behind a TCP endpoint.
 
-    The replica state (``pairs``, ``tenants``) and the pending result
-    buffers are shared by every connection's reader thread under one
+    The replica is shared by every connection's reader thread under one
     lock, which also serialises batch verification — a node is a single
     logical verifier; concurrency across reports comes from running many
     nodes, not many threads per node.
@@ -105,34 +83,11 @@ class VerificationNode:
         packing: Tuple[Tuple[int, int], ...],
         host: str = "127.0.0.1",
         port: int = 0,
-        vector: Optional[bool] = None,
     ) -> None:
         self.node_id = node_id
-        self._packing = tuple(packing)
-        self.vector = _HAVE_VECTOR if vector is None else bool(vector) and _HAVE_VECTOR
-        #: (in_wire, out_wire) -> compiled pair spec (the shard replica).
-        self.pairs: Dict[Tuple[int, int], tuple] = {}
-        #: (in_wire, out_wire) -> owning tenant name ("" = unsliced).
-        self.tenants: Dict[Tuple[int, int], str] = {}
+        self.replica = ShardReplica("node", node_id, packing, set_aside_unknown=True)
         self._state_lock = threading.Lock()
-        self._wirev: Optional[WireBatchVerifier] = None
-        if self.vector:
-            try:
-                self._wirev = WireBatchVerifier(self.pairs, self._packing)
-            except Exception:  # pragma: no cover - defensive
-                self._wirev = None
-        # pending-result buffers (zeroed at every flush; the values at
-        # flush time ARE the delta).
-        self._counters = {v.value: 0 for v in Verdict}
-        self._processed = 0
-        self._malformed = 0
         self._last_seq = 0
-        self._failures: List[Tuple[bytes, str]] = []
-        self._crashed: List[Tuple[bytes, str]] = []
-        self._unknown: List[bytes] = []
-        self._malformed_sample: List[bytes] = []
-        self.registry = MetricsRegistry()
-        self._register_metrics()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -142,53 +97,6 @@ class VerificationNode:
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
         self._streams: List[MessageStream] = []
-
-    def _register_metrics(self) -> None:
-        node = self.node_id
-        reg = self.registry
-        self._batch_hist = reg.histogram(
-            "veridp_node_batch_seconds",
-            "Wall-clock seconds one cluster node spent verifying one batch.",
-            ("node",),
-            buckets=DEFAULT_BUCKETS,
-        ).labels(node)
-        self._batches_counter = reg.counter(
-            "veridp_node_batches_total",
-            "Batches a cluster node verified.",
-            ("node",),
-        ).labels(node)
-        self._processed_counter = reg.counter(
-            "veridp_node_processed_total",
-            "Payloads a cluster node verified.",
-            ("node",),
-        ).labels(node)
-        self._malformed_counter = reg.counter(
-            "veridp_node_malformed_total",
-            "Payloads a cluster node could not decode.",
-            ("node",),
-        ).labels(node)
-        self._verdict_family = reg.counter(
-            "veridp_node_verifications_total",
-            "Cluster-node verdicts, by verdict and node.",
-            ("node", "verdict"),
-        )
-        self._tenant_family = reg.counter(
-            "veridp_cluster_tenant_reports_total",
-            "Reports verified per owning tenant, by node (sum out the "
-            "node label for the fleet-wide per-tenant totals).",
-            ("node", "tenant"),
-        )
-        self._vector_reports = reg.counter(
-            "veridp_node_vector_reports_total",
-            "Payloads verified through the vector kernel, by node.",
-            ("node",),
-        ).labels(node)
-        self._vector_fallback = reg.counter(
-            "veridp_node_vector_fallback_total",
-            "Vector-path downgrades to the scalar matcher, by node and "
-            "kind (whole batch, single row, below-crossover batch).",
-            ("node", "kind"),
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -263,44 +171,34 @@ class VerificationNode:
     # -- message handling --------------------------------------------------
 
     def _handle(self, stream: MessageStream, mtype: int, body) -> bool:
+        replica = self.replica
         if mtype == MSG_BATCH:
             seq, frame, odd = body
             with self._state_lock:
-                self._verify_batch(frame, odd)
+                replica.verify(frame, odd)
                 if seq > self._last_seq:
                     self._last_seq = seq
         elif mtype == MSG_FLUSH:
-            stream.send(MSG_FLUSH_REPLY, self._flush(body[0]))
+            # Counts and the seq they cover leave in one reply, under the
+            # lock: that atomicity is the exactly-once ack (DESIGN.md §14.3).
+            with self._state_lock:
+                delta = replica.take(body[0], self._last_seq)
+            stream.send(MSG_FLUSH_REPLY, delta)
         elif mtype == MSG_PATCH:
             with self._state_lock:
-                for key, tagged in body.items():
-                    if tagged is None:
-                        self.pairs.pop(key, None)
-                        self.tenants.pop(key, None)
-                    else:
-                        spec, tenant = tagged
-                        self.pairs[key] = spec
-                        self.tenants[key] = tenant or ""
-                if self._wirev is not None:
-                    self._wirev.invalidate(body.keys())
+                replica.patch(*_untag(body))
         elif mtype == MSG_RELOAD:
             with self._state_lock:
-                self.pairs.clear()
-                self.tenants.clear()
-                for key, (spec, tenant) in body.items():
-                    self.pairs[key] = spec
-                    self.tenants[key] = tenant or ""
-                if self._wirev is not None:
-                    self._wirev.reload(self.pairs)
+                replica.reload(*_untag(body))
         elif mtype == MSG_DIGEST:
             with self._state_lock:
-                digest = replica_digest(self.pairs)
+                digest = replica.digest()
             stream.send(MSG_DIGEST_REPLY, (self.node_id, body[0], digest))
         elif mtype == MSG_PING:
             stream.send(MSG_PONG, (self.node_id, body[0]))
         elif mtype == MSG_HELLO:
             with self._state_lock:
-                count = len(self.pairs)
+                count = len(replica.pairs)
             stream.send(MSG_HELLO_REPLY, (self.node_id, count))
         elif mtype == MSG_STOP:
             self._running = False
@@ -311,159 +209,15 @@ class VerificationNode:
             return False
         return True
 
-    def _flush(self, token) -> tuple:
-        """Snapshot-and-reset the pending results (holds the state lock)."""
-        with self._state_lock:
-            reply = (
-                self.node_id,
-                token,
-                self._processed,
-                self._malformed,
-                dict(self._counters),
-                self._failures,
-                self._crashed,
-                self._unknown,
-                self._malformed_sample,
-                self._last_seq,
-                self.registry.snapshot(reset=True),
-            )
-            self._processed = 0
-            self._malformed = 0
-            self._counters = {v.value: 0 for v in Verdict}
-            self._failures = []
-            self._crashed = []
-            self._unknown = []
-            self._malformed_sample = []
-        return reply
-
-    # -- verification ------------------------------------------------------
-
-    def _verify_scalar(self, payload: bytes) -> None:
-        if len(payload) == REPORT_SIZE:
-            key = (
-                int.from_bytes(payload[2:4], "big"),
-                int.from_bytes(payload[4:6], "big"),
-            )
-            if key not in self.pairs:
-                # Not a verdict: the pair may be mid-migration.  Ship it
-                # back; the coordinator holds the authoritative table.
-                self._unknown.append(payload)
-                return
-        try:
-            verdict = verify_wire(self.pairs, self._packing, payload)
-        except Exception as exc:
-            self._crashed.append((payload, f"{type(exc).__name__}: {exc}"))
-            return
-        if verdict is None:
-            self._malformed += 1
-            if len(self._malformed_sample) < _MALFORMED_SAMPLE:
-                self._malformed_sample.append(payload)
-            return
-        self._account(payload, verdict)
-
-    def _account(self, payload: bytes, verdict: str) -> None:
-        self._processed += 1
-        self._counters[verdict] += 1
-        if verdict != _PASS:
-            self._failures.append((payload, verdict))
-
-    def _count_tenants(self, frame: bytes, n: int) -> None:
-        """Per-tenant report attribution for one frame (numpy when present)."""
-        if not self.tenants:
-            return
-        node = self.node_id
-        if np is not None and n >= 64:
-            rows = np.frombuffer(frame, dtype=np.uint8).reshape(n, REPORT_SIZE)
-            keys = (
-                rows[:, 2].astype(np.uint32) << 24
-                | rows[:, 3].astype(np.uint32) << 16
-                | rows[:, 4].astype(np.uint32) << 8
-                | rows[:, 5].astype(np.uint32)
-            )
-            uniq, counts = np.unique(keys, return_counts=True)
-            for key32, count in zip(uniq.tolist(), counts.tolist()):
-                tenant = self.tenants.get((key32 >> 16, key32 & 0xFFFF))
-                if tenant:
-                    self._tenant_family.labels(node, tenant).inc(count)
-            return
-        for start in range(0, n * REPORT_SIZE, REPORT_SIZE):
-            key = (
-                int.from_bytes(frame[start + 2 : start + 4], "big"),
-                int.from_bytes(frame[start + 4 : start + 6], "big"),
-            )
-            tenant = self.tenants.get(key)
-            if tenant:
-                self._tenant_family.labels(node, tenant).inc()
-
-    def _verify_batch(self, frame: bytes, odd: List[bytes]) -> None:
-        started = time.perf_counter()
-        n = len(frame) // REPORT_SIZE
-        node = self.node_id
-        before = self._processed
-        malformed_before = self._malformed
-        counters_before = dict(self._counters)
-        codes = None
-        if self._wirev is not None and n:
-            if n < _VECTOR_MIN_BATCH:
-                self._vector_fallback.labels(node, "small").inc()
-            else:
-                try:
-                    codes = self._wirev.verify_frame(frame)
-                except Exception:
-                    # A kernel bug must never change a verdict: redo the
-                    # whole batch with the scalar matcher.
-                    self._vector_fallback.labels(node, "batch").inc()
-                    codes = None
-        if codes is None:
-            for start in range(0, len(frame), REPORT_SIZE):
-                self._verify_scalar(frame[start : start + REPORT_SIZE])
-        else:
-            flagged = codes.nonzero()[0]
-            pass_rows = n - flagged.shape[0]
-            self._processed += pass_rows
-            self._counters[_PASS] += pass_rows
-            vector_rows = pass_rows
-            for i in flagged.tolist():
-                code = int(codes[i])
-                payload = frame[i * REPORT_SIZE : (i + 1) * REPORT_SIZE]
-                if code == _VCODE_SCALAR:
-                    self._vector_fallback.labels(node, "row").inc()
-                    self._verify_scalar(payload)
-                elif code == _VCODE_MALFORMED:
-                    self._malformed += 1
-                    if len(self._malformed_sample) < _MALFORMED_SAMPLE:
-                        self._malformed_sample.append(payload)
-                elif code == _VCODE_UNKNOWN:
-                    # Same routing-race rule as the scalar path: unknown
-                    # pairs go back upstream, uncounted.
-                    self._unknown.append(payload)
-                else:
-                    vector_rows += 1
-                    self._account(payload, _VCODE_TO_VALUE[code])
-            self._vector_reports.inc(vector_rows)
-        for payload in odd:
-            self._verify_scalar(payload)
-        self._count_tenants(frame, n)
-        self._processed_counter.inc(self._processed - before)
-        malformed_delta = self._malformed - malformed_before
-        if malformed_delta:
-            self._malformed_counter.inc(malformed_delta)
-        for verdict, count in self._counters.items():
-            delta = count - counters_before[verdict]
-            if delta:
-                self._verdict_family.labels(node, verdict).inc(delta)
-        self._batch_hist.observe(time.perf_counter() - started)
-        self._batches_counter.inc()
-
     def stats(self) -> Dict[str, int]:
         with self._state_lock:
             return {
                 "node_id": self.node_id,
-                "pairs": len(self.pairs),
-                "pending_processed": self._processed,
-                "pending_malformed": self._malformed,
+                "pairs": len(self.replica.pairs),
+                "pending_processed": self.replica.processed,
+                "pending_malformed": self.replica.malformed,
                 "last_seq": self._last_seq,
-                "vector": self._wirev is not None,
+                "vector": self.replica.vector,
             }
 
 
@@ -477,10 +231,9 @@ def node_process_main(
     packing: Tuple[Tuple[int, int], ...],
     address_pipe,
     host: str,
-    vector: Optional[bool],
 ) -> None:
     """Entry point of a process-mode node: bind, report the port, serve."""
-    node = VerificationNode(node_id, packing, host=host, vector=vector)
+    node = VerificationNode(node_id, packing, host=host)
     address_pipe.send(node.address)
     address_pipe.close()
     node.serve_forever()
@@ -545,7 +298,6 @@ def start_node(
     packing: Tuple[Tuple[int, int], ...],
     mode: str = "thread",
     host: str = "127.0.0.1",
-    vector: Optional[bool] = None,
 ) -> NodeHandle:
     """Spawn one verification node and return its handle.
 
@@ -555,7 +307,7 @@ def start_node(
     time and the same path serves future remote nodes.
     """
     if mode == "thread":
-        node = VerificationNode(node_id, packing, host=host, vector=vector)
+        node = VerificationNode(node_id, packing, host=host)
         node.start()
         return NodeHandle(node_id, mode, node.address, node=node)
     if mode != "process":
@@ -565,7 +317,7 @@ def start_node(
     parent_conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=node_process_main,
-        args=(node_id, packing, child_conn, host, vector),
+        args=(node_id, packing, child_conn, host),
         name=f"veridp-node-{node_id}",
         daemon=True,
     )

@@ -10,6 +10,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.sampling`     — Section 4.5 flow sampling,
 * :mod:`repro.core.reports`      — tag-report wire formats (Section 5),
 * :mod:`repro.core.server`       — the VeriDP server tying it together,
+* :mod:`repro.core.replica`      — one compiled shard of the path table,
+  the verification core of sharded workers and cluster nodes,
 * :mod:`repro.core.resilience`   — backpressure, dead-lettering and worker
   supervision for the monitoring plane itself,
 * :mod:`repro.core.repair`       — automatic flow-table repair (the paper's
@@ -18,7 +20,6 @@ This package is the paper's primary contribution:
 
 from typing import TYPE_CHECKING
 
-from .daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
 from .bloom import BloomTagScheme, XorTagScheme, murmur3_32
 from .incremental import IncrementalPathTable, LpmProvider, PrefixRuleTree, RuleDelta
 from .localization import (
@@ -57,17 +58,24 @@ from .sampling import (
     sampling_interval_for,
     worst_case_detection_latency,
 )
-from .server import Incident, VeriDPServer
 from .verifier import BatchVerificationResult, VerificationResult, Verdict, Verifier
 
 if TYPE_CHECKING:
     from .atomic_builder import AtomicPathTableBuilder
+    from .daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
     from .queries import PolicyChecker, QueryResult
     from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
+    from .server import Incident, VeriDPServer
 
-#: Offline tools no serve shape runs: resolved on first use, so a serve
-#: process never loads them (``tests/test_import_budget.py`` is the gate).
+#: Resolved on first use (``tests/test_import_budget.py`` is the gate): the
+#: offline tools no serve shape runs, and the server and daemons, which a
+#: cluster node (a replica behind a socket) never needs.
 _LAZY = {
+    "Incident": "server",
+    "VeriDPServer": "server",
+    "ShardedVeriDPDaemon": "daemon",
+    "UdpReportListener": "daemon",
+    "VeriDPDaemon": "daemon",
     "AtomicPathTableBuilder": "atomic_builder",
     "PolicyChecker": "queries",
     "QueryResult": "queries",

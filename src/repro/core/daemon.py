@@ -13,13 +13,15 @@ notes "we expect a higher throughput with multi-threading in the future"
   concurrency (socket + verify overlap), not parallelism,
 * :class:`ShardedVeriDPDaemon` — a ``multiprocessing`` worker pool that
   shards reports by ``(inport, outport)`` hash across processes.  Each
-  worker holds a self-contained *compiled replica* of its shard of the path
-  table (flat-array matchers, no BDD manager, no topology), verifies wire
-  payloads locally, and ships counter deltas and failed payloads back over
-  a result queue; the parent consolidates counters and runs
-  localization/incident logging for the (rare) failures.  This is the mode
-  that turns the GIL-flat throughput curve into a scaling one when cores
-  are available,
+  worker is a queue transport over a
+  :class:`~repro.core.replica.ShardReplica` — its shard of the path table
+  compiled to flat arrays (no BDD manager, no topology) — which verifies
+  wire payloads locally and ships its flush delta (counters, failed
+  payloads) back over a result queue; the parent consolidates counters and
+  runs localization/incident logging for the (rare) failures.  The cluster
+  tier's nodes are the TCP transport over the same replica.  This is the
+  mode that turns the GIL-flat throughput curve into a scaling one when
+  cores are available,
 * :class:`UdpReportListener` — an optional real UDP socket (the paper's
   transport: "tag reports ... are encapsulated with plain UDP packets")
   that feeds received datagrams into a daemon.
@@ -51,22 +53,16 @@ read-mostly monitor structure.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import pickle
 import queue
 import socket
-import struct
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..obs import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    Observability,
-)
+from ..obs import DEFAULT_BUCKETS, Observability
 from .ingest import (
     DEFAULT_INGEST_BATCH,
     FrameBuffer,
@@ -75,11 +71,20 @@ from .ingest import (
     screen_frame,
     shard_split,
 )
-from .pathtable import PathTable
+from .replica import (
+    Delta,
+    ShardReplica,
+    _shard_of,
+    build_one_shard_spec,
+    build_pair_spec,
+    build_shard_specs,
+    frame_batch,
+    unframe_batch,
+    wire_kernel,
+    wire_packing,
+)
 from .reports import (
-    _REPORT_STRUCT,
     REPORT_SIZE,
-    REPORT_VERSION,
     Frame,
     ReportDecodeError,
     payload_precheck,
@@ -99,8 +104,6 @@ from .server import VeriDPServer
 from .vector import (
     HAVE_NUMPY as _HAVE_VECTOR,
     MIN_BATCH as _VECTOR_MIN_BATCH,
-    VMALFORMED as _VCODE_MALFORMED,
-    VSCALAR as _VCODE_SCALAR,
     WireBatchVerifier,
 )
 from .verifier import Verdict, Verifier
@@ -112,14 +115,6 @@ __all__ = [
     "VeriDPDaemon",
     "ShardedVeriDPDaemon",
     "UdpReportListener",
-    "build_pair_spec",
-    "build_shard_specs",
-    "build_one_shard_spec",
-    "replica_digest",
-    "wire_packing",
-    "frame_batch",
-    "unframe_batch",
-    "verify_wire",
 ]
 
 _STOP = object()
@@ -141,11 +136,6 @@ def _log_frame(persist, frame: Frame) -> None:
         log(frame.payload())
     else:  # pragma: no cover - PersistentState always has log_report_frame
         persist.log_report_batch(list(frame.rows()))
-
-#: How many undecodable payloads a shard worker keeps per flush window for
-#: parent-side dead-lettering (the *count* is always exact; the payload
-#: sample is bounded to cap IPC volume under a corruption storm).
-_MALFORMED_SAMPLE = 64
 
 
 class VeriDPDaemon:
@@ -666,7 +656,7 @@ class VeriDPDaemon:
             except Exception:
                 pass  # the scalar path below reaches the same verdicts
         if codes is None:
-            self._process_batch(verifier, _unframe_batch(payload, []))
+            self._process_batch(verifier, unframe_batch(payload, []))
             return
         self._batch_hist.observe(elapsed)
         self._call_rows_hist.observe(n)
@@ -803,205 +793,6 @@ class VeriDPDaemon:
 # sharded multiprocess daemon
 # ---------------------------------------------------------------------------
 
-#: Struct field positions of the header 5-tuple inside a report payload
-#: (after version, flags, inport, outport, tag).
-_WIRE_FIELD_POS = {
-    "src_ip": 0,
-    "dst_ip": 1,
-    "proto": 2,
-    "src_port": 3,
-    "dst_port": 4,
-}
-
-_PASS = Verdict.PASS.value
-_FAIL_MISMATCH = Verdict.FAIL_TAG_MISMATCH.value
-_FAIL_NO_PATH = Verdict.FAIL_NO_PATH.value
-_FAIL_UNKNOWN = Verdict.FAIL_UNKNOWN_PAIR.value
-
-#: Knuth multiplicative hash constant for spreading (inport, outport) keys.
-_HASH_MULT = 2654435761
-
-#: Vector verdict code -> wire verdict value string (codes VPASS..VUNKNOWN).
-_VCODE_TO_VALUE = (_PASS, _FAIL_MISMATCH, _FAIL_NO_PATH, _FAIL_UNKNOWN)
-
-
-def _shard_of(pair_key: int, workers: int) -> int:
-    """Shard index for a 32-bit packed ``(inport << 16) | outport`` key."""
-    return ((pair_key * _HASH_MULT) >> 16) % workers
-
-
-def _frame_batch(payloads: List[bytes]) -> Tuple[bytes, List[bytes]]:
-    """Concatenate well-sized payloads into one frame; return oddballs apart.
-
-    The worker protocol ships each batch as ``(frame, oddballs)``: one
-    ``bytes`` object instead of hundreds keeps queue pickling cheap, and
-    the fixed ``REPORT_SIZE`` stride lets the vector kernel skip the
-    per-payload length screen entirely.  Wrong-sized payloads ride along
-    as a (normally empty) list and take the scalar malformed path.
-    """
-    odd = [p for p in payloads if len(p) != REPORT_SIZE]
-    if not odd:
-        return b"".join(payloads), odd
-    return b"".join(p for p in payloads if len(p) == REPORT_SIZE), odd
-
-
-def _unframe_batch(frame: bytes, odd: List[bytes]) -> List[bytes]:
-    """Invert :func:`_frame_batch` (queue salvage, scalar fallbacks)."""
-    payloads = [
-        frame[start : start + REPORT_SIZE]
-        for start in range(0, len(frame), REPORT_SIZE)
-    ]
-    payloads.extend(odd)
-    return payloads
-
-
-def wire_packing(layout) -> Tuple[Tuple[int, int], ...]:
-    """``(wire_field_pos, width)`` per layout field, in layout order.
-
-    The worker-side header packing recipe: raises when the layout carries a
-    field the wire report format has no slot for.
-    """
-    packing = []
-    for field in layout.fields:
-        pos = _WIRE_FIELD_POS.get(field.name)
-        if pos is None:
-            raise ValueError(
-                f"sharded daemon needs the wire 5-tuple layout; "
-                f"field {field.name!r} is not on the wire"
-            )
-        packing.append((pos, field.width))
-    return tuple(packing)
-
-
-def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
-    """Compile one pair's picklable replica spec, ``None`` if it vanished.
-
-    The spec is ``(tags, flat_matchers, by_tag, disjoint)`` — flat integer
-    arrays only, so workers never need the codec, topology or BDD manager.
-    ``None`` is meaningful on the resync path: it tells a worker to drop the
-    pair (every path between the ports was removed by a rule update).
-    """
-    index = table.fast_index(inport, outport, hs)
-    if index is None:
-        return None
-    return (
-        tuple(entry.tag for entry in index.entries),
-        tuple(entry.compiled_matcher(hs) for entry in index.entries),
-        dict(index.by_tag),
-        index.disjoint,
-    )
-
-
-def build_shard_specs(
-    table: PathTable, hs, codec, workers: int
-) -> List[Dict[Tuple[int, int], tuple]]:
-    """Compile the path table into per-worker picklable shard replicas."""
-    specs: List[Dict[Tuple[int, int], tuple]] = [{} for _ in range(workers)]
-    for inport, outport in table.pairs():
-        spec = build_pair_spec(table, hs, inport, outport)
-        if spec is None:  # pragma: no cover - pairs() only lists known keys
-            continue
-        in_wire = codec.encode(inport)
-        out_wire = codec.encode(outport)
-        shard = _shard_of((in_wire << 16) | out_wire, workers)
-        specs[shard][(in_wire, out_wire)] = spec
-    return specs
-
-
-def build_one_shard_spec(
-    table: PathTable, hs, codec, workers: int, shard: int
-) -> Dict[Tuple[int, int], tuple]:
-    """Compile just one shard's replica (a restarted worker's bootstrap).
-
-    Restarting worker ``k`` used to recompile every shard's replica; only
-    shard ``k``'s pairs are compiled here, and the survivors are brought up
-    to date separately via pair deltas (:meth:`ShardedVeriDPDaemon.resync_replicas`).
-    """
-    spec: Dict[Tuple[int, int], tuple] = {}
-    for inport, outport in table.pairs():
-        in_wire = codec.encode(inport)
-        out_wire = codec.encode(outport)
-        if _shard_of((in_wire << 16) | out_wire, workers) != shard:
-            continue
-        compiled = build_pair_spec(table, hs, inport, outport)
-        if compiled is not None:
-            spec[(in_wire, out_wire)] = compiled
-    return spec
-
-
-def replica_digest(pairs: Dict[Tuple[int, int], tuple]) -> str:
-    """Stable fingerprint of one compiled shard replica.
-
-    Hashes pair keys, tags, tag buckets, the disjointness bit and every flat
-    matcher's structure (shift/low/high arrays — *not* the manager-dependent
-    ``source`` ids), so two replicas digest equal iff they verify every
-    report identically.  Used to assert worker replicas converged after a
-    delta resync.
-    """
-    digest = hashlib.sha1()
-    for key in sorted(pairs):
-        tags, flats, by_tag, disjoint = pairs[key]
-        digest.update(repr((key, tags, sorted(by_tag.items()), disjoint)).encode())
-        for flat in flats:
-            digest.update(repr((flat.root, flat.shifts, flat.low, flat.high)).encode())
-    return digest.hexdigest()
-
-
-def _verify_wire(
-    pairs: Dict[Tuple[int, int], tuple],
-    packing: Tuple[Tuple[int, int], ...],
-    payload: bytes,
-) -> Optional[str]:
-    """Verify one wire payload against a shard replica.
-
-    Returns a verdict value string, or ``None`` for malformed payloads.
-    Mirrors :meth:`Verifier._match_fast` (minus the flow cache, which would
-    buy little once the per-report cost is a few flat-array chases).
-    """
-    try:
-        fields = _REPORT_STRUCT.unpack(payload)
-    except struct.error:
-        return None
-    if fields[0] != REPORT_VERSION:
-        return None
-    pair = pairs.get((fields[2], fields[3]))
-    if pair is None:
-        return _FAIL_UNKNOWN
-    tags, flats, by_tag, disjoint = pair
-    value = 0
-    for pos, width in packing:
-        value = (value << width) | fields[5 + pos]
-    tag = fields[4]
-    matched = -1
-    if disjoint:
-        positions = by_tag.get(tag)
-        if positions is not None:
-            for pos in positions:
-                if flats[pos].evaluate_value(value):
-                    matched = pos
-                    break
-        if matched < 0:
-            for pos, flat in enumerate(flats):
-                if tags[pos] != tag and flat.evaluate_value(value):
-                    matched = pos
-                    break
-    else:
-        for pos, flat in enumerate(flats):
-            if flat.evaluate_value(value):
-                matched = pos
-                break
-    if matched < 0:
-        return _FAIL_NO_PATH
-    return _PASS if tags[matched] == tag else _FAIL_MISMATCH
-
-
-# Public names for the replica-protocol helpers: the cluster tier
-# (repro.cluster) speaks the same frame/verify/spec machinery over
-# sockets, so these stop being private to this module's worker loop.
-frame_batch = _frame_batch
-unframe_batch = _unframe_batch
-verify_wire = _verify_wire
-
 
 def _shard_worker_main(
     worker_id: int,
@@ -1010,15 +801,14 @@ def _shard_worker_main(
     hb_queue,
     pairs: Dict[Tuple[int, int], tuple],
     packing: Tuple[Tuple[int, int], ...],
-    vector: bool = False,
 ) -> None:
-    """One shard worker process: verify batches, report deltas on flush.
+    """One shard worker process: the queue transport of a :class:`ShardReplica`.
 
     Message protocol (parent -> worker on ``in_queue``)::
 
         ("batch", frame, [odd])     verify a concatenated payload frame
                                     (+ wrong-sized oddballs, normally [])
-        ("flush", token)            reply deltas on out_queue, reset them
+        ("flush", token)            reply ("flush", Delta) on out_queue
         ("ping", seq)               reply ("pong", worker_id, seq) on hb_queue
         ("reload", pairs)           swap the compiled replica in place
         ("patch", {key: spec|None}) apply a pair delta: None drops the pair
@@ -1026,196 +816,28 @@ def _shard_worker_main(
         ("crash", how)              test hook: "exit" dies, "wedge" hangs
         ("stop",)                   exit cleanly
 
-    A payload can never kill the worker: undecodable ones are counted (and
-    sampled for dead-lettering), and a verification crash is shipped back
-    as a structured error record instead of an unhandled exception.
-
-    Observability: the worker keeps a local :class:`MetricsRegistry` of
-    ``veridp_shard_*`` families (labelled by shard id, so families never
-    collide with the parent's) and ships ``snapshot(reset=True)`` deltas
-    as the final element of each flush reply; the parent merges them into
-    its registry.  Verification itself stays on plain ints — only the
-    per-batch timing histogram and the per-flush delta transfer touch the
-    registry.
+    A payload can never kill the worker (the replica counts undecodable
+    payloads and ships verification crashes back as records), and a shard
+    replica covers its whole hash shard, so an unknown pair is a verdict.
+    The flush reply's metrics snapshot carries the ``veridp_shard_*``
+    families, labelled by shard id so they never collide with the parent's.
     """
-    counters = {
-        _PASS: 0,
-        _FAIL_MISMATCH: 0,
-        _FAIL_NO_PATH: 0,
-        _FAIL_UNKNOWN: 0,
-    }
-    processed = 0
-    malformed = 0
-    failures: List[Tuple[bytes, str]] = []
-    crashed: List[Tuple[bytes, str]] = []
-    malformed_sample: List[bytes] = []
-    registry = MetricsRegistry()
-    shard = str(worker_id)
-    batch_hist = registry.histogram(
-        "veridp_shard_batch_seconds",
-        "Wall-clock seconds one shard worker spent verifying one batch.",
-        ("shard",),
-        buckets=DEFAULT_BUCKETS,
-    ).labels(shard)
-    batches_counter = registry.counter(
-        "veridp_shard_batches_total",
-        "Batches a shard worker verified.",
-        ("shard",),
-    ).labels(shard)
-    processed_counter = registry.counter(
-        "veridp_shard_processed_total",
-        "Payloads a shard worker verified.",
-        ("shard",),
-    ).labels(shard)
-    malformed_counter = registry.counter(
-        "veridp_shard_malformed_total",
-        "Payloads a shard worker could not decode.",
-        ("shard",),
-    ).labels(shard)
-    verdict_family = registry.counter(
-        "veridp_shard_verifications_total",
-        "Shard-worker verdicts, by verdict and shard.",
-        ("shard", "verdict"),
-    )
-    vector_reports_counter = registry.counter(
-        "veridp_shard_vector_reports_total",
-        "Payloads this shard worker verified through the vector kernel.",
-        ("shard",),
-    ).labels(shard)
-    vector_fallback_family = registry.counter(
-        "veridp_shard_vector_fallback_total",
-        "Vector-path downgrades to the scalar matcher, by kind: a whole "
-        "batch (kernel error), a single row (irregular pair), or a batch "
-        "below the crossover size.",
-        ("shard", "kind"),
-    )
-    # The compiled wire kernel; None = this worker verifies scalar-only
-    # (vector disabled, numpy missing, or the layout cannot be packed).
-    wirev = None
-    if vector and _HAVE_VECTOR:
-        try:
-            wirev = WireBatchVerifier(pairs, packing)
-        except Exception:
-            wirev = None
-
-    def verify_scalar(payload: bytes) -> None:
-        nonlocal processed, malformed
-        try:
-            verdict = _verify_wire(pairs, packing, payload)
-        except Exception as exc:
-            crashed.append((payload, f"{type(exc).__name__}: {exc}"))
-            return
-        if verdict is None:
-            malformed += 1
-            if len(malformed_sample) < _MALFORMED_SAMPLE:
-                malformed_sample.append(payload)
-            return
-        processed += 1
-        counters[verdict] += 1
-        if verdict != _PASS:
-            failures.append((payload, verdict))
-
+    replica = ShardReplica("shard", worker_id, packing, pairs)
     while True:
         message = in_queue.get()
         kind = message[0]
         if kind == "batch":
-            batch_started = time.perf_counter()
-            frame = message[1]
-            odd = message[2]
-            n = len(frame) // REPORT_SIZE
-            codes = None
-            if wirev is not None and n:
-                if n < _VECTOR_MIN_BATCH:
-                    vector_fallback_family.labels(shard, "small").inc()
-                else:
-                    try:
-                        codes = wirev.verify_frame(frame)
-                    except Exception:
-                        # Never let a kernel bug change a verdict: redo the
-                        # whole batch with the scalar matcher.
-                        vector_fallback_family.labels(shard, "batch").inc()
-                        codes = None
-            if codes is None:
-                for start in range(0, len(frame), REPORT_SIZE):
-                    verify_scalar(frame[start : start + REPORT_SIZE])
-            else:
-                # Healthy rows (code 0 == PASS) are accounted in bulk —
-                # only exceptional rows materialize their payload slice
-                # and touch Python.
-                flagged = codes.nonzero()[0]
-                pass_rows = n - flagged.shape[0]
-                processed += pass_rows
-                counters[_PASS] += pass_rows
-                vector_rows = pass_rows
-                for i in flagged.tolist():
-                    code = int(codes[i])
-                    payload = frame[i * REPORT_SIZE : (i + 1) * REPORT_SIZE]
-                    if code == _VCODE_SCALAR:
-                        vector_fallback_family.labels(shard, "row").inc()
-                        verify_scalar(payload)
-                    elif code == _VCODE_MALFORMED:
-                        malformed += 1
-                        if len(malformed_sample) < _MALFORMED_SAMPLE:
-                            malformed_sample.append(payload)
-                    else:
-                        vector_rows += 1
-                        processed += 1
-                        verdict = _VCODE_TO_VALUE[code]
-                        counters[verdict] += 1
-                        failures.append((payload, verdict))
-                vector_reports_counter.inc(vector_rows)
-            for payload in odd:
-                verify_scalar(payload)
-            batch_hist.observe(time.perf_counter() - batch_started)
-            batches_counter.inc()
+            replica.verify(message[1], message[2])
         elif kind == "flush":
-            # The plain ints zero at every flush, so the current values ARE
-            # the delta: move them onto the local registry, then ship the
-            # whole thing as a resetting snapshot.
-            processed_counter.inc(processed)
-            malformed_counter.inc(malformed)
-            for name, count in counters.items():
-                if count:
-                    verdict_family.labels(shard, name).inc(count)
-            out_queue.put(
-                (
-                    "flush",
-                    worker_id,
-                    message[1],
-                    processed,
-                    malformed,
-                    dict(counters),
-                    failures,
-                    crashed,
-                    malformed_sample,
-                    registry.snapshot(reset=True),
-                )
-            )
-            processed = 0
-            malformed = 0
-            for key in counters:
-                counters[key] = 0
-            failures = []
-            crashed = []
-            malformed_sample = []
+            out_queue.put(("flush", replica.take(message[1])))
         elif kind == "ping":
             hb_queue.put(("pong", worker_id, message[1]))
         elif kind == "reload":
-            pairs = message[1]
-            if wirev is not None:
-                wirev.reload(pairs)
+            replica.reload(message[1])
         elif kind == "patch":
-            for key, spec in message[1].items():
-                if spec is None:
-                    pairs.pop(key, None)
-                else:
-                    pairs[key] = spec
-            if wirev is not None:
-                # Delta invalidation: only the patched pair kernels
-                # recompile; untouched pairs keep their compiled arrays.
-                wirev.invalidate(message[1].keys())
+            replica.patch(message[1])
         elif kind == "digest":
-            out_queue.put(("digest", worker_id, message[1], replica_digest(pairs)))
+            out_queue.put(("digest", worker_id, message[1], replica.digest()))
         elif kind == "crash":  # pragma: no cover - exercised via subprocess
             if message[1] == "exit":
                 os._exit(13)
@@ -1231,11 +853,11 @@ class ShardedVeriDPDaemon:
     The parent peeks the two wire port ids out of each payload (bytes 2-6),
     hashes them to a shard, and ships payloads to that shard's worker in
     batches; each worker verifies against its own compiled path-table
-    replica with no shared state, sidestepping the GIL entirely.  With
-    numpy present each worker additionally compiles its replica into the
-    vector batch kernel (:mod:`repro.core.vector`) and verifies whole
-    dispatch batches as array operations (``vector=False`` opts out;
-    verdicts are identical either way, scalar fallback is automatic).  Failed
+    replica with no shared state, sidestepping the GIL entirely.  Each
+    worker's :class:`~repro.core.replica.ShardReplica` compiles its pairs
+    into the vector batch kernel (:mod:`repro.core.vector`) and verifies
+    whole dispatch batches as array operations, falling back to the scalar
+    matcher row by row where the input calls for it.  Failed
     payloads come back over the result queue and are re-ingested through
     :meth:`VeriDPServer.receive_report_bytes` on the parent, so
     localization, the localization cache and the incident log behave
@@ -1263,7 +885,6 @@ class ShardedVeriDPDaemon:
         server: VeriDPServer,
         workers: int = 2,
         batch_size: int = 256,
-        vector: Optional[bool] = None,
         overflow: "OverflowPolicy | str" = OverflowPolicy.BLOCK,
         max_pending_batches: int = 64,
         supervise: bool = True,
@@ -1297,10 +918,6 @@ class ShardedVeriDPDaemon:
         self.obs = obs or server.obs
         self.workers = workers
         self.batch_size = batch_size
-        # Vector dispatch is the default wherever numpy exists; requesting
-        # it without numpy downgrades silently (the worker falls back to
-        # the scalar matcher either way, so verdicts never change).
-        self.vector = _HAVE_VECTOR if vector is None else bool(vector) and _HAVE_VECTOR
         self.max_pending_batches = max_pending_batches
         self.fallback_workers = fallback_workers
         self.submitted = 0
@@ -1313,6 +930,8 @@ class ShardedVeriDPDaemon:
             capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
         )
         self._packing = self._packing_for(server)
+        #: Whether the workers' replicas compile the vector kernel.
+        self.vector = wire_kernel({}, self._packing) is not None
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -1593,7 +1212,6 @@ class ShardedVeriDPDaemon:
                 hb_queue,
                 spec,
                 self._packing,
-                self.vector,
             ),
             name=f"veridp-shard-{worker_id}-gen{self._generations[worker_id]}",
             daemon=True,
@@ -1877,10 +1495,11 @@ class ShardedVeriDPDaemon:
                     continue
                 if message[0] != "flush":  # pragma: no cover - defensive
                     continue
-                self._merge_flush(message)
+                delta = message[1]
+                self._merge_flush(delta)
                 # Deltas are merged regardless of token age (they are real
                 # work); only the matching token clears the pending slot.
-                if message[1] == shard and message[2] == token:
+                if delta.source == shard and delta.token == token:
                     pending.discard(shard)
                     progress = True
             if progress:
@@ -1904,41 +1523,32 @@ class ShardedVeriDPDaemon:
         except queue.Full:  # pragma: no cover - resent via generation check
             pass
 
-    def _merge_flush(self, message) -> None:
-        """Fold one worker flush reply into the consolidated counters."""
-        (
-            _,
-            worker_id,
-            _token,
-            processed,
-            malformed,
-            counters,
-            failures,
-            crashed,
-            malformed_sample,
-            metrics_snapshot,
-        ) = message
+    def _merge_flush(self, delta: Delta) -> None:
+        """Fold one worker's flush delta into the consolidated counters."""
         # Merge the worker's veridp_shard_* delta snapshot outside
         # _merge_lock: merging takes registry/metric locks, and holding
         # _merge_lock across it would serialise scrapes (whose callbacks
         # take _merge_lock) against every flush for no benefit.
-        self.obs.registry.merge(metrics_snapshot)
+        self.obs.registry.merge(delta.metrics)
+        crashed = delta.crashed
         with self._merge_lock:
-            self.processed += processed
-            self.malformed += malformed
+            self.processed += delta.processed
+            self.malformed += delta.malformed
             self.verify_errors += len(crashed)
-            self._accounted[worker_id] += processed + malformed + len(crashed)
-            for name, count in counters.items():
+            self._accounted[delta.source] += (
+                delta.processed + delta.malformed + len(crashed)
+            )
+            for name, count in delta.counters.items():
                 self.counters[Verdict(name)] += count
         for payload, error in crashed:
             self.dead_letters.add(payload, "verify", RuntimeError(error))
-        for payload in malformed_sample:
+        for payload in delta.malformed_sample:
             self.dead_letters.add(
                 payload,
                 "decode",
                 ReportDecodeError("shard worker could not decode payload"),
             )
-        for payload, _verdict in failures:
+        for payload, _verdict in delta.failures:
             # Re-ingest through the server: localization (with its cache)
             # runs here, and the incident log gets the full
             # VerificationResult.  A payload the parent cannot decode
@@ -2034,7 +1644,7 @@ class ShardedVeriDPDaemon:
         # (idempotent for the successor) if the table moved under the fleet.
         self.resync_replicas()
         if recovered:
-            self._in_queues[shard].put(("batch",) + _frame_batch(recovered))
+            self._in_queues[shard].put(("batch",) + frame_batch(recovered))
 
     # -- replica resync --------------------------------------------------------
 
@@ -2111,7 +1721,7 @@ class ShardedVeriDPDaemon:
         Workers answer on their result queues; any flush replies drained
         while waiting are merged rather than lost.  Two fleets whose
         digests match verify every report identically (see
-        :func:`replica_digest`).
+        :func:`~repro.core.replica.replica_digest`).
         """
         if self._fallback is not None or not self._running:
             raise RuntimeError("no shard workers to digest")
@@ -2129,7 +1739,7 @@ class ShardedVeriDPDaemon:
                 except queue.Empty:
                     continue
                 if message[0] == "flush":
-                    self._merge_flush(message)
+                    self._merge_flush(message[1])
                 elif message[0] == "digest" and message[2] == token:
                     digests[message[1]] = message[3]
                     pending.discard(shard)
@@ -2154,14 +1764,14 @@ class ShardedVeriDPDaemon:
             except (queue.Empty, OSError):
                 break
             if message[0] == "batch":
-                recovered.extend(_unframe_batch(message[1], message[2]))
+                recovered.extend(unframe_batch(message[1], message[2]))
         while True:
             try:
                 message = old_out.get(timeout=0.05)
             except (queue.Empty, OSError):
                 break
             if message[0] == "flush":
-                self._merge_flush(message)
+                self._merge_flush(message[1])
         old_in.close()
         old_in.cancel_join_thread()
         return recovered

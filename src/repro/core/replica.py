@@ -1,0 +1,538 @@
+"""One shard replica: the verification core behind every remote worker.
+
+VeriDP's server work (paper Section 4.3, Algorithm 3) is one lookup and one
+header-set test per report against the ``(inport, outport)`` path table.
+A :class:`ShardReplica` holds that table for a slice of the pairs, compiled
+to flat integer arrays (no codec, topology or BDD manager), verifies wire
+frames against it and keeps what it found until the transport asks for it.
+Two transports carry one:
+
+* the sharded daemon's worker process
+  (:func:`repro.core.daemon._shard_worker_main`, ``multiprocessing``
+  queues),
+* the cluster's :class:`~repro.cluster.node.VerificationNode` (TCP
+  :class:`~repro.cluster.protocol.MessageStream`).
+
+Both speak the same five verbs — :meth:`~ShardReplica.verify`,
+:meth:`~ShardReplica.patch`, :meth:`~ShardReplica.reload`,
+:meth:`~ShardReplica.digest` and :meth:`~ShardReplica.take` — and ship the
+same :class:`Delta` record as their flush reply.  The one behaviour that
+differs is where an unknown-pair report goes: a shard worker's replica
+covers its whole hash shard, so an unknown pair is a verdict
+(``FAIL_UNKNOWN_PAIR``); a cluster node's pair may be mid-migration, so the
+row is set aside for the coordinator, which holds the authoritative table.
+
+The module also holds the helpers both transports and their parents share:
+the shard hash, frame packing, the picklable pair spec builders and the
+replica fingerprint.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+import time
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ..obs import DEFAULT_BUCKETS, MetricsRegistry
+from .pathtable import PathTable
+from .reports import _REPORT_STRUCT, REPORT_SIZE, REPORT_VERSION
+from .vector import MIN_BATCH, VMALFORMED, VSCALAR, VUNKNOWN, WireBatchVerifier
+from .verifier import Verdict
+
+__all__ = [
+    "Delta",
+    "ShardReplica",
+    "build_one_shard_spec",
+    "build_pair_spec",
+    "build_shard_specs",
+    "frame_batch",
+    "replica_digest",
+    "unframe_batch",
+    "wire_kernel",
+    "wire_packing",
+]
+
+#: Struct field positions of the header 5-tuple inside a report payload
+#: (after version, flags, inport, outport, tag).
+_WIRE_FIELD_POS = {
+    "src_ip": 0,
+    "dst_ip": 1,
+    "proto": 2,
+    "src_port": 3,
+    "dst_port": 4,
+}
+
+_PASS = Verdict.PASS.value
+_FAIL_MISMATCH = Verdict.FAIL_TAG_MISMATCH.value
+_FAIL_NO_PATH = Verdict.FAIL_NO_PATH.value
+_FAIL_UNKNOWN = Verdict.FAIL_UNKNOWN_PAIR.value
+
+#: Knuth multiplicative hash constant for spreading (inport, outport) keys.
+_HASH_MULT = 2654435761
+
+#: Vector verdict code -> wire verdict value string (codes VPASS..VUNKNOWN).
+_VCODE_TO_VALUE = (_PASS, _FAIL_MISMATCH, _FAIL_NO_PATH, _FAIL_UNKNOWN)
+
+#: How many undecodable payloads a replica keeps per flush window for
+#: dead-lettering upstream (the *count* is always exact; the payload sample
+#: is bounded to cap IPC volume under a corruption storm).
+_MALFORMED_SAMPLE = 64
+
+
+def _shard_of(pair_key: int, workers: int) -> int:
+    """Shard index for a 32-bit packed ``(inport << 16) | outport`` key."""
+    return ((pair_key * _HASH_MULT) >> 16) % workers
+
+
+def frame_batch(payloads: List[bytes]) -> Tuple[bytes, List[bytes]]:
+    """Concatenate well-sized payloads into one frame; return oddballs apart.
+
+    Both transports ship each batch as ``(frame, oddballs)``: one ``bytes``
+    object instead of hundreds keeps pickling cheap, and the fixed
+    ``REPORT_SIZE`` stride lets the vector kernel skip the per-payload
+    length screen entirely.  Wrong-sized payloads ride along as a
+    (normally empty) list and take the scalar malformed path.
+    """
+    odd = [p for p in payloads if len(p) != REPORT_SIZE]
+    if not odd:
+        return b"".join(payloads), odd
+    return b"".join(p for p in payloads if len(p) == REPORT_SIZE), odd
+
+
+def unframe_batch(frame: bytes, odd: List[bytes]) -> List[bytes]:
+    """Invert :func:`frame_batch` (queue salvage, scalar fallbacks)."""
+    payloads = [
+        frame[start : start + REPORT_SIZE]
+        for start in range(0, len(frame), REPORT_SIZE)
+    ]
+    payloads.extend(odd)
+    return payloads
+
+
+def wire_packing(layout) -> Tuple[Tuple[int, int], ...]:
+    """``(wire_field_pos, width)`` per layout field, in layout order.
+
+    The replica-side header packing recipe: raises when the layout carries
+    a field the wire report format has no slot for.
+    """
+    packing = []
+    for field in layout.fields:
+        pos = _WIRE_FIELD_POS.get(field.name)
+        if pos is None:
+            raise ValueError(
+                f"sharded daemon needs the wire 5-tuple layout; "
+                f"field {field.name!r} is not on the wire"
+            )
+        packing.append((pos, field.width))
+    return tuple(packing)
+
+
+def wire_kernel(pairs, packing) -> Optional[WireBatchVerifier]:
+    """The vector kernel over ``pairs``, or ``None`` where it cannot be
+    built (a header packing outside its 65..128-bit wire lanes); the scalar
+    matcher then verifies every row."""
+    try:
+        return WireBatchVerifier(pairs, packing)
+    except Exception:
+        return None
+
+
+def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
+    """Compile one pair's picklable replica spec, ``None`` if it vanished.
+
+    The spec is ``(tags, flat_matchers, by_tag, disjoint)`` — flat integer
+    arrays only, so replicas never need the codec, topology or BDD manager.
+    ``None`` is meaningful on the resync path: it tells a replica to drop
+    the pair (every path between the ports was removed by a rule update).
+    """
+    index = table.fast_index(inport, outport, hs)
+    if index is None:
+        return None
+    return (
+        tuple(entry.tag for entry in index.entries),
+        tuple(entry.compiled_matcher(hs) for entry in index.entries),
+        dict(index.by_tag),
+        index.disjoint,
+    )
+
+
+def build_shard_specs(
+    table: PathTable, hs, codec, workers: int
+) -> List[Dict[Tuple[int, int], tuple]]:
+    """Compile the path table into per-worker picklable shard replicas."""
+    specs: List[Dict[Tuple[int, int], tuple]] = [{} for _ in range(workers)]
+    for inport, outport in table.pairs():
+        spec = build_pair_spec(table, hs, inport, outport)
+        if spec is None:  # pragma: no cover - pairs() only lists known keys
+            continue
+        in_wire = codec.encode(inport)
+        out_wire = codec.encode(outport)
+        shard = _shard_of((in_wire << 16) | out_wire, workers)
+        specs[shard][(in_wire, out_wire)] = spec
+    return specs
+
+
+def build_one_shard_spec(
+    table: PathTable, hs, codec, workers: int, shard: int
+) -> Dict[Tuple[int, int], tuple]:
+    """Compile just one shard's replica (a restarted worker's bootstrap).
+
+    Restarting worker ``k`` used to recompile every shard's replica; only
+    shard ``k``'s pairs are compiled here, and the survivors are brought up
+    to date separately via pair deltas
+    (:meth:`~repro.core.daemon.ShardedVeriDPDaemon.resync_replicas`).
+    """
+    spec: Dict[Tuple[int, int], tuple] = {}
+    for inport, outport in table.pairs():
+        in_wire = codec.encode(inport)
+        out_wire = codec.encode(outport)
+        if _shard_of((in_wire << 16) | out_wire, workers) != shard:
+            continue
+        compiled = build_pair_spec(table, hs, inport, outport)
+        if compiled is not None:
+            spec[(in_wire, out_wire)] = compiled
+    return spec
+
+
+def replica_digest(pairs: Dict[Tuple[int, int], tuple]) -> str:
+    """Stable fingerprint of one compiled shard replica.
+
+    Hashes pair keys, tags, tag buckets, the disjointness bit and every flat
+    matcher's structure (shift/low/high arrays — *not* the manager-dependent
+    ``source`` ids), so two replicas digest equal iff they verify every
+    report identically.  Used to assert replicas converged after a delta
+    resync.
+    """
+    digest = hashlib.sha1()
+    for key in sorted(pairs):
+        tags, flats, by_tag, disjoint = pairs[key]
+        digest.update(repr((key, tags, sorted(by_tag.items()), disjoint)).encode())
+        for flat in flats:
+            digest.update(repr((flat.root, flat.shifts, flat.low, flat.high)).encode())
+    return digest.hexdigest()
+
+
+def _verify_wire(
+    pairs: Dict[Tuple[int, int], tuple],
+    packing: Tuple[Tuple[int, int], ...],
+    payload: bytes,
+) -> Optional[str]:
+    """Verify one wire payload against a shard replica.
+
+    Returns a verdict value string, or ``None`` for malformed payloads.
+    Mirrors :meth:`Verifier._match_fast` (minus the flow cache, which would
+    buy little once the per-report cost is a few flat-array chases).
+    """
+    try:
+        fields = _REPORT_STRUCT.unpack(payload)
+    except struct.error:
+        return None
+    if fields[0] != REPORT_VERSION:
+        return None
+    pair = pairs.get((fields[2], fields[3]))
+    if pair is None:
+        return _FAIL_UNKNOWN
+    tags, flats, by_tag, disjoint = pair
+    value = 0
+    for pos, width in packing:
+        value = (value << width) | fields[5 + pos]
+    tag = fields[4]
+    matched = -1
+    if disjoint:
+        positions = by_tag.get(tag)
+        if positions is not None:
+            for pos in positions:
+                if flats[pos].evaluate_value(value):
+                    matched = pos
+                    break
+        if matched < 0:
+            for pos, flat in enumerate(flats):
+                if tags[pos] != tag and flat.evaluate_value(value):
+                    matched = pos
+                    break
+    else:
+        for pos, flat in enumerate(flats):
+            if flat.evaluate_value(value):
+                matched = pos
+                break
+    if matched < 0:
+        return _FAIL_NO_PATH
+    return _PASS if tags[matched] == tag else _FAIL_MISMATCH
+
+
+class Delta(NamedTuple):
+    """What one replica verified since its last :meth:`ShardReplica.take`.
+
+    The flush reply of both transports: a cluster node sends it as the
+    ``MSG_FLUSH_REPLY`` body, a shard worker as ``("flush", delta)``.
+    """
+
+    #: The replica's id: shard index or node id.
+    source: object
+    #: The flush request this answers.
+    token: int
+    processed: int
+    malformed: int
+    #: Verdict value -> count.
+    counters: Dict[str, int]
+    #: ``(payload, verdict value)`` per failing report, in arrival order.
+    failures: List[Tuple[bytes, str]]
+    #: ``(payload, error)`` per report that crashed verification.
+    crashed: List[Tuple[bytes, str]]
+    #: Unknown-pair payloads set aside for the coordinator (nodes only).
+    unknown: List[bytes]
+    #: Up to 64 undecodable payloads, for dead-lettering.
+    malformed_sample: List[bytes]
+    #: Highest batch seq folded in (the frontend's ack; 0 for shards).
+    seq: int
+    #: ``snapshot(reset=True)`` of the replica's metric families.
+    metrics: object
+
+
+class ShardReplica:
+    """A compiled slice of the path table that verifies wire frames.
+
+    ``role`` names the metric families (``veridp_<role>_*``) and their id
+    label; ``ident`` is the label value and the :attr:`Delta.source` of
+    every reply.  ``set_aside_unknown`` is the one behavioural switch
+    between the two transports (see the module docstring).
+
+    Verdict counting stays on plain ints; the metric families see only a
+    per-batch timing observation and, in :meth:`take`, the window's totals.
+    Not thread-safe: a transport serialises calls.
+    """
+
+    def __init__(
+        self,
+        role: str,
+        ident,
+        packing: Tuple[Tuple[int, int], ...],
+        pairs: Optional[Dict[Tuple[int, int], tuple]] = None,
+        set_aside_unknown: bool = False,
+    ) -> None:
+        self.ident = ident
+        self.label = str(ident)
+        self.packing = tuple(packing)
+        #: (in_wire, out_wire) -> compiled pair spec.
+        self.pairs: Dict[Tuple[int, int], tuple] = {} if pairs is None else pairs
+        #: (in_wire, out_wire) -> owning tenant (tagged replicas only).
+        self.tenants: Dict[Tuple[int, int], str] = {}
+        self.set_aside_unknown = set_aside_unknown
+        self._role = role
+        self._wirev = wire_kernel(self.pairs, self.packing)
+        self._reset()
+        self._register_metrics()
+
+    @property
+    def vector(self) -> bool:
+        """Whether the vector kernel compiled for this replica's packing."""
+        return self._wirev is not None
+
+    def _reset(self) -> None:
+        self.processed = 0
+        self.malformed = 0
+        self.counters = {v.value: 0 for v in Verdict}
+        self.failures: List[Tuple[bytes, str]] = []
+        self.crashed: List[Tuple[bytes, str]] = []
+        self.unknown: List[bytes] = []
+        self.malformed_sample: List[bytes] = []
+
+    def _register_metrics(self) -> None:
+        role, label = self._role, self.label
+        reg = self.registry = MetricsRegistry()
+
+        def own(suffix: str, text: str):
+            return reg.counter(f"veridp_{role}_{suffix}", text, (role,)).labels(label)
+
+        self._batch_hist = reg.histogram(
+            f"veridp_{role}_batch_seconds",
+            f"Wall-clock seconds one {role} replica spent verifying one batch.",
+            (role,),
+            buckets=DEFAULT_BUCKETS,
+        ).labels(label)
+        self._batches = own("batches_total", f"Batches a {role} replica verified.")
+        self._processed_counter = own(
+            "processed_total", f"Payloads a {role} replica verified."
+        )
+        self._malformed_counter = own(
+            "malformed_total", f"Payloads a {role} replica could not decode."
+        )
+        self._vector_reports = own(
+            "vector_reports_total",
+            f"Payloads a {role} replica verified through the vector kernel.",
+        )
+        self._verdicts = reg.counter(
+            f"veridp_{role}_verifications_total",
+            f"Verdicts, by verdict and {role}.",
+            (role, "verdict"),
+        )
+        self._vector_fallback = reg.counter(
+            f"veridp_{role}_vector_fallback_total",
+            "Vector-path downgrades to the scalar matcher, by kind: a whole "
+            "batch (kernel error), a single row (irregular pair), or a batch "
+            "below the crossover size.",
+            (role, "kind"),
+        )
+        self._tenant_family = None
+
+    # -- replica state -----------------------------------------------------
+
+    def reload(self, pairs, tenants: Optional[Dict] = None) -> None:
+        """Swap the whole replica; ``tenants`` tags pairs with their owner."""
+        self.pairs = pairs
+        self.tenants = {}
+        self._tag(tenants)
+        if self._wirev is not None:
+            self._wirev.reload(pairs)
+
+    def patch(self, changes, tenants: Optional[Dict] = None) -> None:
+        """Apply a pair delta: ``None`` drops a pair, a spec (re)places it.
+
+        Only the patched pairs' kernels recompile; untouched pairs keep
+        their compiled arrays.
+        """
+        for key, spec in changes.items():
+            self.tenants.pop(key, None)
+            if spec is None:
+                self.pairs.pop(key, None)
+            else:
+                self.pairs[key] = spec
+        self._tag(tenants)
+        if self._wirev is not None:
+            self._wirev.invalidate(changes.keys())
+
+    def _tag(self, tenants: Optional[Dict]) -> None:
+        """Record tenant owners; a tagged replica counts reports per tenant."""
+        if tenants is None:
+            return
+        if self._tenant_family is None:
+            self._tenant_family = self.registry.counter(
+                "veridp_cluster_tenant_reports_total",
+                f"Reports verified per owning tenant, by {self._role} (sum "
+                f"out the {self._role} label for the fleet-wide per-tenant "
+                "totals).",
+                (self._role, "tenant"),
+            )
+        self.tenants.update((k, t) for k, t in tenants.items() if t)
+
+    def digest(self) -> str:
+        return replica_digest(self.pairs)
+
+    # -- verification ------------------------------------------------------
+
+    def verify(self, frame: bytes, odd: List[bytes] = ()) -> None:
+        """Verify one batch: a ``REPORT_SIZE``-stride frame plus oddballs.
+
+        The kernel takes frames of ``MIN_BATCH`` rows or more and accounts
+        PASS rows in bulk; every other row — flagged by the kernel, in a
+        small frame, or after a kernel error — goes through the scalar
+        matcher, so no input changes a verdict.
+        """
+        started = time.perf_counter()
+        n = len(frame) // REPORT_SIZE
+        codes = None
+        if self._wirev is not None and n:
+            if n < MIN_BATCH:
+                self._vector_fallback.labels(self.label, "small").inc()
+            else:
+                try:
+                    codes = self._wirev.verify_frame(frame)
+                except Exception:
+                    # A kernel bug must never change a verdict: redo the
+                    # whole batch with the scalar matcher.
+                    self._vector_fallback.labels(self.label, "batch").inc()
+        if codes is None:
+            for start in range(0, len(frame), REPORT_SIZE):
+                self._verify_scalar(frame[start : start + REPORT_SIZE])
+        else:
+            # Healthy rows (code 0 == PASS) are accounted in bulk — only
+            # exceptional rows materialise their payload slice.
+            flagged = codes.nonzero()[0]
+            pass_rows = n - flagged.shape[0]
+            self.processed += pass_rows
+            self.counters[_PASS] += pass_rows
+            vector_rows = pass_rows
+            for i in flagged.tolist():
+                code = int(codes[i])
+                payload = frame[i * REPORT_SIZE : (i + 1) * REPORT_SIZE]
+                if code == VSCALAR:
+                    self._vector_fallback.labels(self.label, "row").inc()
+                    self._verify_scalar(payload)
+                elif code == VMALFORMED:
+                    self._count_malformed(payload)
+                elif code == VUNKNOWN and self.set_aside_unknown:
+                    self.unknown.append(payload)
+                else:
+                    vector_rows += 1
+                    self._account(payload, _VCODE_TO_VALUE[code])
+            self._vector_reports.inc(vector_rows)
+        for payload in odd:
+            self._verify_scalar(payload)
+        if self.tenants and n:
+            self._count_tenants(frame, n)
+        self._batch_hist.observe(time.perf_counter() - started)
+        self._batches.inc()
+
+    def _verify_scalar(self, payload: bytes) -> None:
+        # Decode first, exactly like the kernel: a bad-version row is
+        # malformed whether or not its pair is placed here.
+        try:
+            verdict = _verify_wire(self.pairs, self.packing, payload)
+        except Exception as exc:
+            self.crashed.append((payload, f"{type(exc).__name__}: {exc}"))
+            return
+        if verdict is None:
+            self._count_malformed(payload)
+        elif verdict == _FAIL_UNKNOWN and self.set_aside_unknown:
+            self.unknown.append(payload)
+        else:
+            self._account(payload, verdict)
+
+    def _account(self, payload: bytes, verdict: str) -> None:
+        self.processed += 1
+        self.counters[verdict] += 1
+        if verdict != _PASS:
+            self.failures.append((payload, verdict))
+
+    def _count_malformed(self, payload: bytes) -> None:
+        self.malformed += 1
+        if len(self.malformed_sample) < _MALFORMED_SAMPLE:
+            self.malformed_sample.append(payload)
+
+    def _count_tenants(self, frame: bytes, n: int) -> None:
+        """Per-tenant report attribution for one frame's rows."""
+        rows = np.frombuffer(frame, np.uint8, n * REPORT_SIZE).reshape(n, REPORT_SIZE)
+        keys = rows[:, 2:6].copy().view(">u4").ravel()
+        uniq, counts = np.unique(keys, return_counts=True)
+        for key32, count in zip(uniq.tolist(), counts.tolist()):
+            tenant = self.tenants.get((key32 >> 16, key32 & 0xFFFF))
+            if tenant:
+                self._tenant_family.labels(self.label, tenant).inc(count)
+
+    # -- flush ---------------------------------------------------------------
+
+    def take(self, token: int, seq: int = 0) -> Delta:
+        """Return everything pending since the last take, and reset it."""
+        self._processed_counter.inc(self.processed)
+        self._malformed_counter.inc(self.malformed)
+        for verdict, count in self.counters.items():
+            if count:
+                self._verdicts.labels(self.label, verdict).inc(count)
+        delta = Delta(
+            self.ident,
+            token,
+            self.processed,
+            self.malformed,
+            self.counters,
+            self.failures,
+            self.crashed,
+            self.unknown,
+            self.malformed_sample,
+            seq,
+            self.registry.snapshot(reset=True),
+        )
+        self._reset()
+        return delta

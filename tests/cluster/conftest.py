@@ -3,7 +3,7 @@ helpers that build wire payloads and node-shaped replica messages."""
 
 import pytest
 
-from repro.core.daemon import build_pair_spec, wire_packing
+from repro.core.replica import build_pair_spec, wire_packing
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork

@@ -22,7 +22,7 @@ from repro.cluster.protocol import (
     MSG_RELOAD,
     MessageStream,
 )
-from repro.core.daemon import frame_batch, replica_digest
+from repro.core.replica import frame_batch, replica_digest
 from repro.core.verifier import Verdict
 
 from .conftest import healthy_payloads, packing_of, tagged_replica

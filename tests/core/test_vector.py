@@ -29,7 +29,7 @@ from repro.analysis.timing import (
 )
 from repro.bdd.headerspace import HeaderSpace
 from repro.core import vector as vec
-from repro.core.daemon import _verify_wire, build_shard_specs, wire_packing
+from repro.core.replica import _verify_wire, build_shard_specs, wire_packing
 from repro.core.incremental import IncrementalPathTable
 from repro.core.pathtable import PathTableBuilder
 from repro.core.reports import TagReport

@@ -189,7 +189,6 @@ class TestChaosCampaign:
             server,
             workers=2,
             batch_size=64,
-            vector=True,
             overflow="block",
             restart_budget=3,
             poll_interval=0.02,

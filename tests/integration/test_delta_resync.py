@@ -10,11 +10,8 @@ import time
 
 import pytest
 
-from repro.core.daemon import (
-    ShardedVeriDPDaemon,
-    build_shard_specs,
-    replica_digest,
-)
+from repro.core.daemon import ShardedVeriDPDaemon
+from repro.core.replica import build_shard_specs, replica_digest
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork

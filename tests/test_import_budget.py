@@ -131,3 +131,14 @@ print([l.split()[1] for l in open("/proc/self/status") if l.startswith("Threads:
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     assert _run(script, env).split() == ["1", "1"]
     assert _run(script, dict(env, OPENBLAS_NUM_THREADS="2")).split()[0] == "2"
+
+
+def test_cluster_node_is_a_replica_behind_a_socket():
+    # A node verifies through repro.core.replica alone: it never loads the
+    # server (BDD table, localization, WAL) or the daemons.
+    script = """
+import sys
+import repro.cluster.node
+print([m for m in ("repro.core.daemon", "repro.core.server") if m in sys.modules])
+"""
+    assert _run(script).strip() == "[]"
