@@ -202,7 +202,7 @@ def test_daemon_supervised_restart_cost(benchmark, report_stream):
         stats["processed"]
         + stats["malformed"]
         + stats["verify_errors"]
-        + stats["dropped_full_queue"]
+        + stats["dropped_new"]
         + stats["lost_in_restart"]
         == len(payloads)
     )

@@ -438,7 +438,6 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
         server,
         nodes=args.cluster,
         node_mode=args.cluster_mode,
-        engine=args.engine,
         batch_size=args.batch_size,
         ingest_batch=args.ingest_batch,
     )
@@ -542,7 +541,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         server,
         nodes=args.nodes,
         node_mode=args.node_mode,
-        engine=args.engine,
         batch_size=args.batch_size,
     ) as cluster:
         third = max(1, len(payloads) // 3)
@@ -952,19 +950,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "the cross-tenant isolation verifier")
     serve.add_argument("--cluster", type=int, default=0, metavar="N",
                        help="shard verification across N cluster nodes "
-                            "behind the asyncio ingestion frontend "
+                            "behind the selectors ingestion frontend "
                             "(0 = single-process daemon)")
     serve.add_argument("--cluster-mode", choices=["thread", "process"],
                        default="thread",
                        help="run cluster nodes as threads or processes")
-    serve.add_argument("--engine", choices=["auto", "asyncio", "selectors"],
-                       default="auto",
-                       help="cluster ingestion engine (auto prefers asyncio)")
     serve.add_argument("--batch-size", type=int, default=256,
                        help="cluster frontend dispatch batch size")
     serve.add_argument("--ingest-batch", type=int, default=128,
                        help="datagrams drained per socket wakeup into one "
-                            "zero-copy frame (1 = per-datagram ingestion)")
+                            "zero-copy frame")
 
     cluster = add("cluster", "self-driving sharded-cluster demo with "
                              "failover and rebalance")
@@ -976,9 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="initial verification node count")
     cluster.add_argument("--node-mode", choices=["thread", "process"],
                          default="thread")
-    cluster.add_argument("--engine",
-                         choices=["auto", "asyncio", "selectors"],
-                         default="auto")
     cluster.add_argument("--reports", type=int, default=2000,
                          help="reports streamed through the cluster")
     cluster.add_argument("--batch-size", type=int, default=256)

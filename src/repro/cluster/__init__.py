@@ -6,7 +6,7 @@ resync protocol across process boundaries so verification scales out:
 
 * :mod:`repro.cluster.protocol`    — length-prefixed message streams,
 * :mod:`repro.cluster.ring`        — consistent-hash placement,
-* :mod:`repro.cluster.frontend`    — asyncio/selectors multi-socket
+* :mod:`repro.cluster.frontend`    — ``selectors`` multi-socket frame
   ingestion + exactly-once batch routing,
 * :mod:`repro.cluster.node`        — a shard replica behind TCP,
 * :mod:`repro.cluster.coordinator` — membership, rebalancing, resync and
@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from .cluster import VeriDPCluster
 from .coordinator import ClusterCoordinator
-from .frontend import (
-    AsyncioIngest,
-    ClusterFrontend,
-    SelectorIngest,
-    build_ingest,
-    routing_key_of,
-)
+from .frontend import ClusterFrontend, SelectorIngest, routing_key_of
 from .node import NodeHandle, VerificationNode, start_node
 from .protocol import MessageStream, ProtocolError, message_name
 from .ring import HashRing
@@ -33,9 +27,7 @@ __all__ = [
     "VeriDPCluster",
     "ClusterCoordinator",
     "ClusterFrontend",
-    "AsyncioIngest",
     "SelectorIngest",
-    "build_ingest",
     "routing_key_of",
     "VerificationNode",
     "NodeHandle",

@@ -3,7 +3,7 @@
 :class:`VeriDPCluster` wires the pieces of this package into the shape
 the CLI, the tests and the benchmarks all use: an authoritative
 :class:`~repro.core.server.VeriDPServer`, a :class:`ClusterFrontend`
-with an ingest engine, ``nodes`` verification members and one
+with its :class:`SelectorIngest`, ``nodes`` verification members and one
 :class:`ClusterCoordinator`.  It exposes the daemon-flavoured surface
 (``submit`` / ``join`` / ``stats`` / ``stop``) plus the cluster-only
 verbs (``kill_node`` / ``add_node`` / ``remove_node`` / ``resync``).
@@ -11,10 +11,11 @@ verbs (``kill_node`` / ``add_node`` / ``remove_node`` / ``resync``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from ..core.ingest import DEFAULT_INGEST_BATCH
 from .coordinator import ClusterCoordinator
-from .frontend import ClusterFrontend, build_ingest
+from .frontend import ClusterFrontend, SelectorIngest
 
 __all__ = ["VeriDPCluster"]
 
@@ -27,18 +28,15 @@ class VeriDPCluster:
         server,
         nodes: int = 3,
         node_mode: str = "thread",
-        engine: str = "auto",
         batch_size: int = 256,
-        ingest_batch: Optional[int] = None,
+        ingest_batch: int = DEFAULT_INGEST_BATCH,
         vnodes: int = 64,
         persist=None,
-        observer=None,
     ) -> None:
         self.server = server
         self.frontend = ClusterFrontend(
             batch_size=batch_size,
             persist=persist if persist is not None else server.persist,
-            observer=observer,
         )
         self.coordinator = ClusterCoordinator(
             server,
@@ -46,12 +44,7 @@ class VeriDPCluster:
             node_mode=node_mode,
             vnodes=vnodes,
         )
-        if ingest_batch is None:
-            self.ingest = build_ingest(self.frontend, engine=engine)
-        else:
-            self.ingest = build_ingest(
-                self.frontend, engine=engine, ingest_batch=ingest_batch
-            )
+        self.ingest = SelectorIngest(self.frontend, ingest_batch=ingest_batch)
         self._running = False
         self._initial_nodes = nodes
 

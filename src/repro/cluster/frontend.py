@@ -3,9 +3,8 @@
 This replaces the thread-per-listener ingestion model for cluster
 deployments.  One :class:`ClusterFrontend` owns the routing state — which
 verification node each ``(inport, outport)`` pair belongs to — and one
-ingest engine (:class:`AsyncioIngest`, or :class:`SelectorIngest` where
-asyncio is unavailable) feeds it 27-byte report payloads from any number
-of UDP and TCP sockets on a single event-loop thread.
+:class:`SelectorIngest` feeds it frames of 27-byte report rows from any
+number of UDP and TCP sockets on a single ``selectors`` thread.
 
 Routing is two-layered:
 
@@ -32,15 +31,17 @@ owners.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.replica import frame_batch, unframe_batch
+import numpy as np
+
+from ..core.replica import unframe_batch
 from ..core.ingest import (
     DEFAULT_INGEST_BATCH,
-    HAVE_NUMPY,
     FrameBuffer,
     drain_socket,
     pair_keys,
@@ -50,33 +51,11 @@ from ..core.reports import REPORT_SIZE, Frame, payload_precheck
 from .protocol import MSG_BATCH, MessageStream
 from .ring import HashRing
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 __all__ = [
     "ClusterFrontend",
-    "AsyncioIngest",
     "SelectorIngest",
-    "build_ingest",
     "routing_key_of",
 ]
-
-import selectors
-
-
-def _import_asyncio():
-    """asyncio, loaded when an engine first needs it (``None`` if missing).
-
-    It brings ssl, logging and concurrent.futures with it, which a process
-    running :class:`SelectorIngest` never uses.
-    """
-    try:
-        import asyncio
-    except ImportError:  # pragma: no cover - stdlib everywhere we run
-        return None
-    return asyncio
 
 
 def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
@@ -104,8 +83,7 @@ class _NodeLink:
         self.unacked: "OrderedDict[int, Tuple[bytes, List[bytes]]]" = (
             OrderedDict()
         )
-        self.buffer: List[bytes] = []
-        self.fbuffer: List[bytes] = []  # frame chunks from submit_frame
+        self.fbuffer: List[bytes] = []  # frame chunks awaiting dispatch
         self.fcount = 0  # rows pending in fbuffer
         self.dead = False
 
@@ -113,19 +91,13 @@ class _NodeLink:
 class ClusterFrontend:
     """Route report payloads to verification nodes, exactly once.
 
-    Thread-safe: the ingest engine's loop thread, the coordinator's flush
+    Thread-safe: the ingest loop thread, the coordinator's flush
     turns and test harnesses may all call in concurrently.
     """
 
-    def __init__(
-        self,
-        batch_size: int = 256,
-        persist=None,
-        observer: Optional[Callable[[bytes], None]] = None,
-    ) -> None:
+    def __init__(self, batch_size: int = 256, persist=None) -> None:
         self.batch_size = max(1, int(batch_size))
         self.persist = persist
-        self.observer = observer
         self.ring = HashRing()
         #: routing key -> node_id, maintained by the coordinator.
         self.placement: Dict[str, str] = {}
@@ -176,11 +148,9 @@ class ClusterFrontend:
         with link.lock:
             for frame, odd in link.unacked.values():
                 pending.extend(unframe_batch(frame, odd))
-            pending.extend(link.buffer)
             for chunk in link.fbuffer:
                 pending.extend(unframe_batch(chunk, []))
             link.unacked.clear()
-            link.buffer = []
             link.fbuffer = []
             link.fcount = 0
         return pending
@@ -201,31 +171,25 @@ class ClusterFrontend:
             return node
         return self.ring.owner(key)
 
+    def _route_locked(self, pair_key: int) -> Optional[str]:
+        """The live node that owns ``pair_key`` (route lock held), or None."""
+        node = self.owner_of(routing_key_of(pair_key, self.tenant_of.get(pair_key)))
+        return node if node in self._links else None
+
     def submit(self, payload: bytes) -> bool:
-        """Ingest one wire payload; returns False when it was rejected."""
+        """Ingest one wire payload as a one-row chunk; returns False when it
+        was rejected (precheck, or no owning node)."""
         with self._route_lock:
             self.submitted += 1
             if payload_precheck(payload) is not None:
                 self.precheck_rejected += 1
                 return False
-            key = self.routing_key(payload)
-            node = self.owner_of(key)
-            link = self._links.get(node) if node is not None else None
-            if link is None:
+            node = self._route_locked(int.from_bytes(payload[2:6], "big"))
+            if node is None:
                 self.dropped_no_node += 1
                 return False
-        if self.observer is not None:
-            self.observer(payload)
-        with link.lock:
-            # A dead link still buffers: detach_node() surrenders the
-            # buffer for redelivery, so a node's death window loses
-            # nothing — the payloads just wait for the failover.
-            link.buffer.append(payload)
-            if (
-                len(link.buffer) + link.fcount >= self.batch_size
-                and not link.dead
-            ):
-                self._dispatch_locked(link)
+            link = self._links[node]
+        self._buffer([(link, payload, 1)])
         return True
 
     def submit_frame(self, frame: Frame) -> int:
@@ -235,19 +199,11 @@ class ClusterFrontend:
         replaces per-row precheck/route/append rounds; each owner's rows
         land in its link's frame-chunk buffer as one contiguous chunk.
         Returns the rows accepted (screen rejects and ownerless rows are
-        counted exactly as scalar :meth:`submit` counts them).  Falls back
-        to per-row :meth:`submit` when numpy is unavailable or an observer
-        tap needs to see individual payloads.
+        counted exactly as :meth:`submit` counts them).
         """
         count = frame.count
         if count == 0:
             return 0
-        if self.observer is not None or not HAVE_NUMPY:
-            accepted = 0
-            for row in frame.rows():
-                if self.submit(row):
-                    accepted += 1
-            return accepted
         clean, rejected = screen_frame(frame.payload())
         nrows = len(clean) // REPORT_SIZE
         targets: List[Tuple[_NodeLink, bytes, int]] = []
@@ -267,12 +223,7 @@ class ClusterFrontend:
             slot_nodes: List[Optional[str]] = []
             codes = np.empty(uniq.shape[0], dtype=np.int64)
             for j, key in enumerate(uniq.tolist()):
-                key = int(key)
-                node = self.owner_of(
-                    routing_key_of(key, self.tenant_of.get(key))
-                )
-                if node is not None and node not in self._links:
-                    node = None
+                node = self._route_locked(int(key))
                 slot = node_slots.get(node)
                 if slot is None:
                     slot = len(slot_nodes)
@@ -289,16 +240,21 @@ class ClusterFrontend:
                 targets.append(
                     (self._links[node], raw[mask].tobytes(), rows)
                 )
+        return self._buffer(targets)
+
+    def _buffer(self, targets: Iterable[Tuple[_NodeLink, bytes, int]]) -> int:
+        """Append ``(link, chunk, rows)`` to the links' frame-chunk buffers,
+        dispatching each one that reached ``batch_size``; returns rows."""
         accepted = 0
         for link, chunk, rows in targets:
             with link.lock:
+                # A dead link still buffers: detach_node() surrenders the
+                # buffer for redelivery, so a node's death window loses
+                # nothing — the rows just wait for the failover.
                 link.fbuffer.append(chunk)
                 link.fcount += rows
                 accepted += rows
-                if (
-                    len(link.buffer) + link.fcount >= self.batch_size
-                    and not link.dead
-                ):
+                if link.fcount >= self.batch_size and not link.dead:
                     self._dispatch_locked(link)
         return accepted
 
@@ -317,35 +273,21 @@ class ClusterFrontend:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_locked(self, link: _NodeLink) -> None:
-        """Ship the link's pending singles and frame chunks as one batch
-        (caller holds ``link.lock``)."""
-        singles = link.buffer
-        link.buffer = []
-        chunks = link.fbuffer
+        """Ship the link's pending frame chunks as one batch (caller holds
+        ``link.lock``)."""
+        frame = b"".join(link.fbuffer)
+        rows = link.fcount
         link.fbuffer = []
-        rows = link.fcount + len(singles)
         link.fcount = 0
-        sized, odd = frame_batch(singles)
-        frame = b"".join(chunks) + sized if chunks else sized
         if self.persist is not None:
             # WAL-before-verify at batch granularity: the batch is durable
             # before any node sees it, exactly like the sharded daemon —
-            # one RT_REPORT_BATCH record per frame when the store supports
-            # frame logging.
-            log_frame = getattr(self.persist, "log_report_frame", None)
-            if log_frame is not None:
-                if frame:
-                    log_frame(frame)
-                if odd:
-                    self.persist.log_report_batch(odd)
-            else:
-                self.persist.log_report_batch(
-                    unframe_batch(frame, odd)
-                )
+            # one RT_REPORT_BATCH record per frame.
+            self.persist.log_report_frame(frame)
         link.seq += 1
-        link.unacked[link.seq] = (frame, odd)
+        link.unacked[link.seq] = (frame, [])
         try:
-            link.stream.send(MSG_BATCH, (link.seq, frame, odd))
+            link.stream.send(MSG_BATCH, (link.seq, frame, []))
         except OSError:
             # Connection is gone; the batch stays un-acked and will be
             # redelivered when the coordinator detaches the node.
@@ -363,7 +305,7 @@ class ClusterFrontend:
             links = list(self._links.values())
         for link in links:
             with link.lock:
-                if (link.buffer or link.fbuffer) and not link.dead:
+                if link.fbuffer and not link.dead:
                     self._dispatch_locked(link)
 
     def ack(self, node_id: str, last_seq: int) -> int:
@@ -391,7 +333,7 @@ class ClusterFrontend:
         if link is None:
             return (0, 0)
         with link.lock:
-            return (len(link.unacked), len(link.buffer) + link.fcount)
+            return (len(link.unacked), link.fcount)
 
     def stats(self) -> Dict[str, int]:
         with self._route_lock:
@@ -410,7 +352,7 @@ class ClusterFrontend:
 
 
 # ---------------------------------------------------------------------------
-# ingest engines
+# ingest engine
 # ---------------------------------------------------------------------------
 
 
@@ -421,6 +363,7 @@ def _bind_udp(host: str, port: int) -> socket.socket:
     sock.setblocking(False)
     return sock
 
+
 def _bind_tcp(host: str, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -430,185 +373,17 @@ def _bind_tcp(host: str, port: int) -> socket.socket:
     return sock
 
 
-class AsyncioIngest:
-    """All listen sockets on one asyncio loop thread (no thread-per-port).
+class SelectorIngest:
+    """All listen sockets on one ``selectors`` thread (no thread-per-port).
 
     UDP datagrams carry one payload each (the switch-agent shape); TCP
     connections carry back-to-back ``REPORT_SIZE``-stride payloads (the
     relay/replay shape).  Sockets are bound synchronously — ``listen_udp``
     and ``listen_tcp`` return the bound address immediately, before or
-    after :meth:`start` — and handed to the loop to serve.
-    """
-
-    engine = "asyncio"
-
-    def __init__(
-        self,
-        frontend: ClusterFrontend,
-        ingest_batch: int = DEFAULT_INGEST_BATCH,
-    ) -> None:
-        self._asyncio = _import_asyncio()
-        if self._asyncio is None:
-            raise RuntimeError("asyncio is unavailable; use SelectorIngest")
-        self.frontend = frontend
-        # > 1 selects the frame-native drain loop (one readability wakeup
-        # drains up to this many datagrams into one submit_frame); 1 keeps
-        # the per-datagram protocol path.
-        self.ingest_batch = max(1, int(ingest_batch))
-        self._loop: Optional["asyncio.AbstractEventLoop"] = None
-        self._thread: Optional[threading.Thread] = None
-        self._udp_socks: List[socket.socket] = []
-        self._tcp_socks: List[socket.socket] = []
-        self._transports: List = []
-        self._servers: List = []
-        self._readers: List[socket.socket] = []
-        self.datagrams = 0
-        self.tcp_connections = 0
-
-    # -- binding -----------------------------------------------------------
-
-    def listen_udp(self, host: str = "127.0.0.1", port: int = 0):
-        sock = _bind_udp(host, port)
-        self._udp_socks.append(sock)
-        if self._loop is not None:
-            self._run(self._serve_udp(sock))
-        return sock.getsockname()
-
-    def listen_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        sock = _bind_tcp(host, port)
-        self._tcp_socks.append(sock)
-        if self._loop is not None:
-            self._run(self._serve_tcp(sock))
-        return sock.getsockname()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "AsyncioIngest":
-        if self._loop is not None:
-            return self
-        asyncio = self._asyncio
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def runner() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(started.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=runner, name="veridp-cluster-ingest", daemon=True
-        )
-        self._thread.start()
-        started.wait(timeout=5)
-        for sock in self._udp_socks:
-            self._run(self._serve_udp(sock))
-        for sock in self._tcp_socks:
-            self._run(self._serve_tcp(sock))
-        return self
-
-    def stop(self) -> None:
-        if self._loop is None:
-            return
-        loop = self._loop
-
-        def shutdown() -> None:
-            for transport in self._transports:
-                transport.close()
-            for server in self._servers:
-                server.close()
-            for sock in self._readers:
-                try:
-                    loop.remove_reader(sock)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-            loop.stop()
-
-        loop.call_soon_threadsafe(shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        loop.close()
-        self._loop = None
-        for sock in self._udp_socks + self._tcp_socks:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-
-    def _run(self, coro) -> None:
-        self._asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            timeout=5
-        )
-
-    # -- protocols ---------------------------------------------------------
-
-    async def _serve_udp(self, sock: socket.socket) -> None:
-        if self.ingest_batch > 1:
-            # Frame-native drain: one readability callback drains every
-            # pending datagram (up to ingest_batch) into a preallocated
-            # frame buffer and hands the frontend one frame.  The socket
-            # is already non-blocking (_bind_udp).
-            fb = FrameBuffer(self.ingest_batch)
-
-            def on_readable() -> None:
-                count, odd = drain_socket(sock, fb, self.ingest_batch)
-                if not count:
-                    return
-                self.datagrams += count
-                for payload, _nbytes in odd:
-                    # Wrong-sized datagrams take the scalar path; submit()
-                    # counts them as precheck-rejected, same as before.
-                    self.frontend.submit(payload)
-                if fb.rows:
-                    self.frontend.submit_frame(Frame(fb.take()))
-
-            self._loop.add_reader(sock, on_readable)
-            self._readers.append(sock)
-            return
-        ingest = self
-
-        class Proto(self._asyncio.DatagramProtocol):
-            def datagram_received(self, data: bytes, addr) -> None:
-                ingest.datagrams += 1
-                ingest.frontend.submit(data)
-
-        transport, _ = await self._loop.create_datagram_endpoint(
-            Proto, sock=sock
-        )
-        self._transports.append(transport)
-
-    async def _serve_tcp(self, sock: socket.socket) -> None:
-        async def handle(reader, writer) -> None:
-            self.tcp_connections += 1
-            pending = b""
-            try:
-                while True:
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        break
-                    pending += chunk
-                    if self.ingest_batch > 1:
-                        # Submit the maximal aligned prefix as one frame.
-                        cut = (len(pending) // REPORT_SIZE) * REPORT_SIZE
-                        if cut:
-                            self.frontend.submit_frame(Frame(pending[:cut]))
-                            pending = pending[cut:]
-                        continue
-                    while len(pending) >= REPORT_SIZE:
-                        self.frontend.submit(pending[:REPORT_SIZE])
-                        pending = pending[REPORT_SIZE:]
-            finally:
-                writer.close()
-
-        server = await self._asyncio.start_server(handle, sock=sock)
-        self._servers.append(server)
-
-
-class SelectorIngest:
-    """``selectors``-based fallback engine with the same surface.
-
-    One thread, one :class:`selectors.DefaultSelector`; exists for
-    runtimes where asyncio cannot own a loop thread, and as the
-    explicitly-selectable engine for A/B testing the two.
+    after :meth:`start`.  Both shapes reach the frontend as frames: one
+    readability wakeup drains up to ``ingest_batch`` datagrams into one
+    frame (1 makes each datagram its own), and a TCP read submits its
+    longest whole-report prefix as one.
     """
 
     engine = "selectors"
@@ -621,6 +396,10 @@ class SelectorIngest:
         self.frontend = frontend
         self.ingest_batch = max(1, int(ingest_batch))
         self._selector = selectors.DefaultSelector()
+        # stop() writes one byte here so the loop leaves select() at once
+        # instead of at its next timeout.
+        self._wake, self._waker = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ, ("wake", None))
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self._socks: List[socket.socket] = []
@@ -651,6 +430,10 @@ class SelectorIngest:
 
     def stop(self) -> None:
         self._running = False
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # already stopped: the pair is closed
+            return
         if self._thread is not None:
             self._thread.join(timeout=5)
         for key in list(self._selector.get_map().values()):
@@ -659,40 +442,33 @@ class SelectorIngest:
             except OSError:  # pragma: no cover - defensive
                 pass
         self._selector.close()
+        self._waker.close()
 
     def _loop(self) -> None:
         buffers: Dict[socket.socket, bytes] = {}
         fbufs: Dict[socket.socket, FrameBuffer] = {}
-        batched = self.ingest_batch > 1
         while self._running:
             for key, _events in self._selector.select(timeout=0.2):
                 kind, _ = key.data
                 sock = key.fileobj
+                if kind == "wake":
+                    break  # stop(): the while condition ends the loop
                 if kind == "udp":
-                    if batched:
-                        # Frame-native drain (same shape as AsyncioIngest):
-                        # empty the socket into a preallocated buffer, one
-                        # submit_frame per wakeup.
-                        fb = fbufs.get(sock)
-                        if fb is None:
-                            fb = fbufs[sock] = FrameBuffer(self.ingest_batch)
-                        count, odd = drain_socket(
-                            sock, fb, self.ingest_batch
-                        )
-                        if not count:
-                            continue
-                        self.datagrams += count
-                        for payload, _nbytes in odd:
-                            self.frontend.submit(payload)
-                        if fb.rows:
-                            self.frontend.submit_frame(Frame(fb.take()))
+                    # Empty the socket into a preallocated frame buffer,
+                    # one submit_frame per wakeup.
+                    fb = fbufs.get(sock)
+                    if fb is None:
+                        fb = fbufs[sock] = FrameBuffer(self.ingest_batch)
+                    count, odd = drain_socket(sock, fb, self.ingest_batch)
+                    if not count:
                         continue
-                    try:
-                        data, _addr = sock.recvfrom(65536)
-                    except OSError:
-                        continue
-                    self.datagrams += 1
-                    self.frontend.submit(data)
+                    self.datagrams += count
+                    for payload, _nbytes in odd:
+                        # A wrong-sized datagram cannot be a frame row;
+                        # submit() counts it as precheck-rejected.
+                        self.frontend.submit(payload)
+                    if fb.rows:
+                        self.frontend.submit_frame(Frame(fb.take()))
                 elif kind == "accept":
                     try:
                         conn, _addr = sock.accept()
@@ -715,28 +491,8 @@ class SelectorIngest:
                         buffers.pop(sock, None)
                         continue
                     pending = buffers[sock] + chunk
-                    if batched:
-                        cut = (len(pending) // REPORT_SIZE) * REPORT_SIZE
-                        if cut:
-                            self.frontend.submit_frame(Frame(pending[:cut]))
-                            pending = pending[cut:]
-                    else:
-                        while len(pending) >= REPORT_SIZE:
-                            self.frontend.submit(pending[:REPORT_SIZE])
-                            pending = pending[REPORT_SIZE:]
+                    cut = (len(pending) // REPORT_SIZE) * REPORT_SIZE
+                    if cut:
+                        self.frontend.submit_frame(Frame(pending[:cut]))
+                        pending = pending[cut:]
                     buffers[sock] = pending
-
-
-def build_ingest(
-    frontend: ClusterFrontend,
-    engine: str = "auto",
-    ingest_batch: int = DEFAULT_INGEST_BATCH,
-):
-    """Pick the ingest engine: ``asyncio`` (default), ``selectors``."""
-    if engine == "auto":
-        engine = "asyncio" if _import_asyncio() is not None else "selectors"
-    if engine == "asyncio":
-        return AsyncioIngest(frontend, ingest_batch=ingest_batch)
-    if engine == "selectors":
-        return SelectorIngest(frontend, ingest_batch=ingest_batch)
-    raise ValueError(f"unknown ingest engine {engine!r}")

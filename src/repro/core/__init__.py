@@ -62,10 +62,12 @@ from .verifier import BatchVerificationResult, VerificationResult, Verdict, Veri
 
 if TYPE_CHECKING:
     from .atomic_builder import AtomicPathTableBuilder
-    from .daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
+    from .direct import VeriDPDaemon
+    from .listener import UdpReportListener
     from .queries import PolicyChecker, QueryResult
     from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
     from .server import Incident, VeriDPServer
+    from .sharded import ShardedVeriDPDaemon
 
 #: Resolved on first use (``tests/test_import_budget.py`` is the gate): the
 #: offline tools no serve shape runs, and the server and daemons, which a
@@ -73,9 +75,9 @@ if TYPE_CHECKING:
 _LAZY = {
     "Incident": "server",
     "VeriDPServer": "server",
-    "ShardedVeriDPDaemon": "daemon",
-    "UdpReportListener": "daemon",
-    "VeriDPDaemon": "daemon",
+    "ShardedVeriDPDaemon": "sharded",
+    "UdpReportListener": "listener",
+    "VeriDPDaemon": "direct",
     "AtomicPathTableBuilder": "atomic_builder",
     "PolicyChecker": "queries",
     "QueryResult": "queries",

@@ -10,8 +10,8 @@ batched fast path:
   allocations (each receive slot is one byte larger than a report so a
   kernel-truncated oversize datagram is *detected*, not silently eaten),
 * :func:`drain_socket` — the non-blocking opportunistic drain used by
-  :class:`~repro.core.daemon.UdpReportListener` and the cluster frontend's
-  ingest engines after their one blocking wakeup: one ``recvmmsg`` per
+  :class:`~repro.core.listener.UdpReportListener` and the cluster frontend's
+  ingest loop after their one blocking wakeup: one ``recvmmsg`` per
   wakeup where libc has it, one ``recv_into`` per datagram elsewhere,
 * :func:`screen_frame` — the vectorized equivalent of running
   :func:`~repro.core.reports.payload_precheck` over every row of a frame,

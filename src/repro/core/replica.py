@@ -8,7 +8,7 @@ frames against it and keeps what it found until the transport asks for it.
 Two transports carry one:
 
 * the sharded daemon's worker process
-  (:func:`repro.core.daemon._shard_worker_main`, ``multiprocessing``
+  (:func:`repro.core.sharded._shard_worker_main`, ``multiprocessing``
   queues),
 * the cluster's :class:`~repro.cluster.node.VerificationNode` (TCP
   :class:`~repro.cluster.protocol.MessageStream`).
@@ -183,7 +183,7 @@ def build_one_shard_spec(
     Restarting worker ``k`` used to recompile every shard's replica; only
     shard ``k``'s pairs are compiled here, and the survivors are brought up
     to date separately via pair deltas
-    (:meth:`~repro.core.daemon.ShardedVeriDPDaemon.resync_replicas`).
+    (:meth:`~repro.core.sharded.ShardedVeriDPDaemon.resync_replicas`).
     """
     spec: Dict[Tuple[int, int], tuple] = {}
     for inport, outport in table.pairs():

@@ -38,7 +38,6 @@ __all__ = [
     "OverflowPolicy",
     "PolicyQueue",
     "TenantQuotaQueue",
-    "drop_stat_aliases",
     "QueueStopped",
     "DeadLetter",
     "DeadLetterQueue",
@@ -431,25 +430,6 @@ class PolicyQueue:
             }
 
 
-def drop_stat_aliases(stats: Dict[str, int]) -> Dict[str, int]:
-    """THE compatibility shim for the drop-key spellings (DESIGN.md §8).
-
-    Canonical keys are ``dropped_new`` / ``dropped_oldest`` /
-    ``block_timeouts``; this fills any that are absent with 0, derives
-    ``dropped`` (their total) and the deprecated ``dropped_full_queue``
-    alias (= ``dropped_new + block_timeouts``, its historical meaning).
-    Every ``stats()`` surface routes through here instead of hand-rolling
-    the alias, so retiring ``dropped_full_queue`` one day is one deletion.
-    Mutates and returns ``stats``.
-    """
-    new = stats.setdefault("dropped_new", 0)
-    oldest = stats.setdefault("dropped_oldest", 0)
-    timeouts = stats.setdefault("block_timeouts", 0)
-    stats["dropped"] = new + oldest + timeouts
-    stats["dropped_full_queue"] = new + timeouts
-    return stats
-
-
 class _TenantItem:
     """A queued payload stamped with the tenant it was attributed to."""
 
@@ -617,8 +597,9 @@ class TenantQuotaQueue(PolicyQueue):
                 self._occupancy[tenant] = self._occupancy.get(tenant, 0) + n
             return self._policy_put(frame, weight, timeout)
         # Contended path: some tenant is at its cap, so rows are admitted
-        # individually — refusals land on exactly the over-quota rows and
-        # every counter stays per report, matching the scalar path.
+        # individually, each as a one-row window of the frame — refusals
+        # land on exactly the over-quota rows and every counter stays per
+        # report.
         admitted = 0
         deadline = None if timeout is None else time.monotonic() + timeout
         for i, tenant in enumerate(window):
@@ -628,7 +609,8 @@ class TenantQuotaQueue(PolicyQueue):
             remaining = (
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-            item = _TenantItem(tenant, frame.row(i))
+            row = frame.start + i
+            item = _TenantItem(tenant, Frame(frame.data, row, row + 1))
             self._occupancy[tenant] = self._occupancy.get(tenant, 0) + 1
             admitted += self._policy_put(item, 1, remaining)
         return admitted

@@ -5,13 +5,7 @@ import time
 
 import pytest
 
-from repro.cluster.frontend import (
-    AsyncioIngest,
-    ClusterFrontend,
-    SelectorIngest,
-    build_ingest,
-    routing_key_of,
-)
+from repro.cluster.frontend import ClusterFrontend, SelectorIngest, routing_key_of
 from repro.cluster.node import VerificationNode
 
 from .conftest import healthy_payloads, packing_of
@@ -183,7 +177,7 @@ class TestSubmitFrame:
         assert frontend.stats()["dropped_no_node"] == len(payloads)
 
 
-@pytest.mark.parametrize("engine_cls", [AsyncioIngest, SelectorIngest])
+@pytest.mark.parametrize("engine_cls", [SelectorIngest])
 @pytest.mark.parametrize("ingest_batch", [1, 32])
 class TestIngestEngines:
     def test_udp_and_tcp_reports_reach_the_frontend(
@@ -210,12 +204,3 @@ class TestIngestEngines:
             assert frontend.stats()["precheck_rejected"] == 0
         finally:
             ingest.stop()
-
-
-class TestBuildIngest:
-    def test_auto_prefers_asyncio(self, rig):
-        frontend = ClusterFrontend()
-        assert build_ingest(frontend, engine="auto").engine == "asyncio"
-        assert build_ingest(frontend, engine="selectors").engine == "selectors"
-        with pytest.raises(ValueError):
-            build_ingest(frontend, engine="bogus")

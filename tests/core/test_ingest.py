@@ -18,7 +18,6 @@ from repro.core.daemon import (
     ShardedVeriDPDaemon,
     UdpReportListener,
     VeriDPDaemon,
-    _shard_of,
 )
 from repro.core.ingest import (
     DEFAULT_INGEST_BATCH,
@@ -28,6 +27,7 @@ from repro.core.ingest import (
     screen_frame,
     shard_split,
 )
+from repro.core.replica import _shard_of
 from repro.core.reports import (
     REPORT_SIZE,
     REPORT_VERSION,
@@ -482,8 +482,8 @@ class TestBatchedListener(SenderMixin):
                 assert snapshot.value("veridp_listener_oversize_total") == 1
 
     def test_scalar_loop_detects_oversize_too(self, rig):
-        """ingest_batch=1 keeps the legacy loop but not the magic 2048
-        buffer: oversize detection works identically."""
+        """ingest_batch=1 is a one-row frame through the same loop:
+        oversize detection works identically."""
         scenario, server, net = rig
         good = collect_payloads(scenario, net, 2)
         with VeriDPDaemon(server, workers=1) as daemon:
@@ -541,4 +541,4 @@ class TestBatchedListener(SenderMixin):
         _, server, _ = rig
         daemon = VeriDPDaemon(server, workers=1)
         listener = UdpReportListener(daemon, ingest_batch=0)
-        assert listener.ingest_batch == 1  # clamped to the scalar loop
+        assert listener.ingest_batch == 1  # clamped to one-row frames

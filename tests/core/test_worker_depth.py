@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from repro.core import daemon as daemon_mod
-from repro.core.daemon import _STOP, VeriDPDaemon
+from repro.core import direct as daemon_mod
+from repro.core.direct import _STOP, VeriDPDaemon
 from repro.core.reports import Frame, pack_report
 from repro.core.server import VeriDPServer
 from repro.core.verifier import Verifier

@@ -117,7 +117,7 @@ class TestChaosCampaign:
             stats["processed"]
             + stats["malformed"]
             + stats["verify_errors"]
-            + stats["dropped_full_queue"]
+            + stats["dropped"]
             + stats["lost_in_restart"]
             == len(stream)
         )
@@ -209,7 +209,7 @@ class TestChaosCampaign:
             stats["processed"]
             + stats["malformed"]
             + stats["verify_errors"]
-            + stats["dropped_full_queue"]
+            + stats["dropped"]
             + stats["lost_in_restart"]
             == len(stream)
         )

@@ -6,18 +6,22 @@ exact dead-letter reason strings), the column extraction to
 ``unpack_report``-style field decoding, the shard split to the scalar
 Knuth hash, the tenant LPM batch to the scalar longest-prefix probe, the
 O(1) LRU sampler eviction to the old min-scan policy, and the ``recvmmsg``
-socket drain to the per-datagram ``recv_into`` loop it falls back to.
+socket drain to the per-datagram ``recv_into`` loop it falls back to.  And
+on every server shape, a stream fed one ``submit`` at a time gives the same
+books as the same stream fed as frames.
 """
 
 import socket
 import struct
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.headerspace import HeaderSpace
-from repro.core.daemon import _shard_of
+from repro.cluster import VeriDPCluster
+from repro.core.daemon import ShardedVeriDPDaemon, VeriDPDaemon
 from repro.core import ingest
 from repro.core.ingest import (
     HAVE_NUMPY,
@@ -26,9 +30,19 @@ from repro.core.ingest import (
     screen_frame,
     shard_split,
 )
-from repro.core.reports import REPORT_SIZE, REPORT_VERSION, payload_precheck
+from repro.core.replica import _shard_of
+from repro.core.reports import (
+    REPORT_SIZE,
+    REPORT_VERSION,
+    Frame,
+    pack_report,
+    payload_precheck,
+)
 from repro.core.sampling import FlowSampler
+from repro.core.server import VeriDPServer
+from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
 from repro.slice.registry import SliceRegistry, TenantSpec
+from repro.topologies import build_linear
 
 # -- strategies -----------------------------------------------------------
 
@@ -342,3 +356,147 @@ class TestDrainParity:
                 # lateness; a real shortfall repeats.
                 got = self.drain_once(fb, sent, committed, limit, 0.2)
             assert got == expected
+
+
+# -- submit vs submit_frame parity ------------------------------------------
+
+
+def payload_pools():
+    """Passing, failing, bad-version and wrong-length payloads for a
+    ``linear(3)`` fabric (every fresh server of that fabric decodes them)."""
+    scenario = build_linear(3)
+    healthy = DataPlaneNetwork(scenario.topo, scenario.channel)
+    passing = []
+    for src, dst in scenario.host_pairs():
+        result = healthy.inject_from_host(src, scenario.header_between(src, dst))
+        passing += [pack_report(r, healthy.codec) for r in result.reports]
+    faulty = DataPlaneNetwork(scenario.topo, scenario.channel)
+    header = scenario.header_between("H1", "H3")
+    rule = faulty.switch("S2").table.lookup(header, 3)
+    ModifyRuleOutput("S2", rule.rule_id, 1).apply(faulty)
+    failing = []
+    for src_port in range(3000, 3004):
+        result = faulty.inject_from_host("H1", header.with_(src_port=src_port))
+        failing += [pack_report(r, faulty.codec) for r in result.reports]
+    bad_version = [bytes([REPORT_VERSION + 1]) + p[1:] for p in passing[:3]]
+    wrong_length = [passing[0][:-1], passing[1] + b"!", b"", b"\x01garbage"]
+    return (passing, failing, bad_version, wrong_length)
+
+
+streams = st.lists(
+    st.one_of([st.sampled_from(pool) for pool in payload_pools()]),
+    min_size=1,
+    max_size=80,
+)
+
+
+def feed_singles(target, stream):
+    for payload in stream:
+        target.submit(payload)
+
+
+def feed_frames(target, stream, cuts):
+    """Frames of the stream cut at ``cuts``; a wrong-length payload cannot
+    be a frame row, so it ends the frame and goes through ``submit``."""
+    bounds = sorted({c % (len(stream) + 1) for c in cuts} | {0, len(stream)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = []
+        for payload in stream[lo:hi]:
+            if len(payload) == REPORT_SIZE:
+                rows.append(payload)
+                continue
+            if rows:
+                target.submit_frame(Frame(b"".join(rows)))
+                rows = []
+            target.submit(payload)
+        if rows:
+            target.submit_frame(Frame(b"".join(rows)))
+
+
+def daemon_books(server, daemon):
+    stats = daemon.stats()
+    for transport in ("frames", "wire_pass"):  # how rows arrived, not fates
+        stats.pop(transport, None)
+    letters = Counter(
+        (letter.stage, letter.payload) for letter in daemon.dead_letters._pending
+    )
+    return stats, Counter(str(i) for i in server.incidents), letters
+
+
+def run_direct(feed):
+    scenario = build_linear(3)
+    server = VeriDPServer(scenario.topo, scenario.channel)
+    with VeriDPDaemon(server, workers=2) as daemon:
+        feed(daemon)
+        daemon.join()
+        return daemon_books(server, daemon)
+
+
+def run_sharded(feed):
+    scenario = build_linear(3)
+    server = VeriDPServer(scenario.topo, scenario.channel)
+    with ShardedVeriDPDaemon(
+        server, workers=2, batch_size=16, supervise=False
+    ) as daemon:
+        feed(daemon)
+        daemon.join()
+        return daemon_books(server, daemon)
+
+
+def run_cluster(feed):
+    scenario = build_linear(3)
+    server = VeriDPServer(scenario.topo, scenario.channel)
+    with VeriDPCluster(server, nodes=2, batch_size=16) as cluster:
+        feed(cluster)
+        cluster.join()
+        stats = cluster.stats()
+        coordinator = cluster.coordinator
+        frontend = stats.pop("frontend")
+        ledger = {
+            key: stats[key]
+            for key in ("processed", "malformed", "crashed", "counters",
+                        "unknown_reingested", "incidents", "tenants")
+        }
+        ledger.update(
+            (key, frontend[key])
+            for key in ("submitted", "precheck_rejected", "dropped_no_node",
+                        "dispatched_reports")
+        )
+        return (
+            ledger,
+            Counter(coordinator.incidents),
+            Counter(coordinator.malformed_sample),
+        )
+
+
+class TestSubmitFrameParity:
+    """``submit(payload)`` is a one-row frame: feeding a stream one payload
+    at a time and as frames split anywhere gives the same ledger, the same
+    incident multiset and the same dead-letter ``(stage, payload)``
+    multiset, on each server shape."""
+
+    @pytest.mark.parametrize("run", [run_direct, run_sharded, run_cluster])
+    @given(stream=streams, cuts=st.lists(st.integers(0, 80), max_size=6))
+    @settings(max_examples=8, deadline=None)
+    def test_singles_and_frames_keep_the_same_books(self, run, stream, cuts):
+        singles = run(lambda t: feed_singles(t, stream))
+        framed = run(lambda t: feed_frames(t, stream, cuts))
+        assert singles == framed
+        ledger, _incidents, letters = singles
+        rejects = [p for p in stream if payload_precheck(p) is not None]
+        if run is run_cluster:
+            # The frontend's precheck turns every reject away at the door.
+            assert ledger["precheck_rejected"] == len(rejects)
+            assert not letters
+            return
+        # Bad-version and wrong-length payloads alike are decode-stage
+        # dead letters, each counted once in submitted and in malformed.
+        assert letters == Counter(("decode", p) for p in rejects)
+        assert ledger["malformed"] == len(rejects)
+        assert ledger["submitted"] == len(stream)
+        assert ledger["submitted"] == (
+            ledger["processed"]
+            + ledger["malformed"]
+            + ledger["verify_errors"]
+            + ledger["dropped"]
+        )

@@ -26,7 +26,7 @@ FORBIDDEN = (
     "repro.core.repair",
     "repro.core.queries",
     "repro.bdd.atomic",
-    # Only AsyncioIngest needs it (with ssl, logging, concurrent.futures).
+    # No cluster ingest needs it (it brings ssl, logging, concurrent.futures).
     "asyncio",
 )
 
@@ -90,6 +90,7 @@ conn.close()
 
 
 def test_selectors_cluster_never_loads_asyncio():
+    # A cluster built with its defaults: no shape of it loads asyncio.
     script = """
 import sys
 from repro.cluster import VeriDPCluster
@@ -98,7 +99,7 @@ from repro.topologies import build_linear
 
 scenario = build_linear(3)
 server = VeriDPServer(scenario.topo, scenario.channel)
-with VeriDPCluster(server, nodes=1, engine="selectors") as cluster:
+with VeriDPCluster(server, nodes=1) as cluster:
     cluster.listen_udp()
     print(cluster.stats()["engine"], "asyncio" in sys.modules)
 """
