@@ -7,8 +7,9 @@ are plain ints exposed through zero-cost callback instruments.  This bench
 measures that choice: the daemon's per-batch unit of work — decode the
 wire payloads, verify the batch on the Figure 13 fast path (compiled
 matchers + warm flow cache) — is run twice over identical batches, once
-bare and once wrapped exactly the way ``VeriDPDaemon._process_batch``
-wraps it, and the per-report overhead must stay under 5%.
+bare and once wrapped the way the server's batch intake
+(``VeriDPServer.receive_report_rows``) wraps the rows a daemon's replica
+flagged, and the per-report overhead must stay under 5%.
 
 Measurement is paired: each sample times a group of bare passes then an
 adjacent group of instrumented passes, and the *median of the paired
@@ -66,8 +67,8 @@ def _measure(row, repeats):
     ).labels()
 
     def instrumented():
-        # Mirrors VeriDPDaemon._process_batch: decode span + verify span +
-        # one histogram observation per batch; per-report work is untouched.
+        # Mirrors the batch intake: decode span + verify span + one
+        # histogram observation per batch; per-report work is untouched.
         for batch in batches:
             with obs.span("decode", reports=len(batch)):
                 decoded = [unpack_report(payload, codec) for payload in batch]

@@ -79,10 +79,8 @@ class _NodeLink:
         self.lock = threading.Lock()
         self.seq = 0  # last batch seq dispatched to this node
         self.acked = 0  # highest seq a flush reply has covered
-        #: seq -> (frame, odd); insertion order == seq order.
-        self.unacked: "OrderedDict[int, Tuple[bytes, List[bytes]]]" = (
-            OrderedDict()
-        )
+        #: seq -> frame; insertion order == seq order.
+        self.unacked: "OrderedDict[int, bytes]" = OrderedDict()
         self.fbuffer: List[bytes] = []  # frame chunks awaiting dispatch
         self.fcount = 0  # rows pending in fbuffer
         self.dead = False
@@ -146,10 +144,8 @@ class ClusterFrontend:
         link.stream.close()
         pending: List[bytes] = []
         with link.lock:
-            for frame, odd in link.unacked.values():
-                pending.extend(unframe_batch(frame, odd))
-            for chunk in link.fbuffer:
-                pending.extend(unframe_batch(chunk, []))
+            for frame in [*link.unacked.values(), *link.fbuffer]:
+                pending.extend(unframe_batch(frame))
             link.unacked.clear()
             link.fbuffer = []
             link.fcount = 0
@@ -285,9 +281,9 @@ class ClusterFrontend:
             # one RT_REPORT_BATCH record per frame.
             self.persist.log_report_frame(frame)
         link.seq += 1
-        link.unacked[link.seq] = (frame, [])
+        link.unacked[link.seq] = frame
         try:
-            link.stream.send(MSG_BATCH, (link.seq, frame, []))
+            link.stream.send(MSG_BATCH, (link.seq, frame))
         except OSError:
             # Connection is gone; the batch stays un-acked and will be
             # redelivered when the coordinator detaches the node.

@@ -3,7 +3,8 @@
 A node is the TCP transport over a :class:`~repro.core.replica.ShardReplica`
 — the same compiled pair replica, vector kernel, pair-delta patch,
 ``replica_digest`` and flush delta the sharded daemon's workers run over
-``multiprocessing`` queues — spoken over length-prefixed sockets
+``multiprocessing`` queues and the direct daemon runs in-thread — spoken
+over length-prefixed sockets
 (:mod:`repro.cluster.protocol`), so a node can live in another process or
 on another machine.
 
@@ -173,9 +174,9 @@ class VerificationNode:
     def _handle(self, stream: MessageStream, mtype: int, body) -> bool:
         replica = self.replica
         if mtype == MSG_BATCH:
-            seq, frame, odd = body
+            seq, frame = body
             with self._state_lock:
-                replica.verify(frame, odd)
+                replica.verify(frame)
                 if seq > self._last_seq:
                     self._last_seq = seq
         elif mtype == MSG_FLUSH:

@@ -15,9 +15,10 @@ pickle's trust model is unchanged; what changes is that the two ends may
 now live on different hosts.
 
 Report *batches* ride inside a message as one concatenated frame of
-``REPORT_SIZE``-stride payloads plus a (normally empty) list of wrong-sized
-oddballs — the same packing the sharded daemon's worker queues use, so the
-vector kernel can skip the per-payload length screen on the far side.
+``REPORT_SIZE``-stride payloads — the same packing the sharded daemon's
+worker queues use, so the vector kernel can skip the per-payload length
+screen on the far side.  A wrong-sized payload never gets this far: the
+frontend turns it away at the door.
 
 Delivery semantics are built on two facts the node guarantees:
 
@@ -62,7 +63,7 @@ __all__ = [
 
 MSG_HELLO = 1  # (sender_kind,) -> expects MSG_HELLO_REPLY
 MSG_HELLO_REPLY = 2  # (node_id, pair_count)
-MSG_BATCH = 3  # (seq, frame, odd) — verify, no reply
+MSG_BATCH = 3  # (seq, frame) — verify, no reply
 MSG_FLUSH = 4  # (token,) -> expects MSG_FLUSH_REPLY
 MSG_FLUSH_REPLY = 5  # FlushReply-shaped tuple (see node.py)
 MSG_PATCH = 6  # {pair_key: (spec, tenant) | None} — apply delta, no reply

@@ -122,6 +122,11 @@ class PortCodec:
     def __len__(self) -> int:
         return len(self._names)
 
+    @property
+    def id_limit(self) -> int:
+        """One past the largest wire id :meth:`decode` accepts."""
+        return len(self._names) << 6
+
 
 @dataclass(frozen=True, slots=True)
 class TagReport:

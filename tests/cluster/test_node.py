@@ -22,7 +22,8 @@ from repro.cluster.protocol import (
     MSG_RELOAD,
     MessageStream,
 )
-from repro.core.replica import frame_batch, replica_digest
+from repro.core.replica import replica_digest
+from repro.core.reports import REPORT_SIZE
 from repro.core.verifier import Verdict
 
 from .conftest import healthy_payloads, packing_of, tagged_replica
@@ -79,8 +80,7 @@ class TestProtocolSurface:
         stream = connect(node)
         try:
             stream.send(MSG_RELOAD, tagged_replica(server))
-            frame, odd = frame_batch(payloads)
-            stream.send(MSG_BATCH, (3, frame, odd))
+            stream.send(MSG_BATCH, (3, b"".join(payloads)))
             reply = flush(stream)
             (_, _, processed, malformed, counters,
              failures, crashed, unknown, _, last_seq, snapshot) = reply
@@ -101,14 +101,13 @@ class TestProtocolSurface:
         try:
             stream.send(MSG_RELOAD, tagged_replica(server))
             good = healthy_payloads(scenario, net, 4)
-            bad = [b"\x00" * 9, good[0][:-1] + b"\xff"]
-            frame, odd = frame_batch(good + bad)
-            stream.send(MSG_BATCH, (1, frame, odd))
+            bad = [b"\x00" * REPORT_SIZE, good[0][:-1] + b"\xff"]
+            stream.send(MSG_BATCH, (1, b"".join(good + bad)))
             reply = flush(stream)
             processed, malformed = reply[2], reply[3]
             accounted = processed + malformed + len(reply[6]) + len(reply[7])
             assert accounted == 6
-            assert malformed >= 1  # the truncated one at minimum
+            assert malformed >= 1  # the version-0 one at minimum
             assert reply[8]  # malformed_sample carries evidence
         finally:
             stream.close()
@@ -123,8 +122,7 @@ class TestMigrationSurface:
         stream = connect(node)
         try:
             # No replica loaded at all: everything is unknown.
-            frame, odd = frame_batch(payloads)
-            stream.send(MSG_BATCH, (1, frame, odd))
+            stream.send(MSG_BATCH, (1, b"".join(payloads)))
             reply = flush(stream)
             assert reply[2] == 0  # processed
             assert sorted(reply[7]) == sorted(payloads)  # unknown, intact
@@ -144,13 +142,12 @@ class TestMigrationSurface:
         try:
             stream.send(MSG_RELOAD, replica)
             stream.send(MSG_PATCH, {wire: None})  # migrate the pair away
-            frame, odd = frame_batch([target])
-            stream.send(MSG_BATCH, (1, frame, odd))
+            stream.send(MSG_BATCH, (1, target))
             reply = flush(stream)
             assert reply[2] == 0 and reply[7] == [target]
 
             stream.send(MSG_PATCH, {wire: replica[wire]})  # migrate it back
-            stream.send(MSG_BATCH, (2, frame, odd))
+            stream.send(MSG_BATCH, (2, target))
             reply = flush(stream, token=2)
             assert reply[2] == 1 and reply[4][PASS] == 1
         finally:
@@ -162,8 +159,7 @@ class TestMigrationSurface:
         stream = connect(node)
         try:
             stream.send(MSG_RELOAD, tagged_replica(server, tenant="red"))
-            frame, odd = frame_batch(payloads)
-            stream.send(MSG_BATCH, (1, frame, odd))
+            stream.send(MSG_BATCH, (1, b"".join(payloads)))
             reply = flush(stream)
             assert reply[2] == 96
             family = reply[10].get("veridp_cluster_tenant_reports_total")
@@ -187,8 +183,7 @@ class TestProcessMode:
             try:
                 stream.send(MSG_RELOAD, tagged_replica(server))
                 payloads = healthy_payloads(scenario, net, 64)
-                frame, odd = frame_batch(payloads)
-                stream.send(MSG_BATCH, (1, frame, odd))
+                stream.send(MSG_BATCH, (1, b"".join(payloads)))
                 reply = flush(stream)
                 assert reply[2] == 64 and reply[4][PASS] == 64
             finally:

@@ -41,13 +41,10 @@ class TestRoundtrip:
         client, server = tcp_pair()
         try:
             client.send(MSG_HELLO, ("frontend",))
-            client.send(MSG_BATCH, (7, b"\x00" * 27, [b"odd"]))
+            client.send(MSG_BATCH, (7, b"\x00" * 27))
             client.send(MSG_PING, (1,))
             assert server.recv(timeout=5) == (MSG_HELLO, ("frontend",))
-            assert server.recv(timeout=5) == (
-                MSG_BATCH,
-                (7, b"\x00" * 27, [b"odd"]),
-            )
+            assert server.recv(timeout=5) == (MSG_BATCH, (7, b"\x00" * 27))
             assert server.recv(timeout=5) == (MSG_PING, (1,))
             assert client.sent_messages == 3
             assert server.received_messages == 3
@@ -59,7 +56,7 @@ class TestRoundtrip:
         client, server = tcp_pair()
         try:
             frame = b"\xab" * (2 * 1024 * 1024)
-            client.send(MSG_BATCH, (1, frame, []))
+            client.send(MSG_BATCH, (1, frame))
             mtype, body = server.recv(timeout=10)
             assert mtype == MSG_BATCH and body[1] == frame
         finally:

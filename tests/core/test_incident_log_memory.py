@@ -126,16 +126,16 @@ class TestIncidentLogInterns:
         (payload,) = failing_payloads(scenario, server.codec, 1)
         verified = []
         rule_lands = [True]
-        verify_batch = Verifier.verify_batch
+        verify = Verifier.verify
 
-        def spy(self, reports, vector=False):
-            result = verify_batch(self, reports, vector)
-            verified.append(len(reports))
+        def spy(self, report):
+            result = verify(self, report)
+            verified.append(1)
             if rule_lands[0]:
                 server.state_version += 1
             return result
 
-        monkeypatch.setattr(Verifier, "verify_batch", spy)
+        monkeypatch.setattr(Verifier, "verify", spy)
         with VeriDPDaemon(server, workers=1) as daemon:
             for _ in range(2):
                 daemon.submit_frame(Frame(payload))

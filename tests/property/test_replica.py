@@ -1,14 +1,16 @@
 """Property: one ShardReplica, whatever the transport and however the
 frames are cut.
 
-The sharded daemon's workers and the cluster's nodes both verify through
+The direct daemon's threads, the sharded daemon's workers and the
+cluster's nodes all verify through
 :class:`repro.core.replica.ShardReplica`.  These tests pin the replica to a
 per-payload model built from the scalar matcher ``_verify_wire`` — on
 random frames mixing every row class (pass, tag mismatch, no path, unknown
-pair, bad version, irregular pair, wrong size), on both sides of the
+pair, bad version, irregular pair), on both sides of the
 kernel's ``MIN_BATCH`` crossover, in both unknown-pair modes — and require
 the same delta whether a frame is verified whole or split at any row.  The
-metric families both transports export are pinned by name and label.
+metric families the two remote transports export are pinned by name and
+label; the in-thread transport exports none of its own.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.analysis.timing import wire_payloads_from_table
 from repro.bdd.headerspace import HeaderSpace
 from repro.cluster import VeriDPCluster
 from repro.core import vector as vec
-from repro.core.daemon import ShardedVeriDPDaemon
+from repro.core.daemon import ShardedVeriDPDaemon, VeriDPDaemon
 from repro.core.pathtable import PathTableBuilder
 from repro.core.replica import (
     ShardReplica,
@@ -51,11 +53,10 @@ def _fixture():
     del pairs[unplaced]
     rows = list(dict.fromkeys(payloads))
     rows += [bytes([99]) + p[1:] for p in rows[:4]]  # bad version
-    odd = [rows[0][:11], rows[0] + b"\x00", b""]
-    return pairs, wire_packing(hs.layout), rows, odd, unplaced
+    return pairs, wire_packing(hs.layout), rows, unplaced
 
 
-PAIRS, PACKING, ROWS, ODD, UNPLACED = _fixture()
+PAIRS, PACKING, ROWS, UNPLACED = _fixture()
 
 
 def _replica(set_aside_unknown):
@@ -68,13 +69,13 @@ def _replica(set_aside_unknown):
     )
 
 
-def _model(rows, odd, set_aside_unknown):
+def _model(rows, set_aside_unknown):
     """``(processed, malformed, counters, failures, crashed, unknown,
     malformed_sample)`` from the scalar matcher, payload by payload."""
     processed = malformed = 0
     counters = {v.value: 0 for v in Verdict}
     failures, unknown, sample = [], [], []
-    for payload in list(rows) + list(odd):
+    for payload in rows:
         verdict = _verify_wire(PAIRS, PACKING, payload)
         if verdict is None:
             malformed += 1
@@ -96,24 +97,23 @@ def _pending(delta):
 
 
 def test_pool_covers_every_row_class():
-    verdicts = {_verify_wire(PAIRS, PACKING, p) for p in ROWS + ODD}
+    verdicts = {_verify_wire(PAIRS, PACKING, p) for p in ROWS}
     assert verdicts == {None} | {v.value for v in Verdict}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vec, "ENTRY_CAP", 1)
-        codes = _replica(False)._wirev.verify_frame(b"".join(ROWS)).tolist()
+        codes = _replica(False)._kernel.verify_frame(b"".join(ROWS)).tolist()
     assert vec.VSCALAR in codes and vec.VPASS in codes
 
 
 @given(
     data=st.data(),
     rows=st.lists(st.sampled_from(ROWS), max_size=80),
-    odd=st.lists(st.sampled_from(ODD), max_size=3),
     set_aside_unknown=st.booleans(),
     irregular=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
 def test_take_matches_scalar_model_however_the_frame_is_cut(
-    data, rows, odd, set_aside_unknown, irregular
+    data, rows, set_aside_unknown, irregular
 ):
     frame = b"".join(rows)
     cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
@@ -121,13 +121,13 @@ def test_take_matches_scalar_model_however_the_frame_is_cut(
         if irregular:
             mp.setattr(vec, "ENTRY_CAP", 1)
         whole = _replica(set_aside_unknown)
-        whole.verify(frame, odd)
+        whole.verify(frame)
         taken = whole.take(7, 3)
         split = _replica(set_aside_unknown)
-        split.verify(frame[: cut * REPORT_SIZE], [])
-        split.verify(frame[cut * REPORT_SIZE :], odd)
+        split.verify(frame[: cut * REPORT_SIZE])
+        split.verify(frame[cut * REPORT_SIZE :])
         split_taken = split.take(7, 3)
-    assert tuple(taken[2:9]) == _model(rows, odd, set_aside_unknown)
+    assert tuple(taken[2:9]) == _model(rows, set_aside_unknown)
     assert (taken.source, taken.token, taken.seq) == ("r", 7, 3)
     assert _pending(split_taken) == _pending(taken)
     # take() reset the window: the next one reports nothing.
@@ -149,7 +149,7 @@ def test_bad_version_row_of_unplaced_pair_is_malformed_at_any_size(rows):
     bad = bytes([99]) + unplaced[1:]
     frame = b"".join((healthy * rows)[: rows - 2] + [bad, unplaced])
     replica = _replica(True)
-    replica.verify(frame, [])
+    replica.verify(frame)
     delta = replica.take(1)
     assert (delta.malformed, delta.unknown) == (1, [unplaced])
     assert delta.malformed_sample == [bad]
@@ -194,6 +194,15 @@ def _linear_run(count=200):
 
 
 def test_sharded_and_cluster_scrapes_show_the_same_families():
+    replica_prefixes = ("veridp_direct_", "veridp_shard_", "veridp_node_")
+    server, payloads = _linear_run()
+    with VeriDPDaemon(server, workers=2) as daemon:
+        for payload in payloads:
+            daemon.submit(payload)
+        daemon.join()
+        assert daemon.stats()["processed"] == len(payloads)
+        assert _families(daemon.obs.registry, replica_prefixes) == {}
+
     server, payloads = _linear_run()
     with ShardedVeriDPDaemon(server, workers=2) as daemon:
         for payload in payloads:
