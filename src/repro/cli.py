@@ -481,14 +481,21 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
                 _time.sleep(0.02)
             cluster.join()
             print(f"self-drive: sent {sent} reports from {args.reports} packets")
-        if args.duration is not None:
-            _time.sleep(args.duration)
-        elif args.reports == 0:
-            while True:  # serve until interrupted
+        if args.duration is not None or args.reports == 0:
+            # Serve until interrupted, or for --duration seconds: fail over
+            # dead nodes, resync the replicas and collect the nodes'
+            # metrics once a second either way.
+            deadline = None
+            if args.duration is not None:
+                deadline = _time.monotonic() + args.duration
+            while True:
                 cluster.check_nodes()
                 cluster.resync()
                 cluster.flush()
-                _time.sleep(1.0)
+                left = 1.0 if deadline is None else deadline - _time.monotonic()
+                if left <= 0:
+                    break
+                _time.sleep(min(1.0, left))
     except KeyboardInterrupt:
         pass
     finally:

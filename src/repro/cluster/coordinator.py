@@ -21,9 +21,9 @@ the coordinator resolves by authoritative re-ingest, or a genuinely
 unknown pair which re-ingest will also verdict correctly.
 
 Verdict accounting is exactly-once: node counts surface only through
-flush replies (merged here, which also acks the frontend's un-acked
-batches), a killed node's unflushed counts and unflushed batches are
-discarded and redelivered together, and unknown-pair payloads are never
+batch replies (merged here as they arrive, each retiring its batch from
+the frontend's un-acked map under the link's lock), a killed node's
+unanswered batches are redelivered, and unknown-pair payloads are never
 counted remotely — only by the coordinator's own re-ingest.
 """
 
@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.replica import (
     Delta,
     Resync,
+    VerdictFamilies,
     replica_digest,
     resync_specs,
     wire_packing,
@@ -106,8 +107,30 @@ class ClusterCoordinator:
         self._tenant: Dict[Tuple[int, int], str] = {}
         self._dirty_token = None
         self._replica_version = -1
-        #: Merged node-side metrics (deltas folded in at every flush).
+        #: Guards the ledger below; batch replies are merged on the links'
+        #: reader threads, which never take ``_lock``.
+        self._ledger_lock = threading.Lock()
+        #: Serialises the authoritative server between those merges and
+        #: the resync that reads its table.
+        self._server_lock = threading.Lock()
+        #: Node-side metrics: every batch reply's counts are folded in,
+        #: the nodes' own families are merged at each flush barrier.
         self.registry = MetricsRegistry()
+        self._node_families = VerdictFamilies(self.registry, "node")
+        self.registry.gauge(
+            "veridp_in_flight",
+            "Rows the frontend accepted that have no verdict yet.",
+            callback=lambda: self.frontend.in_flight,
+        )
+        self.registry.gauge(
+            "veridp_unacked_batches",
+            "Batches dispatched to a node that it has not answered yet.",
+            ("node",),
+            callback=lambda: {
+                (node,): count
+                for node, count in self.frontend.unacked_batches().items()
+            },
+        )
         # cluster ledger
         self.processed = 0
         self.malformed = 0
@@ -127,6 +150,7 @@ class ClusterCoordinator:
         self.full_resyncs = 0
         self.resync_delta_bytes = 0
         self.flushes = 0
+        self.frontend.on_reply = self._merge_reply
         sync = self._sync()
         self._load(sync.specs[0])
         self._replica_version, self._dirty_token = sync.version, sync.token
@@ -136,9 +160,10 @@ class ClusterCoordinator:
     def _sync(self) -> Resync:
         """The pair specs since the last sync (the whole table at first)."""
         server = self.server
-        return resync_specs(
-            server.table, server.hs, server.codec, 1, self._dirty_token
-        )
+        with self._server_lock:
+            return resync_specs(
+                server.table, server.hs, server.codec, 1, self._dirty_token
+            )
 
     def _load(self, specs: Dict[Tuple[int, int], tuple]) -> None:
         """Index a whole compiled table under routing keys (startup, full
@@ -227,6 +252,7 @@ class ClusterCoordinator:
             for key in moved:
                 replica.update(self._specs.get(key, {}))
             control.send(MSG_RELOAD, self._tagged(replica))
+            self._await_applied(member)
             self._members[node_id] = member
             self.frontend.attach_node(node_id, handle.address)
             # 3. flip routing, drain the old owners.
@@ -234,8 +260,7 @@ class ClusterCoordinator:
                 self.frontend.placement[key] = node_id
             old_owners = sorted({o for o in moved.values() if o})
             if old_owners:
-                self.frontend.flush_buffers()
-                self.flush()
+                self._drain(old_owners)
                 # 4. the moved pairs leave the old replicas.
                 for owner in old_owners:
                     patch = {
@@ -280,15 +305,16 @@ class ClusterCoordinator:
             for owner, patch in patches.items():
                 self._members[owner].control.send(MSG_PATCH, patch)
                 self.rebalance_patches += 1
+            for owner in patches:
+                self._await_applied(self._members[owner])
             # Flip routing, then drain the leaver completely.
             for key, new_owner in new_owner_of.items():
                 if new_owner is not None:
                     self.frontend.placement[key] = new_owner
-            self.frontend.flush_buffers()
-            self.flush()
+            self._drain([node_id])
             pending = self.frontend.detach_node(node_id)
             del self._members[node_id]
-            if pending:  # pragma: no cover - drain above should empty it
+            if pending:  # pragma: no cover - the drain above empties it
                 self.redelivered += self.frontend.redeliver(pending)
             if patches:
                 self.rebalances += 1
@@ -342,8 +368,8 @@ class ClusterCoordinator:
         ]
         # detach first: takes the node off the ring so owner() below is
         # computed against the surviving membership, and surrenders the
-        # un-acked batches (the dead node's unflushed counts died with it,
-        # so redelivering these counts every verdict exactly once).
+        # un-acked batches (no reply for them can be counted any more, so
+        # redelivering these counts every verdict exactly once).
         pending = self.frontend.detach_node(node_id)
         patches: Dict[str, Dict] = {}
         for key in orphaned:
@@ -438,16 +464,17 @@ class ClusterCoordinator:
         after would be judged by the old spec (wrong verdict, not
         unknown-pair).  The control stream is FIFO and the node applies
         each message under its state lock before reading the next, so a
-        digest round-trip on the same stream proves the patches are
-        live.  A dead member is left for ``check_nodes`` to fail over.
+        ping round-trip on the same stream proves the patches are live
+        (without a digest's pass over every compiled pair).  A dead member
+        is left for ``check_nodes`` to fail over.
         """
         try:
             with member.lock:
                 token = member.token()
-                member.control.send(MSG_DIGEST, (token,))
+                member.control.send(MSG_PING, (token,))
                 while True:
                     mtype, body = member.control.recv(timeout=timeout)
-                    if mtype == MSG_DIGEST_REPLY and body[1] == token:
+                    if mtype == MSG_PONG and body[1] == token:
                         return
         except (OSError, ConnectionError):
             return
@@ -462,12 +489,23 @@ class ClusterCoordinator:
 
     # -- flush / aggregation -----------------------------------------------
 
+    def _drain(self, node_ids: List[str], timeout: float = 10.0) -> None:
+        """Dispatch the buffers, then wait until ``node_ids`` answered every
+        batch sent so far (a rebalance's post-flip drain).  A node that
+        does not answer in time keeps its batches un-acked for failover."""
+        self.frontend.flush_buffers()
+        self.frontend.wait_retired(timeout, node_ids)
+
     def flush(self, timeout: float = 10.0) -> int:
-        """Collect one round of results from every member; returns payloads
-        folded in (verified + malformed + re-ingested unknowns)."""
+        """One barrier round over every member's control connection.
+
+        Verdicts do not wait for it (each batch reply is merged as it
+        arrives); the reply brings the node's metrics snapshot.  Returns
+        how many members answered.
+        """
         with self._lock:
             members = list(self._members.values())
-        folded = 0
+        answered = 0
         for member in members:
             try:
                 with member.lock:
@@ -479,12 +517,34 @@ class ClusterCoordinator:
                             break
             except (OSError, ConnectionError):
                 continue  # check_nodes() will fail it over
-            folded += self._merge_reply(body)
+            self.registry.merge(body.metrics)
+            answered += 1
         self.flushes += 1
-        return folded
+        return answered
 
-    def _merge_reply(self, delta: Delta) -> int:
-        with self._lock:
+    def _merge_reply(self, delta: Delta) -> None:
+        """Fold one batch reply into the ledger (the frontend's
+        :attr:`~ClusterFrontend.on_reply`, called with the link's lock
+        held, so a failover cannot surrender this batch meanwhile)."""
+        # One intake call on the authoritative server takes the failures
+        # (localization and the incident log; the ledger counts them from
+        # the node's counters) and the unknown-pair payloads, which only
+        # the authoritative table can verdict (routing race vs genuinely
+        # unknown pair).
+        rows = [payload for payload, _verdict in delta.failures] + delta.unknown
+        outcomes = []
+        if rows:
+            with self._server_lock:
+                self.server.maybe_flush_updates()
+                self.server.refresh_if_dirty()
+                outcomes = self.server.receive_report_rows(rows)
+                # This path has no dead letters: the server counts the rows
+                # its codec rejected, as try_receive_report_bytes would.
+                self.server.decode_errors += sum(
+                    isinstance(outcome, ReportDecodeError) for outcome in outcomes
+                )
+        self._node_families.fold(delta)
+        with self._ledger_lock:
             self.processed += delta.processed
             self.malformed += delta.malformed
             self.crashed += len(delta.crashed)
@@ -493,26 +553,7 @@ class ClusterCoordinator:
             for payload in delta.malformed_sample:
                 if len(self.malformed_sample) < _SAMPLE_CAP:
                     self.malformed_sample.append(payload)
-            self.registry.merge(delta.metrics)
-        self.frontend.ack(delta.source, delta.seq)
-        # One intake call on the authoritative server takes the failures
-        # (localization and the incident log; the ledger already counted
-        # them from the node's counters) and the unknown-pair payloads,
-        # which only the authoritative table can verdict (routing race vs
-        # genuinely unknown pair).
-        self.incidents.extend(delta.failures)
-        rows = [payload for payload, _verdict in delta.failures] + delta.unknown
-        outcomes = []
-        if rows:
-            self.server.maybe_flush_updates()
-            self.server.refresh_if_dirty()
-            outcomes = self.server.receive_report_rows(rows)
-            # This path has no dead letters: the server counts the rows its
-            # codec rejected, as try_receive_report_bytes would.
-            self.server.decode_errors += sum(
-                isinstance(outcome, ReportDecodeError) for outcome in outcomes
-            )
-        with self._lock:
+            self.incidents.extend(delta.failures)
             unknown = zip(delta.unknown, outcomes[len(delta.failures) :])
             for payload, outcome in unknown:
                 self.unknown_reingested += 1
@@ -526,26 +567,22 @@ class ClusterCoordinator:
                     self.counters[verdict] += 1
                     if verdict != Verdict.PASS.value:
                         self.incidents.append((payload, verdict))
-        return delta.processed + delta.malformed + len(delta.unknown)
 
     def join(self, timeout: float = 30.0) -> None:
-        """Flush until every dispatched batch is acked (end of stream)."""
+        """Dispatch the buffers and wait until every accepted row has its
+        verdict (end of stream), then run one :meth:`flush` barrier."""
         deadline = time.monotonic() + timeout
         while True:
             self.frontend.flush_buffers()
-            self.flush()
-            with self._lock:
-                node_ids = list(self._members)
-            outstanding = sum(
-                sum(self.frontend.pending(node_id)) for node_id in node_ids
-            )
-            if outstanding == 0:
-                return
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if self.frontend.wait_retired(max(0.0, min(0.05, remaining))):
+                break
+            if remaining <= 0:
                 raise TimeoutError(
-                    f"cluster join timed out with {outstanding} pending"
+                    f"cluster join timed out with {self.frontend.in_flight} "
+                    "rows in flight"
                 )
-            time.sleep(0.01)
+        self.flush()
 
     # -- convergence -------------------------------------------------------
 
@@ -592,15 +629,19 @@ class ClusterCoordinator:
         return totals
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
+        with self._ledger_lock:
             out: Dict[str, object] = {
-                "nodes": len(self._members),
                 "processed": self.processed,
                 "malformed": self.malformed,
                 "crashed": self.crashed,
                 "counters": dict(self.counters),
                 "unknown_reingested": self.unknown_reingested,
                 "incidents": len(self.incidents),
+            }
+        out["in_flight"] = self.frontend.in_flight
+        with self._lock:
+            out.update({
+                "nodes": len(self._members),
                 "rebalances": self.rebalances,
                 "moved_pairs": self.moved_pairs,
                 "rebalance_patches": self.rebalance_patches,
@@ -611,7 +652,7 @@ class ClusterCoordinator:
                 "full_resyncs": self.full_resyncs,
                 "resync_delta_bytes": self.resync_delta_bytes,
                 "flushes": self.flushes,
-            }
+            })
         out["frontend"] = self.frontend.stats()
         out["tenants"] = self.tenant_totals()
         return out

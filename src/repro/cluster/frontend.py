@@ -24,9 +24,12 @@ single node rather than replicating everywhere.
 
 Delivery bookkeeping implements the exactly-once contract from
 :mod:`repro.cluster.protocol`: every dispatched batch stays in the
-per-node un-acked map until a flush reply covers its seq; a dead node's
-un-acked batches are detached wholesale and redelivered to the surviving
-owners.
+per-node un-acked map until the node's reply to it is merged; a dead
+node's un-acked batches are detached wholesale and redelivered to the
+surviving owners.  Each link has a reader thread that takes the node's
+batch replies off the data connection as they arrive and hands them to
+:attr:`ClusterFrontend.on_reply` (the coordinator's merge), which retires
+the batch under the link's lock.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ import selectors
 import socket
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.replica import unframe_batch
 from ..core.ingest import (
     DEFAULT_INGEST_BATCH,
     FrameBuffer,
@@ -47,8 +49,9 @@ from ..core.ingest import (
     pair_keys,
     screen_frame,
 )
+from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
-from .protocol import MSG_BATCH, MessageStream
+from .protocol import MSG_BATCH, MSG_BATCH_REPLY, MessageStream
 from .ring import HashRing
 
 __all__ = [
@@ -78,7 +81,6 @@ class _NodeLink:
         self.stream = MessageStream.connect(address)
         self.lock = threading.Lock()
         self.seq = 0  # last batch seq dispatched to this node
-        self.acked = 0  # highest seq a flush reply has covered
         #: seq -> frame; insertion order == seq order.
         self.unacked: "OrderedDict[int, bytes]" = OrderedDict()
         self.fbuffer: List[bytes] = []  # frame chunks awaiting dispatch
@@ -89,13 +91,24 @@ class _NodeLink:
 class ClusterFrontend:
     """Route report payloads to verification nodes, exactly once.
 
-    Thread-safe: the ingest loop thread, the coordinator's flush
-    turns and test harnesses may all call in concurrently.
+    Thread-safe: the ingest loop thread, the links' reply readers, the
+    coordinator and test harnesses may all call in concurrently.
+
+    ``on_reply(delta)`` is called for each batch reply whose seq is still
+    un-acked, with the link's lock held; the batch retires when it returns.
+    A reply that finds its batch gone (surrendered by :meth:`detach_node`)
+    is dropped: the redelivery counts that batch.  Without a handler,
+    batches retire only through :meth:`ack`.
     """
 
     def __init__(self, batch_size: int = 256, persist=None) -> None:
         self.batch_size = max(1, int(batch_size))
         self.persist = persist
+        self.on_reply: Optional[Callable[[Delta], None]] = None
+        #: Rows accepted and not yet retired, buffered or un-acked; the
+        #: condition is notified whenever rows retire.
+        self.in_flight = 0
+        self._retired = threading.Condition()
         self.ring = HashRing()
         #: routing key -> node_id, maintained by the coordinator.
         self.placement: Dict[str, str] = {}
@@ -116,17 +129,41 @@ class ClusterFrontend:
 
     def attach_node(self, node_id: str, address: Tuple[str, int]) -> None:
         link = _NodeLink(node_id, address)
+        threading.Thread(
+            target=self._read_replies,
+            args=(link,),
+            name=f"veridp-link-{node_id}",
+            daemon=True,
+        ).start()
         with self._route_lock:
             self._links[node_id] = link
             if node_id not in self.ring:
                 self.ring.add(node_id)
 
+    def _read_replies(self, link: _NodeLink) -> None:
+        """A link's reader thread: merge each batch reply as it arrives."""
+        while True:
+            try:
+                mtype, delta = link.stream.recv()
+            except OSError:
+                # The connection is gone: stop dispatching to it; its
+                # un-acked batches wait for the failover to redeliver them.
+                link.dead = True
+                return
+            if mtype != MSG_BATCH_REPLY or self.on_reply is None:
+                continue
+            with link.lock:
+                if delta.seq not in link.unacked:
+                    continue
+                self.on_reply(delta)
+                self._retire_locked(link, [delta.seq])
+
     def detach_node(self, node_id: str) -> List[bytes]:
         """Drop a node and return every payload it still owed us.
 
         The returned payloads (un-acked batches in seq order, then the
-        undispatched buffer) are the redelivery set: the dead node's
-        unflushed verdict counts died with it, so re-routing these to the
+        undispatched buffer) are the redelivery set: a reply still on its
+        way finds its batch gone and is dropped, so re-routing these to the
         surviving owners counts each verdict exactly once.
         """
         with self._route_lock:
@@ -141,7 +178,7 @@ class ClusterFrontend:
         if link is None:
             return []
         link.dead = True
-        link.stream.close()
+        link.stream.close()  # its reader thread ends with the stream
         pending: List[bytes] = []
         with link.lock:
             for frame in [*link.unacked.values(), *link.fbuffer]:
@@ -149,6 +186,7 @@ class ClusterFrontend:
             link.unacked.clear()
             link.fbuffer = []
             link.fcount = 0
+            self._count_in_flight(-len(pending))
         return pending
 
     def nodes(self) -> List[str]:
@@ -243,6 +281,7 @@ class ClusterFrontend:
         dispatching each one that reached ``batch_size``; returns rows."""
         accepted = 0
         for link, chunk, rows in targets:
+            batch = None
             with link.lock:
                 # A dead link still buffers: detach_node() surrenders the
                 # buffer for redelivery, so a node's death window loses
@@ -250,8 +289,11 @@ class ClusterFrontend:
                 link.fbuffer.append(chunk)
                 link.fcount += rows
                 accepted += rows
+                self._count_in_flight(rows)
                 if link.fcount >= self.batch_size and not link.dead:
-                    self._dispatch_locked(link)
+                    batch = self._take_batch_locked(link)
+            if batch is not None:
+                self._send(link, *batch)
         return accepted
 
     def redeliver(self, payloads: List[bytes]) -> int:
@@ -268,9 +310,9 @@ class ClusterFrontend:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _dispatch_locked(self, link: _NodeLink) -> None:
-        """Ship the link's pending frame chunks as one batch (caller holds
-        ``link.lock``)."""
+    def _take_batch_locked(self, link: _NodeLink) -> Tuple[int, bytes, int]:
+        """Cut the link's pending frame chunks into its next batch (caller
+        holds ``link.lock``): ``(seq, frame, rows)``, already un-acked."""
         frame = b"".join(link.fbuffer)
         rows = link.fcount
         link.fbuffer = []
@@ -282,8 +324,14 @@ class ClusterFrontend:
             self.persist.log_report_frame(frame)
         link.seq += 1
         link.unacked[link.seq] = frame
+        return link.seq, frame, rows
+
+    def _send(self, link: _NodeLink, seq: int, frame: bytes, rows: int) -> None:
+        """Ship one batch.  Runs without ``link.lock``: the reply reader
+        needs that lock to retire batches, and it must keep draining the
+        node's replies while this send waits for the node to read."""
         try:
-            link.stream.send(MSG_BATCH, (link.seq, frame))
+            link.stream.send(MSG_BATCH, (seq, frame))
         except OSError:
             # Connection is gone; the batch stays un-acked and will be
             # redelivered when the coordinator detaches the node.
@@ -301,26 +349,53 @@ class ClusterFrontend:
             links = list(self._links.values())
         for link in links:
             with link.lock:
-                if link.fbuffer and not link.dead:
-                    self._dispatch_locked(link)
+                if not link.fbuffer or link.dead:
+                    continue
+                batch = self._take_batch_locked(link)
+            self._send(link, *batch)
 
     def ack(self, node_id: str, last_seq: int) -> int:
-        """Drop batches a flush reply covered; returns how many retired."""
+        """Retire every batch up to ``last_seq`` without merging a reply;
+        returns how many retired."""
         with self._route_lock:
             link = self._links.get(node_id)
         if link is None:
             return 0
-        retired = 0
         with link.lock:
-            if last_seq > link.acked:
-                link.acked = last_seq
-            while link.unacked:
-                seq = next(iter(link.unacked))
-                if seq > last_seq:
-                    break
-                del link.unacked[seq]
-                retired += 1
-        return retired
+            seqs = [seq for seq in link.unacked if seq <= last_seq]
+            self._retire_locked(link, seqs)
+        return len(seqs)
+
+    def _retire_locked(self, link: _NodeLink, seqs: List[int]) -> None:
+        """Drop answered batches from the redelivery set (``link.lock`` held)."""
+        rows = sum(len(link.unacked.pop(seq)) for seq in seqs) // REPORT_SIZE
+        self._count_in_flight(-rows)
+
+    def _count_in_flight(self, rows: int) -> None:
+        with self._retired:
+            self.in_flight += rows
+            if rows < 0:
+                self._retired.notify_all()
+
+    def wait_retired(self, timeout: float, node_ids=None) -> bool:
+        """Wait until no accepted row is left in flight, or, with
+        ``node_ids``, until those nodes answered every batch dispatched to
+        them so far; False on timeout."""
+        marks = None
+        if node_ids is not None:
+            with self._route_lock:
+                links = [self._links[n] for n in node_ids if n in self._links]
+            marks = [(link, link.seq) for link in links]
+
+        def done() -> bool:
+            if marks is None:
+                return self.in_flight == 0
+            return all(
+                min(link.unacked, default=mark + 1) > mark for link, mark in marks
+            )
+
+        with self._retired:
+            return self._retired.wait_for(done, timeout)
 
     def pending(self, node_id: str) -> Tuple[int, int]:
         """(un-acked batches, buffered payloads) for one node."""
@@ -330,6 +405,11 @@ class ClusterFrontend:
             return (0, 0)
         with link.lock:
             return (len(link.unacked), link.fcount)
+
+    def unacked_batches(self) -> Dict[str, int]:
+        """Batches each node has not answered yet, by node id."""
+        with self._route_lock:
+            return {node_id: len(link.unacked) for node_id, link in self._links.items()}
 
     def stats(self) -> Dict[str, int]:
         with self._route_lock:

@@ -2,8 +2,9 @@
 
 A node is the TCP transport over a :class:`~repro.core.replica.ShardReplica`
 — the same compiled pair replica, vector kernel, pair-delta patch,
-``replica_digest`` and flush delta the sharded daemon's workers run over
-``multiprocessing`` queues and the direct daemon runs in-thread — spoken
+``replica_digest`` and per-batch delta the sharded daemon's workers run
+over ``multiprocessing`` queues and pipes and the direct daemon runs
+in-thread — spoken
 over length-prefixed sockets
 (:mod:`repro.cluster.protocol`), so a node can live in another process or
 on another machine.
@@ -12,15 +13,20 @@ What the transport adds, all in service of exactly-once verdict accounting
 under membership change (DESIGN.md §14):
 
 * **batch seqs** — every ``MSG_BATCH`` carries the frontend's per-node
-  sequence number; a ``MSG_FLUSH_REPLY`` reports the highest seq whose
-  results it folds in, which is the frontend's ack to drop the batch from
-  its redelivery buffer,
+  sequence number, and the node answers it on the same connection with a
+  ``MSG_BATCH_REPLY``: that batch's :class:`~repro.core.replica.Delta`
+  under its seq, which is the frontend's ack to drop the batch from its
+  redelivery buffer,
 * **unknown pairs are not verdicts** — the node's replica sets aside a
   payload whose ``(inport, outport)`` pair it does not hold and ships it
-  back in the flush reply instead of counting ``FAIL_UNKNOWN_PAIR``:
+  back in the batch reply instead of counting ``FAIL_UNKNOWN_PAIR``:
   during a rebalance the pair may simply be in flight to another node,
   and only the coordinator (holding the authoritative table) can tell a
   routing race from a genuinely unknown pair,
+* **verdict families on the receiving side** — a batch reply carries
+  counts only; the coordinator folds them into ``veridp_node_*`` as they
+  arrive, and the ``MSG_FLUSH`` barrier brings the node's own families
+  (batch timing, vector rows, fallbacks, tenants),
 * **tenant attribution** — pair specs arrive tagged with their owning
   tenant, and the replica counts per-tenant reports under a ``node``
   label, so ``veridp_cluster_tenant_reports_total`` aggregates across the
@@ -40,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.replica import ShardReplica
 from .protocol import (
     MSG_BATCH,
+    MSG_BATCH_REPLY,
     MSG_DIGEST,
     MSG_DIGEST_REPLY,
     MSG_FLUSH,
@@ -156,10 +163,8 @@ class VerificationNode:
     def _serve_connection(self, stream: MessageStream) -> None:
         try:
             while self._running:
-                try:
-                    mtype, body = stream.recv(timeout=0.5)
-                except socket.timeout:
-                    continue
+                # Blocks until the next message: stop() closes the stream.
+                mtype, body = stream.recv()
                 if not self._handle(stream, mtype, body):
                     return
         except OSError:
@@ -175,13 +180,19 @@ class VerificationNode:
         replica = self.replica
         if mtype == MSG_BATCH:
             seq, frame = body
+            # The batch's counts and its seq are taken in one step, under
+            # the lock: that atomicity is the exactly-once ack (DESIGN.md
+            # §14.3).  The send waits outside it, so a slow reader upstream
+            # never holds up the control connection's patches and flushes.
             with self._state_lock:
                 replica.verify(frame)
                 if seq > self._last_seq:
                     self._last_seq = seq
+                delta = replica.drain(0, seq)
+            stream.send(MSG_BATCH_REPLY, delta)
         elif mtype == MSG_FLUSH:
-            # Counts and the seq they cover leave in one reply, under the
-            # lock: that atomicity is the exactly-once ack (DESIGN.md §14.3).
+            # A barrier: every batch was already answered, so the reply
+            # carries no counts, only the metrics snapshot.
             with self._state_lock:
                 delta = replica.take(body[0], self._last_seq)
             stream.send(MSG_FLUSH_REPLY, delta)
@@ -215,8 +226,6 @@ class VerificationNode:
             return {
                 "node_id": self.node_id,
                 "pairs": len(self.replica.pairs),
-                "pending_processed": self.replica.processed,
-                "pending_malformed": self.replica.malformed,
                 "last_seq": self._last_seq,
                 "vector": self.replica.vector,
             }

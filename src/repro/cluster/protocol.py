@@ -23,14 +23,15 @@ frontend turns it away at the door.
 Delivery semantics are built on two facts the node guarantees:
 
 * messages on one connection are processed in arrival order,
-* batch results only become visible upstream through a ``FLUSH_REPLY``,
-  which carries the highest batch ``seq`` folded into that reply.
+* a batch's results become visible upstream only through its
+  ``BATCH_REPLY``, which carries the batch's ``seq`` with its counts.
 
-The frontend keeps every dispatched batch un-acked until a merged flush
-reply covers its seq; a node that dies mid-stream loses its *unflushed*
-counts along with its unflushed batches, so redelivering the un-acked
-batches to the surviving nodes counts every verdict exactly once (no lost
-and no duplicated verdicts — see DESIGN.md §14).
+The frontend keeps every dispatched batch un-acked until its reply is
+merged; a node that dies mid-stream loses the counts of every batch it
+never replied to, so redelivering the un-acked batches to the surviving
+nodes counts every verdict exactly once (no lost and no duplicated
+verdicts — see DESIGN.md §14).  ``FLUSH`` is a barrier on the control
+connection that carries the node's metrics snapshot.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "MSG_HELLO",
     "MSG_HELLO_REPLY",
     "MSG_BATCH",
+    "MSG_BATCH_REPLY",
     "MSG_FLUSH",
     "MSG_FLUSH_REPLY",
     "MSG_PATCH",
@@ -63,9 +65,9 @@ __all__ = [
 
 MSG_HELLO = 1  # (sender_kind,) -> expects MSG_HELLO_REPLY
 MSG_HELLO_REPLY = 2  # (node_id, pair_count)
-MSG_BATCH = 3  # (seq, frame) — verify, no reply
+MSG_BATCH = 3  # (seq, frame) -> expects MSG_BATCH_REPLY
 MSG_FLUSH = 4  # (token,) -> expects MSG_FLUSH_REPLY
-MSG_FLUSH_REPLY = 5  # FlushReply-shaped tuple (see node.py)
+MSG_FLUSH_REPLY = 5  # Delta: the metrics snapshot, no counts (see node.py)
 MSG_PATCH = 6  # {pair_key: (spec, tenant) | None} — apply delta, no reply
 MSG_RELOAD = 7  # {pair_key: (spec, tenant)} — replace replica, no reply
 MSG_DIGEST = 8  # (token,) -> expects MSG_DIGEST_REPLY
@@ -73,6 +75,7 @@ MSG_DIGEST_REPLY = 9  # (node_id, token, sha1hex)
 MSG_PING = 10  # (seq,) -> expects MSG_PONG
 MSG_PONG = 11  # (node_id, seq)
 MSG_STOP = 12  # () — node exits its serve loop
+MSG_BATCH_REPLY = 13  # Delta: one batch's counts, failures and seq
 
 _NAMES = {
     MSG_HELLO: "hello",
@@ -87,6 +90,7 @@ _NAMES = {
     MSG_PING: "ping",
     MSG_PONG: "pong",
     MSG_STOP: "stop",
+    MSG_BATCH_REPLY: "batch_reply",
 }
 
 _HEADER = struct.Struct(">IB")
@@ -94,6 +98,11 @@ _HEADER = struct.Struct(">IB")
 #: Hard ceiling on one message body; a length prefix past this is treated
 #: as stream corruption rather than an allocation request.
 MAX_BODY = 256 * 1024 * 1024
+
+#: Size of a stream's receive buffer: one ``recv_into`` takes up to this
+#: many bytes, so back-to-back small messages cost one syscall between them.
+#: A larger message grows the buffer for as long as it takes to read it.
+_RECV_CHUNK = 64 * 1024
 
 
 def message_name(mtype: int) -> str:
@@ -116,7 +125,10 @@ class MessageStream:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._recv_buffer = b""
+        #: Received bytes live in ``_recv_buffer[_recv_start:_recv_end]``.
+        self._recv_buffer = bytearray(_RECV_CHUNK)
+        self._recv_start = 0
+        self._recv_end = 0
         self.sent_messages = 0
         self.sent_bytes = 0
         self.received_messages = 0
@@ -143,39 +155,65 @@ class MessageStream:
 
     # -- receiving ---------------------------------------------------------
 
-    def _recv_exact(self, count: int) -> bytes:
-        """Read exactly ``count`` bytes or raise ``ConnectionError`` on EOF."""
-        while len(self._recv_buffer) < count:
-            chunk = self._sock.recv(max(4096, count - len(self._recv_buffer)))
-            if not chunk:
+    def _fill(self, count: int) -> None:
+        """Make ``count`` unread bytes available or raise ``ConnectionError``
+        on EOF.
+
+        Bytes are read straight into the buffer behind the unread ones and
+        consumed by advancing ``_recv_start``, so a message's bytes are
+        copied once, when it is decoded.  Only the unread tail of a message
+        that straddles the buffer's end moves, to the front.
+        """
+        while self._recv_end - self._recv_start < count:
+            buf = self._recv_buffer
+            unread = self._recv_end - self._recv_start
+            if len(buf) - self._recv_start < count:
+                tail = buf[self._recv_start : self._recv_end]
+                if count > len(buf):
+                    buf = self._recv_buffer = bytearray(count)
+                buf[:unread] = tail
+                self._recv_start, self._recv_end = 0, unread
+            with memoryview(buf) as view:
+                got = self._sock.recv_into(view[self._recv_end :])
+            if not got:
                 raise ConnectionError("peer closed the stream mid-message")
-            self._recv_buffer += chunk
-        out, self._recv_buffer = (
-            self._recv_buffer[:count],
-            self._recv_buffer[count:],
-        )
-        return out
+            self._recv_end += got
 
     def recv(self, timeout: Optional[float] = None) -> Tuple[int, Any]:
         """Read one ``(type, body)`` message.
 
         ``timeout`` bounds the wait for the *start* of a message (used by
         request/reply turns); ``socket.timeout`` propagates to the caller.
+        Between calls the socket blocks (a send never times out), so a
+        ``None`` wait costs no timeout switch.
         """
-        self._sock.settimeout(timeout)
+        if timeout is not None:
+            self._sock.settimeout(timeout)
         try:
-            header = self._recv_exact(_HEADER.size)
-            length, mtype = _HEADER.unpack(header)
+            self._fill(_HEADER.size)
+            length, mtype = _HEADER.unpack_from(self._recv_buffer, self._recv_start)
             if length > MAX_BODY:
                 raise ProtocolError(
                     f"frame announces {length} body bytes (corrupt stream?)"
                 )
-            body = pickle.loads(self._recv_exact(length)) if length else ()
+            self._fill(_HEADER.size + length)
+            start = self._recv_start + _HEADER.size
+            body = ()
+            if length:
+                with memoryview(self._recv_buffer) as view:
+                    body = pickle.loads(view[start : start + length])
+            self._recv_start = start + length
+            if self._recv_start == self._recv_end:
+                self._recv_start = self._recv_end = 0
+                if len(self._recv_buffer) > _RECV_CHUNK:
+                    # A large message is read: hand its buffer back.
+                    self._recv_buffer = bytearray(_RECV_CHUNK)
         finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:  # closed under us mid-recv; the raise stands
-                pass
+            if timeout is not None:
+                try:
+                    self._sock.settimeout(None)
+                except OSError:  # closed under us mid-recv; the raise stands
+                    pass
         self.received_messages += 1
         return mtype, body
 

@@ -17,9 +17,12 @@ Three transports carry one:
 
 All three speak the same verbs — :meth:`~ShardReplica.verify`,
 :meth:`~ShardReplica.patch`, :meth:`~ShardReplica.reload`,
-:meth:`~ShardReplica.digest` and :meth:`~ShardReplica.take` (or
-:meth:`~ShardReplica.drain` in-thread) — and hand back the same
-:class:`Delta` record.  The rows it flags go to one server intake,
+:meth:`~ShardReplica.digest`, :meth:`~ShardReplica.drain` (after every
+batch) and :meth:`~ShardReplica.take` (the remote transports' flush
+barrier) — and hand back the same :class:`Delta` record.  Its owner folds
+each delta's counts into the ``veridp_<role>_*`` verdict families
+(:class:`VerdictFamilies`) as it arrives.  The rows it flags go to one
+server intake,
 :meth:`~repro.core.server.VeriDPServer.receive_report_rows`, whose verdict
 is the one of record.  The one behaviour that differs is where an
 unknown-pair report goes: a daemon's replica covers its whole hash shard,
@@ -52,6 +55,7 @@ __all__ = [
     "Delta",
     "Resync",
     "ShardReplica",
+    "VerdictFamilies",
     "build_one_shard_spec",
     "build_pair_spec",
     "build_shard_specs",
@@ -85,7 +89,7 @@ _VCODE_TO_VALUE = (_PASS, _FAIL_MISMATCH, _FAIL_NO_PATH, _FAIL_UNKNOWN)
 
 _NO_VERDICTS = {v.value: 0 for v in Verdict}
 
-#: How many undecodable payloads a remote replica keeps per flush window
+#: How many undecodable payloads a remote replica keeps per delta
 #: for dead-lettering upstream (the *count* is always exact; the payload
 #: sample is bounded to cap IPC volume under a corruption storm).
 _MALFORMED_SAMPLE = 64
@@ -290,9 +294,11 @@ def _verify_wire(
 class Delta(NamedTuple):
     """What one replica verified since its last take or drain.
 
-    The flush reply of the remote transports: a cluster node sends it as
-    the ``MSG_FLUSH_REPLY`` body, a shard worker as ``("flush", delta)``;
-    the direct daemon drains one per batch.
+    Every transport drains one per batch: the direct daemon in-thread, a
+    shard worker as ``("batch", delta)``, a cluster node as the
+    ``MSG_BATCH_REPLY`` body.  The remote transports' flush barrier
+    (``("flush", delta)``, ``MSG_FLUSH_REPLY``) is a :meth:`ShardReplica.take`
+    whose counts are empty and whose ``metrics`` carries the snapshot.
     """
 
     #: The replica's id: shard index or node id.
@@ -312,11 +318,45 @@ class Delta(NamedTuple):
     #: Undecodable payloads, for dead-lettering (up to the replica's
     #: ``sample_cap``).
     malformed_sample: List[bytes]
-    #: Highest batch seq folded in (the frontend's ack; 0 for shards).
+    #: The batch seq this answers (the frontend's ack; 0 for shards).
     seq: int
     #: ``snapshot(reset=True)`` of the replica's metric families (``None``
     #: from :meth:`ShardReplica.drain`).
     metrics: object
+
+
+class VerdictFamilies:
+    """The ``veridp_<role>_*`` verdict families, kept where deltas land.
+
+    A replica's owner — the sharded daemon, the cluster coordinator —
+    folds every :class:`Delta` in as it arrives, labelled by its source:
+    the replica's own verdicts (before the server's intake settles its
+    failures), so a scrape matches the owner's ledger at every moment, a
+    worker that dies before its next flush included.
+    """
+
+    def __init__(self, registry: MetricsRegistry, role: str) -> None:
+        def family(suffix: str, text: str, *labels: str):
+            return registry.counter(f"veridp_{role}_{suffix}", text, (role, *labels))
+
+        self._processed = family(
+            "processed_total", f"Payloads a {role} replica verified."
+        )
+        self._malformed = family(
+            "malformed_total", f"Payloads a {role} replica could not decode."
+        )
+        self._verdicts = family(
+            "verifications_total", f"Verdicts, by verdict and {role}.", "verdict"
+        )
+
+    def fold(self, delta: Delta) -> None:
+        label = str(delta.source)
+        self._processed.labels(label).inc(delta.processed)
+        if delta.malformed:
+            self._malformed.labels(label).inc(delta.malformed)
+        for verdict, count in delta.counters.items():
+            if count:
+                self._verdicts.labels(label, verdict).inc(count)
 
 
 class ShardReplica:
@@ -333,9 +373,10 @@ class ShardReplica:
     ``batch_hist`` is the histogram each batch's wall-clock time goes to
     (by default the replica's own ``veridp_<role>_batch_seconds``).
 
-    Verdict counting stays on plain ints; the metric families see only a
-    per-batch timing observation and, in :meth:`take`, the window's totals.
-    Not thread-safe: a transport serialises calls.
+    Verdict counting stays on plain ints and leaves in each :class:`Delta`;
+    the replica's own metric families see a per-batch timing observation
+    and, in :meth:`take`, the batch and vector-row totals.  Not
+    thread-safe: a transport serialises calls.
     """
 
     def __init__(
@@ -361,6 +402,8 @@ class ShardReplica:
         self.sample_cap = sample_cap
         self._role = role
         self._kernel = wire_kernel(self.pairs, self.packing)
+        self.batches = 0
+        self.vector_rows = 0
         self._reset()
         self._register_metrics(batch_hist)
 
@@ -370,8 +413,6 @@ class ShardReplica:
         return self._kernel is not None
 
     def _reset(self) -> None:
-        self.batches = 0
-        self.vector_rows = 0
         self.processed = 0
         self.malformed = 0
         self.counters = dict(_NO_VERDICTS)
@@ -396,20 +437,9 @@ class ShardReplica:
             ).labels(label)
         self._batch_hist = batch_hist
         self._batches = own("batches_total", f"Batches a {role} replica verified.")
-        self._processed_counter = own(
-            "processed_total", f"Payloads a {role} replica verified."
-        )
-        self._malformed_counter = own(
-            "malformed_total", f"Payloads a {role} replica could not decode."
-        )
         self._vector_reports = own(
             "vector_reports_total",
             f"Payloads a {role} replica verified through the vector kernel.",
-        )
-        self._verdicts = reg.counter(
-            f"veridp_{role}_verifications_total",
-            f"Verdicts, by verdict and {role}.",
-            (role, "verdict"),
         )
         self._vector_fallback = reg.counter(
             f"veridp_{role}_vector_fallback_total",
@@ -570,10 +600,10 @@ class ShardReplica:
     # -- flush ---------------------------------------------------------------
 
     def drain(self, token: int = 0, seq: int = 0) -> Delta:
-        """Return everything pending since the last drain, and reset it.
+        """Return the verdicts pending since the last drain, and reset them.
 
-        The in-thread transport's per-batch call: the metric families are
-        left alone (``metrics`` is ``None``).
+        Every transport's per-batch call: the metric families are left
+        alone (``metrics`` is ``None``).
         """
         delta = Delta(
             self.ident,
@@ -592,15 +622,11 @@ class ShardReplica:
         return delta
 
     def take(self, token: int, seq: int = 0) -> Delta:
-        """:meth:`drain`, with the window's totals folded into the metric
-        families and their ``snapshot(reset=True)`` attached: the flush
-        reply of the remote transports."""
+        """:meth:`drain`, with the batch and vector-row totals folded into
+        the metric families and their ``snapshot(reset=True)`` attached:
+        the flush reply of the remote transports."""
         self._batches.inc(self.batches)
         self._vector_reports.inc(self.vector_rows)
-        self._processed_counter.inc(self.processed)
-        self._malformed_counter.inc(self.malformed)
-        for verdict, count in self.counters.items():
-            if count:
-                self._verdicts.labels(self.label, verdict).inc(count)
+        self.batches = self.vector_rows = 0
         delta = self.drain(token, seq)
         return delta._replace(metrics=self.registry.snapshot(reset=True))

@@ -4,9 +4,10 @@
 across ``multiprocessing`` workers.  Each worker (:func:`_shard_worker_main`)
 is a queue transport over a :class:`~repro.core.replica.ShardReplica` — its
 shard of the path table compiled to flat arrays (no BDD manager, no
-topology) — which verifies frames locally and ships its flush delta
-(counters, failed payloads) back over a result queue; the parent settles
-the (rare) failures through the server's intake, the verdict of record.
+topology) — which verifies frames locally and answers every batch with its
+delta (counters, failed payloads) over a result pipe; the parent's
+collector thread settles each delta as it arrives, sending the (rare)
+failures through the server's intake, the verdict of record.
 The direct daemon (in-thread) and the cluster tier's nodes (TCP) are the
 other transports over the same replica.  This is the shape that turns the
 GIL-flat throughput curve into a scaling one when cores are available.
@@ -16,8 +17,9 @@ Resilience: dead or wedged worker processes are detected (exitcode polling
 replica resynchronised against the current :attr:`PathTable.version`; when
 restarts exceed the budget the daemon degrades to a single-process
 :class:`~repro.core.direct.VeriDPDaemon` fallback rather than wedging.  Each
-worker generation gets its *own* multiprocessing queues, so a worker killed
-mid-``get``/``put`` cannot poison a shared queue lock for its successor.
+worker generation gets its *own* multiprocessing queues and result pipe, so a
+worker killed mid-``get``/``put``/``send`` cannot poison a shared queue lock
+or stream for its successor.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import multiprocessing
 import os
 import pickle
 import queue
+import selectors
+import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
@@ -36,6 +40,7 @@ from .ingest import shard_split
 from .replica import (
     Delta,
     ShardReplica,
+    VerdictFamilies,
     _shard_of,
     build_one_shard_spec,
     resync_specs,
@@ -62,7 +67,7 @@ __all__ = ["ShardedVeriDPDaemon"]
 def _shard_worker_main(
     worker_id: int,
     in_queue,
-    out_queue,
+    results,
     hb_queue,
     pairs: Dict[Tuple[int, int], tuple],
     packing: Tuple[Tuple[int, int], ...],
@@ -72,20 +77,25 @@ def _shard_worker_main(
 
     Message protocol (parent -> worker on ``in_queue``)::
 
-        ("batch", frame)            verify a concatenated payload frame
-        ("flush", token)            reply ("flush", Delta) on out_queue
+        ("batch", frame)            verify a concatenated payload frame,
+                                    reply ("batch", Delta) on results
+        ("flush", token)            reply ("flush", Delta) on results
         ("ping", seq)               reply ("pong", worker_id, seq) on hb_queue
         ("reload", pairs)           swap the compiled replica in place
         ("patch", {key: spec|None}) apply a pair delta: None drops the pair
-        ("digest", token)           reply ("digest", id, token, sha1) on out_queue
+        ("digest", token)           reply ("digest", id, token, sha1) on results
         ("crash", how)              test hook: "exit" dies, "wedge" hangs
         ("stop",)                   exit cleanly
 
+    Replies go straight down the worker's own result pipe (no feeder
+    thread): one per batch, so the parent settles verdicts as they come.
     A payload can never kill the worker (the replica counts undecodable
     payloads and ships verification crashes back as records), and a shard
     replica covers its whole hash shard, so an unknown pair is a verdict.
-    The flush reply's metrics snapshot carries the ``veridp_shard_*``
-    families, labelled by shard id so they never collide with the parent's.
+    A batch reply carries counts only (the parent folds them into the
+    ``veridp_shard_*`` verdict families); a flush reply is a barrier with
+    no counts whose metrics snapshot carries the replica's own families,
+    labelled by shard id so they never collide with the parent's.
     """
     replica = ShardReplica("shard", worker_id, packing, pairs, port_limit=port_limit)
     while True:
@@ -93,8 +103,9 @@ def _shard_worker_main(
         kind = message[0]
         if kind == "batch":
             replica.verify(message[1])
+            results.send(("batch", replica.drain()))
         elif kind == "flush":
-            out_queue.put(("flush", replica.take(message[1])))
+            results.send(("flush", replica.take(message[1])))
         elif kind == "ping":
             hb_queue.put(("pong", worker_id, message[1]))
         elif kind == "reload":
@@ -102,7 +113,7 @@ def _shard_worker_main(
         elif kind == "patch":
             replica.patch(message[1])
         elif kind == "digest":
-            out_queue.put(("digest", worker_id, message[1], replica.digest()))
+            results.send(("digest", worker_id, message[1], replica.digest()))
         elif kind == "crash":  # pragma: no cover - exercised via subprocess
             if message[1] == "exit":
                 os._exit(13)
@@ -122,16 +133,17 @@ class ShardedVeriDPDaemon:
     worker's :class:`~repro.core.replica.ShardReplica` compiles its pairs
     into the vector batch kernel (:mod:`repro.core.vector`) and verifies
     whole dispatch batches as array operations, falling back to the scalar
-    matcher row by row where the input calls for it.  Failed
-    payloads come back over the result queue and go through
-    :meth:`VeriDPServer.receive_report_rows` on the parent, one call per
-    flush delta, so localization, the localization cache and the incident
-    log behave exactly as in the single-process server — and the counters
-    follow the server's verdicts.
+    matcher row by row where the input calls for it.  Every batch's delta
+    comes back over the result pipe and one parent collector thread
+    settles it on arrival: failed payloads go through
+    :meth:`VeriDPServer.receive_report_rows`, one call per batch, so
+    localization, the localization cache and the incident log behave
+    exactly as in the single-process server — and the counters follow the
+    server's verdicts.
 
-    ``join()`` is the consolidation point: it flushes the shard buffers,
-    asks every worker for its counter deltas, and folds them in.  Call it
-    before reading :meth:`stats`.
+    ``join()`` dispatches the shard buffers and waits until every worker
+    answered everything sent to it (a flush barrier behind the batches).
+    Call it before reading :meth:`stats` for exact figures.
 
     Resilience: a :class:`WorkerSupervisor` polls worker liveness
     (``exitcode`` + heartbeat pings) and restarts dead or wedged workers
@@ -204,12 +216,22 @@ class ShardedVeriDPDaemon:
         )
         self._processes: List = []
         self._in_queues: List = []
-        self._out_queues: List = []
+        #: Per shard: the read and write ends of the current generation's
+        #: result pipe (the parent keeps the write end open, so a dead
+        #: worker's pipe goes quiet instead of reading EOF forever).
+        self._results: List = []
+        self._result_writers: List = []
+        #: Serialises reads of a result pipe between the collector and a
+        #: restart salvaging the pipe it abandoned.
+        self._read_lock = threading.Lock()
         self._hb_queues: List = []
         self._fbuffers: List[List[bytes]] = []  # per-shard frame chunks
         self._fcounts: List[int] = []  # rows pending in _fbuffers
         self._dispatched: List[int] = []
         self._accounted: List[int] = []
+        #: Rows a restart gave up on: dispatched to a dead generation and
+        #: neither answered nor recovered for its successor.
+        self._written_off: List[int] = []
         self._generations: List[int] = []
         self._last_pong: List[float] = []
         self._ping_seq = 0
@@ -231,6 +253,14 @@ class ShardedVeriDPDaemon:
         self._dispatch_lock = threading.Lock()
         self._merge_lock = threading.Lock()
         self._server_mutex = threading.Lock()
+        #: The collector thread and what it recorded for waiters: the last
+        #: flush token and ``(token, digest)`` each shard answered.
+        self._collector: Optional[threading.Thread] = None
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
+        self._replies = threading.Condition()
+        self._flushed: List[int] = []
+        self._digests: Dict[int, Tuple[int, str]] = {}
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervise:
             self._supervisor = WorkerSupervisor(
@@ -243,6 +273,7 @@ class ShardedVeriDPDaemon:
                 on_budget_exhausted=self._degrade,
             )
         self._register_metrics()
+        self._shard_families = VerdictFamilies(self.obs.registry, "shard")
         self._endpoint: Optional[MetricsEndpoint] = None
         if metrics_port is not None:
             self._endpoint = self.obs.endpoint(
@@ -271,10 +302,10 @@ class ShardedVeriDPDaemon:
 
         Re-registers the ingestion families the server/threaded daemon may
         already own (latest owner wins); the per-shard ``veridp_shard_*``
-        families arrive separately via worker snapshot merges in
-        :meth:`_merge_flush`.  When degraded, the callbacks fold in the
-        fallback daemon's figures — the fallback itself runs on a private
-        registry so its own registrations cannot clobber these.
+        families are folded from every delta and merged from the workers'
+        flush snapshots in :meth:`_settle`.  When degraded, the callbacks
+        fold in the fallback daemon's figures — the fallback itself runs on
+        a private registry so its own registrations cannot clobber these.
         """
         reg = self.obs.registry
 
@@ -319,6 +350,11 @@ class ShardedVeriDPDaemon:
             "veridp_queue_depth",
             "Payloads buffered parent-side awaiting dispatch.",
             callback=lambda: sum(self._fcounts),
+        )
+        reg.gauge(
+            "veridp_in_flight",
+            "Payloads accepted that have no verdict yet.",
+            callback=self._in_flight,
         )
         reg.counter(
             "veridp_lost_in_restart_total",
@@ -409,6 +445,19 @@ class ShardedVeriDPDaemon:
             callback=lambda: self.full_resyncs,
         )
 
+    def _in_flight(self) -> int:
+        """Rows accepted and not yet given a verdict: buffered parent-side,
+        or dispatched to a live worker generation that has not answered."""
+        fallback = self._fallback
+        if fallback is not None:
+            return fallback.stats()["queued"]
+        with self._merge_lock:
+            dispatched = sum(
+                max(0, d - a - w)
+                for d, a, w in zip(self._dispatched, self._accounted, self._written_off)
+            )
+        return sum(self._fcounts) + dispatched
+
     def _merged_verdicts(self) -> Dict[tuple, int]:
         with self._merge_lock:
             merged = dict(self.counters)
@@ -441,17 +490,25 @@ class ShardedVeriDPDaemon:
             self._replica_version, self._dirty_token = sync.version, sync.token
         self._processes = [None] * self.workers
         self._in_queues = [None] * self.workers
-        self._out_queues = [None] * self.workers
+        self._results = [None] * self.workers
+        self._result_writers = [None] * self.workers
         self._hb_queues = [None] * self.workers
         self._fbuffers = [[] for _ in range(self.workers)]
         self._fcounts = [0] * self.workers
         self._dispatched = [0] * self.workers
         self._accounted = [0] * self.workers
+        self._written_off = [0] * self.workers
         self._generations = [0] * self.workers
         self._last_pong = [time.monotonic()] * self.workers
+        self._flushed = [0] * self.workers
+        self._wake_r, self._wake_w = socket.socketpair()
         for worker_id in range(self.workers):
             self._spawn_worker(worker_id, sync.specs[worker_id])
         self._running = True
+        self._collector = threading.Thread(
+            target=self._collect, name="veridp-shard-collector", daemon=True
+        )
+        self._collector.start()
         if self._supervisor is not None:
             self._supervisor.start()
 
@@ -462,14 +519,14 @@ class ShardedVeriDPDaemon:
         queue's internal lock would poison that queue for any successor.
         """
         in_queue = self._ctx.Queue(maxsize=self.max_pending_batches)
-        out_queue = self._ctx.Queue()
+        results, writer = self._ctx.Pipe(duplex=False)
         hb_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_shard_worker_main,
             args=(
                 worker_id,
                 in_queue,
-                out_queue,
+                writer,
                 hb_queue,
                 spec,
                 self._packing,
@@ -483,10 +540,18 @@ class ShardedVeriDPDaemon:
         )
         process.start()
         self._in_queues[worker_id] = in_queue
-        self._out_queues[worker_id] = out_queue
+        self._results[worker_id] = results
+        self._result_writers[worker_id] = writer
         self._hb_queues[worker_id] = hb_queue
         self._processes[worker_id] = process
         self._last_pong[worker_id] = time.monotonic()
+        self._wake()  # the collector picks up the new result pipe
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # pragma: no cover - the wake buffer is full
+            pass
 
     def stop(self) -> None:
         """Consolidate outstanding work and terminate the workers."""
@@ -494,6 +559,7 @@ class ShardedVeriDPDaemon:
             self._endpoint.stop()
         if self._fallback is not None:
             self._fallback.stop()
+            self._stop_collector()
             return
         if not self._running:
             return
@@ -516,15 +582,27 @@ class ShardedVeriDPDaemon:
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
                 process.join(timeout=1)
+        self._stop_collector()
         for q in self._in_queues:
             q.close()
             q.cancel_join_thread()
         self._processes = []
         self._in_queues = []
-        self._out_queues = []
+        for conn in [*self._results, *self._result_writers]:
+            conn.close()
+        self._results = []
+        self._result_writers = []
         self._hb_queues = []
         self._running = False
         self._stopping = False
+
+    def _stop_collector(self) -> None:
+        collector, self._collector = self._collector, None
+        if collector is not None:
+            self._wake()
+            collector.join(timeout=5)
+            self._wake_r.close()
+            self._wake_w.close()
 
     def __enter__(self) -> "ShardedVeriDPDaemon":
         self.start()
@@ -696,7 +774,9 @@ class ShardedVeriDPDaemon:
             self._supervisor.check_once()
 
     def join(self, timeout: float = 60.0) -> None:
-        """Flush buffers, collect every worker's deltas, fold them in."""
+        """Dispatch the buffers and wait until every worker answered all of
+        it: a flush barrier queued behind the batches, answered behind
+        their deltas, which the collector has settled by then."""
         fallback = self._fallback
         if fallback is not None:
             fallback.join()
@@ -711,7 +791,7 @@ class ShardedVeriDPDaemon:
             ]
         for shard, (chunks, rows) in batches:
             self._dispatch(shard, chunks, rows)
-        if self._fallback is not None:  # degraded while flushing
+        if self._fallback is not None:  # degraded while dispatching
             self._fallback.join()
             return
         self._flush_token += 1
@@ -720,41 +800,28 @@ class ShardedVeriDPDaemon:
         for shard in range(self.workers):
             self._send_flush(shard, token)
             sent_generation[shard] = self._generations[shard]
-        pending = set(range(self.workers))
         deadline = time.monotonic() + timeout
-        while pending:
-            if self._fallback is not None:
+        while True:
+            if self._fallback is not None:  # degraded while flushing
                 self._fallback.join()
                 return
-            progress = False
-            for shard in sorted(pending):
-                try:
-                    message = self._out_queues[shard].get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                if message[0] != "flush":  # pragma: no cover - defensive
-                    continue
-                delta = message[1]
-                self._merge_flush(delta)
-                # Deltas are merged regardless of token age (they are real
-                # work); only the matching token clears the pending slot.
-                if delta.source == shard and delta.token == token:
-                    pending.discard(shard)
-                    progress = True
-            if progress:
-                continue
-            # No worker answered: revive the dead, and re-send the flush
-            # token to any shard whose worker generation moved (a restarted
-            # worker never saw the original token).
+            with self._replies:
+                self._replies.wait_for(
+                    lambda: min(self._flushed) >= token, timeout=0.05
+                )
+                pending = [s for s in range(self.workers) if self._flushed[s] < token]
+            if not pending:
+                return
+            # A worker is slow or gone: revive the dead, and re-send the
+            # flush token to any shard whose worker generation moved (a
+            # restarted worker never saw the original token).
             self._revive()
-            for shard in sorted(pending):
+            for shard in pending:
                 if self._generations[shard] != sent_generation[shard]:
                     self._send_flush(shard, token)
                     sent_generation[shard] = self._generations[shard]
             if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"shard workers {sorted(pending)} did not flush in time"
-                )
+                raise RuntimeError(f"shard workers {pending} did not flush in time")
 
     def _send_flush(self, shard: int, token: int) -> None:
         try:
@@ -762,13 +829,67 @@ class ShardedVeriDPDaemon:
         except queue.Full:  # pragma: no cover - resent via generation check
             pass
 
-    def _merge_flush(self, delta: Delta) -> None:
-        """Fold one worker's flush delta into the consolidated counters."""
-        # Merge the worker's veridp_shard_* delta snapshot outside
-        # _merge_lock: merging takes registry/metric locks, and holding
-        # _merge_lock across it would serialise scrapes (whose callbacks
-        # take _merge_lock) against every flush for no benefit.
-        self.obs.registry.merge(delta.metrics)
+    def _collect(self) -> None:
+        """The collector thread: settle each worker reply as it arrives."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            pipes: List = []
+            while self._collector is not None:
+                current = [conn for conn in self._results if conn is not None]
+                if current != pipes:  # a (re)spawn swapped a result pipe
+                    for conn in pipes:
+                        selector.unregister(conn)
+                    for conn in current:
+                        selector.register(conn, selectors.EVENT_READ, conn)
+                    pipes = current
+                for key, _events in selector.select(timeout=1.0):
+                    if key.data is None:
+                        self._wake_r.recv(4096)
+                        continue
+                    message = self._read(key.data)
+                    if message is not None:
+                        self._on_reply(message)
+
+    def _read(self, conn, timeout: float = 0.0):
+        """One message off a result pipe, or ``None`` if none is waiting."""
+        with self._read_lock:
+            try:
+                return conn.recv() if conn.poll(timeout) else None
+            except (EOFError, OSError):
+                return None
+
+    def _on_reply(self, message: tuple) -> None:
+        """Handle one message off a result pipe (any generation)."""
+        kind = message[0]
+        if kind == "digest":
+            with self._replies:
+                self._digests[message[1]] = (message[2], message[3])
+                self._replies.notify_all()
+            return
+        delta = message[1]
+        self._settle(delta)
+        if kind == "flush":
+            with self._replies:
+                if delta.token > self._flushed[delta.source]:
+                    self._flushed[delta.source] = delta.token
+                self._replies.notify_all()
+
+    def _settle(self, delta: Delta) -> None:
+        """Fold one worker delta into the consolidated counters."""
+        # Fold into the veridp_shard_* families outside _merge_lock: that
+        # takes registry/metric locks, and holding _merge_lock across it
+        # would serialise scrapes (whose callbacks take _merge_lock)
+        # against every batch for no benefit.
+        self._shard_families.fold(delta)
+        if delta.metrics is not None:
+            self.obs.registry.merge(delta.metrics)
+        if not (delta.failures or delta.crashed or delta.malformed):
+            # Nothing flagged: no intake call.
+            with self._merge_lock:
+                self.processed += delta.processed
+                self._accounted[delta.source] += delta.processed
+                self.counters[Verdict.PASS] += delta.processed
+            return
         with self._server_mutex:
             if delta.failures:
                 # The server's verdict is the one of record: bring it
@@ -837,16 +958,16 @@ class ShardedVeriDPDaemon:
         """Supervisor callback: replace one dead/wedged worker.
 
         Recovers what it can from the abandoned generation's queues
-        (undelivered batches are re-dispatched, already-flushed deltas are
-        merged), then forks a successor whose replica is compiled from the
-        *current* path table — but only the dead shard's slice of it.  If
+        (undelivered batches are re-dispatched, replies not yet collected
+        are settled), then forks a successor whose replica is compiled from
+        the *current* path table — but only the dead shard's slice of it.  If
         the table version moved since the last replication, the survivors
         are brought up to date in place via pair deltas
         (:meth:`resync_replicas`) instead of a whole-table recompile.
         """
         old_process = self._processes[shard]
         old_in = self._in_queues[shard]
-        old_out = self._out_queues[shard]
+        old_out = self._results[shard]
         if old_process is not None:
             if old_process.is_alive():  # wedged: take it down for real
                 old_process.terminate()
@@ -857,6 +978,14 @@ class ShardedVeriDPDaemon:
             else:
                 old_process.join(timeout=1)
         recovered = self._drain_abandoned(old_in, old_out)
+        with self._merge_lock:
+            # What the dead generation never answered is lost, except the
+            # batches recovered for its successor.
+            self._written_off[shard] = (
+                self._dispatched[shard]
+                - self._accounted[shard]
+                - len(recovered) // REPORT_SIZE
+            )
         with self._server_mutex:
             self.server.refresh_if_dirty()
             spec = build_one_shard_spec(
@@ -929,8 +1058,8 @@ class ShardedVeriDPDaemon:
     def replica_digests(self, timeout: float = 10.0) -> List[str]:
         """Collect every worker's replica fingerprint (ops/test hook).
 
-        Workers answer on their result queues; any flush replies drained
-        while waiting are merged rather than lost.  Two fleets whose
+        Workers answer on their result pipes, where the collector thread
+        picks the digests up beside the batch replies.  Two fleets whose
         digests match verify every report identically (see
         :func:`~repro.core.replica.replica_digest`).
         """
@@ -940,33 +1069,25 @@ class ShardedVeriDPDaemon:
         token = self._digest_seq
         for shard in range(self.workers):
             self._in_queues[shard].put(("digest", token), timeout=1.0)
-        digests: Dict[int, str] = {}
-        pending = set(range(self.workers))
-        deadline = time.monotonic() + timeout
-        while pending:
-            for shard in sorted(pending):
-                try:
-                    message = self._out_queues[shard].get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                if message[0] == "flush":
-                    self._merge_flush(message[1])
-                elif message[0] == "digest" and message[2] == token:
-                    digests[message[1]] = message[3]
-                    pending.discard(shard)
-            if pending and time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"shard workers {sorted(pending)} did not answer digest"
-                )
-        return [digests[w] for w in range(self.workers)]
+
+        def pending() -> List[int]:
+            return [
+                w for w in range(self.workers) if self._digests.get(w, (0,))[0] != token
+            ]
+
+        with self._replies:
+            if not self._replies.wait_for(lambda: not pending(), timeout):
+                raise RuntimeError(f"shard workers {pending()} did not answer digest")
+            return [self._digests[w][1] for w in range(self.workers)]
 
     def _drain_abandoned(self, old_in, old_out) -> bytes:
-        """Salvage an abandoned queue generation.
+        """Salvage an abandoned queue and pipe generation.
 
         Undelivered ``batch`` frames come back, concatenated, for
-        re-dispatch; flush replies the parent never consumed are merged so
-        their work is not double-lost.  Anything a killed worker had dequeued but not flushed
-        is unrecoverable and shows up as ``lost_in_restart``.
+        re-dispatch; replies the collector has not taken yet are settled so
+        their work is not double-lost.  Anything a killed worker had
+        dequeued but not answered is unrecoverable and shows up as
+        ``lost_in_restart``.
         """
         recovered: List[bytes] = []
         while True:
@@ -977,12 +1098,10 @@ class ShardedVeriDPDaemon:
             if message[0] == "batch":
                 recovered.append(message[1])
         while True:
-            try:
-                message = old_out.get(timeout=0.05)
-            except (queue.Empty, OSError):
+            message = self._read(old_out, timeout=0.05)
+            if message is None:
                 break
-            if message[0] == "flush":
-                self._merge_flush(message[1])
+            self._on_reply(message)
         old_in.close()
         old_in.cancel_join_thread()
         return b"".join(recovered)
@@ -1020,13 +1139,16 @@ class ShardedVeriDPDaemon:
                 process.terminate()
                 process.join(timeout=2)
             recovered = self._drain_abandoned(
-                self._in_queues[shard], self._out_queues[shard]
+                self._in_queues[shard], self._results[shard]
             )
             # Salvaged payloads leave the sharded ledger for the fallback's:
             # settle their dispatch debt here or they would double-count as
             # lost_in_restart *and* as fallback `processed`.
             with self._merge_lock:
                 self._accounted[shard] += len(recovered) // REPORT_SIZE
+                self._written_off[shard] = (
+                    self._dispatched[shard] - self._accounted[shard]
+                )
             fallback.submit_frame(Frame(recovered))
         persist = self.server.persist
         with self._dispatch_lock:
@@ -1068,8 +1190,10 @@ class ShardedVeriDPDaemon:
 
         ``lost_in_restart`` counts payloads dispatched to a worker whose
         verdicts never came back — exact after :meth:`join` returns (it
-        includes in-flight work mid-run).  The accounting identity after a
-        completed ``join`` on a non-degraded daemon is::
+        includes in-flight work mid-run).  ``in_flight`` counts payloads
+        accepted that have no verdict yet; it reads 0 after :meth:`join`.
+        The accounting identity after a completed ``join`` on a
+        non-degraded daemon is::
 
             submitted == processed + malformed + verify_errors
                          + dropped_new + lost_in_restart
@@ -1105,6 +1229,7 @@ class ShardedVeriDPDaemon:
             "dropped_oldest": 0,
             "block_timeouts": 0,
             "lost_in_restart": lost,
+            "in_flight": self._in_flight(),
             "degraded": int(self.degraded),
             "vector": self.vector,
         }

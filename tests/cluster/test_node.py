@@ -1,8 +1,9 @@
 """Verification nodes: the socket-facing shard workers.
 
 Each test drives a node purely over its wire protocol — RELOAD a replica,
-stream BATCH frames, FLUSH the deltas — exactly as the coordinator and
-frontend do, so the protocol surface is what's pinned.
+stream BATCH frames and read each one's reply, FLUSH as a barrier —
+exactly as the coordinator and frontend do, so the protocol surface is
+what's pinned.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.cluster.node import VerificationNode, start_node
 from repro.cluster.protocol import (
     MSG_BATCH,
+    MSG_BATCH_REPLY,
     MSG_DIGEST,
     MSG_DIGEST_REPLY,
     MSG_FLUSH,
@@ -51,6 +53,15 @@ def flush(stream, token=1):
     return body
 
 
+def verify(stream, seq, frame):
+    """Send one batch and return the node's reply to it."""
+    stream.send(MSG_BATCH, (seq, frame))
+    mtype, body = stream.recv(timeout=10)
+    assert mtype == MSG_BATCH_REPLY
+    assert body.seq == seq
+    return body
+
+
 class TestProtocolSurface:
     def test_hello_ping_digest(self, rig, node):
         _, server, _ = rig
@@ -80,18 +91,21 @@ class TestProtocolSurface:
         stream = connect(node)
         try:
             stream.send(MSG_RELOAD, tagged_replica(server))
-            stream.send(MSG_BATCH, (3, b"".join(payloads)))
-            reply = flush(stream)
+            reply = verify(stream, 3, b"".join(payloads))
             (_, _, processed, malformed, counters,
              failures, crashed, unknown, _, last_seq, snapshot) = reply
             assert processed == 200 and malformed == 0
             assert counters[PASS] == 200
             assert failures == [] and crashed == [] and unknown == []
             assert last_seq == 3
-            assert snapshot.get("veridp_node_processed_total") is not None
-            # Flush zeroed the deltas: a second flush reports nothing new.
+            assert snapshot is None  # counts only; the receiver folds them
+            # The batch reply took the counts: a flush reports nothing new
+            # but brings the node's own families.
             reply = flush(stream, token=2)
             assert reply[2] == 0 and reply[4][PASS] == 0
+            assert reply[9] == 3  # the barrier names the last seq it saw
+            batches = reply[10].get("veridp_node_batches_total")
+            assert sum(batches["values"].values()) == 1
         finally:
             stream.close()
 
@@ -102,8 +116,7 @@ class TestProtocolSurface:
             stream.send(MSG_RELOAD, tagged_replica(server))
             good = healthy_payloads(scenario, net, 4)
             bad = [b"\x00" * REPORT_SIZE, good[0][:-1] + b"\xff"]
-            stream.send(MSG_BATCH, (1, b"".join(good + bad)))
-            reply = flush(stream)
+            reply = verify(stream, 1, b"".join(good + bad))
             processed, malformed = reply[2], reply[3]
             accounted = processed + malformed + len(reply[6]) + len(reply[7])
             assert accounted == 6
@@ -122,8 +135,7 @@ class TestMigrationSurface:
         stream = connect(node)
         try:
             # No replica loaded at all: everything is unknown.
-            stream.send(MSG_BATCH, (1, b"".join(payloads)))
-            reply = flush(stream)
+            reply = verify(stream, 1, b"".join(payloads))
             assert reply[2] == 0  # processed
             assert sorted(reply[7]) == sorted(payloads)  # unknown, intact
         finally:
@@ -142,13 +154,11 @@ class TestMigrationSurface:
         try:
             stream.send(MSG_RELOAD, replica)
             stream.send(MSG_PATCH, {wire: None})  # migrate the pair away
-            stream.send(MSG_BATCH, (1, target))
-            reply = flush(stream)
+            reply = verify(stream, 1, target)
             assert reply[2] == 0 and reply[7] == [target]
 
             stream.send(MSG_PATCH, {wire: replica[wire]})  # migrate it back
-            stream.send(MSG_BATCH, (2, target))
-            reply = flush(stream, token=2)
+            reply = verify(stream, 2, target)
             assert reply[2] == 1 and reply[4][PASS] == 1
         finally:
             stream.close()
@@ -159,10 +169,8 @@ class TestMigrationSurface:
         stream = connect(node)
         try:
             stream.send(MSG_RELOAD, tagged_replica(server, tenant="red"))
-            stream.send(MSG_BATCH, (1, b"".join(payloads)))
-            reply = flush(stream)
-            assert reply[2] == 96
-            family = reply[10].get("veridp_cluster_tenant_reports_total")
+            assert verify(stream, 1, b"".join(payloads))[2] == 96
+            family = flush(stream)[10].get("veridp_cluster_tenant_reports_total")
             assert family is not None
             tenant_total = 0.0
             for labels, value in family["values"].items():
@@ -183,8 +191,7 @@ class TestProcessMode:
             try:
                 stream.send(MSG_RELOAD, tagged_replica(server))
                 payloads = healthy_payloads(scenario, net, 64)
-                stream.send(MSG_BATCH, (1, b"".join(payloads)))
-                reply = flush(stream)
+                reply = verify(stream, 1, b"".join(payloads))
                 assert reply[2] == 64 and reply[4][PASS] == 64
             finally:
                 stream.close()

@@ -1,5 +1,6 @@
 """Length-prefixed message streams: framing, limits, and EOF behavior."""
 
+import pickle
 import socket
 import struct
 import threading
@@ -103,6 +104,29 @@ class TestFraming:
             with pytest.raises(socket.timeout):
                 server.recv(timeout=0.05)
         finally:
+            client.close()
+            server.close()
+
+    def test_back_to_back_messages_in_one_send_decode_in_order(self):
+        """1,000 messages written by one ``sendall`` (more bytes than one
+        receive buffer, so some straddle its end), with one message larger
+        than the buffer in the middle, come out whole and in order."""
+        bodies = [(i, bytes([i % 256]) * 100) for i in range(1000)]
+        bodies[500] = (500, b"\xcd" * (200 * 1024))
+        raw = b""
+        for body in bodies:
+            blob = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
+            raw += struct.pack(">IB", len(blob), MSG_BATCH) + blob
+        client, server = tcp_pair()
+        # More than a socket buffer may hold: send while the reader reads.
+        sender = threading.Thread(target=client._sock.sendall, args=(raw,))
+        sender.start()
+        try:
+            for body in bodies:
+                assert server.recv(timeout=5) == (MSG_BATCH, body)
+            assert server.received_messages == 1000
+        finally:
+            sender.join(timeout=5)
             client.close()
             server.close()
 

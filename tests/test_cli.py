@@ -118,6 +118,27 @@ class TestCommands:
         assert "self-drive: sent" in out
         assert "submitted" in out and "processed" in out
 
+    def test_serve_cluster_duration_runs_the_maintenance_loop(
+        self, capsys, monkeypatch
+    ):
+        """``--duration`` bounds the node watch, it does not skip it: a
+        node that dies mid-run is failed over before the deadline."""
+        from repro.cluster import VeriDPCluster
+
+        passes = []
+        check_nodes = VeriDPCluster.check_nodes
+
+        def counted(cluster):
+            passes.append(1)
+            return check_nodes(cluster)
+
+        monkeypatch.setattr(VeriDPCluster, "check_nodes", counted)
+        assert self.run("serve", "--topo", "ft4", "--cluster", "2",
+                        "--duration", "1.2") == 0
+        out = capsys.readouterr().out
+        assert len(passes) >= 2  # at t=0 and t=1 s, then at the deadline
+        assert "serve (cluster) statistics" in out
+
     def test_report_collates_results(self, capsys, tmp_path, monkeypatch):
         results = tmp_path / "benchmarks" / "results"
         results.mkdir(parents=True)
