@@ -483,8 +483,8 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
             print(f"self-drive: sent {sent} reports from {args.reports} packets")
         if args.duration is not None or args.reports == 0:
             # Serve until interrupted, or for --duration seconds: fail over
-            # dead nodes, resync the replicas and collect the nodes'
-            # metrics once a second either way.
+            # dead nodes, resync the replicas and dispatch the partial
+            # batches once a second either way.
             deadline = None
             if args.duration is not None:
                 deadline = _time.monotonic() + args.duration

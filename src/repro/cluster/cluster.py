@@ -85,20 +85,14 @@ class VeriDPCluster:
     def submit_frame(self, frame) -> int:
         return self.frontend.submit_frame(frame)
 
-    def submit_many(self, payloads) -> int:
-        count = 0
-        for payload in payloads:
-            if self.frontend.submit(payload):
-                count += 1
-        return count
-
     # -- orchestration (delegation) ----------------------------------------
 
     def join(self, timeout: float = 30.0) -> None:
         self.coordinator.join(timeout=timeout)
 
-    def flush(self, timeout: float = 10.0) -> int:
-        return self.coordinator.flush(timeout=timeout)
+    def flush(self) -> None:
+        """Dispatch every partial buffer (the serve loop's timer tick)."""
+        self.frontend.flush_buffers()
 
     def resync(self):
         return self.coordinator.resync()

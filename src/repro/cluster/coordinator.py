@@ -49,8 +49,6 @@ from .node import NodeHandle, start_node
 from .protocol import (
     MSG_DIGEST,
     MSG_DIGEST_REPLY,
-    MSG_FLUSH,
-    MSG_FLUSH_REPLY,
     MSG_PATCH,
     MSG_PING,
     MSG_PONG,
@@ -113,10 +111,10 @@ class ClusterCoordinator:
         #: Serialises the authoritative server between those merges and
         #: the resync that reads its table.
         self._server_lock = threading.Lock()
-        #: Node-side metrics: every batch reply's counts are folded in,
-        #: the nodes' own families are merged at each flush barrier.
+        #: Node-side metrics: every batch reply's counts and figures are
+        #: folded in as it arrives (the nodes keep none of their own).
         self.registry = MetricsRegistry()
-        self._node_families = VerdictFamilies(self.registry, "node")
+        self._node_families = VerdictFamilies(self.registry, "node", tenants=True)
         self.registry.gauge(
             "veridp_in_flight",
             "Rows the frontend accepted that have no verdict yet.",
@@ -149,7 +147,6 @@ class ClusterCoordinator:
         self.resync_pairs = 0
         self.full_resyncs = 0
         self.resync_delta_bytes = 0
-        self.flushes = 0
         self.frontend.on_reply = self._merge_reply
         sync = self._sync()
         self._load(sync.specs[0])
@@ -487,7 +484,7 @@ class ClusterCoordinator:
                 if owner is not None:
                     self.frontend.placement[key] = owner
 
-    # -- flush / aggregation -----------------------------------------------
+    # -- drain / aggregation -----------------------------------------------
 
     def _drain(self, node_ids: List[str], timeout: float = 10.0) -> None:
         """Dispatch the buffers, then wait until ``node_ids`` answered every
@@ -495,32 +492,6 @@ class ClusterCoordinator:
         does not answer in time keeps its batches un-acked for failover."""
         self.frontend.flush_buffers()
         self.frontend.wait_retired(timeout, node_ids)
-
-    def flush(self, timeout: float = 10.0) -> int:
-        """One barrier round over every member's control connection.
-
-        Verdicts do not wait for it (each batch reply is merged as it
-        arrives); the reply brings the node's metrics snapshot.  Returns
-        how many members answered.
-        """
-        with self._lock:
-            members = list(self._members.values())
-        answered = 0
-        for member in members:
-            try:
-                with member.lock:
-                    token = member.token()
-                    member.control.send(MSG_FLUSH, (token,))
-                    while True:
-                        mtype, body = member.control.recv(timeout=timeout)
-                        if mtype == MSG_FLUSH_REPLY and body.token == token:
-                            break
-            except (OSError, ConnectionError):
-                continue  # check_nodes() will fail it over
-            self.registry.merge(body.metrics)
-            answered += 1
-        self.flushes += 1
-        return answered
 
     def _merge_reply(self, delta: Delta) -> None:
         """Fold one batch reply into the ledger (the frontend's
@@ -570,7 +541,7 @@ class ClusterCoordinator:
 
     def join(self, timeout: float = 30.0) -> None:
         """Dispatch the buffers and wait until every accepted row has its
-        verdict (end of stream), then run one :meth:`flush` barrier."""
+        verdict (end of stream)."""
         deadline = time.monotonic() + timeout
         while True:
             self.frontend.flush_buffers()
@@ -582,7 +553,6 @@ class ClusterCoordinator:
                     f"cluster join timed out with {self.frontend.in_flight} "
                     "rows in flight"
                 )
-        self.flush()
 
     # -- convergence -------------------------------------------------------
 
@@ -651,14 +621,13 @@ class ClusterCoordinator:
                 "resync_pairs": self.resync_pairs,
                 "full_resyncs": self.full_resyncs,
                 "resync_delta_bytes": self.resync_delta_bytes,
-                "flushes": self.flushes,
             })
         out["frontend"] = self.frontend.stats()
         out["tenants"] = self.tenant_totals()
         return out
 
     def metrics_endpoint(self, host: str = "127.0.0.1", port: int = 0):
-        """An HTTP ``/metrics`` endpoint over the merged node registries."""
+        """An HTTP ``/metrics`` endpoint over the folded node families."""
         return Observability(registry=self.registry).endpoint(
             host=host, port=port, varz=self.stats
         )

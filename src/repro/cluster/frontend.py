@@ -14,7 +14,7 @@ Routing is two-layered:
   routed report never races its own replica,
 * the **hash ring** as the fallback for keys the coordinator has not
   pinned (fresh pairs mid-churn); a miss on the far side comes back in
-  the flush reply and is re-ingested by the coordinator, so the fallback
+  the batch reply and is re-ingested by the coordinator, so the fallback
   only costs latency, never correctness.
 
 Tenant awareness (PR 8): every pair owned by a slice routes under the key
@@ -51,7 +51,7 @@ from ..core.ingest import (
 )
 from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
-from .protocol import MSG_BATCH, MSG_BATCH_REPLY, MessageStream
+from .protocol import MSG_BATCH, MessageStream
 from .ring import HashRing
 
 __all__ = [
@@ -95,10 +95,11 @@ class ClusterFrontend:
     coordinator and test harnesses may all call in concurrently.
 
     ``on_reply(delta)`` is called for each batch reply whose seq is still
-    un-acked, with the link's lock held; the batch retires when it returns.
-    A reply that finds its batch gone (surrendered by :meth:`detach_node`)
-    is dropped: the redelivery counts that batch.  Without a handler,
-    batches retire only through :meth:`ack`.
+    un-acked, with the link's lock held; the batch retires when it returns,
+    and that is the only way a batch retires.  A reply that finds its batch
+    gone (surrendered by :meth:`detach_node`) is dropped: the redelivery
+    counts that batch.  Until a handler is installed nothing retires, so a
+    bare frontend keeps every dispatched batch in its redelivery set.
     """
 
     def __init__(self, batch_size: int = 256, persist=None) -> None:
@@ -144,16 +145,15 @@ class ClusterFrontend:
         """A link's reader thread: merge each batch reply as it arrives."""
         while True:
             try:
-                mtype, delta = link.stream.recv()
+                _mtype, delta = link.stream.recv()
             except OSError:
                 # The connection is gone: stop dispatching to it; its
                 # un-acked batches wait for the failover to redeliver them.
                 link.dead = True
                 return
-            if mtype != MSG_BATCH_REPLY or self.on_reply is None:
-                continue
+            # A node answers nothing but batches on the data connection.
             with link.lock:
-                if delta.seq not in link.unacked:
+                if self.on_reply is None or delta.seq not in link.unacked:
                     continue
                 self.on_reply(delta)
                 self._retire_locked(link, [delta.seq])
@@ -353,18 +353,6 @@ class ClusterFrontend:
                     continue
                 batch = self._take_batch_locked(link)
             self._send(link, *batch)
-
-    def ack(self, node_id: str, last_seq: int) -> int:
-        """Retire every batch up to ``last_seq`` without merging a reply;
-        returns how many retired."""
-        with self._route_lock:
-            link = self._links.get(node_id)
-        if link is None:
-            return 0
-        with link.lock:
-            seqs = [seq for seq in link.unacked if seq <= last_seq]
-            self._retire_locked(link, seqs)
-        return len(seqs)
 
     def _retire_locked(self, link: _NodeLink, seqs: List[int]) -> None:
         """Drop answered batches from the redelivery set (``link.lock`` held)."""

@@ -23,14 +23,14 @@ under membership change (DESIGN.md §14):
   during a rebalance the pair may simply be in flight to another node,
   and only the coordinator (holding the authoritative table) can tell a
   routing race from a genuinely unknown pair,
-* **verdict families on the receiving side** — a batch reply carries
-  counts only; the coordinator folds them into ``veridp_node_*`` as they
-  arrive, and the ``MSG_FLUSH`` barrier brings the node's own families
-  (batch timing, vector rows, fallbacks, tenants),
+* **metrics on the receiving side** — the node keeps none: a batch reply
+  carries the batch's counts and figures (timing, vector rows, fallbacks,
+  per-tenant rows) as plain values, and the coordinator folds them into
+  ``veridp_node_*`` as they arrive,
 * **tenant attribution** — pair specs arrive tagged with their owning
-  tenant, and the replica counts per-tenant reports under a ``node``
-  label, so ``veridp_cluster_tenant_reports_total`` aggregates across the
-  fleet by summing out the node label.
+  tenant, and the replica counts each batch's rows per tenant, which the
+  coordinator folds into ``veridp_cluster_tenant_reports_total`` under a
+  ``node`` label (sum it out for the fleet-wide totals).
 
 A node is deliberately ignorant of topology, codec and BDD manager — its
 replica is flat integer arrays, exactly like a shard worker's.
@@ -49,8 +49,6 @@ from .protocol import (
     MSG_BATCH_REPLY,
     MSG_DIGEST,
     MSG_DIGEST_REPLY,
-    MSG_FLUSH,
-    MSG_FLUSH_REPLY,
     MSG_HELLO,
     MSG_HELLO_REPLY,
     MSG_PATCH,
@@ -183,19 +181,13 @@ class VerificationNode:
             # The batch's counts and its seq are taken in one step, under
             # the lock: that atomicity is the exactly-once ack (DESIGN.md
             # §14.3).  The send waits outside it, so a slow reader upstream
-            # never holds up the control connection's patches and flushes.
+            # never holds up the control connection's patches and pings.
             with self._state_lock:
                 replica.verify(frame)
                 if seq > self._last_seq:
                     self._last_seq = seq
-                delta = replica.drain(0, seq)
+                delta = replica.drain(seq)
             stream.send(MSG_BATCH_REPLY, delta)
-        elif mtype == MSG_FLUSH:
-            # A barrier: every batch was already answered, so the reply
-            # carries no counts, only the metrics snapshot.
-            with self._state_lock:
-                delta = replica.take(body[0], self._last_seq)
-            stream.send(MSG_FLUSH_REPLY, delta)
         elif mtype == MSG_PATCH:
             with self._state_lock:
                 replica.patch(*_untag(body))

@@ -30,8 +30,8 @@ The frontend keeps every dispatched batch un-acked until its reply is
 merged; a node that dies mid-stream loses the counts of every batch it
 never replied to, so redelivering the un-acked batches to the surviving
 nodes counts every verdict exactly once (no lost and no duplicated
-verdicts — see DESIGN.md §14).  ``FLUSH`` is a barrier on the control
-connection that carries the node's metrics snapshot.
+verdicts — see DESIGN.md §14).  The batch reply is the only message that
+carries counts or metrics: a node keeps none of its own.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "MSG_HELLO_REPLY",
     "MSG_BATCH",
     "MSG_BATCH_REPLY",
-    "MSG_FLUSH",
-    "MSG_FLUSH_REPLY",
     "MSG_PATCH",
     "MSG_RELOAD",
     "MSG_DIGEST",
@@ -66,8 +64,7 @@ __all__ = [
 MSG_HELLO = 1  # (sender_kind,) -> expects MSG_HELLO_REPLY
 MSG_HELLO_REPLY = 2  # (node_id, pair_count)
 MSG_BATCH = 3  # (seq, frame) -> expects MSG_BATCH_REPLY
-MSG_FLUSH = 4  # (token,) -> expects MSG_FLUSH_REPLY
-MSG_FLUSH_REPLY = 5  # Delta: the metrics snapshot, no counts (see node.py)
+# Types 4 and 5 (a flush barrier and its reply) are retired: never reuse.
 MSG_PATCH = 6  # {pair_key: (spec, tenant) | None} — apply delta, no reply
 MSG_RELOAD = 7  # {pair_key: (spec, tenant)} — replace replica, no reply
 MSG_DIGEST = 8  # (token,) -> expects MSG_DIGEST_REPLY
@@ -75,14 +72,12 @@ MSG_DIGEST_REPLY = 9  # (node_id, token, sha1hex)
 MSG_PING = 10  # (seq,) -> expects MSG_PONG
 MSG_PONG = 11  # (node_id, seq)
 MSG_STOP = 12  # () — node exits its serve loop
-MSG_BATCH_REPLY = 13  # Delta: one batch's counts, failures and seq
+MSG_BATCH_REPLY = 13  # Delta: one batch's counts, figures, failures and seq
 
 _NAMES = {
     MSG_HELLO: "hello",
     MSG_HELLO_REPLY: "hello_reply",
     MSG_BATCH: "batch",
-    MSG_FLUSH: "flush",
-    MSG_FLUSH_REPLY: "flush_reply",
     MSG_PATCH: "patch",
     MSG_RELOAD: "reload",
     MSG_DIGEST: "digest",

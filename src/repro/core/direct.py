@@ -299,7 +299,7 @@ class VeriDPDaemon:
             "Dead letters past the retry budget.",
             callback=lambda: self.dead_letters.quarantined,
         )
-        self._batch_hist = reg.histogram(
+        self._batch_seconds = reg.histogram(
             "veridp_verify_batch_seconds",
             "Wall-clock seconds spent verifying one batch of reports.",
             buckets=DEFAULT_BUCKETS,
@@ -523,15 +523,9 @@ class VeriDPDaemon:
             server.table, server.hs, server.codec, 1, self._dirty_token
         )
         if replica is None:
-            # Every malformed row is dead-lettered here, so keep them all;
-            # the batch time goes to the daemon's own histogram.
+            # Every malformed row is dead-lettered here, so keep them all.
             replica = self._replica = ShardReplica(
-                "direct",
-                0,
-                self._packing,
-                sync.specs[0],
-                sample_cap=math.inf,
-                batch_hist=self._batch_hist,
+                "direct", 0, self._packing, sync.specs[0], sample_cap=math.inf
             )
         elif sync.full:
             replica.reload(sync.specs[0])
@@ -551,6 +545,7 @@ class VeriDPDaemon:
             with self.obs.span("verify", reports=n):
                 wire_pass = replica.verify(payload)
             delta = replica.drain()
+        self._batch_seconds.observe(delta.seconds)
         if replica.vector and n >= _VECTOR_MIN_BATCH:
             self._call_rows_hist.observe(n)
         passed = delta.counters[_PASS]

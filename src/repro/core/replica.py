@@ -4,7 +4,7 @@ VeriDP's server work (paper Section 4.3, Algorithm 3) is one lookup and one
 header-set test per report against the ``(inport, outport)`` path table.
 A :class:`ShardReplica` holds that table for a slice of the pairs, compiled
 to flat integer arrays (no codec, topology or BDD manager), verifies wire
-frames against it and keeps what it found until the transport asks for it.
+frames against it and keeps what it found until the transport drains it.
 Three transports carry one:
 
 * the direct daemon's worker threads
@@ -17,10 +17,10 @@ Three transports carry one:
 
 All three speak the same verbs — :meth:`~ShardReplica.verify`,
 :meth:`~ShardReplica.patch`, :meth:`~ShardReplica.reload`,
-:meth:`~ShardReplica.digest`, :meth:`~ShardReplica.drain` (after every
-batch) and :meth:`~ShardReplica.take` (the remote transports' flush
-barrier) — and hand back the same :class:`Delta` record.  Its owner folds
-each delta's counts into the ``veridp_<role>_*`` verdict families
+:meth:`~ShardReplica.digest` and :meth:`~ShardReplica.drain` (after every
+batch) — and hand back the same :class:`Delta` record, the one reply a
+replica sends.  The replica keeps no metrics: its owner folds each delta's
+counts and batch figures into the ``veridp_<role>_*`` families
 (:class:`VerdictFamilies`) as it arrives.  The rows it flags go to one
 server intake,
 :meth:`~repro.core.server.VeriDPServer.receive_report_rows`, whose verdict
@@ -292,19 +292,17 @@ def _verify_wire(
 
 
 class Delta(NamedTuple):
-    """What one replica verified since its last take or drain.
+    """What one replica verified since its last drain: one batch.
 
-    Every transport drains one per batch: the direct daemon in-thread, a
-    shard worker as ``("batch", delta)``, a cluster node as the
-    ``MSG_BATCH_REPLY`` body.  The remote transports' flush barrier
-    (``("flush", delta)``, ``MSG_FLUSH_REPLY``) is a :meth:`ShardReplica.take`
-    whose counts are empty and whose ``metrics`` carries the snapshot.
+    The one reply every transport sends, once per batch: the direct daemon
+    drains it in-thread, a shard worker sends ``("batch", delta)``, a
+    cluster node sends it as the ``MSG_BATCH_REPLY`` body.  Besides the
+    verdicts it carries the batch's own figures as plain values, which the
+    owner folds into its metric families (:class:`VerdictFamilies`).
     """
 
     #: The replica's id: shard index or node id.
     source: object
-    #: The flush request this answers.
-    token: int
     processed: int
     malformed: int
     #: Verdict value -> count.
@@ -320,22 +318,31 @@ class Delta(NamedTuple):
     malformed_sample: List[bytes]
     #: The batch seq this answers (the frontend's ack; 0 for shards).
     seq: int
-    #: ``snapshot(reset=True)`` of the replica's metric families (``None``
-    #: from :meth:`ShardReplica.drain`).
-    metrics: object
+    #: Wall-clock seconds the replica spent verifying.
+    seconds: float
+    #: Rows whose verdict came from the vector kernel.
+    vector_rows: int
+    #: Scalar-matcher downgrades by kind (``small``, ``batch``, ``row``).
+    fallbacks: Dict[str, int]
+    #: Rows per owning tenant (tagged replicas only).
+    tenants: Dict[str, int]
 
 
 class VerdictFamilies:
-    """The ``veridp_<role>_*`` verdict families, kept where deltas land.
+    """The ``veridp_<role>_*`` families, kept where deltas land.
 
     A replica's owner — the sharded daemon, the cluster coordinator —
     folds every :class:`Delta` in as it arrives, labelled by its source:
     the replica's own verdicts (before the server's intake settles its
-    failures), so a scrape matches the owner's ledger at every moment, a
-    worker that dies before its next flush included.
+    failures) and the batch's timing, vector rows and fallbacks, so a
+    scrape matches the owner's ledger at every moment, a worker that dies
+    before its next batch included.  ``tenants`` adds
+    ``veridp_cluster_tenant_reports_total`` (tagged replicas).
     """
 
-    def __init__(self, registry: MetricsRegistry, role: str) -> None:
+    def __init__(
+        self, registry: MetricsRegistry, role: str, tenants: bool = False
+    ) -> None:
         def family(suffix: str, text: str, *labels: str):
             return registry.counter(f"veridp_{role}_{suffix}", text, (role, *labels))
 
@@ -348,6 +355,32 @@ class VerdictFamilies:
         self._verdicts = family(
             "verifications_total", f"Verdicts, by verdict and {role}.", "verdict"
         )
+        self._seconds = registry.histogram(
+            f"veridp_{role}_batch_seconds",
+            f"Wall-clock seconds one {role} replica spent verifying one batch.",
+            (role,),
+            buckets=DEFAULT_BUCKETS,
+        )
+        self._batches = family("batches_total", f"Batches a {role} replica verified.")
+        self._vector_rows = family(
+            "vector_reports_total",
+            f"Payloads a {role} replica verified through the vector kernel.",
+        )
+        self._fallbacks = family(
+            "vector_fallback_total",
+            "Vector-path downgrades to the scalar matcher, by kind: a whole "
+            "batch (kernel error), a single row (irregular pair), or a batch "
+            "below the crossover size.",
+            "kind",
+        )
+        self._tenants = None
+        if tenants:
+            self._tenants = registry.counter(
+                "veridp_cluster_tenant_reports_total",
+                f"Reports verified per owning tenant, by {role} (sum out the "
+                f"{role} label for the fleet-wide per-tenant totals).",
+                (role, "tenant"),
+            )
 
     def fold(self, delta: Delta) -> None:
         label = str(delta.source)
@@ -357,25 +390,31 @@ class VerdictFamilies:
         for verdict, count in delta.counters.items():
             if count:
                 self._verdicts.labels(label, verdict).inc(count)
+        self._seconds.labels(label).observe(delta.seconds)
+        self._batches.labels(label).inc()
+        self._vector_rows.labels(label).inc(delta.vector_rows)
+        for kind, count in delta.fallbacks.items():
+            self._fallbacks.labels(label, kind).inc(count)
+        if self._tenants is not None:
+            for tenant, count in delta.tenants.items():
+                self._tenants.labels(label, tenant).inc(count)
 
 
 class ShardReplica:
     """A compiled slice of the path table that verifies wire frames.
 
-    ``role`` names the metric families (``veridp_<role>_*``) and their id
-    label; ``ident`` is the label value and the :attr:`Delta.source` of
-    every reply.  ``set_aside_unknown`` is the one behavioural switch
-    between the transports (see the module docstring); ``sample_cap``
-    bounds the bad-version payloads kept per window; ``port_limit`` (the
-    server codec's :attr:`~repro.core.reports.PortCodec.id_limit`) makes a
-    row whose port id no switch owns malformed, as the server's decode
-    calls it, instead of an unknown pair, and keeps every such payload;
-    ``batch_hist`` is the histogram each batch's wall-clock time goes to
-    (by default the replica's own ``veridp_<role>_batch_seconds``).
+    ``role`` names the transport (``direct``, ``shard`` or ``node``: the
+    ``veridp_<role>_*`` families its owner folds the deltas into);
+    ``ident`` is the :attr:`Delta.source` of every reply.
+    ``set_aside_unknown`` is the one behavioural switch between the
+    transports (see the module docstring); ``sample_cap`` bounds the
+    bad-version payloads kept per window; ``port_limit`` (the server
+    codec's :attr:`~repro.core.reports.PortCodec.id_limit`) makes a row
+    whose port id no switch owns malformed, as the server's decode calls
+    it, instead of an unknown pair, and keeps every such payload.
 
-    Verdict counting stays on plain ints and leaves in each :class:`Delta`;
-    the replica's own metric families see a per-batch timing observation
-    and, in :meth:`take`, the batch and vector-row totals.  Not
+    Everything the replica counts stays on plain ints and dicts and leaves
+    in each :class:`Delta`; the replica keeps no metrics.  Not
     thread-safe: a transport serialises calls.
     """
 
@@ -388,10 +427,9 @@ class ShardReplica:
         set_aside_unknown: bool = False,
         sample_cap: float = _MALFORMED_SAMPLE,
         port_limit: float = math.inf,
-        batch_hist=None,
     ) -> None:
+        self.role = role
         self.ident = ident
-        self.label = str(ident)
         self.packing = tuple(packing)
         self.port_limit = port_limit
         #: (in_wire, out_wire) -> compiled pair spec.
@@ -400,12 +438,8 @@ class ShardReplica:
         self.tenants: Dict[Tuple[int, int], str] = {}
         self.set_aside_unknown = set_aside_unknown
         self.sample_cap = sample_cap
-        self._role = role
         self._kernel = wire_kernel(self.pairs, self.packing)
-        self.batches = 0
-        self.vector_rows = 0
         self._reset()
-        self._register_metrics(batch_hist)
 
     @property
     def vector(self) -> bool:
@@ -420,35 +454,10 @@ class ShardReplica:
         self.crashed: List[Tuple[bytes, str]] = []
         self.unknown: List[bytes] = []
         self.malformed_sample: List[bytes] = []
-
-    def _register_metrics(self, batch_hist) -> None:
-        role, label = self._role, self.label
-        reg = self.registry = MetricsRegistry()
-
-        def own(suffix: str, text: str):
-            return reg.counter(f"veridp_{role}_{suffix}", text, (role,)).labels(label)
-
-        if batch_hist is None:
-            batch_hist = reg.histogram(
-                f"veridp_{role}_batch_seconds",
-                f"Wall-clock seconds one {role} replica spent verifying one batch.",
-                (role,),
-                buckets=DEFAULT_BUCKETS,
-            ).labels(label)
-        self._batch_hist = batch_hist
-        self._batches = own("batches_total", f"Batches a {role} replica verified.")
-        self._vector_reports = own(
-            "vector_reports_total",
-            f"Payloads a {role} replica verified through the vector kernel.",
-        )
-        self._vector_fallback = reg.counter(
-            f"veridp_{role}_vector_fallback_total",
-            "Vector-path downgrades to the scalar matcher, by kind: a whole "
-            "batch (kernel error), a single row (irregular pair), or a batch "
-            "below the crossover size.",
-            (role, "kind"),
-        )
-        self._tenant_family = None
+        self.seconds = 0.0
+        self.vector_rows = 0
+        self.fallbacks: Dict[str, int] = {}
+        self.tenant_rows: Dict[str, int] = {}
 
     # -- replica state -----------------------------------------------------
 
@@ -478,17 +487,8 @@ class ShardReplica:
 
     def _tag(self, tenants: Optional[Dict]) -> None:
         """Record tenant owners; a tagged replica counts reports per tenant."""
-        if tenants is None:
-            return
-        if self._tenant_family is None:
-            self._tenant_family = self.registry.counter(
-                "veridp_cluster_tenant_reports_total",
-                f"Reports verified per owning tenant, by {self._role} (sum "
-                f"out the {self._role} label for the fleet-wide per-tenant "
-                "totals).",
-                (self._role, "tenant"),
-            )
-        self.tenants.update((k, t) for k, t in tenants.items() if t)
+        if tenants is not None:
+            self.tenants.update((k, t) for k, t in tenants.items() if t)
 
     def digest(self) -> str:
         return replica_digest(self.pairs)
@@ -510,14 +510,14 @@ class ShardReplica:
         pass_rows = 0
         if self._kernel is not None and n:
             if n < MIN_BATCH:
-                self._vector_fallback.labels(self.label, "small").inc()
+                self._fallback("small")
             else:
                 try:
                     codes = self._kernel.verify_frame(frame)
                 except Exception:
                     # A kernel bug must never change a verdict: redo the
                     # whole batch with the scalar matcher.
-                    self._vector_fallback.labels(self.label, "batch").inc()
+                    self._fallback("batch")
         if codes is None:
             for start in range(0, len(frame), REPORT_SIZE):
                 self._verify_scalar(frame[start : start + REPORT_SIZE])
@@ -533,7 +533,7 @@ class ShardReplica:
                 code = int(codes[i])
                 payload = frame[i * REPORT_SIZE : (i + 1) * REPORT_SIZE]
                 if code == VSCALAR:
-                    self._vector_fallback.labels(self.label, "row").inc()
+                    self._fallback("row")
                     self._verify_scalar(payload)
                 elif code == VMALFORMED:
                     self._count_malformed(payload)
@@ -547,9 +547,11 @@ class ShardReplica:
             self.vector_rows += vector_rows
         if self.tenants and n:
             self._count_tenants(frame, n)
-        self._batch_hist.observe(time.perf_counter() - started)
-        self.batches += 1
+        self.seconds += time.perf_counter() - started
         return pass_rows
+
+    def _fallback(self, kind: str) -> None:
+        self.fallbacks[kind] = self.fallbacks.get(kind, 0) + 1
 
     def _verify_scalar(self, payload: bytes) -> None:
         # Decode first, exactly like the kernel: a bad-version row is
@@ -595,19 +597,15 @@ class ShardReplica:
         for key32, count in zip(uniq.tolist(), counts.tolist()):
             tenant = self.tenants.get((key32 >> 16, key32 & 0xFFFF))
             if tenant:
-                self._tenant_family.labels(self.label, tenant).inc(count)
+                self.tenant_rows[tenant] = self.tenant_rows.get(tenant, 0) + count
 
-    # -- flush ---------------------------------------------------------------
+    # -- reply -------------------------------------------------------------
 
-    def drain(self, token: int = 0, seq: int = 0) -> Delta:
-        """Return the verdicts pending since the last drain, and reset them.
-
-        Every transport's per-batch call: the metric families are left
-        alone (``metrics`` is ``None``).
-        """
+    def drain(self, seq: int = 0) -> Delta:
+        """Return what was verified since the last drain, and reset it:
+        every transport's per-batch reply, ``seq`` the batch it answers."""
         delta = Delta(
             self.ident,
-            token,
             self.processed,
             self.malformed,
             self.counters,
@@ -616,17 +614,10 @@ class ShardReplica:
             self.unknown,
             self.malformed_sample,
             seq,
-            None,
+            self.seconds,
+            self.vector_rows,
+            self.fallbacks,
+            self.tenant_rows,
         )
         self._reset()
         return delta
-
-    def take(self, token: int, seq: int = 0) -> Delta:
-        """:meth:`drain`, with the batch and vector-row totals folded into
-        the metric families and their ``snapshot(reset=True)`` attached:
-        the flush reply of the remote transports."""
-        self._batches.inc(self.batches)
-        self._vector_reports.inc(self.vector_rows)
-        self.batches = self.vector_rows = 0
-        delta = self.drain(token, seq)
-        return delta._replace(metrics=self.registry.snapshot(reset=True))

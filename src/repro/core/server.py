@@ -340,12 +340,12 @@ class VeriDPServer:
             "only dirty pairs, so this stays near the pair count).",
             callback=lambda: getattr(self.table, "vector_kernel_compiles", 0),
         )
-        vector_batch_hist = reg.histogram(
+        vector_batch_seconds = reg.histogram(
             "veridp_vector_batch_size",
             "Distribution of batch sizes fed to the vector kernel.",
             buckets=(32, 64, 128, 256, 512, 1024, 4096, 16384, 65536),
         )
-        self.verifier.vector_batch_observer = vector_batch_hist.observe
+        self.verifier.vector_batch_observer = vector_batch_seconds.observe
         reg.counter(
             "veridp_build_parallel_fallback",
             "Parallel path-table builds downgraded to serial by the "

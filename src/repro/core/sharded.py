@@ -79,7 +79,6 @@ def _shard_worker_main(
 
         ("batch", frame)            verify a concatenated payload frame,
                                     reply ("batch", Delta) on results
-        ("flush", token)            reply ("flush", Delta) on results
         ("ping", seq)               reply ("pong", worker_id, seq) on hb_queue
         ("reload", pairs)           swap the compiled replica in place
         ("patch", {key: spec|None}) apply a pair delta: None drops the pair
@@ -92,10 +91,10 @@ def _shard_worker_main(
     A payload can never kill the worker (the replica counts undecodable
     payloads and ships verification crashes back as records), and a shard
     replica covers its whole hash shard, so an unknown pair is a verdict.
-    A batch reply carries counts only (the parent folds them into the
-    ``veridp_shard_*`` verdict families); a flush reply is a barrier with
-    no counts whose metrics snapshot carries the replica's own families,
-    labelled by shard id so they never collide with the parent's.
+    The batch's :class:`~repro.core.replica.Delta` is the only reply and
+    the worker keeps no metrics: the parent folds each delta's counts and
+    batch figures into the ``veridp_shard_*`` families on arrival, so a
+    worker killed between batches takes nothing unreported with it.
     """
     replica = ShardReplica("shard", worker_id, packing, pairs, port_limit=port_limit)
     while True:
@@ -104,8 +103,6 @@ def _shard_worker_main(
         if kind == "batch":
             replica.verify(message[1])
             results.send(("batch", replica.drain()))
-        elif kind == "flush":
-            results.send(("flush", replica.take(message[1])))
         elif kind == "ping":
             hb_queue.put(("pong", worker_id, message[1]))
         elif kind == "reload":
@@ -141,9 +138,9 @@ class ShardedVeriDPDaemon:
     exactly as in the single-process server — and the counters follow the
     server's verdicts.
 
-    ``join()`` dispatches the shard buffers and waits until every worker
-    answered everything sent to it (a flush barrier behind the batches).
-    Call it before reading :meth:`stats` for exact figures.
+    ``join()`` dispatches the shard buffers and waits until no accepted row
+    is left without a verdict.  Call it before reading :meth:`stats` for
+    exact figures.
 
     Resilience: a :class:`WorkerSupervisor` polls worker liveness
     (``exitcode`` + heartbeat pings) and restarts dead or wedged workers
@@ -235,7 +232,6 @@ class ShardedVeriDPDaemon:
         self._generations: List[int] = []
         self._last_pong: List[float] = []
         self._ping_seq = 0
-        self._flush_token = 0
         self._replica_version = -1
         self._dirty_token: Optional[Tuple[int, int]] = None
         self._digest_seq = 0
@@ -253,13 +249,13 @@ class ShardedVeriDPDaemon:
         self._dispatch_lock = threading.Lock()
         self._merge_lock = threading.Lock()
         self._server_mutex = threading.Lock()
-        #: The collector thread and what it recorded for waiters: the last
-        #: flush token and ``(token, digest)`` each shard answered.
+        #: The collector thread and what it recorded for waiters: the
+        #: ``(token, digest)`` each shard answered.  ``_replies`` is notified
+        #: after every settled batch and every digest.
         self._collector: Optional[threading.Thread] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         self._replies = threading.Condition()
-        self._flushed: List[int] = []
         self._digests: Dict[int, Tuple[int, str]] = {}
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervise:
@@ -302,10 +298,10 @@ class ShardedVeriDPDaemon:
 
         Re-registers the ingestion families the server/threaded daemon may
         already own (latest owner wins); the per-shard ``veridp_shard_*``
-        families are folded from every delta and merged from the workers'
-        flush snapshots in :meth:`_settle`.  When degraded, the callbacks
-        fold in the fallback daemon's figures — the fallback itself runs on
-        a private registry so its own registrations cannot clobber these.
+        families are folded from every delta in :meth:`_settle`.  When
+        degraded, the callbacks fold in the fallback daemon's figures — the
+        fallback itself runs on a private registry so its own registrations
+        cannot clobber these.
         """
         reg = self.obs.registry
 
@@ -446,17 +442,22 @@ class ShardedVeriDPDaemon:
         )
 
     def _in_flight(self) -> int:
-        """Rows accepted and not yet given a verdict: buffered parent-side,
-        or dispatched to a live worker generation that has not answered."""
+        """Rows accepted and not yet given a verdict."""
         fallback = self._fallback
         if fallback is not None:
             return fallback.stats()["queued"]
+        return sum(self._owed())
+
+    def _owed(self) -> List[int]:
+        """Rows each shard owes a verdict: buffered parent-side, or
+        dispatched to a live worker generation that has not answered."""
         with self._merge_lock:
-            dispatched = sum(
-                max(0, d - a - w)
-                for d, a, w in zip(self._dispatched, self._accounted, self._written_off)
-            )
-        return sum(self._fcounts) + dispatched
+            return [
+                f + max(0, d - a - w)
+                for f, d, a, w in zip(
+                    self._fcounts, self._dispatched, self._accounted, self._written_off
+                )
+            ]
 
     def _merged_verdicts(self) -> Dict[tuple, int]:
         with self._merge_lock:
@@ -500,7 +501,6 @@ class ShardedVeriDPDaemon:
         self._written_off = [0] * self.workers
         self._generations = [0] * self.workers
         self._last_pong = [time.monotonic()] * self.workers
-        self._flushed = [0] * self.workers
         self._wake_r, self._wake_w = socket.socketpair()
         for worker_id in range(self.workers):
             self._spawn_worker(worker_id, sync.specs[worker_id])
@@ -774,9 +774,10 @@ class ShardedVeriDPDaemon:
             self._supervisor.check_once()
 
     def join(self, timeout: float = 60.0) -> None:
-        """Dispatch the buffers and wait until every worker answered all of
-        it: a flush barrier queued behind the batches, answered behind
-        their deltas, which the collector has settled by then."""
+        """Dispatch the buffers and wait until every accepted row has its
+        verdict (:meth:`_in_flight` reads 0), reviving dead workers while
+        it waits; raises ``RuntimeError`` naming the shards still owing
+        rows at the deadline."""
         fallback = self._fallback
         if fallback is not None:
             fallback.join()
@@ -791,43 +792,22 @@ class ShardedVeriDPDaemon:
             ]
         for shard, (chunks, rows) in batches:
             self._dispatch(shard, chunks, rows)
-        if self._fallback is not None:  # degraded while dispatching
-            self._fallback.join()
-            return
-        self._flush_token += 1
-        token = self._flush_token
-        sent_generation = {}
-        for shard in range(self.workers):
-            self._send_flush(shard, token)
-            sent_generation[shard] = self._generations[shard]
         deadline = time.monotonic() + timeout
         while True:
-            if self._fallback is not None:  # degraded while flushing
+            if self._fallback is not None:  # degraded while waiting
                 self._fallback.join()
                 return
             with self._replies:
-                self._replies.wait_for(
-                    lambda: min(self._flushed) >= token, timeout=0.05
-                )
-                pending = [s for s in range(self.workers) if self._flushed[s] < token]
-            if not pending:
-                return
-            # A worker is slow or gone: revive the dead, and re-send the
-            # flush token to any shard whose worker generation moved (a
-            # restarted worker never saw the original token).
+                if self._replies.wait_for(
+                    lambda: self._in_flight() == 0, timeout=0.05
+                ):
+                    return
+            # A worker is slow or gone: revive the dead (a restart writes
+            # off what its generation never answered).
             self._revive()
-            for shard in pending:
-                if self._generations[shard] != sent_generation[shard]:
-                    self._send_flush(shard, token)
-                    sent_generation[shard] = self._generations[shard]
             if time.monotonic() > deadline:
-                raise RuntimeError(f"shard workers {pending} did not flush in time")
-
-    def _send_flush(self, shard: int, token: int) -> None:
-        try:
-            self._in_queues[shard].put(("flush", token), timeout=1.0)
-        except queue.Full:  # pragma: no cover - resent via generation check
-            pass
+                owing = [shard for shard, rows in enumerate(self._owed()) if rows]
+                raise RuntimeError(f"shard workers {owing} did not answer in time")
 
     def _collect(self) -> None:
         """The collector thread: settle each worker reply as it arrives."""
@@ -866,13 +846,9 @@ class ShardedVeriDPDaemon:
                 self._digests[message[1]] = (message[2], message[3])
                 self._replies.notify_all()
             return
-        delta = message[1]
-        self._settle(delta)
-        if kind == "flush":
-            with self._replies:
-                if delta.token > self._flushed[delta.source]:
-                    self._flushed[delta.source] = delta.token
-                self._replies.notify_all()
+        self._settle(message[1])
+        with self._replies:
+            self._replies.notify_all()
 
     def _settle(self, delta: Delta) -> None:
         """Fold one worker delta into the consolidated counters."""
@@ -881,8 +857,6 @@ class ShardedVeriDPDaemon:
         # would serialise scrapes (whose callbacks take _merge_lock)
         # against every batch for no benefit.
         self._shard_families.fold(delta)
-        if delta.metrics is not None:
-            self.obs.registry.merge(delta.metrics)
         if not (delta.failures or delta.crashed or delta.malformed):
             # Nothing flagged: no intake call.
             with self._merge_lock:

@@ -5,10 +5,9 @@ consistency; a monitor whose own behaviour is opaque is only half built.
 This package makes the monitoring plane observable with zero hard
 dependencies (stdlib only):
 
-* :mod:`repro.obs.metrics`    — thread/process-safe registry of counters,
+* :mod:`repro.obs.metrics`    — thread-safe registry of counters,
   gauges and fixed-bucket histograms with labels, callback-sourced
-  instruments, and mergeable picklable snapshots (shard workers ship
-  deltas to the parent through them),
+  instruments, and picklable snapshots,
 * :mod:`repro.obs.tracing`    — span context managers with a ring-buffer
   exporter instrumenting decode → admission → verify → localize →
   incident,

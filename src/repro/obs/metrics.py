@@ -19,8 +19,8 @@ dict hit once and an integer add per update.
 
 Two sourcing modes coexist deliberately:
 
-* **stored** instruments own their value (used by shard workers, span
-  aggregation and tests),
+* **stored** instruments own their value (used by the replica owners'
+  folded families, span aggregation and tests),
 * **callback** instruments evaluate a function at collection time, so a
   component whose hot path already maintains a plain-int counter (for
   example :class:`repro.core.verifier.Verifier`'s verdict counts) can be
@@ -29,12 +29,11 @@ Two sourcing modes coexist deliberately:
   instrument replaces the callback ("latest owner wins"), which is what a
   daemon attaching to an already-instrumented server wants.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data and picklable;
-:meth:`MetricsRegistry.merge` folds one registry's snapshot into another,
-which is how the sharded daemon's forked workers ship per-flush metric
-deltas to the parent (``snapshot(reset=True)`` on the worker, ``merge`` on
-the parent).  Counters and histograms merge additively; gauges are
-last-write-wins.
+Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data and picklable.
+Nothing ships a registry across a process boundary: a shard worker or a
+cluster node keeps no metrics, and its owner folds the plain figures each
+batch reply carries into families registered here
+(:class:`repro.core.replica.VerdictFamilies`).
 """
 
 from __future__ import annotations
@@ -154,8 +153,7 @@ class _HistogramChild(_Child):
         self._lock = metric._lock
         self._buckets = metric.buckets
         # Constructed under metric._lock (via labels()), so the get-or-create
-        # is race-free; eager creation keeps the series visible from birth
-        # and lets _reset zero it in place without breaking this alias.
+        # is race-free; eager creation keeps the series visible from birth.
         state = metric._values.get(key)
         if state is None:
             state = [[0] * (len(metric.buckets) + 1), 0.0]
@@ -245,9 +243,6 @@ class _Metric:
                 for key, value in self._values.items()
             }
 
-    def _reset(self) -> None:
-        """Zero stored values (no-op for gauges and callback instruments)."""
-
 
 class Counter(_Metric):
     kind = "counter"
@@ -259,11 +254,6 @@ class Counter(_Metric):
     @property
     def value(self) -> float:
         return self._default().value
-
-    def _reset(self) -> None:
-        if self._callback is None:
-            with self._lock:
-                self._values.clear()
 
 
 class Gauge(_Metric):
@@ -306,15 +296,6 @@ class Histogram(_Metric):
 
     def observe(self, value: float) -> None:
         self._default().observe(value)
-
-    def _reset(self) -> None:
-        # Zero in place: children alias their state list, so replacing or
-        # clearing the dict would orphan them.
-        if self._callback is None:
-            with self._lock:
-                for state in self._values.values():
-                    state[0][:] = [0] * len(state[0])
-                    state[1] = 0.0
 
 
 class MetricsSnapshot:
@@ -441,16 +422,10 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics)
 
-    # -- snapshot / merge --------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
-    def snapshot(self, reset: bool = False) -> MetricsSnapshot:
-        """Materialise every family (callbacks included) into plain data.
-
-        ``reset=True`` zeroes stored counters and histograms afterwards —
-        the delta-shipping mode shard workers use.  Gauges and
-        callback-sourced instruments are never reset (a gauge is a state,
-        not a flow; a callback's truth lives with its owner).
-        """
+    def snapshot(self) -> MetricsSnapshot:
+        """Materialise every family (callbacks included) into plain data."""
         with self._lock:
             metrics = list(self._metrics.values())
         out: List[dict] = []
@@ -465,53 +440,4 @@ class MetricsRegistry:
             if metric.kind == "histogram":
                 entry["buckets"] = metric.buckets
             out.append(entry)
-            if reset:
-                metric._reset()
         return MetricsSnapshot(out)
-
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker's) snapshot into this registry.
-
-        Counters and histograms add; gauges take the incoming value.
-        Families are created on first sight, so the parent does not need to
-        pre-declare everything its workers measure.  Merging into a
-        callback-sourced family is refused: the callback already owns that
-        family's truth.
-        """
-        for entry in snapshot.metrics:
-            kind = entry["kind"]
-            if kind == "counter":
-                metric = self.counter(entry["name"], entry["help"], entry["labelnames"])
-            elif kind == "gauge":
-                metric = self.gauge(entry["name"], entry["help"], entry["labelnames"])
-            elif kind == "histogram":
-                metric = self.histogram(
-                    entry["name"], entry["help"], entry["labelnames"],
-                    buckets=entry["buckets"],
-                )
-            else:  # pragma: no cover - snapshot only carries known kinds
-                raise ValueError(f"unknown metric kind {kind!r}")
-            if metric._callback is not None:
-                raise ValueError(
-                    f"cannot merge into callback-sourced metric {metric.name}"
-                )
-            if kind == "histogram" and metric.buckets != tuple(entry["buckets"]):
-                raise ValueError(
-                    f"{metric.name}: bucket schema mismatch on merge"
-                )
-            with metric._lock:
-                for key, value in entry["values"].items():
-                    key = tuple(key)
-                    if kind == "counter":
-                        metric._values[key] = metric._values.get(key, 0) + value
-                    elif kind == "gauge":
-                        metric._values[key] = value
-                    else:
-                        state = metric._values.get(key)
-                        if state is None:
-                            state = [[0] * (len(metric.buckets) + 1), 0.0]
-                            metric._values[key] = state
-                        counts, total = value
-                        for i, n in enumerate(counts):
-                            state[0][i] += n
-                        state[1] += total

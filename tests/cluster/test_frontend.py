@@ -93,16 +93,17 @@ class TestDispatch:
     def test_ack_retires_unacked_batches(self, fleet, rig):
         scenario, server, net = rig
         frontend, _ = fleet
+        replies = []
+        frontend.on_reply = replies.append
         for payload in healthy_payloads(scenario, net, 64):
             frontend.submit(payload)
         frontend.flush_buffers()
-        total_unacked = sum(
-            frontend.pending(n)[0] for n in frontend.nodes()
-        )
-        assert total_unacked == frontend.stats()["dispatched_batches"]
+        assert frontend.wait_retired(JOIN_DEADLINE)
+        # One reply per batch retired it; the replica-less nodes set every
+        # row aside as an unknown pair.
+        assert len(replies) == frontend.stats()["dispatched_batches"]
+        assert sum(len(delta.unknown) for delta in replies) == 64
         for name in frontend.nodes():
-            link = frontend._links[name]
-            frontend.ack(name, link.seq)
             assert frontend.pending(name) == (0, 0)
 
     def test_detach_surrenders_unacked_and_buffered(self, fleet, rig):
@@ -132,6 +133,8 @@ class TestSubmitFrame:
 
         scenario, server, net = rig
         frontend, _ = fleet
+        replies = []
+        frontend.on_reply = replies.append
         payloads = healthy_payloads(scenario, net, 48)
         # Scalar routing ground truth, computed without dispatching.
         expected = {n: 0 for n in frontend.nodes()}
@@ -144,13 +147,15 @@ class TestSubmitFrame:
         assert stats["submitted"] == len(payloads)
         assert stats["dispatched_reports"] == len(payloads)
         assert stats["precheck_rejected"] == 0
-        # Ack everything and confirm per-node delivery matched the ring.
+        # Every batch retires on its reply; per-node delivery matched the
+        # ring.
+        assert frontend.wait_retired(JOIN_DEADLINE)
         for name in frontend.nodes():
             link = frontend._links[name]
             if expected[name]:
                 assert link.seq > 0
-            frontend.ack(name, link.seq)
             assert frontend.pending(name) == (0, 0)
+        assert sum(len(delta.unknown) for delta in replies) == len(payloads)
 
     def test_frame_screens_bad_versions(self, fleet, rig):
         from repro.core.reports import Frame

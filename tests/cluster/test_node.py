@@ -1,9 +1,9 @@
 """Verification nodes: the socket-facing shard workers.
 
 Each test drives a node purely over its wire protocol — RELOAD a replica,
-stream BATCH frames and read each one's reply, FLUSH as a barrier —
-exactly as the coordinator and frontend do, so the protocol surface is
-what's pinned.
+stream BATCH frames and read each one's reply, the only message that
+carries counts or metrics — exactly as the coordinator and frontend do, so
+the protocol surface is what's pinned.
 """
 
 import pytest
@@ -14,8 +14,6 @@ from repro.cluster.protocol import (
     MSG_BATCH_REPLY,
     MSG_DIGEST,
     MSG_DIGEST_REPLY,
-    MSG_FLUSH,
-    MSG_FLUSH_REPLY,
     MSG_HELLO,
     MSG_HELLO_REPLY,
     MSG_PATCH,
@@ -43,14 +41,6 @@ def node(rig):
 
 def connect(node):
     return MessageStream.connect(node.address)
-
-
-def flush(stream, token=1):
-    stream.send(MSG_FLUSH, (token,))
-    mtype, body = stream.recv(timeout=10)
-    assert mtype == MSG_FLUSH_REPLY
-    assert body[1] == token
-    return body
 
 
 def verify(stream, seq, frame):
@@ -92,20 +82,21 @@ class TestProtocolSurface:
         try:
             stream.send(MSG_RELOAD, tagged_replica(server))
             reply = verify(stream, 3, b"".join(payloads))
-            (_, _, processed, malformed, counters,
-             failures, crashed, unknown, _, last_seq, snapshot) = reply
+            (_, processed, malformed, counters, failures, crashed, unknown,
+             _, last_seq, seconds, vector_rows, fallbacks, tenants) = reply
             assert processed == 200 and malformed == 0
             assert counters[PASS] == 200
             assert failures == [] and crashed == [] and unknown == []
             assert last_seq == 3
-            assert snapshot is None  # counts only; the receiver folds them
-            # The batch reply took the counts: a flush reports nothing new
-            # but brings the node's own families.
-            reply = flush(stream, token=2)
-            assert reply[2] == 0 and reply[4][PASS] == 0
-            assert reply[9] == 3  # the barrier names the last seq it saw
-            batches = reply[10].get("veridp_node_batches_total")
-            assert sum(batches["values"].values()) == 1
+            # The batch's own figures ride the reply as plain values; the
+            # receiver folds them into its families.
+            assert seconds > 0
+            assert vector_rows == (200 if node.replica.vector else 0)
+            assert fallbacks == {}
+            assert tenants == {}
+            # The reply took the counts: the next batch starts from zero.
+            reply = verify(stream, 4, payloads[0])
+            assert reply.processed == 1 and reply.counters[PASS] == 1
         finally:
             stream.close()
 
@@ -117,11 +108,11 @@ class TestProtocolSurface:
             good = healthy_payloads(scenario, net, 4)
             bad = [b"\x00" * REPORT_SIZE, good[0][:-1] + b"\xff"]
             reply = verify(stream, 1, b"".join(good + bad))
-            processed, malformed = reply[2], reply[3]
-            accounted = processed + malformed + len(reply[6]) + len(reply[7])
+            processed, malformed = reply.processed, reply.malformed
+            accounted = processed + malformed + len(reply.crashed) + len(reply.unknown)
             assert accounted == 6
             assert malformed >= 1  # the version-0 one at minimum
-            assert reply[8]  # malformed_sample carries evidence
+            assert reply.malformed_sample  # carries evidence
         finally:
             stream.close()
 
@@ -136,8 +127,8 @@ class TestMigrationSurface:
         try:
             # No replica loaded at all: everything is unknown.
             reply = verify(stream, 1, b"".join(payloads))
-            assert reply[2] == 0  # processed
-            assert sorted(reply[7]) == sorted(payloads)  # unknown, intact
+            assert reply.processed == 0
+            assert sorted(reply.unknown) == sorted(payloads)  # intact
         finally:
             stream.close()
 
@@ -155,11 +146,11 @@ class TestMigrationSurface:
             stream.send(MSG_RELOAD, replica)
             stream.send(MSG_PATCH, {wire: None})  # migrate the pair away
             reply = verify(stream, 1, target)
-            assert reply[2] == 0 and reply[7] == [target]
+            assert reply.processed == 0 and reply.unknown == [target]
 
             stream.send(MSG_PATCH, {wire: replica[wire]})  # migrate it back
             reply = verify(stream, 2, target)
-            assert reply[2] == 1 and reply[4][PASS] == 1
+            assert reply.processed == 1 and reply.counters[PASS] == 1
         finally:
             stream.close()
 
@@ -169,14 +160,9 @@ class TestMigrationSurface:
         stream = connect(node)
         try:
             stream.send(MSG_RELOAD, tagged_replica(server, tenant="red"))
-            assert verify(stream, 1, b"".join(payloads))[2] == 96
-            family = flush(stream)[10].get("veridp_cluster_tenant_reports_total")
-            assert family is not None
-            tenant_total = 0.0
-            for labels, value in family["values"].items():
-                assert "red" in labels
-                tenant_total += value
-            assert tenant_total == 96
+            reply = verify(stream, 1, b"".join(payloads))
+            assert reply.processed == 96
+            assert reply.tenants == {"red": 96}
         finally:
             stream.close()
 
@@ -192,7 +178,7 @@ class TestProcessMode:
                 stream.send(MSG_RELOAD, tagged_replica(server))
                 payloads = healthy_payloads(scenario, net, 64)
                 reply = verify(stream, 1, b"".join(payloads))
-                assert reply[2] == 64 and reply[4][PASS] == 64
+                assert reply.processed == 64 and reply.counters[PASS] == 64
             finally:
                 stream.close()
         finally:

@@ -88,6 +88,16 @@ class TestStreaming:
             cluster.join()
             assert len(cluster.coordinator.incidents) == 1
 
+    def test_cluster_flush_dispatches_a_part_filled_buffer(self, rig):
+        server, payloads = rig
+        logged = incident_event(server)
+        with VeriDPCluster(server, nodes=2, batch_size=1000) as cluster:
+            cluster.submit(failing(payloads[0]))
+            assert cluster.stats()["in_flight"] == 1  # buffered, not sent
+            cluster.flush()
+            assert logged.wait(DEADLINE)
+            assert len(server.incidents) == 1
+
 
 class TestInFlight:
     def test_sharded_in_flight_reads_zero_after_join(self, rig):

@@ -1,15 +1,10 @@
-"""Unit tests for the metrics registry: instruments, snapshots, merging."""
+"""Unit tests for the metrics registry: instruments and snapshots."""
 
-import multiprocessing
 import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
 @pytest.fixture
@@ -143,101 +138,6 @@ class TestConcurrency:
         for t in pool:
             t.join()
         assert reg.snapshot().total("hot_total") == threads * per_thread
-
-
-def _worker_ship_deltas(result_queue, rounds: int) -> None:
-    """Forked child: increment a private registry, ship resetting deltas."""
-    registry = MetricsRegistry()
-    c = registry.counter("shard_processed_total", "", ("shard",))
-    h = registry.histogram("shard_batch_seconds", "", buckets=(0.1, 1.0))
-    for i in range(rounds):
-        c.labels("0").inc(10)
-        h.observe(0.05)
-        h.observe(0.5)
-        result_queue.put(registry.snapshot(reset=True).metrics)
-    result_queue.put(None)
-
-
-class TestSnapshotMerge:
-    def test_snapshot_reset_ships_deltas(self, reg):
-        c = reg.counter("c_total")
-        c.inc(5)
-        first = reg.snapshot(reset=True)
-        c.inc(2)
-        second = reg.snapshot(reset=True)
-        assert first.value("c_total") == 5
-        assert second.value("c_total") == 2
-
-    def test_reset_does_not_touch_gauges_or_callbacks(self, reg):
-        g = reg.gauge("depth")
-        g.set(3)
-        reg.counter("cb_total", callback=lambda: 11)
-        reg.snapshot(reset=True)
-        snap = reg.snapshot()
-        assert snap.value("depth") == 3
-        assert snap.value("cb_total") == 11
-
-    def test_merge_adds_counters_and_histograms(self, reg):
-        other = MetricsRegistry()
-        c = other.counter("c_total", "", ("k",))
-        c.labels("a").inc(3)
-        h = other.histogram("h_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        for _ in range(2):  # merging the same snapshot twice adds twice
-            reg.merge(other.snapshot())
-        snap = reg.snapshot()
-        assert snap.value("c_total", ("a",)) == 6
-        state = snap.value("h_seconds")
-        assert state["counts"] == [2, 0, 0]
-        assert state["sum"] == pytest.approx(0.1)
-
-    def test_merge_gauge_is_last_write_wins(self, reg):
-        reg.gauge("depth").set(100)
-        other = MetricsRegistry()
-        other.gauge("depth").set(7)
-        reg.merge(other.snapshot())
-        assert reg.snapshot().value("depth") == 7
-
-    def test_merge_into_callback_family_refused(self, reg):
-        reg.counter("owned_total", callback=lambda: 1)
-        other = MetricsRegistry()
-        other.counter("owned_total").inc()
-        with pytest.raises(ValueError):
-            reg.merge(other.snapshot())
-
-    def test_merge_bucket_schema_mismatch_refused(self, reg):
-        reg.histogram("h_seconds", buckets=(0.1, 1.0))
-        other = MetricsRegistry()
-        other.histogram("h_seconds", buckets=(0.5, 5.0)).observe(0.2)
-        with pytest.raises(ValueError):
-            reg.merge(other.snapshot())
-
-    def test_forked_worker_delta_merge(self, reg):
-        """Satellite 3: the sharded-daemon pattern — a forked worker ships
-        ``snapshot(reset=True)`` deltas over a multiprocessing queue and the
-        parent folds them in additively."""
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" not in methods:  # pragma: no cover - non-POSIX
-            pytest.skip("fork start method unavailable")
-        ctx = multiprocessing.get_context("fork")
-        queue = ctx.Queue()
-        rounds = 4
-        proc = ctx.Process(target=_worker_ship_deltas, args=(queue, rounds))
-        proc.start()
-        merged = 0
-        while True:
-            metrics = queue.get(timeout=10)
-            if metrics is None:
-                break
-            reg.merge(MetricsSnapshot(metrics))
-            merged += 1
-        proc.join(timeout=10)
-        assert merged == rounds
-        snap = reg.snapshot()
-        assert snap.value("shard_processed_total", ("0",)) == 10 * rounds
-        state = snap.value("shard_batch_seconds")
-        assert state["count"] == 2 * rounds
-        assert state["sum"] == pytest.approx(0.55 * rounds)
 
 
 class TestRegistry:

@@ -9,8 +9,8 @@ random frames mixing every row class (pass, tag mismatch, no path, unknown
 pair, bad version, irregular pair), on both sides of the
 kernel's ``MIN_BATCH`` crossover, in both unknown-pair modes — and require
 the same delta whether a frame is verified whole or split at any row.  The
-metric families the two remote transports export are pinned by name and
-label; the in-thread transport exports none of its own.
+metric families the owners of the two remote transports fold the deltas
+into are pinned by name and label; the in-thread transport exports none.
 """
 
 import pytest
@@ -92,8 +92,9 @@ def _model(rows, set_aside_unknown):
 
 
 def _pending(delta):
-    """A delta without its metrics snapshot (batch counts differ by cut)."""
-    return delta._replace(metrics=None)
+    """A delta without its batch figures (timing and kernel use differ by
+    cut)."""
+    return delta._replace(seconds=0.0, vector_rows=0, fallbacks={})
 
 
 def test_pool_covers_every_row_class():
@@ -112,7 +113,7 @@ def test_pool_covers_every_row_class():
     irregular=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_take_matches_scalar_model_however_the_frame_is_cut(
+def test_drain_matches_scalar_model_however_the_frame_is_cut(
     data, rows, set_aside_unknown, irregular
 ):
     frame = b"".join(rows)
@@ -122,16 +123,16 @@ def test_take_matches_scalar_model_however_the_frame_is_cut(
             mp.setattr(vec, "ENTRY_CAP", 1)
         whole = _replica(set_aside_unknown)
         whole.verify(frame)
-        taken = whole.take(7, 3)
+        drained = whole.drain(3)
         split = _replica(set_aside_unknown)
         split.verify(frame[: cut * REPORT_SIZE])
         split.verify(frame[cut * REPORT_SIZE :])
-        split_taken = split.take(7, 3)
-    assert tuple(taken[2:9]) == _model(rows, set_aside_unknown)
-    assert (taken.source, taken.token, taken.seq) == ("r", 7, 3)
-    assert _pending(split_taken) == _pending(taken)
-    # take() reset the window: the next one reports nothing.
-    assert whole.take(8).processed == 0 and whole.take(9).failures == []
+        split_drained = split.drain(3)
+    assert tuple(drained[1:8]) == _model(rows, set_aside_unknown)
+    assert (drained.source, drained.seq) == ("r", 3)
+    assert _pending(split_drained) == _pending(drained)
+    # drain() reset the window: the next one reports nothing.
+    assert whole.drain().processed == 0 and whole.drain().failures == []
 
 
 @pytest.mark.parametrize("rows", [8, 64])
@@ -150,7 +151,7 @@ def test_bad_version_row_of_unplaced_pair_is_malformed_at_any_size(rows):
     frame = b"".join((healthy * rows)[: rows - 2] + [bad, unplaced])
     replica = _replica(True)
     replica.verify(frame)
-    delta = replica.take(1)
+    delta = replica.drain()
     assert (delta.malformed, delta.unknown) == (1, [unplaced])
     assert delta.malformed_sample == [bad]
 
