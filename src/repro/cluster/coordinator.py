@@ -533,7 +533,7 @@ class ClusterCoordinator:
                 elif isinstance(outcome, Exception):
                     self.crashed += 1
                 else:
-                    verdict = outcome.verification.verdict.value
+                    verdict = outcome.verdict.value
                     self.processed += 1
                     self.counters[verdict] += 1
                     if verdict != Verdict.PASS.value:

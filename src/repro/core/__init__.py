@@ -10,6 +10,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.sampling`     — Section 4.5 flow sampling,
 * :mod:`repro.core.reports`      — tag-report wire formats (Section 5),
 * :mod:`repro.core.server`       — the VeriDP server tying it together,
+* :mod:`repro.core.incident`     — the incident record, kept as its wire
+  payload and decoded on read,
 * :mod:`repro.core.replica`      — one compiled shard of the path table,
   the verification core of sharded workers and cluster nodes,
 * :mod:`repro.core.resilience`   — backpressure, dead-lettering and worker
@@ -66,14 +68,15 @@ if TYPE_CHECKING:
     from .listener import UdpReportListener
     from .queries import PolicyChecker, QueryResult
     from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
-    from .server import Incident, VeriDPServer
+    from .incident import Incident
+    from .server import VeriDPServer
     from .sharded import ShardedVeriDPDaemon
 
 #: Resolved on first use (``tests/test_import_budget.py`` is the gate): the
 #: offline tools no serve shape runs, and the server and daemons, which a
 #: cluster node (a replica behind a socket) never needs.
 _LAZY = {
-    "Incident": "server",
+    "Incident": "incident",
     "VeriDPServer": "server",
     "ShardedVeriDPDaemon": "sharded",
     "UdpReportListener": "listener",

@@ -92,7 +92,7 @@ def settle(server: VeriDPServer, delta: Delta):
             letters.append((payload, "verify", outcome))
         else:
             processed += 1
-            verdict = outcome.verification.verdict
+            verdict = outcome.verdict
             counters[verdict] = counters.get(verdict, 0) + 1
     return processed, malformed, crashed, counters, letters
 

@@ -44,6 +44,7 @@ __all__ = [
     "ForwardingClassLocalizer",
     "StrawmanLocalizer",
     "first_bloom_miss",
+    "blamed_in",
 ]
 
 #: Paths shorter than this test hop-by-hop: the numpy call's fixed cost
@@ -81,6 +82,15 @@ class CandidatePath:
         return f"blame {blame}: {path}"
 
 
+def blamed_in(candidates: Sequence[CandidatePath]) -> List[str]:
+    """Distinct blamed switches across ``candidates``, in order."""
+    seen: List[str] = []
+    for candidate in candidates:
+        if candidate.blamed_switch and candidate.blamed_switch not in seen:
+            seen.append(candidate.blamed_switch)
+    return seen
+
+
 @dataclass(slots=True)
 class LocalizationResult:
     """All candidate real paths recovered for one failed report."""
@@ -95,11 +105,7 @@ class LocalizationResult:
 
     def blamed_switches(self) -> List[str]:
         """Distinct blamed switches across candidates, in order."""
-        seen: List[str] = []
-        for candidate in self.candidates:
-            if candidate.blamed_switch and candidate.blamed_switch not in seen:
-                seen.append(candidate.blamed_switch)
-        return seen
+        return blamed_in(self.candidates)
 
     def contains_path(self, hops: Sequence[Hop]) -> bool:
         """Is the given (actual) path among the candidates?"""

@@ -32,6 +32,7 @@ __all__ = [
     "REPORT_VERSION",
     "REPORT_SIZE",
     "payload_precheck",
+    "payload_dst_ip",
 ]
 
 REPORT_VERSION = 1
@@ -128,12 +129,14 @@ class PortCodec:
         return len(self._names) << 6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class TagReport:
     """The 4-tuple a reporting switch sends to the VeriDP server.
 
     ``outport.port == DROP_PORT`` reports a rule-level drop; ``ttl_expired``
     marks reports forced by the verification TTL hitting zero (loops).
+    Weak-referenceable, so a record that keeps only the wire bytes can hand
+    out one decoded report while some reader still holds it.
     """
 
     inport: PortRef
@@ -327,3 +330,8 @@ def payload_precheck(payload: bytes) -> Optional[str]:
     if payload[0] != REPORT_VERSION:
         return f"unsupported report version {payload[0]}"
     return None
+
+
+def payload_dst_ip(payload: bytes) -> int:
+    """The ``dst_ip`` field of a wire report, without building the report."""
+    return _REPORT_STRUCT.unpack_from(payload)[6]

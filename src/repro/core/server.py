@@ -15,7 +15,6 @@ The server sits beside the controller.  It
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.headerspace import HeaderSpace
@@ -24,35 +23,23 @@ from ..netmodel.topology import Topology
 from ..obs import Observability
 from .bloom import BloomTagScheme
 from .coverage import CoverageTracker
+from .incident import Incident
 from .localization import (
     ForwardingClassLocalizer,
     LocalizationResult,
     PathInferLocalizer,
 )
 from .pathtable import BUILD_STATS, PathTable, PathTableBuilder, SnapshotProvider
-from .reports import PortCodec, ReportDecodeError, TagReport, unpack_report
+from .reports import (
+    PortCodec,
+    ReportDecodeError,
+    TagReport,
+    payload_dst_ip,
+    unpack_report,
+)
 from .verifier import VerificationResult, Verdict, Verifier
 
 __all__ = ["VeriDPServer", "Incident"]
-
-
-@dataclass(slots=True)
-class Incident:
-    """One detected inconsistency: the failed verification + localization."""
-
-    verification: VerificationResult
-    localization: Optional[LocalizationResult] = None
-
-    @property
-    def blamed_switches(self) -> List[str]:
-        """Switches Algorithm 4 holds responsible (may be empty)."""
-        if self.localization is None:
-            return []
-        return self.localization.blamed_switches()
-
-    def __str__(self) -> str:
-        blame = ", ".join(self.blamed_switches) or "unlocalized"
-        return f"INCONSISTENCY {self.verification} | blamed: {blame}"
 
 
 class VeriDPServer:
@@ -303,7 +290,8 @@ class VeriDPServer:
         )
         reg.counter(
             "veridp_flow_cache_misses_total",
-            "Fast-path verifications that ran the full matcher scan.",
+            "Fast-path verifications the flow cache did not answer (repeats "
+            "the incident log answered included).",
             callback=lambda: self.verifier.flow_cache_misses,
         )
         reg.gauge(
@@ -873,7 +861,8 @@ class VeriDPServer:
         :meth:`split_known`, then each new row is decoded, verified,
         attributed to its tenant and observed for coverage, then one
         :meth:`record_failures`.  A payload the live log already holds a
-        failure record for is not decoded or verified again.
+        failure record for is not decoded or verified again: its record
+        stands in for the verdict all the way to the log.
 
         Returns one outcome per payload: its :class:`Incident` (the log
         entry of a failure, an unlogged record of a PASS), the
@@ -883,8 +872,7 @@ class VeriDPServer:
         the caller owns both, and serialises calls (see
         :meth:`record_failures`).
         """
-        known, epoch = self.split_known(payloads, self.verifier)
-        results: List[object] = [None if k is None else k.verification for k in known]
+        results, epoch = self.split_known(payloads, self.verifier)
         fresh = []
         with self.obs.span("decode", reports=len(payloads)):
             for index, payload in enumerate(payloads):
@@ -914,7 +902,8 @@ class VeriDPServer:
 
     def _log_results(self, payloads, results, epoch: tuple) -> List[object]:
         """Attribute and observe every verified row, log the failing ones;
-        an exception in ``results`` is passed through as its outcome."""
+        an exception in ``results`` is passed through as its outcome, and
+        an :class:`Incident` (a known repeat) is logged again unread."""
         failures = []
         for payload, result in zip(payloads, results):
             if isinstance(result, Exception):
@@ -922,8 +911,14 @@ class VeriDPServer:
             if self.slices is not None:
                 # Tenant attribution is a few integer masks (LPM dict), so
                 # the sliced hot path stays tenant-count-independent.
-                tenant = self.slices.classify_dst(result.report.header.dst_ip) or ""
+                dst_ip = (
+                    payload_dst_ip(payload)
+                    if type(result) is Incident
+                    else result.report.header.dst_ip
+                )
+                tenant = self.slices.classify_dst(dst_ip) or ""
                 self.tenant_reports[tenant] = self.tenant_reports.get(tenant, 0) + 1
+            # (a failure, repeat or not, only counts as an observation)
             self.coverage.observe(result)
             if not result.passed:
                 failures.append((payload, result))
@@ -969,8 +964,8 @@ class VeriDPServer:
 
         Returns ``(known, epoch)``.  ``known[i]`` is ``None`` when payload
         ``i`` has to be decoded and verified; otherwise it was counted on
-        ``verifier`` as the repeat it is, and the caller hands
-        ``known[i].verification`` to :meth:`record_failures` in its place.
+        ``verifier`` as the repeat it is, and the caller hands the record
+        itself to :meth:`record_failures` in place of a verification.
         Only records made under the current configuration answer: a rule
         change empties the map (the log itself keeps its entries).
         ``epoch`` is that configuration, read *before* the caller verifies
@@ -983,12 +978,12 @@ class VeriDPServer:
         known = [interned.get(payload) for payload in payloads]
         for incident in known:
             if incident is not None:
-                verifier.count_repeat(incident.verification.verdict)
+                verifier.count_repeat(incident.verdict)
         return known, epoch
 
     def record_failures(
         self,
-        failures: List[Tuple[Optional[bytes], VerificationResult]],
+        failures: List[Tuple[Optional[bytes], object]],
         epoch: tuple,
     ) -> List[Incident]:
         """Turn failed reports into log entries, in the order given.
@@ -997,12 +992,13 @@ class VeriDPServer:
         deployment shape ends here through :meth:`receive_report_rows`,
         and object reports through :meth:`receive_report`.  Each item
         pairs the report's wire payload (``None`` when it arrived as an
-        object) with its failing
-        result; ``epoch`` is what :meth:`split_known` returned before those
-        results were made.
+        object) with its failing :class:`VerificationResult`, or with the
+        record :meth:`split_known` found for it; ``epoch`` is what
+        :meth:`split_known` returned before those results were made.  A
+        wire failure is recorded as its payload (:meth:`Incident.from_wire`).
 
         A payload the live log already holds appends that same
-        :class:`Incident` object again — eight bytes, no PathInfer — while
+        :class:`Incident` object again — one list slot, no PathInfer — while
         ``incidents_total``, ``localizations`` and the error/hit counters
         advance as if it had been processed afresh.  If the configuration
         moved since ``epoch`` (a rule landed while the caller verified),
@@ -1016,25 +1012,44 @@ class VeriDPServer:
         logged: List[Incident] = []
         records = 0
         with self.obs.span("localize", failures=len(failures)):
-            for payload, verification in failures:
+            for payload, result in failures:
                 incident = None
                 if interned is not None and payload is not None:
-                    incident = interned.get(payload)
+                    incident = (
+                        result if type(result) is Incident else interned.get(payload)
+                    )
                 if incident is not None:
                     if self.localize_failures:
                         self.localizations += 1
-                        if incident.localization is None:
+                        if incident.candidates is None:
                             self.localization_errors += 1
                         else:
                             self.localization_cache_hits += 1
                 else:
-                    incident = Incident(verification, self._localize(verification.report))
+                    incident = self._record(payload, result)
                     records += 1
                     if interned is not None and payload is not None:
                         interned[payload] = incident
                 logged.append(incident)
         self.log_incidents(logged, records)
         return logged
+
+    def _record(self, payload: Optional[bytes], result) -> Incident:
+        """A new, localized record of one failure.  ``result`` is a record
+        only when the configuration moved under a known repeat, which is
+        then localized afresh like every other row of its call."""
+        if type(result) is Incident:
+            result = result.verification
+        localization = self._localize(result.report)
+        if payload is None:
+            return Incident(result, localization)
+        return Incident.from_wire(
+            payload,
+            self.codec,
+            result.verdict,
+            result.matched_entry,
+            None if localization is None else localization.candidates,
+        )
 
     def _localize(self, report: TagReport) -> Optional[LocalizationResult]:
         """Algorithm 4 for one fresh failure (``None`` = unlocalized)."""

@@ -24,8 +24,10 @@ Two implementations of the membership test coexist:
 * the **fast path** (default) — compiled flat-array matchers
   (:class:`repro.bdd.engine.FlatBDD`), tag-first candidate ordering when
   the pair's header sets are disjoint, and a bounded per-flow cache mapping
-  a report's canonical ``(inport, outport, header)`` to its matched entry.
-  Verdicts are bit-identical to the slow path (property-tested).
+  the canonical ``(inport, outport, header)`` of a report that PASSed to
+  its matched entry (a failing payload is remembered by the server's
+  incident log instead).  Verdicts are bit-identical to the slow path
+  (property-tested).
 
 :meth:`Verifier.verify_batch` amortises timing and result allocation over a
 whole batch of reports — the per-report path pays two ``perf_counter``
@@ -54,10 +56,6 @@ __all__ = [
     "BatchVerificationResult",
     "Verifier",
 ]
-
-#: Flow-cache miss sentinel (``None`` is a valid cached value: "no path").
-_MISS = object()
-
 
 def _code_to_verdict():
     """Vector verdict code -> Verdict, aligned with ``vector.VPASS`` etc."""
@@ -210,7 +208,12 @@ class Verifier:
     def _match_fast(
         self, report: TagReport
     ) -> Tuple[Verdict, Optional[PathEntry]]:
-        """Compiled matchers + tag-first ordering + per-flow cache."""
+        """Compiled matchers + tag-first ordering + per-flow cache.
+
+        Only a flow that PASSes is stored.  Its entry is a function of the
+        flow and the table version alone, so a hit answers a later report
+        of that flow whatever its tag.
+        """
         table = self.table
         if (
             table is not self._flow_cache_table
@@ -221,10 +224,9 @@ class Verifier:
             self._flow_cache_version = table.version
         key = (report.inport, report.outport, report.header)
         cache = self._flow_cache
-        cached = cache.get(key, _MISS)
-        if cached is not _MISS:
+        matched = cache.get(key)
+        if matched is not None:
             self.flow_cache_hits += 1
-            matched: Optional[PathEntry] = cached
         else:
             index = table.fast_index(report.inport, report.outport, self.hs)
             if index is None:
@@ -258,7 +260,11 @@ class Verifier:
                     if entry.compiled_matcher(hs).evaluate_value(value):
                         matched = entry
                         break
-            if self.flow_cache_size > 0:
+            if (
+                matched is not None
+                and matched.tag == report.tag
+                and self.flow_cache_size > 0
+            ):
                 if len(cache) >= self.flow_cache_size:
                     cache.pop(next(iter(cache)))  # FIFO eviction
                 cache[key] = matched
@@ -297,20 +303,18 @@ class Verifier:
     def count_repeat(self, verdict: Verdict) -> None:
         """Account for a report whose verdict the caller already holds.
 
-        No matcher ran, but the counters move as :meth:`verify` would have
-        moved them; only ``total_time_s`` stays put, since no time was
-        spent.  On the fast path the repeat is booked as a flow-cache hit
-        (an unknown pair never reaches the cache).  That hit is assumed,
-        not observed: the FIFO cache may have evicted the flow since, so
-        ``flow_cache_hit_ratio`` is an upper bound while repeats arrive.
+        No matcher ran, but the verdict counters move as :meth:`verify`
+        would have moved them; only ``total_time_s`` stays put, since no
+        time was spent.  The flow cache was not consulted either, and it
+        holds passing flows only, so no hit is booked: on the fast path a
+        repeat counts among ``flow_cache_misses``, the verifications the
+        cache did not answer.
         """
         self.counters[verdict] += 1
-        if not self.fast_path:
+        if self.fast_path:
+            self.fast_verifications += 1
+        else:
             self.slow_verifications += 1
-            return
-        self.fast_verifications += 1
-        if verdict is not Verdict.FAIL_UNKNOWN_PAIR and self.flow_cache_size > 0:
-            self.flow_cache_hits += 1
 
     def verify_batch(
         self, reports: Sequence[TagReport], vector: bool = False
@@ -487,7 +491,7 @@ class Verifier:
 
     @property
     def flow_cache_misses(self) -> int:
-        """Fast-path verifications that had to run the full matcher scan."""
+        """Fast-path verifications the flow cache did not answer."""
         return max(0, self.fast_verifications - self.flow_cache_hits)
 
     @property

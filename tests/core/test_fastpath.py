@@ -6,6 +6,8 @@ coherence with ``core.incremental`` updates (the caches must observe rule
 adds/deletes and rebuild, never serve stale verdicts).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,10 @@ from repro.bdd.engine import FALSE, TRUE
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.incremental import IncrementalPathTable
 from repro.core.pathtable import PathTableBuilder
-from repro.core.reports import TagReport
+from repro.core.reports import TagReport, pack_report
+from repro.core.server import VeriDPServer
 from repro.core.verifier import Verdict, Verifier
+from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
 from repro.netmodel.packet import Header
 from repro.topologies import build_figure5, build_linear
 from repro.topologies.base import lpm_ruleset_for
@@ -195,6 +199,52 @@ class TestFlowCache:
         verifier.verify_batch(reports)
         verifier.invalidate_fast_path()
         assert verifier.flow_cache_len == 0
+
+
+class TestFlowCacheHoldsPassingFlows:
+    """A failing payload is remembered by the server's incident log, so the
+    flow cache keeps only flows that passed, and books only its own hits."""
+
+    def test_failing_flows_are_not_cached(self, figure5):
+        _, hs, builder, table = figure5
+        reports = reports_from_table(builder, table)
+        verifier = Verifier(table, hs, fast_path=True)
+        wrong = [replace(report, tag=report.tag ^ 0x1) for report in reports]
+        batch = verifier.verify_batch(wrong)
+        assert batch.passed_count == 0
+        assert verifier.flow_cache_len == 0
+        assert verifier.flow_cache_hits == 0
+
+    def test_a_cached_flow_still_answers_a_wrong_tag(self, figure5):
+        _, hs, builder, table = figure5
+        reports = reports_from_table(builder, table)
+        verifier = Verifier(table, hs, fast_path=True)
+        slow = Verifier(table, hs, fast_path=False)
+        assert verifier.verify_batch(reports).all_passed
+        assert verifier.flow_cache_len == len(reports)
+        wrong = [replace(report, tag=report.tag ^ 0x1) for report in reports]
+        assert (
+            verifier.verify_batch(wrong).verdicts == slow.verify_batch(wrong).verdicts
+        )
+        assert verifier.flow_cache_hits == len(reports)
+        assert verifier.flow_cache_len == len(reports)
+
+    def test_repeats_of_a_failing_payload_book_no_hit(self):
+        scenario = build_linear(3)
+        server = VeriDPServer(scenario.topo, scenario.channel)
+        net = DataPlaneNetwork(scenario.topo, scenario.channel)
+        header = scenario.header_between("H1", "H3")
+        rule = net.switch("S2").table.lookup(header, 3)
+        ModifyRuleOutput("S2", rule.rule_id, 1).apply(net)
+        (report,) = net.inject_from_host("H1", header).reports
+        payload = pack_report(report, server.codec)
+        for _ in range(20):
+            server.receive_report_bytes(payload)
+        stats = server.stats()
+        assert stats["failed"] == 20
+        assert stats["flow_cache_hits"] == 0
+        assert stats["flow_cache_misses"] == 20
+        assert stats["flow_cache_flows"] == 0
 
 
 class TestIncrementalCoherence:

@@ -9,6 +9,7 @@ pickle — sharded and cluster specs and the WAL replay ship ``Hop`` and
 
 import gc
 import pickle
+import sys
 import tracemalloc
 
 import pytest
@@ -87,6 +88,47 @@ class TestIncidentLogInterns:
         # One forwarding class: PathInfer ran once for all of it.
         assert server.localizer.runs == 1
         assert server.localization_cache_hits == 20 * DISTINCT - 1
+
+    def test_a_record_costs_its_payload_and_a_few_references(self):
+        """A record made by the wire intake keeps its payload, verdict,
+        matched entry, shared candidates and codec; everything else is
+        decoded on read.  256 distinct failing payloads of one forwarding
+        class, after 256 others warmed the replica and the localizer, add
+        at most 250 traced bytes per record beyond the payload ``bytes``
+        (record, map entry, list slot).  Before records were compact, each
+        held its decoded ``VerificationResult``, ``TagReport``, ``Header``,
+        field ints and ``LocalizationResult``, and the flow cache kept
+        every failing flow: 595 bytes per record on the same run.
+        """
+        scenario = build_linear(3)
+        server = VeriDPServer(
+            scenario.topo,
+            scenario.channel,
+            obs=Observability(tracer=Tracer(enabled=False)),
+        )
+        payloads = failing_payloads(scenario, server.codec, 2 * DISTINCT)
+        warm, fresh = payloads[:DISTINCT], payloads[DISTINCT:]
+        with VeriDPDaemon(server, workers=1) as daemon:
+            tracemalloc.start()
+            try:
+                feed(daemon, warm, rounds=1)
+                gc.collect()
+                before, _peak = tracemalloc.get_traced_memory()
+                feed(daemon, fresh, rounds=1)
+                gc.collect()
+                after, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert server.stats()["incident_records"] == 2 * DISTINCT
+        assert server.localizer.runs == 1
+        own = sum(sys.getsizeof(payload) for payload in fresh)
+        assert (after - before - own) / DISTINCT <= 250
+        # An all-failing stream leaves nothing in the flow cache.
+        assert server.verifier.flow_cache_len == 0
+        # The views still read the report each payload carries.
+        assert [
+            pack_report(i.verification.report, server.codec) for i in server.incidents
+        ] == payloads
 
     def test_each_payload_keeps_its_own_report(self):
         scenario = build_linear(3)
