@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["BDD", "FlatBDD", "FALSE", "TRUE"]
+__all__ = ["BDD", "FlatBDD", "NodePool", "FALSE", "TRUE"]
 
 #: Terminal node id for the constant-false function (empty header set).
 FALSE = 0
@@ -57,25 +57,21 @@ _COMBINE = 1
 
 
 class FlatBDD:
-    """One BDD function frozen into flat parallel arrays for fast evaluation.
+    """One BDD function copied out of its manager into flat arrays.
 
-    Recursive evaluation through the manager pays a dict lookup per level;
-    the verification hot path instead chases three plain lists.  A node ``i``
-    stores ``shifts[i]`` (the right-shift that extracts its variable's bit
-    from a packed header integer, MSB = level 0), ``low[i]`` and ``high[i]``
-    (either another node index or one of the terminal sentinels).
+    A node ``i`` stores ``shifts[i]`` (the right-shift that extracts its
+    variable's bit from a packed header integer, MSB = level 0), ``low[i]``
+    and ``high[i]`` (either another node index or one of the terminal
+    sentinels).  ``source`` is the manager node id it was compiled from.
 
-    ``source`` is the manager node id the function was compiled from; by
-    ROBDD canonicity a matcher is stale iff its source id no longer equals
-    the BDD it should represent, which makes cache invalidation a single
-    integer compare.
-
-    Instances are self-contained (no reference to the owning manager), so
-    they pickle cheaply — the sharded daemon ships them to worker processes
-    as each shard's path-table replica.
+    No verification path holds one: reports are matched on the manager's
+    own node arrays (:meth:`BDD.evaluate_value`, :class:`NodePool`).  The
+    class stays as the independent matcher the tests check those against,
+    and because a snapshot written before node pools pickled one beside
+    every path entry; such a snapshot must still load.
     """
 
-    __slots__ = ("source", "root", "shifts", "low", "high", "_np")
+    __slots__ = ("source", "root", "shifts", "low", "high")
 
     def __init__(
         self,
@@ -90,27 +86,6 @@ class FlatBDD:
         self.shifts = list(shifts)
         self.low = list(low)
         self.high = list(high)
-        self._np = None
-
-    def arrays(self):
-        """Node arrays as numpy ``int32`` for the vector kernel.
-
-        Returns ``(shifts, children)`` where ``children`` interleaves the
-        low/high child of each node (``children[2i]`` / ``children[2i+1]``),
-        the layout the gather-based batch descent consumes.  Cached per
-        instance; ``None`` when numpy is unavailable.
-        """
-        if self._np is None:
-            try:
-                import numpy as np
-            except Exception:  # pragma: no cover - no-numpy fallback
-                return None
-            shifts = np.asarray(self.shifts, dtype=np.int32)
-            children = np.empty(2 * len(self.low), dtype=np.int32)
-            children[0::2] = self.low
-            children[1::2] = self.high
-            self._np = (shifts, children)
-        return self._np
 
     def evaluate_value(self, value: int) -> bool:
         """Evaluate against a header packed into one integer (level 0 = MSB)."""
@@ -130,7 +105,82 @@ class FlatBDD:
 
     def __setstate__(self, state) -> None:
         self.source, self.root, self.shifts, self.low, self.high = state
-        self._np = None
+
+
+class NodePool:
+    """Several BDD functions held as root ids into one node table.
+
+    ``level``/``low``/``high`` follow the manager's layout: ids 0 and 1
+    are the FALSE and TRUE terminals, and an internal node's bit is
+    ``(value >> (top - level[u])) & 1`` of a packed header (``top`` is
+    ``num_vars - 1``).  :meth:`BDD.pool` hands out a pool over the
+    manager's *own* lists, so it copies nothing: node ids never change
+    once allocated and the lists only grow, so the roots stay valid while
+    the manager keeps allocating.
+
+    Pickling localizes: the state is one deduplicated pool of just the
+    nodes the roots reach, numbered in depth-first order from the roots
+    (low before high).  The numbering depends on the functions alone, so
+    the localized pool of a localized pool is the same pool, and two pools
+    of the same functions localize equal whichever manager they came from.
+    """
+
+    __slots__ = ("roots", "level", "low", "high", "top")
+
+    def __init__(
+        self,
+        roots: Tuple[int, ...],
+        level: List[int],
+        low: List[int],
+        high: List[int],
+        top: int,
+    ) -> None:
+        self.roots = roots
+        self.level = level
+        self.low = low
+        self.high = high
+        self.top = top
+
+    def evaluate(self, i: int, value: int) -> bool:
+        """Whether function ``i`` holds for a header packed into ``value``."""
+        u = self.roots[i]
+        top = self.top
+        level = self.level
+        low = self.low
+        high = self.high
+        while u > 1:  # not a terminal (FALSE = 0, TRUE = 1)
+            u = high[u] if (value >> (top - level[u])) & 1 else low[u]
+        return u == 1
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def localized(self) -> "NodePool":
+        """The same functions over a pool of only the nodes they reach."""
+        level, low, high = self.level, self.low, self.high
+        index: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        order: List[int] = []
+        for root in self.roots:
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                if u in index:
+                    continue
+                index[u] = len(order) + 2
+                order.append(u)
+                stack.append(high[u])
+                stack.append(low[u])
+        return NodePool(
+            tuple(index[root] for root in self.roots),
+            [_TERMINAL_LEVEL, _TERMINAL_LEVEL] + [level[u] for u in order],
+            [FALSE, TRUE] + [index[low[u]] for u in order],
+            [FALSE, TRUE] + [index[high[u]] for u in order],
+            self.top,
+        )
+
+    def __reduce__(self):
+        pool = self.localized()
+        return (NodePool, (pool.roots, pool.level, pool.low, pool.high, pool.top))
 
 
 class BDD:
@@ -272,7 +322,7 @@ class BDD:
 
         Together with :meth:`from_nodes` this round-trips the manager so
         that *node ids stay valid*: any header-set id held elsewhere (path
-        table entries, reachability records, FlatBDD sources) refers to the
+        table entries, reachability records, node-pool roots) refers to the
         same function in the restored manager.
         """
         return (list(self._level[2:]), list(self._low[2:]), list(self._high[2:]))
@@ -768,9 +818,10 @@ class BDD:
     def evaluate_value(self, f: int, value: int) -> bool:
         """Evaluate ``f`` against a header packed into one integer.
 
-        Same input format as :meth:`FlatBDD.evaluate_value` (level 0 is the
-        most significant of ``num_vars`` bits) without compiling ``f``
-        first: each variable's bit is one shift, not a dict lookup.
+        Level 0 is the most significant of ``num_vars`` bits (the format of
+        :meth:`repro.bdd.headerspace.HeaderSpace.header_value`): each
+        variable's bit is one shift, not a dict lookup, and nothing is
+        compiled first.  This is the verifier's matcher.
         """
         u = f
         top = self.num_vars - 1
@@ -781,12 +832,18 @@ class BDD:
             u = high[u] if (value >> (top - level[u])) & 1 else low[u]
         return u == TRUE
 
+    def pool(self, roots: Iterable[int]) -> NodePool:
+        """``roots`` as a :class:`NodePool` over this manager's own lists."""
+        return NodePool(
+            tuple(roots), self._level, self._low, self._high, self.num_vars - 1
+        )
+
     # ------------------------------------------------------------------
-    # flat compilation (the verification fast path)
+    # flat compilation
     # ------------------------------------------------------------------
 
     def compile_flat(self, f: int) -> FlatBDD:
-        """Compile ``f`` into a :class:`FlatBDD` for fast repeated evaluation.
+        """Copy ``f`` out of the manager into a standalone :class:`FlatBDD`.
 
         The returned matcher evaluates headers packed into a single integer
         with variable level 0 as the most significant bit: the bit for level

@@ -309,10 +309,10 @@ class HeaderSpace:
     def header_value(self, header: Mapping[str, int]) -> int:
         """Pack a concrete header into one integer (level 0 = MSB).
 
-        This is the input format of :meth:`repro.bdd.engine.FlatBDD
-        .evaluate_value`: compiled matchers extract each variable's bit with
-        one shift instead of a per-bit dict lookup, which is what makes the
-        verification fast path cheap.
+        This is the input format of :meth:`repro.bdd.engine.BDD
+        .evaluate_value` and :class:`repro.bdd.engine.NodePool`: the matcher
+        extracts each variable's bit with one shift instead of a per-bit
+        dict lookup, which is what makes the verification fast path cheap.
         """
         value = 0
         for field in self.layout.fields:
@@ -328,7 +328,7 @@ class HeaderSpace:
     def header_from_value(self, value: int) -> Dict[str, int]:
         """Unpack :meth:`header_value`'s integer back into a field mapping.
 
-        The inverse the active prober needs: compiled-matcher witness
+        The inverse the active prober needs: witness
         extraction (:func:`repro.core.vector.witness_cube`) produces packed
         values, and packet synthesis needs concrete fields.
         """

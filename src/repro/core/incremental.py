@@ -770,8 +770,8 @@ class IncrementalPathTable:
         self._extend_phase(delta)
         # Both phases mutate entry header sets in place (invisible to the
         # table's own mutators), so bump the version for flow caches and
-        # pair fast-indexes; per-entry compiled matchers self-heal via
-        # their source-id check.  Every mutated pair was noted in the dirty
+        # pair fast-indexes; matchers read the entry's live header set, so
+        # they need nothing.  Every mutated pair was noted in the dirty
         # journal, so delta consumers need not treat the bump as a full
         # invalidation.
         self.table.touch(tracked=True)

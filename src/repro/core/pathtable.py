@@ -26,10 +26,10 @@ import itertools
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
 
-from ..bdd.engine import FALSE, FlatBDD
+from ..bdd.engine import FALSE
 from ..bdd.headerspace import HeaderSpace
 from ..netmodel.hops import Hop
 from ..netmodel.predicates import (
@@ -89,27 +89,17 @@ class PathEntry:
     tag: int
     exit_headers: Optional[int] = None
     rewrites: Tuple[Tuple[str, int], ...] = ()
-    compiled: Optional[FlatBDD] = field(default=None, repr=False, compare=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # A snapshot written before node pools pickled a compiled FlatBDD
+        # matcher beside every entry; reports are now matched on the
+        # manager's own nodes, so the copy is dropped on load.
+        state.pop("compiled", None)
+        self.__dict__.update(state)
 
     def exit_header_set(self) -> int:
         """The header set an exit-switch report is matched against."""
         return self.headers if self.exit_headers is None else self.exit_headers
-
-    def compiled_matcher(self, hs: HeaderSpace) -> FlatBDD:
-        """The flat-compiled exit-header matcher, rebuilt if stale.
-
-        Staleness is detected by comparing the matcher's source node id with
-        the entry's current exit-header BDD — canonical ids make this a
-        single integer compare, so in-place header mutations (the
-        incremental updater's subtract/extend phases) self-heal on the next
-        verification instead of needing explicit invalidation hooks.
-        """
-        target = self.exit_header_set()
-        matcher = self.compiled
-        if matcher is None or matcher.source != target:
-            matcher = hs.bdd.compile_flat(target)
-            self.compiled = matcher
-        return matcher
 
     def path_length(self) -> int:
         """Number of hops (switch traversals) on the path."""
@@ -227,7 +217,6 @@ def _build_pair_index(
     buckets: Dict[int, List[int]] = {}
     for pos, entry in enumerate(entries):
         buckets.setdefault(entry.tag, []).append(pos)
-        entry.compiled_matcher(hs)  # precompile while we are off the hot path
     disjoint = False
     if len(entries) <= _DISJOINT_PROBE_LIMIT:
         disjoint = True
@@ -428,11 +417,12 @@ class PathTable:
         return self._vector_kernel
 
     def compile_matchers(self, hs: HeaderSpace) -> int:
-        """Eagerly build every pair's fast index (and compiled matchers).
+        """Eagerly build every pair's fast index.
 
         Called at path-table build/refresh time so the first report after a
-        rebuild does not pay the compilation cost; returns the number of
-        path entries compiled.
+        rebuild does not pay for the tag buckets and the disjointness probe;
+        returns the number of path entries indexed.  Nothing is compiled:
+        reports are matched on the BDD manager's own node arrays.
         """
         compiled = 0
         for inport, outport in list(self._entries):
@@ -544,8 +534,7 @@ def _partition_worker(
     Builds the assigned entry ports' partition against the inherited BDD
     manager (every node it allocates lands at id >= ``base``) and ships back
     plain tuples: per-port path entries, per-port reach records, and the
-    private node-table suffix.  ``PathEntry.compiled`` matchers are never
-    shipped — the parent recompiles lazily against merged ids.
+    private node-table suffix.
     """
     try:
         results = []

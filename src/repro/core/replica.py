@@ -2,9 +2,10 @@
 
 VeriDP's server work (paper Section 4.3, Algorithm 3) is one lookup and one
 header-set test per report against the ``(inport, outport)`` path table.
-A :class:`ShardReplica` holds that table for a slice of the pairs, compiled
-to flat integer arrays (no codec, topology or BDD manager), verifies wire
-frames against it and keeps what it found until the transport drains it.
+A :class:`ShardReplica` holds that table for a slice of the pairs as pair
+specs (no codec or topology; each pair's header sets are a
+:class:`~repro.bdd.engine.NodePool`), verifies wire frames against it and
+keeps what it found until the transport drains it.
 Three transports carry one:
 
 * the direct daemon's worker threads
@@ -137,20 +138,28 @@ def wire_kernel(pairs, packing) -> Optional[WireBatchVerifier]:
 
 
 def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
-    """Compile one pair's picklable replica spec, ``None`` if it vanished.
+    """One pair's picklable replica spec, ``None`` if it vanished.
 
-    The spec is ``(tags, flat_matchers, by_tag, disjoint)`` — flat integer
-    arrays only, so replicas never need the codec, topology or BDD manager.
-    ``None`` is meaningful on the resync path: it tells a replica to drop
-    the pair (every path between the ports was removed by a rule update).
+    The spec is ``(tags, pool, by_tag, disjoint)``: the entries' tags, a
+    :class:`~repro.bdd.engine.NodePool` of their exit-header sets, and the
+    fast index's own tag buckets and disjointness bit (shared, not
+    copied).  Inside the process the pool is root ids into the BDD
+    manager's node lists, so a replica holds no second copy of a matcher,
+    and neither does a shard worker forked with it.  Pickling the spec (a
+    worker patch, a cluster reload or patch) ships one deduplicated pool of
+    just the pair's nodes, so a remote replica never needs the codec,
+    topology or BDD manager.  ``None`` is meaningful on the resync path: it
+    tells a replica to drop the pair (every path between the ports was
+    removed by a rule update).
     """
     index = table.fast_index(inport, outport, hs)
     if index is None:
         return None
+    entries = index.entries
     return (
-        tuple(entry.tag for entry in index.entries),
-        tuple(entry.compiled_matcher(hs) for entry in index.entries),
-        dict(index.by_tag),
+        tuple(entry.tag for entry in entries),
+        hs.bdd.pool(entry.exit_header_set() for entry in entries),
+        index.by_tag,
         index.disjoint,
     )
 
@@ -226,20 +235,21 @@ def build_one_shard_spec(
 
 
 def replica_digest(pairs: Dict[Tuple[int, int], tuple]) -> str:
-    """Stable fingerprint of one compiled shard replica.
+    """Stable fingerprint of one shard replica.
 
-    Hashes pair keys, tags, tag buckets, the disjointness bit and every flat
-    matcher's structure (shift/low/high arrays — *not* the manager-dependent
-    ``source`` ids), so two replicas digest equal iff they verify every
-    report identically.  Used to assert replicas converged after a delta
-    resync.
+    Hashes pair keys, tags, tag buckets, the disjointness bit and each
+    pair's localized node pool (the canonical form a pickled spec carries,
+    *not* manager node ids), so two replicas digest equal iff they verify
+    every report identically, whether their specs point into a BDD
+    manager or arrived pickled.  Used to assert replicas converged after a
+    delta resync.
     """
     digest = hashlib.sha1()
     for key in sorted(pairs):
-        tags, flats, by_tag, disjoint = pairs[key]
+        tags, pool, by_tag, disjoint = pairs[key]
+        local = pool.localized()
         digest.update(repr((key, tags, sorted(by_tag.items()), disjoint)).encode())
-        for flat in flats:
-            digest.update(repr((flat.root, flat.shifts, flat.low, flat.high)).encode())
+        digest.update(repr((local.roots, local.level, local.low, local.high)).encode())
     return digest.hexdigest()
 
 
@@ -252,7 +262,7 @@ def _verify_wire(
 
     Returns a verdict value string, or ``None`` for malformed payloads.
     Mirrors :meth:`Verifier._match_fast` (minus the flow cache, which would
-    buy little once the per-report cost is a few flat-array chases).
+    buy little once the per-report cost is a few node-list chases).
     """
     try:
         fields = _REPORT_STRUCT.unpack(payload)
@@ -263,7 +273,8 @@ def _verify_wire(
     pair = pairs.get((fields[2], fields[3]))
     if pair is None:
         return _FAIL_UNKNOWN
-    tags, flats, by_tag, disjoint = pair
+    tags, pool, by_tag, disjoint = pair
+    holds = pool.evaluate
     value = 0
     for pos, width in packing:
         value = (value << width) | fields[5 + pos]
@@ -273,17 +284,17 @@ def _verify_wire(
         positions = by_tag.get(tag)
         if positions is not None:
             for pos in positions:
-                if flats[pos].evaluate_value(value):
+                if holds(pos, value):
                     matched = pos
                     break
         if matched < 0:
-            for pos, flat in enumerate(flats):
-                if tags[pos] != tag and flat.evaluate_value(value):
+            for pos in range(len(tags)):
+                if tags[pos] != tag and holds(pos, value):
                     matched = pos
                     break
     else:
-        for pos, flat in enumerate(flats):
-            if flat.evaluate_value(value):
+        for pos in range(len(tags)):
+            if holds(pos, value):
                 matched = pos
                 break
     if matched < 0:

@@ -146,8 +146,8 @@ class VeriDPServer:
             self.state_version = 0
         if fast_path:
             self.table.compile_matchers(self.hs)
-        # The table and its matchers are built, and reports are verified on
-        # the compiled matchers: the build's apply memos are scratch from
+        # The table and its fast indexes are built, and reports are verified
+        # on the node arrays alone: the build's apply memos are scratch from
         # here on, and a worker forked later should not inherit them.
         # (Update flushes keep theirs; see BDD.new_generation.)
         self.hs.bdd.new_generation()

@@ -3,8 +3,9 @@
 :class:`ShardedVeriDPDaemon` shards reports by ``(inport, outport)`` hash
 across ``multiprocessing`` workers.  Each worker (:func:`_shard_worker_main`)
 is a queue transport over a :class:`~repro.core.replica.ShardReplica` — its
-shard of the path table compiled to flat arrays (no BDD manager, no
-topology) — which verifies frames locally and answers every batch with its
+shard of the path table as pair specs, whose node pools a forked worker
+inherits and a patched one receives localized (no topology) — which
+verifies frames locally and answers every batch with its
 delta (counters, failed payloads) over a result pipe; the parent's
 collector thread settles each delta as it arrives, sending the (rare)
 failures through the server's intake, the verdict of record.

@@ -1,11 +1,11 @@
-"""Vectorized batch verification kernel (numpy-compiled FlatBDD matchers).
+"""Vectorized batch verification kernel (path-entry BDDs packed into numpy).
 
-The scalar fast path walks one :class:`~repro.bdd.engine.FlatBDD` per
-report in interpreted Python (~2 µs/report).  This module compiles the
-matchers one level further — into numpy arrays — and verifies a whole
-dispatch batch as array operations, so the per-report cost is a few
-*nanoseconds* of vectorized work instead of microseconds of interpreter
-dispatch.
+The scalar fast path walks each candidate's BDD on the manager's node
+lists (a :class:`~repro.bdd.engine.NodePool`) per report in interpreted
+Python (~2 µs/report).  This module packs a pair's header sets into numpy
+arrays and verifies a whole dispatch batch as array operations, so the
+per-report cost is a few *nanoseconds* of vectorized work instead of
+microseconds of interpreter dispatch.
 
 Two evaluation tiers coexist inside one kernel, chosen per path entry at
 compile time:
@@ -20,7 +20,7 @@ compile time:
   Bloom membership checks use.  Cubes touching only one lane (the common
   case: pure dst-prefix matchers) skip the other lane's ops entirely.
 * **descent tier** — cube-rich matchers keep their BDD shape: node
-  ``shifts``/``low``/``high`` arrays concatenate into one assembly and the
+  ``level``/``low``/``high`` arrays concatenate into one assembly and the
   whole batch descends simultaneously, one gather (``np.take``-style fancy
   index) and compare per BDD level, with masked early-exit compacting the
   active set as rows reach terminals.
@@ -35,8 +35,8 @@ Everything degrades gracefully: no numpy, an unsupported header layout,
 a tiny batch, or a pair too irregular to pack (too many entries, too many
 nodes) all fall back to the scalar path — per batch or per row — with the
 fallbacks counted.  Invalidation rides the existing machinery:
-``FlatBDD.source`` staleness, ``PathTable.version`` and the dirty-pair
-journal, so delta resyncs recompile only the touched pair kernels.
+``PathTable.version`` and the dirty-pair journal, so delta resyncs
+recompile only the touched pair kernels.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ except Exception:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-from ..bdd.engine import _FLAT_FALSE, _FLAT_TRUE, FlatBDD
+from ..bdd.engine import _FLAT_FALSE, _FLAT_TRUE, FALSE, TRUE, NodePool
 
 __all__ = [
     "HAVE_NUMPY",
@@ -124,12 +124,6 @@ VMALFORMED = 254
 SLOT_UNKNOWN = -1
 SLOT_SCALAR = -2
 
-#: Entry evaluation classes inside an assembly.
-_CLS_CUBE_LANE0 = 0
-_CLS_CUBE_LANE1 = 1
-_CLS_CUBE_DUAL = 2
-_CLS_DESCENT = 3
-
 _U64_MASK = (1 << 64) - 1
 #: Hash-mixing constants (splitmix64 flavour), mirrored in numpy lookups.
 _MIX1 = 0x9E3779B97F4A7C15
@@ -143,43 +137,47 @@ _MISSING = object()
 # ---------------------------------------------------------------------------
 
 
-def cubes_of(flat: FlatBDD, cap: int = CUBE_CAP) -> Optional[List[Tuple[int, int]]]:
-    """Enumerate a matcher's cubes — its BDD paths to TRUE.
+def cubes_of(
+    pool: NodePool, i: int, cap: int = CUBE_CAP
+) -> Optional[List[Tuple[int, int]]]:
+    """Enumerate function ``i`` of ``pool``'s cubes — its BDD paths to TRUE.
 
-    Each cube is ``(mask, want)`` over the packed header value (bit ``i``
-    of either is the variable whose right-shift is ``i``), and the matcher
+    Each cube is ``(mask, want)`` over the packed header value (bit ``s``
+    of either is the variable at level ``pool.top - s``), and the function
     accepts ``v`` iff some cube has ``v & mask == want``.  Returns ``None``
-    when the matcher has more than ``cap`` cubes (or ``cap <= 0``) — the
-    caller then keeps the BDD shape and uses the descent tier.
+    when it has more than ``cap`` cubes (or ``cap <= 0``) — the caller
+    then keeps the BDD shape and uses the descent tier.
     """
     if cap <= 0:
         return None
-    if flat.root == _FLAT_FALSE:
+    root = pool.roots[i]
+    if root == FALSE:
         return []
-    if flat.root == _FLAT_TRUE:
+    if root == TRUE:
         return [(0, 0)]
-    shifts = flat.shifts
-    low = flat.low
-    high = flat.high
+    top = pool.top
+    level = pool.level
+    low = pool.low
+    high = pool.high
     out: List[Tuple[int, int]] = []
-    stack: List[Tuple[int, int, int]] = [(flat.root, 0, 0)]
+    stack: List[Tuple[int, int, int]] = [(root, 0, 0)]
     while stack:
         u, mask, want = stack.pop()
-        if u == _FLAT_TRUE:
+        if u == TRUE:
             out.append((mask, want))
             if len(out) > cap:
                 return None
             continue
-        if u == _FLAT_FALSE:
+        if u == FALSE:
             continue
-        bit = 1 << shifts[u]
+        bit = 1 << (top - level[u])
         stack.append((low[u], mask | bit, want))
         stack.append((high[u], mask | bit, want | bit))
     return out
 
 
-def witness_cube(flat: FlatBDD) -> Optional[Tuple[int, int]]:
-    """One satisfying cube ``(mask, want)`` of a matcher, or ``None`` if FALSE.
+def witness_cube(pool: NodePool, i: int) -> Optional[Tuple[int, int]]:
+    """One satisfying cube ``(mask, want)`` of function ``i``, ``None`` if FALSE.
 
     The active prober's fallback when :func:`cubes_of` gives up: a single
     greedy descent to TRUE instead of full path enumeration.  In a reduced
@@ -187,20 +185,21 @@ def witness_cube(flat: FlatBDD) -> Optional[Tuple[int, int]]:
     FALSE), so preferring the high branch whenever it is not FALSE finds a
     witness in at most one node per level — O(levels), never exponential.
     ``want`` itself (don't-cares zero-filled) is a satisfying packed header
-    value for :meth:`~repro.bdd.engine.FlatBDD.evaluate_value`.
+    value for :meth:`~repro.bdd.engine.NodePool.evaluate`.
     """
-    u = flat.root
-    if u == _FLAT_FALSE:
+    u = pool.roots[i]
+    if u == FALSE:
         return None
-    shifts = flat.shifts
-    low = flat.low
-    high = flat.high
+    top = pool.top
+    level = pool.level
+    low = pool.low
+    high = pool.high
     mask = 0
     want = 0
-    while u != _FLAT_TRUE:
-        bit = 1 << shifts[u]
+    while u != TRUE:
+        bit = 1 << (top - level[u])
         mask |= bit
-        if high[u] != _FLAT_FALSE:
+        if high[u] != FALSE:
             want |= bit
             u = high[u]
         else:
@@ -212,56 +211,52 @@ def witness_cube(flat: FlatBDD) -> Optional[Tuple[int, int]]:
 # per-pair compilation
 # ---------------------------------------------------------------------------
 
+if HAVE_NUMPY:
+    #: One row per path entry of a :class:`PairKernel`.
+    _ENTRY_DTYPE = np.dtype(
+        [("tag", "<u8"), ("ncubes", "<i4"), ("root", "<i4"), ("primary", "?")]
+    )
+    #: The cube and node arrays of a kernel that has none (most pairs have
+    #: no descent entry), shared instead of one empty array per pair.
+    _NO_CUBES = np.zeros(0, dtype=np.uint64)
+    _NO_NODES = np.zeros((0, 3), dtype=np.int32)
+
 
 class PairKernel:
-    """One pair's matchers compiled for the vector kernel.
+    """One pair's path entries packed for the vector kernel.
 
-    Cube entries carry their cube lists; descent entries carry a pair-local
-    node pool (``levels`` + interleaved ``children``).  ``primary`` maps a
-    tag to its single tag-first candidate position — populated only when
-    the pair is disjoint and the tag bucket has exactly one entry, the case
-    where tag-first probing is provably verdict-identical to list order.
+    ``entries`` holds one row per entry: its ``tag``, its cube count
+    ``ncubes`` (0 = descent tier), its descent-tier ``root`` and whether it
+    is the ``primary`` tag-first candidate — set only when the pair is
+    disjoint and the entry's tag bucket holds it alone, the case where
+    tag-first probing is provably verdict-identical to list order.
+    ``cubes`` holds the cube entries' cubes in entry order, four values
+    each: ``m0, w0, m1, w1`` (mask and want split into the two ``uint64``
+    lanes); ``nodes`` the descent entries' deduplicated node
+    pool, one ``(level, low, high)`` row each, children pair-local or a
+    terminal sentinel.
     """
 
-    __slots__ = (
-        "tags",
-        "sources",
-        "classes",
-        "cubes",
-        "roots",
-        "levels",
-        "children",
-        "primary",
-    )
+    __slots__ = ("entries", "cubes", "nodes")
 
-    def __init__(
-        self,
-        tags: Tuple[int, ...],
-        sources: Tuple[int, ...],
-        classes: Tuple[int, ...],
-        cubes: Tuple[Tuple[Tuple[int, int], ...], ...],
-        roots: Tuple[int, ...],
-        levels: Tuple[int, ...],
-        children: Tuple[int, ...],
-        primary: Dict[int, int],
-    ) -> None:
-        self.tags = tags
-        self.sources = sources
-        self.classes = classes
+    def __init__(self, entries, cubes, nodes) -> None:
+        self.entries = entries
         self.cubes = cubes
-        self.roots = roots
-        self.levels = levels
-        self.children = children
-        self.primary = primary
+        self.nodes = nodes
 
     @property
     def n_entries(self) -> int:
-        return len(self.tags)
+        return len(self.entries)
+
+
+def _pair_local(ids):
+    """Node-pool ids (0/1 terminals) as descent-kernel node indexes."""
+    return np.where(ids > TRUE, ids - 2, _FLAT_FALSE - ids)
 
 
 def compile_pair_kernel(
     tags: Sequence[int],
-    flats: Sequence[FlatBDD],
+    pool: NodePool,
     by_tag: Dict[int, Tuple[int, ...]],
     disjoint: bool,
     total_bits: int,
@@ -269,7 +264,7 @@ def compile_pair_kernel(
     node_cap: int = None,  # type: ignore[assignment]
     entry_cap: int = None,  # type: ignore[assignment]
 ) -> Optional[PairKernel]:
-    """Compile one pair's ``(tags, flats)`` into a :class:`PairKernel`.
+    """Pack one pair's ``tags`` and header-set ``pool`` into a :class:`PairKernel`.
 
     Returns ``None`` when the candidate set is too irregular to pack
     (more than ``entry_cap`` entries, or descent-tier node pool beyond
@@ -281,57 +276,52 @@ def compile_pair_kernel(
         node_cap = NODE_CAP
     if entry_cap is None:
         entry_cap = ENTRY_CAP
-    if len(flats) > entry_cap:
+    n = len(tags)
+    if n > entry_cap:
         return None
-    lane1_mask = _U64_MASK
-    lane0_low = (1 << max(total_bits - 64, 0)) - 1  # bits outside lane0
-    classes: List[int] = []
-    cube_lists: List[Tuple[Tuple[int, int], ...]] = []
-    roots: List[int] = []
-    levels: List[int] = []
-    children: List[int] = []
-    for flat in flats:
-        cubes = cubes_of(flat, cube_cap)
-        if cubes is not None:
-            if not cubes:
-                # Never-matching entry: one unsatisfiable cube keeps every
-                # entry at >= 1 cube so segment boundaries stay distinct.
-                cubes = [(0, 1)]
-            if all(mask & lane0_low == 0 for mask, _ in cubes):
-                classes.append(_CLS_CUBE_LANE0)
-            elif all(mask >> 64 == 0 for mask, _ in cubes):
-                classes.append(_CLS_CUBE_LANE1)
-            else:
-                classes.append(_CLS_CUBE_DUAL)
-            cube_lists.append(tuple(cubes))
-            roots.append(0)
+    shift0 = max(total_bits - 64, 0)
+    entries = np.zeros(n, dtype=_ENTRY_DTYPE)
+    entries["tag"] = tags
+    ncubes = entries["ncubes"]
+    lanes: List[int] = []
+    descent: List[int] = []
+    for i in range(n):
+        cubes = cubes_of(pool, i, cube_cap)
+        if cubes is None:
+            descent.append(i)
             continue
-        classes.append(_CLS_DESCENT)
-        cube_lists.append(())
-        base = len(levels)
-        top = total_bits - 1
-        levels.extend(top - s for s in flat.shifts)
-        for lo, hi in zip(flat.low, flat.high):
-            children.append(lo + base if lo >= 0 else lo)
-            children.append(hi + base if hi >= 0 else hi)
-        roots.append(flat.root + base if flat.root >= 0 else flat.root)
-        if len(levels) > node_cap:
+        if not cubes:
+            # Never-matching entry: one unsatisfiable cube, since a cube
+            # count of 0 marks a descent entry.
+            cubes = [(0, 1)]
+        ncubes[i] = len(cubes)
+        for mask, want in cubes:
+            lanes += (mask >> shift0, want >> shift0, mask & _U64_MASK, want & _U64_MASK)
+    cube_lanes = np.array(lanes, dtype=np.uint64) if lanes else _NO_CUBES
+    nodes = _NO_NODES
+    if descent:
+        local = NodePool(
+            tuple(pool.roots[i] for i in descent),
+            pool.level,
+            pool.low,
+            pool.high,
+            pool.top,
+        ).localized()
+        if len(local.level) - 2 > node_cap:
             return None
-    primary: Dict[int, int] = {}
+        nodes = np.column_stack(
+            (
+                np.asarray(local.level[2:], dtype=np.int32),
+                _pair_local(np.asarray(local.low[2:], dtype=np.int32)),
+                _pair_local(np.asarray(local.high[2:], dtype=np.int32)),
+            )
+        )
+        entries["root"][descent] = _pair_local(np.asarray(local.roots, dtype=np.int32))
     if disjoint:
-        for tag, positions in by_tag.items():
+        for positions in by_tag.values():
             if len(positions) == 1:
-                primary[tag] = positions[0]
-    return PairKernel(
-        tags=tuple(tags),
-        sources=tuple(f.source for f in flats),
-        classes=tuple(classes),
-        cubes=tuple(cube_lists),
-        roots=tuple(roots),
-        levels=tuple(levels),
-        children=tuple(children),
-        primary=primary,
-    )
+                entries["primary"][positions[0]] = True
+    return PairKernel(entries, cube_lanes, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +329,61 @@ def compile_pair_kernel(
 # ---------------------------------------------------------------------------
 
 
-def _mix_py(a: int, b: int) -> int:
-    h = (a * _MIX1 + b * _MIX2) & _U64_MASK
-    h ^= h >> 31
-    h = (h * _MIX1) & _U64_MASK
-    return h >> 32
+def _home(a, b, mask):
+    """Home slot of each ``(a, b)`` key: a splitmix64-flavoured hash."""
+    h = b * np.uint64(_MIX1) + a.astype(np.uint64) * np.uint64(_MIX2)
+    h = h ^ (h >> np.uint64(31))
+    h = h * np.uint64(_MIX1)
+    return (h >> np.uint64(32)).astype(np.int64) & mask
 
 
 class _ProbeTable:
     """Vectorized open-addressing map ``(key_a, key_b) -> value``.
 
-    Build is Python (small, compile-time); lookup is numpy linear probing
-    bounded by the worst probe length seen at build time.
+    Linear probing at a load factor of at most 1/4, built and probed with
+    numpy; lookups are bounded by the worst probe length seen at build
+    time.
     """
 
     __slots__ = ("ka", "kb", "val", "mask", "max_probe")
 
-    def __init__(self, items: Sequence[Tuple[int, int, int]]) -> None:
+    def __init__(self, a, b, val) -> None:
+        """Map ``(a[i], b[i]) -> val[i]`` (int64, uint64 and int64 arrays)."""
+        n = a.shape[0]
         size = 4
-        while size < 4 * (len(items) + 1):
+        while size < 4 * (n + 1):
             size <<= 1
-        ka = [-1] * size
-        kb = [0] * size
-        val = [0] * size
-        mask = size - 1
-        max_probe = 0
-        for a, b, v in items:
-            h = _mix_py(b, a) & mask
-            probe = 0
-            while ka[h] != -1:
-                h = (h + 1) & mask
-                probe += 1
-            ka[h] = a
-            kb[h] = b
-            val[h] = v
-            max_probe = max(max_probe, probe)
-        self.ka = np.asarray(ka, dtype=np.int64)
-        self.kb = np.asarray(kb, dtype=np.uint64)
-        self.val = np.asarray(val, dtype=np.int64)
-        self.mask = np.int64(mask)
-        self.max_probe = max_probe
+        mask = np.int64(size - 1)
+        self.ka = np.full(size, -1, dtype=np.int64)
+        self.kb = np.zeros(size, dtype=np.uint64)
+        self.val = np.zeros(size, dtype=np.int64)
+        self.mask = mask
+        self.max_probe = 0
+        # Every key still pending after ``probe`` rounds has found each of
+        # its slots home..home+probe-1 taken, so it tries home+probe next.
+        # Of the keys that try one free slot together, exactly one wins:
+        # the one whose index the scatter below left in ``owner``.
+        home = _home(a, b, mask)
+        pending = np.arange(n, dtype=np.int64)
+        owner = np.empty(size, dtype=np.int64)
+        probe = 0
+        while pending.size:
+            slots = (home[pending] + probe) & mask
+            free = self.ka[slots] == -1
+            keys = pending[free]
+            taken = slots[free]
+            owner[taken] = keys
+            won = owner[taken] == keys
+            if won.any():
+                self.max_probe = probe
+                slot, key = taken[won], keys[won]
+                self.ka[slot] = a[key]
+                self.kb[slot] = b[key]
+                self.val[slot] = val[key]
+            left = np.ones(pending.size, dtype=bool)
+            left[np.flatnonzero(free)[won]] = False
+            pending = pending[left]
+            probe += 1
 
     def lookup(self, a, b):
         """Vectorized ``get((a, b), -1)`` over aligned key arrays.
@@ -387,10 +392,7 @@ class _ProbeTable:
         factor almost every present key sits in its home slot, so the loop
         below usually starts from a near-empty remainder.
         """
-        h = b * np.uint64(_MIX1) + a.astype(np.uint64) * np.uint64(_MIX2)
-        h = h ^ (h >> np.uint64(31))
-        h = h * np.uint64(_MIX1)
-        idx = (h >> np.uint64(32)).astype(np.int64) & self.mask
+        idx = _home(a, b, self.mask)
         stored = self.ka[idx]
         hit = (stored == a) & (self.kb[idx] == b)
         out = np.where(hit, self.val[idx], np.int64(-1))
@@ -414,6 +416,13 @@ class _ProbeTable:
             ab = ab[cont]
             cur = cur[cont]
         return out
+
+
+def _scatter(column, src, dst, rows, pad, fill):
+    """A ``(rows, pad)`` matrix of ``fill`` with ``column[src]`` at ``dst``."""
+    out = np.full(rows * pad, fill, dtype=np.uint64)
+    out[dst] = column[src]
+    return out.reshape(rows, pad)
 
 
 def _lane_block(m, w):
@@ -452,74 +461,82 @@ class KernelAssembly:
     a handful of 2-D broadcasts per bucket instead of ragged
     repeat/cumsum/reduceat machinery — the difference between ~3M and
     >6M verifs/s on the fig13 batches.
+
+    ``tag_first`` builds the ``(slot, tag)`` probe of :meth:`verify`'s
+    phase A.  The wire verifier passes False: its own ``(pair, tag)``
+    probe has already tried every row's tag-first candidate, so phase A
+    would repeat the same evaluations on a second copy of the table.
     """
 
-    def __init__(self, kernels: Sequence[PairKernel], total_bits: int) -> None:
+    def __init__(
+        self, kernels: Sequence[PairKernel], total_bits: int, tag_first: bool = True
+    ) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError("KernelAssembly requires numpy")
         self.total_bits = total_bits
-        self.nbytes = total_bits // 8
-        ent_off = [0]
-        tags: List[int] = []
-        classes: List[int] = []
-        ent_cubes: List[Tuple[Tuple[int, int], ...]] = []
-        roots: List[int] = []
-        levels: List[int] = []
-        children: List[int] = []
-        primary_items: List[Tuple[int, int, int]] = []
-        for slot, kern in enumerate(kernels):
-            base_ent = ent_off[-1]
-            node_base = len(levels)
-            tags.extend(kern.tags)
-            classes.extend(kern.classes)
-            ent_cubes.extend(kern.cubes)
-            for root in kern.roots:
-                roots.append(root + node_base if root >= 0 else root)
-            levels.extend(kern.levels)
-            for child in kern.children:
-                children.append(child + node_base if child >= 0 else child)
-            for tag, pos in kern.primary.items():
-                primary_items.append((slot, tag, base_ent + pos))
-            ent_off.append(base_ent + kern.n_entries)
-        self.ent_off = np.asarray(ent_off, dtype=np.int64)
-        self.ent_tags = np.asarray(tags, dtype=np.uint64)
-        self.ent_class = np.asarray(classes, dtype=np.uint8)
-        self.ent_root = np.asarray(roots, dtype=np.int64)
-        self.node_levels = np.asarray(levels, dtype=np.int64)
-        self.node_children = np.asarray(children, dtype=np.int64)
-        self.primary = _ProbeTable(primary_items) if primary_items else None
+        counts = np.array([k.n_entries for k in kernels], dtype=np.int64)
+        self.ent_off = np.zeros(len(kernels) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ent_off[1:])
+        ents = np.concatenate(
+            [k.entries for k in kernels] or [np.zeros(0, dtype=_ENTRY_DTYPE)]
+        )
         self.n_entries = int(self.ent_off[-1])
-        # Bucket cube entries by padded (power-of-two) cube count.  The
-        # lane split happens on Python ints — cube masks can exceed 64 bits.
+        self.ent_tags = ents["tag"].copy()
+        # Descent nodes: each kernel's pool shifts up past the ones before.
+        node_counts = np.array([len(k.nodes) for k in kernels], dtype=np.int64)
+        node_base = np.zeros(len(kernels), dtype=np.int64)
+        np.cumsum(node_counts[:-1], out=node_base[1:])
+        nodes = np.concatenate([k.nodes for k in kernels] or [_NO_NODES]).astype(
+            np.int64
+        )
+        children = nodes[:, 1:]
+        shift = np.repeat(node_base, node_counts)[:, None]
+        self.node_levels = nodes[:, 0].copy()
+        self.node_children = np.where(children >= 0, children + shift, children).ravel()
+        roots = ents["root"].astype(np.int64)
+        shift = np.repeat(node_base, counts)
+        self.ent_root = np.where(roots >= 0, roots + shift, roots)
+        #: Assembly index of every tag-first candidate entry.
+        self.primary_ents = np.flatnonzero(ents["primary"])
+        self.primary = None
+        if tag_first and self.primary_ents.size:
+            primary = self.primary_ents
+            slot_of = np.repeat(np.arange(len(kernels), dtype=np.int64), counts)
+            self.primary = _ProbeTable(slot_of[primary], self.ent_tags[primary], primary)
+        # Bucket cube entries by padded (power-of-two) cube count and scatter
+        # each bucket's cubes into its (rows, pad) lane matrices, lane by
+        # lane; the padding cells hold an unsatisfiable cube (mask 0 /
+        # want 1 on lane1).
+        cubes = np.concatenate([k.cubes for k in kernels] or [_NO_CUBES]).reshape(
+            -1, 4
+        )
+        ncubes = ents["ncubes"].astype(np.int64)
+        cube_off = np.zeros(self.n_entries, dtype=np.int64)
+        np.cumsum(ncubes[:-1], out=cube_off[1:])
         shift0 = max(total_bits - 64, 0)
-        pad_fill = (0, 1)  # mask 0 / want 1: unsatisfiable on lane1
-        by_pad: Dict[int, List[int]] = {}
-        for ent, cubes in enumerate(ent_cubes):
-            if not cubes:  # descent entry
-                continue
-            pad = 1
-            while pad < len(cubes):
-                pad <<= 1
-            by_pad.setdefault(pad, []).append(ent)
+        pad_fill = (0, 1 >> shift0, 0, 1)
+        has = ncubes > 0
+        pads = np.zeros(self.n_entries, dtype=np.int64)
+        pads[has] = np.left_shift(1, np.ceil(np.log2(ncubes[has])).astype(np.int64))
         self.ent_bucket = np.full(self.n_entries, -1, dtype=np.int8)
         self.ent_brow = np.zeros(self.n_entries, dtype=np.int64)
         self.buckets: List[Tuple] = []
-        for pad in sorted(by_pad):
-            members = by_pad[pad]
-            m0 = np.empty((len(members), pad), dtype=np.uint64)
-            w0 = np.empty_like(m0)
-            m1 = np.empty_like(m0)
-            w1 = np.empty_like(m0)
-            for row, ent in enumerate(members):
-                cubes = ent_cubes[ent]
-                padded = cubes + (pad_fill,) * (pad - len(cubes))
-                for col, (mask, want) in enumerate(padded):
-                    m0[row, col] = mask >> shift0
-                    w0[row, col] = want >> shift0
-                    m1[row, col] = mask & _U64_MASK
-                    w1[row, col] = want & _U64_MASK
-                self.ent_bucket[ent] = len(self.buckets)
-                self.ent_brow[ent] = row
+        for pad in sorted(set(pads[has].tolist())):
+            members = np.flatnonzero(pads == pad)
+            count = ncubes[members]
+            # Cell k of the bucket's cubes, in row-major order, is cube
+            # ``cube_off[member] + col`` at position ``row * pad + col``.
+            starts = np.zeros(members.size, dtype=np.int64)
+            np.cumsum(count[:-1], out=starts[1:])
+            step = np.arange(int(count.sum()), dtype=np.int64)
+            src = np.repeat(cube_off[members] - starts, count) + step
+            dst = np.repeat(np.arange(members.size) * pad - starts, count) + step
+            m0, w0, m1, w1 = (
+                _scatter(cubes[:, lane], src, dst, members.size, pad, pad_fill[lane])
+                for lane in range(4)
+            )
+            self.ent_bucket[members] = len(self.buckets)
+            self.ent_brow[members] = np.arange(members.size)
             # Wide buckets split into column blocks: rows that match an
             # early block (the common healthy case) skip the rest.
             blocks = []
@@ -775,7 +792,7 @@ def build_table_kernel(table, hs, kernel_cache: Dict) -> Optional[TableKernel]:
                 continue
             kern = compile_pair_kernel(
                 tuple(entry.tag for entry in index.entries),
-                tuple(entry.compiled_matcher(hs) for entry in index.entries),
+                hs.bdd.pool(entry.exit_header_set() for entry in index.entries),
                 index.by_tag,
                 index.disjoint,
                 total_bits,
@@ -858,7 +875,7 @@ class WireBatchVerifier:
         self.kernel_compiles = 0
         self.irregular_pairs = 0
 
-    # -- invalidation (FlatBDD.source / table-version / dirty journal) -------
+    # -- invalidation (table version / dirty journal) --------------------------
 
     def reload(self, pairs: Dict) -> None:
         """Swap the whole replica (full resync / worker reload)."""
@@ -884,35 +901,44 @@ class WireBatchVerifier:
         if self._assembly is not None:
             return
         kernels: List[PairKernel] = []
-        slot_items: List[Tuple[int, int, int]] = []
-        fused_items: List[Tuple[int, int, int]] = []
-        base_ent = 0
+        kernel_pairs: List[int] = []
+        slot_pairs: List[int] = []
+        slots: List[int] = []
         self.irregular_pairs = 0
-        for (in_wire, out_wire), spec in self._pairs.items():
-            kern = self._kernels.get((in_wire, out_wire), _MISSING)
+        for key, spec in self._pairs.items():
+            kern = self._kernels.get(key, _MISSING)
             if kern is _MISSING:
-                tags, flats, by_tag, disjoint = spec
-                kern = compile_pair_kernel(
-                    tags, flats, by_tag, disjoint, self.total_bits
-                )
-                self._kernels[(in_wire, out_wire)] = kern
+                kern = compile_pair_kernel(*spec, self.total_bits)
+                self._kernels[key] = kern
                 self.kernel_compiles += 1
-            packed = (in_wire << 16) | out_wire
+            packed = (key[0] << 16) | key[1]
+            slot_pairs.append(packed)
             if kern is None:
                 self.irregular_pairs += 1
-                slot_items.append((packed, 0, SLOT_SCALAR))
+                slots.append(SLOT_SCALAR)
             else:
-                slot_items.append((packed, 0, len(kernels)))
+                slots.append(len(kernels))
                 kernels.append(kern)
-                for tag, pos in kern.primary.items():
-                    fused_items.append((packed, tag, base_ent + pos))
-                base_ent += kern.n_entries
-        self._assembly = KernelAssembly(kernels, self.total_bits)
-        self._slot_table = _ProbeTable(slot_items)
+                kernel_pairs.append(packed)
+        assembly = KernelAssembly(kernels, self.total_bits, tag_first=False)
+        self._slot_table = _ProbeTable(
+            np.array(slot_pairs, dtype=np.int64),
+            np.zeros(len(slot_pairs), dtype=np.uint64),
+            np.array(slots, dtype=np.int64),
+        )
         # One probe keyed (pair, tag) -> global entry lets healthy rows skip
         # the per-row slot lookup entirely; only the remainder resolves its
-        # pair slot and runs the two-phase assembly scan.
-        self._fused = _ProbeTable(fused_items) if fused_items else None
+        # pair slot and runs the assembly's list-order scan.
+        primary = assembly.primary_ents
+        self._fused = None
+        if primary.size:
+            pair_of = np.repeat(
+                np.array(kernel_pairs, dtype=np.int64), np.diff(assembly.ent_off)
+            )
+            self._fused = _ProbeTable(
+                pair_of[primary], assembly.ent_tags[primary], primary
+            )
+        self._assembly = assembly
 
     # -- verification ---------------------------------------------------------
 

@@ -21,8 +21,10 @@ Two implementations of the membership test coexist:
 * the **slow path** (``fast_path=False``) — the paper-literal list-order
   scan with recursive ``HeaderSpace.contains``; it is the reference
   semantics every optimisation is checked against,
-* the **fast path** (default) — compiled flat-array matchers
-  (:class:`repro.bdd.engine.FlatBDD`), tag-first candidate ordering when
+* the **fast path** (default) — each candidate's exit-header BDD walked
+  on the manager's own node arrays with the header packed into one
+  integer (:meth:`repro.bdd.engine.BDD.evaluate_value`), tag-first
+  candidate ordering when
   the pair's header sets are disjoint, and a bounded per-flow cache mapping
   the canonical ``(inport, outport, header)`` of a report that PASSed to
   its matched entry (a failing payload is remembered by the server's
@@ -152,9 +154,10 @@ class Verifier:
     The linear scan over the pair's path list mirrors the paper's design;
     Figure 6 justifies it (few paths per pair), and our Figure 6 benchmark
     re-validates the assumption for the bundled topologies.  With
-    ``fast_path`` enabled (the default) the scan runs over compiled
-    flat-array matchers with tag-first ordering and a per-flow cache; the
-    verdicts are identical, only the constant factor changes.
+    ``fast_path`` enabled (the default) the scan walks each candidate's BDD
+    with the header packed into one integer, with tag-first ordering and a
+    per-flow cache; the verdicts are identical, only the constant factor
+    changes.
     """
 
     def __init__(
@@ -208,7 +211,7 @@ class Verifier:
     def _match_fast(
         self, report: TagReport
     ) -> Tuple[Verdict, Optional[PathEntry]]:
-        """Compiled matchers + tag-first ordering + per-flow cache.
+        """Packed-header BDD walks + tag-first ordering + per-flow cache.
 
         Only a flow that PASSes is stored.  Its entry is a function of the
         flow and the table version alone, so a hit answers a later report
@@ -232,6 +235,7 @@ class Verifier:
             if index is None:
                 return Verdict.FAIL_UNKNOWN_PAIR, None
             hs = self.hs
+            holds = hs.bdd.evaluate_value
             value = hs.header_value(report.header.as_dict())
             entries = index.entries
             matched = None
@@ -239,25 +243,23 @@ class Verifier:
                 # Tag-first: with pairwise-disjoint header sets at most one
                 # entry can contain the header, so probing the report-tag
                 # bucket first cannot change the verdict — it only lets the
-                # common PASS case finish after a dict hit + one matcher.
+                # common PASS case finish after a dict hit + one BDD walk.
                 positions = index.by_tag.get(report.tag)
                 if positions is not None:
                     for pos in positions:
                         entry = entries[pos]
-                        if entry.compiled_matcher(hs).evaluate_value(value):
+                        if holds(entry.exit_header_set(), value):
                             matched = entry
                             break
                 if matched is None:
                     tag = report.tag
                     for entry in entries:
-                        if entry.tag != tag and entry.compiled_matcher(
-                            hs
-                        ).evaluate_value(value):
+                        if entry.tag != tag and holds(entry.exit_header_set(), value):
                             matched = entry
                             break
             else:
                 for entry in entries:
-                    if entry.compiled_matcher(hs).evaluate_value(value):
+                    if holds(entry.exit_header_set(), value):
                         matched = entry
                         break
             if (

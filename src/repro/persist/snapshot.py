@@ -2,8 +2,10 @@
 
 A snapshot is one self-contained checkpoint of the server's durable state:
 the BDD engine's node table (so every header-set node id in the path table
-stays valid), the :class:`~repro.core.pathtable.PathTable` entries with
-their compiled FlatBDD matchers, the builder's reachability index (what
+stays valid), the :class:`~repro.core.pathtable.PathTable` entries (their
+header sets are node ids in that table; no matcher is stored beside them,
+and the FlatBDD matchers an older snapshot carries are dropped on load),
+the builder's reachability index (what
 the incremental updater's extend phase traverses), the LPM rule set that
 reproduces the provider's predicates, and the WAL sequence number the
 checkpoint covers — recovery is "newest valid snapshot + WAL suffix".

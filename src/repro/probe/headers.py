@@ -9,12 +9,13 @@ witness per entry is a **minimal** probe set for the pair — fewer probes
 would leave some entry unexercised (property-tested against brute-force
 set cover in ``tests/probe/test_headers.py``).
 
-Witness extraction reuses the vector kernel's compiled-matcher machinery
-(:func:`repro.core.vector.cubes_of`): a cube-poor matcher enumerates its
-cubes and takes the *widest* one (fewest specified bits — the probe header
-least entangled with adjacent rule boundaries, don't-cares zero-filled);
-a cube-rich matcher falls back to :func:`repro.core.vector.witness_cube`,
-a single greedy FlatBDD descent to TRUE.  Both tiers are deterministic, so
+Witness extraction reuses the vector kernel's cube machinery
+(:func:`repro.core.vector.cubes_of`) on the BDD manager's own nodes: a
+cube-poor header set enumerates its cubes and takes the *widest* one
+(fewest specified bits — the probe header least entangled with adjacent
+rule boundaries, don't-cares zero-filled); a cube-rich one falls back to
+:func:`repro.core.vector.witness_cube`, a single greedy BDD descent to
+TRUE.  Both tiers are deterministic, so
 replanning after rule churn regenerates identical headers for untouched
 entries.
 """
@@ -60,7 +61,7 @@ class DerivationStats:
     """How representative headers were extracted (feeds probe metrics)."""
 
     cube_tier: int = 0  # witnesses picked from full cube enumeration
-    descent_tier: int = 0  # witnesses from the greedy FlatBDD descent
+    descent_tier: int = 0  # witnesses from the greedy BDD descent
     empty: int = 0  # entries whose header set was FALSE (no witness)
 
     @property
@@ -89,11 +90,11 @@ def representative_value(
     Deterministic: the widest cube (fewest specified bits, ties broken by
     smallest value) when the matcher enumerates under ``cap`` cubes, else
     the greedy descent witness.  Don't-care bits are zero-filled, so the
-    returned value is directly a ``FlatBDD.evaluate_value`` input and
+    returned value is directly a ``BDD.evaluate_value`` input and
     unpacks via :meth:`HeaderSpace.header_from_value`.
     """
-    flat = hs.bdd.compile_flat(header_set)
-    cubes = cubes_of(flat, cap)
+    pool = hs.bdd.pool((header_set,))
+    cubes = cubes_of(pool, 0, cap)
     if cubes is not None:
         if not cubes:
             if stats is not None:
@@ -103,7 +104,7 @@ def representative_value(
         if stats is not None:
             stats.cube_tier += 1
         return want
-    cube = witness_cube(flat)
+    cube = witness_cube(pool, 0)
     if cube is None:  # unreachable: cubes_of returns [] for FALSE
         if stats is not None:
             stats.empty += 1

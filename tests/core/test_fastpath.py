@@ -16,6 +16,7 @@ from repro.bdd.engine import FALSE, TRUE
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.incremental import IncrementalPathTable
 from repro.core.pathtable import PathTableBuilder
+from repro.core.replica import build_pair_spec
 from repro.core.reports import TagReport, pack_report
 from repro.core.server import VeriDPServer
 from repro.core.verifier import Verdict, Verifier
@@ -67,11 +68,12 @@ class TestFlatBDD:
     def test_entry_matchers_match_entry_headers(self, figure5):
         _, hs, builder, table = figure5
         for _, _, entry in table.all_entries():
-            flat = entry.compiled_matcher(hs)
-            assert flat.source == entry.exit_header_set()
+            target = entry.exit_header_set()
             header = hs.sample_header(entry.headers)
             assert header is not None
-            assert flat.evaluate_value(hs.header_value(header))
+            value = hs.header_value(header)
+            assert hs.bdd.compile_flat(target).evaluate_value(value)
+            assert hs.bdd.evaluate_value(target, value)
 
 
 class TestFastSlowParity:
@@ -312,19 +314,19 @@ class TestIncrementalCoherence:
         assert batch.all_passed
 
     def test_compiled_matchers_rebuilt_after_update(self):
-        """Per-entry flat matchers self-heal when the entry's header set is
-        mutated in place by the incremental updater."""
+        """Matchers follow an entry whose header set the incremental updater
+        mutated in place: a pair spec built afterwards points at the
+        entries' current exit-header sets, in the manager's own nodes."""
         scenario, hs, inc, ruleset = self._rig()
-        before = {
-            id(entry): entry.compiled_matcher(hs).source
-            for _, _, entry in inc.table.all_entries()
-        }
         prefix, port = ruleset["S1"][0]
         inc.delete_rule("S1", prefix)
         inc.add_rule("S1", prefix, port)
-        for _, _, entry in inc.table.all_entries():
-            flat = entry.compiled_matcher(hs)
-            assert flat.source == entry.exit_header_set()
+        for inport, outport in inc.table.pairs():
+            _, pool, _, _ = build_pair_spec(inc.table, hs, inport, outport)
+            assert pool.level is hs.bdd._level
+            assert pool.roots == tuple(
+                entry.exit_header_set() for entry in inc.table.lookup(inport, outport)
+            )
         # at least the parity invariant: verdicts equal slow path
         reports = self._sample_reports(hs, inc.table)
         fast = Verifier(inc.table, hs, fast_path=True)

@@ -95,10 +95,15 @@ predicates = st.recursive(
 )
 
 
-def assemble_single(hs, flat, cube_cap):
-    """One-entry assembly for ``flat`` (``cube_cap=0`` forces descent)."""
+def assemble_single(hs, header_set, cube_cap):
+    """One-entry assembly for ``header_set`` (``cube_cap=0`` forces descent)."""
     kern = vec.compile_pair_kernel(
-        [0], [flat], {0: (0,)}, True, hs.layout.total_bits, cube_cap=cube_cap
+        [0],
+        hs.bdd.pool([header_set]),
+        {0: (0,)},
+        True,
+        hs.layout.total_bits,
+        cube_cap=cube_cap,
     )
     assert kern is not None
     return vec.KernelAssembly([kern], hs.layout.total_bits)
@@ -121,24 +126,65 @@ class TestEntryEvaluation:
         """Both evaluation tiers agree with ``FlatBDD.evaluate_value`` on
         random predicates and random header batches."""
         hs = HeaderSpace()
-        flat = hs.bdd.compile_flat(predicate_from(hs, spec))
+        header_set = predicate_from(hs, spec)
+        flat = hs.bdd.compile_flat(header_set)
         dicts = [h.as_dict() for h in batch]
         expected = [flat.evaluate_value(hs.header_value(d)) for d in dicts]
         hdr, lane0, lane1 = marshal(hs, dicts)
         rows = np.arange(len(batch), dtype=np.int64)
         gidx = np.zeros(len(batch), dtype=np.int64)
         for cube_cap in (vec.CUBE_CAP, 0):  # cube tier, then forced descent
-            assembly = assemble_single(hs, flat, cube_cap)
+            assembly = assemble_single(hs, header_set, cube_cap)
             got = assembly._eval_entries(rows, gidx, lane0, lane1, hdr)
             assert got.tolist() == expected
 
     def test_descent_forced_when_cap_zero(self):
         hs = HeaderSpace()
-        flat = hs.bdd.compile_flat(hs.prefix("dst_ip", 0x0A000000, 8))
-        assembly = assemble_single(hs, flat, 0)
+        header_set = hs.prefix("dst_ip", 0x0A000000, 8)
+        assembly = assemble_single(hs, header_set, 0)
         assert (assembly.ent_bucket == -1).all()  # no cube buckets
-        assembly = assemble_single(hs, flat, vec.CUBE_CAP)
+        assembly = assemble_single(hs, header_set, vec.CUBE_CAP)
         assert (assembly.ent_bucket >= 0).all()
+
+
+class TestProbeTable:
+    @given(
+        keys=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 28) - 1),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+            ),
+            unique=True,
+            max_size=200,
+        ),
+        absent=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 28) - 1),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+            ),
+            max_size=50,
+        ),
+        collide=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_matches_a_dict(self, keys, absent, collide):
+        """The vectorized linear-probing build places every key where a
+        lookup finds it, however many keys contend for one slot; a key
+        not in the table comes back -1."""
+        if collide:  # one ``b`` for every key: slots depend on ``a`` alone
+            keys = list(dict.fromkeys((a, 0) for a, _ in keys))
+        table = dict(zip(keys, range(len(keys))))
+        probe = vec._ProbeTable(
+            np.array([a for a, _ in keys], dtype=np.int64),
+            np.array([b for _, b in keys], dtype=np.uint64),
+            np.array(list(table.values()), dtype=np.int64),
+        )
+        asked = keys + [key for key in absent if key not in table]
+        got = probe.lookup(
+            np.array([a for a, _ in asked], dtype=np.int64),
+            np.array([b for _, b in asked], dtype=np.uint64),
+        )
+        assert got.tolist() == [table.get(key, -1) for key in asked]
 
 
 @pytest.fixture(scope="module")

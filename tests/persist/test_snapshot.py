@@ -7,12 +7,17 @@ import pytest
 
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.incremental import IncrementalPathTable, LpmProvider
+from repro.core.replica import build_shard_specs, replica_digest
+from repro.core.reports import PortCodec, TagReport
+from repro.core.verifier import Verifier
+from repro.netmodel.packet import Header
 from repro.persist.recovery import capture_state, restore_state
 from repro.persist.snapshot import (
     SnapshotError,
     SnapshotStore,
     bdd_fingerprint,
     read_snapshot,
+    table_fingerprint,
     write_snapshot,
 )
 from repro.topologies import (
@@ -169,22 +174,21 @@ class TestStateRoundTrip:
         scenario = build_linear(4, install_routes=False)
         ruleset = lpm_ruleset_for(scenario.topo, scenario.subnets)
         hs, updater, hs2, updater2 = self._round_trip(scenario, ruleset, tmp_path)
-        updater.table.compile_matchers(hs)
-        updater2.table.compile_matchers(hs2)
         for (pair, entries), (pair2, entries2) in zip(
             sorted(updater.table._entries.items()),
             sorted(updater2.table._entries.items()),
         ):
             assert pair == pair2
             for entry, entry2 in zip(entries, entries2):
-                # Evaluate both compiled matchers on probe headers drawn
-                # from every subnet: identical accept/reject behaviour.
+                # Evaluate both matchers, each on its own manager's nodes,
+                # on probe headers drawn from every subnet: identical
+                # accept/reject behaviour.
                 for src, dst in scenario.host_pairs():
                     header = scenario.header_between(src, dst)
                     value = hs.header_value(header.as_dict())
-                    assert entry.compiled_matcher(hs).evaluate_value(
-                        value
-                    ) == entry2.compiled_matcher(hs2).evaluate_value(value)
+                    assert hs.bdd.evaluate_value(
+                        entry.exit_header_set(), value
+                    ) == hs2.bdd.evaluate_value(entry2.exit_header_set(), value)
 
     def test_incremental_updates_work_after_restore(self, tmp_path):
         """The restored updater is live: Section 4.4 updates keep working."""
@@ -209,3 +213,46 @@ class TestStateRoundTrip:
 
         with pytest.raises(RecoveryError):
             restore_state(payload, other.topo)
+
+
+#: A snapshot of ``build_linear(4)`` under its LPM rule set (``wal_seq`` 42,
+#: ``state_version`` 3), written by the code that pickled a compiled FlatBDD
+#: matcher beside every path entry (``PathEntry.compiled``).
+OLDER_SNAPSHOT = os.path.join(
+    os.path.dirname(__file__), "fixtures", "snap-linear4-flatbdd.snap"
+)
+
+
+class TestOlderSnapshot:
+    def test_snapshot_with_flatbdd_matchers_restores(self, tmp_path):
+        """An older snapshot still loads: the store does not skip it as
+        unreadable (which would fall back to a full WAL replay), its entries
+        drop the pickled matcher copies, and the restored table equals a
+        fresh rebuild down to the replica it compiles."""
+        target = tmp_path / "snap-0000000000000042.snap"
+        target.write_bytes(open(OLDER_SNAPSHOT, "rb").read())
+        store = SnapshotStore(str(tmp_path))
+        payload = store.load_latest()
+        assert payload is not None
+        assert store.load_failures == 0
+        assert (payload["wal_seq"], payload["state_version"]) == (42, 3)
+
+        scenario = build_linear(4, install_routes=False)
+        hs2, updater2 = restore_state(payload, scenario.topo)
+        entries = [entry for _, _, entry in updater2.table.all_entries()]
+        assert entries
+        assert all("compiled" not in vars(entry) for entry in entries)
+
+        ruleset = lpm_ruleset_for(scenario.topo, scenario.subnets)
+        hs, updater = lpm_rig(scenario, ruleset)
+        assert table_fingerprint(updater2.table, hs2.bdd) == table_fingerprint(
+            updater.table, hs.bdd
+        )
+        codec = PortCodec(sorted(scenario.topo.switches))
+        assert replica_digest(
+            build_shard_specs(updater2.table, hs2, codec, 1)[0]
+        ) == replica_digest(build_shard_specs(updater.table, hs, codec, 1)[0])
+        for inport, outport, entry in updater2.table.all_entries():
+            header = hs2.sample_header(entry.exit_header_set())
+            report = TagReport(inport, outport, Header(**header), entry.tag)
+            assert Verifier(updater2.table, hs2).verify(report).passed

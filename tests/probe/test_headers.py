@@ -73,8 +73,7 @@ def test_descent_tier_also_satisfies(hs_and_set):
 @given(header_sets())
 def test_witness_cube_want_is_satisfying(hs_and_set):
     hs, header_set = hs_and_set
-    flat = hs.bdd.compile_flat(header_set)
-    cube = witness_cube(flat)
+    cube = witness_cube(hs.bdd.pool([header_set]), 0)
     assert cube is not None
     mask, want = cube
     assert want & ~mask == 0  # don't-cares zero-filled
@@ -87,7 +86,7 @@ def test_empty_set_has_no_witness():
     assert representative_value(hs, hs.empty, stats=stats) is None
     assert representative_header(hs, hs.empty) is None
     assert stats.empty == 1
-    assert witness_cube(hs.bdd.compile_flat(hs.empty)) is None
+    assert witness_cube(hs.bdd.pool([hs.empty]), 0) is None
 
 
 def test_derivation_is_deterministic():
