@@ -8,10 +8,11 @@ Two implementations are timed side by side:
 * **slow** — the paper-literal Algorithm 3: scan the pair's entries in
   order, recursive-BDD containment per candidate.  This is the correctness
   reference.
-* **fast** — compiled flat-array matchers + tag-first candidate ordering +
-  a bounded per-flow cache.  Verdict-identical to the slow path (asserted
-  below via an exhaustive parity sweep) but an order of magnitude cheaper,
-  which puts pure Python inside the paper's C-implementation envelope.
+* **fast** — a bounded per-flow cache, then the one scalar matcher
+  (``pathtable.match_pair``: the manager's node arrays walked with the
+  packed header, tag-first candidate ordering).  Verdict-identical to the
+  slow path (asserted below via an exhaustive parity sweep) but several
+  times cheaper.
 * **vector** — the numpy batch kernel (``core.vector``) over wire
   payload frames, the sharded daemon's default dispatch path.  Targets
   >5M verifs/s/core (``REPRO_FIG13_VECTOR_FLOOR``); verdict parity with
@@ -106,7 +107,7 @@ def test_fig13_full_table_sweep(benchmark, fixture, mode, request):
     """The paper's protocol: verify every path's report repeatedly, average.
 
     ``slow`` is the paper-literal reference, ``nocache`` isolates the
-    compiled-matcher contribution, ``fast`` is the full fast path.
+    matcher's contribution, ``fast`` is the full fast path.
     """
     row = request.getfixturevalue(fixture)
     timing = benchmark.pedantic(
@@ -230,7 +231,7 @@ def test_fig13_report(benchmark, stanford_row, internet2_row):
         }
     print_table(
         "Figure 13: verification time per tag report (slow = paper-literal "
-        "recursive BDD scan, fast = compiled matchers + flow cache, "
+        "recursive BDD scan, fast = match_pair + flow cache, "
         "vector = numpy wire-frame batch kernel)",
         [
             "setup",

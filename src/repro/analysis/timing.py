@@ -96,7 +96,7 @@ def measure_verification_time(
 
     ``fast_path=False`` times the paper-literal recursive-BDD scan (the
     reference the fast path is checked against); ``flow_cache=False`` times
-    the fast path with caching disabled, isolating the compiled-matcher
+    the fast path with caching disabled, isolating the matcher's
     contribution.  Statistics are routed through
     :meth:`Verifier.verify_batch`, so the per-verification cost excludes
     per-report clock reads and result allocation.
@@ -222,9 +222,14 @@ def check_vector_wire_parity(
 ) -> List[Tuple[bytes, str, str]]:
     """Compare the wire vector kernel against ``_verify_wire`` per payload.
 
+    ``_verify_wire`` is the replica's scalar matcher, the same
+    :func:`~repro.core.pathtable.match_pair` the fast ``Verifier`` runs.
     Returns mismatches as ``(payload, vector_verdict, scalar_verdict)``;
     an empty list certifies verdict parity on this payload set (tampered
-    and malformed payloads included when the default set is used).
+    and malformed payloads included when the default set is used).  The
+    kernel is also checked against itself, frame API against list API.
+    Rows the kernel hands back as ``VSCALAR`` (irregular pairs) are
+    skipped: the replica verifies them with ``_verify_wire`` itself.
     """
     from ..core import vector as vec
     from ..core.replica import _verify_wire, build_shard_specs, wire_packing
@@ -282,8 +287,9 @@ def check_fastpath_parity(
     """Compare fast-path and slow-path verdicts report by report.
 
     Returns the mismatches as ``(report, fast_verdict, slow_verdict)``
-    tuples — an empty list certifies that the compiled-matcher fast path is
-    verdict-identical to the recursive-BDD reference on this report set.
+    tuples — an empty list certifies that the fast path (flow cache plus
+    :func:`~repro.core.pathtable.match_pair`) is verdict-identical to the
+    recursive-BDD reference on this report set.
     """
     fast = Verifier(table, builder.hs, fast_path=True)
     slow = Verifier(table, builder.hs, fast_path=False)

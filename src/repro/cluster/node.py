@@ -91,7 +91,7 @@ class VerificationNode:
         port: int = 0,
     ) -> None:
         self.node_id = node_id
-        self.replica = ShardReplica("node", node_id, packing, set_aside_unknown=True)
+        self.replica = ShardReplica(node_id, packing, set_aside_unknown=True)
         self._state_lock = threading.Lock()
         self._last_seq = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

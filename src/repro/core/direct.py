@@ -525,7 +525,7 @@ class VeriDPDaemon:
         if replica is None:
             # Every malformed row is dead-lettered here, so keep them all.
             replica = self._replica = ShardReplica(
-                "direct", 0, self._packing, sync.specs[0], sample_cap=math.inf
+                0, self._packing, sync.specs[0], sample_cap=math.inf
             )
         elif sync.full:
             replica.reload(sync.specs[0])

@@ -46,6 +46,7 @@ __all__ = [
     "PathTable",
     "PathTableStats",
     "PairFastIndex",
+    "match_pair",
     "ReachRecord",
     "PredicateProvider",
     "SnapshotProvider",
@@ -189,26 +190,21 @@ class PairFastIndex:
     """Verification acceleration state for one (inport, outport) pair.
 
     ``entries`` is a snapshot tuple of the pair's path entries (table
-    order); ``by_tag`` maps each tag to the entry positions carrying it, so
-    the common PASS case starts from the (usually single) candidate whose
-    tag already matches the report; ``disjoint`` records whether the
-    entries' exit-header sets are pairwise disjoint — only then is
+    order).  ``spec`` is the pair spec ``(tags, pool, by_tag, disjoint)``
+    that :func:`match_pair` tests a header against, built once here and
+    shared as is with every shard replica: the entries' tags, a
+    :class:`~repro.bdd.engine.NodePool` of their exit-header sets (root
+    ids into the manager's own node lists), each tag's entry positions,
+    and whether the exit-header sets are pairwise disjoint — only then is
     tag-first ordering provably verdict-identical to the list-order scan
-    (at most one entry can contain any given header), otherwise the
-    verifier falls back to scanning ``entries`` in order.
+    (at most one entry can contain any given header).
     """
 
-    __slots__ = ("entries", "by_tag", "disjoint")
+    __slots__ = ("entries", "spec")
 
-    def __init__(
-        self,
-        entries: Tuple[PathEntry, ...],
-        by_tag: Dict[int, Tuple[int, ...]],
-        disjoint: bool,
-    ) -> None:
+    def __init__(self, entries: Tuple[PathEntry, ...], spec: tuple) -> None:
         self.entries = entries
-        self.by_tag = by_tag
-        self.disjoint = disjoint
+        self.spec = spec
 
 
 def _build_pair_index(
@@ -217,11 +213,11 @@ def _build_pair_index(
     buckets: Dict[int, List[int]] = {}
     for pos, entry in enumerate(entries):
         buckets.setdefault(entry.tag, []).append(pos)
+    sets = [entry.exit_header_set() for entry in entries]
     disjoint = False
     if len(entries) <= _DISJOINT_PROBE_LIMIT:
         disjoint = True
         bdd = hs.bdd
-        sets = [entry.exit_header_set() for entry in entries]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 if bdd.and_(sets[i], sets[j]) != FALSE:
@@ -229,8 +225,41 @@ def _build_pair_index(
                     break
             if not disjoint:
                 break
-    by_tag = {tag: tuple(positions) for tag, positions in buckets.items()}
-    return PairFastIndex(entries, by_tag, disjoint)
+    spec = (
+        tuple(entry.tag for entry in entries),
+        hs.bdd.pool(sets),
+        {tag: tuple(positions) for tag, positions in buckets.items()},
+        disjoint,
+    )
+    return PairFastIndex(entries, spec)
+
+
+def match_pair(spec: tuple, tag: int, value: int) -> int:
+    """Position of the pair entry whose header set holds ``value``, or -1.
+
+    The one scalar header-set test of Algorithm 3, run by the
+    :class:`~repro.core.verifier.Verifier` and by every shard replica.
+    ``spec`` is a pair spec ``(tags, pool, by_tag, disjoint)``, ``tag``
+    the report's tag and ``value`` its header packed by
+    :meth:`~repro.bdd.headerspace.HeaderSpace.header_value`.  The first
+    entry in table order that holds wins; on a disjoint pair at most one
+    can, so the entries carrying ``tag`` are tried first and the common
+    PASS ends after one dict probe and one BDD walk.
+    """
+    tags, pool, by_tag, disjoint = spec
+    holds = pool.evaluate
+    if disjoint:
+        for pos in by_tag.get(tag, ()):
+            if holds(pos, value):
+                return pos
+        for pos in range(len(tags)):
+            if tags[pos] != tag and holds(pos, value):
+                return pos
+        return -1
+    for pos in range(len(tags)):
+        if holds(pos, value):
+            return pos
+    return -1
 
 
 class PathTable:
@@ -250,14 +279,6 @@ class PathTable:
         self._fast_cache: Dict[Tuple[PortRef, PortRef], PairFastIndex] = {}
         self._fast_version: int = -1
         self._fast_token: Optional[Tuple[int, int]] = None
-        # Vector-kernel cache (core.vector): per-pair compiled kernels plus
-        # the assembled batch kernel, both invalidated through the same
-        # dirty-pair journal as the fast indexes.
-        self._vector_cache: Dict[Tuple[PortRef, PortRef], object] = {}
-        self._vector_version: int = -1
-        self._vector_token: Optional[Tuple[int, int]] = None
-        self._vector_kernel: Optional[object] = None
-        self.vector_kernel_compiles: int = 0
         self._stats_cache: Optional[Tuple[Tuple[int, float], PathTableStats]] = None
         # Dirty-pair journal: every structural/in-place mutation notes the
         # affected (inport, outport) pair so delta consumers (fast-index
@@ -388,33 +409,6 @@ class PathTable:
             index = _build_pair_index(tuple(entries), hs)
             self._fast_cache[key] = index
         return index
-
-    def vector_kernel(self, hs: HeaderSpace):
-        """The table compiled for batch verification (``core.vector``).
-
-        Returns a :class:`~repro.core.vector.TableKernel` or ``None`` when
-        the vector path is unavailable (no numpy, unsupported layout).
-        Mirrors :meth:`fast_index`'s journal sync: when the table version
-        moves, only the dirty pairs' compiled kernels are dropped, so a
-        delta resync recompiles just the touched pair kernels (counted on
-        ``vector_kernel_compiles``); the cheap assembly concatenation is
-        redone either way.
-        """
-        from .vector import build_table_kernel
-
-        if self._vector_version != self.version:
-            token, dirty = self.dirty_since(self._vector_token)
-            if dirty is None:
-                self._vector_cache.clear()
-            else:
-                for dirty_key in dirty:
-                    self._vector_cache.pop(dirty_key, None)
-            self._vector_token = token
-            self._vector_version = self.version
-            self._vector_kernel = None
-        if self._vector_kernel is None:
-            self._vector_kernel = build_table_kernel(self, hs, self._vector_cache)
-        return self._vector_kernel
 
     def compile_matchers(self, hs: HeaderSpace) -> int:
         """Eagerly build every pair's fast index.

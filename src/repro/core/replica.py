@@ -47,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..obs import DEFAULT_BUCKETS, MetricsRegistry
-from .pathtable import PathTable
+from .pathtable import PathTable, match_pair
 from .reports import _REPORT_STRUCT, REPORT_SIZE, REPORT_VERSION
 from .vector import MIN_BATCH, VMALFORMED, VSCALAR, VUNKNOWN, WireBatchVerifier
 from .verifier import Verdict
@@ -140,10 +140,9 @@ def wire_kernel(pairs, packing) -> Optional[WireBatchVerifier]:
 def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
     """One pair's picklable replica spec, ``None`` if it vanished.
 
-    The spec is ``(tags, pool, by_tag, disjoint)``: the entries' tags, a
-    :class:`~repro.bdd.engine.NodePool` of their exit-header sets, and the
-    fast index's own tag buckets and disjointness bit (shared, not
-    copied).  Inside the process the pool is root ids into the BDD
+    The spec is the pair fast index's own ``(tags, pool, by_tag,
+    disjoint)`` (:class:`~repro.core.pathtable.PairFastIndex`), shared, not
+    copied.  Inside the process the pool is root ids into the BDD
     manager's node lists, so a replica holds no second copy of a matcher,
     and neither does a shard worker forked with it.  Pickling the spec (a
     worker patch, a cluster reload or patch) ships one deduplicated pool of
@@ -153,15 +152,7 @@ def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
     removed by a rule update).
     """
     index = table.fast_index(inport, outport, hs)
-    if index is None:
-        return None
-    entries = index.entries
-    return (
-        tuple(entry.tag for entry in entries),
-        hs.bdd.pool(entry.exit_header_set() for entry in entries),
-        index.by_tag,
-        index.disjoint,
-    )
+    return None if index is None else index.spec
 
 
 class Resync(NamedTuple):
@@ -260,9 +251,9 @@ def _verify_wire(
 ) -> Optional[str]:
     """Verify one wire payload against a shard replica.
 
-    Returns a verdict value string, or ``None`` for malformed payloads.
-    Mirrors :meth:`Verifier._match_fast` (minus the flow cache, which would
-    buy little once the per-report cost is a few node-list chases).
+    Returns a verdict value string, or ``None`` for malformed payloads:
+    a wire decode, then the :class:`~repro.core.verifier.Verifier`'s own
+    matcher, :func:`~repro.core.pathtable.match_pair`.
     """
     try:
         fields = _REPORT_STRUCT.unpack(payload)
@@ -273,33 +264,14 @@ def _verify_wire(
     pair = pairs.get((fields[2], fields[3]))
     if pair is None:
         return _FAIL_UNKNOWN
-    tags, pool, by_tag, disjoint = pair
-    holds = pool.evaluate
     value = 0
     for pos, width in packing:
         value = (value << width) | fields[5 + pos]
     tag = fields[4]
-    matched = -1
-    if disjoint:
-        positions = by_tag.get(tag)
-        if positions is not None:
-            for pos in positions:
-                if holds(pos, value):
-                    matched = pos
-                    break
-        if matched < 0:
-            for pos in range(len(tags)):
-                if tags[pos] != tag and holds(pos, value):
-                    matched = pos
-                    break
-    else:
-        for pos in range(len(tags)):
-            if holds(pos, value):
-                matched = pos
-                break
+    matched = match_pair(pair, tag, value)
     if matched < 0:
         return _FAIL_NO_PATH
-    return _PASS if tags[matched] == tag else _FAIL_MISMATCH
+    return _PASS if pair[0][matched] == tag else _FAIL_MISMATCH
 
 
 class Delta(NamedTuple):
@@ -414,8 +386,6 @@ class VerdictFamilies:
 class ShardReplica:
     """A compiled slice of the path table that verifies wire frames.
 
-    ``role`` names the transport (``direct``, ``shard`` or ``node``: the
-    ``veridp_<role>_*`` families its owner folds the deltas into);
     ``ident`` is the :attr:`Delta.source` of every reply.
     ``set_aside_unknown`` is the one behavioural switch between the
     transports (see the module docstring); ``sample_cap`` bounds the
@@ -431,7 +401,6 @@ class ShardReplica:
 
     def __init__(
         self,
-        role: str,
         ident,
         packing: Tuple[Tuple[int, int], ...],
         pairs: Optional[Dict[Tuple[int, int], tuple]] = None,
@@ -439,7 +408,6 @@ class ShardReplica:
         sample_cap: float = _MALFORMED_SAMPLE,
         port_limit: float = math.inf,
     ) -> None:
-        self.role = role
         self.ident = ident
         self.packing = tuple(packing)
         self.port_limit = port_limit

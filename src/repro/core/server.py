@@ -300,41 +300,6 @@ class VeriDPServer:
             callback=lambda: self.verifier.flow_cache_len,
         )
         reg.counter(
-            "veridp_vector_batches_total",
-            "Report batches verified through the numpy vector kernel.",
-            callback=lambda: self.verifier.vector_batches,
-        )
-        reg.counter(
-            "veridp_vector_verifications_total",
-            "Reports verified by the vector kernel (scalar-resolved rows "
-            "excluded).",
-            callback=lambda: self.verifier.vector_verifications,
-        )
-        reg.counter(
-            "veridp_vector_fallbacks_total",
-            "Vector-path batches downgraded to the scalar loop (no numpy, "
-            "below the crossover size, or an unpackable table/layout).",
-            callback=lambda: self.verifier.vector_fallbacks,
-        )
-        reg.counter(
-            "veridp_vector_scalar_rows_total",
-            "Rows inside vector batches resolved by the scalar matcher "
-            "because their pair was too irregular to pack.",
-            callback=lambda: self.verifier.vector_scalar_rows,
-        )
-        reg.counter(
-            "veridp_vector_kernel_compiles_total",
-            "Per-pair vector kernels compiled (delta resyncs recompile "
-            "only dirty pairs, so this stays near the pair count).",
-            callback=lambda: getattr(self.table, "vector_kernel_compiles", 0),
-        )
-        vector_batch_seconds = reg.histogram(
-            "veridp_vector_batch_size",
-            "Distribution of batch sizes fed to the vector kernel.",
-            buckets=(32, 64, 128, 256, 512, 1024, 4096, 16384, 65536),
-        )
-        self.verifier.vector_batch_observer = vector_batch_seconds.observe
-        reg.counter(
             "veridp_build_parallel_fallback",
             "Parallel path-table builds downgraded to serial by the "
             "small-host CPU crossover.",

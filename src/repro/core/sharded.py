@@ -97,7 +97,7 @@ def _shard_worker_main(
     batch figures into the ``veridp_shard_*`` families on arrival, so a
     worker killed between batches takes nothing unreported with it.
     """
-    replica = ShardReplica("shard", worker_id, packing, pairs, port_limit=port_limit)
+    replica = ShardReplica(worker_id, packing, pairs, port_limit=port_limit)
     while True:
         message = in_queue.get()
         kind = message[0]

@@ -31,18 +31,18 @@ open-addressing hash probes ``(pair, tag)`` to the tag-first candidate
 fall back to the paper-literal list-order scan, whose first match is
 recovered with a segmented ``minimum.reduceat``.
 
-Everything degrades gracefully: no numpy, an unsupported header layout,
-a tiny batch, or a pair too irregular to pack (too many entries, too many
-nodes) all fall back to the scalar path — per batch or per row — with the
-fallbacks counted.  Invalidation rides the existing machinery:
-``PathTable.version`` and the dirty-pair journal, so delta resyncs
-recompile only the touched pair kernels.
+Everything degrades gracefully: an unsupported header layout, a tiny
+batch, or a pair too irregular to pack (too many entries, too many nodes)
+all fall back to the scalar matcher
+(:func:`~repro.core.pathtable.match_pair`, the one the ``Verifier`` runs)
+— per batch or per row — with the fallbacks counted.  Invalidation rides
+the path table's dirty-pair journal: a replica patched with the dirty
+pairs' specs recompiles only those pair kernels.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the HAVE_NUMPY fallbacks
@@ -73,10 +73,8 @@ __all__ = [
     "PairKernel",
     "compile_pair_kernel",
     "KernelAssembly",
-    "TableKernel",
     "build_table_kernel",
     "WireBatchVerifier",
-    "layout_pack_struct",
     "lanes_from_bytes",
     "bloom_member_batch",
     "bloom_first_miss",
@@ -461,16 +459,9 @@ class KernelAssembly:
     a handful of 2-D broadcasts per bucket instead of ragged
     repeat/cumsum/reduceat machinery — the difference between ~3M and
     >6M verifs/s on the fig13 batches.
-
-    ``tag_first`` builds the ``(slot, tag)`` probe of :meth:`verify`'s
-    phase A.  The wire verifier passes False: its own ``(pair, tag)``
-    probe has already tried every row's tag-first candidate, so phase A
-    would repeat the same evaluations on a second copy of the table.
     """
 
-    def __init__(
-        self, kernels: Sequence[PairKernel], total_bits: int, tag_first: bool = True
-    ) -> None:
+    def __init__(self, kernels: Sequence[PairKernel], total_bits: int) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError("KernelAssembly requires numpy")
         self.total_bits = total_bits
@@ -498,11 +489,6 @@ class KernelAssembly:
         self.ent_root = np.where(roots >= 0, roots + shift, roots)
         #: Assembly index of every tag-first candidate entry.
         self.primary_ents = np.flatnonzero(ents["primary"])
-        self.primary = None
-        if tag_first and self.primary_ents.size:
-            primary = self.primary_ents
-            slot_of = np.repeat(np.arange(len(kernels), dtype=np.int64), counts)
-            self.primary = _ProbeTable(slot_of[primary], self.ent_tags[primary], primary)
         # Bucket cube entries by padded (power-of-two) cube count and scatter
         # each bucket's cubes into its (rows, pad) lane matrices, lane by
         # lane; the padding cells hold an unsatisfiable cube (mask 0 /
@@ -659,80 +645,40 @@ class KernelAssembly:
         matched = np.full(n, -1, dtype=np.int64)
         codes[slot == SLOT_UNKNOWN] = VUNKNOWN
         codes[slot == SLOT_SCALAR] = VSCALAR
+        # The paper-literal list-order scan over every entry of the row's
+        # pair, first match recovered per row.  For disjoint pairs the
+        # match is unique, so this is verdict- and entry-identical to the
+        # scalar tag-first ordering.
         rows = np.flatnonzero(slot >= 0)
+        s = slot[rows]
+        counts = self.ent_off[s + 1] - self.ent_off[s]
+        nz = counts > 0
+        rows, s, counts = rows[nz], s[nz], counts[nz]
         if rows.size == 0:
             return codes, matched
-        # Phase A — tag-first primary probe (disjoint pairs, single-entry
-        # tag buckets): membership of the probed entry implies PASS, since
-        # the bucket's tag equals the report's by construction.
-        if self.primary is not None:
-            gidx = self.primary.lookup(slot[rows], tag[rows])
-            has = gidx >= 0
-            if has.any():
-                arows = rows[has]
-                agidx = gidx[has]
-                ok = self._eval_entries(arows, agidx, lane0, lane1, hdr_bytes)
-                hit = arows[ok]
-                matched[hit] = agidx[ok]
-                codes[hit] = VPASS
-                keep = np.ones(n, dtype=bool)
-                keep[hit] = False
-                rows = rows[keep[rows]]
-        # Phase B — the paper-literal list-order scan over every entry of
-        # the row's pair, first match recovered per row.  For disjoint
-        # pairs the match is unique, so this is verdict- and entry-
-        # identical to the scalar tag-first ordering.
-        if rows.size:
-            s = slot[rows]
-            counts = self.ent_off[s + 1] - self.ent_off[s]
-            nz = counts > 0
-            rows = rows[nz]
-            s = s[nz]
-            counts = counts[nz]
-        if rows.size:
-            total = int(counts.sum())
-            expand = np.repeat(np.arange(rows.shape[0]), counts)
-            starts = np.zeros(rows.shape[0], dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            local = np.arange(total, dtype=np.int64) - starts[expand]
-            gidx = self.ent_off[s][expand] + local
-            ok = self._eval_entries(rows[expand], gidx, lane0, lane1, hdr_bytes)
-            big = np.int64(1 << 60)
-            cand = np.where(ok, local, big)
-            segmin = np.minimum.reduceat(cand, starts)
-            found = segmin < big
-            if found.any():
-                frows = rows[found]
-                mg = self.ent_off[s[found]] + segmin[found]
-                matched[frows] = mg
-                tag_ok = self.ent_tags[mg] == tag[frows]
-                codes[frows] = np.where(tag_ok, VPASS, VMISMATCH).astype(np.uint8)
+        total = int(counts.sum())
+        expand = np.repeat(np.arange(rows.shape[0]), counts)
+        starts = np.zeros(rows.shape[0], dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        local = np.arange(total, dtype=np.int64) - starts[expand]
+        gidx = self.ent_off[s][expand] + local
+        ok = self._eval_entries(rows[expand], gidx, lane0, lane1, hdr_bytes)
+        big = np.int64(1 << 60)
+        cand = np.where(ok, local, big)
+        segmin = np.minimum.reduceat(cand, starts)
+        found = segmin < big
+        if found.any():
+            frows = rows[found]
+            mg = self.ent_off[s[found]] + segmin[found]
+            matched[frows] = mg
+            tag_ok = self.ent_tags[mg] == tag[frows]
+            codes[frows] = np.where(tag_ok, VPASS, VMISMATCH).astype(np.uint8)
         return codes, matched
 
 
 # ---------------------------------------------------------------------------
 # header marshalling helpers
 # ---------------------------------------------------------------------------
-
-_WIDTH_FMT = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-def layout_pack_struct(layout) -> Optional[struct.Struct]:
-    """Big-endian packer for a header layout, ``None`` when unsupported.
-
-    The vector kernel needs byte-granular fields and a total width in
-    ``(64, 128]`` bits so headers split into two ``uint64`` lanes; exotic
-    layouts simply keep the scalar path.
-    """
-    if not 64 < layout.total_bits <= 128:
-        return None
-    fmt = ">"
-    for field in layout.fields:
-        code = _WIDTH_FMT.get(field.width)
-        if code is None:
-            return None
-        fmt += code
-    return struct.Struct(fmt)
 
 
 def lanes_from_bytes(hdr_bytes):
@@ -748,69 +694,26 @@ def lanes_from_bytes(hdr_bytes):
 
 
 # ---------------------------------------------------------------------------
-# table-level kernel (TagReport objects, used by Verifier)
+# whole-table compile (a set-up step of the pipeline benchmark)
 # ---------------------------------------------------------------------------
 
 
-class TableKernel:
-    """A path table compiled for `Verifier.verify_batch(vector=True)`."""
+def build_table_kernel(table, hs, kernel_cache: Dict) -> KernelAssembly:
+    """Compile every pair of ``table`` into ``kernel_cache`` and assemble them.
 
-    __slots__ = ("assembly", "slots", "entry_objs", "pack", "field_names")
-
-    def __init__(self, assembly, slots, entry_objs, pack, field_names) -> None:
-        self.assembly = assembly
-        #: ``(inport, outport) -> slot`` (irregular pairs map to SLOT_SCALAR).
-        self.slots = slots
-        #: Flat entry objects aligned with the assembly's entry indexes.
-        self.entry_objs = entry_objs
-        self.pack = pack
-        self.field_names = field_names
-
-
-def build_table_kernel(table, hs, kernel_cache: Dict) -> Optional[TableKernel]:
-    """Compile ``table`` into a :class:`TableKernel`.
-
-    ``kernel_cache`` maps pair keys to compiled :class:`PairKernel` values
-    (``None`` = irregular); the caller owns it and evicts dirty pairs via
-    the table's journal, so only touched pairs recompile here.  Counts
-    compilations on ``table.vector_kernel_compiles``.
+    The compile :class:`WireBatchVerifier` does, kept under this name and
+    signature because the frozen pipeline benchmark times it as a set-up
+    step.  ``kernel_cache`` receives each pair's :class:`PairKernel`
+    (``None`` = irregular, left out of the assembly).
     """
-    if not HAVE_NUMPY:
-        return None
-    pack = layout_pack_struct(hs.layout)
-    if pack is None:
-        return None
     total_bits = hs.layout.total_bits
-    slots: Dict = {}
     kernels: List[PairKernel] = []
-    entry_objs: List = []
-    for key in table.pairs():
-        cached = kernel_cache.get(key, _MISSING)
-        if cached is _MISSING:
-            index = table.fast_index(key[0], key[1], hs)
-            if index is None:  # pragma: no cover - pairs() lists known keys
-                continue
-            kern = compile_pair_kernel(
-                tuple(entry.tag for entry in index.entries),
-                hs.bdd.pool(entry.exit_header_set() for entry in index.entries),
-                index.by_tag,
-                index.disjoint,
-                total_bits,
-            )
-            cached = (kern, tuple(index.entries))
-            kernel_cache[key] = cached
-            table.vector_kernel_compiles += 1
-        kern, entries = cached
-        if kern is None:
-            slots[key] = SLOT_SCALAR
-            continue
-        slots[key] = len(kernels)
-        kernels.append(kern)
-        entry_objs.extend(entries)
-    assembly = KernelAssembly(kernels, total_bits)
-    return TableKernel(
-        assembly, slots, entry_objs, pack, tuple(hs.layout.field_names())
-    )
+    for inport, outport in table.pairs():
+        spec = table.fast_index(inport, outport, hs).spec
+        kern = kernel_cache[inport, outport] = compile_pair_kernel(*spec, total_bits)
+        if kern is not None:
+            kernels.append(kern)
+    return KernelAssembly(kernels, total_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +823,7 @@ class WireBatchVerifier:
                 slots.append(len(kernels))
                 kernels.append(kern)
                 kernel_pairs.append(packed)
-        assembly = KernelAssembly(kernels, self.total_bits, tag_first=False)
+        assembly = KernelAssembly(kernels, self.total_bits)
         self._slot_table = _ProbeTable(
             np.array(slot_pairs, dtype=np.int64),
             np.zeros(len(slot_pairs), dtype=np.uint64),
@@ -1002,7 +905,7 @@ class WireBatchVerifier:
         codes = np.full(n, VNOPATH, dtype=np.uint8)
         # Fast phase: (pair, tag) probe straight to the primary entry; a
         # hit whose matcher accepts the header is a PASS, everything else
-        # falls through to the full two-phase scan on the remainder.
+        # falls through to the list-order scan on the remainder.
         if self._fused is not None:
             gidx = self._fused.lookup(pk, tags)
             arows = np.flatnonzero(gidx >= 0)

@@ -21,24 +21,21 @@ Two implementations of the membership test coexist:
 * the **slow path** (``fast_path=False``) — the paper-literal list-order
   scan with recursive ``HeaderSpace.contains``; it is the reference
   semantics every optimisation is checked against,
-* the **fast path** (default) — each candidate's exit-header BDD walked
-  on the manager's own node arrays with the header packed into one
-  integer (:meth:`repro.bdd.engine.BDD.evaluate_value`), tag-first
-  candidate ordering when
-  the pair's header sets are disjoint, and a bounded per-flow cache mapping
-  the canonical ``(inport, outport, header)`` of a report that PASSed to
-  its matched entry (a failing payload is remembered by the server's
-  incident log instead).  Verdicts are bit-identical to the slow path
-  (property-tested).
+* the **fast path** (default) — a bounded per-flow cache mapping the
+  canonical ``(inport, outport, header)`` of a report that PASSed to its
+  matched entry (a failing payload is remembered by the server's incident
+  log instead), then :func:`repro.core.pathtable.match_pair` on the pair's
+  spec: each candidate's exit-header BDD walked on the manager's own node
+  arrays with the header packed into one integer, tag-first when the
+  pair's header sets are disjoint.  Every shard replica runs the same
+  function on the same specs (:func:`repro.core.replica._verify_wire`,
+  the scalar side of the wire kernel), so there is one production match
+  path.  Verdicts are bit-identical to the slow path (property-tested).
 
 :meth:`Verifier.verify_batch` amortises timing and result allocation over a
 whole batch of reports — the per-report path pays two ``perf_counter``
 calls and a dataclass allocation per report, which at microsecond-scale
-verification costs is pure overhead.  With ``vector=True`` the batch is
-additionally routed through the numpy kernel (:mod:`repro.core.vector`)
-when it is available and worthwhile, with automatic scalar fallback (and a
-counted fallback event) otherwise; verdicts, matched entries and counters
-are identical either way.
+verification costs is pure overhead.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.headerspace import HeaderSpace
-from .pathtable import PathEntry, PathTable
+from .pathtable import PathEntry, PathTable, match_pair
 from .reports import TagReport
 
 __all__ = [
@@ -58,16 +55,6 @@ __all__ = [
     "BatchVerificationResult",
     "Verifier",
 ]
-
-def _code_to_verdict():
-    """Vector verdict code -> Verdict, aligned with ``vector.VPASS`` etc."""
-    return (
-        Verdict.PASS,
-        Verdict.FAIL_TAG_MISMATCH,
-        Verdict.FAIL_NO_PATH,
-        Verdict.FAIL_UNKNOWN_PAIR,
-    )
-
 
 class Verdict(enum.Enum):
     """Outcome classes of Algorithm 3."""
@@ -176,14 +163,7 @@ class Verifier:
         self.flow_cache_hits = 0
         self.fast_verifications = 0
         self.slow_verifications = 0
-        self.vector_batches = 0
-        self.vector_verifications = 0
-        self.vector_fallbacks = 0
-        self.vector_scalar_rows = 0
-        #: Optional callable fed each vector batch's size (the obs registry
-        #: hooks its batch-size histogram here).
-        self.vector_batch_observer = None
-        self._flow_cache: Dict[tuple, Optional[PathEntry]] = {}
+        self._flow_cache: Dict[tuple, PathEntry] = {}
         self._flow_cache_table: Optional[PathTable] = None
         self._flow_cache_version = -1
 
@@ -211,7 +191,8 @@ class Verifier:
     def _match_fast(
         self, report: TagReport
     ) -> Tuple[Verdict, Optional[PathEntry]]:
-        """Packed-header BDD walks + tag-first ordering + per-flow cache.
+        """The per-flow cache, then :func:`~repro.core.pathtable.match_pair`
+        on the pair's spec with the header packed into one integer.
 
         Only a flow that PASSes is stored.  Its entry is a function of the
         flow and the table version alone, so a hit answers a later report
@@ -234,44 +215,15 @@ class Verifier:
             index = table.fast_index(report.inport, report.outport, self.hs)
             if index is None:
                 return Verdict.FAIL_UNKNOWN_PAIR, None
-            hs = self.hs
-            holds = hs.bdd.evaluate_value
-            value = hs.header_value(report.header.as_dict())
-            entries = index.entries
-            matched = None
-            if index.disjoint:
-                # Tag-first: with pairwise-disjoint header sets at most one
-                # entry can contain the header, so probing the report-tag
-                # bucket first cannot change the verdict — it only lets the
-                # common PASS case finish after a dict hit + one BDD walk.
-                positions = index.by_tag.get(report.tag)
-                if positions is not None:
-                    for pos in positions:
-                        entry = entries[pos]
-                        if holds(entry.exit_header_set(), value):
-                            matched = entry
-                            break
-                if matched is None:
-                    tag = report.tag
-                    for entry in entries:
-                        if entry.tag != tag and holds(entry.exit_header_set(), value):
-                            matched = entry
-                            break
-            else:
-                for entry in entries:
-                    if holds(entry.exit_header_set(), value):
-                        matched = entry
-                        break
-            if (
-                matched is not None
-                and matched.tag == report.tag
-                and self.flow_cache_size > 0
-            ):
+            value = self.hs.header_value(report.header.as_dict())
+            pos = match_pair(index.spec, report.tag, value)
+            if pos < 0:
+                return Verdict.FAIL_NO_PATH, None
+            matched = index.entries[pos]
+            if matched.tag == report.tag and self.flow_cache_size > 0:
                 if len(cache) >= self.flow_cache_size:
                     cache.pop(next(iter(cache)))  # FIFO eviction
                 cache[key] = matched
-        if matched is None:
-            return Verdict.FAIL_NO_PATH, None
         if matched.tag == report.tag:
             return Verdict.PASS, matched
         return Verdict.FAIL_TAG_MISMATCH, matched
@@ -318,29 +270,13 @@ class Verifier:
         else:
             self.slow_verifications += 1
 
-    def verify_batch(
-        self, reports: Sequence[TagReport], vector: bool = False
-    ) -> BatchVerificationResult:
+    def verify_batch(self, reports: Sequence[TagReport]) -> BatchVerificationResult:
         """Verify many reports with one clock read pair for the whole batch.
 
         Counters and total time accumulate exactly as under repeated
         :meth:`verify` calls, but PASS reports allocate nothing — only
         failures materialise a :class:`VerificationResult`.
-
-        ``vector=True`` routes the batch through the numpy kernel
-        (:mod:`repro.core.vector`) when possible — verdict-for-verdict
-        identical to the scalar paths (oracle-tested) — and falls back to
-        the scalar loop (counted on ``vector_fallbacks``) when numpy is
-        missing, the batch is below the crossover size, or the table/layout
-        cannot be packed.  Note the vector path bypasses the per-flow
-        cache; it is opt-in here and enabled by default in the sharded
-        daemon, whose dispatch batches rarely repeat flows back-to-back.
         """
-        if vector:
-            result = self._verify_batch_vector(reports)
-            if result is not None:
-                return result
-            self.vector_fallbacks += 1
         match = self._match_fast if self.fast_path else self._match_slow
         counters = self.counters
         verdicts: List[Verdict] = []
@@ -369,96 +305,6 @@ class Verifier:
             self.fast_verifications += len(verdicts)
         else:
             self.slow_verifications += len(verdicts)
-        return BatchVerificationResult(
-            verdicts=verdicts,
-            failures=failures,
-            elapsed_s=elapsed,
-            counts=counts,
-        )
-
-    def _verify_batch_vector(
-        self, reports: Sequence[TagReport]
-    ) -> Optional[BatchVerificationResult]:
-        """The numpy kernel path; ``None`` means "use the scalar loop".
-
-        Rows whose pair was too irregular to pack come back as
-        :data:`~repro.core.vector.VSCALAR` and are resolved one-by-one via
-        the scalar matcher (counted on ``vector_scalar_rows``), so the
-        batch result is complete either way.
-        """
-        from . import vector as vec
-
-        if not vec.HAVE_NUMPY or len(reports) < vec.MIN_BATCH:
-            return None
-        started = time.perf_counter()
-        kernel = self.table.vector_kernel(self.hs)
-        if kernel is None:
-            return None
-        import numpy as np
-
-        n = len(reports)
-        names = kernel.field_names
-        pack = kernel.pack.pack
-        slots_map = kernel.slots
-        slot_list = [0] * n
-        parts: List[bytes] = [b""] * n
-        try:
-            tags = np.fromiter((r.tag for r in reports), dtype=np.uint64, count=n)
-            for i, report in enumerate(reports):
-                slot_list[i] = slots_map.get(
-                    (report.inport, report.outport), vec.SLOT_UNKNOWN
-                )
-                as_dict = report.header.as_dict()
-                parts[i] = pack(*(as_dict[name] for name in names))
-        except Exception:
-            # Out-of-range tags/fields or exotic header objects: the scalar
-            # paths define the semantics for those, so hand the batch back.
-            return None
-        hdr = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, -1)
-        slot = np.asarray(slot_list, dtype=np.int64)
-        lane0, lane1 = vec.lanes_from_bytes(hdr)
-        codes, matched = kernel.assembly.verify(slot, tags, lane0, lane1, hdr)
-        to_verdict = _code_to_verdict()
-        counters = self.counters
-        entry_objs = kernel.entry_objs
-        verdicts: List[Verdict] = []
-        failures: List[VerificationResult] = []
-        counts: Dict[Verdict, int] = {}
-        scalar_rows = 0
-        pass_verdict = Verdict.PASS
-        for i, code in enumerate(codes.tolist()):
-            if code == vec.VSCALAR:
-                scalar_rows += 1
-                verdict, entry = self._match(reports[i])
-            else:
-                verdict = to_verdict[code]
-                gidx = matched[i]
-                entry = entry_objs[gidx] if gidx >= 0 else None
-            counters[verdict] += 1
-            counts[verdict] = counts.get(verdict, 0) + 1
-            verdicts.append(verdict)
-            if verdict is not pass_verdict:
-                failures.append(
-                    VerificationResult(
-                        verdict=verdict,
-                        report=reports[i],
-                        matched_entry=entry,
-                        expected_tag=None if entry is None else entry.tag,
-                    )
-                )
-        elapsed = time.perf_counter() - started
-        self.total_time_s += elapsed
-        self.vector_batches += 1
-        self.vector_verifications += n - scalar_rows
-        self.vector_scalar_rows += scalar_rows
-        if scalar_rows:
-            if self.fast_path:
-                self.fast_verifications += scalar_rows
-            else:
-                self.slow_verifications += scalar_rows
-        observer = self.vector_batch_observer
-        if observer is not None:
-            observer(n)
         return BatchVerificationResult(
             verdicts=verdicts,
             failures=failures,
@@ -524,7 +370,3 @@ class Verifier:
         self.flow_cache_hits = 0
         self.fast_verifications = 0
         self.slow_verifications = 0
-        self.vector_batches = 0
-        self.vector_verifications = 0
-        self.vector_fallbacks = 0
-        self.vector_scalar_rows = 0

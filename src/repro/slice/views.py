@@ -12,9 +12,8 @@ Views resync *lazily* off the shared table's dirty-pair journal: each view
 holds its own cursor, and :meth:`TenantPathTable.sync` re-slices only the
 pairs that mutated since the last sync (falling back to a full re-slice on
 journal overflow).  Because the view is itself a real ``PathTable``, each
-tenant gets the whole acceleration stack for free — per-pair fast indexes,
-a vector kernel, and a private dirty-pair journal its own consumers can
-ride.
+tenant gets the whole acceleration stack for free — per-pair fast indexes
+and a private dirty-pair journal its own consumers can ride.
 """
 
 from __future__ import annotations
@@ -103,10 +102,6 @@ class TenantPathTable:
 
     def num_paths(self) -> int:
         return self.table.num_paths()
-
-    def vector_kernel(self):
-        """The tenant slice compiled for batch verification."""
-        return self.table.vector_kernel(self.hs)
 
     def stats(self):
         return self.table.stats()

@@ -40,7 +40,7 @@ def compiled_state_bytes(server) -> int:
         before = tracemalloc.get_traced_memory()[0]
         table.compile_matchers(hs)
         sync = resync_specs(table, hs, server.codec, 1)
-        replica = ShardReplica("direct", 0, wire_packing(hs.layout), sync.specs[0])
+        replica = ShardReplica(0, wire_packing(hs.layout), sync.specs[0])
         replica.verify(frame)
         assert replica.drain().malformed == MIN_BATCH
         gc.collect()

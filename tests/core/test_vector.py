@@ -1,20 +1,17 @@
 """Tests for the vectorized batch verification kernel (``core.vector``).
 
-Four layers are pinned to their scalar references:
+Three layers are pinned to their scalar references:
 
 * cube/descent entry evaluation against ``FlatBDD.evaluate_value`` on
   randomized predicates and headers (hypothesis),
-* ``Verifier.verify_batch(vector=True)`` against the scalar batch path —
-  verdicts, counts, failures, matched entries and counters,
 * the wire-level :class:`WireBatchVerifier` against the shard worker's
   scalar ``_verify_wire`` (tampered, truncated and bad-version payloads
   included), plus frame/list API equivalence,
 * the vectorized Bloom helpers against ``BloomTagScheme.may_contain``.
 
-Plus the operational properties: per-pair kernel invalidation rides the
-dirty-pair journal (delta resyncs recompile only touched pairs), and every
-degraded mode — no numpy, tiny batches — falls back to the scalar loop
-with the fallback counted.
+``_verify_wire`` is in turn pinned to the paper-literal verifier in
+``tests/core/test_one_match_path.py``; per-pair kernel recompiles on a
+delta resync are pinned in ``tests/core/test_verdict_core.py``.
 """
 
 import pytest
@@ -22,21 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.analysis.timing import (
-    check_vector_wire_parity,
-    reports_from_table,
-    wire_payloads_from_table,
-)
+from repro.analysis.timing import check_vector_wire_parity, wire_payloads_from_table
 from repro.bdd.headerspace import HeaderSpace
 from repro.core import vector as vec
-from repro.core.replica import _verify_wire, build_shard_specs, wire_packing
-from repro.core.incremental import IncrementalPathTable
+from repro.core.replica import build_shard_specs, wire_packing
 from repro.core.pathtable import PathTableBuilder
-from repro.core.reports import TagReport
-from repro.core.verifier import Verdict, Verifier
 from repro.netmodel.packet import Header
-from repro.netmodel.topology import PortRef
-from repro.topologies import build_figure5, build_linear
+from repro.topologies import build_figure5
 
 headers = st.builds(
     Header,
@@ -110,9 +99,8 @@ def assemble_single(hs, header_set, cube_cap):
 
 
 def marshal(hs, header_dicts):
-    pack = vec.layout_pack_struct(hs.layout)
-    names = hs.layout.field_names()
-    parts = [pack.pack(*(d[name] for name in names)) for d in header_dicts]
+    width = hs.layout.total_bits // 8
+    parts = [hs.header_value(d).to_bytes(width, "big") for d in header_dicts]
     n = len(parts)
     hdr = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, -1)
     lane0, lane1 = vec.lanes_from_bytes(hdr)
@@ -197,74 +185,6 @@ def figure5():
     return scenario, hs, builder, table
 
 
-def oracle_reports(builder, table, min_size=96):
-    """A batch covering every verdict class, tiled past ``MIN_BATCH``."""
-    base = reports_from_table(builder, table)
-    assert base
-    reports = list(base)
-    for r in base:
-        reports.append(TagReport(r.inport, r.outport, r.header, r.tag ^ 0x2A))
-        reports.append(
-            TagReport(PortRef("ghost", 1), r.outport, r.header, r.tag)
-        )
-    while len(reports) < min_size:
-        reports += reports
-    return reports
-
-
-class TestVerifierOracle:
-    def test_vector_batch_identical_to_scalar_batch(self, figure5):
-        """The tentpole's oracle gate: ``verify_batch(vector=True)`` is
-        verdict-for-verdict identical to the scalar batch path — including
-        failures, matched entries and expected tags."""
-        _, hs, builder, table = figure5
-        reports = oracle_reports(builder, table)
-        vector = Verifier(table, hs)
-        scalar = Verifier(table, hs)
-        vres = vector.verify_batch(reports, vector=True)
-        sres = scalar.verify_batch(reports)
-        assert vector.vector_batches == 1
-        assert vector.vector_fallbacks == 0
-        assert vres.verdicts == sres.verdicts
-        assert vres.counts == sres.counts
-        assert vector.counters == scalar.counters
-        assert len(vres.failures) == len(sres.failures)
-        for vf, sf in zip(vres.failures, sres.failures):
-            assert vf.verdict is sf.verdict
-            assert vf.report is sf.report
-            assert vf.matched_entry is sf.matched_entry
-            assert vf.expected_tag == sf.expected_tag
-
-    def test_all_verdict_classes_exercised(self, figure5):
-        _, hs, builder, table = figure5
-        reports = oracle_reports(builder, table)
-        result = Verifier(table, hs).verify_batch(reports, vector=True)
-        seen = set(result.counts)
-        assert Verdict.PASS in seen
-        assert Verdict.FAIL_TAG_MISMATCH in seen
-        assert Verdict.FAIL_UNKNOWN_PAIR in seen
-
-    def test_small_batch_falls_back_to_scalar(self, figure5):
-        _, hs, builder, table = figure5
-        reports = reports_from_table(builder, table)[: vec.MIN_BATCH - 1]
-        verifier = Verifier(table, hs)
-        result = verifier.verify_batch(reports, vector=True)
-        assert verifier.vector_fallbacks == 1
-        assert verifier.vector_batches == 0
-        assert result.verdicts == [Verdict.PASS] * len(reports)
-
-    def test_no_numpy_falls_back_to_scalar(self, figure5, monkeypatch):
-        _, hs, builder, table = figure5
-        monkeypatch.setattr(vec, "HAVE_NUMPY", False)
-        reports = oracle_reports(builder, table)
-        verifier = Verifier(table, hs)
-        result = verifier.verify_batch(reports, vector=True)
-        assert verifier.vector_fallbacks == 1
-        assert result.verdicts == Verifier(table, hs).verify_batch(reports).verdicts
-        with pytest.raises(RuntimeError):
-            vec.WireBatchVerifier({}, None)
-
-
 class TestWireParity:
     def test_wire_kernel_matches_scalar_wire_path(self, figure5):
         """Default payload set: healthy + tampered + truncated + bad
@@ -290,38 +210,6 @@ class TestWireParity:
         with pytest.raises(ValueError):
             wirev.verify_frame(payloads[0] + b"\x00")
         assert wirev.verify_frame(b"").shape[0] == 0
-
-
-class TestInvalidation:
-    def test_delta_update_recompiles_only_touched_pairs(self):
-        """The dirty-pair journal drives kernel invalidation: a rule churn
-        recompiles exactly the pairs it dirtied, and the refreshed kernel
-        stays verdict-identical to the scalar path."""
-        scenario = build_linear(4)
-        hs = HeaderSpace()
-        inc = IncrementalPathTable(scenario.topo, hs)
-        table = inc.table
-        builder = PathTableBuilder(scenario.topo, hs, provider=inc.provider)
-        assert table.vector_kernel(hs) is not None
-        baseline = table.vector_kernel_compiles
-        assert baseline == len(table.pairs())
-        token, _ = table.dirty_since(None)
-
-        inc.add_rule("S2", "10.99.0.0/16", 2)
-        inc.delete_rule("S2", "10.99.0.0/16")
-        _, dirty = table.dirty_since(token)
-        assert dirty  # the churn touched some pairs...
-        touched = {key for key in dirty if key in dict.fromkeys(table.pairs())}
-
-        assert table.vector_kernel(hs) is not None
-        delta = table.vector_kernel_compiles - baseline
-        assert delta == len(touched)  # ...and only those recompiled
-        assert delta < len(table.pairs())
-
-        reports = oracle_reports(builder, table)
-        vres = Verifier(table, hs).verify_batch(reports, vector=True)
-        sres = Verifier(table, hs).verify_batch(reports)
-        assert vres.verdicts == sres.verdicts
 
 
 class TestBloomHelpers:

@@ -61,7 +61,6 @@ PAIRS, PACKING, ROWS, UNPLACED = _fixture()
 
 def _replica(set_aside_unknown):
     return ShardReplica(
-        "node" if set_aside_unknown else "shard",
         "r",
         PACKING,
         dict(PAIRS),

@@ -141,8 +141,8 @@ def test_pickled_spec_gives_the_same_verdict_and_entry(rows, list_order):
 def test_replica_patched_over_a_pickle_matches_one_inherited(patched, rows):
     """Some pairs inherited in process, the rest patched in pickled: the
     replica digests and verifies like one that inherited every pair."""
-    inherited = ShardReplica("shard", 0, PACKING, dict(SPECS))
-    mixed = ShardReplica("shard", 0, PACKING, dict(SPECS))
+    inherited = ShardReplica(0, PACKING, dict(SPECS))
+    mixed = ShardReplica(0, PACKING, dict(SPECS))
     mixed.patch(pickle.loads(pickle.dumps({key: SPECS[key] for key in patched})))
     assert mixed.digest() == inherited.digest() == replica_digest(PICKLED)
     frame = b"".join(rows)

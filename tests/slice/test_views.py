@@ -91,18 +91,6 @@ def test_retarget_follows_table_swap(server, registry):
     assert view.full_syncs >= 1
 
 
-def test_vector_kernel_on_view(server, registry):
-    server.refresh_if_dirty()
-    view = _view(server, registry, "red")
-    kernel = view.vector_kernel()
-    # The kernel compiles the *view's* table (possibly None without numpy);
-    # stats must come from the private table either way.
-    stats = view.stats()
-    assert stats.num_paths == view.num_paths()
-    if kernel is not None:
-        assert kernel is view.table.vector_kernel(server.hs)
-
-
 def test_node_store_shared_across_tenant_views(server, registry):
     """N tenant views allocate no duplicate BDD nodes (hash-consing).
 
