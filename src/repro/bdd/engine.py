@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["BDD", "FlatBDD", "NodePool", "FALSE", "TRUE"]
+__all__ = ["BDD", "FlatBDD", "NodePool", "FALSE", "TRUE", "pack_pools"]
 
 #: Terminal node id for the constant-false function (empty header set).
 FALSE = 0
@@ -118,14 +118,15 @@ class NodePool:
     once allocated and the lists only grow, so the roots stay valid while
     the manager keeps allocating.
 
-    Pickling localizes: the state is one deduplicated pool of just the
-    nodes the roots reach, numbered in depth-first order from the roots
-    (low before high).  The numbering depends on the functions alone, so
-    the localized pool of a localized pool is the same pool, and two pools
-    of the same functions localize equal whichever manager they came from.
+    ``local`` says the lists hold only nodes localized for this pool, or
+    for the pools :func:`pack_pools` packed with it; :meth:`BDD.pool`
+    hands out the one kind of pool that is not.  Pickling ships a local
+    pool's table as it is (pools pickled together that share one table
+    write it once, through pickle's memo) and localizes any other pool
+    first, so no pickle carries a manager's node lists.
     """
 
-    __slots__ = ("roots", "level", "low", "high", "top")
+    __slots__ = ("roots", "level", "low", "high", "top", "local")
 
     def __init__(
         self,
@@ -134,12 +135,14 @@ class NodePool:
         low: List[int],
         high: List[int],
         top: int,
+        local: bool = True,
     ) -> None:
         self.roots = roots
         self.level = level
         self.low = low
         self.high = high
         self.top = top
+        self.local = local
 
     def evaluate(self, i: int, value: int) -> bool:
         """Whether function ``i`` holds for a header packed into ``value``."""
@@ -156,31 +159,69 @@ class NodePool:
         return len(self.roots)
 
     def localized(self) -> "NodePool":
-        """The same functions over a pool of only the nodes they reach."""
-        level, low, high = self.level, self.low, self.high
-        index: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        """The same functions over a pool of only the nodes they reach.
+
+        The numbering depends on the functions alone, so the localized
+        pool of a localized pool is the same pool, and two pools of the
+        same functions localize equal whichever table they came from.
+        """
+        return pack_pools((self,))[0]
+
+    def __reduce__(self):
+        pool = self if self.local else self.localized()
+        return (NodePool, (pool.roots, pool.level, pool.low, pool.high, pool.top))
+
+
+def pack_pools(pools: Sequence[NodePool]) -> List[NodePool]:
+    """``pools`` localized into one deduplicated node table they share.
+
+    Nodes are numbered depth-first from the roots (low before high), pool
+    by pool in the order given; a node reached again, from any pool over
+    the same source table, keeps its first number.  Each returned pool is
+    its roots into the shared ``level``/``low``/``high`` lists.  The
+    pools must share one variable count (``top``), as the pools of one
+    header space do.
+    """
+    #: id(source level list) -> source node id -> packed node id.
+    indexes: Dict[int, Dict[int, int]] = {}
+    #: (source pool, its index, the nodes it adds in number order).
+    segments: List[Tuple[NodePool, Dict[int, int], List[int]]] = []
+    roots: List[Tuple[int, ...]] = []
+    size = 2  # the terminals
+    for pool in pools:
+        src_low, src_high = pool.low, pool.high
+        index = indexes.setdefault(id(pool.level), {FALSE: FALSE, TRUE: TRUE})
         order: List[int] = []
-        for root in self.roots:
+        for root in pool.roots:
+            if root in index:
+                continue
             stack = [root]
             while stack:
                 u = stack.pop()
                 if u in index:
                     continue
-                index[u] = len(order) + 2
+                index[u] = size + len(order)
                 order.append(u)
-                stack.append(high[u])
-                stack.append(low[u])
-        return NodePool(
-            tuple(index[root] for root in self.roots),
-            [_TERMINAL_LEVEL, _TERMINAL_LEVEL] + [level[u] for u in order],
-            [FALSE, TRUE] + [index[low[u]] for u in order],
-            [FALSE, TRUE] + [index[high[u]] for u in order],
-            self.top,
-        )
-
-    def __reduce__(self):
-        pool = self.localized()
-        return (NodePool, (pool.roots, pool.level, pool.low, pool.high, pool.top))
+                stack.append(src_high[u])
+                stack.append(src_low[u])
+        if order:
+            segments.append((pool, index, order))
+            size += len(order)
+        roots.append(tuple(map(index.__getitem__, pool.roots)))
+    # One concatenation per list sizes it exactly: the table lives as long
+    # as its pools.
+    level = [_TERMINAL_LEVEL, _TERMINAL_LEVEL] + [
+        pool.level[u] for pool, _index, order in segments for u in order
+    ]
+    low = [FALSE, TRUE] + [
+        index[pool.low[u]] for pool, index, order in segments for u in order
+    ]
+    high = [FALSE, TRUE] + [
+        index[pool.high[u]] for pool, index, order in segments for u in order
+    ]
+    return [
+        NodePool(ids, level, low, high, pool.top) for ids, pool in zip(roots, pools)
+    ]
 
 
 class BDD:
@@ -835,7 +876,7 @@ class BDD:
     def pool(self, roots: Iterable[int]) -> NodePool:
         """``roots`` as a :class:`NodePool` over this manager's own lists."""
         return NodePool(
-            tuple(roots), self._level, self._low, self._high, self.num_vars - 1
+            tuple(roots), self._level, self._low, self._high, self.num_vars - 1, False
         )
 
     # ------------------------------------------------------------------

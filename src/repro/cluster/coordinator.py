@@ -9,9 +9,10 @@ keep three views consistent under churn:
   ``pair:<key>``), smoothed with virtual nodes,
 * **the placement map** — the frontend's routing truth, only ever
   flipped *after* the destination replica holds the moved specs,
-* **the replicas** — kept current with the table through the PR 5
+* **the replicas** — kept current with the table through its
   dirty-pair journal (``table.dirty_since``), shipped as ``MSG_PATCH``
-  deltas with a full ``MSG_RELOAD`` fallback on journal overflow.
+  deltas with a full ``MSG_RELOAD`` fallback on journal overflow; every
+  body is packed over one node table (:func:`~repro.core.replica.pack_specs`).
 
 Rebalance invariant (DESIGN.md §14): a pair's spec reaches its new owner
 **before** routing flips, and leaves its old owner only **after** a
@@ -38,6 +39,7 @@ from ..core.replica import (
     Delta,
     Resync,
     VerdictFamilies,
+    pack_specs,
     replica_digest,
     resync_specs,
     wire_packing,
@@ -206,10 +208,13 @@ class ClusterCoordinator:
                 replica.update(self._specs.get(key, {}))
         return replica
 
-    def _tagged(self, bucket: Dict[Tuple[int, int], tuple]) -> Dict:
-        """Attach tenant tags: the node-side replica message shape."""
+    def _tagged(self, bucket: Dict[Tuple[int, int], Optional[tuple]]) -> Dict:
+        """One ``MSG_RELOAD``/``MSG_PATCH`` body: the specs packed over one
+        node table (:func:`~repro.core.replica.pack_specs`), each tagged
+        with its tenant; ``None`` (drop the pair) stays ``None``."""
         return {
-            wire: (spec, self._tenant.get(wire, "")) for wire, spec in bucket.items()
+            wire: None if spec is None else (spec, self._tenant.get(wire, ""))
+            for wire, spec in pack_specs(bucket).items()
         }
 
     # -- membership --------------------------------------------------------
@@ -219,59 +224,80 @@ class ClusterCoordinator:
             return sorted(self._members)
 
     def start(self, nodes: int) -> List[str]:
-        """Bootstrap: spawn ``nodes`` members (each join rebalances)."""
-        return [self.add_node() for _ in range(nodes)]
+        """Bootstrap: place all ``nodes`` ids on the ring first, then join
+        each one with only the keys that final ring assigns to it.
+
+        No node is loaded with a share it hands on at the next join: on a
+        fresh cluster no key has an old owner, so the joins send no
+        ``MSG_PATCH`` and count no rebalance.
+        """
+        with self._lock:
+            ids = [f"node-{next(self._ids)}" for _ in range(nodes)]
+            claims = self._claims(ids)
+            return [self._join(node_id, claims[node_id]) for node_id in ids]
 
     def add_node(self, node_id: Optional[str] = None) -> str:
-        """Spawn + join one node, moving only the keys its arcs claim.
+        """Spawn + join one node, moving only the keys its arcs claim."""
+        with self._lock:
+            node_id = node_id or f"node-{next(self._ids)}"
+            return self._join(node_id, self._claims([node_id])[node_id])
+
+    def _claims(self, node_ids: List[str]) -> Dict[str, Dict[str, Optional[str]]]:
+        """Per joiner, ``{key: current owner}`` of the keys the ring with
+        every one of ``node_ids`` added assigns to it."""
+        ring = self.frontend.ring
+        claims: Dict[str, Dict[str, Optional[str]]] = {n: {} for n in node_ids}
+        for node_id in node_ids:
+            ring.add(node_id)
+        try:
+            for key in self._specs:
+                claimed = claims.get(ring.owner(key))
+                if claimed is not None:
+                    claimed[key] = self.frontend.placement.get(key)
+        finally:
+            for node_id in node_ids:
+                ring.remove(node_id)
+        return claims
+
+    def _join(self, node_id: str, moved: Dict[str, Optional[str]]) -> str:
+        """Spawn node ``node_id`` and hand it the ``moved`` keys
+        (key -> old owner); the caller holds ``_lock``.
 
         Join order is the rebalance invariant in motion: (1) the new
         replica is loaded, (2) routing flips, (3) the old owners drain,
         (4) only then do the moved pairs leave the old replicas.
         """
-        with self._lock:
-            node_id = node_id or f"node-{next(self._ids)}"
-            handle = start_node(node_id, self._packing, mode=self.node_mode)
-            control = MessageStream.connect(handle.address)
-            member = _Member(handle, control)
-            # 1. who loses keys to the newcomer?
-            ring = self.frontend.ring
-            moved: Dict[str, Optional[str]] = {}  # key -> old owner
-            ring.add(node_id)
-            try:
-                for key in self._specs:
-                    if ring.owner(key) == node_id:
-                        moved[key] = self.frontend.placement.get(key)
-            finally:
-                ring.remove(node_id)
-            # 2. load the new replica before any routing can reach it.
-            replica: Dict[Tuple[int, int], tuple] = {}
-            for key in moved:
-                replica.update(self._specs.get(key, {}))
-            control.send(MSG_RELOAD, self._tagged(replica))
-            self._await_applied(member)
-            self._members[node_id] = member
-            self.frontend.attach_node(node_id, handle.address)
-            # 3. flip routing, drain the old owners.
-            for key in moved:
-                self.frontend.placement[key] = node_id
-            old_owners = sorted({o for o in moved.values() if o})
-            if old_owners:
-                self._drain(old_owners)
-                # 4. the moved pairs leave the old replicas.
-                for owner in old_owners:
-                    patch = {
-                        wire: None
-                        for key, old in moved.items()
-                        if old == owner
-                        for wire in self._specs.get(key, {})
-                    }
-                    if patch:
-                        self._members[owner].control.send(MSG_PATCH, patch)
-                        self.rebalance_patches += 1
-                self.rebalances += 1
-                self.moved_pairs += len(replica)
-            return node_id
+        handle = start_node(node_id, self._packing, mode=self.node_mode)
+        control = MessageStream.connect(handle.address)
+        member = _Member(handle, control)
+        # 1. load the new replica before any routing can reach it.
+        replica: Dict[Tuple[int, int], tuple] = {}
+        for key in moved:
+            replica.update(self._specs.get(key, {}))
+        control.send(MSG_RELOAD, self._tagged(replica))
+        self._await_applied(member)
+        self._members[node_id] = member
+        self.frontend.attach_node(node_id, handle.address)
+        # 2. flip routing, 3. drain the old owners.
+        for key in moved:
+            self.frontend.placement[key] = node_id
+        old_owners = sorted({o for o in moved.values() if o})
+        if old_owners:
+            self._drain(old_owners)
+            # 4. the moved pairs leave the old replicas.
+            for owner in old_owners:
+                patch = {
+                    wire: None
+                    for key, old in moved.items()
+                    if old == owner
+                    for wire in self._specs.get(key, {})
+                }
+                if patch:
+                    self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
+                    self.rebalance_patches += 1
+            self.rebalances += 1
+            self.moved_pairs += len(replica)
+        return node_id
 
     def remove_node(self, node_id: str) -> None:
         """Graceful leave: drain, move the replica, stop the process."""
@@ -296,11 +322,9 @@ class ClusterCoordinator:
             for key, new_owner in new_owner_of.items():
                 if new_owner is None:
                     continue
-                patches.setdefault(new_owner, {}).update(
-                    self._tagged(self._specs.get(key, {}))
-                )
+                patches.setdefault(new_owner, {}).update(self._specs.get(key, {}))
             for owner, patch in patches.items():
-                self._members[owner].control.send(MSG_PATCH, patch)
+                self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
                 self.rebalance_patches += 1
             for owner in patches:
                 self._await_applied(self._members[owner])
@@ -373,12 +397,10 @@ class ClusterCoordinator:
             new_owner = self.frontend.ring.owner(key)
             if new_owner is None:
                 continue
-            patches.setdefault(new_owner, {}).update(
-                self._tagged(self._specs.get(key, {}))
-            )
+            patches.setdefault(new_owner, {}).update(self._specs.get(key, {}))
             self.frontend.placement[key] = new_owner
         for owner, patch in patches.items():
-            self._members[owner].control.send(MSG_PATCH, patch)
+            self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
         self.failovers += 1
         if pending:
             count = self.frontend.redeliver(pending)
@@ -432,15 +454,12 @@ class ClusterCoordinator:
                         if owner is not None:
                             self.frontend.placement[key] = owner
                     if owner is not None:
-                        patches.setdefault(owner, {})[wire] = (
-                            spec,
-                            self._tenant.get(wire, ""),
-                        )
+                        patches.setdefault(owner, {})[wire] = spec
             for node_id, patch in patches.items():
                 member = self._members.get(node_id)
                 if member is not None:
                     self.resync_delta_bytes += member.control.send(
-                        MSG_PATCH, patch
+                        MSG_PATCH, self._tagged(patch)
                     )
             for node_id in patches:
                 member = self._members.get(node_id)

@@ -33,7 +33,9 @@ under membership change (DESIGN.md §14):
   ``node`` label (sum it out for the fleet-wide totals).
 
 A node is deliberately ignorant of topology, codec and BDD manager — its
-replica is flat integer arrays, exactly like a shard worker's.
+replica is pair specs over the node tables of the messages that carried
+them (one table per ``MSG_RELOAD``/``MSG_PATCH``, see
+:func:`~repro.core.replica.pack_specs`), exactly like a shard worker's.
 """
 
 from __future__ import annotations
@@ -304,9 +306,11 @@ def start_node(
     """Spawn one verification node and return its handle.
 
     Thread mode shares this process (cheap, GIL-bound — tests and small
-    deployments); process mode forks a worker whose replica arrives over
-    the socket via ``MSG_RELOAD``, so nothing needs to pickle at fork
-    time and the same path serves future remote nodes.
+    deployments); process mode forks a worker.  Either way the node
+    starts empty: its replica arrives over the socket as one packed
+    ``MSG_RELOAD`` holding only the share the coordinator's ring assigns
+    it, so nothing needs to pickle at fork time and the same path serves
+    future remote nodes.
     """
     if mode == "thread":
         node = VerificationNode(node_id, packing, host=host)

@@ -32,8 +32,9 @@ pair may be mid-migration, so the row is set aside for the coordinator,
 which holds the authoritative table.
 
 The module also holds the helpers the transports and their parents share:
-the shard hash, the picklable pair spec builders, the pair-delta resync
-and the replica fingerprint.
+the shard hash, the picklable pair spec builders, the packing of a
+replica message over one node table, the pair-delta resync and the
+replica fingerprint.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..bdd.engine import pack_pools
 from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from .pathtable import PathTable, match_pair
 from .reports import _REPORT_STRUCT, REPORT_SIZE, REPORT_VERSION
@@ -60,6 +62,7 @@ __all__ = [
     "build_one_shard_spec",
     "build_pair_spec",
     "build_shard_specs",
+    "pack_specs",
     "replica_digest",
     "resync_specs",
     "unframe_batch",
@@ -144,15 +147,39 @@ def build_pair_spec(table: PathTable, hs, inport, outport) -> Optional[tuple]:
     disjoint)`` (:class:`~repro.core.pathtable.PairFastIndex`), shared, not
     copied.  Inside the process the pool is root ids into the BDD
     manager's node lists, so a replica holds no second copy of a matcher,
-    and neither does a shard worker forked with it.  Pickling the spec (a
-    worker patch, a cluster reload or patch) ships one deduplicated pool of
-    just the pair's nodes, so a remote replica never needs the codec,
-    topology or BDD manager.  ``None`` is meaningful on the resync path: it
-    tells a replica to drop the pair (every path between the ports was
-    removed by a rule update).
+    and neither does a shard worker forked with it.  A spec leaves the
+    process (a worker patch or reload, a cluster reload or patch) only
+    inside a message that :func:`pack_specs` packed, so a remote replica
+    never needs the codec, topology or BDD manager.  ``None`` is
+    meaningful on the resync path: it tells a replica to drop the pair
+    (every path between the ports was removed by a rule update).
     """
     index = table.fast_index(inport, outport, hs)
     return None if index is None else index.spec
+
+
+def pack_specs(
+    specs: Dict[Tuple[int, int], Optional[tuple]],
+) -> Dict[Tuple[int, int], Optional[tuple]]:
+    """One replica message's specs over one shared node table.
+
+    Every replica sender packs its message through here.  The pools of
+    all the specs are localized into **one** deduplicated node table
+    (:func:`~repro.bdd.engine.pack_pools`), numbered depth-first from the
+    roots in key order, and each pair's pool becomes its roots into that
+    table, so pickling the message writes the structure the pairs share
+    once instead of once per pair.  ``None`` (drop the pair) passes
+    through; keys keep their order.
+    """
+    keys = sorted(key for key, spec in specs.items() if spec is not None)
+    pools = dict(zip(keys, pack_pools([specs[key][1] for key in keys])))
+    packed: Dict[Tuple[int, int], Optional[tuple]] = {}
+    for key, spec in specs.items():
+        if spec is not None:
+            tags, _pool, by_tag, disjoint = spec
+            spec = (tags, pools[key], by_tag, disjoint)
+        packed[key] = spec
+    return packed
 
 
 class Resync(NamedTuple):
@@ -229,11 +256,12 @@ def replica_digest(pairs: Dict[Tuple[int, int], tuple]) -> str:
     """Stable fingerprint of one shard replica.
 
     Hashes pair keys, tags, tag buckets, the disjointness bit and each
-    pair's localized node pool (the canonical form a pickled spec carries,
-    *not* manager node ids), so two replicas digest equal iff they verify
-    every report identically, whether their specs point into a BDD
-    manager or arrived pickled.  Used to assert replicas converged after a
-    delta resync.
+    pair's own localized node pool (canonical: it depends on the pair's
+    functions alone, *not* on manager node ids or on the packed message
+    table the pair arrived in), so two replicas digest equal iff they
+    verify every report identically, whether their specs point into a BDD
+    manager or arrived in one or many packed messages.  Used to assert
+    replicas converged after a delta resync.
     """
     digest = hashlib.sha1()
     for key in sorted(pairs):

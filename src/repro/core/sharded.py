@@ -44,6 +44,7 @@ from .replica import (
     VerdictFamilies,
     _shard_of,
     build_one_shard_spec,
+    pack_specs,
     resync_specs,
     wire_kernel,
     wire_packing,
@@ -81,8 +82,10 @@ def _shard_worker_main(
         ("batch", frame)            verify a concatenated payload frame,
                                     reply ("batch", Delta) on results
         ("ping", seq)               reply ("pong", worker_id, seq) on hb_queue
-        ("reload", pairs)           swap the compiled replica in place
-        ("patch", {key: spec|None}) apply a pair delta: None drops the pair
+        ("reload", blob)            swap the replica in place for ``blob``,
+                                    a pickled pack_specs body
+        ("patch", blob)             apply a pickled pack_specs pair delta:
+                                    None drops the pair
         ("digest", token)           reply ("digest", id, token, sha1) on results
         ("crash", how)              test hook: "exit" dies, "wedge" hangs
         ("stop",)                   exit cleanly
@@ -107,9 +110,9 @@ def _shard_worker_main(
         elif kind == "ping":
             hb_queue.put(("pong", worker_id, message[1]))
         elif kind == "reload":
-            replica.reload(message[1])
+            replica.reload(pickle.loads(message[1]))
         elif kind == "patch":
-            replica.patch(message[1])
+            replica.patch(pickle.loads(message[1]))
         elif kind == "digest":
             results.send(("digest", worker_id, message[1], replica.digest()))
         elif kind == "crash":  # pragma: no cover - exercised via subprocess
@@ -987,6 +990,9 @@ class ShardedVeriDPDaemon:
         one the direct daemon and the cluster coordinator use) ship as
         per-shard ``patch`` messages, or, when the journal overflowed or
         the table was swapped, whole replicas as ``reload`` messages.
+        Each body is packed over one node table
+        (:func:`~repro.core.replica.pack_specs`) and pickled once, and
+        ``resync_delta_bytes`` counts those bytes.
 
         Returns the number of pairs patched, ``0`` if the replicas were
         already current, or ``None`` when a full reload was required.
@@ -1000,15 +1006,17 @@ class ShardedVeriDPDaemon:
             sync = resync_specs(
                 server.table, server.hs, server.codec, self.workers, self._dirty_token
             )
-            if sync.full:
-                messages = [("reload", spec) for spec in sync.specs]
-                patched: Optional[int] = None
-            else:
-                messages = [("patch", spec) if spec else None for spec in sync.specs]
-                patched = sum(len(spec) for spec in sync.specs)
-            delta_bytes = sum(
-                len(pickle.dumps(m[1])) for m in messages if m is not None
-            )
+            kind = "reload" if sync.full else "patch"
+            # Each body is pickled once, here: its length is the count,
+            # and the queue ships the bytes as they are.
+            messages = [
+                (kind, pickle.dumps(pack_specs(spec), pickle.HIGHEST_PROTOCOL))
+                if spec or sync.full
+                else None
+                for spec in sync.specs
+            ]
+            patched = None if sync.full else sum(len(spec) for spec in sync.specs)
+            delta_bytes = sum(len(m[1]) for m in messages if m is not None)
             for worker_id, message in enumerate(messages):
                 if message is None:
                     continue

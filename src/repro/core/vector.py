@@ -304,6 +304,7 @@ def compile_pair_kernel(
             pool.low,
             pool.high,
             pool.top,
+            pool.local,
         ).localized()
         if len(local.level) - 2 > node_cap:
             return None

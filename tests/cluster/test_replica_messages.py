@@ -1,0 +1,93 @@
+"""Coordinator replica messages: bootstrap shares and packed node tables.
+
+``start(n)`` places every id on the ring before the first join, so each
+node is loaded with exactly its final share and no bootstrap join hands
+pairs on (no ``MSG_PATCH``, no rebalance).  Every ``MSG_RELOAD`` and
+``MSG_PATCH`` body is packed over one node table; a node keeps a message's
+table alive only while a pair from that message survives, so resync
+rounds that re-dirty the same pairs do not pile tables up.
+"""
+
+from repro.cluster import VeriDPCluster
+from repro.cluster.protocol import (
+    MSG_HELLO,
+    MSG_HELLO_REPLY,
+    MSG_PATCH,
+    MSG_RELOAD,
+    MessageStream,
+)
+from repro.core.server import VeriDPServer
+from repro.topologies import build_linear
+
+
+def _hello(address):
+    """The pair count a node reports on a fresh connection."""
+    stream = MessageStream.connect(address)
+    try:
+        stream.send(MSG_HELLO, ("test",))
+        mtype, body = stream.recv(timeout=10)
+    finally:
+        stream.close()
+    assert mtype == MSG_HELLO_REPLY
+    return body[1]
+
+
+def test_start_loads_each_node_with_its_final_share_only(rig, monkeypatch):
+    _, server, _ = rig
+    sent = []
+    real_send = MessageStream.send
+
+    def spy(stream, mtype, *args, **kwargs):
+        sent.append(mtype)
+        return real_send(stream, mtype, *args, **kwargs)
+
+    monkeypatch.setattr(MessageStream, "send", spy)
+    with VeriDPCluster(server, nodes=2, node_mode="thread") as cluster:
+        coordinator = cluster.coordinator
+        assert MSG_PATCH not in sent
+        assert sent.count(MSG_RELOAD) == 2
+        assert coordinator.rebalance_patches == 0
+        assert coordinator.rebalances == coordinator.moved_pairs == 0
+        shares = [
+            _hello(coordinator._members[node_id].handle.address)
+            for node_id in cluster.nodes()
+        ]
+        assert shares == [
+            len(coordinator._replica_of(node_id)) for node_id in cluster.nodes()
+        ]
+        assert all(shares) and sum(shares) == len(server.table.pairs())
+        assert cluster.converged()
+
+
+def _table_nodes(replica):
+    """Nodes held by the distinct node tables ``replica``'s pairs reference."""
+    tables = {id(spec[1].level): len(spec[1].level) for spec in replica.pairs.values()}
+    return sum(tables.values())
+
+
+def test_resync_rounds_do_not_pin_old_tables(tmp_path):
+    scenario = build_linear(4)
+    server = VeriDPServer(
+        scenario.topo, state_dir=str(tmp_path / "state"), fsync="never"
+    )
+    try:
+        with VeriDPCluster(server, nodes=2, node_mode="thread") as cluster:
+            coordinator = cluster.coordinator
+            patched = 0
+            for _round in range(50):
+                server.apply_rule_update("S1", "10.50.0.0/16", 2)
+                patched += cluster.resync()
+                server.apply_rule_delete("S1", "10.50.0.0/16")
+                patched += cluster.resync()
+            assert patched > 0 and coordinator.full_resyncs == 0
+            bdd = server.hs.bdd
+            for node_id in cluster.nodes():
+                replica = coordinator._members[node_id].handle._node.replica
+                slice_ = coordinator._replica_of(node_id)
+                fresh = bdd.pool(
+                    [root for key in sorted(slice_) for root in slice_[key][1].roots]
+                ).localized()
+                assert _table_nodes(replica) <= 2 * len(fresh.level)
+            assert cluster.converged()
+    finally:
+        server.close()
