@@ -8,6 +8,7 @@ provides match-predicate constructors.
 
 from typing import TYPE_CHECKING
 
+from ..lazy import lazy_exports
 from .engine import BDD, FALSE, TRUE
 from .headerspace import (
     DEFAULT_FIELDS,
@@ -39,11 +40,7 @@ __all__ = [
     "range_to_prefixes",
 ]
 
-
-def __getattr__(name: str):
-    # Atomic predicates serve the offline AtomicPathTableBuilder only.
-    if name in ("AtomicUniverse", "compute_atoms"):
-        from . import atomic
-
-        return getattr(atomic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Atomic predicates serve the offline AtomicPathTableBuilder only.
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"AtomicUniverse": "atomic", "compute_atoms": "atomic"}
+)

@@ -20,15 +20,16 @@ factor even at 2-3 members.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Dict, List, Optional, Tuple
+
+from ..digest import sha1
 
 __all__ = ["HashRing"]
 
 
 def _point(value: str) -> int:
     """64-bit ring position of a string (stable across processes)."""
-    return int.from_bytes(hashlib.sha1(value.encode()).digest()[:8], "big")
+    return int.from_bytes(sha1(value.encode()).digest()[:8], "big")
 
 
 class HashRing:

@@ -22,8 +22,8 @@ This package is the paper's primary contribution:
 
 from typing import TYPE_CHECKING
 
+from ..lazy import lazy_exports
 from .bloom import BloomTagScheme, XorTagScheme, murmur3_32
-from .incremental import IncrementalPathTable, LpmProvider, PrefixRuleTree, RuleDelta
 from .localization import (
     CandidatePath,
     LocalizationResult,
@@ -53,28 +53,31 @@ from .resilience import (
     RestartBackoff,
     WorkerSupervisor,
 )
-from .sampling import (
-    AlwaysSampler,
-    FlowSampler,
-    NeverSampler,
-    sampling_interval_for,
-    worst_case_detection_latency,
-)
 from .verifier import BatchVerificationResult, VerificationResult, Verdict, Verifier
 
 if TYPE_CHECKING:
     from .atomic_builder import AtomicPathTableBuilder
     from .direct import VeriDPDaemon
+    from .incremental import IncrementalPathTable, LpmProvider, PrefixRuleTree, RuleDelta
     from .listener import UdpReportListener
     from .queries import PolicyChecker, QueryResult
     from .repair import RepairAction, RepairEngine, RepairOutcome, RepairResult
+    from .sampling import (
+        AlwaysSampler,
+        FlowSampler,
+        NeverSampler,
+        sampling_interval_for,
+        worst_case_detection_latency,
+    )
     from .incident import Incident
     from .server import VeriDPServer
     from .sharded import ShardedVeriDPDaemon
 
 #: Resolved on first use (``tests/test_import_budget.py`` is the gate): the
-#: offline tools no serve shape runs, and the server and daemons, which a
-#: cluster node (a replica behind a socket) never needs.
+#: offline tools no serve shape runs, the incremental updater and flow
+#: sampling (only an incremental or durable server and the simulator load
+#: them), and the server and daemons, which a cluster node (a replica behind
+#: a socket) never needs.
 _LAZY = {
     "Incident": "incident",
     "VeriDPServer": "server",
@@ -88,16 +91,18 @@ _LAZY = {
     "RepairEngine": "repair",
     "RepairOutcome": "repair",
     "RepairResult": "repair",
+    "IncrementalPathTable": "incremental",
+    "LpmProvider": "incremental",
+    "PrefixRuleTree": "incremental",
+    "RuleDelta": "incremental",
+    "AlwaysSampler": "sampling",
+    "FlowSampler": "sampling",
+    "NeverSampler": "sampling",
+    "sampling_interval_for": "sampling",
+    "worst_case_detection_latency": "sampling",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__name__}.{module}"), name)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 
 __all__ = [

@@ -39,7 +39,6 @@ replica fingerprint.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 import time
@@ -48,6 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..bdd.engine import pack_pools
+from ..digest import sha1
 from ..obs import DEFAULT_BUCKETS, MetricsRegistry
 from .pathtable import PathTable, match_pair
 from .reports import _REPORT_STRUCT, REPORT_SIZE, REPORT_VERSION
@@ -263,7 +263,7 @@ def replica_digest(pairs: Dict[Tuple[int, int], tuple]) -> str:
     manager or arrived in one or many packed messages.  Used to assert
     replicas converged after a delta resync.
     """
-    digest = hashlib.sha1()
+    digest = sha1()
     for key in sorted(pairs):
         tags, pool, by_tag, disjoint = pairs[key]
         local = pool.localized()

@@ -14,6 +14,7 @@ The server sits beside the controller.  It
 
 from __future__ import annotations
 
+import ctypes
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +41,25 @@ from .reports import (
 from .verifier import VerificationResult, Verdict, Verifier
 
 __all__ = ["VeriDPServer", "Incident"]
+
+
+def release_free_memory() -> bool:
+    """Hand the C allocator's free pages back to the OS (``malloc_trim(0)``).
+
+    The table build frees its scratch (apply memos, worklists, transient
+    dicts) into malloc's arenas, where it stays resident in this process
+    and in every shard worker or cluster node forked from it.  Returns
+    whether a release ran: ``False`` where libc cannot be opened or has no
+    ``malloc_trim`` (it is a glibc extension).
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return False
+    trim.argtypes = [ctypes.c_size_t]  # pad: bytes to keep at the heap top
+    trim.restype = ctypes.c_int
+    trim(0)
+    return True
 
 
 class VeriDPServer:
@@ -151,6 +171,9 @@ class VeriDPServer:
         # here on, and a worker forked later should not inherit them.
         # (Update flushes keep theirs; see BDD.new_generation.)
         self.hs.bdd.new_generation()
+        # ... and the allocator hands the freed pages back before anything
+        # forks.  Only construction releases; flushes keep their memos.
+        release_free_memory()
         self.verifier = Verifier(self.table, self.hs, fast_path=fast_path)
         #: Coverage over the live table, fed by every verification on the
         #: direct report path; the active prober closes its dark list.

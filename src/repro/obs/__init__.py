@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..lazy import lazy_exports
 from .exposition import (
     CONTENT_TYPE_PROMETHEUS,
     parse_prometheus_text,
@@ -67,13 +68,7 @@ __all__ = [
     "CONTENT_TYPE_PROMETHEUS",
 ]
 
-
-def __getattr__(name: str):
-    if name == "MetricsEndpoint":
-        from .httpd import MetricsEndpoint
-
-        return MetricsEndpoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), {"MetricsEndpoint": "httpd"})
 
 
 class Observability:

@@ -29,6 +29,8 @@ import struct
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..digest import sha1
+
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAP_MAGIC",
@@ -242,9 +244,7 @@ def table_fingerprint(table, bdd) -> str:
     paths: serial build, parallel build, per-event updates and coalesced
     flushes must all land on the same fingerprint.
     """
-    import hashlib
-
-    digest = hashlib.sha1()
+    digest = sha1()
     for inport, outport in sorted(table.pairs(), key=repr):
         entries = sorted(
             (

@@ -7,25 +7,50 @@
   Figure 5 toy network with the paper's exact rules.
 """
 
+from typing import TYPE_CHECKING
+
+from ..lazy import lazy_exports
 from .base import Scenario, lpm_ruleset_for, wire_scenario
-from .fattree import build_fattree, fattree_dimensions
-from .generators import (
-    build_figure5,
-    build_jellyfish,
-    build_random,
-    build_grid,
-    build_linear,
-    build_ring,
-    build_star,
-)
-from .io import (
-    load_scenario,
-    save_scenario,
-    topology_from_dict,
-    topology_to_dict,
-)
 from .internet2 import INTERNET2_POPS, build_internet2, internet2_lpm_ruleset
 from .stanford import STANFORD_BACKBONES, STANFORD_ZONES, build_stanford
+
+if TYPE_CHECKING:
+    from .fattree import build_fattree, fattree_dimensions
+    from .generators import (
+        build_figure5,
+        build_jellyfish,
+        build_random,
+        build_grid,
+        build_linear,
+        build_ring,
+        build_star,
+    )
+    from .io import (
+        load_scenario,
+        save_scenario,
+        topology_from_dict,
+        topology_to_dict,
+    )
+
+#: Resolved on first use (``tests/test_import_budget.py`` is the gate): a
+#: serve process builds the Stanford or Internet2 scenario only.
+_LAZY = {
+    "build_fattree": "fattree",
+    "fattree_dimensions": "fattree",
+    "build_figure5": "generators",
+    "build_jellyfish": "generators",
+    "build_random": "generators",
+    "build_grid": "generators",
+    "build_linear": "generators",
+    "build_ring": "generators",
+    "build_star": "generators",
+    "load_scenario": "io",
+    "save_scenario": "io",
+    "topology_from_dict": "io",
+    "topology_to_dict": "io",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Scenario",

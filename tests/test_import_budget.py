@@ -10,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 #: Modules the report path has no use for; each was loaded by every serve
@@ -28,6 +30,17 @@ FORBIDDEN = (
     "repro.bdd.atomic",
     # No cluster ingest needs it (it brings ssl, logging, concurrent.futures).
     "asyncio",
+    # OpenSSL's libcrypto comes with it; fingerprints use repro.digest.
+    "hashlib",
+    "_hashlib",
+    # The incremental updater and flow sampling, which only an incremental
+    # or durable server and the simulator run.
+    "repro.core.incremental",
+    "repro.core.sampling",
+    # Topology builders and I/O a Stanford or Internet2 serve never calls.
+    "repro.topologies.fattree",
+    "repro.topologies.generators",
+    "repro.topologies.io",
 )
 
 SERVE = """
@@ -143,3 +156,74 @@ import repro.cluster.node
 print([m for m in ("repro.core.daemon", "repro.core.server") if m in sys.modules])
 """
     assert _run(script).strip() == "[]"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+def test_no_serve_process_maps_libcrypto():
+    # Every forked shard worker and cluster node inherits the parent's
+    # image page for page: the whole process tree must leave OpenSSL out,
+    # after set-up and after verifying a stream.
+    script = """
+import multiprocessing, os
+from repro.cluster import VeriDPCluster
+from repro.core import VeriDPServer
+from repro.core.daemon import ShardedVeriDPDaemon
+from repro.core.reports import pack_report
+from repro.dataplane import DataPlaneNetwork
+from repro.topologies import build_linear
+
+def tree_maps(processed):
+    pids = [os.getpid()] + [c.pid for c in multiprocessing.active_children()]
+    mapped = []
+    for pid in pids:
+        with open(f"/proc/{pid}/maps") as fh:
+            mapped.append(sum("libcrypto" in line for line in fh))
+    print(len(pids), mapped, processed)
+
+scenario = build_linear(4)
+net = DataPlaneNetwork(scenario.topo, scenario.channel)
+payloads = []
+for src, dst in scenario.host_pairs():
+    result = net.inject_from_host(src, scenario.header_between(src, dst))
+    payloads += [pack_report(r, net.codec) for r in result.reports]
+payloads *= 10
+server = VeriDPServer(scenario.topo, scenario.channel)
+with ShardedVeriDPDaemon(server, workers=2) as daemon:
+    for payload in payloads:
+        daemon.submit(payload)
+    daemon.join()
+    tree_maps(daemon.stats()["processed"] == len(payloads))
+with VeriDPCluster(server, nodes=2, node_mode="process") as cluster:
+    for payload in payloads:
+        cluster.submit(payload)
+    cluster.join()
+    tree_maps(cluster.stats()["processed"] == len(payloads))
+"""
+    lines = _run(script).splitlines()
+    assert lines == ["3 [0, 0, 0] True"] * 2
+
+
+def test_lazy_exports_are_listed_without_loading():
+    # dir() (help(), tab completion, inspect.getmembers) sees every name of
+    # __all__, and listing them imports none of the deferred modules.
+    script = """
+import sys
+import repro.bdd, repro.core, repro.obs, repro.topologies
+deferred = ("repro.core.incremental", "repro.core.sampling",
+            "repro.core.repair", "repro.core.server", "repro.bdd.atomic",
+            "repro.obs.httpd", "repro.topologies.generators",
+            "repro.topologies.fattree", "repro.topologies.io")
+before = [m for m in deferred if m in sys.modules]
+for package in (repro.bdd, repro.core, repro.obs, repro.topologies):
+    print(package.__name__, sorted(set(package.__all__) - set(dir(package))))
+print(before, [m for m in deferred if m in sys.modules])
+"""
+    assert _run(script).splitlines() == [
+        "repro.bdd []",
+        "repro.core []",
+        "repro.obs []",
+        "repro.topologies []",
+        "[] []",
+    ]
