@@ -120,7 +120,7 @@ class ClusterCoordinator:
         self.registry.gauge(
             "veridp_in_flight",
             "Rows the frontend accepted that have no verdict yet.",
-            callback=lambda: self.frontend.in_flight,
+            callback=lambda: self.frontend.flight.rows,
         )
         self.registry.gauge(
             "veridp_unacked_batches",
@@ -335,8 +335,9 @@ class ClusterCoordinator:
             self._drain([node_id])
             pending = self.frontend.detach_node(node_id)
             del self._members[node_id]
-            if pending:  # pragma: no cover - the drain above empties it
-                self.redelivered += self.frontend.redeliver(pending)
+            # The drain above empties it, short of a node that stopped
+            # answering mid-leave.
+            self.redelivered += self.frontend.redeliver(pending)
             if patches:
                 self.rebalances += 1
                 self.moved_pairs += sum(len(p) for p in patches.values())
@@ -402,9 +403,7 @@ class ClusterCoordinator:
         for owner, patch in patches.items():
             self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
         self.failovers += 1
-        if pending:
-            count = self.frontend.redeliver(pending)
-            self.redelivered += count
+        self.redelivered += self.frontend.redeliver(pending)
 
     # -- replica resync (the PR 5 protocol over sockets) -------------------
 
@@ -569,7 +568,7 @@ class ClusterCoordinator:
                 break
             if remaining <= 0:
                 raise TimeoutError(
-                    f"cluster join timed out with {self.frontend.in_flight} "
+                    f"cluster join timed out with {self.frontend.flight.rows} "
                     "rows in flight"
                 )
 
@@ -627,7 +626,7 @@ class ClusterCoordinator:
                 "unknown_reingested": self.unknown_reingested,
                 "incidents": len(self.incidents),
             }
-        out["in_flight"] = self.frontend.in_flight
+        out["in_flight"] = self.frontend.flight.rows
         with self._lock:
             out.update({
                 "nodes": len(self._members),

@@ -22,11 +22,13 @@ Tenant awareness (PR 8): every pair owned by a slice routes under the key
 with them its isolation-recheck work and footprint BDDs — land on a
 single node rather than replicating everywhere.
 
-Delivery bookkeeping implements the exactly-once contract from
-:mod:`repro.cluster.protocol`: every dispatched batch stays in the
-per-node un-acked map until the node's reply to it is merged; a dead
-node's un-acked batches are detached wholesale and redelivered to the
-surviving owners.  Each link has a reader thread that takes the node's
+Delivery implements the exactly-once contract from
+:mod:`repro.cluster.protocol` with one
+:class:`~repro.core.delivery.DeliveryBook` per node link, the book the
+sharded daemon keeps per shard worker: every dispatched batch stays
+un-acked until the node's reply to it is merged; a dead node's book is
+surrendered wholesale and its rows are adopted by the surviving owners'
+books, logged once.  Each link has a reader thread that takes the node's
 batch replies off the data connection as they arrive and hands them to
 :attr:`ClusterFrontend.on_reply` (the coordinator's merge), which retires
 the batch under the link's lock.
@@ -37,7 +39,6 @@ from __future__ import annotations
 import selectors
 import socket
 import threading
-from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -49,6 +50,7 @@ from ..core.ingest import (
     pair_keys,
     screen_frame,
 )
+from ..core.delivery import DeliveryBook, InFlight
 from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
 from .protocol import MSG_BATCH, MessageStream
@@ -72,20 +74,12 @@ def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
     return f"pair:{pair_key}"
 
 
-class _NodeLink:
-    """The frontend's view of one verification node's data connection."""
+class _NodeLink(DeliveryBook):
+    """One verification node's data connection and its delivery book."""
 
-    def __init__(self, node_id: str, address: Tuple[str, int]) -> None:
-        self.node_id = node_id
-        self.address = address
+    def __init__(self, address: Tuple[str, int], *book) -> None:
+        super().__init__(*book)
         self.stream = MessageStream.connect(address)
-        self.lock = threading.Lock()
-        self.seq = 0  # last batch seq dispatched to this node
-        #: seq -> frame; insertion order == seq order.
-        self.unacked: "OrderedDict[int, bytes]" = OrderedDict()
-        self.fbuffer: List[bytes] = []  # frame chunks awaiting dispatch
-        self.fcount = 0  # rows pending in fbuffer
-        self.dead = False
 
 
 class ClusterFrontend:
@@ -106,10 +100,8 @@ class ClusterFrontend:
         self.batch_size = max(1, int(batch_size))
         self.persist = persist
         self.on_reply: Optional[Callable[[Delta], None]] = None
-        #: Rows accepted and not yet retired, buffered or un-acked; the
-        #: condition is notified whenever rows retire.
-        self.in_flight = 0
-        self._retired = threading.Condition()
+        #: Rows accepted and not yet retired, buffered or un-acked.
+        self.flight = InFlight()
         self.ring = HashRing()
         #: routing key -> node_id, maintained by the coordinator.
         self.placement: Dict[str, str] = {}
@@ -129,7 +121,10 @@ class ClusterFrontend:
     # -- membership (coordinator-driven) -----------------------------------
 
     def attach_node(self, node_id: str, address: Tuple[str, int]) -> None:
-        link = _NodeLink(node_id, address)
+        # WAL-before-verify at batch granularity: each cut is one
+        # RT_REPORT_BATCH record, durable before any node sees it.
+        log = None if self.persist is None else self.persist.log_report_frame
+        link = _NodeLink(address, self.flight, self.batch_size, log)
         threading.Thread(
             target=self._read_replies,
             args=(link,),
@@ -152,19 +147,19 @@ class ClusterFrontend:
                 link.dead = True
                 return
             # A node answers nothing but batches on the data connection.
-            with link.lock:
-                if self.on_reply is None or delta.seq not in link.unacked:
-                    continue
-                self.on_reply(delta)
-                self._retire_locked(link, [delta.seq])
+            on_reply = self.on_reply
+            if on_reply is not None:
+                link.retire(delta.seq, lambda: on_reply(delta))
 
     def detach_node(self, node_id: str) -> List[bytes]:
         """Drop a node and return every payload it still owed us.
 
         The returned payloads (un-acked batches in seq order, then the
-        undispatched buffer) are the redelivery set: a reply still on its
-        way finds its batch gone and is dropped, so re-routing these to the
-        surviving owners counts each verdict exactly once.
+        undispatched buffer) are the redelivery set, already in the WAL and
+        still counted in flight until :meth:`redeliver` re-routes them: a
+        reply still on its way finds its batch gone and is dropped, so
+        re-routing these to the surviving owners counts each verdict
+        exactly once.
         """
         with self._route_lock:
             link = self._links.pop(node_id, None)
@@ -177,17 +172,9 @@ class ClusterFrontend:
             }
         if link is None:
             return []
-        link.dead = True
+        link.dead = True  # no cut from here on: the rows are surrendered
         link.stream.close()  # its reader thread ends with the stream
-        pending: List[bytes] = []
-        with link.lock:
-            for frame in [*link.unacked.values(), *link.fbuffer]:
-                pending.extend(unframe_batch(frame))
-            link.unacked.clear()
-            link.fbuffer = []
-            link.fcount = 0
-            self._count_in_flight(-len(pending))
-        return pending
+        return [row for frame in link.surrender() for row in unframe_batch(frame)]
 
     def nodes(self) -> List[str]:
         with self._route_lock:
@@ -205,10 +192,10 @@ class ClusterFrontend:
             return node
         return self.ring.owner(key)
 
-    def _route_locked(self, pair_key: int) -> Optional[str]:
-        """The live node that owns ``pair_key`` (route lock held), or None."""
+    def _route_locked(self, pair_key: int) -> Optional[_NodeLink]:
+        """The live link that owns ``pair_key`` (route lock held), or None."""
         node = self.owner_of(routing_key_of(pair_key, self.tenant_of.get(pair_key)))
-        return node if node in self._links else None
+        return self._links.get(node)
 
     def submit(self, payload: bytes) -> bool:
         """Ingest one wire payload as a one-row chunk; returns False when it
@@ -218,11 +205,10 @@ class ClusterFrontend:
             if payload_precheck(payload) is not None:
                 self.precheck_rejected += 1
                 return False
-            node = self._route_locked(int.from_bytes(payload[2:6], "big"))
-            if node is None:
+            link = self._route_locked(int.from_bytes(payload[2:6], "big"))
+            if link is None:
                 self.dropped_no_node += 1
                 return False
-            link = self._links[node]
         self._buffer([(link, payload, 1)])
         return True
 
@@ -239,92 +225,67 @@ class ClusterFrontend:
         if count == 0:
             return 0
         clean, rejected = screen_frame(frame.payload())
-        nrows = len(clean) // REPORT_SIZE
-        targets: List[Tuple[_NodeLink, bytes, int]] = []
         with self._route_lock:
             self.submitted += count
             self.precheck_rejected += len(rejected)
-            if not nrows:
-                return 0
-            keys = pair_keys(clean)
-            raw = np.frombuffer(clean, dtype=np.uint8).reshape(
-                -1, REPORT_SIZE
-            )
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            # Map each unique pair key to a node slot (None = unroutable),
-            # then fan rows out per slot in one mask pass each.
-            node_slots: Dict[Optional[str], int] = {}
-            slot_nodes: List[Optional[str]] = []
-            codes = np.empty(uniq.shape[0], dtype=np.int64)
-            for j, key in enumerate(uniq.tolist()):
-                node = self._route_locked(int(key))
-                slot = node_slots.get(node)
-                if slot is None:
-                    slot = len(slot_nodes)
-                    node_slots[node] = slot
-                    slot_nodes.append(node)
-                codes[j] = slot
-            row_slots = codes[inverse]
-            for slot, node in enumerate(slot_nodes):
-                mask = row_slots == slot
-                rows = int(mask.sum())
-                if node is None:
-                    self.dropped_no_node += rows
-                    continue
-                targets.append(
-                    (self._links[node], raw[mask].tobytes(), rows)
-                )
+            targets = self._route_rows(clean)
         return self._buffer(targets)
 
+    def _route_rows(self, clean: bytes) -> List[Tuple[_NodeLink, bytes, int]]:
+        """Fan screened rows out to their owners' links (route lock held):
+        ``(link, chunk, rows)`` per owner, each owner's rows one contiguous
+        chunk.  Ownerless rows count as ``dropped_no_node``."""
+        if not clean:
+            return []
+        raw = np.frombuffer(clean, dtype=np.uint8).reshape(-1, REPORT_SIZE)
+        uniq, inverse = np.unique(pair_keys(clean), return_inverse=True)
+        # Map each unique pair key to a link slot (None = unroutable),
+        # then fan rows out per slot in one mask pass each.
+        slots: Dict[Optional[_NodeLink], int] = {}
+        codes = np.empty(uniq.shape[0], dtype=np.int64)
+        for j, key in enumerate(uniq.tolist()):
+            codes[j] = slots.setdefault(self._route_locked(key), len(slots))
+        row_slots = codes[inverse]
+        targets = []
+        for link, slot in slots.items():
+            mask = row_slots == slot
+            rows = int(mask.sum())
+            if link is None:
+                self.dropped_no_node += rows
+            else:
+                targets.append((link, raw[mask].tobytes(), rows))
+        return targets
+
     def _buffer(self, targets: Iterable[Tuple[_NodeLink, bytes, int]]) -> int:
-        """Append ``(link, chunk, rows)`` to the links' frame-chunk buffers,
-        dispatching each one that reached ``batch_size``; returns rows."""
+        """Offer ``(link, chunk, rows)`` to the links' books, dispatching
+        each batch a book cuts; returns rows."""
         accepted = 0
         for link, chunk, rows in targets:
-            batch = None
-            with link.lock:
-                # A dead link still buffers: detach_node() surrenders the
-                # buffer for redelivery, so a node's death window loses
-                # nothing — the rows just wait for the failover.
-                link.fbuffer.append(chunk)
-                link.fcount += rows
-                accepted += rows
-                self._count_in_flight(rows)
-                if link.fcount >= self.batch_size and not link.dead:
-                    batch = self._take_batch_locked(link)
+            accepted += rows
+            batch = link.offer(chunk, rows)
             if batch is not None:
                 self._send(link, *batch)
         return accepted
 
     def redeliver(self, payloads: List[bytes]) -> int:
-        """Re-route a detached node's pending payloads; returns the count."""
-        count = 0
-        for payload in payloads:
-            with self._route_lock:
-                self.submitted -= 1  # submit() recounts it below
-            if self.submit(payload):
-                count += 1
+        """Re-route a detached node's pending payloads; returns the count.
+
+        The new owners' books adopt them as they are: in the WAL and
+        counted in flight already.  A payload no node owns any more leaves
+        the in-flight count as ``dropped_no_node``.
+        """
         with self._route_lock:
+            targets = self._route_rows(b"".join(payloads))
+            count = sum(rows for _link, _chunk, rows in targets)
             self.redelivered_reports += count
+        self.flight.add(count - len(payloads))
+        for link, chunk, _rows in targets:
+            batch = link.adopt([chunk])
+            if batch is not None:
+                self._send(link, *batch)
         return count
 
     # -- dispatch ----------------------------------------------------------
-
-    def _take_batch_locked(self, link: _NodeLink) -> Tuple[int, bytes, int]:
-        """Cut the link's pending frame chunks into its next batch (caller
-        holds ``link.lock``): ``(seq, frame, rows)``, already un-acked."""
-        frame = b"".join(link.fbuffer)
-        rows = link.fcount
-        link.fbuffer = []
-        link.fcount = 0
-        if self.persist is not None:
-            # WAL-before-verify at batch granularity: the batch is durable
-            # before any node sees it, exactly like the sharded daemon —
-            # one RT_REPORT_BATCH record per frame.
-            self.persist.log_report_frame(frame)
-        link.seq += 1
-        link.unacked[link.seq] = frame
-        return link.seq, frame, rows
 
     def _send(self, link: _NodeLink, seq: int, frame: bytes, rows: int) -> None:
         """Ship one batch.  Runs without ``link.lock``: the reply reader
@@ -348,42 +309,22 @@ class ClusterFrontend:
         with self._route_lock:
             links = list(self._links.values())
         for link in links:
-            with link.lock:
-                if not link.fbuffer or link.dead:
-                    continue
-                batch = self._take_batch_locked(link)
-            self._send(link, *batch)
-
-    def _retire_locked(self, link: _NodeLink, seqs: List[int]) -> None:
-        """Drop answered batches from the redelivery set (``link.lock`` held)."""
-        rows = sum(len(link.unacked.pop(seq)) for seq in seqs) // REPORT_SIZE
-        self._count_in_flight(-rows)
-
-    def _count_in_flight(self, rows: int) -> None:
-        with self._retired:
-            self.in_flight += rows
-            if rows < 0:
-                self._retired.notify_all()
+            batch = link.cut()
+            if batch is not None:
+                self._send(link, *batch)
 
     def wait_retired(self, timeout: float, node_ids=None) -> bool:
         """Wait until no accepted row is left in flight, or, with
         ``node_ids``, until those nodes answered every batch dispatched to
         them so far; False on timeout."""
-        marks = None
-        if node_ids is not None:
-            with self._route_lock:
-                links = [self._links[n] for n in node_ids if n in self._links]
-            marks = [(link, link.seq) for link in links]
-
-        def done() -> bool:
-            if marks is None:
-                return self.in_flight == 0
-            return all(
-                min(link.unacked, default=mark + 1) > mark for link, mark in marks
-            )
-
-        with self._retired:
-            return self._retired.wait_for(done, timeout)
+        if node_ids is None:
+            return self.flight.wait_for(lambda: self.flight.rows == 0, timeout)
+        with self._route_lock:
+            links = [self._links[n] for n in node_ids if n in self._links]
+        marks = [(link, link.seq) for link in links]
+        return self.flight.wait_for(
+            lambda: all(link.answered(mark) for link, mark in marks), timeout
+        )
 
     def pending(self, node_id: str) -> Tuple[int, int]:
         """(un-acked batches, buffered payloads) for one node."""
@@ -392,7 +333,7 @@ class ClusterFrontend:
         if link is None:
             return (0, 0)
         with link.lock:
-            return (len(link.unacked), link.fcount)
+            return (len(link.unacked), link.rows)
 
     def unacked_batches(self) -> Dict[str, int]:
         """Batches each node has not answered yet, by node id."""

@@ -11,8 +11,8 @@ Three transports carry one:
 * the direct daemon's worker threads
   (:class:`~repro.core.direct.VeriDPDaemon`, in-thread under one lock),
 * the sharded daemon's worker process
-  (:func:`repro.core.sharded._shard_worker_main`, ``multiprocessing``
-  queues),
+  (:func:`repro.core.sharded._shard_worker_main`, one duplex
+  ``multiprocessing`` pipe per worker generation),
 * the cluster's :class:`~repro.cluster.node.VerificationNode` (TCP
   :class:`~repro.cluster.protocol.MessageStream`).
 
@@ -306,7 +306,7 @@ class Delta(NamedTuple):
     """What one replica verified since its last drain: one batch.
 
     The one reply every transport sends, once per batch: the direct daemon
-    drains it in-thread, a shard worker sends ``("batch", delta)``, a
+    drains it in-thread, a shard worker sends it down its pipe, a
     cluster node sends it as the ``MSG_BATCH_REPLY`` body.  Besides the
     verdicts it carries the batch's own figures as plain values, which the
     owner folds into its metric families (:class:`VerdictFamilies`).
@@ -327,7 +327,8 @@ class Delta(NamedTuple):
     #: Undecodable payloads, for dead-lettering (up to the replica's
     #: ``sample_cap``).
     malformed_sample: List[bytes]
-    #: The batch seq this answers (the frontend's ack; 0 for shards).
+    #: The batch seq this answers: the delivery book's ack on a node or
+    #: a shard worker (0 in-thread).
     seq: int
     #: Wall-clock seconds the replica spent verifying.
     seconds: float

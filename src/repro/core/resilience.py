@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .reports import Frame, REPORT_SIZE
 
@@ -153,24 +153,6 @@ class PolicyQueue:
                 return True
             weight = self._weight(item)
             return self._put_one_locked(item, timeout) == weight
-
-    def put_many(
-        self,
-        items: Iterable[object],
-        timeout: Optional[float] = None,
-    ) -> int:
-        """Admit a batch under one lock acquisition; returns admitted reports.
-
-        Each item is admitted under the same per-item policy semantics as
-        :meth:`put`; the batch shape only changes the locking cost (one
-        mutex round-trip and one consumer wakeup per call instead of one
-        per report).
-        """
-        admitted = 0
-        with self._mutex:
-            for item in items:
-                admitted += self._put_one_locked(item, timeout)
-        return admitted
 
     def put_frame(
         self,

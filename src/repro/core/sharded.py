@@ -2,25 +2,31 @@
 
 :class:`ShardedVeriDPDaemon` shards reports by ``(inport, outport)`` hash
 across ``multiprocessing`` workers.  Each worker (:func:`_shard_worker_main`)
-is a queue transport over a :class:`~repro.core.replica.ShardReplica` — its
+is a pipe transport over a :class:`~repro.core.replica.ShardReplica` — its
 shard of the path table as pair specs, whose node pools a forked worker
 inherits and a patched one receives localized (no topology) — which
-verifies frames locally and answers every batch with its
-delta (counters, failed payloads) over a result pipe; the parent's
-collector thread settles each delta as it arrives, sending the (rare)
-failures through the server's intake, the verdict of record.
-The direct daemon (in-thread) and the cluster tier's nodes (TCP) are the
-other transports over the same replica.  This is the shape that turns the
-GIL-flat throughput curve into a scaling one when cores are available.
+verifies frames locally and answers every batch with its delta (counters,
+failed payloads) on the same duplex pipe; the parent's collector thread
+settles each delta as it arrives, sending the (rare) failures through the
+server's intake, the verdict of record.  The direct daemon (in-thread) and
+the cluster tier's nodes (TCP) are the other transports over the same
+replica.  This is the shape that turns the GIL-flat throughput curve into a
+scaling one when cores are available.
 
-Resilience: dead or wedged worker processes are detected (exitcode polling
-+ heartbeat pings) and restarted with bounded exponential backoff, their
-replica resynchronised against the current :attr:`PathTable.version`; when
-restarts exceed the budget the daemon degrades to a single-process
-:class:`~repro.core.direct.VeriDPDaemon` fallback rather than wedging.  Each
-worker generation gets its *own* multiprocessing queues and result pipe, so a
-worker killed mid-``get``/``put``/``send`` cannot poison a shared queue lock
-or stream for its successor.
+Delivery is the cluster frontend's: each worker generation keeps a
+:class:`~repro.core.delivery.DeliveryBook`, which WAL-logs a batch once at
+its cut, holds it un-acked under a seq until the worker's
+``drain(seq)`` reply retires it, and surrenders what is left when the
+worker dies.  Resilience: dead or wedged worker processes are detected
+(exitcode polling + heartbeat: any reply refreshes it, pings keep an idle
+worker answering) and restarted with bounded exponential backoff, their
+replica resynchronised against the current :attr:`PathTable.version`; the
+successor adopts the dead generation's surrendered batches, so a worker
+killed mid-batch costs no verdict.  When restarts exceed the budget the
+daemon degrades to a single-process :class:`~repro.core.direct.VeriDPDaemon`
+fallback, which takes the same surrender.  Each generation gets its *own*
+pipe, so a worker killed mid-``recv``/``send`` cannot corrupt the stream of
+its successor.
 """
 
 from __future__ import annotations
@@ -28,21 +34,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
-import selectors
+import select
 import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import Observability
+from .delivery import DeliveryBook, InFlight
 from .direct import VeriDPDaemon, _log_frame, settle
 from .ingest import shard_split
 from .replica import (
     Delta,
     ShardReplica,
     VerdictFamilies,
-    _shard_of,
     build_one_shard_spec,
     pack_specs,
     resync_specs,
@@ -68,60 +73,99 @@ __all__ = ["ShardedVeriDPDaemon"]
 
 def _shard_worker_main(
     worker_id: int,
-    in_queue,
-    results,
-    hb_queue,
+    conn,
     pairs: Dict[Tuple[int, int], tuple],
     packing: Tuple[Tuple[int, int], ...],
     port_limit: int,
 ) -> None:
-    """One shard worker process: the queue transport of a :class:`ShardReplica`.
+    """One shard worker process: the pipe transport of a :class:`ShardReplica`.
 
-    Message protocol (parent -> worker on ``in_queue``)::
+    Message protocol on ``conn``, the worker's end of its generation's
+    duplex pipe, one FIFO in each direction::
 
-        ("batch", frame)            verify a concatenated payload frame,
-                                    reply ("batch", Delta) on results
-        ("ping", seq)               reply ("pong", worker_id, seq) on hb_queue
-        ("reload", blob)            swap the replica in place for ``blob``,
-                                    a pickled pack_specs body
-        ("patch", blob)             apply a pickled pack_specs pair delta:
-                                    None drops the pair
-        ("digest", token)           reply ("digest", id, token, sha1) on results
-        ("crash", how)              test hook: "exit" dies, "wedge" hangs
-        ("stop",)                   exit cleanly
+        parent -> worker            worker -> parent
+        ("batch", seq, frame)       replica.drain(seq), a Delta
+        ("patch", blob)             -- (a pickled pack_specs pair delta:
+                                        None drops the pair)
+        ("reload", blob)            -- (swap in a pickled pack_specs body)
+        ("digest", token)           ("digest", token, sha1)
+        ("ping",)                   ("pong",)
+        ("crash", how)              -- (test hook: "exit" dies, "wedge" hangs)
 
-    Replies go straight down the worker's own result pipe (no feeder
-    thread): one per batch, so the parent settles verdicts as they come.
-    A payload can never kill the worker (the replica counts undecodable
-    payloads and ships verification crashes back as records), and a shard
-    replica covers its whole hash shard, so an unknown pair is a verdict.
-    The batch's :class:`~repro.core.replica.Delta` is the only reply and
-    the worker keeps no metrics: the parent folds each delta's counts and
-    batch figures into the ``veridp_shard_*`` families on arrival, so a
-    worker killed between batches takes nothing unreported with it.
+    A ``patch`` or ``reload`` applies before every batch behind it.  Any
+    reply refreshes the parent's heartbeat for this worker.  A payload can
+    never kill the worker (the replica counts undecodable payloads and
+    ships verification crashes back as records), and a shard replica
+    covers its whole hash shard, so an unknown pair is a verdict.  The
+    worker keeps no metrics: the parent folds each delta's counts and
+    batch figures into the ``veridp_shard_*`` families on arrival.
     """
     replica = ShardReplica(worker_id, packing, pairs, port_limit=port_limit)
     while True:
-        message = in_queue.get()
+        try:
+            message = conn.recv()
+        except EOFError:
+            return  # the parent is gone
         kind = message[0]
         if kind == "batch":
-            replica.verify(message[1])
-            results.send(("batch", replica.drain()))
+            replica.verify(message[2])
+            conn.send(replica.drain(message[1]))
         elif kind == "ping":
-            hb_queue.put(("pong", worker_id, message[1]))
+            conn.send(("pong",))
         elif kind == "reload":
             replica.reload(pickle.loads(message[1]))
         elif kind == "patch":
             replica.patch(pickle.loads(message[1]))
         elif kind == "digest":
-            results.send(("digest", worker_id, message[1], replica.digest()))
+            conn.send(("digest", message[1], replica.digest()))
         elif kind == "crash":  # pragma: no cover - exercised via subprocess
             if message[1] == "exit":
                 os._exit(13)
             while True:  # "wedge": alive but unresponsive
                 time.sleep(0.5)
-        elif kind == "stop":
+
+
+class _WorkerLink(DeliveryBook):
+    """One shard worker generation: its process, the parent's end of its
+    pipe, and its delivery book."""
+
+    def __init__(self, shard: int, generation: int, process, conn, *book) -> None:
+        super().__init__(*book)
+        self.shard = shard
+        self.generation = generation
+        self.process = process
+        self.conn = conn
+        #: Serialises writers: a message is several writes on the pipe.
+        self.send_lock = threading.Lock()
+        self.last_reply = time.monotonic()
+
+    def send(self, message) -> None:
+        """Ship one message.  A dead generation drops it: its book is
+        surrendered to the successor, which the restart brings current."""
+        with self.send_lock:
+            try:
+                self.conn.send(message)
+            except OSError:
+                pass
+
+    def post(self, message) -> None:
+        """Ship a small message only if that cannot block (a ping): a
+        wedged worker with a full pipe must not stall its supervisor."""
+        if not self.send_lock.acquire(blocking=False):
             return
+        try:
+            if select.select([], [self.conn], [], 0)[1]:
+                self.conn.send(message)
+        except OSError:
+            pass
+        finally:
+            self.send_lock.release()
+
+    def end(self) -> None:
+        """Take the process down for good, wedged or not: the replica
+        holds nothing the parent lacks."""
+        self.process.kill()
+        self.process.join(timeout=2)
 
 
 class ShardedVeriDPDaemon:
@@ -135,7 +179,7 @@ class ShardedVeriDPDaemon:
     into the vector batch kernel (:mod:`repro.core.vector`) and verifies
     whole dispatch batches as array operations, falling back to the scalar
     matcher row by row where the input calls for it.  Every batch's delta
-    comes back over the result pipe and one parent collector thread
+    comes back over the worker's pipe and one parent collector thread
     settles it on arrival: failed payloads go through
     :meth:`VeriDPServer.receive_report_rows`, one call per batch, so
     localization, the localization cache and the incident log behave
@@ -147,16 +191,17 @@ class ShardedVeriDPDaemon:
     exact figures.
 
     Resilience: a :class:`WorkerSupervisor` polls worker liveness
-    (``exitcode`` + heartbeat pings) and restarts dead or wedged workers
-    with bounded exponential backoff, rebuilding the restarted shard's
-    replica from the *current* path table (and reloading the other workers
-    when :attr:`PathTable.version` moved meanwhile).  Worker restarts
-    beyond ``restart_budget`` degrade the daemon to a single-process
-    :class:`VeriDPDaemon` so ingestion survives a crash loop.  Per-shard
-    ingress queues are bounded (``max_pending_batches``) under an explicit
-    overflow policy — ``block`` (default, loss-free) or ``drop-new``
-    (accounted tail drop); ``drop-oldest`` is not offered here because a
-    batch handed to a worker process cannot be recalled.
+    (``exitcode`` + heartbeat) and restarts dead or wedged workers with
+    bounded exponential backoff, rebuilding the restarted shard's replica
+    from the *current* path table (and patching the other workers when
+    :attr:`PathTable.version` moved meanwhile); the successor redelivers
+    what its predecessor had not answered.  Worker restarts beyond
+    ``restart_budget`` degrade the daemon to a single-process
+    :class:`VeriDPDaemon` so ingestion survives a crash loop.  Each shard
+    keeps at most ``max_pending_batches`` batches un-acked, under an
+    explicit overflow policy — ``block`` (default, loss-free) or
+    ``drop-new`` (accounted tail drop); ``drop-oldest`` is not offered here
+    because a batch handed to a worker process cannot be recalled.
     """
 
     def __init__(
@@ -208,37 +253,22 @@ class ShardedVeriDPDaemon:
         self.dead_letters = DeadLetterQueue(
             capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
         )
-        self._packing = self._packing_for(server)
+        self._packing = wire_packing(server.hs.layout)
         #: Whether the workers' replicas compile the vector kernel.
         self.vector = wire_kernel({}, self._packing) is not None
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        self._processes: List = []
-        self._in_queues: List = []
-        #: Per shard: the read and write ends of the current generation's
-        #: result pipe (the parent keeps the write end open, so a dead
-        #: worker's pipe goes quiet instead of reading EOF forever).
-        self._results: List = []
-        self._result_writers: List = []
-        #: Serialises reads of a result pipe between the collector and a
-        #: restart salvaging the pipe it abandoned.
-        self._read_lock = threading.Lock()
-        self._hb_queues: List = []
-        self._fbuffers: List[List[bytes]] = []  # per-shard frame chunks
-        self._fcounts: List[int] = []  # rows pending in _fbuffers
-        self._dispatched: List[int] = []
-        self._accounted: List[int] = []
-        #: Rows a restart gave up on: dispatched to a dead generation and
-        #: neither answered nor recovered for its successor.
-        self._written_off: List[int] = []
-        self._generations: List[int] = []
-        self._last_pong: List[float] = []
-        self._ping_seq = 0
+        #: Per shard, the current worker generation (None before start).
+        self._links: List[Optional[_WorkerLink]] = [None] * workers
+        #: Rows accepted with no verdict yet; its condition also wakes the
+        #: digest waiters.
+        self._flight = InFlight()
         self._replica_version = -1
         self._dirty_token: Optional[Tuple[int, int]] = None
         self._digest_seq = 0
+        self._digests: Dict[int, Tuple[int, str]] = {}
         self.resyncs = 0
         self.resync_pairs = 0
         self.resync_delta_bytes = 0
@@ -250,17 +280,16 @@ class ShardedVeriDPDaemon:
         #: streams whose payloads are already in the WAL).
         self.record_reports = True
         self._fallback: Optional[VeriDPDaemon] = None
+        #: Serialises offers against a generation swap or the degrade.
         self._dispatch_lock = threading.Lock()
         self._merge_lock = threading.Lock()
         self._server_mutex = threading.Lock()
-        #: The collector thread and what it recorded for waiters: the
-        #: ``(token, digest)`` each shard answered.  ``_replies`` is notified
-        #: after every settled batch and every digest.
+        #: Serialises replica resyncs and respawns, held across their sends
+        #: (never across a settle, which takes ``_server_mutex``).
+        self._resync_lock = threading.Lock()
         self._collector: Optional[threading.Thread] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._replies = threading.Condition()
-        self._digests: Dict[int, Tuple[int, str]] = {}
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervise:
             self._supervisor = WorkerSupervisor(
@@ -313,6 +342,10 @@ class ShardedVeriDPDaemon:
             fallback = self._fallback
             return 0 if fallback is None else getattr(fallback, name)
 
+        def supervisor_stat(name: str) -> int:
+            supervisor = self._supervisor
+            return 0 if supervisor is None else getattr(supervisor, name)
+
         reg.counter(
             "veridp_submitted_total",
             "Report payloads offered to the daemon (admitted or not).",
@@ -338,18 +371,13 @@ class ShardedVeriDPDaemon:
             "Payloads lost to backpressure, by overflow policy decision.",
             ("policy",),
             callback=lambda: {
-                ("drop-new",): self.dropped_new
-                + (
-                    0
-                    if self._fallback is None
-                    else self._fallback.dropped
-                ),
+                ("drop-new",): self.dropped_new + fallback_stat("dropped")
             },
         )
         reg.gauge(
             "veridp_queue_depth",
             "Payloads buffered parent-side awaiting dispatch.",
-            callback=lambda: sum(self._fcounts),
+            callback=lambda: sum(link.rows for link in self._links if link),
         )
         reg.gauge(
             "veridp_in_flight",
@@ -358,10 +386,9 @@ class ShardedVeriDPDaemon:
         )
         reg.counter(
             "veridp_lost_in_restart_total",
-            "Payloads dispatched to a worker whose verdicts never returned.",
-            callback=lambda: max(
-                0, sum(self._dispatched) - sum(self._accounted)
-            ),
+            "Payloads dispatched to a worker whose verdicts never returned "
+            "(0: a restart redelivers them).",
+            callback=lambda: 0,
         )
         reg.gauge(
             "veridp_workers",
@@ -384,27 +411,17 @@ class ShardedVeriDPDaemon:
         reg.counter(
             "veridp_worker_restarts_total",
             "Shard workers the supervisor restarted (dead or wedged).",
-            callback=lambda: (
-                0 if self._supervisor is None else self._supervisor.restarts
-            ),
+            callback=lambda: supervisor_stat("restarts"),
         )
         reg.counter(
             "veridp_wedged_restarts_total",
             "Restarts triggered by heartbeat timeout rather than death.",
-            callback=lambda: (
-                0
-                if self._supervisor is None
-                else self._supervisor.wedged_restarts
-            ),
+            callback=lambda: supervisor_stat("wedged_restarts"),
         )
         reg.gauge(
             "veridp_restart_budget",
             "Supervisor crash-restart budget before degrading.",
-            callback=lambda: (
-                0
-                if self._supervisor is None
-                else self._supervisor.restart_budget
-            ),
+            callback=lambda: supervisor_stat("restart_budget"),
         )
         reg.counter(
             "veridp_dead_letters_total",
@@ -450,18 +467,7 @@ class ShardedVeriDPDaemon:
         fallback = self._fallback
         if fallback is not None:
             return fallback.stats()["queued"]
-        return sum(self._owed())
-
-    def _owed(self) -> List[int]:
-        """Rows each shard owes a verdict: buffered parent-side, or
-        dispatched to a live worker generation that has not answered."""
-        with self._merge_lock:
-            return [
-                f + max(0, d - a - w)
-                for f, d, a, w in zip(
-                    self._fcounts, self._dispatched, self._accounted, self._written_off
-                )
-            ]
+        return self._flight.rows
 
     def _merged_verdicts(self) -> Dict[tuple, int]:
         with self._merge_lock:
@@ -472,9 +478,12 @@ class ShardedVeriDPDaemon:
                 merged[verdict] += count
         return {(v.value,): n for v, n in merged.items()}
 
-    @staticmethod
-    def _packing_for(server: VeriDPServer) -> Tuple[Tuple[int, int], ...]:
-        return wire_packing(server.hs.layout)
+    def _log_rows(self, frame: bytes) -> None:
+        """WAL-before-verify at batch granularity: a book's cut appends
+        its new rows as one ``RT_REPORT_BATCH`` record."""
+        persist = self.server.persist
+        if persist is not None and self.record_reports:
+            persist.log_report_frame(frame)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -493,21 +502,9 @@ class ShardedVeriDPDaemon:
                 self.server.table, self.server.hs, self.server.codec, self.workers
             )
             self._replica_version, self._dirty_token = sync.version, sync.token
-        self._processes = [None] * self.workers
-        self._in_queues = [None] * self.workers
-        self._results = [None] * self.workers
-        self._result_writers = [None] * self.workers
-        self._hb_queues = [None] * self.workers
-        self._fbuffers = [[] for _ in range(self.workers)]
-        self._fcounts = [0] * self.workers
-        self._dispatched = [0] * self.workers
-        self._accounted = [0] * self.workers
-        self._written_off = [0] * self.workers
-        self._generations = [0] * self.workers
-        self._last_pong = [time.monotonic()] * self.workers
         self._wake_r, self._wake_w = socket.socketpair()
         for worker_id in range(self.workers):
-            self._spawn_worker(worker_id, sync.specs[worker_id])
+            self._spawn(worker_id, sync.specs[worker_id])
         self._running = True
         self._collector = threading.Thread(
             target=self._collect, name="veridp-shard-collector", daemon=True
@@ -516,22 +513,22 @@ class ShardedVeriDPDaemon:
         if self._supervisor is not None:
             self._supervisor.start()
 
-    def _spawn_worker(self, worker_id: int, spec: Dict) -> None:
-        """Fork one shard worker on a fresh generation of queues.
+    def _spawn(self, shard: int, spec: Dict) -> None:
+        """Fork the shard's next worker generation on a fresh duplex pipe.
 
-        Fresh queues per generation matter: a worker killed while holding a
-        queue's internal lock would poison that queue for any successor.
+        A fresh pipe per generation matters: a worker killed mid-message
+        would corrupt the stream for any successor.  The successor adopts
+        what the previous generation's book still holds (surrendered: in
+        the WAL already, counted in flight) and gets it as one batch.
         """
-        in_queue = self._ctx.Queue(maxsize=self.max_pending_batches)
-        results, writer = self._ctx.Pipe(duplex=False)
-        hb_queue = self._ctx.Queue()
+        old = self._links[shard]
+        generation = 0 if old is None else old.generation + 1
+        conn, child = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_worker_main,
             args=(
-                worker_id,
-                in_queue,
-                writer,
-                hb_queue,
+                shard,
+                child,
                 spec,
                 self._packing,
                 # Undecodable-port rows count malformed in the shard's own
@@ -539,17 +536,21 @@ class ShardedVeriDPDaemon:
                 # are the topology's, fixed when the server was built).
                 self.server.codec.id_limit,
             ),
-            name=f"veridp-shard-{worker_id}-gen{self._generations[worker_id]}",
+            name=f"veridp-shard-{shard}-gen{generation}",
             daemon=True,
         )
         process.start()
-        self._in_queues[worker_id] = in_queue
-        self._results[worker_id] = results
-        self._result_writers[worker_id] = writer
-        self._hb_queues[worker_id] = hb_queue
-        self._processes[worker_id] = process
-        self._last_pong[worker_id] = time.monotonic()
-        self._wake()  # the collector picks up the new result pipe
+        child.close()  # the worker holds the only copy: its death reads EOF
+        link = _WorkerLink(
+            shard, generation, process, conn, self._flight, self.batch_size, self._log_rows
+        )
+        with self._dispatch_lock:
+            self._links[shard] = link
+            frames = [] if old is None else old.surrender()
+        self._wake()  # the collector picks up the new pipe
+        batch = link.adopt(frames) if frames else None
+        if batch is not None:
+            link.send(("batch", batch[0], batch[1]))
 
     def _wake(self) -> None:
         try:
@@ -558,7 +559,11 @@ class ShardedVeriDPDaemon:
             pass
 
     def stop(self) -> None:
-        """Consolidate outstanding work and terminate the workers."""
+        """Consolidate outstanding work and terminate the workers.
+
+        Rows still without a verdict (a failed ``join``) stay in the last
+        generation's books; a later :meth:`start` hands them to its workers.
+        """
         if self._endpoint is not None:
             self._endpoint.stop()
         if self._fallback is not None:
@@ -574,29 +579,10 @@ class ShardedVeriDPDaemon:
             self.join(timeout=10.0)
         except RuntimeError:  # wedged/dead workers: terminated below
             pass
-        for in_queue in self._in_queues:
-            try:
-                in_queue.put(("stop",), timeout=0.5)
-            except queue.Full:  # pragma: no cover - defensive
-                pass
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=1)
         self._stop_collector()
-        for q in self._in_queues:
-            q.close()
-            q.cancel_join_thread()
-        self._processes = []
-        self._in_queues = []
-        for conn in [*self._results, *self._result_writers]:
-            conn.close()
-        self._results = []
-        self._result_writers = []
-        self._hb_queues = []
+        for link in self._links:
+            link.end()
+            link.conn.close()
         self._running = False
         self._stopping = False
 
@@ -618,7 +604,7 @@ class ShardedVeriDPDaemon:
     # -- ingestion -------------------------------------------------------------
 
     def submit(self, payload: bytes) -> bool:
-        """Route one wire-format report to its shard as a one-row chunk.
+        """Route one wire-format report to its shard as a one-row frame.
 
         Every call increments :attr:`submitted` exactly once — including
         post-degrade calls delegated to the fallback — so the accounting
@@ -626,68 +612,59 @@ class ShardedVeriDPDaemon:
         life.  A payload that is not one report long is dead-lettered here
         and counted in ``malformed``.
 
-        Durable servers log reports at *dispatch* (one batched WAL append
-        per shard batch, see :meth:`_dispatch_inner`), not here: batch
-        granularity keeps the WAL off the per-report fast path, and with
-        ``fsync="interval"`` the loss window is the fsync interval either
-        way.  A payload buffered but never dispatched is never logged —
-        and was never verified, so the incident ledger cannot cite it.
+        Durable servers log reports at the *cut* (one batched WAL append
+        per shard batch, see :class:`~repro.core.delivery.DeliveryBook`),
+        not here: batch granularity keeps the WAL off the per-report fast
+        path, and with ``fsync="interval"`` the loss window is the fsync
+        interval either way.  A payload buffered but never cut is never
+        logged — and was never verified, so the incident ledger cannot
+        cite it.
         """
-        fallback = self._fallback
-        if fallback is not None:
-            # Degraded mode: the fallback's own logging is disabled (its
-            # stream mixes salvaged already-logged payloads), so new
-            # arrivals are logged here before delegation.
-            persist = self.server.persist
-            if persist is not None and self.record_reports:
-                persist.log_report(payload)
-            with self._dispatch_lock:
-                self.submitted += 1
-            return fallback.submit(payload)
-        if not self._running:
+        if len(payload) == REPORT_SIZE:
+            return self.submit_frame(Frame(payload)) == 1
+        if self._fallback is None and not self._running:
             raise RuntimeError("daemon is not running; call start() first")
-        if len(payload) != REPORT_SIZE:
-            persist = self.server.persist
-            if persist is not None and self.record_reports:
-                persist.log_report_batch([payload])
-            self.dead_letters.add(
-                payload, "decode", ReportDecodeError(payload_precheck(payload))
-            )
-            with self._dispatch_lock:
-                self.submitted += 1
-            with self._merge_lock:
-                self.malformed += 1
-            return True
-        self._catch_up()
-        shard = _shard_of(int.from_bytes(payload[2:6], "big"), self.workers)
-        return self._buffer([(shard, payload)], 1) == 1
+        persist = self.server.persist
+        if persist is not None and self.record_reports:
+            persist.log_report_batch([payload])
+        self.dead_letters.add(
+            payload, "decode", ReportDecodeError(payload_precheck(payload))
+        )
+        with self._dispatch_lock:
+            self.submitted += 1
+        with self._merge_lock:
+            self.malformed += 1
+        return True
 
     def submit_frame(self, frame: Frame) -> int:
-        """Split a frame across the shard buffers by pair key.
+        """Split a frame across the shard books by pair key.
 
         One vectorized :func:`~repro.core.ingest.shard_split` replaces
         ``frame.count`` scalar hash/route/append rounds; each shard's chunk
-        lands in its frame-chunk buffer, which dispatch concatenates into
-        one worker batch.  Returns the rows admitted: a dispatch batch the
-        overflow policy refuses counts wholly against the call that
-        triggered it.
+        lands in its book's buffer, which the cut concatenates into one
+        worker batch.  Returns the rows admitted: a batch the overflow
+        policy refuses counts wholly against the call that cut it.
         """
         count = frame.count
         if count == 0:
             return 0
-        fallback = self._fallback
-        if fallback is not None:
-            persist = self.server.persist
-            if persist is not None and self.record_reports:
-                _log_frame(persist, frame)
-            with self._dispatch_lock:
-                self.submitted += count
-            return fallback.submit_frame(frame)
-        if not self._running:
-            raise RuntimeError("daemon is not running; call start() first")
-        self._catch_up()
-        chunks = shard_split(frame.payload(), self.workers)
-        return self._buffer(enumerate(chunks), count)
+        if self._fallback is None:
+            if not self._running:
+                raise RuntimeError("daemon is not running; call start() first")
+            self._catch_up()
+            chunks = shard_split(frame.payload(), self.workers)
+            admitted = self._buffer(enumerate(chunks), count)
+            if admitted is not None:
+                return admitted
+        # Degraded: the fallback's own logging is off (its stream mixes
+        # surrendered, already-logged rows), so new arrivals are logged
+        # here before delegation.
+        persist = self.server.persist
+        if persist is not None and self.record_reports:
+            _log_frame(persist, frame)
+        with self._dispatch_lock:
+            self.submitted += count
+        return self._fallback.submit_frame(frame)
 
     def _catch_up(self) -> None:
         """Bring the fleet current before new rows can reach a replica."""
@@ -703,73 +680,48 @@ class ShardedVeriDPDaemon:
             # before a row can reach a stale replica.
             self.resync_replicas()
 
-    def _buffer(self, chunks: Iterable[Tuple[int, bytes]], count: int) -> int:
-        """Append ``(shard, chunk)`` pairs to the shard buffers and dispatch
-        every buffer that reached ``batch_size``; returns rows admitted."""
-        dispatch: List[Tuple[int, Tuple[List[bytes], int]]] = []
+    def _buffer(self, chunks: Iterable[Tuple[int, bytes]], count: int) -> Optional[int]:
+        """Offer ``(shard, chunk)`` pairs to the shard books and send every
+        batch they cut; returns rows admitted, or None (nothing taken)
+        when the daemon has degraded."""
+        batches = []
         with self._dispatch_lock:
+            if self._fallback is not None:
+                return None
             self.submitted += count
             for shard, chunk in chunks:
-                if not chunk:
-                    continue
-                self._fbuffers[shard].append(chunk)
-                self._fcounts[shard] += len(chunk) // REPORT_SIZE
-                if self._fcounts[shard] >= self.batch_size:
-                    dispatch.append((shard, self._take_shard_locked(shard)))
+                if chunk:
+                    link = self._links[shard]
+                    batch = link.offer(chunk, len(chunk) // REPORT_SIZE)
+                    if batch is not None:
+                        batches.append((link, batch))
         admitted = count
-        for shard, (pending, rows) in dispatch:
-            if not self._dispatch(shard, pending, rows):
-                admitted = max(0, admitted - rows)
+        for link, batch in batches:
+            if not self._send(link, *batch):
+                admitted = max(0, admitted - batch[2])
         return admitted
 
-    def _take_shard_locked(self, shard: int) -> Tuple[List[bytes], int]:
-        """Swap out a shard's pending frame chunks (lock held)."""
-        chunks = self._fbuffers[shard]
-        self._fbuffers[shard] = []
-        rows = self._fcounts[shard]
-        self._fcounts[shard] = 0
-        return chunks, rows
-
-    def _dispatch(self, shard: int, chunks: List[bytes], rows: int) -> bool:
-        """Hand one batch to a shard worker under the overflow policy.
+    def _send(self, link: _WorkerLink, seq: int, frame: bytes, rows: int) -> bool:
+        """Hand one cut batch to its worker under the overflow policy.
 
         Runs outside the dispatch lock: a ``block`` wait here must not
         stall other producers, and the supervisor's restart path (which
         the wait leans on for liveness) must never deadlock against us.
+        A batch surrendered meanwhile is its successor's to send.
         """
-        with self.obs.span("admit", shard=shard, reports=rows):
-            return self._dispatch_inner(shard, chunks, rows)
-
-    def _dispatch_inner(self, shard: int, chunks: List[bytes], rows: int) -> bool:
-        frame = b"".join(chunks)
-        # WAL-before-verify, at batch granularity: one RT_REPORT_BATCH
-        # record per frame, appended before any worker can see the rows.
-        # Logged exactly once — a mid-dispatch degrade below delegates to a
-        # fallback whose own logging is off.
-        persist = self.server.persist
-        if persist is not None and self.record_reports:
-            persist.log_report_frame(frame)
-        while True:
-            fallback = self._fallback
-            if fallback is not None:  # degraded mid-dispatch
-                return fallback.submit_frame(Frame(frame)) == rows
-            in_queue = self._in_queues[shard]
-            try:
-                if self.overflow is OverflowPolicy.BLOCK:
-                    in_queue.put(("batch", frame), timeout=0.2)
-                else:
-                    in_queue.put_nowait(("batch", frame))
-            except queue.Full:
-                if self.overflow is not OverflowPolicy.BLOCK:
+        window = self.max_pending_batches
+        with self.obs.span("admit", shard=link.shard, reports=rows):
+            if self.overflow is not OverflowPolicy.BLOCK:
+                if not link.has_room(seq, window):
+                    link.retire(seq)  # tail drop: no reply will come
                     with self._merge_lock:
                         self.dropped_new += rows
                     return False
-                # BLOCK: make sure a live consumer exists, then retry
-                # (a restart swaps in a fresh queue; re-read it above).
+            while not self._flight.wait_for(lambda: link.has_room(seq, window), 0.2):
+                # BLOCK: make sure a live consumer exists, then re-check.
                 self._revive()
-                continue
-            with self._merge_lock:
-                self._dispatched[shard] += rows
+            if not link.dead:
+                link.send(("batch", seq, frame))
             return True
 
     def _revive(self) -> None:
@@ -788,71 +740,54 @@ class ShardedVeriDPDaemon:
             return
         if not self._running:
             return
-        with self._dispatch_lock:
-            batches = [
-                (shard, self._take_shard_locked(shard))
-                for shard in range(self.workers)
-                if self._fbuffers[shard]
-            ]
-        for shard, (chunks, rows) in batches:
-            self._dispatch(shard, chunks, rows)
+        for link in list(self._links):
+            batch = link.cut()
+            if batch is not None:
+                self._send(link, *batch)
         deadline = time.monotonic() + timeout
         while True:
             if self._fallback is not None:  # degraded while waiting
                 self._fallback.join()
                 return
-            with self._replies:
-                if self._replies.wait_for(
-                    lambda: self._in_flight() == 0, timeout=0.05
-                ):
-                    return
-            # A worker is slow or gone: revive the dead (a restart writes
-            # off what its generation never answered).
+            if self._flight.wait_for(lambda: self._flight.rows == 0, 0.05):
+                return
+            # A worker is slow or gone: revive the dead (the successor
+            # redelivers what its predecessor never answered).
             self._revive()
             if time.monotonic() > deadline:
-                owing = [shard for shard, rows in enumerate(self._owed()) if rows]
+                owing = [link.shard for link in self._links if link.unacked or link.rows]
                 raise RuntimeError(f"shard workers {owing} did not answer in time")
 
     def _collect(self) -> None:
         """The collector thread: settle each worker reply as it arrives."""
-        with selectors.DefaultSelector() as selector:
-            selector.register(self._wake_r, selectors.EVENT_READ)
-            pipes: List = []
-            while self._collector is not None:
-                current = [conn for conn in self._results if conn is not None]
-                if current != pipes:  # a (re)spawn swapped a result pipe
-                    for conn in pipes:
-                        selector.unregister(conn)
-                    for conn in current:
-                        selector.register(conn, selectors.EVENT_READ, conn)
-                    pipes = current
-                for key, _events in selector.select(timeout=1.0):
-                    if key.data is None:
-                        self._wake_r.recv(4096)
-                        continue
-                    message = self._read(key.data)
-                    if message is not None:
-                        self._on_reply(message)
+        # Loaded with the first pipe anyway; a direct serve never needs it.
+        from multiprocessing.connection import wait
 
-    def _read(self, conn, timeout: float = 0.0):
-        """One message off a result pipe, or ``None`` if none is waiting."""
-        with self._read_lock:
-            try:
-                return conn.recv() if conn.poll(timeout) else None
-            except (EOFError, OSError):
-                return None
+        while self._collector is not None:
+            links = {link.conn: link for link in self._links if not link.dead}
+            for conn in wait([self._wake_r, *links], timeout=1.0):
+                if conn is self._wake_r:  # a respawn or stop()
+                    self._wake_r.recv(4096)
+                    continue
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    # The generation died: its book waits for the restart
+                    # to surrender it.
+                    links[conn].dead = True
+                    continue
+                self._on_reply(links[conn], reply)
 
-    def _on_reply(self, message: tuple) -> None:
-        """Handle one message off a result pipe (any generation)."""
-        kind = message[0]
-        if kind == "digest":
-            with self._replies:
-                self._digests[message[1]] = (message[2], message[3])
-                self._replies.notify_all()
-            return
-        self._settle(message[1])
-        with self._replies:
-            self._replies.notify_all()
+    def _on_reply(self, link: _WorkerLink, reply) -> None:
+        """Handle one reply off a worker's pipe (any reply is a heartbeat)."""
+        link.last_reply = time.monotonic()
+        if isinstance(reply, Delta):
+            # Settled under the book's lock: a restart cannot surrender
+            # the batch meanwhile, so the verdicts count once.
+            link.retire(reply.seq, lambda: self._settle(reply))
+        elif reply[0] == "digest":
+            self._digests[link.shard] = reply[1:]
+            self._flight.notify()
 
     def _settle(self, delta: Delta) -> None:
         """Fold one worker delta into the consolidated counters."""
@@ -865,7 +800,6 @@ class ShardedVeriDPDaemon:
             # Nothing flagged: no intake call.
             with self._merge_lock:
                 self.processed += delta.processed
-                self._accounted[delta.source] += delta.processed
                 self.counters[Verdict.PASS] += delta.processed
             return
         with self._server_mutex:
@@ -881,7 +815,6 @@ class ShardedVeriDPDaemon:
             self.processed += processed
             self.malformed += malformed
             self.verify_errors += crashed
-            self._accounted[delta.source] += processed + malformed + crashed
             for verdict, count in counters.items():
                 self.counters[verdict] += count
         for letter in letters:
@@ -909,77 +842,43 @@ class ShardedVeriDPDaemon:
     def _probe(self) -> List[WorkerProbe]:
         """Supervisor callback: ping workers, report liveness + heartbeat age."""
         now = time.monotonic()
-        self._ping_seq += 1
         probes = []
-        for shard in range(self.workers):
-            process = self._processes[shard]
-            alive = process is not None and process.is_alive()
+        for link in self._links:
+            alive = link.process.is_alive()
             if alive:
-                try:
-                    self._in_queues[shard].put_nowait(("ping", self._ping_seq))
-                except queue.Full:
-                    pass  # busy worker; its batches double as liveness
-            hb_queue = self._hb_queues[shard]
-            while True:
-                try:
-                    reply = hb_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if reply[0] == "pong":
-                    self._last_pong[shard] = time.monotonic()
-            probes.append(
-                WorkerProbe(shard, alive, now - self._last_pong[shard])
-            )
+                link.post(("ping",))
+            probes.append(WorkerProbe(link.shard, alive, now - link.last_reply))
         return probes
 
     def _restart_worker(self, shard: int) -> None:
         """Supervisor callback: replace one dead/wedged worker.
 
-        Recovers what it can from the abandoned generation's queues
-        (undelivered batches are re-dispatched, replies not yet collected
-        are settled), then forks a successor whose replica is compiled from
-        the *current* path table — but only the dead shard's slice of it.  If
-        the table version moved since the last replication, the survivors
-        are brought up to date in place via pair deltas
-        (:meth:`resync_replicas`) instead of a whole-table recompile.
+        Takes the old generation down, forks a successor whose replica is
+        compiled from the *current* path table — but only the dead shard's
+        slice of it — and hands it everything the old generation's book
+        still held: the un-acked batches (whose late replies, if any, find
+        them gone) and the buffer.  If the table version moved since the
+        last replication, the survivors are brought up to date in place via
+        pair deltas (:meth:`resync_replicas`) instead of a whole-table
+        recompile.
         """
-        old_process = self._processes[shard]
-        old_in = self._in_queues[shard]
-        old_out = self._results[shard]
-        if old_process is not None:
-            if old_process.is_alive():  # wedged: take it down for real
-                old_process.terminate()
-                old_process.join(timeout=2)
-                if old_process.is_alive():  # pragma: no cover - defensive
-                    old_process.kill()
-                    old_process.join(timeout=1)
-            else:
-                old_process.join(timeout=1)
-        recovered = self._drain_abandoned(old_in, old_out)
-        with self._merge_lock:
-            # What the dead generation never answered is lost, except the
-            # batches recovered for its successor.
-            self._written_off[shard] = (
-                self._dispatched[shard]
-                - self._accounted[shard]
-                - len(recovered) // REPORT_SIZE
-            )
-        with self._server_mutex:
-            self.server.refresh_if_dirty()
-            spec = build_one_shard_spec(
-                self.server.table,
-                self.server.hs,
-                self.server.codec,
-                self.workers,
-                shard,
-            )
-        self._generations[shard] += 1
-        self._spawn_worker(shard, spec)
+        self._links[shard].end()
+        # Under the resync lock: no resync can patch the old generation
+        # between the successor's spec build and its swap-in.
+        with self._resync_lock:
+            with self._server_mutex:
+                self.server.refresh_if_dirty()
+                spec = build_one_shard_spec(
+                    self.server.table,
+                    self.server.hs,
+                    self.server.codec,
+                    self.workers,
+                    shard,
+                )
+            self._spawn(shard, spec)
         # The successor's replica is already current; patch the survivors
         # (idempotent for the successor) if the table moved under the fleet.
         self.resync_replicas()
-        if recovered:
-            self._in_queues[shard].put(("batch", recovered))
 
     # -- replica resync --------------------------------------------------------
 
@@ -989,113 +888,80 @@ class ShardedVeriDPDaemon:
         The pair deltas of :func:`~repro.core.replica.resync_specs` (the
         one the direct daemon and the cluster coordinator use) ship as
         per-shard ``patch`` messages, or, when the journal overflowed or
-        the table was swapped, whole replicas as ``reload`` messages.
-        Each body is packed over one node table
-        (:func:`~repro.core.replica.pack_specs`) and pickled once, and
-        ``resync_delta_bytes`` counts those bytes.
+        the table was swapped, whole replicas as ``reload`` messages, on
+        each worker's pipe ahead of any later batch.  Each body is packed
+        over one node table (:func:`~repro.core.replica.pack_specs`) and
+        pickled once, and ``resync_delta_bytes`` counts those bytes.
 
         Returns the number of pairs patched, ``0`` if the replicas were
         already current, or ``None`` when a full reload was required.
         """
         if self._fallback is not None or not self._running:
             return 0
-        with self._server_mutex:
-            server = self.server
-            if server.table.version == self._replica_version:
-                return 0
-            sync = resync_specs(
-                server.table, server.hs, server.codec, self.workers, self._dirty_token
-            )
+        with self._resync_lock:
+            with self._server_mutex:
+                server = self.server
+                if server.table.version == self._replica_version:
+                    return 0
+                sync = resync_specs(
+                    server.table, server.hs, server.codec, self.workers, self._dirty_token
+                )
             kind = "reload" if sync.full else "patch"
             # Each body is pickled once, here: its length is the count,
-            # and the queue ships the bytes as they are.
+            # and the pipe ships the bytes as they are.
             messages = [
                 (kind, pickle.dumps(pack_specs(spec), pickle.HIGHEST_PROTOCOL))
                 if spec or sync.full
                 else None
                 for spec in sync.specs
             ]
-            patched = None if sync.full else sum(len(spec) for spec in sync.specs)
-            delta_bytes = sum(len(m[1]) for m in messages if m is not None)
-            for worker_id, message in enumerate(messages):
-                if message is None:
-                    continue
-                try:
-                    self._in_queues[worker_id].put(message, timeout=1.0)
-                except queue.Full:  # pragma: no cover - defensive
-                    # Could not deliver: poison the replication state so the
-                    # next resync rebuilds full replicas for everyone.
-                    self._replica_version = -1
-                    self._dirty_token = None
-                    return None
+            for link, message in zip(self._links, messages):
+                if message is not None:
+                    link.send(message)
+            # Current only now: a producer that saw the old version waits
+            # on the lock above until every patch is ahead of its rows.
             self._replica_version, self._dirty_token = sync.version, sync.token
-            with self._merge_lock:
-                self.resyncs += 1
-                self.resync_delta_bytes += delta_bytes
-                if patched is None:
-                    self.full_resyncs += 1
-                else:
-                    self.resync_pairs += patched
+        patched = None if sync.full else sum(len(spec) for spec in sync.specs)
+        with self._merge_lock:
+            self.resyncs += 1
+            self.resync_delta_bytes += sum(len(m[1]) for m in messages if m is not None)
+            if patched is None:
+                self.full_resyncs += 1
+            else:
+                self.resync_pairs += patched
         return patched
 
     def replica_digests(self, timeout: float = 10.0) -> List[str]:
         """Collect every worker's replica fingerprint (ops/test hook).
 
-        Workers answer on their result pipes, where the collector thread
-        picks the digests up beside the batch replies.  Two fleets whose
-        digests match verify every report identically (see
+        Workers answer on their pipes, where the collector thread picks the
+        digests up beside the batch replies.  Two fleets whose digests
+        match verify every report identically (see
         :func:`~repro.core.replica.replica_digest`).
         """
         if self._fallback is not None or not self._running:
             raise RuntimeError("no shard workers to digest")
         self._digest_seq += 1
         token = self._digest_seq
-        for shard in range(self.workers):
-            self._in_queues[shard].put(("digest", token), timeout=1.0)
+        for link in self._links:
+            link.send(("digest", token))
 
         def pending() -> List[int]:
             return [
                 w for w in range(self.workers) if self._digests.get(w, (0,))[0] != token
             ]
 
-        with self._replies:
-            if not self._replies.wait_for(lambda: not pending(), timeout):
-                raise RuntimeError(f"shard workers {pending()} did not answer digest")
-            return [self._digests[w][1] for w in range(self.workers)]
-
-    def _drain_abandoned(self, old_in, old_out) -> bytes:
-        """Salvage an abandoned queue and pipe generation.
-
-        Undelivered ``batch`` frames come back, concatenated, for
-        re-dispatch; replies the collector has not taken yet are settled so
-        their work is not double-lost.  Anything a killed worker had
-        dequeued but not answered is unrecoverable and shows up as
-        ``lost_in_restart``.
-        """
-        recovered: List[bytes] = []
-        while True:
-            try:
-                message = old_in.get(timeout=0.05)
-            except (queue.Empty, OSError):
-                break
-            if message[0] == "batch":
-                recovered.append(message[1])
-        while True:
-            message = self._read(old_out, timeout=0.05)
-            if message is None:
-                break
-            self._on_reply(message)
-        old_in.close()
-        old_in.cancel_join_thread()
-        return b"".join(recovered)
+        if not self._flight.wait_for(lambda: not pending(), timeout):
+            raise RuntimeError(f"shard workers {pending()} did not answer digest")
+        return [self._digests[w][1] for w in range(self.workers)]
 
     def _degrade(self) -> None:
         """Restart budget exhausted: fall back to the threaded daemon.
 
         Ingestion must survive a worker crash loop; a single-process
         :class:`VeriDPDaemon` over the same server is slower but cannot
-        lose a process.  Everything salvageable — parent-side buffers and
-        undelivered batches — is re-submitted to the fallback.
+        lose a process.  Every shard's book is surrendered to it: un-acked
+        batches and parent-side buffers alike, all in the WAL by then.
         """
         fallback = VeriDPDaemon(
             self.server,
@@ -1109,39 +975,19 @@ class ShardedVeriDPDaemon:
             # callbacks above already fold its figures in).
             obs=Observability(),
         )
-        # Payloads drained from worker queues were WAL-logged at dispatch
-        # and future delegated payloads are logged by submit(); the
-        # fallback must not log either a second time.  Parent-side
-        # buffers are the exception — never dispatched, never logged —
-        # so they are logged here before re-submission.
+        # Surrendered rows were WAL-logged at their cut (or by the
+        # surrender), and future delegated payloads are logged by submit():
+        # the fallback must not log either a second time.
         fallback.record_reports = False
         fallback.start()
-        for shard in range(self.workers):
-            process = self._processes[shard]
-            if process is not None and process.is_alive():
-                process.terminate()
-                process.join(timeout=2)
-            recovered = self._drain_abandoned(
-                self._in_queues[shard], self._results[shard]
-            )
-            # Salvaged payloads leave the sharded ledger for the fallback's:
-            # settle their dispatch debt here or they would double-count as
-            # lost_in_restart *and* as fallback `processed`.
-            with self._merge_lock:
-                self._accounted[shard] += len(recovered) // REPORT_SIZE
-                self._written_off[shard] = (
-                    self._dispatched[shard] - self._accounted[shard]
-                )
-            fallback.submit_frame(Frame(recovered))
-        persist = self.server.persist
+        for link in self._links:
+            link.end()
         with self._dispatch_lock:
-            for shard in range(self.workers):
-                for chunk in self._fbuffers[shard]:
-                    if persist is not None and self.record_reports:
-                        persist.log_report_frame(chunk)
-                    fallback.submit_frame(Frame(chunk))
-                self._fbuffers[shard] = []
-                self._fcounts[shard] = 0
+            for link in self._links:
+                for frame in link.surrender():
+                    # The rows leave this daemon's books for the fallback's.
+                    self._flight.add(-(len(frame) // REPORT_SIZE))
+                    fallback.submit_frame(Frame(frame))
             self.degraded = True
             self._fallback = fallback
 
@@ -1149,10 +995,7 @@ class ShardedVeriDPDaemon:
         """Forcibly kill one shard worker (chaos/testing hook)."""
         if self._fallback is not None or not self._running:
             return
-        process = self._processes[shard]
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout=2)
+        self._links[shard].end()
 
     # -- maintenance -----------------------------------------------------------
 
@@ -1171,11 +1014,10 @@ class ShardedVeriDPDaemon:
     def stats(self) -> Dict[str, int]:
         """Consolidated counters (call :meth:`join` first for exact figures).
 
-        ``lost_in_restart`` counts payloads dispatched to a worker whose
-        verdicts never came back — exact after :meth:`join` returns (it
-        includes in-flight work mid-run).  ``in_flight`` counts payloads
-        accepted that have no verdict yet; it reads 0 after :meth:`join`.
-        The accounting identity after a completed ``join`` on a
+        ``in_flight`` counts payloads accepted that have no verdict yet; it
+        reads 0 after :meth:`join`.  ``lost_in_restart`` reads 0: a worker
+        restart hands every batch its predecessor had not answered to the
+        successor.  The accounting identity after a completed ``join`` on a
         non-degraded daemon is::
 
             submitted == processed + malformed + verify_errors
@@ -1194,7 +1036,6 @@ class ShardedVeriDPDaemon:
             verify_errors = self.verify_errors
             dropped = self.dropped_new
             counters = dict(self.counters)
-            lost = max(0, sum(self._dispatched) - sum(self._accounted))
         verified = sum(counters.values())
         stats = {
             "submitted": submitted,
@@ -1211,7 +1052,7 @@ class ShardedVeriDPDaemon:
             "dropped_new": dropped,
             "dropped_oldest": 0,
             "block_timeouts": 0,
-            "lost_in_restart": lost,
+            "lost_in_restart": 0,
             "in_flight": self._in_flight(),
             "degraded": int(self.degraded),
             "vector": self.vector,
@@ -1233,4 +1074,3 @@ class ShardedVeriDPDaemon:
             stats["dropped_new"] + stats["dropped_oldest"] + stats["block_timeouts"]
         )
         return stats
-

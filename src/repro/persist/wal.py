@@ -380,53 +380,6 @@ class WriteAheadLog:
                 self._rotate_locked()
             return seq
 
-    def append_batch(self, rtype: int, payloads) -> int:
-        """Append many records in one lock/encode/write pass.
-
-        Returns the sequence number of the last record appended (or the
-        current :attr:`last_seq` for an empty batch).  This is the
-        ingestion fast path: one lock acquisition, one ``write`` and one
-        fsync-policy check amortised over the whole batch, so the
-        per-record cost is dominated by the CRC.  A batch is a single
-        write, so it may overshoot ``segment_max_bytes`` by up to one
-        batch before rotating.
-        """
-        if rtype not in _RECORD_TYPES:
-            raise WalError(f"unknown record type {rtype}")
-        pack_header = _HEADER.pack
-        pack_crc = _CRC.pack
-        crc32 = zlib.crc32
-        with self._lock:
-            if self.read_only:
-                raise WalError("log opened read-only")
-            if self._closed:
-                raise WalError("log is closed")
-            seq = self._last_seq
-            pieces = []
-            grow = pieces.append
-            for payload in payloads:
-                seq += 1
-                header = pack_header(len(payload), rtype, seq)
-                grow(header)
-                grow(payload)
-                grow(pack_crc(crc32(payload, crc32(header))))
-            if seq == self._last_seq:
-                return seq
-            blob = b"".join(pieces)
-            self._fh.write(blob)
-            segment = self._segments[-1]
-            if segment.first_seq is None:
-                segment.first_seq = self._last_seq + 1
-            self.records_appended[rtype] += seq - self._last_seq
-            self._last_seq = seq
-            self._size += len(blob)
-            self.bytes_appended += len(blob)
-            if self.fsync == "always":
-                self._sync_locked()
-            if self._size >= self.segment_max_bytes:
-                self._rotate_locked()
-            return seq
-
     def append_control(self, event: ControlEvent) -> int:
         return self.append(RT_CONTROL, event.encode())
 

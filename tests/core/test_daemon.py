@@ -671,7 +671,7 @@ class TestSupervisedShardedDaemon:
             server, workers=1, batch_size=4, restart_budget=3,
             heartbeat_timeout=0.3, **FAST_BACKOFF
         ) as daemon:
-            daemon._in_queues[0].put(("crash", "wedge"))
+            daemon._links[0].send(("crash", "wedge"))
             deadline = time.time() + 10
             while daemon.stats()["restarts"] < 1 and time.time() < deadline:
                 time.sleep(0.02)

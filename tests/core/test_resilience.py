@@ -200,21 +200,6 @@ class TestPolicyQueueFrames:
         thread.join(timeout=5)
         assert got == [4]
 
-    def test_put_many_mixes_scalars_and_frames(self):
-        q = PolicyQueue(10)
-        admitted = q.put_many([b"a", mkframe(3), b"b", mkframe(2)])
-        assert admitted == 7
-        assert q.qsize() == 7
-        assert q.stats()["puts"] == 7
-
-    def test_put_many_counts_refusals_per_report(self):
-        q = PolicyQueue(4, OverflowPolicy.DROP_NEW)
-        admitted = q.put_many([mkframe(3), mkframe(3), b"x"])
-        assert admitted == 4  # 3 + a 1-row split prefix
-        stats = q.stats()
-        assert stats["dropped_new"] == 3  # 2 frame rows + the scalar
-        assert stats["puts"] == 7
-
     def test_get_many_batches_without_splitting_frames(self):
         q = PolicyQueue(32)
         q.put(b"a")

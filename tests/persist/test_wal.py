@@ -231,62 +231,6 @@ class TestControlEventCodec:
             ControlEvent.decode(blob)
 
 
-class TestAppendBatch:
-    def test_batch_matches_single_appends_byte_for_byte(self, tmp_path):
-        payloads = [bytes([i]) * (i + 1) for i in range(10)]
-        single_dir, batch_dir = str(tmp_path / "s"), str(tmp_path / "b")
-        with WriteAheadLog(single_dir, fsync="never") as wal:
-            for payload in payloads:
-                wal.append_report(payload)
-        with WriteAheadLog(batch_dir, fsync="never") as wal:
-            assert wal.append_batch(RT_REPORT, payloads) == len(payloads)
-            assert wal.last_seq == len(payloads)
-        single = open(os.path.join(single_dir, "wal-00000001.log"), "rb").read()
-        batch = open(os.path.join(batch_dir, "wal-00000001.log"), "rb").read()
-        assert single == batch
-
-    def test_batch_interleaves_with_single_appends(self, tmp_path):
-        with WriteAheadLog(str(tmp_path), fsync="never") as wal:
-            wal.append_report(b"a")
-            wal.append_batch(RT_REPORT, [b"b", b"c"])
-            wal.append_report(b"d")
-        with WriteAheadLog(str(tmp_path), fsync="never") as wal:
-            records = list(wal.records())
-            assert [r.payload for r in records] == [b"a", b"b", b"c", b"d"]
-            assert [r.seq for r in records] == [1, 2, 3, 4]
-
-    def test_empty_batch_is_a_no_op(self, tmp_path):
-        with WriteAheadLog(str(tmp_path), fsync="never") as wal:
-            wal.append_report(b"a")
-            assert wal.append_batch(RT_REPORT, []) == 1
-            assert wal.last_seq == 1
-
-    def test_batch_sets_first_seq_and_rotates(self, tmp_path):
-        with WriteAheadLog(
-            str(tmp_path), fsync="never", segment_max_bytes=64
-        ) as wal:
-            wal.append_batch(RT_REPORT, [b"x" * 30] * 4)
-            assert wal.segment_count > 1
-        with WriteAheadLog(str(tmp_path), fsync="never") as wal:
-            assert [r.payload for r in wal.records()] == [b"x" * 30] * 4
-
-    def test_batch_fsync_always_syncs_once(self, tmp_path):
-        with WriteAheadLog(str(tmp_path), fsync="always") as wal:
-            before = wal.stats()["wal_fsyncs"]
-            wal.append_batch(RT_REPORT, [b"a", b"b", b"c"])
-            assert wal.stats()["wal_fsyncs"] == before + 1
-
-    def test_batch_rejects_bad_type_and_read_only(self, tmp_path):
-        with WriteAheadLog(str(tmp_path), fsync="never") as wal:
-            wal.append_report(b"a")
-            with pytest.raises(WalError):
-                wal.append_batch(99, [b"x"])
-        ro = WriteAheadLog(str(tmp_path), read_only=True)
-        with pytest.raises(WalError):
-            ro.append_batch(RT_REPORT, [b"x"])
-        ro.close()
-
-
 class TestReportBatchRecord:
     def test_round_trip_one_record_many_payloads(self, tmp_path):
         payloads = [bytes([i]) * (i * 7 % 40 + 1) for i in range(20)]
