@@ -987,51 +987,3 @@ class BDD:
             "cache_evictions": self.cache_evictions,
             "generation": self.generation,
         }
-
-    def to_dot(
-        self,
-        node: int,
-        var_names: Optional[Dict[int, str]] = None,
-        title: str = "bdd",
-    ) -> str:
-        """Graphviz DOT rendering of the BDD rooted at ``node``.
-
-        Dashed edges are low (variable = 0) branches, solid edges high.
-        ``var_names`` maps levels to labels (e.g. header field bit names).
-        """
-        var_names = var_names or {}
-        lines = [
-            f'digraph "{title}" {{',
-            "  rankdir=TB;",
-            '  node [shape=circle];',
-            '  f [label="0", shape=box];' if node != TRUE else "",
-            '  t [label="1", shape=box];' if node != FALSE else "",
-        ]
-        seen = set()
-
-        def name(u: int) -> str:
-            if u == FALSE:
-                return "f"
-            if u == TRUE:
-                return "t"
-            return f"n{u}"
-
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            if u <= TRUE or u in seen:
-                continue
-            seen.add(u)
-            level = self._level[u]
-            label = var_names.get(level, f"x{level}")
-            lines.append(f'  n{u} [label="{label}"];')
-            lines.append(f"  n{u} -> {name(self._low[u])} [style=dashed];")
-            lines.append(f"  n{u} -> {name(self._high[u])};")
-            stack.append(self._low[u])
-            stack.append(self._high[u])
-        if node == FALSE:
-            lines.append('  f [label="0", shape=box];')
-        if node == TRUE:
-            lines.append('  t [label="1", shape=box];')
-        lines.append("}")
-        return "\n".join(line for line in lines if line)

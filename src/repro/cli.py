@@ -319,8 +319,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .core import VeriDPServer
     from .core.daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
-    from .core.reports import pack_report
-    from .dataplane import DataPlaneNetwork
 
     scenario = _scenario_factories()[args.topo](args)
     server = VeriDPServer(
@@ -382,28 +380,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"monitoring endpoint on http://{host}:{port}  (/metrics /healthz /varz)")
     try:
         if args.reports > 0:
-            net = DataPlaneNetwork(scenario.topo, scenario.channel)
-            pairs = scenario.host_pairs()
-            sent = 0
-            import socket as _socket
-
-            client = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
-            try:
-                for i in range(args.reports):
-                    src, dst = pairs[i % len(pairs)]
-                    result = net.inject_from_host(
-                        src, scenario.header_between(src, dst)
-                    )
-                    for report in result.reports:
-                        client.sendto(
-                            pack_report(report, net.codec), listener.address
-                        )
-                        sent += 1
-            finally:
-                client.close()
-            deadline = _time.monotonic() + 10.0
-            while listener.received < sent and _time.monotonic() < deadline:
-                _time.sleep(0.02)
+            sent = _self_drive(scenario, listener, args.reports)
             daemon.join()
             print(f"self-drive: sent {sent} reports from {args.reports} packets")
         if args.duration is not None:
@@ -425,14 +402,40 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
-    """The ``serve --cluster N`` path: frontend + N nodes + coordinator."""
+def _self_drive(scenario, listener, packets: int) -> int:
+    """Send ``packets`` sampled packets' reports from the topology's own
+    data plane to ``listener``'s socket, then wait up to 10 s until the
+    listener received them all.  Returns the reports sent."""
     import socket as _socket
     import time as _time
 
-    from .cluster import VeriDPCluster
     from .core.reports import pack_report
     from .dataplane import DataPlaneNetwork
+
+    net = DataPlaneNetwork(scenario.topo, scenario.channel)
+    pairs = scenario.host_pairs()
+    sent = 0
+    client = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
+    try:
+        for i in range(packets):
+            src, dst = pairs[i % len(pairs)]
+            result = net.inject_from_host(src, scenario.header_between(src, dst))
+            for report in result.reports:
+                client.sendto(pack_report(report, net.codec), listener.address)
+                sent += 1
+    finally:
+        client.close()
+    deadline = _time.monotonic() + 10.0
+    while listener.received < sent and _time.monotonic() < deadline:
+        _time.sleep(0.02)
+    return sent
+
+
+def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
+    """The ``serve --cluster N`` path: frontend + N nodes + coordinator."""
+    import time as _time
+
+    from .cluster import VeriDPCluster
 
     cluster = VeriDPCluster(
         server,
@@ -447,8 +450,7 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
         address = cluster.listen_udp(args.host, args.port)
         print(
             f"cluster: {args.cluster} {args.cluster_mode} nodes, "
-            f"{cluster.ingest.engine} ingest, reports on "
-            f"udp://{address[0]}:{address[1]}"
+            f"reports on udp://{address[0]}:{address[1]}"
         )
         if args.metrics_port is not None:
             endpoint = cluster.metrics_endpoint(
@@ -458,27 +460,7 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
             host, port = endpoint.address
             print(f"aggregated metrics on http://{host}:{port}/metrics")
         if args.reports > 0:
-            net = DataPlaneNetwork(scenario.topo, scenario.channel)
-            pairs = scenario.host_pairs()
-            sent = 0
-            client = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
-            try:
-                for i in range(args.reports):
-                    src, dst = pairs[i % len(pairs)]
-                    result = net.inject_from_host(
-                        src, scenario.header_between(src, dst)
-                    )
-                    for report in result.reports:
-                        client.sendto(pack_report(report, net.codec), address)
-                        sent += 1
-            finally:
-                client.close()
-            deadline = _time.monotonic() + 10.0
-            while (
-                cluster.frontend.submitted < sent
-                and _time.monotonic() < deadline
-            ):
-                _time.sleep(0.02)
+            sent = _self_drive(scenario, cluster.ingest, args.reports)
             cluster.join()
             print(f"self-drive: sent {sent} reports from {args.reports} packets")
         if args.duration is not None or args.reports == 0:
@@ -515,6 +497,8 @@ def _serve_cluster(args: argparse.Namespace, scenario, server) -> int:
             rows += [(f"{key}.{k}", v) for k, v in sorted(value.items())]
         else:
             rows.append((key, value))
+    if cluster.ingest is not None:
+        rows += [(f"udp_{k}", v) for k, v in sorted(cluster.ingest.stats().items())]
     print(render_table("serve (cluster) statistics", ["metric", "value"], rows))
     return 0
 
@@ -572,7 +556,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     rows = [
         ("nodes", stats["nodes"]),
-        ("engine", stats["engine"]),
         ("submitted", stats["frontend"]["submitted"]),
         ("processed", stats["processed"]),
         ("malformed", stats["malformed"]),
@@ -957,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the cross-tenant isolation verifier")
     serve.add_argument("--cluster", type=int, default=0, metavar="N",
                        help="shard verification across N cluster nodes "
-                            "behind the selectors ingestion frontend "
+                            "behind one UDP report listener "
                             "(0 = single-process daemon)")
     serve.add_argument("--cluster-mode", choices=["thread", "process"],
                        default="thread",

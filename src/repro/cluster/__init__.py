@@ -6,8 +6,8 @@ resync protocol across process boundaries so verification scales out:
 
 * :mod:`repro.cluster.protocol`    — length-prefixed message streams,
 * :mod:`repro.cluster.ring`        — consistent-hash placement,
-* :mod:`repro.cluster.frontend`    — ``selectors`` multi-socket frame
-  ingestion + exactly-once batch routing,
+* :mod:`repro.cluster.frontend`    — consistent-hash routing and
+  exactly-once batch delivery behind the daemons' UDP report listener,
 * :mod:`repro.cluster.node`        — a shard replica behind TCP,
 * :mod:`repro.cluster.coordinator` — membership, rebalancing, resync and
   fleet-wide aggregation,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .cluster import VeriDPCluster
 from .coordinator import ClusterCoordinator
-from .frontend import ClusterFrontend, SelectorIngest, routing_key_of
+from .frontend import ClusterFrontend, routing_key_of
 from .node import NodeHandle, VerificationNode, start_node
 from .protocol import MessageStream, ProtocolError, message_name
 from .ring import HashRing
@@ -27,7 +27,6 @@ __all__ = [
     "VeriDPCluster",
     "ClusterCoordinator",
     "ClusterFrontend",
-    "SelectorIngest",
     "routing_key_of",
     "VerificationNode",
     "NodeHandle",

@@ -2,11 +2,14 @@
 
 :class:`VeriDPCluster` wires the pieces of this package into the shape
 the CLI, the tests and the benchmarks all use: an authoritative
-:class:`~repro.core.server.VeriDPServer`, a :class:`ClusterFrontend`
-with its :class:`SelectorIngest`, ``nodes`` verification members and one
-:class:`ClusterCoordinator`.  It exposes the daemon-flavoured surface
-(``submit`` / ``join`` / ``stats`` / ``stop``) plus the cluster-only
-verbs (``kill_node`` / ``add_node`` / ``remove_node`` / ``resync``).
+:class:`~repro.core.server.VeriDPServer`, a :class:`ClusterFrontend`,
+``nodes`` verification members and one :class:`ClusterCoordinator`.
+:meth:`VeriDPCluster.listen_udp` puts the daemons' own
+:class:`~repro.core.listener.UdpReportListener` in front of the
+frontend; a cluster that never listens runs no ingest thread.  It
+exposes the daemon-flavoured surface (``submit`` / ``join`` / ``stats``
+/ ``stop``) plus the cluster-only verbs (``kill_node`` / ``add_node`` /
+``remove_node`` / ``resync``).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.ingest import DEFAULT_INGEST_BATCH
+from ..core.listener import UdpReportListener
 from .coordinator import ClusterCoordinator
-from .frontend import ClusterFrontend, SelectorIngest
+from .frontend import ClusterFrontend
 
 __all__ = ["VeriDPCluster"]
 
@@ -44,7 +48,9 @@ class VeriDPCluster:
             node_mode=node_mode,
             vnodes=vnodes,
         )
-        self.ingest = SelectorIngest(self.frontend, ingest_batch=ingest_batch)
+        #: The report listener, once :meth:`listen_udp` built it.
+        self.ingest: Optional[UdpReportListener] = None
+        self._ingest_batch = ingest_batch
         self._running = False
         self._initial_nodes = nodes
 
@@ -54,7 +60,8 @@ class VeriDPCluster:
         if self._running:
             return self
         self.coordinator.start(self._initial_nodes)
-        self.ingest.start()
+        if self.ingest is not None:
+            self.ingest.start()
         self._running = True
         return self
 
@@ -62,7 +69,8 @@ class VeriDPCluster:
         if not self._running:
             return
         self._running = False
-        self.ingest.stop()
+        if self.ingest is not None:
+            self.ingest.stop()
         self.coordinator.stop()
 
     def __enter__(self) -> "VeriDPCluster":
@@ -74,10 +82,21 @@ class VeriDPCluster:
     # -- ingestion ---------------------------------------------------------
 
     def listen_udp(self, host: str = "127.0.0.1", port: int = 0):
-        return self.ingest.listen_udp(host, port)
+        """Bind the cluster's one report socket and return its address.
 
-    def listen_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        return self.ingest.listen_tcp(host, port)
+        The listener receives at once if the cluster is running, else
+        from :meth:`start`; :meth:`stop` stops it.
+        """
+        if self.ingest is not None:
+            raise RuntimeError(
+                f"the cluster already listens on {self.ingest.address}"
+            )
+        self.ingest = UdpReportListener(
+            self.frontend, host=host, port=port, ingest_batch=self._ingest_batch
+        )
+        if self._running:
+            self.ingest.start()
+        return self.ingest.address
 
     def submit(self, payload: bytes) -> bool:
         return self.frontend.submit(payload)
@@ -116,9 +135,7 @@ class VeriDPCluster:
         return self.coordinator.converged()
 
     def stats(self) -> Dict[str, object]:
-        out = self.coordinator.stats()
-        out["engine"] = self.ingest.engine
-        return out
+        return self.coordinator.stats()
 
     def metrics_endpoint(self, host: str = "127.0.0.1", port: int = 0):
         return self.coordinator.metrics_endpoint(host=host, port=port)

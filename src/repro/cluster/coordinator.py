@@ -45,7 +45,6 @@ from ..core.replica import (
     wire_packing,
 )
 from ..core.reports import ReportDecodeError
-from ..obs import MetricsRegistry, Observability
 from .frontend import ClusterFrontend, routing_key_of
 from .node import NodeHandle, start_node
 from .protocol import (
@@ -115,7 +114,9 @@ class ClusterCoordinator:
         self._server_lock = threading.Lock()
         #: Node-side metrics: every batch reply's counts and figures are
         #: folded in as it arrives (the nodes keep none of their own).
-        self.registry = MetricsRegistry()
+        #: The frontend's registry, so the report listener's families
+        #: land on the same ``/metrics``.
+        self.registry = self.frontend.obs.registry
         self._node_families = VerdictFamilies(self.registry, "node", tenants=True)
         self.registry.gauge(
             "veridp_in_flight",
@@ -645,8 +646,9 @@ class ClusterCoordinator:
         return out
 
     def metrics_endpoint(self, host: str = "127.0.0.1", port: int = 0):
-        """An HTTP ``/metrics`` endpoint over the folded node families."""
-        return Observability(registry=self.registry).endpoint(
+        """An HTTP ``/metrics`` endpoint over the folded node families
+        (and the report listener's, once the cluster listens)."""
+        return self.frontend.obs.endpoint(
             host=host, port=port, varz=self.stats
         )
 

@@ -1,10 +1,12 @@
-"""Cluster ingestion frontend: multi-socket intake + consistent routing.
+"""Cluster ingestion frontend: consistent routing + exactly-once delivery.
 
-This replaces the thread-per-listener ingestion model for cluster
-deployments.  One :class:`ClusterFrontend` owns the routing state — which
-verification node each ``(inport, outport)`` pair belongs to — and one
-:class:`SelectorIngest` feeds it frames of 27-byte report rows from any
-number of UDP and TCP sockets on a single ``selectors`` thread.
+One :class:`ClusterFrontend` owns the routing state — which verification
+node each ``(inport, outport)`` pair belongs to.  It is a report sink like
+the daemons: the cluster's one
+:class:`~repro.core.listener.UdpReportListener` (the receive loop every
+shape shares) feeds it frames of 27-byte report rows through
+:meth:`ClusterFrontend.submit_frame` and hands it the datagrams it refused
+at the socket through :meth:`ClusterFrontend.dead_letter_transport`.
 
 Routing is two-layered:
 
@@ -36,31 +38,20 @@ the batch under the link's lock.
 
 from __future__ import annotations
 
-import selectors
-import socket
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.ingest import (
-    DEFAULT_INGEST_BATCH,
-    FrameBuffer,
-    drain_socket,
-    pair_keys,
-    screen_frame,
-)
+from ..core.ingest import pair_keys, screen_frame
 from ..core.delivery import DeliveryBook, InFlight
 from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
+from ..obs import Observability
 from .protocol import MSG_BATCH, MessageStream
 from .ring import HashRing
 
-__all__ = [
-    "ClusterFrontend",
-    "SelectorIngest",
-    "routing_key_of",
-]
+__all__ = ["ClusterFrontend", "routing_key_of"]
 
 
 def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
@@ -85,8 +76,8 @@ class _NodeLink(DeliveryBook):
 class ClusterFrontend:
     """Route report payloads to verification nodes, exactly once.
 
-    Thread-safe: the ingest loop thread, the links' reply readers, the
-    coordinator and test harnesses may all call in concurrently.
+    Thread-safe: the report listener's thread, the links' reply readers,
+    the coordinator and test harnesses may all call in concurrently.
 
     ``on_reply(delta)`` is called for each batch reply whose seq is still
     un-acked, with the link's lock held; the batch retires when it returns,
@@ -100,6 +91,10 @@ class ClusterFrontend:
         self.batch_size = max(1, int(batch_size))
         self.persist = persist
         self.on_reply: Optional[Callable[[Delta], None]] = None
+        #: The cluster's one metrics bundle: the coordinator folds the
+        #: nodes' families into its registry, the report listener
+        #: registers its ``veridp_udp_*`` families there.
+        self.obs = Observability()
         #: Rows accepted and not yet retired, buffered or un-acked.
         self.flight = InFlight()
         self.ring = HashRing()
@@ -211,6 +206,15 @@ class ClusterFrontend:
                 return False
         self._buffer([(link, payload, 1)])
         return True
+
+    def dead_letter_transport(self, payload: bytes, reason: str) -> None:
+        """Count one datagram the report listener refused at the socket
+        (wrong size or version) as :meth:`submit` counts a precheck
+        reject: once in ``submitted``, once in ``precheck_rejected``.
+        The frontend keeps no dead-letter queue; ``reason`` is dropped."""
+        with self._route_lock:
+            self.submitted += 1
+            self.precheck_rejected += 1
 
     def submit_frame(self, frame: Frame) -> int:
         """Ingest a frame of wire rows in one routing pass.
@@ -354,150 +358,3 @@ class ClusterFrontend:
                 "placement_keys": len(self.placement),
             }
         return out
-
-
-# ---------------------------------------------------------------------------
-# ingest engine
-# ---------------------------------------------------------------------------
-
-
-def _bind_udp(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    sock.setblocking(False)
-    return sock
-
-
-def _bind_tcp(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    sock.listen(64)
-    sock.setblocking(False)
-    return sock
-
-
-class SelectorIngest:
-    """All listen sockets on one ``selectors`` thread (no thread-per-port).
-
-    UDP datagrams carry one payload each (the switch-agent shape); TCP
-    connections carry back-to-back ``REPORT_SIZE``-stride payloads (the
-    relay/replay shape).  Sockets are bound synchronously — ``listen_udp``
-    and ``listen_tcp`` return the bound address immediately, before or
-    after :meth:`start`.  Both shapes reach the frontend as frames: one
-    readability wakeup drains up to ``ingest_batch`` datagrams into one
-    frame (1 makes each datagram its own), and a TCP read submits its
-    longest whole-report prefix as one.
-    """
-
-    engine = "selectors"
-
-    def __init__(
-        self,
-        frontend: ClusterFrontend,
-        ingest_batch: int = DEFAULT_INGEST_BATCH,
-    ) -> None:
-        self.frontend = frontend
-        self.ingest_batch = max(1, int(ingest_batch))
-        self._selector = selectors.DefaultSelector()
-        # stop() writes one byte here so the loop leaves select() at once
-        # instead of at its next timeout.
-        self._wake, self._waker = socket.socketpair()
-        self._selector.register(self._wake, selectors.EVENT_READ, ("wake", None))
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
-        self._socks: List[socket.socket] = []
-        self.datagrams = 0
-        self.tcp_connections = 0
-
-    def listen_udp(self, host: str = "127.0.0.1", port: int = 0):
-        sock = _bind_udp(host, port)
-        self._socks.append(sock)
-        self._selector.register(sock, selectors.EVENT_READ, ("udp", None))
-        return sock.getsockname()
-
-    def listen_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        sock = _bind_tcp(host, port)
-        self._socks.append(sock)
-        self._selector.register(sock, selectors.EVENT_READ, ("accept", None))
-        return sock.getsockname()
-
-    def start(self) -> "SelectorIngest":
-        if self._running:
-            return self
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._loop, name="veridp-cluster-ingest", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        try:
-            self._waker.send(b"\0")
-        except OSError:  # already stopped: the pair is closed
-            return
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        for key in list(self._selector.get_map().values()):
-            try:
-                key.fileobj.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        self._selector.close()
-        self._waker.close()
-
-    def _loop(self) -> None:
-        buffers: Dict[socket.socket, bytes] = {}
-        fbufs: Dict[socket.socket, FrameBuffer] = {}
-        while self._running:
-            for key, _events in self._selector.select(timeout=0.2):
-                kind, _ = key.data
-                sock = key.fileobj
-                if kind == "wake":
-                    break  # stop(): the while condition ends the loop
-                if kind == "udp":
-                    # Empty the socket into a preallocated frame buffer,
-                    # one submit_frame per wakeup.
-                    fb = fbufs.get(sock)
-                    if fb is None:
-                        fb = fbufs[sock] = FrameBuffer(self.ingest_batch)
-                    count, odd = drain_socket(sock, fb, self.ingest_batch)
-                    if not count:
-                        continue
-                    self.datagrams += count
-                    for payload, _nbytes in odd:
-                        # A wrong-sized datagram cannot be a frame row;
-                        # submit() counts it as precheck-rejected.
-                        self.frontend.submit(payload)
-                    if fb.rows:
-                        self.frontend.submit_frame(Frame(fb.take()))
-                elif kind == "accept":
-                    try:
-                        conn, _addr = sock.accept()
-                    except OSError:
-                        continue
-                    conn.setblocking(False)
-                    self.tcp_connections += 1
-                    buffers[conn] = b""
-                    self._selector.register(
-                        conn, selectors.EVENT_READ, ("tcp", None)
-                    )
-                else:  # tcp data
-                    try:
-                        chunk = sock.recv(65536)
-                    except OSError:
-                        chunk = b""
-                    if not chunk:
-                        self._selector.unregister(sock)
-                        sock.close()
-                        buffers.pop(sock, None)
-                        continue
-                    pending = buffers[sock] + chunk
-                    cut = (len(pending) // REPORT_SIZE) * REPORT_SIZE
-                    if cut:
-                        self.frontend.submit_frame(Frame(pending[:cut]))
-                        pending = pending[cut:]
-                    buffers[sock] = pending

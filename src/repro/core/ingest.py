@@ -9,10 +9,11 @@ batched fast path:
   accumulates exact-size datagrams into one frame with zero per-report
   allocations (each receive slot is one byte larger than a report so a
   kernel-truncated oversize datagram is *detected*, not silently eaten),
-* :func:`drain_socket` — the non-blocking opportunistic drain used by
-  :class:`~repro.core.listener.UdpReportListener` and the cluster frontend's
-  ingest loop after their one blocking wakeup: one ``recvmmsg`` per
-  wakeup where libc has it, one ``recv_into`` per datagram elsewhere,
+* :func:`drain_socket` — the non-blocking opportunistic drain
+  :class:`~repro.core.listener.UdpReportListener` (the one receive loop,
+  in front of either daemon and of a cluster) runs after its one blocking
+  wakeup: one ``recvmmsg`` per wakeup where libc has it, one
+  ``recv_into`` per datagram elsewhere,
 * :func:`screen_frame` — the vectorized equivalent of running
   :func:`~repro.core.reports.payload_precheck` over every row of a frame,
 * column extractors (:func:`pair_keys`, :func:`dst_ips`,

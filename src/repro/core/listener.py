@@ -1,9 +1,11 @@
-"""The UDP report listener: the paper's transport in front of a daemon.
+"""The UDP report listener: the paper's transport in front of every shape.
 
 "Tag reports ... are encapsulated with plain UDP packets" (Section 5).
 :class:`UdpReportListener` binds a real UDP socket and feeds whatever it
-receives into a :class:`~repro.core.direct.VeriDPDaemon` or
-:class:`~repro.core.sharded.ShardedVeriDPDaemon` as frames.
+receives as frames into a sink: a :class:`~repro.core.direct.VeriDPDaemon`,
+a :class:`~repro.core.sharded.ShardedVeriDPDaemon` or a cluster's
+:class:`~repro.cluster.frontend.ClusterFrontend`.  It is the one report
+receive loop in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import Observability
 from .ingest import DEFAULT_INGEST_BATCH, FrameBuffer, drain_socket, screen_frame
 from .reports import REPORT_SIZE, Frame
 
@@ -21,7 +22,12 @@ __all__ = ["UdpReportListener"]
 
 
 class UdpReportListener:
-    """Receive tag reports as real UDP datagrams and feed the daemon.
+    """Receive tag reports as real UDP datagrams and feed a sink.
+
+    The sink is anything with ``submit_frame(frame) -> admitted``,
+    ``dead_letter_transport(payload, reason)`` and an ``obs`` bundle,
+    whose registry gets the ``veridp_udp_*`` families: either daemon, or
+    a cluster frontend.
 
     Binds ``host:port`` (port 0 picks a free one; read :attr:`address`),
     runs a receive loop on a background thread.  Oversized or truncated
@@ -35,7 +41,7 @@ class UdpReportListener:
 
     def __init__(
         self,
-        daemon,
+        sink,
         host: str = "127.0.0.1",
         port: int = 0,
         max_socket_errors: int = 8,
@@ -43,7 +49,7 @@ class UdpReportListener:
         max_rebinds: int = 32,
         ingest_batch: int = DEFAULT_INGEST_BATCH,
     ) -> None:
-        self.daemon = daemon
+        self.sink = sink
         self._host = host
         self._port = port
         self.max_socket_errors = max_socket_errors
@@ -68,7 +74,7 @@ class UdpReportListener:
         self.oversize = 0  # datagrams longer than a report (kernel-truncated)
         self.socket_errors = 0
         self.rebinds = 0
-        self.obs = getattr(daemon, "obs", None) or Observability()
+        self.obs = sink.obs
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -85,12 +91,12 @@ class UdpReportListener:
         )
         reg.counter(
             "veridp_udp_submit_errors_total",
-            "Datagrams the daemon's submit() raised on.",
+            "Datagrams the sink's submit_frame() raised on.",
             callback=lambda: self.malformed,
         )
         reg.counter(
             "veridp_udp_dropped_total",
-            "Datagrams refused by daemon backpressure.",
+            "Datagrams the sink refused (backpressure, or no owning node).",
             callback=lambda: self.dropped,
         )
         reg.counter(
@@ -167,6 +173,13 @@ class UdpReportListener:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    @property
+    def datagrams(self) -> int:
+        # Read-only, for the frozen pipeline bench's cluster shape, which
+        # reads ``cluster.ingest.datagrams``; ROADMAP item 1 (unfreeze the
+        # instrument) deletes it.
+        return self.received
+
     def stats(self) -> Dict[str, int]:
         return {
             "received": self.received,
@@ -215,14 +228,14 @@ class UdpReportListener:
         """
         if nbytes == REPORT_SIZE + 1:
             self.oversize += 1
-            self.daemon.dead_letter_transport(
+            self.sink.dead_letter_transport(
                 payload,
                 f"oversize datagram truncated at {REPORT_SIZE + 1} bytes "
                 f"(a wire report is {REPORT_SIZE} bytes)",
             )
         else:
             self.wrong_size += 1
-            self.daemon.dead_letter_transport(
+            self.sink.dead_letter_transport(
                 payload,
                 f"wrong size {nbytes} (a wire report is {REPORT_SIZE} bytes)",
             )
@@ -284,17 +297,17 @@ class UdpReportListener:
             clean, rejected = screen_frame(fb.take())
             for payload, reason in rejected:
                 self.wrong_size += 1
-                self.daemon.dead_letter_transport(payload, reason)
+                self.sink.dead_letter_transport(payload, reason)
             if not clean:
                 continue
             frame = Frame(clean)
             count = frame.count
             try:
-                admitted = self.daemon.submit_frame(frame)
+                admitted = self.sink.submit_frame(frame)
             except Exception as exc:
                 self.malformed += count
                 for payload in frame.rows():
-                    self.daemon.dead_letter_transport(
+                    self.sink.dead_letter_transport(
                         payload, f"submit failed: {exc}"
                     )
                 continue

@@ -1,48 +1,8 @@
-"""Tests for the diagnostic renderings (BDD DOT export, path table dump)."""
+"""Tests for the diagnostic path table dump."""
 
-import pytest
-
-from repro.bdd.engine import BDD, FALSE, TRUE
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.pathtable import PathTableBuilder
 from repro.topologies import build_figure5, build_linear
-
-
-class TestToDot:
-    def test_terminal_true(self):
-        bdd = BDD(2)
-        dot = bdd.to_dot(TRUE)
-        assert dot.startswith("digraph")
-        assert '"1"' in dot
-
-    def test_terminal_false(self):
-        dot = BDD(2).to_dot(FALSE)
-        assert '"0"' in dot
-
-    def test_variable_node_edges(self):
-        bdd = BDD(2)
-        dot = bdd.to_dot(bdd.var(0))
-        assert "style=dashed" in dot  # low edge
-        assert 'label="x0"' in dot
-        assert dot.count("->") == 2
-
-    def test_var_names(self):
-        bdd = BDD(2)
-        dot = bdd.to_dot(bdd.var(1), var_names={1: "dst_ip[0]"})
-        assert 'label="dst_ip[0]"' in dot
-
-    def test_shared_subgraphs_rendered_once(self):
-        bdd = BDD(3)
-        f = bdd.or_(bdd.and_(bdd.var(0), bdd.var(2)), bdd.and_(bdd.var(1), bdd.var(2)))
-        dot = bdd.to_dot(f)
-        # x2 appears as a node exactly once despite two parents.
-        assert dot.count('label="x2"') == 1
-
-    def test_every_reachable_node_present(self):
-        bdd = BDD(4)
-        f = bdd.xor(bdd.var(0), bdd.xor(bdd.var(1), bdd.var(2)))
-        dot = bdd.to_dot(f)
-        assert dot.count("[label=") >= bdd.size(f) - 2 + 2  # inner + terminals
 
 
 class TestPathTableDump:

@@ -1,12 +1,16 @@
-"""Ingestion frontend: routing, batching, acks, and the socket engines."""
+"""Ingestion frontend: routing, batching, acks, and the report socket."""
 
 import socket
 import time
 
 import pytest
 
-from repro.cluster.frontend import ClusterFrontend, SelectorIngest, routing_key_of
+from repro.cluster import VeriDPCluster
+from repro.cluster.frontend import ClusterFrontend, routing_key_of
 from repro.cluster.node import VerificationNode
+from repro.core.direct import VeriDPDaemon
+from repro.core.listener import UdpReportListener
+from repro.core.reports import REPORT_SIZE
 
 from .conftest import healthy_payloads, packing_of
 
@@ -182,30 +186,68 @@ class TestSubmitFrame:
         assert frontend.stats()["dropped_no_node"] == len(payloads)
 
 
-@pytest.mark.parametrize("engine_cls", [SelectorIngest])
-@pytest.mark.parametrize("ingest_batch", [1, 32])
-class TestIngestEngines:
-    def test_udp_and_tcp_reports_reach_the_frontend(
-        self, engine_cls, ingest_batch, fleet, rig
-    ):
+class TestClusterIngest:
+    """The cluster listens through the daemons' ``UdpReportListener``."""
+
+    @pytest.mark.parametrize("ingest_batch", [1, 32])
+    def test_udp_reports_and_oddballs_reach_the_frontend(self, ingest_batch, rig):
         scenario, server, net = rig
-        frontend, _ = fleet
         payloads = healthy_payloads(scenario, net, 40)
-        ingest = engine_cls(frontend, ingest_batch=ingest_batch)
-        udp_addr = ingest.listen_udp("127.0.0.1", 0)
-        tcp_addr = ingest.listen_tcp("127.0.0.1", 0)
-        ingest.start()
-        try:
+        bad_version = bytearray(payloads[0])
+        bad_version[0] = 99
+        oddballs = [b"short", bytes(REPORT_SIZE + 1), bytes(bad_version)]
+        with VeriDPCluster(server, nodes=2, ingest_batch=ingest_batch) as cluster:
+            address = cluster.listen_udp()
             client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            for payload in payloads[:20]:
-                client.sendto(payload, udp_addr)
+            for payload in payloads + oddballs:
+                client.sendto(payload, address)
             client.close()
-            stream = socket.create_connection(tcp_addr, timeout=5)
-            stream.sendall(b"".join(payloads[20:]))
-            stream.close()
-            assert wait_for(lambda: frontend.submitted >= 40), (
-                frontend.stats()
+            total = len(payloads) + len(oddballs)
+            assert wait_for(lambda: cluster.frontend.submitted == total), (
+                cluster.frontend.stats()
             )
-            assert frontend.stats()["precheck_rejected"] == 0
+            cluster.join()
+            stats = cluster.stats()
+        front = stats["frontend"]
+        # Each refused datagram counts once in submitted and once in
+        # precheck_rejected, as a wrong-length submit() always has.
+        assert front["submitted"] == total
+        assert front["precheck_rejected"] == len(oddballs)
+        assert stats["processed"] + stats["malformed"] == len(payloads)
+        # The listener tells the wrong sizes (bad version included) from
+        # the kernel-truncated oversize one.
+        listener = cluster.ingest.stats()
+        assert listener["received"] == total
+        assert (listener["wrong_size"], listener["oversize"]) == (2, 1)
+
+    def test_cluster_socket_is_a_daemon_listener_socket(self, rig):
+        scenario, server, net = rig
+        daemon = VeriDPDaemon(server, workers=1)
+        reference = UdpReportListener(daemon)
+        try:
+            with VeriDPCluster(server, nodes=1) as cluster:
+                address = cluster.listen_udp()
+                listener = cluster.ingest
+                with pytest.raises(RuntimeError, match="already listens"):
+                    cluster.listen_udp()  # one report socket per cluster
+                rcvbuf = (socket.SOL_SOCKET, socket.SO_RCVBUF)
+                assert listener._socket.getsockopt(*rcvbuf) == (
+                    reference._socket.getsockopt(*rcvbuf)
+                )
+                # A socket fault rebinds the same address and keeps going.
+                listener._socket.close()
+                assert wait_for(lambda: listener.rebinds == 1, 5)
+                assert listener._running and listener.address == address
+                snapshot = cluster.coordinator.registry.snapshot()
+                assert snapshot.value("veridp_listener_rebind_total") == 1
+                payloads = healthy_payloads(scenario, net, 10)
+                client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                for payload in payloads:
+                    client.sendto(payload, address)
+                client.close()
+                assert wait_for(lambda: cluster.frontend.submitted == 10)
+                cluster.join()
+                assert cluster.stats()["processed"] == 10
         finally:
-            ingest.stop()
+            reference.stop()
+            daemon.stop()

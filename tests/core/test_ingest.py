@@ -174,7 +174,8 @@ class TestDrainSocket:
     def test_kernel_without_recvmmsg_falls_back_to_the_loop(self, monkeypatch):
         # libc has the symbol, the kernel refuses the call (ENOSYS under a
         # seccomp filter): the drain must still empty the socket, or the
-        # selector engines would spin on a readable socket forever.
+        # listener would harvest one datagram per blocking wakeup and leave
+        # the rest queued.
         calls = []
 
         def refused(fd, msgvec, vlen, flags, timeout):
