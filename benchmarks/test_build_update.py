@@ -1,16 +1,15 @@
-"""Control-plane fast path gates (ISSUE 5): build + update + resync.
+"""Control-plane fast path gates: update + resync.
 
-Three speedups, each with a BDD-fingerprint parity oracle against the
+Two speedups, each with a BDD-fingerprint parity oracle against the
 slow/reference path, land in ``benchmarks/results/BENCH_build.json``:
 
-* **parallel full build** — partition-by-entry-port across a fork pool vs
-  the serial builder, on a fat-tree (``REPRO_BUILD_FT_K``, default 6).
-  The >=2x gate needs real cores; on starved runners the measured ratio is
-  recorded honestly and the gate scales down (see ``_speedup_floor``).
 * **coalesced churn** — staging ``REPRO_BUILD_CHURN`` (default 1000) rule
   events and flushing once vs applying them one-by-one; >=5x, always.
 * **delta resync** — recompiling only the dirty pairs of a sharded-daemon
   replica vs a full ``build_shard_specs`` recompile; >=5x, always.
+
+The full build is the serial traversal of Algorithm 2 alone; its times
+are the Table 2 bench's (``test_table2_pathtable.py``).
 
 ``REPRO_BENCH_PARITY_ONLY=1`` (the CI smoke mode) keeps every parity
 assertion and drops the speed gates, so a queued shared runner cannot fail
@@ -21,52 +20,21 @@ import os
 import pickle
 import time
 
-import pytest
-
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.replica import build_pair_spec, build_shard_specs, replica_digest, _shard_of
 from repro.core.incremental import IncrementalPathTable
 from repro.core.pathtable import PathTableBuilder
 from repro.core.reports import PortCodec
 from repro.persist.snapshot import table_fingerprint
-from repro.topologies import (
-    build_fattree,
-    build_internet2,
-    build_stanford,
-    internet2_lpm_ruleset,
-)
+from repro.topologies import build_internet2, internet2_lpm_ruleset
 
 from conftest import env_int, print_table, write_json
 
 PARITY_ONLY = os.environ.get("REPRO_BENCH_PARITY_ONLY") == "1"
-FT_K = env_int("REPRO_BUILD_FT_K", 4 if PARITY_ONLY else 6)
 CHURN_EVENTS = env_int("REPRO_BUILD_CHURN", 200 if PARITY_ONLY else 1000)
 RESYNC_WORKERS = 4
 
 _payload = {"parity_only": PARITY_ONLY}
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _speedup_floor(cpus: int) -> float:
-    """The parallel-build gate, scaled to what the hardware can deliver.
-
-    The ISSUE gate (>=2x on fat-tree k>=6) presumes >=4 usable cores; a
-    2-core runner can at best approach 2x, and a 1-core runner can only go
-    backwards (fork + pickle overhead with zero added compute).  The
-    measured ratio and the cpu count are always recorded in
-    ``BENCH_build.json`` so a capable machine's run is auditable.
-    """
-    if cpus >= 4:
-        return 2.0
-    if cpus >= 2:
-        return 1.2
-    return 0.0
 
 
 def base_operations(ruleset):
@@ -107,71 +75,6 @@ def populated_updater(scenario, ruleset):
     for switch, prefix, port in base_operations(ruleset):
         inc.add_rule(switch, prefix, port)
     return hs, inc
-
-
-def test_parallel_build_speedup_and_parity():
-    scenario = build_fattree(FT_K)
-    cpus = usable_cpus()
-    workers = max(2, cpus)
-
-    hs_serial = HeaderSpace()
-    serial = PathTableBuilder(scenario.topo, hs_serial).build()
-    hs_par = HeaderSpace()
-    parallel = PathTableBuilder(scenario.topo, hs_par).build(workers=workers)
-    if parallel.build_workers == 1:
-        pytest.skip("no fork start method on this platform")
-
-    assert table_fingerprint(parallel, hs_par.bdd) == table_fingerprint(
-        serial, hs_serial.bdd
-    )
-    speedup = serial.build_time_s / parallel.build_time_s
-    floor = _speedup_floor(cpus)
-    _payload["parallel_build"] = {
-        "fattree_k": FT_K,
-        "paths": serial.num_paths(),
-        "serial_s": round(serial.build_time_s, 4),
-        "parallel_s": round(parallel.build_time_s, 4),
-        "workers": parallel.build_workers,
-        "cpus": cpus,
-        "speedup": round(speedup, 3),
-        "gate_floor": floor,
-    }
-    print_table(
-        f"Parallel path-table build, fat-tree k={FT_K}",
-        ["metric", "value"],
-        [
-            ("serial (s)", f"{serial.build_time_s:.3f}"),
-            ("parallel (s)", f"{parallel.build_time_s:.3f}"),
-            ("workers / cpus", f"{parallel.build_workers} / {cpus}"),
-            ("speedup", f"{speedup:.2f}x"),
-            ("gate", f">={floor}x" if floor else "parity only (single cpu)"),
-        ],
-        slug="build_parallel",
-    )
-    if not PARITY_ONLY and floor:
-        assert speedup >= floor
-
-
-@pytest.mark.parametrize(
-    "name,factory",
-    [
-        ("Stanford", lambda: build_stanford(subnets_per_zone=2)),
-        ("Internet2", lambda: build_internet2(prefixes_per_pop=2)),
-    ],
-)
-def test_parallel_parity_reference_topologies(name, factory):
-    """The ISSUE's parity clause: parallel == serial on Stanford/Internet2."""
-    scenario = factory()
-    hs_serial = HeaderSpace()
-    serial = PathTableBuilder(scenario.topo, hs_serial).build()
-    hs_par = HeaderSpace()
-    parallel = PathTableBuilder(scenario.topo, hs_par).build(workers=3)
-    if parallel.build_workers == 1:
-        pytest.skip("no fork start method on this platform")
-    assert table_fingerprint(parallel, hs_par.bdd) == table_fingerprint(
-        serial, hs_serial.bdd
-    )
-    _payload.setdefault("parallel_parity", {})[name] = True
 
 
 def test_coalesced_churn_speedup_and_parity():

@@ -368,58 +368,6 @@ class BDD:
         """
         return (list(self._level[2:]), list(self._low[2:]), list(self._high[2:]))
 
-    def export_nodes_since(self, base: int) -> Tuple[List[int], List[int], List[int]]:
-        """The node-table suffix allocated at or after id ``base``.
-
-        The parallel path-table builder forks workers that share the parent's
-        first ``base`` nodes; each worker ships back only its private suffix,
-        and the parent grafts it on with :meth:`import_nodes`.  The same
-        slices serve as the appended-nodes half of a table delta.
-        """
-        start = max(base, 2)
-        return (
-            list(self._level[start:]),
-            list(self._low[start:]),
-            list(self._high[start:]),
-        )
-
-    def import_nodes(
-        self,
-        base: int,
-        levels: Sequence[int],
-        lows: Sequence[int],
-        highs: Sequence[int],
-    ) -> List[int]:
-        """Graft a foreign node-table suffix onto this manager.
-
-        The foreign manager must share this manager's first ``base`` nodes
-        (which fork-based workers do by construction): child references below
-        ``base`` are taken verbatim, references at or above it are remapped
-        through the nodes merged so far.  Hash-consing in :meth:`_mk`
-        collapses duplicates, so merging the same function from two workers
-        yields one node.
-
-        Returns ``remap`` with ``remap[i]`` = local id of foreign node
-        ``base + i``; terminals and ids below ``base`` map to themselves.
-        """
-        if not (len(levels) == len(lows) == len(highs)):
-            raise ValueError("node arrays disagree on length")
-        if not 2 <= base <= len(self._level):
-            raise ValueError(
-                f"foreign base {base} outside local table [2, {len(self._level)}]"
-            )
-        remap: List[int] = []
-        for level, low, high in zip(levels, lows, highs):
-            foreign_id = base + len(remap)
-            if not (0 <= low < foreign_id and 0 <= high < foreign_id):
-                raise ValueError(f"corrupt suffix at foreign node {foreign_id}")
-            if not 0 <= level < self.num_vars:
-                raise ValueError(f"corrupt level at foreign node {foreign_id}")
-            lo = low if low < base else remap[low - base]
-            hi = high if high < base else remap[high - base]
-            remap.append(self._mk(level, lo, hi))
-        return remap
-
     @classmethod
     def from_nodes(
         cls,

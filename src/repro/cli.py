@@ -318,7 +318,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import time as _time
 
     from .core import VeriDPServer
-    from .core.daemon import ShardedVeriDPDaemon, UdpReportListener, VeriDPDaemon
+    from .core.direct import VeriDPDaemon
+    from .core.listener import UdpReportListener
 
     scenario = _scenario_factories()[args.topo](args)
     server = VeriDPServer(
@@ -326,7 +327,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         scenario.channel,
         state_dir=args.state_dir,
         fsync=args.fsync,
-        build_workers=args.build_workers,
         coalesce_ms=args.coalesce_ms,
     )
     if args.state_dir is not None:
@@ -353,6 +353,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.cluster > 0:
         return _serve_cluster(args, scenario, server)
     if args.mode == "sharded":
+        from .core.sharded import ShardedVeriDPDaemon
+
         daemon = ShardedVeriDPDaemon(
             server,
             workers=args.workers,
@@ -923,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="durable mode: WAL + snapshots in this directory; "
                             "restarts recover the path table and the report "
                             "stream becomes replayable (LPM rule sets only)")
-    serve.add_argument("--build-workers", type=int, default=None,
-                       help="worker processes for full path-table builds "
-                            "(0 = one per CPU, default serial; "
-                            "REPRO_BUILD_WORKERS env overrides)")
     serve.add_argument("--coalesce-ms", type=float, default=0.0,
                        help="coalescing window for rule updates in durable "
                             "mode: stage events and recompute the path "

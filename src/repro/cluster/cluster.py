@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.ingest import DEFAULT_INGEST_BATCH
+from ..core.ingest import DEFAULT_INGEST_BATCH, screen_frame
 from ..core.listener import UdpReportListener
+from ..core.reports import Frame
 from .coordinator import ClusterCoordinator
 from .frontend import ClusterFrontend
 
@@ -101,8 +102,15 @@ class VeriDPCluster:
     def submit(self, payload: bytes) -> bool:
         return self.frontend.submit(payload)
 
-    def submit_frame(self, frame) -> int:
-        return self.frontend.submit_frame(frame)
+    def submit_frame(self, frame: Frame) -> int:
+        """Screen a frame of wire rows and route the clean ones; returns
+        the rows accepted.  Each rejected row is dead-lettered through
+        the frontend, as the report listener does, so it counts once in
+        ``submitted`` and once in ``precheck_rejected``."""
+        clean, rejected = screen_frame(frame.payload())
+        for payload, reason in rejected:
+            self.frontend.dead_letter_transport(payload, reason)
+        return self.frontend.submit_frame(Frame(clean))
 
     # -- orchestration (delegation) ----------------------------------------
 

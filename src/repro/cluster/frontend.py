@@ -4,7 +4,7 @@ One :class:`ClusterFrontend` owns the routing state — which verification
 node each ``(inport, outport)`` pair belongs to.  It is a report sink like
 the daemons: the cluster's one
 :class:`~repro.core.listener.UdpReportListener` (the receive loop every
-shape shares) feeds it frames of 27-byte report rows through
+shape shares) feeds it screened frames of 27-byte report rows through
 :meth:`ClusterFrontend.submit_frame` and hands it the datagrams it refused
 at the socket through :meth:`ClusterFrontend.dead_letter_transport`.
 
@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.ingest import pair_keys, screen_frame
+from ..core.ingest import pair_keys
 from ..core.delivery import DeliveryBook, InFlight
 from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
@@ -217,22 +217,22 @@ class ClusterFrontend:
             self.precheck_rejected += 1
 
     def submit_frame(self, frame: Frame) -> int:
-        """Ingest a frame of wire rows in one routing pass.
+        """Ingest a frame of pre-screened wire rows in one routing pass.
 
-        One vectorized screen + one ``np.unique`` over the pair-key column
-        replaces per-row precheck/route/append rounds; each owner's rows
-        land in its link's frame-chunk buffer as one contiguous chunk.
-        Returns the rows accepted (screen rejects and ownerless rows are
-        counted exactly as :meth:`submit` counts them).
+        The caller has screened the rows (the report listener, or
+        :meth:`VeriDPCluster.submit_frame`) and dead-lettered the rejects
+        through :meth:`dead_letter_transport`, as for either daemon.  One
+        ``np.unique`` over the pair-key column replaces per-row
+        route/append rounds; each owner's rows land in its link's
+        frame-chunk buffer as one contiguous chunk.  Returns the rows
+        accepted (ownerless rows count as ``dropped_no_node``).
         """
         count = frame.count
         if count == 0:
             return 0
-        clean, rejected = screen_frame(frame.payload())
         with self._route_lock:
             self.submitted += count
-            self.precheck_rejected += len(rejected)
-            targets = self._route_rows(clean)
+            targets = self._route_rows(frame.payload())
         return self._buffer(targets)
 
     def _route_rows(self, clean: bytes) -> List[Tuple[_NodeLink, bytes, int]]:

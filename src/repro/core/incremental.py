@@ -381,7 +381,6 @@ class IncrementalPathTable:
         scheme: Optional[BloomTagScheme] = None,
         provider: Optional[LpmProvider] = None,
         max_path_length: Optional[int] = None,
-        build_workers: Optional[int] = None,
     ) -> None:
         self.topo = topo
         self.hs = hs
@@ -395,7 +394,7 @@ class IncrementalPathTable:
             max_path_length=max_path_length,
             record_reach=True,
         )
-        self.table: PathTable = self.builder.build(workers=build_workers)
+        self.table: PathTable = self.builder.build()
         self.last_update_s: float = 0.0
         self._pending_events: int = 0
         self._staged_preds: Dict[str, Dict[int, int]] = {}

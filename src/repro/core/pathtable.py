@@ -23,8 +23,6 @@ switch without rebuilding the table.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
@@ -51,13 +49,7 @@ __all__ = [
     "PredicateProvider",
     "SnapshotProvider",
     "PathTableBuilder",
-    "BUILD_STATS",
 ]
-
-#: Process-wide build telemetry, exported by the obs registry
-#: (``veridp_build_parallel_fallback``): counts parallel builds downgraded
-#: to serial by the small-host crossover in :meth:`PathTableBuilder.build`.
-BUILD_STATS = {"parallel_fallback": 0}
 
 #: Pairs with more entries than this skip the pairwise-disjointness probe
 #: (it is quadratic in the entry count); they use the exact list-order scan.
@@ -274,7 +266,6 @@ class PathTable:
     def __init__(self) -> None:
         self._entries: Dict[Tuple[PortRef, PortRef], List[PathEntry]] = {}
         self.build_time_s: float = 0.0
-        self.build_workers: int = 1
         self.version: int = 0
         self._fast_cache: Dict[Tuple[PortRef, PortRef], PairFastIndex] = {}
         self._fast_version: int = -1
@@ -516,54 +507,6 @@ class PathTable:
         return "\n".join(lines)
 
 
-def _partition_worker(
-    builder: "PathTableBuilder",
-    ports: List[PortRef],
-    indices: List[int],
-    base: int,
-    conn,
-) -> None:
-    """Forked child of :meth:`PathTableBuilder._build_parallel`.
-
-    Builds the assigned entry ports' partition against the inherited BDD
-    manager (every node it allocates lands at id >= ``base``) and ships back
-    plain tuples: per-port path entries, per-port reach records, and the
-    private node-table suffix.
-    """
-    try:
-        results = []
-        for idx in indices:
-            table = PathTable()
-            builder.reach_index = {}
-            builder._traverse_from(table, ports[idx])
-            entries = [
-                (
-                    outport,
-                    entry.headers,
-                    entry.hops,
-                    entry.tag,
-                    entry.exit_headers,
-                    entry.rewrites,
-                )
-                for (_inport, outport), port_entries in table._entries.items()
-                for entry in port_entries
-            ]
-            reach = [
-                (record.switch, record.in_port, record.headers, record.hops, record.tag)
-                for records in builder.reach_index.values()
-                for record in records
-            ]
-            results.append((idx, entries, reach))
-        conn.send((results, builder.hs.bdd.export_nodes_since(base), None))
-    except BaseException as exc:  # ship the failure; parent falls back serial
-        try:
-            conn.send((None, None, repr(exc)))
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
-
-
 class PathTableBuilder:
     """Algorithm 2: exhaustive symbolic traversal from every edge port."""
 
@@ -592,203 +535,25 @@ class PathTableBuilder:
             return list(self._entry_ports)
         return self.topo.edge_ports()
 
-    def build(self, workers: Optional[int] = None) -> PathTable:
-        """Run the traversal from every entry port and assemble the table.
-
-        ``workers > 1`` partitions the entry ports across a fork-based
-        ``multiprocessing`` pool (see :meth:`_build_parallel`); ``None``
-        reads ``REPRO_BUILD_WORKERS`` (``0`` = one per CPU) and defaults to
-        serial.  ``REPRO_SERIAL_BUILD=1`` force-disables the pool, as do
-        platforms without the fork start method — the result is identical
-        either way (asserted by fingerprint-parity tests), only wall-clock
-        differs.
-
-        Hosts with fewer CPUs than ``REPRO_BUILD_MIN_CPUS`` (default 2)
-        never fork: process setup plus node-table merge costs more than the
-        traversal saves when the workers just time-slice one core
-        (BENCH_build.json measured a 0.466x "speedup" on 1 CPU).  Each such
-        downgrade increments ``BUILD_STATS["parallel_fallback"]``, exported
-        as ``veridp_build_parallel_fallback``.
-        """
-        resolved = self._resolve_workers(workers)
-        if resolved > 1 and self._below_parallel_crossover():
-            BUILD_STATS["parallel_fallback"] += 1
-            resolved = 1
-        if resolved > 1:
-            table = self._build_parallel(resolved)
-            if table is not None:
-                return table
-        return self._build_serial()
-
-    @staticmethod
-    def _below_parallel_crossover() -> bool:
-        """True when this host has too few CPUs for a fork-based build."""
-        try:
-            min_cpus = int(os.environ.get("REPRO_BUILD_MIN_CPUS", "").strip() or 2)
-        except ValueError:
-            min_cpus = 2
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            cpus = os.cpu_count() or 1
-        return cpus < min_cpus
-
-    @staticmethod
-    def _resolve_workers(workers: Optional[int]) -> int:
-        if os.environ.get("REPRO_SERIAL_BUILD") == "1":
-            return 1
-        if workers is None:
-            raw = os.environ.get("REPRO_BUILD_WORKERS", "").strip()
-            if not raw:
-                return 1
-            workers = int(raw)
-        if workers == 0:  # auto: one worker per usable CPU
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except (AttributeError, OSError):
-                workers = os.cpu_count() or 1
-        return max(1, workers)
-
-    def _build_serial(self) -> PathTable:
+    def build(self) -> PathTable:
+        """Run the traversal from every entry port and assemble the table."""
         table = PathTable()
         self.reach_index = {}
         started = time.perf_counter()
         for inport in self.entry_ports():
-            self._traverse_from(table, inport)
-        table.build_time_s = time.perf_counter() - started
-        return table
-
-    def _traverse_from(self, table: PathTable, inport: PortRef) -> None:
-        """Inject the all-match set at one entry port and traverse."""
-        self._traverse(
-            table,
-            inport=inport,
-            current=inport,
-            headers=self.hs.all_match,
-            transformed=self.hs.all_match,
-            chain=(),
-            hops=(),
-            tag=self.scheme.empty_tag,
-            visited=frozenset(),
-        )
-
-    def _build_parallel(self, workers: int) -> Optional[PathTable]:
-        """Partitioned build: entry ports striped across forked workers.
-
-        Each worker inherits the parent's BDD node table (copy-on-write via
-        fork), builds its ports' paths in its private suffix, and ships back
-        ``export_nodes_since(base)`` plus plain-tuple path entries and reach
-        records.  The parent grafts each suffix with
-        :meth:`BDD.import_nodes` — identity below ``base``, hash-consed
-        remap above it, so duplicate functions from different workers
-        collapse to one node — then reassembles entries in entry-port order,
-        making the result deterministic and id-compatible with serial.
-
-        Returns ``None`` (caller falls back to serial) if fork is
-        unavailable or any worker fails.
-        """
-        ports = self.entry_ports()
-        workers = min(workers, len(ports))
-        if workers <= 1:
-            return None
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return None
-        started = time.perf_counter()
-        base = self.hs.bdd.num_nodes()
-        procs: List = []
-        conns: List = []
-        for w in range(workers):
-            indices = list(range(w, len(ports), workers))
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_partition_worker,
-                args=(self, ports, indices, base, send),
-                daemon=True,
+            # Inject the all-match header set at the entry port.
+            self._traverse(
+                table,
+                inport=inport,
+                current=inport,
+                headers=self.hs.all_match,
+                transformed=self.hs.all_match,
+                chain=(),
+                hops=(),
+                tag=self.scheme.empty_tag,
+                visited=frozenset(),
             )
-            proc.start()
-            send.close()
-            procs.append(proc)
-            conns.append(recv)
-        payloads = []
-        failed = False
-        for recv, proc in zip(conns, procs):
-            try:
-                payload = recv.recv()
-            except (EOFError, OSError):
-                payload = (None, None, "worker pipe closed")
-            finally:
-                recv.close()
-            proc.join()
-            if payload[2] is not None or proc.exitcode != 0:
-                failed = True
-            else:
-                payloads.append(payload)
-        if failed:
-            return None
-        # Graft each worker's node suffix; remap shipped ids through it.
-        # Identity below base, hash-consed merge above, so functions built
-        # by two workers independently land on one canonical node.
-        bdd = self.hs.bdd
-        per_port_entries: List[Optional[List[Tuple]]] = [None] * len(ports)
-        per_port_reach: List[Optional[List[Tuple]]] = [None] * len(ports)
-        for results, nodes, _err in payloads:
-            remap = bdd.import_nodes(base, *nodes)
-
-            def local(node: int) -> int:
-                return node if node < base else remap[node - base]
-
-            for idx, entries, reach in results:
-                per_port_entries[idx] = [
-                    (
-                        outport,
-                        local(headers),
-                        hops,
-                        tag,
-                        None if exit_headers is None else local(exit_headers),
-                        rewrites,
-                    )
-                    for outport, headers, hops, tag, exit_headers, rewrites in entries
-                ]
-                per_port_reach[idx] = [
-                    (switch, in_port, local(headers), hops, tag)
-                    for switch, in_port, headers, hops, tag in reach
-                ]
-        # Reassemble in entry-port order: entry insertion order (and reach
-        # record order per switch) comes out identical to a serial build.
-        table = PathTable()
-        self.reach_index = {}
-        for idx, inport in enumerate(ports):
-            entries = per_port_entries[idx]
-            if entries is None:  # a worker silently skipped a port
-                return None
-            for outport, headers, hops, tag, exit_headers, rewrites in entries:
-                table.add(
-                    inport,
-                    outport,
-                    PathEntry(
-                        headers=headers,
-                        hops=hops,
-                        tag=tag,
-                        exit_headers=exit_headers,
-                        rewrites=rewrites,
-                    ),
-                )
-            if self.record_reach:
-                for switch, in_port, headers, hops, tag in per_port_reach[idx]:
-                    self.reach_index.setdefault(switch, []).append(
-                        ReachRecord(
-                            inport=inport,
-                            switch=switch,
-                            in_port=in_port,
-                            headers=headers,
-                            hops=hops,
-                            tag=tag,
-                        )
-                    )
         table.build_time_s = time.perf_counter() - started
-        table.build_workers = workers
         return table
 
     def _actions_at(self, switch_id: str, in_port: int) -> List[TransferAction]:

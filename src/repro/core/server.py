@@ -30,7 +30,7 @@ from .localization import (
     LocalizationResult,
     PathInferLocalizer,
 )
-from .pathtable import BUILD_STATS, PathTable, PathTableBuilder, SnapshotProvider
+from .pathtable import PathTable, PathTableBuilder, SnapshotProvider
 from .reports import (
     PortCodec,
     ReportDecodeError,
@@ -80,7 +80,6 @@ class VeriDPServer:
         fsync: str = "interval",
         snapshot_every: Optional[int] = None,
         snapshot_retain: int = 3,
-        build_workers: Optional[int] = None,
         coalesce_ms: float = 0.0,
         incremental: bool = False,
         slices=None,
@@ -100,7 +99,6 @@ class VeriDPServer:
         #: updates are WAL-logged and staged immediately, but the path
         #: table recomputes once per window instead of once per event.
         self.coalesce_ms = coalesce_ms
-        self.build_workers = build_workers
         self._flush_deadline: Optional[float] = None
         self.update_flushes = 0
         self.update_flush_events = 0
@@ -123,7 +121,6 @@ class VeriDPServer:
                 topo,
                 scheme=self.scheme,
                 max_path_length=max_path_length,
-                build_workers=build_workers,
             )
             self.hs = boot.hs
             self.updater = boot.updater
@@ -146,7 +143,6 @@ class VeriDPServer:
                 self.hs,
                 scheme=self.scheme,
                 max_path_length=max_path_length,
-                build_workers=build_workers,
             )
             self._provider = self.updater.provider
             self.builder = self.updater.builder
@@ -162,7 +158,7 @@ class VeriDPServer:
                 provider=self._provider,
                 max_path_length=max_path_length,
             )
-            self.table = self.builder.build(workers=build_workers)
+            self.table = self.builder.build()
             self.state_version = 0
         if fast_path:
             self.table.compile_matchers(self.hs)
@@ -323,12 +319,6 @@ class VeriDPServer:
             callback=lambda: self.verifier.flow_cache_len,
         )
         reg.counter(
-            "veridp_build_parallel_fallback",
-            "Parallel path-table builds downgraded to serial by the "
-            "small-host CPU crossover.",
-            callback=lambda: BUILD_STATS["parallel_fallback"],
-        )
-        reg.counter(
             "veridp_decode_errors_total",
             "Report payloads the server-side codec rejected.",
             callback=lambda: self.decode_errors,
@@ -394,11 +384,6 @@ class VeriDPServer:
             "veridp_build_last_seconds",
             "Wall-clock seconds of the most recent full path-table build.",
             callback=lambda: self.table.build_time_s,
-        )
-        reg.gauge(
-            "veridp_build_workers",
-            "Worker processes the most recent full build ran on (1 = serial).",
-            callback=lambda: getattr(self.table, "build_workers", 1),
         )
         reg.gauge(
             "veridp_update_last_seconds",
@@ -620,7 +605,7 @@ class VeriDPServer:
         if not self._dirty:
             return False
         self._provider.refresh(self.topo, self.hs)
-        self.table = self.builder.build(workers=self.build_workers)
+        self.table = self.builder.build()
         if self.fast_path:
             self.table.compile_matchers(self.hs)
         # Swap the table under the existing verifier: its counters are part
@@ -1132,7 +1117,6 @@ class VeriDPServer:
             "durable": self.persist is not None,
             "incremental": self.updater is not None,
             "build_time_s": self.table.build_time_s,
-            "build_workers": getattr(self.table, "build_workers", 1),
             "coalesce_ms": self.coalesce_ms,
             "pending_updates": (
                 0 if self.updater is None else self.updater.pending_updates

@@ -42,7 +42,6 @@ pairs' specs recompiles only those pair kernels.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the HAVE_NUMPY fallbacks
@@ -81,24 +80,17 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
-
-
 #: Batches below this size are not worth the numpy fixed costs; the caller
 #: falls back to the scalar loop (the crossover heuristic, DESIGN.md §11).
-MIN_BATCH = _env_int("REPRO_VECTOR_MIN_BATCH", 32)
+MIN_BATCH = 32
 #: Matchers with more cubes than this use the descent tier instead.
-CUBE_CAP = _env_int("REPRO_VECTOR_CUBE_CAP", 64)
+CUBE_CAP = 64
 #: Pairs whose descent-tier nodes exceed this are "too irregular to pack".
-NODE_CAP = _env_int("REPRO_VECTOR_NODE_CAP", 1 << 15)
+NODE_CAP = 1 << 15
 #: Pairs with more entries than this are "too irregular to pack".
-ENTRY_CAP = _env_int("REPRO_VECTOR_ENTRY_CAP", 512)
+ENTRY_CAP = 512
 #: Column-block width for wide cube buckets (early-exit granularity).
-_BLOCK_COLS = _env_int("REPRO_VECTOR_BLOCK_COLS", 8)
+_BLOCK_COLS = 8
 
 #: Per-block lane compare modes: full 64-bit, one 32-bit half (when every
 #: mask/want in the block fits it — headers are mostly prefix matches, so

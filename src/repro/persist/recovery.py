@@ -328,7 +328,6 @@ class PersistentState:
         topo,
         scheme: Optional[BloomTagScheme] = None,
         max_path_length: Optional[int] = None,
-        build_workers: Optional[int] = None,
     ) -> BootResult:
         """Snapshot + suffix replay (+ first-boot bootstrap); see module doc."""
         self.check_meta(topo)
@@ -347,7 +346,6 @@ class PersistentState:
                 hs,
                 scheme=scheme,
                 max_path_length=max_path_length,
-                build_workers=build_workers,
             )
             state_version = 0
             base_seq = 0

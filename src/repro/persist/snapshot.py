@@ -240,9 +240,9 @@ def table_fingerprint(table, bdd) -> str:
     Two tables digest equal iff every ``(inport, outport)`` pair holds the
     same set of paths with semantically equal header-set and exit-header-set
     BDDs — regardless of node ids, entry order, or which manager built
-    them.  This is the parity oracle for the parallel/coalesced build
-    paths: serial build, parallel build, per-event updates and coalesced
-    flushes must all land on the same fingerprint.
+    them.  This is the parity oracle for the update paths: a full build,
+    per-event updates and coalesced flushes must all land on the same
+    fingerprint.
     """
     digest = sha1()
     for inport, outport in sorted(table.pairs(), key=repr):

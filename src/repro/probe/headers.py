@@ -22,7 +22,6 @@ entries.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,17 +42,10 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
-
-
 #: Matchers with more cubes than this skip enumeration and use the
 #: single-witness descent instead (the cap bounds planning cost, not
 #: correctness — both tiers yield a satisfying header).
-REPRESENTATIVE_CUBE_CAP = _env_int("REPRO_PROBE_CUBE_CAP", 64)
+REPRESENTATIVE_CUBE_CAP = 64
 
 
 @dataclass

@@ -161,17 +161,19 @@ class TestSubmitFrame:
             assert frontend.pending(name) == (0, 0)
         assert sum(len(delta.unknown) for delta in replies) == len(payloads)
 
-    def test_frame_screens_bad_versions(self, fleet, rig):
+    def test_frame_screens_bad_versions(self, rig):
+        # The frontend takes pre-screened frames, like the daemons; the
+        # cluster's own submit_frame is the screen for direct callers.
         from repro.core.reports import Frame
 
         scenario, server, net = rig
-        frontend, _ = fleet
         payloads = healthy_payloads(scenario, net, 8)
         bad = bytearray(payloads[0])
         bad[0] = 99
-        admitted = frontend.submit_frame(Frame(b"".join(payloads + [bytes(bad)])))
-        assert admitted == len(payloads)
-        stats = frontend.stats()
+        with VeriDPCluster(server, nodes=2) as cluster:
+            admitted = cluster.submit_frame(Frame(b"".join(payloads + [bytes(bad)])))
+            assert admitted == len(payloads)
+            stats = cluster.frontend.stats()
         assert stats["precheck_rejected"] == 1
         assert stats["submitted"] == len(payloads) + 1
 

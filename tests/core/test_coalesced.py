@@ -1,8 +1,8 @@
-"""Coalesced incremental updates + parallel build parity (ISSUE 5).
+"""Coalesced incremental updates and the dirty-pair journal.
 
 Three independent ways of reaching a path-table state — per-event
 incremental updates, coalesced staged flushes, and a from-scratch rebuild
-(serial or parallel) — must land on semantically identical tables.
+— must land on semantically identical tables.
 ``table_fingerprint`` is the oracle: manager-independent, order-blind.
 """
 
@@ -111,60 +111,6 @@ class TestCoalescedParity:
         inc = IncrementalPathTable(build_linear(3, install_routes=False).topo, HeaderSpace())
         stats = inc.flush_updates()
         assert stats.events == 0
-
-
-class TestParallelBuildParity:
-    def test_parallel_build_matches_serial(self, monkeypatch):
-        # Hosts below the CPU crossover silently build serially; force the
-        # pool on so the parity comparison is not serial-vs-serial.
-        monkeypatch.setenv("REPRO_BUILD_MIN_CPUS", "1")
-        scenario = build_internet2(prefixes_per_pop=1)
-        hs_serial = HeaderSpace()
-        serial = PathTableBuilder(scenario.topo, hs_serial).build()
-        hs_par = HeaderSpace()
-        parallel = PathTableBuilder(scenario.topo, hs_par).build(workers=3)
-        if parallel.build_workers == 1:
-            pytest.skip("no fork start method on this platform")
-        assert table_fingerprint(parallel, hs_par.bdd) == table_fingerprint(
-            serial, hs_serial.bdd
-        )
-
-    def test_parallel_reach_index_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUILD_MIN_CPUS", "1")
-        scenario = build_internet2(prefixes_per_pop=1)
-
-        def reach_signature(builder, workers):
-            builder.build(workers=workers)
-            return {
-                switch: sorted(
-                    (r.in_port, r.hops, r.tag) for r in records
-                )
-                for switch, records in builder.reach_index.items()
-            }
-
-        hs = HeaderSpace()
-        builder = PathTableBuilder(scenario.topo, hs, record_reach=True)
-        serial = reach_signature(builder, 1)
-        parallel = reach_signature(builder, 3)
-        assert parallel == serial
-
-    def test_serial_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL_BUILD", "1")
-        scenario = build_linear(3)
-        table = PathTableBuilder(scenario.topo, HeaderSpace()).build(workers=4)
-        assert table.build_workers == 1
-
-    def test_small_host_crossover_falls_back_and_counts(self, monkeypatch):
-        """A host below ``REPRO_BUILD_MIN_CPUS`` builds serially and the
-        downgrade lands on ``BUILD_STATS["parallel_fallback"]``."""
-        from repro.core.pathtable import BUILD_STATS
-
-        monkeypatch.setenv("REPRO_BUILD_MIN_CPUS", "1024")
-        before = BUILD_STATS["parallel_fallback"]
-        scenario = build_linear(3)
-        table = PathTableBuilder(scenario.topo, HeaderSpace()).build(workers=4)
-        assert table.build_workers == 1
-        assert BUILD_STATS["parallel_fallback"] == before + 1
 
 
 class TestDirtyJournal:

@@ -3,9 +3,8 @@
 The engine's ``ite``/``and_``/``or_``/``not_`` run as iterative worklists
 with bounded operation caches; these tests pin them to a reference
 recursive implementation across randomized operand trees, check that
-cache eviction never changes results, and that ``export_nodes`` /
-``from_nodes`` / ``import_nodes`` merge remapping preserves semantic
-fingerprints.
+cache eviction never changes results, and that the ``export_nodes`` /
+``from_nodes`` round trip preserves semantic fingerprints.
 """
 
 import pytest
@@ -129,33 +128,6 @@ def test_from_nodes_round_trip_preserves_fingerprints(batch):
     clone = BDD.from_nodes(NUM_VARS, *bdd.export_nodes())
     for root in roots:
         assert bdd_fingerprint(clone, root) == bdd_fingerprint(bdd, root)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(exprs, min_size=1, max_size=4), st.lists(exprs, min_size=1, max_size=4))
-def test_import_nodes_merge_preserves_fingerprints(parent_batch, child_batch):
-    """The parallel-build merge: a child manager grows a suffix on top of a
-    shared base; importing that suffix into the parent must preserve every
-    function (and dedup against nodes the parent grew independently)."""
-    parent = BDD(NUM_VARS)
-    for expr in parent_batch:
-        build_with(parent, expr, False)
-    base = parent.num_nodes()
-
-    child = BDD.from_nodes(NUM_VARS, *parent.export_nodes())
-    child_roots = [build_with(child, expr, False) for expr in child_batch]
-    # The parent meanwhile grew past the fork point, as it does when
-    # merging multiple workers' suffixes one after another.
-    for expr in child_batch[:1]:
-        build_with(parent, expr, False)
-
-    remap = parent.import_nodes(base, *child.export_nodes_since(base))
-
-    def local(node: int) -> int:
-        return node if node < base else remap[node - base]
-
-    for root in child_roots:
-        assert bdd_fingerprint(parent, local(root)) == bdd_fingerprint(child, root)
 
 
 def test_cache_counters_move_and_eviction_bounds_cache():

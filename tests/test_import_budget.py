@@ -86,6 +86,29 @@ def test_serve_process_without_metrics_port_stays_light():
     assert _run(script).strip() == "[]"
 
 
+def test_direct_serve_never_loads_multiprocessing():
+    # The direct shape verifies on threads; only the sharded daemon and the
+    # cluster fork, so the modules a direct serve imports leave
+    # multiprocessing out.
+    script = """
+import sys
+from repro.core import VeriDPServer
+from repro.core.direct import VeriDPDaemon
+from repro.core.listener import UdpReportListener
+from repro.topologies import build_stanford
+
+scenario = build_stanford(subnets_per_zone=1)
+server = VeriDPServer(scenario.topo, scenario.channel)
+daemon = VeriDPDaemon(server, workers=1)
+daemon.start()
+listener = UdpReportListener(daemon)
+listener.start()
+""" + STOP + """
+print("multiprocessing" in sys.modules)
+"""
+    assert _run(script).split() == ["False"]
+
+
 def test_metrics_port_still_serves_healthz():
     script = (
         SERVE.replace("METRICS_PORT", "0")
