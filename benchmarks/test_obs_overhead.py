@@ -5,8 +5,8 @@ span, one verify span and one histogram observation per batch) precisely
 so the metrics plane stays off the per-report fast path; hot-path counters
 are plain ints exposed through zero-cost callback instruments.  This bench
 measures that choice: the daemon's per-batch unit of work — decode the
-wire payloads, verify the batch on the Figure 13 fast path (compiled
-matchers + warm flow cache) — is run twice over identical batches, once
+wire payloads, verify the batch with ``match_pair`` on the compiled pair
+indexes — is run twice over identical batches, once
 bare and once wrapped the way the server's batch intake
 (``VeriDPServer.receive_report_rows``) wraps the rows a daemon's replica
 flagged, and the per-report overhead must stay under 5%.
@@ -76,7 +76,7 @@ def _measure(row, repeats):
                 result = verifier.verify_batch(decoded)
             hist.observe(result.elapsed_s)
 
-    bare()  # warm: flow cache, lazy matcher state, allocator
+    bare()  # warm: lazy matcher state, allocator
     instrumented()
     group = 3  # passes per timed sample; amortises timer/scheduler ticks
     diffs = []

@@ -2,8 +2,8 @@
 
 Two gates, both machine-readable in ``benchmarks/results/BENCH_persist.json``:
 
-* **Ingestion overhead** — the per-report fast path (decode + batch
-  verify on compiled matchers with a warm flow cache) is run twice over
+* **Ingestion overhead** — the per-report path (decode + batch verify
+  with ``match_pair`` on the compiled pair indexes) is run twice over
   identical batches, once bare and once with each batch appended to a
   write-ahead log at ``fsync="interval"`` first, exactly as
   ``ShardedVeriDPDaemon._dispatch_inner`` does in durable mode (one
@@ -75,7 +75,7 @@ def _measure_wal_overhead(row, repeats):
                 decoded = [unpack_report(payload, codec) for payload in batch]
                 verifier.verify_batch(decoded)
 
-        bare()  # warm: flow cache, lazy matcher state, allocator
+        bare()  # warm: lazy matcher state, allocator
         walled()
         group = 3
         diffs = []

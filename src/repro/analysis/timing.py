@@ -20,7 +20,6 @@ from ..core.pathtable import PathTable, PathTableBuilder
 from ..core.reports import TagReport
 from ..core.verifier import Verifier
 from ..netmodel.packet import Header
-from ..netmodel.rules import DROP_PORT
 from ..topologies.base import Scenario
 
 __all__ = [
@@ -90,16 +89,14 @@ def measure_verification_time(
     repeats: int = 100,
     report_limit: Optional[int] = None,
     fast_path: bool = True,
-    flow_cache: bool = True,
 ) -> VerificationTimingResult:
     """Average per-report verification latency over the whole table.
 
     ``fast_path=False`` times the paper-literal recursive-BDD scan (the
-    reference the fast path is checked against); ``flow_cache=False`` times
-    the fast path with caching disabled, isolating the matcher's
-    contribution.  Statistics are routed through
-    :meth:`Verifier.verify_batch`, so the per-verification cost excludes
-    per-report clock reads and result allocation.
+    oracle :func:`~repro.core.pathtable.match_pair` is checked against).
+    Statistics are routed through :meth:`Verifier.verify_batch`, so the
+    per-verification cost excludes per-report clock reads and result
+    allocation.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -108,12 +105,7 @@ def measure_verification_time(
         raise ValueError("path table produced no reports to verify")
     if fast_path:
         table.compile_matchers(builder.hs)
-    verifier = Verifier(
-        table,
-        builder.hs,
-        fast_path=fast_path,
-        flow_cache_size=8192 if flow_cache else 0,
-    )
+    verifier = Verifier(table, builder.hs, fast_path=fast_path)
     per_report_us: List[float] = []
     for report in reports:
         batch = verifier.verify_batch([report] * repeats)
@@ -287,8 +279,8 @@ def check_fastpath_parity(
     """Compare fast-path and slow-path verdicts report by report.
 
     Returns the mismatches as ``(report, fast_verdict, slow_verdict)``
-    tuples — an empty list certifies that the fast path (flow cache plus
-    :func:`~repro.core.pathtable.match_pair`) is verdict-identical to the
+    tuples — an empty list certifies that the fast path
+    (:func:`~repro.core.pathtable.match_pair`) is verdict-identical to the
     recursive-BDD reference on this report set.
     """
     fast = Verifier(table, builder.hs, fast_path=True)

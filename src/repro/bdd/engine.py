@@ -480,11 +480,6 @@ class BDD:
                 results.append(node)
         return results[-1]
 
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if self._level[node] == level:
-            return self._low[node], self._high[node]
-        return node, node
-
     def not_(self, f: int) -> int:
         """Complement of ``f`` (iterative, memoized both directions)."""
         if f == FALSE:
@@ -587,10 +582,6 @@ class BDD:
     def implies(self, f: int, g: int) -> bool:
         """True iff every satisfying assignment of ``f`` also satisfies ``g``."""
         return self.diff(f, g) == FALSE
-
-    def equiv(self, f: int, g: int) -> bool:
-        """Semantic equality, which by canonicity is id equality."""
-        return f == g
 
     def and_many(self, terms: Iterable[int]) -> int:
         """Conjunction of an iterable of functions (TRUE for empty input).

@@ -114,10 +114,6 @@ class HeaderLayout:
             )
         return self._offset[name] + bit_from_msb
 
-    def field_names(self) -> List[str]:
-        """Declared field names, in layout order."""
-        return [f.name for f in self.fields]
-
 
 class HeaderSpace:
     """Factory for header-set BDDs over a fixed :class:`HeaderLayout`.

@@ -860,6 +860,17 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="experiment RNG seed")
@@ -890,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--trials", type=int, default=10)
 
     fig13 = add("fig13", "verification latency")
-    fig13.add_argument("--repeats", type=int, default=50)
+    fig13.add_argument("--repeats", type=_positive_int, default=50)
 
     add("fig14", "incremental update time")
     add("table4", "data-plane overhead model")

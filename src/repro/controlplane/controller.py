@@ -22,7 +22,7 @@ Intent compilers provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
 
@@ -135,10 +135,6 @@ class Controller:
         return len(rules)
 
     # -- route computation ----------------------------------------------------
-
-    def refresh_graph(self) -> None:
-        """Re-derive the switch graph after topology changes."""
-        self._graph = self.topo.switch_graph()
 
     def shortest_switch_path(self, src_switch: str, dst_switch: str) -> List[str]:
         """Switch-level shortest path (hop count), deterministic tie-break."""

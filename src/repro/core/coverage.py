@@ -120,11 +120,6 @@ class CoverageTracker:
             self._verified_by_pair.setdefault(pair, set()).add(id(entry))
         self._verified_hops.update(entry.hops)
 
-    def observe_all(self, results) -> None:
-        """Record a batch of verification results."""
-        for result in results:
-            self.observe(result)
-
     # -- dirty-journal reconciliation ----------------------------------------
 
     def sync(self) -> Optional[List[Pair]]:

@@ -32,7 +32,9 @@ class Incident:
     :class:`TagReport` (held weakly, never cached), so
     ``incident.localization.report is incident.verification.report``.  A
     record built from objects, ``Incident(verification, localization)``
-    (``payload`` is ``None``), keeps its :class:`VerificationResult`.
+    (``payload`` is ``None``), keeps its :class:`VerificationResult`; the
+    server's log holds only wire records, since every report it verifies
+    enters as a wire row.
     Hot paths read ``verdict``, ``candidates`` and ``payload`` and build no
     view.
     """

@@ -768,11 +768,11 @@ class IncrementalPathTable:
         self._subtract_phase(delta)
         self._extend_phase(delta)
         # Both phases mutate entry header sets in place (invisible to the
-        # table's own mutators), so bump the version for flow caches and
-        # pair fast-indexes; matchers read the entry's live header set, so
-        # they need nothing.  Every mutated pair was noted in the dirty
-        # journal, so delta consumers need not treat the bump as a full
-        # invalidation.
+        # table's own mutators), so bump the version for the pair
+        # fast-indexes and the server's failure epoch; matchers read the
+        # entry's live header set, so they need nothing.  Every mutated
+        # pair was noted in the dirty journal, so delta consumers need not
+        # treat the bump as a full invalidation.
         self.table.touch(tracked=True)
 
     def _subtract_phase(self, delta: RuleDelta) -> None:

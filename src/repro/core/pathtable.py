@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 from ..bdd.engine import FALSE
 from ..bdd.headerspace import HeaderSpace
@@ -258,7 +258,7 @@ class PathTable:
     """The verification index: ``(inport, outport) -> [PathEntry]``.
 
     ``version`` counts structural mutations; consumers holding derived state
-    (the per-pair fast indexes kept here, the verifier's flow cache) compare
+    (the per-pair fast indexes kept here, the server's failure epoch) compare
     it to decide whether their snapshots are still valid.  Code that mutates
     entries *in place* (the incremental updater) must call :meth:`touch`.
     """

@@ -6,8 +6,9 @@ The server sits beside the controller.  It
   and keeps its path table synchronised with the rule stream (lazy full
   rebuild by default; callers doing LPM-only workloads can use
   :class:`~repro.core.incremental.IncrementalPathTable` directly),
-* receives tag reports — as wire bytes on :meth:`receive_report_bytes` or
-  as objects on :meth:`receive_report` — verifies them with Algorithm 3,
+* receives tag reports as wire bytes on :meth:`receive_report_bytes` (an
+  object report is packed to its bytes first, :meth:`receive_report`) and
+  verifies them with Algorithm 3,
 * on failure runs Algorithm 4 to recover the real path and blame switches,
 * keeps an inconsistency log operators can drain.
 """
@@ -35,10 +36,11 @@ from .reports import (
     PortCodec,
     ReportDecodeError,
     TagReport,
+    pack_report,
     payload_dst_ip,
     unpack_report,
 )
-from .verifier import VerificationResult, Verdict, Verifier
+from .verifier import Verdict, Verifier
 
 __all__ = ["VeriDPServer", "Incident"]
 
@@ -74,7 +76,6 @@ class VeriDPServer:
         codec: Optional[PortCodec] = None,
         localize_failures: bool = True,
         max_path_length: Optional[int] = None,
-        fast_path: bool = True,
         obs: Optional[Observability] = None,
         state_dir: Optional[str] = None,
         fsync: str = "interval",
@@ -89,7 +90,6 @@ class VeriDPServer:
         self.scheme = scheme or BloomTagScheme()
         self.codec = codec or PortCodec(sorted(topo.switches))
         self.localize_failures = localize_failures
-        self.fast_path = fast_path
         self.persist = None
         self.updater = None
         self.boot_source: Optional[str] = None
@@ -160,8 +160,7 @@ class VeriDPServer:
             )
             self.table = self.builder.build()
             self.state_version = 0
-        if fast_path:
-            self.table.compile_matchers(self.hs)
+        self.table.compile_matchers(self.hs)
         # The table and its fast indexes are built, and reports are verified
         # on the node arrays alone: the build's apply memos are scratch from
         # here on, and a worker forked later should not inherit them.
@@ -170,7 +169,7 @@ class VeriDPServer:
         # ... and the allocator hands the freed pages back before anything
         # forks.  Only construction releases; flushes keep their memos.
         release_free_memory()
-        self.verifier = Verifier(self.table, self.hs, fast_path=fast_path)
+        self.verifier = Verifier(self.table, self.hs)
         #: Coverage over the live table, fed by every verification on the
         #: direct report path; the active prober closes its dark list.
         self.coverage = CoverageTracker(self.table)
@@ -291,32 +290,6 @@ class VeriDPServer:
             callback=lambda: {
                 (v.value,): n for v, n in self.verifier.counters.items()
             },
-        )
-        reg.counter(
-            "veridp_fastpath_verifications_total",
-            "Verifications by implementation path (compiled fast vs "
-            "paper-literal BDD).",
-            ("path",),
-            callback=lambda: {
-                ("fast",): self.verifier.fast_verifications,
-                ("bdd",): self.verifier.slow_verifications,
-            },
-        )
-        reg.counter(
-            "veridp_flow_cache_hits_total",
-            "Fast-path verifications answered from the per-flow cache.",
-            callback=lambda: self.verifier.flow_cache_hits,
-        )
-        reg.counter(
-            "veridp_flow_cache_misses_total",
-            "Fast-path verifications the flow cache did not answer (repeats "
-            "the incident log answered included).",
-            callback=lambda: self.verifier.flow_cache_misses,
-        )
-        reg.gauge(
-            "veridp_flow_cache_size",
-            "Flows currently resident in the verifier's flow cache.",
-            callback=lambda: self.verifier.flow_cache_len,
         )
         reg.counter(
             "veridp_decode_errors_total",
@@ -606,16 +579,13 @@ class VeriDPServer:
             return False
         self._provider.refresh(self.topo, self.hs)
         self.table = self.builder.build()
-        if self.fast_path:
-            self.table.compile_matchers(self.hs)
+        self.table.compile_matchers(self.hs)
         # Swap the table under the existing verifier: its counters are part
         # of the server's long-lived statistics (and the repair engine
-        # reads them across rebuilds).
+        # reads them across rebuilds).  Remembered failures need no flush:
+        # they are stamped with _failure_epoch, which the new table and
+        # state_version just moved.
         self.verifier.table = self.table
-        # The flow cache keyed headers against the *old* table's paths.
-        # (Remembered failures need no flush here: they are stamped with
-        # _failure_epoch, which the new table and state_version just moved.)
-        self.verifier.invalidate_fast_path()
         # The rebuild replaced every entry object; accumulated coverage
         # vouched for entries that no longer exist.
         self.coverage.retarget(self.table)
@@ -722,7 +692,7 @@ class VeriDPServer:
         """Flush the coalescing window iff it has expired.
 
         There is no timer thread: report arrival is the tick that expires
-        the window, on the direct path (:meth:`receive_report`) and the
+        the window, on the direct path (:meth:`receive_report_bytes`) and the
         sharded daemon's ``submit`` alike.  Cheap when no window is armed.
         """
         if (
@@ -752,9 +722,9 @@ class VeriDPServer:
 
     def _note_rule_applied(self) -> None:
         # The path table mutated in place; its version bump already
-        # invalidates the verifier's flow cache and compiled-matcher index,
-        # and with state_version below it moves _failure_epoch, which
-        # retires every remembered failure.
+        # invalidates the compiled-matcher index, and with state_version
+        # below it moves _failure_epoch, which retires every remembered
+        # failure.
         if self.coalesce_ms <= 0:
             # Immediate-apply mode: the table just changed, so isolation
             # re-proves now.  (Coalesced mode rechecks at the flush.)
@@ -864,14 +834,13 @@ class VeriDPServer:
         return self._log_results(payloads, results, epoch)
 
     def receive_report(self, report: TagReport) -> Incident:
-        """Verify one report; on failure, localize.  Always returns a record
-        (with a PASS verdict when nothing is wrong)."""
-        self.maybe_flush_updates()
-        self.refresh_if_dirty()
-        epoch = self._failure_epoch()
-        with self.obs.span("verify", reports=1):
-            result = self.verifier.verify(report)
-        return self._log_results((None,), (result,), epoch)[0]
+        """Verify one object report as its wire bytes; nothing is WAL-logged.
+
+        Always returns a record (with a PASS verdict when nothing is wrong).
+        """
+        return self.receive_report_bytes(
+            pack_report(report, self.codec), record=False
+        )
 
     def _log_results(self, payloads, results, epoch: tuple) -> List[object]:
         """Attribute and observe every verified row, log the failing ones;
@@ -884,12 +853,7 @@ class VeriDPServer:
             if self.slices is not None:
                 # Tenant attribution is a few integer masks (LPM dict), so
                 # the sliced hot path stays tenant-count-independent.
-                dst_ip = (
-                    payload_dst_ip(payload)
-                    if type(result) is Incident
-                    else result.report.header.dst_ip
-                )
-                tenant = self.slices.classify_dst(dst_ip) or ""
+                tenant = self.slices.classify_dst(payload_dst_ip(payload)) or ""
                 self.tenant_reports[tenant] = self.tenant_reports.get(tenant, 0) + 1
             # (a failure, repeat or not, only counts as an observation)
             self.coverage.observe(result)
@@ -951,24 +915,23 @@ class VeriDPServer:
         known = [interned.get(payload) for payload in payloads]
         for incident in known:
             if incident is not None:
-                verifier.count_repeat(incident.verdict)
+                verifier.counters[incident.verdict] += 1
         return known, epoch
 
     def record_failures(
         self,
-        failures: List[Tuple[Optional[bytes], object]],
+        failures: List[Tuple[bytes, object]],
         epoch: tuple,
     ) -> List[Incident]:
         """Turn failed reports into log entries, in the order given.
 
         The single place a failure is localized and recorded; every
-        deployment shape ends here through :meth:`receive_report_rows`,
-        and object reports through :meth:`receive_report`.  Each item
-        pairs the report's wire payload (``None`` when it arrived as an
-        object) with its failing :class:`VerificationResult`, or with the
-        record :meth:`split_known` found for it; ``epoch`` is what
-        :meth:`split_known` returned before those results were made.  A
-        wire failure is recorded as its payload (:meth:`Incident.from_wire`).
+        deployment shape ends here through :meth:`receive_report_rows`.
+        Each item pairs the report's wire payload with its failing
+        :class:`VerificationResult`, or with the record :meth:`split_known`
+        found for it; ``epoch`` is what :meth:`split_known` returned before
+        those results were made.  A failure is recorded as its payload
+        (:meth:`Incident.from_wire`).
 
         A payload the live log already holds appends that same
         :class:`Incident` object again — one list slot, no PathInfer — while
@@ -987,7 +950,7 @@ class VeriDPServer:
         with self.obs.span("localize", failures=len(failures)):
             for payload, result in failures:
                 incident = None
-                if interned is not None and payload is not None:
+                if interned is not None:
                     incident = (
                         result if type(result) is Incident else interned.get(payload)
                     )
@@ -1001,21 +964,19 @@ class VeriDPServer:
                 else:
                     incident = self._record(payload, result)
                     records += 1
-                    if interned is not None and payload is not None:
+                    if interned is not None:
                         interned[payload] = incident
                 logged.append(incident)
         self.log_incidents(logged, records)
         return logged
 
-    def _record(self, payload: Optional[bytes], result) -> Incident:
+    def _record(self, payload: bytes, result) -> Incident:
         """A new, localized record of one failure.  ``result`` is a record
         only when the configuration moved under a known repeat, which is
         then localized afresh like every other row of its call."""
         if type(result) is Incident:
             result = result.verification
         localization = self._localize(result.report)
-        if payload is None:
-            return Incident(result, localization)
         return Incident.from_wire(
             payload,
             self.codec,
@@ -1099,14 +1060,6 @@ class VeriDPServer:
             "path_table_paths": table_stats.num_paths,
             "path_table_version": self.table.version,
             "avg_path_length": table_stats.avg_path_length,
-            "fast_path": self.fast_path,
-            "flow_cache_hits": verifier.flow_cache_hits,
-            "flow_cache_misses": verifier.flow_cache_misses,
-            "flow_cache_hit_ratio": verifier.flow_cache_hit_ratio,
-            "flow_cache_flows": verifier.flow_cache_len,
-            "fast_path_verifications": verifier.fast_verifications,
-            "slow_path_verifications": verifier.slow_verifications,
-            "fast_path_ratio": verifier.fast_path_ratio,
             "coverage_path_ratio": coverage.path_coverage,
             "coverage_pair_ratio": coverage.pair_coverage,
             "coverage_hop_ratio": coverage.hop_coverage,

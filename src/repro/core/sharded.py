@@ -671,7 +671,7 @@ class ShardedVeriDPDaemon:
         if self.server._flush_deadline is not None:
             # Reports bypass the server here, so its coalescing window
             # would never see a tick: expire it on arrival, exactly as
-            # receive_report does on the direct path.
+            # receive_report_bytes does on the direct path.
             with self._server_mutex:
                 self.server.maybe_flush_updates()
         if self.server.table.version != self._replica_version:

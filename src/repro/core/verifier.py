@@ -19,30 +19,26 @@ header set contains the reported header, and compares tags:
 Two implementations of the membership test coexist:
 
 * the **slow path** (``fast_path=False``) — the paper-literal list-order
-  scan with recursive ``HeaderSpace.contains``; it is the reference
-  semantics every optimisation is checked against,
-* the **fast path** (default) — a bounded per-flow cache mapping the
-  canonical ``(inport, outport, header)`` of a report that PASSed to its
-  matched entry (a failing payload is remembered by the server's incident
-  log instead), then :func:`repro.core.pathtable.match_pair` on the pair's
-  spec: each candidate's exit-header BDD walked on the manager's own node
-  arrays with the header packed into one integer, tag-first when the
-  pair's header sets are disjoint.  Every shard replica runs the same
-  function on the same specs (:func:`repro.core.replica._verify_wire`,
-  the scalar side of the wire kernel), so there is one production match
-  path.  Verdicts are bit-identical to the slow path (property-tested).
+  scan with recursive ``HeaderSpace.contains``; it is the oracle every
+  optimisation is checked against,
+* the **fast path** (default) — :func:`repro.core.pathtable.match_pair` on
+  the pair's spec: each candidate's exit-header BDD walked on the
+  manager's own node arrays with the header packed into one integer,
+  tag-first when the pair's header sets are disjoint.  Every shard replica
+  runs the same function on the same specs
+  (:func:`repro.core.replica._verify_wire`, the scalar side of the wire
+  kernel), so there is one production match path.  Verdicts are
+  bit-identical to the slow path (property-tested).
 
-:meth:`Verifier.verify_batch` amortises timing and result allocation over a
-whole batch of reports — the per-report path pays two ``perf_counter``
-calls and a dataclass allocation per report, which at microsecond-scale
-verification costs is pure overhead.
+:meth:`Verifier.verify_batch` times a whole batch with one clock read pair
+and allocates a result for failures only.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.headerspace import HeaderSpace
@@ -72,13 +68,12 @@ class Verdict(enum.Enum):
 
 @dataclass(slots=True)
 class VerificationResult:
-    """A verdict plus the matched path (when one exists) and timing."""
+    """A verdict plus the matched path (when one exists)."""
 
     verdict: Verdict
     report: TagReport
     matched_entry: Optional[PathEntry] = None
     expected_tag: Optional[int] = None
-    elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -96,8 +91,8 @@ class BatchVerificationResult:
     ``verdicts`` is positionally aligned with the submitted reports;
     ``failures`` carries a full :class:`VerificationResult` for every
     non-PASS report (in submission order) so callers can localize and log
-    without re-verifying; timing is batch-level — one clock read pair for
-    the whole batch instead of two per report.
+    without re-verifying; timing is batch-level, one clock read pair for
+    the whole batch.
     """
 
     verdicts: List[Verdict]
@@ -141,38 +136,26 @@ class Verifier:
     The linear scan over the pair's path list mirrors the paper's design;
     Figure 6 justifies it (few paths per pair), and our Figure 6 benchmark
     re-validates the assumption for the bundled topologies.  With
-    ``fast_path`` enabled (the default) the scan walks each candidate's BDD
-    with the header packed into one integer, with tag-first ordering and a
-    per-flow cache; the verdicts are identical, only the constant factor
-    changes.
+    ``fast_path`` enabled (the default) the scan is
+    :func:`~repro.core.pathtable.match_pair`, which walks each candidate's
+    BDD with the header packed into one integer, tag-first; the verdicts
+    are identical, only the constant factor changes.
     """
 
     def __init__(
-        self,
-        table: PathTable,
-        hs: HeaderSpace,
-        fast_path: bool = True,
-        flow_cache_size: int = 8192,
+        self, table: PathTable, hs: HeaderSpace, fast_path: bool = True
     ) -> None:
         self.table = table
         self.hs = hs
         self.fast_path = fast_path
-        self.flow_cache_size = flow_cache_size
         self.counters: Dict[Verdict, int] = {v: 0 for v in Verdict}
-        self.total_time_s = 0.0
-        self.flow_cache_hits = 0
-        self.fast_verifications = 0
-        self.slow_verifications = 0
-        self._flow_cache: Dict[tuple, PathEntry] = {}
-        self._flow_cache_table: Optional[PathTable] = None
-        self._flow_cache_version = -1
 
     # -- the membership test, both implementations ----------------------------
 
     def _match_slow(
         self, report: TagReport
     ) -> Tuple[Verdict, Optional[PathEntry]]:
-        """Reference semantics: list-order scan, recursive BDD containment."""
+        """The oracle: list-order scan, recursive BDD containment."""
         entries = self.table.lookup(report.inport, report.outport)
         if not entries:
             return Verdict.FAIL_UNKNOWN_PAIR, None
@@ -191,91 +174,40 @@ class Verifier:
     def _match_fast(
         self, report: TagReport
     ) -> Tuple[Verdict, Optional[PathEntry]]:
-        """The per-flow cache, then :func:`~repro.core.pathtable.match_pair`
-        on the pair's spec with the header packed into one integer.
-
-        Only a flow that PASSes is stored.  Its entry is a function of the
-        flow and the table version alone, so a hit answers a later report
-        of that flow whatever its tag.
-        """
-        table = self.table
-        if (
-            table is not self._flow_cache_table
-            or table.version != self._flow_cache_version
-        ):
-            self._flow_cache.clear()
-            self._flow_cache_table = table
-            self._flow_cache_version = table.version
-        key = (report.inport, report.outport, report.header)
-        cache = self._flow_cache
-        matched = cache.get(key)
-        if matched is not None:
-            self.flow_cache_hits += 1
-        else:
-            index = table.fast_index(report.inport, report.outport, self.hs)
-            if index is None:
-                return Verdict.FAIL_UNKNOWN_PAIR, None
-            value = self.hs.header_value(report.header.as_dict())
-            pos = match_pair(index.spec, report.tag, value)
-            if pos < 0:
-                return Verdict.FAIL_NO_PATH, None
-            matched = index.entries[pos]
-            if matched.tag == report.tag and self.flow_cache_size > 0:
-                if len(cache) >= self.flow_cache_size:
-                    cache.pop(next(iter(cache)))  # FIFO eviction
-                cache[key] = matched
+        """:func:`~repro.core.pathtable.match_pair` on the pair's spec with
+        the header packed into one integer."""
+        index = self.table.fast_index(report.inport, report.outport, self.hs)
+        if index is None:
+            return Verdict.FAIL_UNKNOWN_PAIR, None
+        value = self.hs.header_value(report.header.as_dict())
+        pos = match_pair(index.spec, report.tag, value)
+        if pos < 0:
+            return Verdict.FAIL_NO_PATH, None
+        matched = index.entries[pos]
         if matched.tag == report.tag:
             return Verdict.PASS, matched
         return Verdict.FAIL_TAG_MISMATCH, matched
-
-    def _match(self, report: TagReport) -> Tuple[Verdict, Optional[PathEntry]]:
-        if self.fast_path:
-            return self._match_fast(report)
-        return self._match_slow(report)
 
     # -- public verification API ----------------------------------------------
 
     def verify(self, report: TagReport) -> VerificationResult:
         """Verify one tag report against the path table."""
-        started = time.perf_counter()
-        verdict, matched = self._match(report)
-        elapsed = time.perf_counter() - started
+        match = self._match_fast if self.fast_path else self._match_slow
+        verdict, matched = match(report)
         self.counters[verdict] += 1
-        self.total_time_s += elapsed
-        if self.fast_path:
-            self.fast_verifications += 1
-        else:
-            self.slow_verifications += 1
         return VerificationResult(
             verdict=verdict,
             report=report,
             matched_entry=matched,
             expected_tag=None if matched is None else matched.tag,
-            elapsed_s=elapsed,
         )
-
-    def count_repeat(self, verdict: Verdict) -> None:
-        """Account for a report whose verdict the caller already holds.
-
-        No matcher ran, but the verdict counters move as :meth:`verify`
-        would have moved them; only ``total_time_s`` stays put, since no
-        time was spent.  The flow cache was not consulted either, and it
-        holds passing flows only, so no hit is booked: on the fast path a
-        repeat counts among ``flow_cache_misses``, the verifications the
-        cache did not answer.
-        """
-        self.counters[verdict] += 1
-        if self.fast_path:
-            self.fast_verifications += 1
-        else:
-            self.slow_verifications += 1
 
     def verify_batch(self, reports: Sequence[TagReport]) -> BatchVerificationResult:
         """Verify many reports with one clock read pair for the whole batch.
 
-        Counters and total time accumulate exactly as under repeated
-        :meth:`verify` calls, but PASS reports allocate nothing — only
-        failures materialise a :class:`VerificationResult`.
+        Counters accumulate exactly as under repeated :meth:`verify` calls,
+        but PASS reports allocate nothing — only failures materialise a
+        :class:`VerificationResult`.
         """
         match = self._match_fast if self.fast_path else self._match_slow
         counters = self.counters
@@ -299,31 +231,12 @@ class Verifier:
                         expected_tag=None if matched is None else matched.tag,
                     )
                 )
-        elapsed = time.perf_counter() - started
-        self.total_time_s += elapsed
-        if self.fast_path:
-            self.fast_verifications += len(verdicts)
-        else:
-            self.slow_verifications += len(verdicts)
         return BatchVerificationResult(
             verdicts=verdicts,
             failures=failures,
-            elapsed_s=elapsed,
+            elapsed_s=time.perf_counter() - started,
             counts=counts,
         )
-
-    # -- cache control ---------------------------------------------------------
-
-    def invalidate_fast_path(self) -> None:
-        """Drop the flow cache (table-version tracking usually suffices)."""
-        self._flow_cache.clear()
-        self._flow_cache_table = None
-        self._flow_cache_version = -1
-
-    @property
-    def flow_cache_len(self) -> int:
-        """Current number of cached flows."""
-        return len(self._flow_cache)
 
     # -- statistics -----------------------------------------------------------
 
@@ -336,37 +249,3 @@ class Verifier:
     def failure_count(self) -> int:
         """Reports that failed verification (any failure class)."""
         return self.verified_count - self.counters[Verdict.PASS]
-
-    @property
-    def flow_cache_misses(self) -> int:
-        """Fast-path verifications the flow cache did not answer."""
-        return max(0, self.fast_verifications - self.flow_cache_hits)
-
-    @property
-    def flow_cache_hit_ratio(self) -> float:
-        """Fraction of fast-path verifications served from the flow cache."""
-        if self.fast_verifications == 0:
-            return 0.0
-        return self.flow_cache_hits / self.fast_verifications
-
-    @property
-    def fast_path_ratio(self) -> float:
-        """Fraction of all verifications that took the compiled fast path."""
-        total = self.verified_count
-        if total == 0:
-            return 0.0
-        return self.fast_verifications / total
-
-    def mean_verification_time_s(self) -> float:
-        """Average wall-clock time per verification (Figure 13's metric)."""
-        if self.verified_count == 0:
-            return 0.0
-        return self.total_time_s / self.verified_count
-
-    def reset_counters(self) -> None:
-        """Zero the statistics (the table is untouched)."""
-        self.counters = {v: 0 for v in Verdict}
-        self.total_time_s = 0.0
-        self.flow_cache_hits = 0
-        self.fast_verifications = 0
-        self.slow_verifications = 0

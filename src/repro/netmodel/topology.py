@@ -289,10 +289,6 @@ class Topology:
                 f"unknown middlebox {mb_id!r}; have {sorted(self._middleboxes)}"
             ) from None
 
-    def middlebox_at(self, ref: PortRef) -> Optional[str]:
-        """Middlebox attached at this port, if any."""
-        return self._mb_at_port.get(ref)
-
     def is_edge_port(self, ref: PortRef) -> bool:
         """True for ports not wired to another switch (Algorithm 1/2's test).
 

@@ -128,7 +128,6 @@ def replay(
     stop_seq: Optional[int] = None,
     localize: bool = True,
     max_path_length: Optional[int] = None,
-    fast_path: bool = True,
 ) -> ReplayResult:
     """Re-verify the logged report stream; see the module docstring.
 
@@ -164,7 +163,7 @@ def replay(
         )
         result = ReplayResult(source="snapshot", base_seq=snap["wal_seq"])
 
-    verifier = Verifier(updater.table, hs, fast_path=fast_path)
+    verifier = Verifier(updater.table, hs)
     localizer = (
         PathInferLocalizer(updater.builder, scheme, topo) if localize else None
     )

@@ -241,13 +241,6 @@ class SliceRegistry:
                 unresolved &= ~hit
         return out.tolist()
 
-    def classify_header(self, header) -> Optional[str]:
-        """Owner of a packet header (object with ``dst_ip`` or mapping)."""
-        dst = getattr(header, "dst_ip", None)
-        if dst is None:
-            dst = header["dst_ip"]
-        return self.classify_dst(dst)
-
     def entry_resolver(self) -> Callable:
         """A ``(inport, outport, entry) -> tenant|None`` attribution hook.
 

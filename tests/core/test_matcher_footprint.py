@@ -18,9 +18,10 @@ import tracemalloc
 
 import pytest
 
+from repro.bdd.headerspace import HeaderSpace
+from repro.core.pathtable import PathTableBuilder
 from repro.core.replica import ShardReplica, resync_specs, wire_packing
-from repro.core.reports import REPORT_SIZE
-from repro.core.server import VeriDPServer
+from repro.core.reports import REPORT_SIZE, PortCodec
 from repro.core.vector import MIN_BATCH
 from repro.topologies import build_linear, build_stanford
 
@@ -28,9 +29,15 @@ from repro.topologies import build_linear, build_stanford
 LIMIT_KIB = {True: 1.8, False: 2.0}
 
 
-def compiled_state_bytes(server) -> int:
+def built_table(topo):
+    """``(table, hs, codec)``: a path table not yet compiled for matching."""
+    hs = HeaderSpace()
+    table = PathTableBuilder(topo, hs).build()
+    return table, hs, PortCodec(sorted(topo.switches))
+
+
+def compiled_state_bytes(table, hs, codec) -> int:
     """Traced bytes the verification state holds once built, all of it."""
-    table, hs = server.table, server.hs
     # A zero frame of MIN_BATCH rows reaches the kernel (which compiles every
     # pair) and comes back malformed; draining drops what it recorded.
     frame = bytes(REPORT_SIZE * MIN_BATCH)
@@ -39,7 +46,7 @@ def compiled_state_bytes(server) -> int:
     try:
         before = tracemalloc.get_traced_memory()[0]
         table.compile_matchers(hs)
-        sync = resync_specs(table, hs, server.codec, 1)
+        sync = resync_specs(table, hs, codec, 1)
         replica = ShardReplica(0, wire_packing(hs.layout), sync.specs[0])
         replica.verify(frame)
         assert replica.drain().malformed == MIN_BATCH
@@ -55,7 +62,7 @@ def compiled_state_bytes(server) -> int:
 def warm_imports():
     """Build once on a small table so lazy imports are not weighed."""
     scenario = build_linear(3)
-    compiled_state_bytes(VeriDPServer(scenario.topo, scenario.channel, fast_path=False))
+    compiled_state_bytes(*built_table(scenario.topo))
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full_rules", "lpm_only"])
@@ -63,9 +70,9 @@ def test_compiled_state_per_entry(full):
     scenario = build_stanford(
         subnets_per_zone=2, with_acls=full, with_ssh_detours=full
     )
-    server = VeriDPServer(scenario.topo, scenario.channel, fast_path=False)
-    entries = server.table.num_paths()
-    per_entry_kib = compiled_state_bytes(server) / entries / 1024
+    table, hs, codec = built_table(scenario.topo)
+    entries = table.num_paths()
+    per_entry_kib = compiled_state_bytes(table, hs, codec) / entries / 1024
     assert per_entry_kib <= LIMIT_KIB[full], (
         f"{per_entry_kib:.2f} KiB of compiled verification state per path "
         f"entry over {entries} entries (limit {LIMIT_KIB[full]})"

@@ -113,20 +113,3 @@ class TestCounters:
         assert verifier.verified_count == 2
         assert verifier.failure_count == 1
         assert verifier.counters[Verdict.PASS] == 1
-
-    def test_mean_time_positive_after_verifications(self, setup):
-        scenario, hs, builder, table = setup
-        verifier = Verifier(table, hs)
-        report, _ = good_report(scenario, table, hs)
-        for _ in range(5):
-            verifier.verify(report)
-        assert verifier.mean_verification_time_s() > 0
-
-    def test_reset_counters(self, setup):
-        scenario, hs, builder, table = setup
-        verifier = Verifier(table, hs)
-        report, _ = good_report(scenario, table, hs)
-        verifier.verify(report)
-        verifier.reset_counters()
-        assert verifier.verified_count == 0
-        assert verifier.mean_verification_time_s() == 0.0

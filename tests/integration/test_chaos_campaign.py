@@ -332,7 +332,6 @@ class TestMetricsUnderChaos:
         "veridp_queue_dropped_total",
         # verification
         "veridp_verifications_total",
-        "veridp_flow_cache_hits_total",
         # localization
         "veridp_localizations_total",
         "veridp_incidents_total",

@@ -7,7 +7,6 @@ cache eviction never changes results, and that the ``export_nodes`` /
 ``from_nodes`` round trip preserves semantic fingerprints.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.engine import BDD, FALSE, TRUE

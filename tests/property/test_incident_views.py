@@ -1,10 +1,12 @@
-"""A wire record's views say what an object record says.
+"""A wire record's views say what an independent reference says.
 
 The wire intake keeps a failing report as its payload and decodes it on
-read; the object path keeps the ``VerificationResult`` it verified.  Fed the
-same reports, in the same order, however the wire rows are batched and
-wherever the log is drained, the two logs must hold the same verdicts,
-reports, expected tags and blamed switches, in order.
+read; an object report (``receive_report``) is packed and takes the same
+intake.  Fed as wire rows, however they are batched, or as objects one by
+one, and wherever the log is drained, each log must hold, in order, each
+streamed report with the verdict and expected tag of the paper-literal
+oracle (``Verifier(fast_path=False)``) and the switches a direct
+``PathInferLocalizer`` run blames.
 """
 
 from dataclasses import replace
@@ -12,6 +14,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.localization import PathInferLocalizer
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.core.verifier import Verifier
@@ -24,7 +27,9 @@ RIGS = ("linear", "fattree")
 
 @lru_cache(maxsize=None)
 def rig(name: str):
-    """``(wire server, object server, report pool)`` for one topology.
+    """``(wire server, object server, reference entries, report pool)``.
+
+    ``reference[i]`` is the log entry expected for ``pool[i]``.
 
     The pool holds the failing ones among each flow's healthy report, its
     reports while one hop of its path misforwards (two wrong ports per hop,
@@ -54,11 +59,22 @@ def rig(name: str):
     seen += [
         replace(report, tag=seen[index - 1].tag) for index, report in enumerate(seen)
     ]
-    wire = VeriDPServer(scenario.topo, scenario.channel)
+    server = VeriDPServer(scenario.topo, scenario.channel)
     objects = VeriDPServer(scenario.topo, scenario.channel)
-    fresh = Verifier(wire.table, wire.hs)
-    pool = [report for report in seen if not fresh.verify(report).passed]
-    return wire, objects, pool
+    oracle = Verifier(server.table, server.hs, fast_path=False)
+    localizer = PathInferLocalizer(server.builder, server.scheme, scenario.topo)
+    pool, expected = [], []
+    for report in seen:
+        result = oracle.verify(report)
+        if result.passed:
+            continue
+        try:
+            blamed = localizer.localize(report).blamed_switches()
+        except Exception:
+            blamed = []  # the server logs such a failure unlocalized
+        pool.append(report)
+        expected.append((result.verdict, report, result.expected_tag, blamed))
+    return server, objects, expected, pool
 
 
 def _log(incidents):
@@ -81,11 +97,11 @@ def _log(incidents):
     drain_at=st.one_of(st.none(), st.integers(0, 39)),
 )
 def test_wire_and_object_logs_agree(name, picks, cuts, drain_at):
-    wire, objects, pool = rig(name)
+    wire, objects, expected, pool = rig(name)
     wire.drain_incidents()
     objects.drain_incidents()
-    stream = [pool[pick % len(pool)] for pick in picks]
-    payloads = [pack_report(report, wire.codec) for report in stream]
+    stream = [pick % len(pool) for pick in picks]
+    payloads = [pack_report(pool[i], wire.codec) for i in stream]
     chunks, start = [], 0
     while start < len(stream):
         stop = start + cuts[len(chunks) % len(cuts)]
@@ -95,13 +111,13 @@ def test_wire_and_object_logs_agree(name, picks, cuts, drain_at):
     for index, chunk in enumerate(chunks):
         wire.receive_report_rows([payloads[i] for i in chunk])
         for i in chunk:
-            objects.receive_report(stream[i])
+            objects.receive_report(pool[stream[i]])
         if drain_at is not None and index == drain_at % len(chunks):
             wire_log += wire.drain_incidents()
             object_log += objects.drain_incidents()
     wire_log += wire.incidents
     object_log += objects.incidents
-    assert len(wire_log) == len(stream)
-    assert _log(wire_log) == _log(object_log)
-    assert all(incident.payload is not None for incident in wire_log)
-    assert all(incident.payload is None for incident in object_log)
+    reference = [expected[i] for i in stream]
+    assert _log(wire_log) == reference
+    assert _log(object_log) == reference
+    assert all(incident.payload is not None for incident in wire_log + object_log)

@@ -38,6 +38,13 @@ class TestParser:
         assert args.metrics_port == 0
         assert args.reports == 5
 
+    def test_fig13_rejects_repeats_below_one(self, capsys):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["fig13", "--repeats", value])
+            assert exc.value.code == 2
+            assert "--repeats: must be at least 1" in capsys.readouterr().err
+
     def test_serve_metrics_off_by_default(self):
         args = build_parser().parse_args(["serve"])
         assert args.metrics_port is None
