@@ -17,8 +17,8 @@ strawman localizer for the ablation benchmark.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Type
+from dataclasses import dataclass
+from typing import Optional
 
 from ..core.localization import PathInferLocalizer, StrawmanLocalizer
 from ..core.server import VeriDPServer

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import HeaderSpace
 from ..core.pathtable import PathTable, PathTableBuilder, PathTableStats

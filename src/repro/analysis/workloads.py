@@ -14,10 +14,9 @@ into :func:`repro.core.sampling.sampling_interval_for`.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..netmodel.packet import Header
 from ..topologies.base import Scenario

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..core.pathtable import PathTable, PathTableBuilder
 from ..dataplane.network import DataPlaneNetwork, DeliveryStatus

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..bdd.headerspace import HeaderSpace
 from ..dataplane.switch import DataPlaneSwitch
 from ..netmodel.packet import Header
-from ..netmodel.rules import DROP_PORT, FlowRule, FlowTable
+from ..netmodel.rules import DROP_PORT, FlowTable
 
 __all__ = ["RuleProbe", "MonocleProber", "MonocleReport"]
 

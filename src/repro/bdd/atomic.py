@@ -16,7 +16,7 @@ traversal ever intersects.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from .engine import BDD, FALSE, TRUE
 

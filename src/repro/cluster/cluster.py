@@ -39,16 +39,14 @@ class VeriDPCluster:
         persist=None,
     ) -> None:
         self.server = server
-        self.frontend = ClusterFrontend(
-            batch_size=batch_size,
-            persist=persist if persist is not None else server.persist,
-        )
         self.coordinator = ClusterCoordinator(
             server,
-            frontend=self.frontend,
+            batch_size=batch_size,
+            persist=persist,
             node_mode=node_mode,
             vnodes=vnodes,
         )
+        self.frontend: ClusterFrontend = self.coordinator.frontend
         #: The report listener, once :meth:`listen_udp` built it.
         self.ingest: Optional[UdpReportListener] = None
         self._ingest_batch = ingest_batch

@@ -8,7 +8,8 @@ keep three views consistent under churn:
 * **the ring** — which node owns which routing key (``tenant:<name>`` or
   ``pair:<key>``), smoothed with virtual nodes,
 * **the placement map** — the frontend's routing truth, only ever
-  flipped *after* the destination replica holds the moved specs,
+  flipped *after* the moved specs went out on the destination's link,
+  ahead of every batch routed there,
 * **the replicas** — kept current with the table through its
   dirty-pair journal (``table.dirty_since``), shipped as ``MSG_PATCH``
   deltas with a full ``MSG_RELOAD`` fallback on journal overflow; every
@@ -21,22 +22,26 @@ without its pair, and "unknown pair" on a node is always either a race
 the coordinator resolves by authoritative re-ingest, or a genuinely
 unknown pair which re-ingest will also verdict correctly.
 
-Verdict accounting is exactly-once: node counts surface only through
-batch replies (merged here as they arrive, each retiring its batch from
-the frontend's un-acked map under the link's lock), a killed node's
-unanswered batches are redelivered, and unknown-pair payloads are never
-counted remotely — only by the coordinator's own re-ingest.
+Verdict accounting is exactly-once and shared with the sharded daemon:
+the frontend is the :class:`~repro.core.dispatch.Dispatcher` both shapes
+run, and the coordinator keeps its :class:`~repro.core.dispatch.Books`.
+Node counts surface only through batch replies (settled as they arrive,
+each retiring its batch from its link's book under the book's lock), a
+killed node's unanswered batches are redelivered, and unknown-pair
+payloads are never counted remotely — only by the server's re-ingest in
+the one settle.  Replica messages ride each node's one connection behind
+the batches sent before them, so a patch applies before any batch routed
+after it.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
+from ..core.dispatch import Books
 from ..core.replica import (
-    Delta,
     Resync,
     VerdictFamilies,
     pack_specs,
@@ -44,59 +49,46 @@ from ..core.replica import (
     resync_specs,
     wire_packing,
 )
-from ..core.reports import ReportDecodeError
+from ..core.resilience import DeadLetterQueue
 from .frontend import ClusterFrontend, routing_key_of
-from .node import NodeHandle, start_node
-from .protocol import (
-    MSG_DIGEST,
-    MSG_DIGEST_REPLY,
-    MSG_PATCH,
-    MSG_PING,
-    MSG_PONG,
-    MSG_RELOAD,
-    MessageStream,
-)
+from .node import start_node
 
 __all__ = ["ClusterCoordinator"]
 
-from ..core.verifier import Verdict
 
-_SAMPLE_CAP = 256
-
-
-class _Member:
-    """One live node from the coordinator's side: handle + control stream."""
-
-    def __init__(self, handle: NodeHandle, control: MessageStream) -> None:
-        self.node_id = handle.node_id
-        self.handle = handle
-        self.control = control
-        #: Serialises request/reply turns on the control stream.
-        self.lock = threading.Lock()
-        self._tokens = itertools.count(1)
-
-    def token(self) -> int:
-        return next(self._tokens)
-
-
-class ClusterCoordinator:
-    """Membership + placement + aggregation over verification nodes."""
+class ClusterCoordinator(Books):
+    """Membership + placement + the cluster's verdict books over nodes."""
 
     def __init__(
         self,
         server,
-        frontend: Optional[ClusterFrontend] = None,
+        batch_size: int = 256,
+        persist=None,
         node_mode: str = "thread",
         vnodes: int = 64,
         heartbeat_timeout: float = 3.0,
     ) -> None:
-        self.server = server
-        self.frontend = frontend or ClusterFrontend(persist=server.persist)
+        self.frontend = ClusterFrontend(
+            self.take,
+            batch_size=batch_size,
+            persist=persist if persist is not None else server.persist,
+        )
         self.frontend.ring.vnodes = vnodes
+        #: Node-side metrics: every batch reply's counts and figures are
+        #: folded in as it arrives (the nodes keep none of their own).
+        #: The frontend's registry, so the report listener's families
+        #: land on the same ``/metrics``.
+        self.registry = self.frontend.obs.registry
+        Books.__init__(
+            self,
+            server,
+            VerdictFamilies(self.registry, "node", tenants=True),
+            DeadLetterQueue(),
+            incidents=[],
+        )
         self.node_mode = node_mode
         self.heartbeat_timeout = heartbeat_timeout
         self._packing = wire_packing(server.hs.layout)
-        self._members: Dict[str, _Member] = {}
         self._lock = threading.RLock()  # membership + placement + resync
         self._ids = itertools.count(1)
         #: routing key -> {(in_wire, out_wire): spec} — the authoritative
@@ -104,20 +96,6 @@ class ClusterCoordinator:
         self._specs: Dict[str, Dict[Tuple[int, int], tuple]] = {}
         #: (in_wire, out_wire) -> owning tenant name ("" = unsliced).
         self._tenant: Dict[Tuple[int, int], str] = {}
-        self._dirty_token = None
-        self._replica_version = -1
-        #: Guards the ledger below; batch replies are merged on the links'
-        #: reader threads, which never take ``_lock``.
-        self._ledger_lock = threading.Lock()
-        #: Serialises the authoritative server between those merges and
-        #: the resync that reads its table.
-        self._server_lock = threading.Lock()
-        #: Node-side metrics: every batch reply's counts and figures are
-        #: folded in as it arrives (the nodes keep none of their own).
-        #: The frontend's registry, so the report listener's families
-        #: land on the same ``/metrics``.
-        self.registry = self.frontend.obs.registry
-        self._node_families = VerdictFamilies(self.registry, "node", tenants=True)
         self.registry.gauge(
             "veridp_in_flight",
             "Rows the frontend accepted that have no verdict yet.",
@@ -132,38 +110,18 @@ class ClusterCoordinator:
                 for node, count in self.frontend.unacked_batches().items()
             },
         )
-        # cluster ledger
-        self.processed = 0
-        self.malformed = 0
-        self.crashed = 0
-        self.counters = {v.value: 0 for v in Verdict}
-        self.unknown_reingested = 0
-        self.incidents: List[Tuple[bytes, str]] = []
-        self.malformed_sample: List[bytes] = []
         # churn counters (the rebalance-scope assertions read these)
         self.rebalances = 0
         self.moved_pairs = 0
         self.rebalance_patches = 0
         self.failovers = 0
         self.redelivered = 0
-        self.resyncs = 0
-        self.resync_pairs = 0
-        self.full_resyncs = 0
-        self.resync_delta_bytes = 0
-        self.frontend.on_reply = self._merge_reply
-        sync = self._sync()
+        with self.server_lock:
+            sync = resync_specs(server.table, server.hs, server.codec, 1)
         self._load(sync.specs[0])
         self._replica_version, self._dirty_token = sync.version, sync.token
 
     # -- authoritative spec view -------------------------------------------
-
-    def _sync(self) -> Resync:
-        """The pair specs since the last sync (the whole table at first)."""
-        server = self.server
-        with self._server_lock:
-            return resync_specs(
-                server.table, server.hs, server.codec, 1, self._dirty_token
-            )
 
     def _load(self, specs: Dict[Tuple[int, int], tuple]) -> None:
         """Index a whole compiled table under routing keys (startup, full
@@ -221,8 +179,11 @@ class ClusterCoordinator:
     # -- membership --------------------------------------------------------
 
     def members(self) -> List[str]:
-        with self._lock:
-            return sorted(self._members)
+        return self.frontend.nodes()
+
+    def _ship(self, node_id: str, kind: str, bucket: Dict) -> int:
+        """One ``patch``/``reload`` to one node, on its link; body bytes."""
+        return self.frontend.ship({node_id: (kind, self._tagged(bucket))})
 
     def start(self, nodes: int) -> List[str]:
         """Bootstrap: place all ``nodes`` ids on the ring first, then join
@@ -269,16 +230,13 @@ class ClusterCoordinator:
         (4) only then do the moved pairs leave the old replicas.
         """
         handle = start_node(node_id, self._packing, mode=self.node_mode)
-        control = MessageStream.connect(handle.address)
-        member = _Member(handle, control)
-        # 1. load the new replica before any routing can reach it.
+        # 1. load the new replica before any batch can reach it.
         replica: Dict[Tuple[int, int], tuple] = {}
         for key in moved:
             replica.update(self._specs.get(key, {}))
-        control.send(MSG_RELOAD, self._tagged(replica))
-        self._await_applied(member)
-        self._members[node_id] = member
-        self.frontend.attach_node(node_id, handle.address)
+        self.frontend.attach_node(
+            node_id, handle.address, handle, replica=self._tagged(replica)
+        )
         # 2. flip routing, 3. drain the old owners.
         for key in moved:
             self.frontend.placement[key] = node_id
@@ -294,17 +252,17 @@ class ClusterCoordinator:
                     for wire in self._specs.get(key, {})
                 }
                 if patch:
-                    self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
+                    self._ship(owner, "patch", patch)
                     self.rebalance_patches += 1
             self.rebalances += 1
             self.moved_pairs += len(replica)
         return node_id
 
     def remove_node(self, node_id: str) -> None:
-        """Graceful leave: drain, move the replica, stop the process."""
+        """Graceful leave: move the replica, drain, stop the process."""
         with self._lock:
-            member = self._members.get(node_id)
-            if member is None:
+            link = self.frontend.link(node_id)
+            if link is None:
                 raise KeyError(f"unknown node {node_id!r}")
             moved = {
                 key: owner
@@ -318,72 +276,60 @@ class ClusterCoordinator:
                 new_owner_of = {key: ring.owner(key) for key in moved}
             finally:
                 ring.add(node_id)
-            # Ship the replica slices to the survivors first.
-            patches: Dict[str, Dict] = {}
-            for key, new_owner in new_owner_of.items():
-                if new_owner is None:
-                    continue
-                patches.setdefault(new_owner, {}).update(self._specs.get(key, {}))
-            for owner, patch in patches.items():
-                self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
-                self.rebalance_patches += 1
-            for owner in patches:
-                self._await_applied(self._members[owner])
-            # Flip routing, then drain the leaver completely.
-            for key, new_owner in new_owner_of.items():
-                if new_owner is not None:
-                    self.frontend.placement[key] = new_owner
+            # Ship the replica slices to the survivors, then flip routing:
+            # each link carries its patch ahead of the batches routed after.
+            patches = self._reassign(new_owner_of)
             self._drain([node_id])
-            pending = self.frontend.detach_node(node_id)
-            del self._members[node_id]
-            # The drain above empties it, short of a node that stopped
-            # answering mid-leave.
-            self.redelivered += self.frontend.redeliver(pending)
+            self.redelivered += self.frontend.redeliver(
+                self.frontend.detach_node(node_id)
+            )
             if patches:
+                self.rebalance_patches += len(patches)
                 self.rebalances += 1
                 self.moved_pairs += sum(len(p) for p in patches.values())
-            member.control.close()
-            member.handle.stop()
+            link.handle.stop()
+
+    def _reassign(self, new_owner_of: Dict[str, Optional[str]]) -> Dict[str, Dict]:
+        """Send each key's pairs to its new owner, then pin the key there;
+        returns the patches by owner."""
+        patches: Dict[str, Dict] = {}
+        for key, new_owner in new_owner_of.items():
+            if new_owner is not None:
+                patches.setdefault(new_owner, {}).update(self._specs.get(key, {}))
+        for owner, patch in patches.items():
+            self._ship(owner, "patch", patch)
+        for key, new_owner in new_owner_of.items():
+            if new_owner is not None:
+                self.frontend.placement[key] = new_owner
+        return patches
 
     def kill_node(self, node_id: str) -> None:
         """Chaos hook: SIGKILL/stop the node with no drain whatsoever."""
-        with self._lock:
-            member = self._members.get(node_id)
-        if member is None:
+        link = self.frontend.link(node_id)
+        if link is None:
             raise KeyError(f"unknown node {node_id!r}")
-        member.handle.kill()
+        link.end()
 
-    # -- failure detection -------------------------------------------------
+    # -- member failure ----------------------------------------------------
 
     def check_nodes(self) -> List[str]:
-        """Heartbeat every member; fail over the ones that are gone."""
-        dead: List[str] = []
+        """Probe every member and fail over the ones that are gone: dead,
+        or a ping left unanswered past ``heartbeat_timeout``."""
         with self._lock:
-            for node_id, member in list(self._members.items()):
-                if not member.handle.alive():
-                    dead.append(node_id)
-                    continue
-                try:
-                    with member.lock:
-                        token = member.token()
-                        member.control.send(MSG_PING, (token,))
-                        mtype, body = member.control.recv(
-                            timeout=self.heartbeat_timeout
-                        )
-                    if mtype != MSG_PONG or body[1] != token:
-                        dead.append(node_id)
-                except (OSError, ConnectionError):
-                    dead.append(node_id)
+            dead = [
+                probe.worker_id
+                for probe in self.frontend.probes()
+                if not probe.alive or probe.heartbeat_age > self.heartbeat_timeout
+            ]
             for node_id in dead:
                 self._failover(node_id)
         return dead
 
     def _failover(self, node_id: str) -> None:
         """Reassign a dead node's keys and redeliver its un-acked work."""
-        member = self._members.pop(node_id, None)
-        if member is not None:
-            member.control.close()
-            member.handle.kill()
+        link = self.frontend.link(node_id)
+        if link is not None:
+            link.end()
         orphaned = [
             key
             for key, owner in self.frontend.placement.items()
@@ -394,106 +340,54 @@ class ClusterCoordinator:
         # un-acked batches (no reply for them can be counted any more, so
         # redelivering these counts every verdict exactly once).
         pending = self.frontend.detach_node(node_id)
-        patches: Dict[str, Dict] = {}
-        for key in orphaned:
-            new_owner = self.frontend.ring.owner(key)
-            if new_owner is None:
-                continue
-            patches.setdefault(new_owner, {}).update(self._specs.get(key, {}))
-            self.frontend.placement[key] = new_owner
-        for owner, patch in patches.items():
-            self._members[owner].control.send(MSG_PATCH, self._tagged(patch))
+        self._reassign({key: self.frontend.ring.owner(key) for key in orphaned})
         self.failovers += 1
         self.redelivered += self.frontend.redeliver(pending)
 
     # -- replica resync (the PR 5 protocol over sockets) -------------------
 
     def resync(self) -> Optional[int]:
-        """Bring replicas up to date with the table via the dirty journal.
+        """Bring replicas up to date with the table via the dirty journal
+        (:meth:`Books.resync`), each pair's change to its owner.
 
         Returns patched-pair count, 0 when already current, ``None`` when
         the journal overflowed and full reloads were shipped instead.
         """
         with self._lock:
-            if self.server.table.version == self._replica_version:
-                return 0
-            sync = self._sync()
-            self._replica_version, self._dirty_token = sync.version, sync.token
-            if sync.full:
-                # journal overflow / table swap: rebuild everything.
-                self._load(sync.specs[0])
-                self._place_new_keys()
-                for node_id, member in self._members.items():
-                    body = self._tagged(self._replica_of(node_id))
-                    self.resync_delta_bytes += member.control.send(
-                        MSG_RELOAD, body
-                    )
-                for member in self._members.values():
-                    self._await_applied(member)
-                self.resyncs += 1
-                self.full_resyncs += 1
-                return None
-            patches: Dict[str, Dict] = {}
-            for wire, spec in sync.specs[0].items():
-                if spec is None:
-                    # Resolve the owner BEFORE dropping: removing the last
-                    # pair of a bucket also retires its placement entry,
-                    # and the drop-patch must still reach the old owner.
-                    key = self._key_of(wire)
-                    owner = self.frontend.placement.get(key)
-                    if owner is None:
-                        owner = self.frontend.ring.owner(key)
-                    self._drop_pair(wire)
-                    if owner is not None:
-                        patches.setdefault(owner, {})[wire] = None
-                else:
-                    key = self._admit_pair(wire, spec)
-                    owner = self.frontend.placement.get(key)
-                    if owner is None:
-                        owner = self.frontend.ring.owner(key)
-                        if owner is not None:
-                            self.frontend.placement[key] = owner
-                    if owner is not None:
-                        patches.setdefault(owner, {})[wire] = spec
-            for node_id, patch in patches.items():
-                member = self._members.get(node_id)
-                if member is not None:
-                    self.resync_delta_bytes += member.control.send(
-                        MSG_PATCH, self._tagged(patch)
-                    )
-            for node_id in patches:
-                member = self._members.get(node_id)
-                if member is not None:
-                    self._await_applied(member)
-            self.resyncs += 1
-            self.resync_pairs += len(sync.specs[0])
-            return len(sync.specs[0])
+            return super().resync()
 
-    def _await_applied(self, member: _Member, timeout: float = 10.0) -> None:
-        """Barrier: block until the member has applied every control
-        message sent so far.
-
-        ``MSG_PATCH``/``MSG_RELOAD`` carry no reply of their own, and
-        batches travel on a *different* connection — so without a
-        barrier, ``resync()`` could return while a node still verifies
-        against its stale replica, and a batch dispatched immediately
-        after would be judged by the old spec (wrong verdict, not
-        unknown-pair).  The control stream is FIFO and the node applies
-        each message under its state lock before reading the next, so a
-        ping round-trip on the same stream proves the patches are live
-        (without a digest's pass over every compiled pair).  A dead member
-        is left for ``check_nodes`` to fail over.
-        """
-        try:
-            with member.lock:
-                token = member.token()
-                member.control.send(MSG_PING, (token,))
-                while True:
-                    mtype, body = member.control.recv(timeout=timeout)
-                    if mtype == MSG_PONG and body[1] == token:
-                        return
-        except (OSError, ConnectionError):
-            return
+    def _ship_sync(self, sync: Resync) -> int:
+        if sync.full:
+            # journal overflow / table swap: rebuild everything.
+            self._load(sync.specs[0])
+            self._place_new_keys()
+            return sum(
+                self._ship(node_id, "reload", self._replica_of(node_id))
+                for node_id in self.frontend.nodes()
+            )
+        patches: Dict[str, Dict] = {}
+        for wire, spec in sync.specs[0].items():
+            if spec is None:
+                # Resolve the owner BEFORE dropping: removing the last
+                # pair of a bucket also retires its placement entry,
+                # and the drop-patch must still reach the old owner.
+                key = self._key_of(wire)
+                owner = self.frontend.placement.get(key)
+                if owner is None:
+                    owner = self.frontend.ring.owner(key)
+                self._drop_pair(wire)
+            else:
+                key = self._admit_pair(wire, spec)
+                owner = self.frontend.placement.get(key)
+                if owner is None:
+                    owner = self.frontend.ring.owner(key)
+                    if owner is not None:
+                        self.frontend.placement[key] = owner
+            if owner is not None:
+                patches.setdefault(owner, {})[wire] = spec
+        return sum(
+            self._ship(node_id, "patch", patch) for node_id, patch in patches.items()
+        )
 
     def _place_new_keys(self) -> None:
         """Pin every un-placed routing key to its ring owner."""
@@ -512,91 +406,23 @@ class ClusterCoordinator:
         self.frontend.flush_buffers()
         self.frontend.wait_retired(timeout, node_ids)
 
-    def _merge_reply(self, delta: Delta) -> None:
-        """Fold one batch reply into the ledger (the frontend's
-        :attr:`~ClusterFrontend.on_reply`, called with the link's lock
-        held, so a failover cannot surrender this batch meanwhile)."""
-        # One intake call on the authoritative server takes the failures
-        # (localization and the incident log; the ledger counts them from
-        # the node's counters) and the unknown-pair payloads, which only
-        # the authoritative table can verdict (routing race vs genuinely
-        # unknown pair).
-        rows = [payload for payload, _verdict in delta.failures] + delta.unknown
-        outcomes = []
-        if rows:
-            with self._server_lock:
-                self.server.maybe_flush_updates()
-                self.server.refresh_if_dirty()
-                outcomes = self.server.receive_report_rows(rows)
-                # This path has no dead letters: the server counts the rows
-                # its codec rejected, as try_receive_report_bytes would.
-                self.server.decode_errors += sum(
-                    isinstance(outcome, ReportDecodeError) for outcome in outcomes
-                )
-        self._node_families.fold(delta)
-        with self._ledger_lock:
-            self.processed += delta.processed
-            self.malformed += delta.malformed
-            self.crashed += len(delta.crashed)
-            for verdict, count in delta.counters.items():
-                self.counters[verdict] += count
-            for payload in delta.malformed_sample:
-                if len(self.malformed_sample) < _SAMPLE_CAP:
-                    self.malformed_sample.append(payload)
-            self.incidents.extend(delta.failures)
-            unknown = zip(delta.unknown, outcomes[len(delta.failures) :])
-            for payload, outcome in unknown:
-                self.unknown_reingested += 1
-                if isinstance(outcome, ReportDecodeError):
-                    self.malformed += 1
-                elif isinstance(outcome, Exception):
-                    self.crashed += 1
-                else:
-                    verdict = outcome.verdict.value
-                    self.processed += 1
-                    self.counters[verdict] += 1
-                    if verdict != Verdict.PASS.value:
-                        self.incidents.append((payload, verdict))
-
     def join(self, timeout: float = 30.0) -> None:
         """Dispatch the buffers and wait until every accepted row has its
-        verdict (end of stream)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            self.frontend.flush_buffers()
-            remaining = deadline - time.monotonic()
-            if self.frontend.wait_retired(max(0.0, min(0.05, remaining))):
-                break
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"cluster join timed out with {self.frontend.flight.rows} "
-                    "rows in flight"
-                )
+        verdict (end of stream); ``TimeoutError`` past ``timeout``."""
+        self.frontend.join_rows(timeout)
 
     # -- convergence -------------------------------------------------------
 
     def digests(self, timeout: float = 10.0) -> Dict[str, str]:
         """Each node's replica fingerprint, by node id."""
-        out: Dict[str, str] = {}
-        with self._lock:
-            members = list(self._members.values())
-        for member in members:
-            with member.lock:
-                token = member.token()
-                member.control.send(MSG_DIGEST, (token,))
-                while True:
-                    mtype, body = member.control.recv(timeout=timeout)
-                    if mtype == MSG_DIGEST_REPLY and body[1] == token:
-                        break
-            out[body[0]] = body[2]
-        return out
+        return self.frontend.digests(timeout)
 
     def expected_digests(self) -> Dict[str, str]:
         """What each node's fingerprint *must* be, from the placement map."""
         with self._lock:
             return {
                 node_id: replica_digest(self._replica_of(node_id))
-                for node_id in self._members
+                for node_id in self.frontend.nodes()
             }
 
     def converged(self) -> bool:
@@ -618,19 +444,19 @@ class ClusterCoordinator:
         return totals
 
     def stats(self) -> Dict[str, object]:
-        with self._ledger_lock:
+        with self._books_lock:
             out: Dict[str, object] = {
                 "processed": self.processed,
                 "malformed": self.malformed,
-                "crashed": self.crashed,
-                "counters": dict(self.counters),
+                "crashed": self.verify_errors,
+                "counters": {v.value: n for v, n in self.counters.items()},
                 "unknown_reingested": self.unknown_reingested,
                 "incidents": len(self.incidents),
             }
         out["in_flight"] = self.frontend.flight.rows
         with self._lock:
             out.update({
-                "nodes": len(self._members),
+                "nodes": len(self.frontend.nodes()),
                 "rebalances": self.rebalances,
                 "moved_pairs": self.moved_pairs,
                 "rebalance_patches": self.rebalance_patches,
@@ -655,12 +481,9 @@ class ClusterCoordinator:
     # -- lifecycle ---------------------------------------------------------
 
     def stop(self) -> None:
-        with self._lock:
-            node_ids = list(self._members)
-        for node_id in node_ids:
-            member = self._members.pop(node_id, None)
-            if member is None:
-                continue
+        for node_id in self.frontend.nodes():
+            link = self.frontend.link(node_id)
             self.frontend.detach_node(node_id)
-            member.control.close()
-            member.handle.stop()
+            if link is not None:
+                link.handle.stop()
+        self.frontend.close()

@@ -113,7 +113,7 @@ class MessageStream:
 
     ``send`` may be called from any thread (serialised by a lock);
     ``recv`` is expected to have a single reader per stream (the node's
-    per-connection thread, or the coordinator's request/reply turn).
+    per-connection thread, or the dispatcher's reply intake).
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -135,6 +135,9 @@ class MessageStream:
         sock = socket.create_connection(address, timeout=timeout)
         sock.settimeout(None)
         return cls(sock)
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     # -- sending -----------------------------------------------------------
 
@@ -173,6 +176,15 @@ class MessageStream:
             if not got:
                 raise ConnectionError("peer closed the stream mid-message")
             self._recv_end += got
+
+    def buffered(self) -> bool:
+        """Whether a whole message is read already (a poll of the socket
+        would not report it)."""
+        unread = self._recv_end - self._recv_start
+        if unread < _HEADER.size:
+            return False
+        length, _mtype = _HEADER.unpack_from(self._recv_buffer, self._recv_start)
+        return unread >= _HEADER.size + length
 
     def recv(self, timeout: Optional[float] = None) -> Tuple[int, Any]:
         """Read one ``(type, body)`` message.

@@ -12,9 +12,8 @@ in a live deployment.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..netmodel.rules import FlowRule
 from ..topologies.base import Scenario, wire_scenario
 from ..topologies.io import topology_from_dict
 from .parser import ConfigError, SwitchConfig, parse_config

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import format_ipv4
 from ..netmodel.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-from ..netmodel.rules import Acl, Drop, Forward, Match
+from ..netmodel.rules import Acl, Drop, Forward
 from ..netmodel.topology import SwitchInfo
 
 __all__ = ["UnrepresentableError", "write_config"]

@@ -20,7 +20,7 @@ It is retained here for the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..netmodel.hops import Hop
 

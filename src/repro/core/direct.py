@@ -21,12 +21,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs import DEFAULT_BUCKETS, Observability
 from .ingest import dst_ips as _frame_dst_ips
-from .replica import Delta, ShardReplica, resync_specs, wire_packing
+from .dispatch import settle
+from .replica import ShardReplica, resync_specs, wire_packing
 from .reports import REPORT_SIZE, Frame, ReportDecodeError, payload_precheck
 from .resilience import (
     DeadLetterQueue,
     OverflowPolicy,
     PolicyQueue,
+    QueueStopped,
     TenantQuotaQueue,
 )
 from .server import VeriDPServer
@@ -38,9 +40,7 @@ if TYPE_CHECKING:
 
 __all__ = ["VeriDPDaemon"]
 
-_STOP = object()
 _PASS = Verdict.PASS.value
-_NO_SWITCH = "a wire port id names no switch"
 
 #: Most reports the direct daemon's worker takes from its queue at once, and
 #: so the most rows one wire-kernel call verifies.  What it spreads is the
@@ -55,46 +55,6 @@ _VERIFY_MAX_ROWS = 4096
 def _log_frame(persist, frame: Frame) -> None:
     """WAL a frame as one ``RT_REPORT_BATCH`` record (durable servers)."""
     persist.log_report_frame(frame.payload())
-
-
-def settle(server: VeriDPServer, delta: Delta):
-    """Count a replica's delta by the server's verdict of record.
-
-    The replica's failures go through
-    :meth:`VeriDPServer.receive_report_rows` in one call and are counted by
-    its outcome, not the replica's: ``malformed`` when the codec rejects
-    one (a dead letter at ``decode``), ``crashed`` when verification raised
-    (at ``verify``), else ``processed`` under the server's verdict (a stale
-    replica's FAIL the current table passes counts PASS).  The replica's
-    PASS rows, malformed rows (its sample dead-lettered at ``decode``) and
-    crashes are taken as they are.  Returns ``(processed, malformed,
-    crashed, counters, letters)``: ``counters`` by :class:`Verdict`,
-    ``letters`` the ``(payload, stage, error)`` dead letters.  The caller
-    serialises calls.
-    """
-    rows = [payload for payload, _verdict in delta.failures]
-    # Every non-PASS verdict the replica counted is one of its failures.
-    processed = delta.processed - len(delta.failures)
-    malformed = delta.malformed
-    crashed = len(delta.crashed)
-    counters = {Verdict.PASS: delta.counters[_PASS]}
-    letters = [(p, "verify", RuntimeError(error)) for p, error in delta.crashed]
-    letters += [
-        (p, "decode", ReportDecodeError(payload_precheck(p) or _NO_SWITCH))
-        for p in delta.malformed_sample
-    ]
-    for payload, outcome in zip(rows, server.receive_report_rows(rows) if rows else ()):
-        if isinstance(outcome, ReportDecodeError):
-            malformed += 1
-            letters.append((payload, "decode", outcome))
-        elif isinstance(outcome, Exception):
-            crashed += 1
-            letters.append((payload, "verify", outcome))
-        else:
-            processed += 1
-            verdict = outcome.verdict
-            counters[verdict] = counters.get(verdict, 0) + 1
-    return processed, malformed, crashed, counters, letters
 
 
 class VeriDPDaemon:
@@ -336,6 +296,7 @@ class VeriDPDaemon:
         self._running = True
         if self._endpoint is not None:
             self._endpoint.start()
+        self._queue.reopen()
         self.server.refresh_if_dirty()
         for index in range(self.workers):
             thread = threading.Thread(
@@ -350,8 +311,7 @@ class VeriDPDaemon:
         """Drain the queue and stop the workers."""
         if not self._running:
             return
-        for _ in self._threads:
-            self._queue.put(_STOP, force=True)
+        self._queue.close()  # each worker ends once the queue is empty
         for thread in self._threads:
             thread.join(timeout=5)
         self._threads.clear()
@@ -472,41 +432,26 @@ class VeriDPDaemon:
     def _worker(self) -> None:
         q = self._queue
         while True:
-            # One blocking wait for the first item, then whatever is already
-            # queued behind it, up to _VERIFY_MAX_ROWS reports: frames come
-            # back whole, and all of a slice's frames share one kernel call,
-            # so the call is as deep as the backlog and an idle daemon still
-            # verifies a frame the moment it arrives.
-            items = q.get_many(_VERIFY_MAX_ROWS)
-            stop = False
-            frames: List[Frame] = []
-            done = 0
-            for item in items:
-                if item is _STOP:
-                    # stop() enqueues one token per worker and a deep slice
-                    # can hold several: this worker ends after the slice,
-                    # the other tokens go back for the workers they are for.
-                    if stop:
-                        q.put(_STOP, force=True)
-                    stop = True
-                    done += 1
-                else:
-                    frames.append(item)
-                    done += item.count
-            if frames:
-                try:
-                    self._process_frames(frames)
-                except Exception as exc:  # pragma: no cover - last resort
-                    # A slice must never kill a worker: dead-letter it
-                    # wholesale and carry on.
-                    for frame in frames:
-                        for payload in frame.rows():
-                            self.dead_letters.add(payload, "verify", exc)
-                    with self._lock:
-                        self.verify_errors += sum(f.count for f in frames)
-            q.task_done(done)
-            if stop:
+            # One blocking wait for the first frame, then whatever is
+            # already queued behind it, up to _VERIFY_MAX_ROWS reports:
+            # frames come back whole, and all of a slice's frames share one
+            # kernel call, so the call is as deep as the backlog and an
+            # idle daemon still verifies a frame the moment it arrives.
+            try:
+                frames = q.get_many(_VERIFY_MAX_ROWS)
+            except QueueStopped:  # stop(): the queue is closed and empty
                 return
+            try:
+                self._process_frames(frames)
+            except Exception as exc:  # pragma: no cover - last resort
+                # A slice must never kill a worker: dead-letter it
+                # wholesale and carry on.
+                for frame in frames:
+                    for payload in frame.rows():
+                        self.dead_letters.add(payload, "verify", exc)
+                with self._lock:
+                    self.verify_errors += sum(f.count for f in frames)
+            q.task_done(sum(f.count for f in frames))
 
     def _synced_replica(self) -> ShardReplica:
         """The replica, current with the path table (replica lock held).
@@ -559,7 +504,7 @@ class VeriDPDaemon:
                 return
             # The intake shares the payload map and the localizer's classes
             # across workers: one settle at a time.
-            processed, malformed, crashed, counters, letters = settle(
+            processed, malformed, crashed, counters, letters, _ = settle(
                 self.server, delta
             )
             self.processed += processed

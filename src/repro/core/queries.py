@@ -23,7 +23,7 @@ plane actually obeys it.  Combining both closes the ``I = R`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import HeaderSpace
 from ..netmodel.hops import Hop

@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..netmodel.hops import Hop
 from ..netmodel.packet import Header
 from ..netmodel.rules import FlowRule
 from ..netmodel.topology import PortRef

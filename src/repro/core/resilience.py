@@ -77,21 +77,23 @@ class OverflowPolicy(str, enum.Enum):
 
 
 class QueueStopped(Exception):
-    """Raised by :meth:`PolicyQueue.get` after :meth:`PolicyQueue.close`."""
+    """Raised by :meth:`PolicyQueue.get_many` once the queue is closed and
+    empty."""
 
 
 class PolicyQueue:
-    """A bounded FIFO with explicit overflow policy and drop accounting.
+    """A bounded FIFO of frames with explicit overflow policy and drop
+    accounting.
 
     Unlike :class:`queue.Queue`, a full queue never loses work silently:
     every admission decision increments a counter (``dropped_new``,
     ``dropped_oldest``, ``block_timeouts``) surfaced via :meth:`stats`.
     ``task_done``/``join`` semantics match the stdlib queue so daemon
-    workers can drain it the same way.
+    workers can drain it the same way; :meth:`close` ends the consumers.
 
-    The queue is *report-weighted*: a queued item is either one payload
-    (weight 1) or a :class:`~repro.core.reports.Frame` of ``frame.count``
-    reports, and ``maxsize``, ``qsize`` and every drop counter are measured
+    The queue is *report-weighted*: every item is a
+    :class:`~repro.core.reports.Frame` (a single report is a one-row
+    frame), and ``maxsize``, ``qsize`` and every drop counter are measured
     in reports, not items.  Overflow policies act at report granularity —
     a frame that does not fully fit is split (``DROP_NEW``/``BLOCK`` admit
     the fitting prefix, ``DROP_OLDEST`` evicts queued reports one at a
@@ -107,15 +109,15 @@ class PolicyQueue:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
         self.policy = OverflowPolicy.coerce(policy)
-        self._items: Deque[object] = deque()
-        self._size = 0  # queued *reports* (frames weigh frame.count)
+        self._items: Deque[Frame] = deque()
+        self._size = 0  # queued *reports*
         self._mutex = threading.Lock()
         self._not_empty = threading.Condition(self._mutex)
         self._not_full = threading.Condition(self._mutex)
         self._all_done = threading.Condition(self._mutex)
         self._unfinished = 0
         self._closed = False
-        self.puts = 0  # non-forced submitted reports: the queue's ledger
+        self.puts = 0  # submitted reports: the queue's ledger
         self.dropped_new = 0
         self.dropped_oldest = 0
         self.block_timeouts = 0
@@ -125,34 +127,10 @@ class PolicyQueue:
             return self._size
 
     def qsize(self) -> int:
-        """Approximate number of queued reports (frames weigh their rows)."""
+        """Approximate number of queued reports."""
         return len(self)
 
-    @staticmethod
-    def _weight(item: object) -> int:
-        return item.count if isinstance(item, Frame) else 1
-
     # -- producer side ----------------------------------------------------
-
-    def put(
-        self,
-        item: object,
-        timeout: Optional[float] = None,
-        force: bool = False,
-    ) -> bool:
-        """Admit ``item`` under the configured policy; True if fully admitted.
-
-        ``force=True`` bypasses the bound entirely (used for control
-        sentinels such as stop tokens, which must never be dropped).
-        """
-        with self._mutex:
-            if force:
-                # Control sentinels (stop tokens) are not workload; they stay
-                # out of the submitted ledger.
-                self._admit(item, self._weight(item))
-                return True
-            weight = self._weight(item)
-            return self._put_one_locked(item, timeout) == weight
 
     def put_frame(
         self,
@@ -166,40 +144,29 @@ class PolicyQueue:
         :class:`TenantQuotaQueue` and ignored here.
         """
         with self._mutex:
-            return self._put_one_locked(frame, timeout)
+            self.puts += frame.count
+            return self._policy_put(frame, frame.count, timeout)
 
-    def _put_one_locked(self, item: object, timeout: Optional[float]) -> int:
-        """Ledger + policy admission for one item; returns admitted reports."""
-        weight = self._weight(item)
-        self.puts += weight
-        return self._policy_put(item, weight, timeout)
-
-    def _policy_put(
-        self, item: object, weight: int, timeout: Optional[float]
-    ) -> int:
-        """Admit up to ``weight`` reports of ``item`` under the overflow
+    def _policy_put(self, frame: Frame, weight: int, timeout: Optional[float]) -> int:
+        """Admit up to ``weight`` reports of ``frame`` under the overflow
         policy (mutex held); every refused/evicted report is counted."""
         if weight == 0:
             return 0
         room = self.maxsize - self._size
         if weight <= room:
-            self._admit(item, weight)
+            self._admit(frame, weight)
             return weight
-        is_frame = isinstance(item, Frame)
         if self.policy is OverflowPolicy.DROP_NEW:
             admitted = 0
-            if room > 0 and is_frame:
-                self._admit(item.split(room), room)
+            if room > 0:
+                self._admit(frame.split(room), room)
                 admitted = room
             self.dropped_new += weight - admitted
-            if is_frame:
-                self._on_refused_rows(item, item.start, item.stop)
-            else:
-                self._on_refused_item(item)
+            self._on_refused_rows(frame, frame.start, frame.stop)
             return admitted
         if self.policy is OverflowPolicy.DROP_OLDEST:
             # Evict queued reports one at a time (each one counted) until
-            # the new item fits; a frame wider than the whole queue also
+            # the new frame fits; a frame wider than the whole queue also
             # sheds its own oldest rows (newest-wins at report granularity).
             target = self.maxsize - min(weight, self.maxsize)
             while self._size > target and self._items:
@@ -207,11 +174,10 @@ class PolicyQueue:
             if weight > self.maxsize:
                 excess = weight - self.maxsize
                 self.dropped_oldest += excess
-                if is_frame:
-                    self._on_refused_rows(item, item.start, item.start + excess)
-                    item.start += excess
+                self._on_refused_rows(frame, frame.start, frame.start + excess)
+                frame.start += excess
                 weight = self.maxsize
-            self._admit(item, weight)
+            self._admit(frame, weight)
             return weight
         # BLOCK: admit what fits now, wait for room for the rest (bounded
         # by timeout when given); a timeout counts every unadmitted report.
@@ -219,47 +185,36 @@ class PolicyQueue:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             room = self.maxsize - self._size
-            remaining_w = self._weight(item) if is_frame else weight - admitted
-            if remaining_w <= room:
-                self._admit(item, remaining_w)
-                return admitted + remaining_w
-            if room > 0 and is_frame:
-                self._admit(item.split(room), room)
+            if frame.count <= room:
+                self._admit(frame, frame.count)
+                return admitted + frame.count
+            if room > 0:
+                self._admit(frame.split(room), room)
                 admitted += room
             remaining_t = (
                 None if deadline is None else deadline - time.monotonic()
             )
             if remaining_t is not None and remaining_t <= 0:
-                # A scalar can never be partially admitted, so the window
-                # weight is the full unadmitted remainder in both cases.
-                rest = self._weight(item) if is_frame else weight
-                self.block_timeouts += rest
-                if is_frame:
-                    self._on_refused_rows(item, item.start, item.stop)
-                else:
-                    self._on_refused_item(item)
+                self.block_timeouts += frame.count
+                self._on_refused_rows(frame, frame.start, frame.stop)
                 return admitted
             self._not_full.wait(remaining_t)
 
-    def _admit(self, item: object, weight: int) -> None:
-        self._items.append(item)
+    def _admit(self, frame: Frame, weight: int) -> None:
+        self._items.append(frame)
         self._size += weight
         self._unfinished += weight
         self._not_empty.notify()
 
     def _evict_oldest(self) -> None:
-        """Evict one queued *report* (a scalar item or one frame row) to
-        make room — DROP_OLDEST machinery; counts and settles it."""
-        item = self._items[0]
-        if isinstance(item, Frame) and item.count > 1:
-            self._on_evicted(item, item.start)
-            item.start += 1
+        """Evict one queued report (the oldest frame's first row) to make
+        room — DROP_OLDEST machinery; counts and settles it."""
+        frame = self._items[0]
+        self._on_evicted(frame, frame.start)
+        if frame.count > 1:
+            frame.start += 1
         else:
             self._items.popleft()
-            if isinstance(item, Frame):
-                self._on_evicted(item, item.start)
-            else:
-                self._on_evicted(item, None)
         self._size -= 1
         self.dropped_oldest += 1
         # The evicted report will never be processed; settle its join()
@@ -269,52 +224,35 @@ class PolicyQueue:
     # Attribution hooks (no-ops here; TenantQuotaQueue releases per-tenant
     # occupancy and counts per-tenant drops through them).
 
-    def _on_evicted(self, item: object, row: Optional[int]) -> None:
+    def _on_evicted(self, frame: Frame, row: int) -> None:
         pass
 
     def _on_refused_rows(self, frame: Frame, lo: int, hi: int) -> None:
         pass
 
-    def _on_refused_item(self, item: object) -> None:
+    def _on_popped(self, frame: Frame) -> None:
         pass
 
     # -- consumer side ----------------------------------------------------
 
-    def get(self, timeout: Optional[float] = None) -> object:
-        """Pop the oldest item, blocking until one arrives.
-
-        Raises :class:`QueueStopped` if the queue was closed and drained.
-        """
-        with self._mutex:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._items:
-                if self._closed:
-                    raise QueueStopped
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("queue.get timed out")
-                self._not_empty.wait(remaining)
-            return self._pop_locked()
-
-    def get_nowait(self) -> object:
+    def get_nowait(self) -> Frame:
         """Pop without blocking; raises ``IndexError`` when empty."""
         with self._mutex:
             if not self._items:
                 raise IndexError("queue is empty")
-            return self._pop_locked()
+            frame = self._pop_locked()
+            self._not_full.notify_all()
+            return frame
 
     def get_many(
         self, max_reports: int, timeout: Optional[float] = None
-    ) -> List[object]:
-        """Pop up to ``max_reports`` queued reports as a list of items.
+    ) -> List[Frame]:
+        """Pop up to ``max_reports`` queued reports as a list of frames.
 
-        Blocks (like :meth:`get`) only for the first item; the rest are
-        drained without waiting.  The first item is returned even if it
-        alone exceeds ``max_reports`` — a frame is never split on the
-        consumer side.  One lock acquisition replaces the get +
-        get_nowait-drain loop per batch.
+        Blocks only for the first frame; the rest are drained without
+        waiting.  The first frame is returned even if it alone exceeds
+        ``max_reports`` — a frame is never split on the consumer side.
+        Raises :class:`QueueStopped` once the queue is closed and empty.
         """
         if max_reports <= 0:
             raise ValueError(f"max_reports must be positive, got {max_reports}")
@@ -329,13 +267,13 @@ class PolicyQueue:
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("queue.get_many timed out")
                 self._not_empty.wait(remaining)
-            out: List[object] = []
+            out: List[Frame] = []
             total = 0
             while self._items:
-                weight = self._weight(self._items[0])
+                weight = self._items[0].count
                 if out and total + weight > max_reports:
                     break
-                out.append(self._pop_locked(notify=False))
+                out.append(self._pop_locked())
                 total += weight
                 if total >= max_reports:
                     break
@@ -345,16 +283,11 @@ class PolicyQueue:
                 self._not_full.notify()
             return out
 
-    def _pop_locked(self, notify: bool = True) -> object:
-        item = self._items.popleft()
-        weight = self._weight(item)
-        self._size -= weight
-        if notify:
-            if weight > 1:
-                self._not_full.notify_all()
-            else:
-                self._not_full.notify()
-        return item
+    def _pop_locked(self) -> Frame:
+        frame = self._items.popleft()
+        self._size -= frame.count
+        self._on_popped(frame)
+        return frame
 
     def task_done(self, reports: int = 1) -> None:
         """Signal that ``reports`` previously-gotten reports are processed.
@@ -372,7 +305,7 @@ class PolicyQueue:
             self._all_done.notify_all()
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted item was processed; True on success."""
+        """Block until every admitted report was processed; True on success."""
         with self._mutex:
             deadline = None if timeout is None else time.monotonic() + timeout
             while self._unfinished:
@@ -385,10 +318,15 @@ class PolicyQueue:
             return True
 
     def close(self) -> None:
-        """Wake blocked consumers; subsequent empty gets raise QueueStopped."""
+        """Wake blocked consumers; once empty, gets raise QueueStopped."""
         with self._mutex:
             self._closed = True
             self._not_empty.notify_all()
+
+    def reopen(self) -> None:
+        """Undo :meth:`close` (a restarted consumer pool)."""
+        with self._mutex:
+            self._closed = False
 
     def stats(self) -> Dict[str, int]:
         """Admission counters for :meth:`VeriDPDaemon.stats` consumption.
@@ -412,45 +350,32 @@ class PolicyQueue:
             }
 
 
-class _TenantItem:
-    """A queued payload stamped with the tenant it was attributed to."""
-
-    __slots__ = ("tenant", "payload")
-
-    def __init__(self, tenant: Optional[str], payload: object) -> None:
-        self.tenant = tenant
-        self.payload = payload
-
-
 class TenantQuotaQueue(PolicyQueue):
     """A :class:`PolicyQueue` with per-tenant occupancy quotas.
 
     One noisy tenant flooding the ingest queue must degrade only itself:
-    each admitted item is attributed to a tenant (``classify(item)``,
-    ``None`` for unattributed traffic) and every tenant's share of the
-    queue is capped at ``ceil(share * maxsize)``.  A tenant at its cap is
-    refused admission *regardless of the global policy* — even ``BLOCK``
-    never lets an over-quota tenant stall the others — and the refusal is
-    counted against that tenant (:attr:`tenant_dropped`) as well as in the
-    global ``dropped_new`` ledger.
+    each admitted row is attributed to a tenant (the ``tenants`` stamps
+    of :meth:`put_frame`, ``None`` for unattributed traffic) and every
+    tenant's share of the queue is capped at ``ceil(share * maxsize)``.  A
+    tenant at its cap is refused admission *regardless of the global
+    policy* — even ``BLOCK`` never lets an over-quota tenant stall the
+    others — and the refusal is counted against that tenant
+    (:attr:`tenant_dropped`) as well as in the global ``dropped_new``
+    ledger.
 
-    Consumers are oblivious: :meth:`get` unstamps the payload (releasing
-    the tenant's occupancy slot), and the stdlib-style ``task_done`` /
-    ``join`` / ``close`` semantics are inherited unchanged.  Force-puts
-    (stop sentinels) bypass attribution entirely, exactly as they bypass
-    the bound.
+    Consumers are oblivious: a pop releases the rows' occupancy slots, and
+    the stdlib-style ``task_done`` / ``join`` / ``close`` semantics are
+    inherited unchanged.
     """
 
     def __init__(
         self,
         maxsize: int,
         policy: "OverflowPolicy | str" = OverflowPolicy.DROP_NEW,
-        classify: Optional[Callable[[object], Optional[str]]] = None,
         shares: Optional[Dict[str, float]] = None,
         default_share: float = 1.0,
     ) -> None:
         super().__init__(maxsize, policy)
-        self._classify = classify or (lambda item: None)
         if not 0 < default_share <= 1:
             raise ValueError(
                 f"default_share must be in (0, 1], got {default_share}"
@@ -475,47 +400,6 @@ class TenantQuotaQueue(PolicyQueue):
             return self._default_cap
         return self._caps.get(tenant, self._default_cap)
 
-    def _put_one_locked(self, item: object, timeout: Optional[float]) -> int:
-        if isinstance(item, Frame):
-            return self._put_frame_locked(item, timeout)
-        self.puts += 1
-        return self._put_scalar_locked(item, timeout)
-
-    def _put_scalar_locked(self, item: object, timeout: Optional[float]) -> int:
-        """Scalar admission under both the global bound and the tenant quota
-        (mutex held); returns 1 when admitted, 0 when refused."""
-        tenant = self._classify(item)
-        self.tenant_puts[tenant] = self.tenant_puts.get(tenant, 0) + 1
-        if self._occupancy.get(tenant, 0) >= self.cap_of(tenant):
-            self._drop(tenant, new=True)
-            return 0
-        if self._size < self.maxsize:
-            self._admit_stamped(tenant, item)
-            return 1
-        if self.policy is OverflowPolicy.DROP_NEW:
-            self._drop(tenant, new=True)
-            return 0
-        if self.policy is OverflowPolicy.DROP_OLDEST:
-            self._evict_oldest()
-            self._admit_stamped(tenant, item)
-            return 1
-        # BLOCK: the *global* bound may be waited out (the tenant is
-        # under quota here, so the wait is legitimate backpressure).
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self._size >= self.maxsize:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                self.block_timeouts += 1
-                self.tenant_dropped[tenant] = (
-                    self.tenant_dropped.get(tenant, 0) + 1
-                )
-                return 0
-            self._not_full.wait(remaining)
-        self._admit_stamped(tenant, item)
-        return 1
-
     def put_frame(
         self,
         frame: Frame,
@@ -530,11 +414,50 @@ class TenantQuotaQueue(PolicyQueue):
         is admitted (or split) as one item — one occupancy bump per tenant
         instead of one per report.  Only when some tenant is at its cap
         does admission fall back to row-at-a-time so refusals are charged
-        to exactly the over-quota rows, like the scalar path.
+        to exactly the over-quota rows.
         """
         frame.tenants = self._stamp_rows(frame, tenants)
+        weight = frame.count
         with self._mutex:
-            return self._put_frame_locked(frame, timeout)
+            self.puts += weight
+            if weight == 0:
+                return 0
+            window = frame.tenants[frame.start : frame.stop]
+            counts: Dict[Optional[str], int] = {}
+            for tenant in window:
+                counts[tenant] = counts.get(tenant, 0) + 1
+            for tenant, n in counts.items():
+                self.tenant_puts[tenant] = self.tenant_puts.get(tenant, 0) + n
+            over_quota = any(
+                self._occupancy.get(tenant, 0) + n > self.cap_of(tenant)
+                for tenant, n in counts.items()
+            )
+            if not over_quota:
+                # Bulk path: reserve every row's occupancy up front; the
+                # refusal/eviction hooks release whatever the policy sheds.
+                for tenant, n in counts.items():
+                    self._occupancy[tenant] = self._occupancy.get(tenant, 0) + n
+                return self._policy_put(frame, weight, timeout)
+            # Contended path: some tenant is at its cap, so rows are
+            # admitted individually, each as a one-row window of the frame
+            # — refusals land on exactly the over-quota rows and every
+            # counter stays per report.
+            admitted = 0
+            deadline = None if timeout is None else time.monotonic() + timeout
+            for i, tenant in enumerate(window):
+                if self._occupancy.get(tenant, 0) >= self.cap_of(tenant):
+                    self.dropped_new += 1
+                    self.tenant_dropped[tenant] = self.tenant_dropped.get(tenant, 0) + 1
+                    continue
+                remaining = (
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
+                )
+                row = frame.start + i
+                self._occupancy[tenant] = self._occupancy.get(tenant, 0) + 1
+                admitted += self._policy_put(
+                    Frame(frame.data, row, row + 1, frame.tenants), 1, remaining
+                )
+            return admitted
 
     @staticmethod
     def _stamp_rows(
@@ -555,109 +478,25 @@ class TenantQuotaQueue(PolicyQueue):
             (None,) * frame.start + window + (None,) * (nrows - frame.stop)
         )
 
-    def _put_frame_locked(self, frame: Frame, timeout: Optional[float]) -> int:
-        weight = frame.count
-        self.puts += weight
-        if weight == 0:
-            return 0
-        if frame.tenants is None:
-            frame.tenants = self._stamp_rows(frame, None)
-        window = frame.tenants[frame.start : frame.stop]
-        counts: Dict[Optional[str], int] = {}
-        for tenant in window:
-            counts[tenant] = counts.get(tenant, 0) + 1
-        for tenant, n in counts.items():
-            self.tenant_puts[tenant] = self.tenant_puts.get(tenant, 0) + n
-        over_quota = any(
-            self._occupancy.get(tenant, 0) + n > self.cap_of(tenant)
-            for tenant, n in counts.items()
-        )
-        if not over_quota:
-            # Bulk path: reserve every row's occupancy up front; the
-            # refusal/eviction hooks release whatever the policy sheds.
-            for tenant, n in counts.items():
-                self._occupancy[tenant] = self._occupancy.get(tenant, 0) + n
-            return self._policy_put(frame, weight, timeout)
-        # Contended path: some tenant is at its cap, so rows are admitted
-        # individually, each as a one-row window of the frame — refusals
-        # land on exactly the over-quota rows and every counter stays per
-        # report.
-        admitted = 0
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for i, tenant in enumerate(window):
-            if self._occupancy.get(tenant, 0) >= self.cap_of(tenant):
-                self._drop(tenant, new=True)
-                continue
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            row = frame.start + i
-            item = _TenantItem(tenant, Frame(frame.data, row, row + 1))
-            self._occupancy[tenant] = self._occupancy.get(tenant, 0) + 1
-            admitted += self._policy_put(item, 1, remaining)
-        return admitted
-
-    def _drop(self, tenant: Optional[str], new: bool) -> None:
-        if new:
-            self.dropped_new += 1
-        self.tenant_dropped[tenant] = self.tenant_dropped.get(tenant, 0) + 1
-
-    def _admit_stamped(self, tenant: Optional[str], payload: object) -> None:
-        self._occupancy[tenant] = self._occupancy.get(tenant, 0) + 1
-        self._admit(_TenantItem(tenant, payload), 1)
-
     # -- attribution hooks (called by the base policy machinery) -----------
 
-    def _on_evicted(self, item: object, row: Optional[int]) -> None:
-        if isinstance(item, Frame):
-            tenant = item.tenants[row] if item.tenants is not None else None
-        elif isinstance(item, _TenantItem):
-            tenant = item.tenant
-        else:
-            return  # force-put sentinel, never attributed
-        self._occupancy[tenant] = self._occupancy.get(tenant, 0) - 1
-        self.tenant_dropped[tenant] = self.tenant_dropped.get(tenant, 0) + 1
+    def _release(self, frame: Frame, lo: int, hi: int, dropped: bool) -> None:
+        for i in range(lo, hi):
+            tenant = frame.tenants[i]
+            self._occupancy[tenant] = self._occupancy.get(tenant, 0) - 1
+            if dropped:
+                self.tenant_dropped[tenant] = self.tenant_dropped.get(tenant, 0) + 1
+
+    def _on_evicted(self, frame: Frame, row: int) -> None:
+        self._release(frame, row, row + 1, dropped=True)
 
     def _on_refused_rows(self, frame: Frame, lo: int, hi: int) -> None:
         # Rows refused at admission had their occupancy reserved by the
         # bulk path; release it and charge the drop to each row's tenant.
-        for i in range(lo, hi):
-            tenant = frame.tenants[i] if frame.tenants is not None else None
-            self._occupancy[tenant] = self._occupancy.get(tenant, 0) - 1
-            self.tenant_dropped[tenant] = self.tenant_dropped.get(tenant, 0) + 1
+        self._release(frame, lo, hi, dropped=True)
 
-    def _on_refused_item(self, item: object) -> None:
-        if isinstance(item, _TenantItem):
-            self._occupancy[item.tenant] = self._occupancy.get(item.tenant, 0) - 1
-            self.tenant_dropped[item.tenant] = (
-                self.tenant_dropped.get(item.tenant, 0) + 1
-            )
-
-    def _unstamp(self, item: object) -> object:
-        if isinstance(item, _TenantItem):
-            with self._mutex:
-                self._occupancy[item.tenant] -= 1
-            return item.payload
-        if isinstance(item, Frame) and item.tenants is not None:
-            with self._mutex:
-                for i in range(item.start, item.stop):
-                    self._occupancy[item.tenants[i]] -= 1
-            return item
-        return item  # force-put sentinel, never stamped
-
-    def get(self, timeout: Optional[float] = None) -> object:
-        return self._unstamp(super().get(timeout))
-
-    def get_nowait(self) -> object:
-        return self._unstamp(super().get_nowait())
-
-    def get_many(
-        self, max_reports: int, timeout: Optional[float] = None
-    ) -> List[object]:
-        return [
-            self._unstamp(item)
-            for item in super().get_many(max_reports, timeout)
-        ]
+    def _on_popped(self, frame: Frame) -> None:
+        self._release(frame, frame.start, frame.stop, dropped=False)
 
     def stats(self) -> Dict[str, object]:
         """Global admission counters plus the per-tenant breakdown."""

@@ -13,7 +13,6 @@ latency bound ``tau`` choose ``T_s^f <= tau - T_a^f``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 __all__ = [

@@ -6,27 +6,29 @@ is a pipe transport over a :class:`~repro.core.replica.ShardReplica` — its
 shard of the path table as pair specs, whose node pools a forked worker
 inherits and a patched one receives localized (no topology) — which
 verifies frames locally and answers every batch with its delta (counters,
-failed payloads) on the same duplex pipe; the parent's collector thread
-settles each delta as it arrives, sending the (rare) failures through the
-server's intake, the verdict of record.  The direct daemon (in-thread) and
-the cluster tier's nodes (TCP) are the other transports over the same
+failed payloads) on the same duplex pipe.  The direct daemon (in-thread)
+and the cluster tier's nodes (TCP) are the other transports over the same
 replica.  This is the shape that turns the GIL-flat throughput curve into a
 scaling one when cores are available.
 
-Delivery is the cluster frontend's: each worker generation keeps a
-:class:`~repro.core.delivery.DeliveryBook`, which WAL-logs a batch once at
-its cut, holds it un-acked under a seq until the worker's
-``drain(seq)`` reply retires it, and surrenders what is left when the
-worker dies.  Resilience: dead or wedged worker processes are detected
-(exitcode polling + heartbeat: any reply refreshes it, pings keep an idle
-worker answering) and restarted with bounded exponential backoff, their
-replica resynchronised against the current :attr:`PathTable.version`; the
-successor adopts the dead generation's surrendered batches, so a worker
-killed mid-batch costs no verdict.  When restarts exceed the budget the
-daemon degrades to a single-process :class:`~repro.core.direct.VeriDPDaemon`
-fallback, which takes the same surrender.  Each generation gets its *own*
-pipe, so a worker killed mid-``recv``/``send`` cannot corrupt the stream of
-its successor.
+The parent side is the cluster's: one
+:class:`~repro.core.dispatch.Dispatcher` sends the batches, takes every
+reply on one intake thread, settles it into one set of books and handles
+a member's failure, over a *pipe link* per worker generation here and a
+*TCP link* per node there.  Each generation's
+:class:`~repro.core.delivery.DeliveryBook` WAL-logs a batch once at its
+cut, holds it un-acked under a seq until the worker's ``drain(seq)``
+reply retires it, and surrenders what is left when the worker dies.
+Resilience: dead or wedged worker processes are detected (exitcode
+polling + heartbeat: a ping left unanswered too long) and restarted with
+bounded exponential backoff, their replica resynchronised against the
+current :attr:`PathTable.version`; the successor takes the dead
+generation's surrendered batches, so a worker killed mid-batch costs no
+verdict.  When restarts exceed the budget the daemon degrades to a
+single-process :class:`~repro.core.direct.VeriDPDaemon` fallback, which
+takes the same surrender.  Each generation gets its *own* pipe, so a
+worker killed mid-``recv``/``send`` cannot corrupt the stream of its
+successor.
 """
 
 from __future__ import annotations
@@ -34,18 +36,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import select
-import socket
-import threading
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..obs import Observability
-from .delivery import DeliveryBook, InFlight
-from .direct import VeriDPDaemon, _log_frame, settle
+from .direct import VeriDPDaemon, _log_frame
+from .dispatch import Books, Dispatcher, Link
 from .ingest import shard_split
 from .replica import (
-    Delta,
     ShardReplica,
     VerdictFamilies,
     build_one_shard_spec,
@@ -59,7 +57,6 @@ from .resilience import (
     DeadLetterQueue,
     OverflowPolicy,
     RestartBackoff,
-    WorkerProbe,
     WorkerSupervisor,
 )
 from .server import VeriDPServer
@@ -89,11 +86,13 @@ def _shard_worker_main(
                                         None drops the pair)
         ("reload", blob)            -- (swap in a pickled pack_specs body)
         ("digest", token)           ("digest", token, sha1)
-        ("ping",)                   ("pong",)
+        ("ping", token)             ("pong",)
         ("crash", how)              -- (test hook: "exit" dies, "wedge" hangs)
 
+    These are the dispatcher's link messages
+    (:mod:`repro.core.dispatch`), the ones a cluster node takes over TCP.
     A ``patch`` or ``reload`` applies before every batch behind it.  Any
-    reply refreshes the parent's heartbeat for this worker.  A payload can
+    reply answers the parent's outstanding ping for this worker.  A payload can
     never kill the worker (the replica counts undecodable payloads and
     ships verification crashes back as records), and a shard replica
     covers its whole hash shard, so an unknown pair is a verdict.  The
@@ -125,50 +124,48 @@ def _shard_worker_main(
                 time.sleep(0.5)
 
 
-class _WorkerLink(DeliveryBook):
-    """One shard worker generation: its process, the parent's end of its
-    pipe, and its delivery book."""
+class _WorkerLink(Link):
+    """The pipe link: one shard worker generation, its process and the
+    parent's end of its duplex pipe."""
 
     def __init__(self, shard: int, generation: int, process, conn, *book) -> None:
-        super().__init__(*book)
-        self.shard = shard
+        super().__init__(shard, *book)
         self.generation = generation
         self.process = process
         self.conn = conn
-        #: Serialises writers: a message is several writes on the pipe.
-        self.send_lock = threading.Lock()
-        self.last_reply = time.monotonic()
 
-    def send(self, message) -> None:
-        """Ship one message.  A dead generation drops it: its book is
-        surrendered to the successor, which the restart brings current."""
-        with self.send_lock:
-            try:
-                self.conn.send(message)
-            except OSError:
-                pass
+    def fileno(self) -> int:
+        return self.conn.fileno()
 
-    def post(self, message) -> None:
-        """Ship a small message only if that cannot block (a ping): a
-        wedged worker with a full pipe must not stall its supervisor."""
-        if not self.send_lock.acquire(blocking=False):
-            return
+    def recv(self):
+        return self.conn.recv()
+
+    def _write(self, message) -> Optional[int]:
+        size = 0
+        if message[0] in ("patch", "reload"):
+            # Pickled here, once: the worker loads it after every batch
+            # ahead of it, and its length is the resync's byte count.
+            blob = pickle.dumps(message[1], pickle.HIGHEST_PROTOCOL)
+            message, size = (message[0], blob), len(blob)
         try:
-            if select.select([], [self.conn], [], 0)[1]:
-                self.conn.send(message)
+            self.conn.send(message)
         except OSError:
-            pass
-        finally:
-            self.send_lock.release()
+            return None
+        return size
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
 
     def end(self) -> None:
-        """Take the process down for good, wedged or not: the replica
-        holds nothing the parent lacks."""
+        # The replica holds nothing the parent lacks.
         self.process.kill()
         self.process.join(timeout=2)
 
+    def close(self) -> None:
+        self.conn.close()
 
-class ShardedVeriDPDaemon:
+
+class ShardedVeriDPDaemon(Dispatcher, Books):
     """Multiprocess report verification, sharded by ``(inport, outport)``.
 
     The parent peeks the two wire port ids out of each payload (bytes 2-6),
@@ -178,13 +175,13 @@ class ShardedVeriDPDaemon:
     worker's :class:`~repro.core.replica.ShardReplica` compiles its pairs
     into the vector batch kernel (:mod:`repro.core.vector`) and verifies
     whole dispatch batches as array operations, falling back to the scalar
-    matcher row by row where the input calls for it.  Every batch's delta
-    comes back over the worker's pipe and one parent collector thread
-    settles it on arrival: failed payloads go through
-    :meth:`VeriDPServer.receive_report_rows`, one call per batch, so
-    localization, the localization cache and the incident log behave
-    exactly as in the single-process server — and the counters follow the
-    server's verdicts.
+    matcher row by row where the input calls for it.  Sending, the reply
+    intake, the settle and member failure are the
+    :class:`~repro.core.dispatch.Dispatcher`'s, shared with the cluster:
+    failed payloads go through :meth:`VeriDPServer.receive_report_rows`,
+    one call per batch, so localization, the localization cache and the
+    incident log behave exactly as in the single-process server — and the
+    counters follow the server's verdicts.
 
     ``join()`` dispatches the shard buffers and waits until no accepted row
     is left without a verdict.  Call it before reading :meth:`stats` for
@@ -194,10 +191,11 @@ class ShardedVeriDPDaemon:
     (``exitcode`` + heartbeat) and restarts dead or wedged workers with
     bounded exponential backoff, rebuilding the restarted shard's replica
     from the *current* path table (and patching the other workers when
-    :attr:`PathTable.version` moved meanwhile); the successor redelivers
+    :attr:`PathTable.version` moved meanwhile); the successor is handed
     what its predecessor had not answered.  Worker restarts beyond
     ``restart_budget`` degrade the daemon to a single-process
-    :class:`VeriDPDaemon` so ingestion survives a crash loop.  Each shard
+    :class:`VeriDPDaemon`, which takes every worker's rows through the
+    same failure path, so ingestion survives a crash loop.  Each shard
     keeps at most ``max_pending_batches`` batches un-acked, under an
     explicit overflow policy — ``block`` (default, loss-free) or
     ``drop-new`` (accounted tail drop); ``drop-oldest`` is not offered here
@@ -231,28 +229,29 @@ class ShardedVeriDPDaemon:
             raise ValueError(
                 f"max_pending_batches must be positive, got {max_pending_batches}"
             )
-        self.overflow = OverflowPolicy.coerce(overflow)
-        if self.overflow is OverflowPolicy.DROP_OLDEST:
+        overflow = OverflowPolicy.coerce(overflow)
+        if overflow is OverflowPolicy.DROP_OLDEST:
             raise ValueError(
                 "drop-oldest is not supported by the sharded daemon: batches "
                 "already handed to a worker process cannot be recalled; use "
                 "the threaded VeriDPDaemon for newest-wins ingestion"
             )
-        self.server = server
+        Dispatcher.__init__(
+            self, self.take, batch_size, self._log_rows, max_pending_batches, overflow
+        )
         self.obs = obs or server.obs
+        Books.__init__(
+            self,
+            server,
+            VerdictFamilies(self.obs.registry, "shard"),
+            DeadLetterQueue(
+                capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
+            ),
+            shards=workers,
+        )
         self.workers = workers
-        self.batch_size = batch_size
         self.max_pending_batches = max_pending_batches
         self.fallback_workers = fallback_workers
-        self.submitted = 0
-        self.processed = 0
-        self.malformed = 0
-        self.verify_errors = 0
-        self.dropped_new = 0  # sharded tail drop (canonical spelling)
-        self.counters: Dict[Verdict, int] = {v: 0 for v in Verdict}
-        self.dead_letters = DeadLetterQueue(
-            capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
-        )
         self._packing = wire_packing(server.hs.layout)
         #: Whether the workers' replicas compile the vector kernel.
         self.vector = wire_kernel({}, self._packing) is not None
@@ -260,19 +259,6 @@ class ShardedVeriDPDaemon:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        #: Per shard, the current worker generation (None before start).
-        self._links: List[Optional[_WorkerLink]] = [None] * workers
-        #: Rows accepted with no verdict yet; its condition also wakes the
-        #: digest waiters.
-        self._flight = InFlight()
-        self._replica_version = -1
-        self._dirty_token: Optional[Tuple[int, int]] = None
-        self._digest_seq = 0
-        self._digests: Dict[int, Tuple[int, str]] = {}
-        self.resyncs = 0
-        self.resync_pairs = 0
-        self.resync_delta_bytes = 0
-        self.full_resyncs = 0
         self._running = False
         self._stopping = False
         self.degraded = False
@@ -280,20 +266,10 @@ class ShardedVeriDPDaemon:
         #: streams whose payloads are already in the WAL).
         self.record_reports = True
         self._fallback: Optional[VeriDPDaemon] = None
-        #: Serialises offers against a generation swap or the degrade.
-        self._dispatch_lock = threading.Lock()
-        self._merge_lock = threading.Lock()
-        self._server_mutex = threading.Lock()
-        #: Serialises replica resyncs and respawns, held across their sends
-        #: (never across a settle, which takes ``_server_mutex``).
-        self._resync_lock = threading.Lock()
-        self._collector: Optional[threading.Thread] = None
-        self._wake_r: Optional[socket.socket] = None
-        self._wake_w: Optional[socket.socket] = None
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervise:
             self._supervisor = WorkerSupervisor(
-                probe=self._probe,
+                probe=self.probes,
                 restart=self._restart_worker,
                 restart_budget=restart_budget,
                 poll_interval=poll_interval,
@@ -302,7 +278,6 @@ class ShardedVeriDPDaemon:
                 on_budget_exhausted=self._degrade,
             )
         self._register_metrics()
-        self._shard_families = VerdictFamilies(self.obs.registry, "shard")
         self._endpoint: Optional[MetricsEndpoint] = None
         if metrics_port is not None:
             self._endpoint = self.obs.endpoint(
@@ -331,76 +306,69 @@ class ShardedVeriDPDaemon:
 
         Re-registers the ingestion families the server/threaded daemon may
         already own (latest owner wins); the per-shard ``veridp_shard_*``
-        families are folded from every delta in :meth:`_settle`.  When
-        degraded, the callbacks fold in the fallback daemon's figures — the
-        fallback itself runs on a private registry so its own registrations
-        cannot clobber these.
+        families are folded from every delta in :meth:`Books.settle`.
+        The callbacks read :meth:`stats`, which folds in the fallback
+        daemon's figures once degraded — the fallback itself runs on a
+        private registry so its own registrations cannot clobber these.
         """
         reg = self.obs.registry
 
-        def fallback_stat(name: str) -> int:
-            fallback = self._fallback
-            return 0 if fallback is None else getattr(fallback, name)
+        def stat(key: str) -> Callable[[], int]:
+            return lambda: self.stats().get(key, 0)
 
-        def supervisor_stat(name: str) -> int:
-            supervisor = self._supervisor
-            return 0 if supervisor is None else getattr(supervisor, name)
+        def attr(name: str) -> Callable[[], int]:
+            return lambda: getattr(self, name)
 
-        reg.counter(
-            "veridp_submitted_total",
-            "Report payloads offered to the daemon (admitted or not).",
-            callback=lambda: self.submitted,
-        )
-        reg.counter(
-            "veridp_processed_total",
-            "Payloads fully verified by the shard workers.",
-            callback=lambda: self.processed + fallback_stat("processed"),
-        )
-        reg.counter(
-            "veridp_malformed_total",
-            "Payloads the decoder rejected (dead-lettered, not fatal).",
-            callback=lambda: self.malformed + fallback_stat("malformed"),
-        )
-        reg.counter(
-            "veridp_verify_errors_total",
-            "Payloads that crashed verification (dead-lettered).",
-            callback=lambda: self.verify_errors + fallback_stat("verify_errors"),
-        )
+        for kind, name, read, text in (
+            ("counter", "veridp_submitted_total", stat("submitted"),
+             "Report payloads offered to the daemon (admitted or not)."),
+            ("counter", "veridp_processed_total", stat("processed"),
+             "Payloads fully verified by the shard workers."),
+            ("counter", "veridp_malformed_total", stat("malformed"),
+             "Payloads the decoder rejected (dead-lettered, not fatal)."),
+            ("counter", "veridp_verify_errors_total", stat("verify_errors"),
+             "Payloads that crashed verification (dead-lettered)."),
+            ("gauge", "veridp_queue_depth",
+             lambda: sum(link.rows for link in list(self._links.values())),
+             "Payloads buffered parent-side awaiting dispatch."),
+            ("gauge", "veridp_in_flight", self._in_flight,
+             "Payloads accepted that have no verdict yet."),
+            ("counter", "veridp_lost_in_restart_total", stat("lost_in_restart"),
+             "Payloads dispatched to a worker whose verdicts never returned "
+             "(0: a restart redelivers them)."),
+            ("gauge", "veridp_workers",
+             lambda: self.fallback_workers if self.degraded else self.workers,
+             "Shard worker processes (fallback threads when degraded)."),
+            ("gauge", "veridp_degraded", stat("degraded"),
+             "1 when the daemon fell back to the threaded single process."),
+            ("counter", "veridp_worker_restarts_total", stat("restarts"),
+             "Shard workers the supervisor restarted (dead or wedged)."),
+            ("counter", "veridp_wedged_restarts_total", stat("wedged_restarts"),
+             "Restarts triggered by heartbeat timeout rather than death."),
+            ("gauge", "veridp_restart_budget", stat("restart_budget"),
+             "Supervisor crash-restart budget before degrading."),
+            ("counter", "veridp_dead_letters_total", stat("dead_lettered"),
+             "Payloads dead-lettered since start."),
+            ("gauge", "veridp_dead_letter_pending", stat("dead_letter_pending"),
+             "Dead letters awaiting retry."),
+            ("gauge", "veridp_dead_letter_quarantined",
+             stat("dead_letter_quarantined"),
+             "Dead letters past the retry budget."),
+            ("counter", "veridp_replica_resyncs_total", attr("resyncs"),
+             "In-place worker replica resyncs (delta patches, no recompile)."),
+            ("counter", "veridp_replica_resync_pairs_total", attr("resync_pairs"),
+             "Path-table pairs recompiled and shipped as resync deltas."),
+            ("counter", "veridp_replica_delta_bytes_total", attr("resync_delta_bytes"),
+             "Pickled bytes of pair deltas shipped to workers on resync."),
+            ("counter", "veridp_replica_full_resyncs_total", attr("full_resyncs"),
+             "Resyncs that had to fall back to a full replica reload."),
+        ):
+            getattr(reg, kind)(name, text, callback=read)
         reg.counter(
             "veridp_queue_dropped_total",
             "Payloads lost to backpressure, by overflow policy decision.",
             ("policy",),
-            callback=lambda: {
-                ("drop-new",): self.dropped_new + fallback_stat("dropped")
-            },
-        )
-        reg.gauge(
-            "veridp_queue_depth",
-            "Payloads buffered parent-side awaiting dispatch.",
-            callback=lambda: sum(link.rows for link in self._links if link),
-        )
-        reg.gauge(
-            "veridp_in_flight",
-            "Payloads accepted that have no verdict yet.",
-            callback=self._in_flight,
-        )
-        reg.counter(
-            "veridp_lost_in_restart_total",
-            "Payloads dispatched to a worker whose verdicts never returned "
-            "(0: a restart redelivers them).",
-            callback=lambda: 0,
-        )
-        reg.gauge(
-            "veridp_workers",
-            "Shard worker processes (fallback threads when degraded).",
-            callback=lambda: (
-                self.fallback_workers if self.degraded else self.workers
-            ),
-        )
-        reg.gauge(
-            "veridp_degraded",
-            "1 when the daemon fell back to the threaded single process.",
-            callback=lambda: int(self.degraded),
+            callback=lambda: {("drop-new",): self.stats()["dropped"]},
         )
         reg.counter(
             "veridp_verifications_total",
@@ -408,69 +376,16 @@ class ShardedVeriDPDaemon:
             ("verdict",),
             callback=self._merged_verdicts,
         )
-        reg.counter(
-            "veridp_worker_restarts_total",
-            "Shard workers the supervisor restarted (dead or wedged).",
-            callback=lambda: supervisor_stat("restarts"),
-        )
-        reg.counter(
-            "veridp_wedged_restarts_total",
-            "Restarts triggered by heartbeat timeout rather than death.",
-            callback=lambda: supervisor_stat("wedged_restarts"),
-        )
-        reg.gauge(
-            "veridp_restart_budget",
-            "Supervisor crash-restart budget before degrading.",
-            callback=lambda: supervisor_stat("restart_budget"),
-        )
-        reg.counter(
-            "veridp_dead_letters_total",
-            "Payloads dead-lettered since start.",
-            callback=lambda: self.dead_letters.total
-            + (
-                0 if self._fallback is None else self._fallback.dead_letters.total
-            ),
-        )
-        reg.gauge(
-            "veridp_dead_letter_pending",
-            "Dead letters awaiting retry.",
-            callback=lambda: self.dead_letters.pending,
-        )
-        reg.gauge(
-            "veridp_dead_letter_quarantined",
-            "Dead letters past the retry budget.",
-            callback=lambda: self.dead_letters.quarantined,
-        )
-        reg.counter(
-            "veridp_replica_resyncs_total",
-            "In-place worker replica resyncs (delta patches, no recompile).",
-            callback=lambda: self.resyncs,
-        )
-        reg.counter(
-            "veridp_replica_resync_pairs_total",
-            "Path-table pairs recompiled and shipped as resync deltas.",
-            callback=lambda: self.resync_pairs,
-        )
-        reg.counter(
-            "veridp_replica_delta_bytes_total",
-            "Pickled bytes of pair deltas shipped to workers on resync.",
-            callback=lambda: self.resync_delta_bytes,
-        )
-        reg.counter(
-            "veridp_replica_full_resyncs_total",
-            "Resyncs that had to fall back to a full replica reload.",
-            callback=lambda: self.full_resyncs,
-        )
 
     def _in_flight(self) -> int:
         """Rows accepted and not yet given a verdict."""
         fallback = self._fallback
         if fallback is not None:
             return fallback.stats()["queued"]
-        return self._flight.rows
+        return self.flight.rows
 
     def _merged_verdicts(self) -> Dict[tuple, int]:
-        with self._merge_lock:
+        with self._books_lock:
             merged = dict(self.counters)
         fallback = self._fallback
         if fallback is not None:
@@ -496,67 +411,67 @@ class ShardedVeriDPDaemon:
             return
         if self._running:
             return
-        with self._server_mutex:
+        with self.server_lock:
             self.server.refresh_if_dirty()
             sync = resync_specs(
                 self.server.table, self.server.hs, self.server.codec, self.workers
             )
             self._replica_version, self._dirty_token = sync.version, sync.token
-        self._wake_r, self._wake_w = socket.socketpair()
-        for worker_id in range(self.workers):
-            self._spawn(worker_id, sync.specs[worker_id])
+        for shard in range(self.workers):
+            self._spawn(shard, sync.specs[shard])
         self._running = True
-        self._collector = threading.Thread(
-            target=self._collect, name="veridp-shard-collector", daemon=True
-        )
-        self._collector.start()
         if self._supervisor is not None:
             self._supervisor.start()
 
-    def _spawn(self, shard: int, spec: Dict) -> None:
-        """Fork the shard's next worker generation on a fresh duplex pipe.
+    def _spawn(self, shard: int, spec: Optional[Dict]) -> None:
+        """Fork the shard's next worker generation on a fresh duplex pipe
+        (``spec`` None: no successor, the shard's rows go to the fallback)
+        and hand it what the previous generation's book still held.
 
         A fresh pipe per generation matters: a worker killed mid-message
-        would corrupt the stream for any successor.  The successor adopts
-        what the previous generation's book still holds (surrendered: in
-        the WAL already, counted in flight) and gets it as one batch.
+        would corrupt the stream for any successor.
         """
-        old = self._links[shard]
-        generation = 0 if old is None else old.generation + 1
-        conn, child = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                shard,
-                child,
-                spec,
-                self._packing,
-                # Undecodable-port rows count malformed in the shard's own
-                # families, as in the daemon's books (the codec's switches
-                # are the topology's, fixed when the server was built).
-                self.server.codec.id_limit,
-            ),
-            name=f"veridp-shard-{shard}-gen{generation}",
-            daemon=True,
-        )
-        process.start()
-        child.close()  # the worker holds the only copy: its death reads EOF
-        link = _WorkerLink(
-            shard, generation, process, conn, self._flight, self.batch_size, self._log_rows
-        )
-        with self._dispatch_lock:
-            self._links[shard] = link
-            frames = [] if old is None else old.surrender()
-        self._wake()  # the collector picks up the new pipe
-        batch = link.adopt(frames) if frames else None
-        if batch is not None:
-            link.send(("batch", batch[0], batch[1]))
+        link = None
+        if spec is not None:
+            old = self._links.get(shard)
+            generation = 0 if old is None else old.generation + 1
+            conn, child = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=_shard_worker_main,
+                args=(
+                    shard,
+                    child,
+                    spec,
+                    self._packing,
+                    # Undecodable-port rows count malformed in the shard's
+                    # own families, as in the daemon's books (the codec's
+                    # switches are the topology's, fixed when the server
+                    # was built).
+                    self.server.codec.id_limit,
+                ),
+                name=f"veridp-shard-{shard}-gen{generation}",
+                daemon=True,
+            )
+            process.start()
+            child.close()  # the worker holds the only copy: its death reads EOF
+            link = _WorkerLink(
+                shard, generation, process, conn, self.flight, self.batch_size, self.log
+            )
+        frames = self._swap(shard, link)
+        if frames:
+            self.redeliver(frames)
 
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # pragma: no cover - the wake buffer is full
-            pass
+    def redeliver(self, frames: List[bytes]) -> int:
+        """Route surrendered rows to their shards' successors, or, once
+        degraded, hand them to the fallback."""
+        fallback = self._fallback
+        if fallback is None:
+            return super().redeliver(frames)
+        for frame in frames:
+            # The rows leave this daemon's books for the fallback's.
+            self.flight.add(-(len(frame) // REPORT_SIZE))
+            fallback.submit_frame(Frame(frame))
+        return 0
 
     def stop(self) -> None:
         """Consolidate outstanding work and terminate the workers.
@@ -568,7 +483,7 @@ class ShardedVeriDPDaemon:
             self._endpoint.stop()
         if self._fallback is not None:
             self._fallback.stop()
-            self._stop_collector()
+            self.close()
             return
         if not self._running:
             return
@@ -577,22 +492,13 @@ class ShardedVeriDPDaemon:
             self._supervisor.stop()
         try:
             self.join(timeout=10.0)
-        except RuntimeError:  # wedged/dead workers: terminated below
+        except TimeoutError:  # wedged/dead workers: terminated below
             pass
-        self._stop_collector()
-        for link in self._links:
+        for link in list(self._links.values()):
             link.end()
-            link.conn.close()
+        self.close()
         self._running = False
         self._stopping = False
-
-    def _stop_collector(self) -> None:
-        collector, self._collector = self._collector, None
-        if collector is not None:
-            self._wake()
-            collector.join(timeout=5)
-            self._wake_r.close()
-            self._wake_w.close()
 
     def __enter__(self) -> "ShardedVeriDPDaemon":
         self.start()
@@ -630,9 +536,9 @@ class ShardedVeriDPDaemon:
         self.dead_letters.add(
             payload, "decode", ReportDecodeError(payload_precheck(payload))
         )
-        with self._dispatch_lock:
+        with self._lock:
             self.submitted += 1
-        with self._merge_lock:
+        with self._books_lock:
             self.malformed += 1
         return True
 
@@ -652,8 +558,7 @@ class ShardedVeriDPDaemon:
             if not self._running:
                 raise RuntimeError("daemon is not running; call start() first")
             self._catch_up()
-            chunks = shard_split(frame.payload(), self.workers)
-            admitted = self._buffer(enumerate(chunks), count)
+            admitted = self._dispatch(frame.payload(), count)
             if admitted is not None:
                 return admitted
         # Degraded: the fallback's own logging is off (its stream mixes
@@ -662,9 +567,19 @@ class ShardedVeriDPDaemon:
         persist = self.server.persist
         if persist is not None and self.record_reports:
             _log_frame(persist, frame)
-        with self._dispatch_lock:
+        with self._lock:
             self.submitted += count
         return self._fallback.submit_frame(frame)
+
+    def _route(self, clean: bytes) -> Optional[List[Tuple[Link, bytes, int]]]:
+        """The shard hash: each shard's rows to its current generation."""
+        if self._fallback is not None:
+            return None
+        return [
+            (self._links[shard], chunk, len(chunk) // REPORT_SIZE)
+            for shard, chunk in enumerate(shard_split(clean, self.workers))
+            if chunk
+        ]
 
     def _catch_up(self) -> None:
         """Bring the fleet current before new rows can reach a replica."""
@@ -672,57 +587,13 @@ class ShardedVeriDPDaemon:
             # Reports bypass the server here, so its coalescing window
             # would never see a tick: expire it on arrival, exactly as
             # receive_report_bytes does on the direct path.
-            with self._server_mutex:
+            with self.server_lock:
                 self.server.maybe_flush_updates()
         if self.server.table.version != self._replica_version:
             # Rule churn moved the table under the fleet: patch the worker
             # replicas in place (pair deltas, no whole-table recompile)
             # before a row can reach a stale replica.
             self.resync_replicas()
-
-    def _buffer(self, chunks: Iterable[Tuple[int, bytes]], count: int) -> Optional[int]:
-        """Offer ``(shard, chunk)`` pairs to the shard books and send every
-        batch they cut; returns rows admitted, or None (nothing taken)
-        when the daemon has degraded."""
-        batches = []
-        with self._dispatch_lock:
-            if self._fallback is not None:
-                return None
-            self.submitted += count
-            for shard, chunk in chunks:
-                if chunk:
-                    link = self._links[shard]
-                    batch = link.offer(chunk, len(chunk) // REPORT_SIZE)
-                    if batch is not None:
-                        batches.append((link, batch))
-        admitted = count
-        for link, batch in batches:
-            if not self._send(link, *batch):
-                admitted = max(0, admitted - batch[2])
-        return admitted
-
-    def _send(self, link: _WorkerLink, seq: int, frame: bytes, rows: int) -> bool:
-        """Hand one cut batch to its worker under the overflow policy.
-
-        Runs outside the dispatch lock: a ``block`` wait here must not
-        stall other producers, and the supervisor's restart path (which
-        the wait leans on for liveness) must never deadlock against us.
-        A batch surrendered meanwhile is its successor's to send.
-        """
-        window = self.max_pending_batches
-        with self.obs.span("admit", shard=link.shard, reports=rows):
-            if self.overflow is not OverflowPolicy.BLOCK:
-                if not link.has_room(seq, window):
-                    link.retire(seq)  # tail drop: no reply will come
-                    with self._merge_lock:
-                        self.dropped_new += rows
-                    return False
-            while not self._flight.wait_for(lambda: link.has_room(seq, window), 0.2):
-                # BLOCK: make sure a live consumer exists, then re-check.
-                self._revive()
-            if not link.dead:
-                link.send(("batch", seq, frame))
-            return True
 
     def _revive(self) -> None:
         """Run one synchronous supervision pass (restart dead workers)."""
@@ -732,98 +603,18 @@ class ShardedVeriDPDaemon:
     def join(self, timeout: float = 60.0) -> None:
         """Dispatch the buffers and wait until every accepted row has its
         verdict (:meth:`_in_flight` reads 0), reviving dead workers while
-        it waits; raises ``RuntimeError`` naming the shards still owing
-        rows at the deadline."""
-        fallback = self._fallback
-        if fallback is not None:
-            fallback.join()
-            return
-        if not self._running:
-            return
-        for link in list(self._links):
-            batch = link.cut()
-            if batch is not None:
-                self._send(link, *batch)
-        deadline = time.monotonic() + timeout
-        while True:
-            if self._fallback is not None:  # degraded while waiting
-                self._fallback.join()
-                return
-            if self._flight.wait_for(lambda: self._flight.rows == 0, 0.05):
-                return
-            # A worker is slow or gone: revive the dead (the successor
-            # redelivers what its predecessor never answered).
-            self._revive()
-            if time.monotonic() > deadline:
-                owing = [link.shard for link in self._links if link.unacked or link.rows]
-                raise RuntimeError(f"shard workers {owing} did not answer in time")
-
-    def _collect(self) -> None:
-        """The collector thread: settle each worker reply as it arrives."""
-        # Loaded with the first pipe anyway; a direct serve never needs it.
-        from multiprocessing.connection import wait
-
-        while self._collector is not None:
-            links = {link.conn: link for link in self._links if not link.dead}
-            for conn in wait([self._wake_r, *links], timeout=1.0):
-                if conn is self._wake_r:  # a respawn or stop()
-                    self._wake_r.recv(4096)
-                    continue
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    # The generation died: its book waits for the restart
-                    # to surrender it.
-                    links[conn].dead = True
-                    continue
-                self._on_reply(links[conn], reply)
-
-    def _on_reply(self, link: _WorkerLink, reply) -> None:
-        """Handle one reply off a worker's pipe (any reply is a heartbeat)."""
-        link.last_reply = time.monotonic()
-        if isinstance(reply, Delta):
-            # Settled under the book's lock: a restart cannot surrender
-            # the batch meanwhile, so the verdicts count once.
-            link.retire(reply.seq, lambda: self._settle(reply))
-        elif reply[0] == "digest":
-            self._digests[link.shard] = reply[1:]
-            self._flight.notify()
-
-    def _settle(self, delta: Delta) -> None:
-        """Fold one worker delta into the consolidated counters."""
-        # Fold into the veridp_shard_* families outside _merge_lock: that
-        # takes registry/metric locks, and holding _merge_lock across it
-        # would serialise scrapes (whose callbacks take _merge_lock)
-        # against every batch for no benefit.
-        self._shard_families.fold(delta)
-        if not (delta.failures or delta.crashed or delta.malformed):
-            # Nothing flagged: no intake call.
-            with self._merge_lock:
-                self.processed += delta.processed
-                self.counters[Verdict.PASS] += delta.processed
-            return
-        with self._server_mutex:
-            if delta.failures:
-                # The server's verdict is the one of record: bring it
-                # current first, as a report on the direct server path would.
-                self.server.maybe_flush_updates()
-                self.server.refresh_if_dirty()
-            processed, malformed, crashed, counters, letters = settle(
-                self.server, delta
-            )
-        with self._merge_lock:
-            self.processed += processed
-            self.malformed += malformed
-            self.verify_errors += crashed
-            for verdict, count in counters.items():
-                self.counters[verdict] += count
-        for letter in letters:
-            self.dead_letters.add(*letter)
+        it waits (:meth:`Dispatcher.join_rows`, which raises
+        ``TimeoutError`` naming the shards still owing rows)."""
+        if self._fallback is None and self._running:
+            self.join_rows(timeout)
+        # Degraded, before or while waiting: the fallback holds the rows.
+        if self._fallback is not None:
+            self._fallback.join()
 
     def retry_dead_letters(self) -> Tuple[int, int]:
         """Re-run pending dead letters through the parent-side pipeline."""
         def handler(payload: bytes) -> None:
-            with self._server_mutex:
+            with self.server_lock:
                 self.server.receive_report_bytes(payload, record=False)
 
         return self.dead_letters.retry(handler)
@@ -831,137 +622,52 @@ class ShardedVeriDPDaemon:
     def dead_letter_transport(self, payload: bytes, reason: str) -> None:
         """Transport-stage reject; see :meth:`VeriDPDaemon.dead_letter_transport`."""
         self.dead_letters.add(payload, "transport", ReportDecodeError(reason))
-        with self._merge_lock:
+        with self._books_lock:
             self.malformed += 1
         persist = self.server.persist
         if persist is not None:
             persist.log_malformed(payload)
 
-    # -- supervision -----------------------------------------------------------
-
-    def _probe(self) -> List[WorkerProbe]:
-        """Supervisor callback: ping workers, report liveness + heartbeat age."""
-        now = time.monotonic()
-        probes = []
-        for link in self._links:
-            alive = link.process.is_alive()
-            if alive:
-                link.post(("ping",))
-            probes.append(WorkerProbe(link.shard, alive, now - link.last_reply))
-        return probes
+    # -- member failure --------------------------------------------------------
 
     def _restart_worker(self, shard: int) -> None:
-        """Supervisor callback: replace one dead/wedged worker.
+        """Supervisor callback: replace one dead or wedged worker.
 
         Takes the old generation down, forks a successor whose replica is
         compiled from the *current* path table — but only the dead shard's
         slice of it — and hands it everything the old generation's book
         still held: the un-acked batches (whose late replies, if any, find
-        them gone) and the buffer.  If the table version moved since the
-        last replication, the survivors are brought up to date in place via
-        pair deltas (:meth:`resync_replicas`) instead of a whole-table
-        recompile.
+        them gone) and the buffer.  Once degraded there is no successor:
+        the rows go to the fallback.  If the table version moved since the
+        last replication, the survivors are brought up to date in place
+        via pair deltas (:meth:`resync_replicas`).
         """
         self._links[shard].end()
         # Under the resync lock: no resync can patch the old generation
         # between the successor's spec build and its swap-in.
         with self._resync_lock:
-            with self._server_mutex:
-                self.server.refresh_if_dirty()
-                spec = build_one_shard_spec(
-                    self.server.table,
-                    self.server.hs,
-                    self.server.codec,
-                    self.workers,
-                    shard,
-                )
+            spec = None
+            if self._fallback is None:
+                with self.server_lock:
+                    self.server.refresh_if_dirty()
+                    spec = build_one_shard_spec(
+                        self.server.table,
+                        self.server.hs,
+                        self.server.codec,
+                        self.workers,
+                        shard,
+                    )
             self._spawn(shard, spec)
-        # The successor's replica is already current; patch the survivors
-        # (idempotent for the successor) if the table moved under the fleet.
         self.resync_replicas()
-
-    # -- replica resync --------------------------------------------------------
-
-    def resync_replicas(self) -> Optional[int]:
-        """Bring every worker replica up to date with the path table, in place.
-
-        The pair deltas of :func:`~repro.core.replica.resync_specs` (the
-        one the direct daemon and the cluster coordinator use) ship as
-        per-shard ``patch`` messages, or, when the journal overflowed or
-        the table was swapped, whole replicas as ``reload`` messages, on
-        each worker's pipe ahead of any later batch.  Each body is packed
-        over one node table (:func:`~repro.core.replica.pack_specs`) and
-        pickled once, and ``resync_delta_bytes`` counts those bytes.
-
-        Returns the number of pairs patched, ``0`` if the replicas were
-        already current, or ``None`` when a full reload was required.
-        """
-        if self._fallback is not None or not self._running:
-            return 0
-        with self._resync_lock:
-            with self._server_mutex:
-                server = self.server
-                if server.table.version == self._replica_version:
-                    return 0
-                sync = resync_specs(
-                    server.table, server.hs, server.codec, self.workers, self._dirty_token
-                )
-            kind = "reload" if sync.full else "patch"
-            # Each body is pickled once, here: its length is the count,
-            # and the pipe ships the bytes as they are.
-            messages = [
-                (kind, pickle.dumps(pack_specs(spec), pickle.HIGHEST_PROTOCOL))
-                if spec or sync.full
-                else None
-                for spec in sync.specs
-            ]
-            for link, message in zip(self._links, messages):
-                if message is not None:
-                    link.send(message)
-            # Current only now: a producer that saw the old version waits
-            # on the lock above until every patch is ahead of its rows.
-            self._replica_version, self._dirty_token = sync.version, sync.token
-        patched = None if sync.full else sum(len(spec) for spec in sync.specs)
-        with self._merge_lock:
-            self.resyncs += 1
-            self.resync_delta_bytes += sum(len(m[1]) for m in messages if m is not None)
-            if patched is None:
-                self.full_resyncs += 1
-            else:
-                self.resync_pairs += patched
-        return patched
-
-    def replica_digests(self, timeout: float = 10.0) -> List[str]:
-        """Collect every worker's replica fingerprint (ops/test hook).
-
-        Workers answer on their pipes, where the collector thread picks the
-        digests up beside the batch replies.  Two fleets whose digests
-        match verify every report identically (see
-        :func:`~repro.core.replica.replica_digest`).
-        """
-        if self._fallback is not None or not self._running:
-            raise RuntimeError("no shard workers to digest")
-        self._digest_seq += 1
-        token = self._digest_seq
-        for link in self._links:
-            link.send(("digest", token))
-
-        def pending() -> List[int]:
-            return [
-                w for w in range(self.workers) if self._digests.get(w, (0,))[0] != token
-            ]
-
-        if not self._flight.wait_for(lambda: not pending(), timeout):
-            raise RuntimeError(f"shard workers {pending()} did not answer digest")
-        return [self._digests[w][1] for w in range(self.workers)]
 
     def _degrade(self) -> None:
         """Restart budget exhausted: fall back to the threaded daemon.
 
         Ingestion must survive a worker crash loop; a single-process
         :class:`VeriDPDaemon` over the same server is slower but cannot
-        lose a process.  Every shard's book is surrendered to it: un-acked
-        batches and parent-side buffers alike, all in the WAL by then.
+        lose a process.  Every worker then fails the way a dead one does,
+        with the fallback as the taker of its book: un-acked batches and
+        parent-side buffers alike, all in the WAL by then.
         """
         fallback = VeriDPDaemon(
             self.server,
@@ -980,22 +686,50 @@ class ShardedVeriDPDaemon:
         # the fallback must not log either a second time.
         fallback.record_reports = False
         fallback.start()
-        for link in self._links:
-            link.end()
-        with self._dispatch_lock:
-            for link in self._links:
-                for frame in link.surrender():
-                    # The rows leave this daemon's books for the fallback's.
-                    self._flight.add(-(len(frame) // REPORT_SIZE))
-                    fallback.submit_frame(Frame(frame))
+        with self._lock:
             self.degraded = True
             self._fallback = fallback
+        for shard in list(self._links):
+            self._restart_worker(shard)
 
     def kill_worker(self, shard: int) -> None:
         """Forcibly kill one shard worker (chaos/testing hook)."""
         if self._fallback is not None or not self._running:
             return
         self._links[shard].end()
+
+    # -- replica upkeep --------------------------------------------------------
+
+    def resync_replicas(self) -> Optional[int]:
+        """Bring every worker replica up to date with the path table, in
+        place (:meth:`Books.resync`): a shard's pair delta, or its whole
+        replica, packed over one node table
+        (:func:`~repro.core.replica.pack_specs`) and pickled once on its
+        pipe.  ``resync_delta_bytes`` counts those bytes."""
+        if self._fallback is not None or not self._running:
+            return 0
+        return self.resync()
+
+    def _ship_sync(self, sync) -> int:
+        kind = "reload" if sync.full else "patch"
+        return self.ship(
+            {
+                shard: (kind, pack_specs(spec))
+                for shard, spec in enumerate(sync.specs)
+                if spec or sync.full
+            }
+        )
+
+    def replica_digests(self, timeout: float = 10.0) -> List[str]:
+        """Collect every worker's replica fingerprint (ops/test hook).
+
+        Two fleets whose digests match verify every report identically
+        (see :func:`~repro.core.replica.replica_digest`).
+        """
+        if self._fallback is not None or not self._running:
+            raise RuntimeError("no shard workers to digest")
+        digests = self.digests(timeout)
+        return [digests[shard] for shard in range(self.workers)]
 
     # -- maintenance -----------------------------------------------------------
 
@@ -1028,13 +762,13 @@ class ShardedVeriDPDaemon:
         are emitted as 0 for key uniformity, and ``dropped`` is their
         total, mirroring :meth:`PolicyQueue.stats` (DESIGN.md §8).
         """
-        with self._dispatch_lock:
+        with self._lock:
             submitted = self.submitted
-        with self._merge_lock:
+            dropped = self.dropped_new
+        with self._books_lock:
             processed = self.processed
             malformed = self.malformed
             verify_errors = self.verify_errors
-            dropped = self.dropped_new
             counters = dict(self.counters)
         verified = sum(counters.values())
         stats = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..netmodel.rules import DROP_PORT, FlowRule, Forward
 from .network import DataPlaneNetwork

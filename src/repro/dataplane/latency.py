@@ -23,7 +23,7 @@ reproduction.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["HardwarePipelineModel", "PAPER_NATIVE_POINTS", "PAPER_PACKET_SIZES"]

@@ -9,7 +9,7 @@ hop sequence alongside each tag so the localizer can reason hop-by-hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from .rules import DROP_PORT
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import HeaderSpace
-from .rules import DROP_PORT, FlowTable, Forward, GotoTable, Rewrite
+from .rules import DROP_PORT, GotoTable
 from .topology import SwitchInfo, Topology
 
 __all__ = ["SwitchPredicates", "TransferAction", "build_all_predicates"]

@@ -46,7 +46,7 @@ from ..core.pathtable import PathTable
 from ..core.reports import REPORT_SIZE
 from ..netmodel.rules import Forward
 from .snapshot import SNAPSHOT_FORMAT, SnapshotStore
-from .wal import RT_CONTROL, RT_MALFORMED, RT_REPORT, ControlEvent, WriteAheadLog
+from .wal import RT_CONTROL, ControlEvent, WriteAheadLog
 
 __all__ = [
     "RecoveryError",

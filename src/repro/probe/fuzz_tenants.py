@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import format_ipv4, parse_prefix
+from ..core.reports import REPORT_SIZE, Frame
 from ..core.resilience import OverflowPolicy, TenantQuotaQueue
 from ..core.server import VeriDPServer
 from ..dataplane.network import DataPlaneNetwork
@@ -462,31 +463,24 @@ class TenantFuzzCampaign:
         quiet = self.rng.choice([n for n in names if n != offender])
         record.offender = offender
         record.victim = quiet
-        owners: Dict[bytes, str] = {}
         policy = self.rng.choice(
             [OverflowPolicy.DROP_NEW, OverflowPolicy.DROP_OLDEST]
         )
         queue = TenantQuotaQueue(
             8,
             policy,
-            classify=owners.get,
             shares={offender: 0.5, quiet: 0.5},
         )
-        flood = []
+
+        def put(tag: bytes, tenant: str) -> bool:
+            """Submit one report-sized payload as a one-row frame."""
+            frame = Frame(tag.ljust(REPORT_SIZE, b"\0"))
+            return queue.put_frame(frame, tenants=[tenant]) == 1
+
         for i in range(24):
-            payload = b"storm-%d" % i
-            owners[payload] = offender
-            flood.append(payload)
-        quiet_payloads = []
-        for i in range(4):
-            payload = b"quiet-%d" % i
-            owners[payload] = quiet
-            quiet_payloads.append(payload)
-        for payload in flood:
-            queue.put(payload)
-        quiet_admitted = sum(
-            1 for payload in quiet_payloads if queue.put(payload)
-        )
+            put(b"storm-%d" % i, offender)
+        quiet_payloads = [(b"quiet-%d" % i).ljust(REPORT_SIZE, b"\0") for i in range(4)]
+        quiet_admitted = sum(put(payload, quiet) for payload in quiet_payloads)
         stats = queue.stats()
         record.offender_drops = stats["tenants"][offender]["dropped"]
         # The quota holds iff every quiet payload was admitted (the flood
@@ -494,8 +488,8 @@ class TenantFuzzCampaign:
         drained = []
         while True:
             try:
-                drained.append(queue.get_nowait())
-            except Exception:
+                drained.append(queue.get_nowait().payload())
+            except IndexError:
                 break
         record.quota_ok = (
             quiet_admitted == len(quiet_payloads)

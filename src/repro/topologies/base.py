@@ -8,14 +8,13 @@ tests and benchmarks construct identical networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from ..bdd.headerspace import parse_ipv4, parse_prefix
 from ..controlplane.controller import Controller
 from ..controlplane.messages import Channel
 from ..netmodel.packet import Header, PROTO_TCP
-from ..netmodel.topology import PortRef, Topology
+from ..netmodel.topology import Topology
 
 __all__ = ["Scenario", "wire_scenario", "lpm_ruleset_for"]
 

@@ -18,7 +18,7 @@ controller.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..netmodel.topology import Topology
 from .base import Scenario, wire_scenario

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from ..netmodel.topology import PortRef, Topology
+from ..netmodel.topology import Topology
 from .base import Scenario, wire_scenario
 
 __all__ = ["topology_to_dict", "topology_from_dict", "save_scenario", "load_scenario"]

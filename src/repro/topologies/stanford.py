@@ -23,7 +23,7 @@ verification behaviour depend on topology + rule structure, both preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..netmodel.rules import Match
 from ..netmodel.topology import Topology

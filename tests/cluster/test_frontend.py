@@ -26,16 +26,37 @@ def wait_for(predicate, deadline=JOIN_DEADLINE):
     return predicate()
 
 
+class Recorder:
+    """A reply handler that records every batch reply and acks (retires
+    the batch) only when ``ack`` is set."""
+
+    def __init__(self):
+        self.replies = []
+        self.ack = False
+
+    def __call__(self, link, delta):
+        self.replies.append(delta)
+        if self.ack:
+            link.retire(delta.seq)
+
+
+def ignore(link, delta):
+    """A reply handler for frontends that never dispatch."""
+
+
 @pytest.fixture
 def fleet(rig):
-    """A frontend wired to two live (replica-less) nodes."""
+    """A frontend wired to two live (replica-less) nodes, whose replies
+    a :class:`Recorder` takes."""
     _, server, _ = rig
     packing = packing_of(server)
     nodes = {
         name: VerificationNode(name, packing).start()
         for name in ("n1", "n2")
     }
-    frontend = ClusterFrontend(batch_size=8)
+    recorder = Recorder()
+    frontend = ClusterFrontend(recorder, batch_size=8)
+    frontend.recorder = recorder
     for name, node in nodes.items():
         frontend.attach_node(name, node.address)
     yield frontend, nodes
@@ -68,13 +89,13 @@ class TestRouting:
 
     def test_submit_without_nodes_is_counted_drop(self, rig):
         scenario, _, net = rig
-        frontend = ClusterFrontend()
+        frontend = ClusterFrontend(ignore)
         payload = healthy_payloads(scenario, net, 1)[0]
         assert frontend.submit(payload) is False
         assert frontend.stats()["dropped_no_node"] == 1
 
     def test_precheck_rejects_garbage_before_routing(self):
-        frontend = ClusterFrontend()
+        frontend = ClusterFrontend(ignore)
         assert frontend.submit(b"\x00" * 5) is False
         stats = frontend.stats()
         assert stats["precheck_rejected"] == 1
@@ -97,8 +118,8 @@ class TestDispatch:
     def test_ack_retires_unacked_batches(self, fleet, rig):
         scenario, server, net = rig
         frontend, _ = fleet
-        replies = []
-        frontend.on_reply = replies.append
+        frontend.recorder.ack = True
+        replies = frontend.recorder.replies
         for payload in healthy_payloads(scenario, net, 64):
             frontend.submit(payload)
         frontend.flush_buffers()
@@ -112,7 +133,7 @@ class TestDispatch:
 
     def test_detach_surrenders_unacked_and_buffered(self, fleet, rig):
         scenario, server, net = rig
-        frontend, _ = fleet
+        frontend, _ = fleet  # its recorder does not ack: nothing retires
         payloads = healthy_payloads(scenario, net, 20)
         routed = {n: [] for n in frontend.nodes()}
         for payload in payloads:
@@ -137,8 +158,8 @@ class TestSubmitFrame:
 
         scenario, server, net = rig
         frontend, _ = fleet
-        replies = []
-        frontend.on_reply = replies.append
+        frontend.recorder.ack = True
+        replies = frontend.recorder.replies
         payloads = healthy_payloads(scenario, net, 48)
         # Scalar routing ground truth, computed without dispatching.
         expected = {n: 0 for n in frontend.nodes()}
@@ -181,7 +202,7 @@ class TestSubmitFrame:
         from repro.core.reports import Frame
 
         scenario, _, net = rig
-        frontend = ClusterFrontend()
+        frontend = ClusterFrontend(ignore)
         payloads = healthy_payloads(scenario, net, 6)
         admitted = frontend.submit_frame(Frame(b"".join(payloads)))
         assert admitted == 0

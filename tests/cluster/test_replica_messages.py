@@ -48,15 +48,16 @@ def test_start_loads_each_node_with_its_final_share_only(rig, monkeypatch):
         assert sent.count(MSG_RELOAD) == 2
         assert coordinator.rebalance_patches == 0
         assert coordinator.rebalances == coordinator.moved_pairs == 0
+        # A digest round trip rides each node's link behind its reload.
+        assert cluster.converged()
         shares = [
-            _hello(coordinator._members[node_id].handle.address)
+            _hello(cluster.frontend.link(node_id).handle.address)
             for node_id in cluster.nodes()
         ]
         assert shares == [
             len(coordinator._replica_of(node_id)) for node_id in cluster.nodes()
         ]
         assert all(shares) and sum(shares) == len(server.table.pairs())
-        assert cluster.converged()
 
 
 def _table_nodes(replica):
@@ -80,14 +81,15 @@ def test_resync_rounds_do_not_pin_old_tables(tmp_path):
                 server.apply_rule_delete("S1", "10.50.0.0/16")
                 patched += cluster.resync()
             assert patched > 0 and coordinator.full_resyncs == 0
+            # A digest round trip rides each node's link behind its patches.
+            assert cluster.converged()
             bdd = server.hs.bdd
             for node_id in cluster.nodes():
-                replica = coordinator._members[node_id].handle._node.replica
+                replica = cluster.frontend.link(node_id).handle._node.replica
                 slice_ = coordinator._replica_of(node_id)
                 fresh = bdd.pool(
                     [root for key in sorted(slice_) for root in slice_[key][1].roots]
                 ).localized()
                 assert _table_nodes(replica) <= 2 * len(fresh.level)
-            assert cluster.converged()
     finally:
         server.close()

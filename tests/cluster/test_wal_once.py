@@ -71,7 +71,7 @@ def test_failover_logs_redelivered_rows_once(rig, monkeypatch):
             owners.setdefault(frontend.owner_of(frontend.routing_key(payload)), 0)
             owners[frontend.owner_of(frontend.routing_key(payload))] += 1
         victim = max(owners, key=owners.get)
-        held["stream"] = frontend._links[victim].stream
+        held["stream"] = frontend.link(victim).stream
         for payload in rows:
             assert cluster.submit(payload)
         cluster.flush()

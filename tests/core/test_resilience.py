@@ -10,6 +10,7 @@ from repro.core.resilience import (
     DeadLetterQueue,
     OverflowPolicy,
     PolicyQueue,
+    QueueStopped,
     RestartBackoff,
     TenantQuotaQueue,
     WorkerProbe,
@@ -37,70 +38,90 @@ class TestOverflowPolicy:
             OverflowPolicy.coerce("yolo")
 
 
+def one(name):
+    """A one-row frame tagged ``name`` (a single report is a one-row frame)."""
+    return mkframe(1, fill=ord(name))
+
+
+def pop(q):
+    """Pop the oldest frame, blocking until there is one."""
+    return q.get_many(1)[0]
+
+
+def get(q):
+    """Pop the oldest frame, as its tag."""
+    return chr(pop(q).row(0)[1])
+
+
 class TestPolicyQueue:
     def test_fifo_order(self):
         q = PolicyQueue(4)
-        for i in range(3):
-            assert q.put(i)
-        assert [q.get(), q.get(), q.get()] == [0, 1, 2]
+        for name in "abc":
+            assert q.put_frame(one(name)) == 1
+        assert [get(q), get(q), get(q)] == ["a", "b", "c"]
 
     def test_drop_new_rejects_and_counts(self):
         q = PolicyQueue(2, OverflowPolicy.DROP_NEW)
-        assert q.put("a") and q.put("b")
-        assert not q.put("c")
+        assert q.put_frame(one("a")) == q.put_frame(one("b")) == 1
+        assert q.put_frame(one("c")) == 0
         assert q.stats()["dropped_new"] == 1
-        assert q.get() == "a"  # oldest-wins: original items preserved
+        assert get(q) == "a"  # oldest-wins: original items preserved
 
     def test_drop_oldest_evicts_and_counts(self):
         q = PolicyQueue(2, OverflowPolicy.DROP_OLDEST)
-        assert q.put("a") and q.put("b")
-        assert q.put("c")  # admits by evicting "a"
+        assert q.put_frame(one("a")) == q.put_frame(one("b")) == 1
+        assert q.put_frame(one("c")) == 1  # admits by evicting "a"
         assert q.stats()["dropped_oldest"] == 1
-        assert q.get() == "b"
-        assert q.get() == "c"
+        assert get(q) == "b"
+        assert get(q) == "c"
 
     def test_drop_oldest_settles_join_obligation(self):
         q = PolicyQueue(1, OverflowPolicy.DROP_OLDEST)
-        q.put("a")
-        q.put("b")  # evicts "a", which will never be task_done'd
-        q.get()
+        q.put_frame(one("a"))
+        q.put_frame(one("b"))  # evicts "a", which will never be task_done'd
+        get(q)
         q.task_done()
         assert q.join(timeout=1.0)
 
     def test_block_waits_for_room(self):
         q = PolicyQueue(1, OverflowPolicy.BLOCK)
-        q.put("a")
+        q.put_frame(one("a"))
         done = []
 
         def producer():
-            q.put("b")
+            q.put_frame(one("b"))
             done.append(True)
 
         thread = threading.Thread(target=producer, daemon=True)
         thread.start()
         time.sleep(0.05)
         assert not done  # blocked on the full queue
-        assert q.get() == "a"
+        assert get(q) == "a"
         thread.join(timeout=2)
         assert done
 
     def test_block_timeout_counts(self):
         q = PolicyQueue(1, OverflowPolicy.BLOCK)
-        q.put("a")
-        assert not q.put("b", timeout=0.01)
+        q.put_frame(one("a"))
+        assert q.put_frame(one("b"), timeout=0.01) == 0
         assert q.stats()["block_timeouts"] == 1
 
-    def test_force_put_bypasses_bound(self):
-        q = PolicyQueue(1, OverflowPolicy.DROP_NEW)
-        q.put("a")
-        assert q.put("sentinel", force=True)
-        assert q.qsize() == 2
+    def test_close_ends_consumers_once_drained(self):
+        q = PolicyQueue(2)
+        q.put_frame(one("a"))
+        q.close()
+        assert get(q) == "a"  # what is queued still drains
+        with pytest.raises(QueueStopped):
+            q.get_many(1)
+        q.reopen()
+        q.put_frame(one("b"))
+        assert get(q) == "b"
 
     def test_join_tracks_unfinished(self):
         q = PolicyQueue(8)
-        q.put("a")
+        q.put_frame(one("a"))
         assert not q.join(timeout=0.01)
-        q.get()
+        get(q)
         q.task_done()
         assert q.join(timeout=1.0)
 
@@ -123,7 +144,7 @@ class TestPolicyQueueFrames:
         assert q.put_frame(mkframe(4)) == 4
         assert q.qsize() == 4
         assert q.stats()["puts"] == 4
-        frame = q.get()
+        frame = pop(q)
         assert isinstance(frame, Frame) and frame.count == 4
         q.task_done(reports=4)
         assert q.join(timeout=1.0)
@@ -136,7 +157,7 @@ class TestPolicyQueueFrames:
         assert stats["dropped_new"] == 2
         assert stats["queued"] == 6
         assert stats["puts"] == 8
-        first, second = q.get(), q.get()
+        first, second = pop(q), pop(q)
         assert first.count == 4
         assert second.count == 2
         # The admitted prefix is the frame's *head* rows.
@@ -156,10 +177,10 @@ class TestPolicyQueueFrames:
         assert stats["dropped_oldest"] == 2
         assert stats["queued"] == 5
         # The old frame survives with a narrowed window (rows 2..3).
-        old = q.get()
+        old = pop(q)
         assert old.count == 1
         assert old.row(0)[-1] == 2
-        assert q.get().count == 4
+        assert pop(q).count == 4
         # Evictions settled their join obligation at eviction time.
         q.task_done(reports=1)
         q.task_done(reports=4)
@@ -167,11 +188,11 @@ class TestPolicyQueueFrames:
 
     def test_drop_oldest_frame_wider_than_queue_sheds_own_head(self):
         q = PolicyQueue(4, OverflowPolicy.DROP_OLDEST)
-        q.put("x")
+        q.put_frame(one("x"))
         assert q.put_frame(mkframe(6)) == 4  # newest-wins: keeps rows 2..5
         stats = q.stats()
         assert stats["dropped_oldest"] == 3  # "x" plus the frame's rows 0-1
-        frame = q.get()
+        frame = pop(q)
         assert frame.count == 4
         assert frame.row(0)[-1] == 2
 
@@ -195,23 +216,23 @@ class TestPolicyQueueFrames:
         thread = threading.Thread(target=producer, daemon=True)
         thread.start()
         time.sleep(0.05)
-        drained = q.get()
+        drained = pop(q)
         q.task_done(reports=drained.count)
         thread.join(timeout=5)
         assert got == [4]
 
     def test_get_many_batches_without_splitting_frames(self):
         q = PolicyQueue(32)
-        q.put(b"a")
+        q.put_frame(one("a"))
         q.put_frame(mkframe(4))
-        q.put(b"b")
+        q.put_frame(one("b"))
         items = q.get_many(3)
-        # The scalar fits; the 4-row frame would exceed the budget and is
-        # never split on the consumer side, so the batch stops before it.
-        assert items == [b"a"]
+        # The one-row frame fits; the 4-row frame would exceed the budget
+        # and is never split on the consumer side, so the batch stops
+        # before it.
+        assert [frame.count for frame in items] == [1]
         items = q.get_many(16)
-        assert isinstance(items[0], Frame) and items[0].count == 4
-        assert items[1] == b"b"
+        assert [frame.count for frame in items] == [4, 1]
 
     def test_get_many_returns_oversized_first_item_whole(self):
         q = PolicyQueue(32)
@@ -252,7 +273,7 @@ class TestTenantQuotaFrames:
     def test_get_releases_per_row_occupancy(self):
         q = self.make_queue()
         q.put_frame(mkframe(3), tenants=["red", "red", "blue"])
-        frame = q.get()
+        frame = pop(q)
         assert isinstance(frame, Frame) and frame.count == 3
         assert frame.row_tenant(0) == "red"
         tenants = q.stats()["tenants"]
@@ -311,9 +332,9 @@ class TestTenantQuotaFrames:
         assert tenants["blue"]["queued"] == 4
         assert q.stats()["dropped_oldest"] == 2
 
-    def test_scalar_and_frame_ledgers_are_one_currency(self):
+    def test_one_row_and_wider_frames_are_one_currency(self):
         q = self.make_queue(maxsize=16)
-        q.put(b"scalar-row")
+        q.put_frame(one("s"))
         q.put_frame(mkframe(3), tenants=["red", "red", "blue"])
         stats = q.stats()
         assert stats["puts"] == 4

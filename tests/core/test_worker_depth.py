@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import direct as daemon_mod
 from repro.core import vector
-from repro.core.direct import _STOP, VeriDPDaemon
+from repro.core.direct import VeriDPDaemon
 from repro.core.reports import Frame, pack_report
 from repro.core.server import VeriDPServer
 from repro.core.verifier import Verdict
@@ -91,20 +91,17 @@ def run_slices(server, scenario, frames, max_rows, monkeypatch):
 
     def slice_of(items):
         for item in items:
-            if item is _STOP:
-                daemon._queue.put(_STOP, force=True)
-            else:
-                daemon.submit_frame(Frame(item))
-        while len(daemon._queue):
-            daemon._worker()  # returns at each _STOP it meets
+            daemon.submit_frame(Frame(item))
+        daemon._queue.close()
+        daemon._worker()  # returns once the closed queue is empty
+        daemon._queue.reopen()
 
-    # The token sits *inside* the slice: the frames behind it still belong
-    # to this worker's last slice when depth allows, and to nobody's when
-    # every call takes one item (the second _STOP collects them).
-    slice_of([frames[0], frames[1], _STOP, frames[2], _STOP])
+    # Each worker call drains what is queued in slices as deep as depth
+    # allows: one slice per call at full depth, one frame per slice at 1.
+    slice_of(frames[:3])
     # H4's traffic now leaves S3 towards S2: reports that passed are failures.
     server.apply_rule_update("S3", f"{scenario.host_ips['H4']}/32", 1)
-    slice_of([frames[3], frames[4], _STOP])
+    slice_of(frames[3:])
     assert daemon.join(timeout=1)
     codec = server.codec
     return {
@@ -139,9 +136,7 @@ def test_one_kernel_call_per_slice_matches_one_per_frame(monkeypatch):
             outcomes[name] = run_slices(server, scenario, frames, max_rows, patch)
     deep, single = outcomes["deep"], outcomes["single"]
     sizes = [len(f) // daemon_mod.REPORT_SIZE for f in frames]
-    # Depth followed the backlog: one call per slice against one per frame
-    # (the single-item worker stops at the first token and leaves frame 3
-    # for the second).
+    # Depth followed the backlog: one call per slice against one per frame.
     assert single["calls"] == sizes
     assert deep["calls"] == [sum(sizes[:3]), sum(sizes[3:])]
     assert deep["call_rows"] == (2, sum(sizes))
@@ -184,10 +179,10 @@ def test_wire_pass_counts_the_kernel_bulk_passes_only():
         assert daemon._merged_verdicts()[(Verdict.PASS.value,)] == small + 64
 
 
-def test_stop_tokens_in_one_slice_reach_every_worker():
-    """stop() enqueues one token per worker; a worker that finds several in
-    its slice hands the others back instead of swallowing them (each used to
-    cost stop() a 5 s join timeout and a leaked thread)."""
+def test_stop_ends_every_worker():
+    """stop() closes the queue and every worker ends on it at once: a
+    worker that missed its stop would cost stop() a 5 s join timeout and
+    leak a thread."""
     scenario = build_linear(3)
     server = VeriDPServer(scenario.topo, scenario.channel)
     daemon = VeriDPDaemon(server, workers=3)

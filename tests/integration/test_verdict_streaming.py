@@ -139,19 +139,20 @@ def rows_for_one_node(cluster, payloads):
 
 class TestReplyRacesFailover:
     def test_reply_merged_during_failover_is_counted_once(self, rig):
-        """The merge holds the link's lock: the failover's detach waits for
-        it, finds the batch retired and redelivers nothing."""
+        """The settle runs under the book's lock: the failover's detach
+        waits for it, finds the batch retired and redelivers nothing."""
         server, payloads = rig
         with VeriDPCluster(server, nodes=2, batch_size=1000) as cluster:
             frontend = cluster.frontend
+            coordinator = cluster.coordinator
             victim, rows = rows_for_one_node(cluster, payloads)
             merging, detaching = threading.Event(), threading.Event()
-            merge = frontend.on_reply
+            settle = coordinator.settle
 
-            def held_merge(delta):
+            def held_settle(delta):
                 merging.set()
                 detaching.wait(DEADLINE)
-                merge(delta)
+                settle(delta)
 
             detach_node = frontend.detach_node
 
@@ -159,7 +160,7 @@ class TestReplyRacesFailover:
                 detaching.set()
                 return detach_node(node_id)
 
-            frontend.on_reply = held_merge
+            coordinator.settle = held_settle
             frontend.detach_node = flagged_detach
             for payload in rows:
                 cluster.submit(payload)
@@ -192,7 +193,7 @@ class TestReplyRacesFailover:
         with VeriDPCluster(server, nodes=2, batch_size=1000) as cluster:
             frontend = cluster.frontend
             victim, rows = rows_for_one_node(cluster, payloads)
-            held["stream"] = frontend._links[victim].stream
+            held["stream"] = frontend.link(victim).stream
             for payload in rows:
                 cluster.submit(payload)
             frontend.flush_buffers()

@@ -2,19 +2,28 @@
 
 import pytest
 
+from repro.core.reports import REPORT_SIZE, Frame
 from repro.core.resilience import OverflowPolicy, TenantQuotaQueue
 
 
 def make_queue(policy=OverflowPolicy.DROP_NEW, maxsize=8, **kwargs):
-    owners = {}
-    queue = TenantQuotaQueue(
-        maxsize, policy, classify=owners.get, **kwargs
-    )
-    return queue, owners
+    return TenantQuotaQueue(maxsize, policy, **kwargs)
+
+
+def put(queue, name, tenant):
+    """Submit one report tagged ``name`` for ``tenant`` as a one-row frame;
+    True when it was admitted."""
+    frame = Frame(name.encode().ljust(REPORT_SIZE, b"\0"))
+    return queue.put_frame(frame, tenants=[tenant]) == 1
+
+
+def take(queue):
+    """Pop the oldest queued report, as its tag."""
+    return queue.get_nowait().payload().rstrip(b"\0").decode()
 
 
 def test_caps_derived_from_shares():
-    queue, _ = make_queue(shares={"a": 0.25, "b": 0.5})
+    queue = make_queue(shares={"a": 0.25, "b": 0.5})
     assert queue.cap_of("a") == 2
     assert queue.cap_of("b") == 4
     assert queue.cap_of("c") == 8  # default share 1.0
@@ -31,30 +40,26 @@ def test_share_validation():
 
 
 def test_over_quota_refused_under_drop_new():
-    queue, owners = make_queue(shares={"noisy": 0.25})
-    for i in range(4):
-        owners[f"n{i}"] = "noisy"
-    assert queue.put("n0") and queue.put("n1")
-    assert not queue.put("n2")  # cap 2 reached
-    assert not queue.put("n3")
+    queue = make_queue(shares={"noisy": 0.25})
+    assert put(queue, "n0", "noisy") and put(queue, "n1", "noisy")
+    assert not put(queue, "n2", "noisy")  # cap 2 reached
+    assert not put(queue, "n3", "noisy")
     assert queue.tenant_dropped["noisy"] == 2
     assert queue.stats()["dropped_new"] == 2
 
 
 def test_quiet_tenant_unharmed_by_flood():
-    queue, owners = make_queue(
+    queue = make_queue(
         policy=OverflowPolicy.DROP_OLDEST, shares={"noisy": 0.5, "quiet": 0.5}
     )
     for i in range(16):
-        owners[f"n{i}"] = "noisy"
-        queue.put(f"n{i}")
+        put(queue, f"n{i}", "noisy")
     for i in range(4):
-        owners[f"q{i}"] = "quiet"
-        assert queue.put(f"q{i}")
+        assert put(queue, f"q{i}", "quiet")
     stats = queue.stats()
     assert stats["tenants"]["quiet"]["dropped"] == 0
     assert stats["tenants"]["noisy"]["dropped"] > 0
-    drained = [queue.get_nowait() for _ in range(queue.qsize())]
+    drained = [take(queue) for _ in range(queue.qsize())]
     assert [p for p in drained if p.startswith("q")] == [
         "q0", "q1", "q2", "q3"
     ]
@@ -62,42 +67,25 @@ def test_quiet_tenant_unharmed_by_flood():
 
 def test_block_policy_never_stalls_on_over_quota():
     """An over-quota tenant is refused immediately, not blocked."""
-    queue, owners = make_queue(
-        policy=OverflowPolicy.BLOCK, shares={"noisy": 0.25}
-    )
-    for i in range(3):
-        owners[f"n{i}"] = "noisy"
-    assert queue.put("n0") and queue.put("n1")
-    # Cap reached: returns False without waiting (no timeout needed).
-    assert not queue.put("n2")
+    queue = make_queue(policy=OverflowPolicy.BLOCK, shares={"noisy": 0.25})
+    assert put(queue, "n0", "noisy") and put(queue, "n1", "noisy")
+    # Cap reached: refused without waiting (no timeout needed).
+    assert not put(queue, "n2", "noisy")
 
 
 def test_get_releases_occupancy():
-    queue, owners = make_queue(shares={"a": 0.25})
-    owners.update({"x1": "a", "x2": "a", "x3": "a"})
-    assert queue.put("x1") and queue.put("x2")
-    assert not queue.put("x3")
-    assert queue.get() == "x1"
+    queue = make_queue(shares={"a": 0.25})
+    assert put(queue, "x1", "a") and put(queue, "x2", "a")
+    assert not put(queue, "x3", "a")
+    assert take(queue) == "x1"
     queue.task_done()
-    assert queue.put("x3")  # slot released by the get
-
-
-def test_force_put_bypasses_attribution():
-    queue, owners = make_queue(maxsize=2)
-    sentinel = object()
-    owners["p"] = "a"
-    assert queue.put("p")
-    assert queue.put(sentinel, force=True)
-    assert queue.get() == "p"
-    assert queue.get() is sentinel
+    assert put(queue, "x3", "a")  # slot released by the get
 
 
 def test_stats_shape():
-    queue, owners = make_queue(shares={"a": 0.5})
-    owners["p"] = "a"
-    owners["u"] = None
-    queue.put("p")
-    queue.put("u")
+    queue = make_queue(shares={"a": 0.5})
+    put(queue, "p", "a")
+    put(queue, "u", None)
     stats = queue.stats()
     assert stats["queued"] == 2
     assert stats["tenants"]["a"] == {
