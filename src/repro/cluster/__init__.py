@@ -4,7 +4,7 @@ The paper's pipeline funnels every switch report into one verification
 process; this package promotes the PR 5 pair-delta / ``replica_digest``
 resync protocol across process boundaries so verification scales out:
 
-* :mod:`repro.cluster.protocol`    — length-prefixed message streams,
+* :mod:`repro.cluster.protocol`    — length-prefixed message connections,
 * :mod:`repro.cluster.ring`        — consistent-hash placement,
 * :mod:`repro.cluster.frontend`    — consistent-hash routing and
   exactly-once batch delivery behind the daemons' UDP report listener,
@@ -20,7 +20,7 @@ from .cluster import VeriDPCluster
 from .coordinator import ClusterCoordinator
 from .frontend import ClusterFrontend, routing_key_of
 from .node import NodeHandle, VerificationNode, start_node
-from .protocol import MessageStream, ProtocolError, message_name
+from .protocol import MessageStream, ProtocolError
 from .ring import HashRing
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "start_node",
     "MessageStream",
     "ProtocolError",
-    "message_name",
     "HashRing",
 ]

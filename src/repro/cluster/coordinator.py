@@ -11,9 +11,10 @@ keep three views consistent under churn:
   flipped *after* the moved specs went out on the destination's link,
   ahead of every batch routed there,
 * **the replicas** — kept current with the table through its
-  dirty-pair journal (``table.dirty_since``), shipped as ``MSG_PATCH``
-  deltas with a full ``MSG_RELOAD`` fallback on journal overflow; every
-  body is packed over one node table (:func:`~repro.core.replica.pack_specs`).
+  dirty-pair journal (``table.dirty_since``), shipped as ``patch``
+  deltas with a full ``reload`` fallback on journal overflow; every
+  message's specs are packed over one node table
+  (:func:`~repro.core.replica.pack_specs`).
 
 Rebalance invariant (DESIGN.md §14): a pair's spec reaches its new owner
 **before** routing flips, and leaves its old owner only **after** a
@@ -167,14 +168,12 @@ class ClusterCoordinator(Books):
                 replica.update(self._specs.get(key, {}))
         return replica
 
-    def _tagged(self, bucket: Dict[Tuple[int, int], Optional[tuple]]) -> Dict:
-        """One ``MSG_RELOAD``/``MSG_PATCH`` body: the specs packed over one
-        node table (:func:`~repro.core.replica.pack_specs`), each tagged
-        with its tenant; ``None`` (drop the pair) stays ``None``."""
-        return {
-            wire: None if spec is None else (spec, self._tenant.get(wire, ""))
-            for wire, spec in pack_specs(bucket).items()
-        }
+    def _message(self, kind: str, bucket: Dict) -> tuple:
+        """One ``patch``/``reload`` message: the specs packed over one node
+        table (:func:`~repro.core.replica.pack_specs`), ``None`` (drop the
+        pair) kept, and the owning tenant of each pair that has one."""
+        tenants = {wire: self._tenant[wire] for wire in bucket if wire in self._tenant}
+        return (kind, pack_specs(bucket), tenants)
 
     # -- membership --------------------------------------------------------
 
@@ -182,8 +181,8 @@ class ClusterCoordinator(Books):
         return self.frontend.nodes()
 
     def _ship(self, node_id: str, kind: str, bucket: Dict) -> int:
-        """One ``patch``/``reload`` to one node, on its link; body bytes."""
-        return self.frontend.ship({node_id: (kind, self._tagged(bucket))})
+        """One ``patch``/``reload`` to one node, on its link; its bytes."""
+        return self.frontend.ship({node_id: self._message(kind, bucket)})
 
     def start(self, nodes: int) -> List[str]:
         """Bootstrap: place all ``nodes`` ids on the ring first, then join
@@ -191,7 +190,7 @@ class ClusterCoordinator(Books):
 
         No node is loaded with a share it hands on at the next join: on a
         fresh cluster no key has an old owner, so the joins send no
-        ``MSG_PATCH`` and count no rebalance.
+        ``patch`` and count no rebalance.
         """
         with self._lock:
             ids = [f"node-{next(self._ids)}" for _ in range(nodes)]
@@ -235,7 +234,7 @@ class ClusterCoordinator(Books):
         for key in moved:
             replica.update(self._specs.get(key, {}))
         self.frontend.attach_node(
-            node_id, handle.address, handle, replica=self._tagged(replica)
+            node_id, handle.address, handle, self._message("reload", replica)
         )
         # 2. flip routing, 3. drain the old owners.
         for key in moved:
@@ -287,7 +286,7 @@ class ClusterCoordinator(Books):
                 self.rebalance_patches += len(patches)
                 self.rebalances += 1
                 self.moved_pairs += sum(len(p) for p in patches.values())
-            link.handle.stop()
+            link.member.stop()
 
     def _reassign(self, new_owner_of: Dict[str, Optional[str]]) -> Dict[str, Dict]:
         """Send each key's pairs to its new owner, then pin the key there;
@@ -485,5 +484,5 @@ class ClusterCoordinator(Books):
             link = self.frontend.link(node_id)
             self.frontend.detach_node(node_id)
             if link is not None:
-                link.handle.stop()
+                link.member.stop()
         self.frontend.close()

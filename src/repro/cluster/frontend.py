@@ -25,10 +25,12 @@ with them its isolation-recheck work and footprint BDDs — land on a
 single node rather than replicating everywhere.
 
 Everything else is the :class:`~repro.core.dispatch.Dispatcher` the
-sharded daemon runs: one TCP link per node, whose
-:class:`~repro.core.delivery.DeliveryBook` logs a batch once and holds it
-un-acked until the reply handler retires it, one intake thread for every
-node's replies, and the surrender and redelivery of a dead node's rows.
+sharded daemon runs: one TCP link per node (a
+:class:`~repro.cluster.protocol.MessageStream` to the node's member loop),
+whose :class:`~repro.core.delivery.DeliveryBook` logs a batch once and
+holds it un-acked until the reply handler retires it, one intake thread
+for every node's replies, and the surrender and redelivery of a dead
+node's rows.
 """
 
 from __future__ import annotations
@@ -42,28 +44,10 @@ from ..core.ingest import pair_keys
 from ..core.replica import Delta, unframe_batch
 from ..core.reports import REPORT_SIZE, Frame, payload_precheck
 from ..obs import Observability
-from .protocol import (
-    MSG_BATCH,
-    MSG_DIGEST,
-    MSG_DIGEST_REPLY,
-    MSG_PATCH,
-    MSG_PING,
-    MSG_PONG,
-    MSG_RELOAD,
-    MessageStream,
-)
+from .protocol import MessageStream
 from .ring import HashRing
 
 __all__ = ["ClusterFrontend", "routing_key_of"]
-
-#: The dispatcher's message kinds as protocol types.
-_TYPES = {
-    "batch": MSG_BATCH,
-    "patch": MSG_PATCH,
-    "reload": MSG_RELOAD,
-    "digest": MSG_DIGEST,
-    "ping": MSG_PING,
-}
 
 
 def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
@@ -75,49 +59,6 @@ def routing_key_of(pair_key: int, tenant: Optional[str]) -> str:
     if tenant:
         return f"tenant:{tenant}"
     return f"pair:{pair_key}"
-
-
-class _NodeLink(Link):
-    """The TCP link: one verification node's connection, which carries
-    its batches, replica messages, digests and pings, and the
-    :class:`~repro.cluster.node.NodeHandle` that spawned it, if any."""
-
-    def __init__(self, node_id: str, address: Tuple[str, int], handle, *book) -> None:
-        super().__init__(node_id, *book)
-        self.stream = MessageStream.connect(address)
-        self.handle = handle
-
-    def fileno(self) -> int:
-        return self.stream.fileno()
-
-    def recv(self):
-        mtype, body = self.stream.recv()
-        if mtype == MSG_DIGEST_REPLY:
-            return ("digest", body[1], body[2])
-        if mtype == MSG_PONG:
-            return ("pong",)
-        return body  # MSG_BATCH_REPLY: the batch's Delta
-
-    def buffered(self) -> bool:
-        return self.stream.buffered()
-
-    def _write(self, message) -> Optional[int]:
-        kind = message[0]
-        body = message[1] if kind in ("patch", "reload") else message[1:]
-        try:
-            return self.stream.send(_TYPES[kind], body)
-        except OSError:
-            return None
-
-    def alive(self) -> bool:
-        return self.handle is None or self.handle.alive()
-
-    def end(self) -> None:
-        if self.handle is not None:
-            self.handle.kill()
-
-    def close(self) -> None:
-        self.stream.close()
 
 
 class ClusterFrontend(Dispatcher):
@@ -162,11 +103,20 @@ class ClusterFrontend(Dispatcher):
     def attach_node(
         self, node_id: str, address: Tuple[str, int], handle=None, replica=None
     ) -> None:
-        """Connect to a node and route to it; ``replica`` (a packed
-        ``MSG_RELOAD`` body) goes out before any batch can."""
-        link = _NodeLink(node_id, address, handle, self.flight, self.batch_size, self.log)
+        """Connect to a node and route to it; ``replica`` (a ``reload``
+        message) goes out before any batch can.  ``handle`` is the
+        node's :class:`~repro.cluster.node.NodeHandle`, if the link owns
+        the node."""
+        link = Link(
+            node_id,
+            MessageStream.connect(address),
+            handle,
+            self.flight,
+            self.batch_size,
+            self.log,
+        )
         if replica is not None:
-            link.send(("reload", replica))
+            link.send(replica)
         self._swap(node_id, link)
         with self._lock:
             if node_id not in self.ring:
@@ -192,7 +142,7 @@ class ClusterFrontend(Dispatcher):
             }
         return [row for frame in self._swap(node_id) for row in unframe_batch(frame)]
 
-    def link(self, node_id: str) -> Optional[_NodeLink]:
+    def link(self, node_id: str) -> Optional[Link]:
         return self._links.get(node_id)
 
     def nodes(self) -> List[str]:

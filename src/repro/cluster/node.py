@@ -1,40 +1,32 @@
-"""A cluster verification node: one shard replica behind a TCP server.
+"""A cluster verification node: one shard replica behind a TCP socket.
 
-A node is the TCP transport over a :class:`~repro.core.replica.ShardReplica`
-— the same compiled pair replica, vector kernel, pair-delta patch,
-``replica_digest`` and per-batch delta the sharded daemon's workers run
-over ``multiprocessing`` queues and pipes and the direct daemon runs
-in-thread — spoken
-over length-prefixed sockets
-(:mod:`repro.cluster.protocol`), so a node can live in another process or
-on another machine.
+A node serves a :class:`~repro.core.replica.ShardReplica` — the same
+compiled pair replica, vector kernel, pair-delta patch, ``replica_digest``
+and per-batch delta the sharded daemon's workers serve over their pipes
+and the direct daemon runs in-thread — through the same member loop,
+:func:`~repro.core.replica.serve_replica`, over one length-prefixed
+socket (:class:`~repro.cluster.protocol.MessageStream`), so a node can
+live in another process or on another machine.
 
-What the transport adds, all in service of exactly-once verdict accounting
-under membership change (DESIGN.md §14):
+A node takes exactly one connection, the frontend's link, and serves it
+on one thread until the frontend closes it; then the node is done.  What
+its replica does differently from a shard worker's, all in service of
+exactly-once verdict accounting under membership change (DESIGN.md §14):
 
-* **batch seqs** — every ``MSG_BATCH`` carries the frontend's per-node
-  sequence number, and the node answers it on the same connection with a
-  ``MSG_BATCH_REPLY``: that batch's :class:`~repro.core.replica.Delta`
-  under its seq, which is the frontend's ack to drop the batch from its
-  redelivery buffer,
-* **unknown pairs are not verdicts** — the node's replica sets aside a
-  payload whose ``(inport, outport)`` pair it does not hold and ships it
-  back in the batch reply instead of counting ``FAIL_UNKNOWN_PAIR``:
-  during a rebalance the pair may simply be in flight to another node,
-  and only the coordinator (holding the authoritative table) can tell a
-  routing race from a genuinely unknown pair,
-* **metrics on the receiving side** — the node keeps none: a batch reply
-  carries the batch's counts and figures (timing, vector rows, fallbacks,
-  per-tenant rows) as plain values, and the coordinator folds them into
-  ``veridp_node_*`` as they arrive,
+* **unknown pairs are not verdicts** — the replica sets aside a payload
+  whose ``(inport, outport)`` pair it does not hold and ships it back in
+  the batch reply instead of counting ``FAIL_UNKNOWN_PAIR``: during a
+  rebalance the pair may simply be in flight to another node, and only
+  the coordinator (holding the authoritative table) can tell a routing
+  race from a genuinely unknown pair,
 * **tenant attribution** — pair specs arrive tagged with their owning
   tenant, and the replica counts each batch's rows per tenant, which the
   coordinator folds into ``veridp_cluster_tenant_reports_total`` under a
   ``node`` label (sum it out for the fleet-wide totals).
 
-A node is deliberately ignorant of topology, codec and BDD manager — its
-replica is pair specs over the node tables of the messages that carried
-them (one table per ``MSG_RELOAD``/``MSG_PATCH``, see
+A node keeps no metrics, and is deliberately ignorant of topology, codec
+and BDD manager — its replica is pair specs over the node tables of the
+messages that carried them (one table per ``reload``/``patch``, see
 :func:`~repro.core.replica.pack_specs`), exactly like a shard worker's.
 """
 
@@ -43,46 +35,20 @@ from __future__ import annotations
 import multiprocessing
 import socket
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..core.replica import ShardReplica
-from .protocol import (
-    MSG_BATCH,
-    MSG_BATCH_REPLY,
-    MSG_DIGEST,
-    MSG_DIGEST_REPLY,
-    MSG_HELLO,
-    MSG_HELLO_REPLY,
-    MSG_PATCH,
-    MSG_PING,
-    MSG_PONG,
-    MSG_RELOAD,
-    MSG_STOP,
-    MessageStream,
-)
+from ..core.replica import ShardReplica, serve_replica
+from .protocol import MessageStream
 
 __all__ = ["VerificationNode", "NodeHandle", "start_node", "node_process_main"]
 
 
-def _untag(body: Dict) -> Tuple[Dict, Dict]:
-    """Split ``{pair: (spec, tenant) | None}`` into specs and tenants."""
-    specs = {}
-    tenants = {}
-    for key, tagged in body.items():
-        if tagged is None:
-            specs[key] = None
-        else:
-            specs[key], tenants[key] = tagged
-    return specs, tenants
-
-
 class VerificationNode:
-    """One verification worker process/thread behind a TCP endpoint.
+    """One shard replica behind a listening TCP socket.
 
-    The replica is shared by every connection's reader thread under one
-    lock, which also serialises batch verification — a node is a single
-    logical verifier; concurrency across reports comes from running many
-    nodes, not many threads per node.
+    :meth:`serve` accepts one connection and runs the member loop over it
+    on the calling thread; :meth:`start` runs it on a thread of its own
+    (thread mode), and :meth:`stop` ends it.
     """
 
     def __init__(
@@ -94,135 +60,51 @@ class VerificationNode:
     ) -> None:
         self.node_id = node_id
         self.replica = ShardReplica(node_id, packing, set_aside_unknown=True)
-        self._state_lock = threading.Lock()
-        self._last_seq = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(16)
+        self._listener.listen(1)
         self.address: Tuple[str, int] = self._listener.getsockname()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._streams: List[MessageStream] = []
+        self.thread: Optional[threading.Thread] = None
+        self._stream: Optional[MessageStream] = None
+        self._stopped = False
 
-    # -- lifecycle ---------------------------------------------------------
+    def serve(self) -> None:
+        """Accept the frontend's connection and serve the replica over it
+        until it closes (or :meth:`stop`)."""
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:
+            return  # stopped before the frontend connected
+        finally:
+            self._listener.close()
+        self._stream = MessageStream(sock)
+        try:
+            if not self._stopped:  # else stop() missed the stream: end here
+                serve_replica(self.replica, self._stream)
+        finally:
+            self._stream.close()
 
     def start(self) -> "VerificationNode":
-        if self._running:
-            return self
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"veridp-node-{self.node_id}-accept",
-            daemon=True,
+        self.thread = threading.Thread(
+            target=self.serve, name=f"veridp-node-{self.node_id}", daemon=True
         )
-        self._accept_thread.start()
+        self.thread.start()
         return self
 
     def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
+        """End the node: the listener's shutdown wakes a waiting accept, the
+        stream's close a waiting recv."""
+        self._stopped = True
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - defensive
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # closed after its one accept
             pass
-        for stream in list(self._streams):
-            stream.close()
-        for thread in list(self._conn_threads):
-            thread.join(timeout=2)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
-
-    def serve_forever(self) -> None:
-        """Run the accept loop on the calling thread (process mode)."""
-        self._running = True
-        self._accept_loop()
-
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(0.2)
-        while self._running:
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed during stop()
-            stream = MessageStream(conn)
-            self._streams.append(stream)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(stream,),
-                name=f"veridp-node-{self.node_id}-conn",
-                daemon=True,
-            )
-            thread.start()
-            self._conn_threads.append(thread)
-
-    def _serve_connection(self, stream: MessageStream) -> None:
-        try:
-            while self._running:
-                # Blocks until the next message: stop() closes the stream.
-                mtype, body = stream.recv()
-                if not self._handle(stream, mtype, body):
-                    return
-        except OSError:
-            return  # peer went away; its un-acked batches will be redelivered
-        finally:
-            stream.close()
-            if stream in self._streams:
-                self._streams.remove(stream)
-
-    # -- message handling --------------------------------------------------
-
-    def _handle(self, stream: MessageStream, mtype: int, body) -> bool:
-        replica = self.replica
-        if mtype == MSG_BATCH:
-            seq, frame = body
-            # The batch's counts and its seq are taken in one step, under
-            # the lock: that atomicity is the exactly-once ack (DESIGN.md
-            # §14.3).  The send waits outside it, so a slow reader upstream
-            # never holds up the control connection's patches and pings.
-            with self._state_lock:
-                replica.verify(frame)
-                if seq > self._last_seq:
-                    self._last_seq = seq
-                delta = replica.drain(seq)
-            stream.send(MSG_BATCH_REPLY, delta)
-        elif mtype == MSG_PATCH:
-            with self._state_lock:
-                replica.patch(*_untag(body))
-        elif mtype == MSG_RELOAD:
-            with self._state_lock:
-                replica.reload(*_untag(body))
-        elif mtype == MSG_DIGEST:
-            with self._state_lock:
-                digest = replica.digest()
-            stream.send(MSG_DIGEST_REPLY, (self.node_id, body[0], digest))
-        elif mtype == MSG_PING:
-            stream.send(MSG_PONG, (self.node_id, body[0]))
-        elif mtype == MSG_HELLO:
-            with self._state_lock:
-                count = len(replica.pairs)
-            stream.send(MSG_HELLO_REPLY, (self.node_id, count))
-        elif mtype == MSG_STOP:
-            self._running = False
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            return False
-        return True
-
-    def stats(self) -> Dict[str, int]:
-        with self._state_lock:
-            return {
-                "node_id": self.node_id,
-                "pairs": len(self.replica.pairs),
-                "last_seq": self._last_seq,
-                "vector": self.replica.vector,
-            }
+        self._listener.close()
+        if self._stream is not None:
+            self._stream.close()
+        if self.thread is not None:
+            self.thread.join(timeout=2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +122,7 @@ def node_process_main(
     node = VerificationNode(node_id, packing, host=host)
     address_pipe.send(node.address)
     address_pipe.close()
-    node.serve_forever()
+    node.serve()
 
 
 class NodeHandle:
@@ -249,8 +131,8 @@ class NodeHandle:
     ``mode`` is ``"thread"`` (a :class:`VerificationNode` in this process
     — the CI smoke shape) or ``"process"`` (a forked process — the shape
     that actually scales past the GIL and can be SIGKILLed in chaos
-    tests).  ``kill()`` is the chaos hook: it takes the node down without
-    any drain, exactly like a machine failure.
+    tests).  Either way the handle looks like a process to the link that
+    owns it: ``is_alive()``, ``kill()`` and ``join(timeout)``.
     """
 
     def __init__(
@@ -265,36 +147,29 @@ class NodeHandle:
         self.mode = mode
         self.address = address
         self._node = node
-        self._process = process
+        #: What runs the node's loop: its thread or its process.
+        self._runner = process if node is None else node.thread
 
-    def alive(self) -> bool:
-        if self._process is not None:
-            return self._process.is_alive()
-        return self._node is not None and self._node._running
+    def is_alive(self) -> bool:
+        return self._runner.is_alive()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        self._runner.join(timeout)
 
     def kill(self) -> None:
         """Chaos hook: no drain, no goodbye — the node just disappears."""
-        if self._process is not None:
-            self._process.kill()
-            self._process.join(timeout=5)
-        elif self._node is not None:
+        if self._node is not None:
             self._node.stop()
+        else:
+            self._runner.kill()
+            self._runner.join(timeout=5)
 
     def stop(self) -> None:
-        if self._process is not None:
-            if self._process.is_alive():
-                try:
-                    MessageStream.connect(self.address, timeout=1.0).send(
-                        MSG_STOP
-                    )
-                except OSError:
-                    pass
-                self._process.join(timeout=5)
-            if self._process.is_alive():  # pragma: no cover - defensive
-                self._process.kill()
-                self._process.join(timeout=2)
-        elif self._node is not None:
-            self._node.stop()
+        """Wait for the node to end once its link is closed, as a shard
+        worker ends, and kill it if it does not."""
+        self.join(timeout=5)
+        if self.is_alive():  # pragma: no cover - defensive
+            self.kill()
 
 
 def start_node(
@@ -308,13 +183,12 @@ def start_node(
     Thread mode shares this process (cheap, GIL-bound — tests and small
     deployments); process mode forks a worker.  Either way the node
     starts empty: its replica arrives over the socket as one packed
-    ``MSG_RELOAD`` holding only the share the coordinator's ring assigns
-    it, so nothing needs to pickle at fork time and the same path serves
+    ``reload`` holding only the share the coordinator's ring assigns it,
+    so nothing needs to pickle at fork time and the same path serves
     future remote nodes.
     """
     if mode == "thread":
-        node = VerificationNode(node_id, packing, host=host)
-        node.start()
+        node = VerificationNode(node_id, packing, host=host).start()
         return NodeHandle(node_id, mode, node.address, node=node)
     if mode != "process":
         raise ValueError(f"unknown node mode {mode!r}")

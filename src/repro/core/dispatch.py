@@ -25,16 +25,18 @@ and does, for both:
   its book, and :meth:`Dispatcher.redeliver` routes the surrendered rows
   again, to a respawned worker or to a failover owner.
 
-A :class:`Link` carries one member: a *pipe link* to a forked shard worker
-(``repro.core.sharded``) or a *TCP link* to a cluster node
-(``repro.cluster.frontend``).  Both speak the same messages::
+A :class:`Link` carries one member over one duplex channel: a
+``multiprocessing`` pipe to a forked shard worker (``repro.core.sharded``)
+or a TCP :class:`~repro.cluster.protocol.MessageStream` to a cluster node
+(``repro.cluster.frontend``).  Either way the member runs
+:func:`~repro.core.replica.serve_replica`, which answers these messages::
 
-    parent -> member            member -> parent
-    ("batch", seq, frame)       the batch's Delta
-    ("patch", body)             --  (a packed pair delta; None drops a pair)
-    ("reload", body)            --  (a packed whole replica)
-    ("digest", token)           ("digest", token, sha1)
-    ("ping", token)             ("pong",)
+    parent -> member              member -> parent
+    ("batch", seq, frame)         the batch's Delta
+    ("patch", specs, tenants)     --  (a packed pair delta; None drops a pair)
+    ("reload", specs, tenants)    --  (a packed whole replica)
+    ("digest", token)             ("digest", token, sha1)
+    ("ping", token)               ("pong",)
 
 This module loads neither ``multiprocessing`` nor the server: the direct
 daemon takes :func:`settle` from it, and a cluster node's process imports
@@ -43,8 +45,10 @@ the cluster package.
 
 from __future__ import annotations
 
+import pickle
 import select
 import socket
+import sys
 import threading
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
@@ -225,31 +229,60 @@ class Books:
 class Link(DeliveryBook):
     """One member's link: its delivery book over a duplex channel.
 
-    A link type adds the transport verbs: ``fileno()``; ``recv()``, one
-    reply (a :class:`Delta`, ``("digest", token, sha1)`` or
-    ``("pong",)``), raising ``EOFError``/``OSError`` once the member is
-    gone; ``buffered()``, whether a whole reply is read already (which a
-    poll of the channel would not report); ``_write(message)``, its body
-    bytes or None when the channel is gone; ``alive()``; ``end()``, which
-    takes the member down for good; and ``close()``, which closes the
-    channel.  ``pinged`` is when the first ping since the member's last
-    reply went out (None once it answered anything), all its heartbeat
-    needs.
+    ``conn`` is the parent's end of the channel, a ``multiprocessing``
+    pipe end or a :class:`~repro.cluster.protocol.MessageStream`:
+    ``fileno()``, ``send_bytes(blob)``, ``recv()`` (raising
+    ``EOFError``/``OSError`` once the member is gone), ``poll()`` (whether
+    a reply can be read without waiting on the channel's poll) and
+    ``close()``.  ``member`` runs the member loop: a forked worker
+    process or a :class:`~repro.cluster.node.NodeHandle`, anything with
+    ``is_alive()``, ``kill()`` and ``join(timeout)``; None when the link
+    does not own its member.  ``pinged`` is when the first ping since the
+    member's last reply went out (None once it answered anything), all
+    its heartbeat needs.
     """
 
-    def __init__(self, key: Hashable, *book) -> None:
+    def __init__(self, key: Hashable, conn, member, *book) -> None:
         super().__init__(*book)
         self.key = key
+        self.conn = conn
+        self.member = member
         self.pinged: Optional[float] = None
         #: Serialises writers: a message is several writes on the channel.
         self.send_lock = threading.Lock()
 
-    def buffered(self) -> bool:
-        return False
+    def fileno(self) -> int:
+        return self.conn.fileno()
+
+    def recv(self):
+        return self.conn.recv()
+
+    def _write(self, message) -> Optional[int]:
+        """Pickle and send one message; its bytes, or None when the
+        channel is gone."""
+        blob = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        try:
+            self.conn.send_bytes(blob)
+        except OSError:
+            return None
+        return len(blob)
+
+    def alive(self) -> bool:
+        return self.member is None or self.member.is_alive()
+
+    def end(self) -> None:
+        """Take the member down for good: its replica holds nothing the
+        parent lacks."""
+        if self.member is not None:
+            self.member.kill()
+            self.member.join(timeout=2)
+
+    def close(self) -> None:
+        self.conn.close()
 
     def send(self, message) -> Optional[int]:
-        """Ship one message; its body bytes, or None when the channel is
-        gone (the member's book waits for its surrender)."""
+        """Ship one message; its pickled bytes, or None when the channel
+        is gone (the member's book waits for its surrender)."""
         with self.send_lock:
             return self._write(message)
 
@@ -406,7 +439,7 @@ class Dispatcher:
 
     def ship(self, messages: Dict[Hashable, tuple]) -> int:
         """Send one replica message (``patch``/``reload``) per member key;
-        returns the body bytes shipped.  A link's FIFO puts the message
+        returns the pickled bytes shipped.  A link's FIFO puts the message
         ahead of every batch sent after it."""
         shipped = 0
         for key, message in messages.items():
@@ -564,12 +597,19 @@ class Dispatcher:
                     link = live[fd]
                     try:
                         self._on_reply(link, link.recv())
-                        while link.buffered():
+                        while link.conn.poll():
                             self._on_reply(link, link.recv())
                     except (EOFError, OSError):
                         # The member is gone: its book waits for the
                         # shape's failure path to surrender it.
                         link.dead = True
+                    except Exception:
+                        # The reply handler failed: only this link stops,
+                        # its book, un-acked batch included, left to the
+                        # failure path as a dead member's is.  Reported
+                        # as an uncaught exception would be.
+                        link.dead = True
+                        sys.excepthook(*sys.exc_info())
         finally:
             wake_r.close()
             wake_w.close()

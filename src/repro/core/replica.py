@@ -10,20 +10,21 @@ Three transports carry one:
 
 * the direct daemon's worker threads
   (:class:`~repro.core.direct.VeriDPDaemon`, in-thread under one lock),
-* the sharded daemon's worker process
-  (:func:`repro.core.sharded._shard_worker_main`, one duplex
-  ``multiprocessing`` pipe per worker generation),
-* the cluster's :class:`~repro.cluster.node.VerificationNode` (TCP
-  :class:`~repro.cluster.protocol.MessageStream`).
+* the sharded daemon's worker process, over one duplex
+  ``multiprocessing`` pipe per worker generation,
+* a cluster node (:class:`~repro.cluster.node.VerificationNode`), over one
+  TCP :class:`~repro.cluster.protocol.MessageStream`.
 
-All three speak the same verbs — :meth:`~ShardReplica.verify`,
-:meth:`~ShardReplica.patch`, :meth:`~ShardReplica.reload`,
-:meth:`~ShardReplica.digest` and :meth:`~ShardReplica.drain` (after every
-batch) — and hand back the same :class:`Delta` record, the one reply a
-replica sends.  The replica keeps no metrics: its owner folds each delta's
-counts and batch figures into the ``veridp_<role>_*`` families
-(:class:`VerdictFamilies`) as it arrives.  The rows it flags go to one
-server intake,
+The two remote ones are one member loop, :func:`serve_replica`, over the
+channel they are handed: it answers the dispatcher's five messages in
+one tuple vocabulary.  All three use the same verbs —
+:meth:`~ShardReplica.verify`, :meth:`~ShardReplica.patch`,
+:meth:`~ShardReplica.reload`, :meth:`~ShardReplica.digest` and
+:meth:`~ShardReplica.drain` (after every batch) — and hand back the same
+:class:`Delta` record, the one reply a replica sends.  The replica keeps
+no metrics: its owner folds each delta's counts and batch figures into
+the ``veridp_<role>_*`` families (:class:`VerdictFamilies`) as it
+arrives.  The rows it flags go to one server intake,
 :meth:`~repro.core.server.VeriDPServer.receive_report_rows`, whose verdict
 is the one of record.  The one behaviour that differs is where an
 unknown-pair report goes: a daemon's replica covers its whole hash shard,
@@ -65,6 +66,7 @@ __all__ = [
     "pack_specs",
     "replica_digest",
     "resync_specs",
+    "serve_replica",
     "unframe_batch",
     "wire_kernel",
     "wire_packing",
@@ -306,8 +308,8 @@ class Delta(NamedTuple):
     """What one replica verified since its last drain: one batch.
 
     The one reply every transport sends, once per batch: the direct daemon
-    drains it in-thread, a shard worker sends it down its pipe, a
-    cluster node sends it as the ``MSG_BATCH_REPLY`` body.  Besides the
+    drains it in-thread, :func:`serve_replica` sends it down a shard
+    worker's pipe or a cluster node's socket.  Besides the
     verdicts it carries the batch's own figures as plain values, which the
     owner folds into its metric families (:class:`VerdictFamilies`).
     """
@@ -629,3 +631,44 @@ class ShardReplica:
         )
         self._reset()
         return delta
+
+
+def serve_replica(replica: ShardReplica, conn) -> None:
+    """Serve ``replica`` over one channel until the channel closes.
+
+    The member loop of every dispatcher link (:mod:`repro.core.dispatch`):
+    a shard worker runs it over its end of a ``multiprocessing`` pipe, a
+    cluster node over a :class:`~repro.cluster.protocol.MessageStream`;
+    ``conn`` needs only ``recv()`` and ``send(obj)``.  Messages are handled
+    in arrival order, so a patch applies before every batch behind it::
+
+        parent -> member              member -> parent
+        ("batch", seq, frame)         replica.drain(seq), a Delta
+        ("patch", specs, tenants)     --  (None drops a pair)
+        ("reload", specs, tenants)    --  (the whole replica)
+        ("digest", token)             ("digest", token, sha1)
+        ("ping", token)               ("pong",)
+
+    ``specs`` are :func:`pack_specs` bodies; ``tenants`` tags pairs with
+    their owner, or is None.  No payload can end the loop (the replica
+    counts undecodable rows and ships verification crashes back as
+    records), and no reply carries anything the member keeps: it holds no
+    metrics.  The loop ends when the parent closes the channel.
+    """
+    while True:
+        try:
+            message = conn.recv()
+            kind = message[0]
+            if kind == "batch":
+                replica.verify(message[2])
+                conn.send(replica.drain(message[1]))
+            elif kind == "patch":
+                replica.patch(message[1], message[2])
+            elif kind == "reload":
+                replica.reload(message[1], message[2])
+            elif kind == "digest":
+                conn.send(("digest", message[1], replica.digest()))
+            elif kind == "ping":
+                conn.send(("pong",))
+        except (EOFError, OSError):
+            return  # the parent is gone

@@ -2,14 +2,14 @@
 
 :class:`ShardedVeriDPDaemon` shards reports by ``(inport, outport)`` hash
 across ``multiprocessing`` workers.  Each worker (:func:`_shard_worker_main`)
-is a pipe transport over a :class:`~repro.core.replica.ShardReplica` — its
-shard of the path table as pair specs, whose node pools a forked worker
-inherits and a patched one receives localized (no topology) — which
+serves a :class:`~repro.core.replica.ShardReplica` — its shard of the path
+table as pair specs, whose node pools a forked worker inherits and a
+patched one receives localized (no topology) — through the member loop a
+cluster node runs over TCP, :func:`~repro.core.replica.serve_replica`: it
 verifies frames locally and answers every batch with its delta (counters,
-failed payloads) on the same duplex pipe.  The direct daemon (in-thread)
-and the cluster tier's nodes (TCP) are the other transports over the same
-replica.  This is the shape that turns the GIL-flat throughput curve into a
-scaling one when cores are available.
+failed payloads) on the same duplex pipe.  The direct daemon runs the same
+replica in-thread.  This is the shape that turns the GIL-flat throughput
+curve into a scaling one when cores are available.
 
 The parent side is the cluster's: one
 :class:`~repro.core.dispatch.Dispatcher` sends the batches, takes every
@@ -34,9 +34,6 @@ successor.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..obs import Observability
@@ -49,6 +46,7 @@ from .replica import (
     build_one_shard_spec,
     pack_specs,
     resync_specs,
+    serve_replica,
     wire_kernel,
     wire_packing,
 )
@@ -75,94 +73,14 @@ def _shard_worker_main(
     packing: Tuple[Tuple[int, int], ...],
     port_limit: int,
 ) -> None:
-    """One shard worker process: the pipe transport of a :class:`ShardReplica`.
+    """One shard worker process: its replica, served over its end of the
+    generation's duplex pipe by :func:`~repro.core.replica.serve_replica`.
 
-    Message protocol on ``conn``, the worker's end of its generation's
-    duplex pipe, one FIFO in each direction::
-
-        parent -> worker            worker -> parent
-        ("batch", seq, frame)       replica.drain(seq), a Delta
-        ("patch", blob)             -- (a pickled pack_specs pair delta:
-                                        None drops the pair)
-        ("reload", blob)            -- (swap in a pickled pack_specs body)
-        ("digest", token)           ("digest", token, sha1)
-        ("ping", token)             ("pong",)
-        ("crash", how)              -- (test hook: "exit" dies, "wedge" hangs)
-
-    These are the dispatcher's link messages
-    (:mod:`repro.core.dispatch`), the ones a cluster node takes over TCP.
-    A ``patch`` or ``reload`` applies before every batch behind it.  Any
-    reply answers the parent's outstanding ping for this worker.  A payload can
-    never kill the worker (the replica counts undecodable payloads and
-    ships verification crashes back as records), and a shard replica
-    covers its whole hash shard, so an unknown pair is a verdict.  The
-    worker keeps no metrics: the parent folds each delta's counts and
-    batch figures into the ``veridp_shard_*`` families on arrival.
+    A shard replica covers its whole hash shard, so an unknown pair is a
+    verdict.  The loop ends when the parent closes the pipe.
     """
     replica = ShardReplica(worker_id, packing, pairs, port_limit=port_limit)
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return  # the parent is gone
-        kind = message[0]
-        if kind == "batch":
-            replica.verify(message[2])
-            conn.send(replica.drain(message[1]))
-        elif kind == "ping":
-            conn.send(("pong",))
-        elif kind == "reload":
-            replica.reload(pickle.loads(message[1]))
-        elif kind == "patch":
-            replica.patch(pickle.loads(message[1]))
-        elif kind == "digest":
-            conn.send(("digest", message[1], replica.digest()))
-        elif kind == "crash":  # pragma: no cover - exercised via subprocess
-            if message[1] == "exit":
-                os._exit(13)
-            while True:  # "wedge": alive but unresponsive
-                time.sleep(0.5)
-
-
-class _WorkerLink(Link):
-    """The pipe link: one shard worker generation, its process and the
-    parent's end of its duplex pipe."""
-
-    def __init__(self, shard: int, generation: int, process, conn, *book) -> None:
-        super().__init__(shard, *book)
-        self.generation = generation
-        self.process = process
-        self.conn = conn
-
-    def fileno(self) -> int:
-        return self.conn.fileno()
-
-    def recv(self):
-        return self.conn.recv()
-
-    def _write(self, message) -> Optional[int]:
-        size = 0
-        if message[0] in ("patch", "reload"):
-            # Pickled here, once: the worker loads it after every batch
-            # ahead of it, and its length is the resync's byte count.
-            blob = pickle.dumps(message[1], pickle.HIGHEST_PROTOCOL)
-            message, size = (message[0], blob), len(blob)
-        try:
-            self.conn.send(message)
-        except OSError:
-            return None
-        return size
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def end(self) -> None:
-        # The replica holds nothing the parent lacks.
-        self.process.kill()
-        self.process.join(timeout=2)
-
-    def close(self) -> None:
-        self.conn.close()
+    serve_replica(replica, conn)
 
 
 class ShardedVeriDPDaemon(Dispatcher, Books):
@@ -252,6 +170,8 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         self.workers = workers
         self.max_pending_batches = max_pending_batches
         self.fallback_workers = fallback_workers
+        #: The next worker generation per shard (its process name).
+        self._generations = [0] * workers
         self._packing = wire_packing(server.hs.layout)
         #: Whether the workers' replicas compile the vector kernel.
         self.vector = wire_kernel({}, self._packing) is not None
@@ -359,7 +279,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             ("counter", "veridp_replica_resync_pairs_total", attr("resync_pairs"),
              "Path-table pairs recompiled and shipped as resync deltas."),
             ("counter", "veridp_replica_delta_bytes_total", attr("resync_delta_bytes"),
-             "Pickled bytes of pair deltas shipped to workers on resync."),
+             "Pickled bytes of the replica messages shipped on resync."),
             ("counter", "veridp_replica_full_resyncs_total", attr("full_resyncs"),
              "Resyncs that had to fall back to a full replica reload."),
         ):
@@ -433,8 +353,8 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         """
         link = None
         if spec is not None:
-            old = self._links.get(shard)
-            generation = 0 if old is None else old.generation + 1
+            generation = self._generations[shard]
+            self._generations[shard] += 1
             conn, child = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_shard_worker_main,
@@ -454,8 +374,8 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             )
             process.start()
             child.close()  # the worker holds the only copy: its death reads EOF
-            link = _WorkerLink(
-                shard, generation, process, conn, self.flight, self.batch_size, self.log
+            link = Link(
+                shard, conn, process, self.flight, self.batch_size, self.log
             )
         frames = self._swap(shard, link)
         if frames:
@@ -705,7 +625,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         place (:meth:`Books.resync`): a shard's pair delta, or its whole
         replica, packed over one node table
         (:func:`~repro.core.replica.pack_specs`) and pickled once on its
-        pipe.  ``resync_delta_bytes`` counts those bytes."""
+        pipe.  ``resync_delta_bytes`` counts those messages' bytes."""
         if self._fallback is not None or not self._running:
             return 0
         return self.resync()
@@ -714,7 +634,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         kind = "reload" if sync.full else "patch"
         return self.ship(
             {
-                shard: (kind, pack_specs(spec))
+                shard: (kind, pack_specs(spec), None)
                 for shard, spec in enumerate(sync.specs)
                 if spec or sync.full
             }

@@ -32,7 +32,8 @@ def healthy_payloads(scenario, net, count):
 
 
 def tagged_replica(server, tenant=""):
-    """The whole table as a ``MSG_RELOAD`` body: {wire: (spec, tenant)}."""
+    """The whole table, each pair's spec tagged with its tenant:
+    {wire: (spec, tenant)}."""
     replica = {}
     codec = server.codec
     for inport, outport in server.table.pairs():

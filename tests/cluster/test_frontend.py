@@ -151,6 +151,44 @@ class TestDispatch:
         # Redelivery does not double-count submissions.
         assert frontend.stats()["submitted"] == 20
 
+    def test_handler_error_ends_only_its_link(self, fleet, rig):
+        """A reply handler that raises on one link's first reply stops
+        only that link: the other link's replies still settle, and the
+        raising link's rows wait un-acked for redelivery, not lost."""
+        scenario, server, net = rig
+        frontend, _ = fleet
+        recorder = frontend.recorder
+        recorder.ack = True
+        payloads = healthy_payloads(scenario, net, 64)
+        routed = {n: [] for n in frontend.nodes()}
+        for payload in payloads:
+            owner = frontend.owner_of(frontend.routing_key(payload))
+            routed[owner].append(payload)
+        victim, survivor = sorted(routed, key=lambda n: -len(routed[n]))
+        assert routed[survivor]
+        raised = []
+
+        def on_reply(link, delta):
+            if link.key == victim and not raised:
+                raised.append(delta.seq)
+                raise RuntimeError("reply handler bug")
+            recorder(link, delta)
+
+        frontend.on_reply = on_reply
+        for payload in payloads:
+            assert frontend.submit(payload)
+        frontend.flush_buffers()
+        assert frontend.wait_retired(JOIN_DEADLINE, [survivor])
+        assert wait_for(lambda: frontend.link(victim).dead)
+        pending = frontend.detach_node(victim)
+        assert sorted(pending) == sorted(routed[victim])
+        assert frontend.redeliver(pending) == len(pending)
+        assert frontend.wait_retired(JOIN_DEADLINE)
+        # Every row's reply reached the handler once (the replica-less
+        # nodes set every row aside as an unknown pair).
+        unknown = [p for delta in recorder.replies for p in delta.unknown]
+        assert sorted(unknown) == sorted(payloads)
+
 
 class TestSubmitFrame:
     def test_frame_routes_rows_like_scalar_submit(self, fleet, rig):

@@ -1,28 +1,16 @@
 """Verification nodes: the socket-facing shard workers.
 
-Each test drives a node purely over its wire protocol — RELOAD a replica,
-stream BATCH frames and read each one's reply, the only message that
-carries counts or metrics — exactly as the coordinator and frontend do, so
-the protocol surface is what's pinned.
+Each test drives a node purely over its wire protocol — ``reload`` a
+replica, stream ``batch`` frames and read each one's reply, the only
+message that carries counts or metrics — exactly as the coordinator and
+frontend do, so the protocol surface is what's pinned.
 """
 
 import pytest
 
 from repro.cluster.node import VerificationNode, start_node
-from repro.cluster.protocol import (
-    MSG_BATCH,
-    MSG_BATCH_REPLY,
-    MSG_DIGEST,
-    MSG_DIGEST_REPLY,
-    MSG_HELLO,
-    MSG_HELLO_REPLY,
-    MSG_PATCH,
-    MSG_PING,
-    MSG_PONG,
-    MSG_RELOAD,
-    MessageStream,
-)
-from repro.core.replica import replica_digest
+from repro.cluster.protocol import MessageStream
+from repro.core.replica import Delta, replica_digest
 from repro.core.reports import REPORT_SIZE
 from repro.core.verifier import Verdict
 
@@ -43,35 +31,37 @@ def connect(node):
     return MessageStream.connect(node.address)
 
 
+def reload(stream, replica):
+    """Send a ``reload`` of a tagged replica ({wire: (spec, tenant)})."""
+    specs = {wire: spec for wire, (spec, _tenant) in replica.items()}
+    tenants = {wire: tenant for wire, (_spec, tenant) in replica.items()}
+    stream.send(("reload", specs, tenants))
+
+
 def verify(stream, seq, frame):
     """Send one batch and return the node's reply to it."""
-    stream.send(MSG_BATCH, (seq, frame))
-    mtype, body = stream.recv(timeout=10)
-    assert mtype == MSG_BATCH_REPLY
-    assert body.seq == seq
-    return body
+    stream.send(("batch", seq, frame))
+    reply = stream.recv()
+    assert isinstance(reply, Delta)
+    assert reply.seq == seq
+    return reply
 
 
 class TestProtocolSurface:
-    def test_hello_ping_digest(self, rig, node):
+    def test_ping_digest(self, rig, node):
         _, server, _ = rig
         stream = connect(node)
         try:
-            stream.send(MSG_HELLO, ("test",))
-            mtype, body = stream.recv(timeout=10)
-            assert mtype == MSG_HELLO_REPLY and body == ("n1", 0)
+            assert node.replica.pairs == {}
 
-            stream.send(MSG_PING, (42,))
-            mtype, body = stream.recv(timeout=10)
-            assert mtype == MSG_PONG and body == ("n1", 42)
+            stream.send(("ping", 42))
+            assert stream.recv() == ("pong",)
 
             replica = tagged_replica(server)
-            stream.send(MSG_RELOAD, replica)
-            stream.send(MSG_DIGEST, (7,))
-            mtype, body = stream.recv(timeout=10)
-            assert mtype == MSG_DIGEST_REPLY
+            reload(stream, replica)
+            stream.send(("digest", 7))
             expected = replica_digest({k: v[0] for k, v in replica.items()})
-            assert body == ("n1", 7, expected)
+            assert stream.recv() == ("digest", 7, expected)
         finally:
             stream.close()
 
@@ -80,7 +70,7 @@ class TestProtocolSurface:
         payloads = healthy_payloads(scenario, net, 200)
         stream = connect(node)
         try:
-            stream.send(MSG_RELOAD, tagged_replica(server))
+            reload(stream, tagged_replica(server))
             reply = verify(stream, 3, b"".join(payloads))
             (_, processed, malformed, counters, failures, crashed, unknown,
              _, last_seq, seconds, vector_rows, fallbacks, tenants) = reply
@@ -104,7 +94,7 @@ class TestProtocolSurface:
         scenario, server, net = rig
         stream = connect(node)
         try:
-            stream.send(MSG_RELOAD, tagged_replica(server))
+            reload(stream, tagged_replica(server))
             good = healthy_payloads(scenario, net, 4)
             bad = [b"\x00" * REPORT_SIZE, good[0][:-1] + b"\xff"]
             reply = verify(stream, 1, b"".join(good + bad))
@@ -143,12 +133,12 @@ class TestMigrationSurface:
         replica = tagged_replica(server)
         stream = connect(node)
         try:
-            stream.send(MSG_RELOAD, replica)
-            stream.send(MSG_PATCH, {wire: None})  # migrate the pair away
+            reload(stream, replica)
+            stream.send(("patch", {wire: None}, {}))  # migrate the pair away
             reply = verify(stream, 1, target)
             assert reply.processed == 0 and reply.unknown == [target]
 
-            stream.send(MSG_PATCH, {wire: replica[wire]})  # migrate it back
+            stream.send(("patch", {wire: replica[wire][0]}, {}))  # migrate it back
             reply = verify(stream, 2, target)
             assert reply.processed == 1 and reply.counters[PASS] == 1
         finally:
@@ -159,7 +149,7 @@ class TestMigrationSurface:
         payloads = healthy_payloads(scenario, net, 96)
         stream = connect(node)
         try:
-            stream.send(MSG_RELOAD, tagged_replica(server, tenant="red"))
+            reload(stream, tagged_replica(server, tenant="red"))
             reply = verify(stream, 1, b"".join(payloads))
             assert reply.processed == 96
             assert reply.tenants == {"red": 96}
@@ -172,10 +162,10 @@ class TestProcessMode:
         scenario, server, net = rig
         handle = start_node("p1", packing_of(server), mode="process")
         try:
-            assert handle.alive()
+            assert handle.is_alive()
             stream = connect(handle)
             try:
-                stream.send(MSG_RELOAD, tagged_replica(server))
+                reload(stream, tagged_replica(server))
                 payloads = healthy_payloads(scenario, net, 64)
                 reply = verify(stream, 1, b"".join(payloads))
                 assert reply.processed == 64 and reply.counters[PASS] == 64
@@ -183,11 +173,11 @@ class TestProcessMode:
                 stream.close()
         finally:
             handle.stop()
-        assert not handle.alive()
+        assert not handle.is_alive()
 
     def test_kill_is_abrupt(self, rig):
         _, server, _ = rig
         handle = start_node("p2", packing_of(server), mode="process")
-        assert handle.alive()
+        assert handle.is_alive()
         handle.kill()
-        assert not handle.alive()
+        assert not handle.is_alive()

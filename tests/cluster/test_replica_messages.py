@@ -2,56 +2,40 @@
 
 ``start(n)`` places every id on the ring before the first join, so each
 node is loaded with exactly its final share and no bootstrap join hands
-pairs on (no ``MSG_PATCH``, no rebalance).  Every ``MSG_RELOAD`` and
-``MSG_PATCH`` body is packed over one node table; a node keeps a message's
+pairs on (no ``patch``, no rebalance).  Every ``reload`` and ``patch``
+message's specs are packed over one node table; a node keeps a message's
 table alive only while a pair from that message survives, so resync
 rounds that re-dirty the same pairs do not pile tables up.
 """
 
+import pickle
+
 from repro.cluster import VeriDPCluster
-from repro.cluster.protocol import (
-    MSG_HELLO,
-    MSG_HELLO_REPLY,
-    MSG_PATCH,
-    MSG_RELOAD,
-    MessageStream,
-)
+from repro.cluster.protocol import MessageStream
 from repro.core.server import VeriDPServer
 from repro.topologies import build_linear
-
-
-def _hello(address):
-    """The pair count a node reports on a fresh connection."""
-    stream = MessageStream.connect(address)
-    try:
-        stream.send(MSG_HELLO, ("test",))
-        mtype, body = stream.recv(timeout=10)
-    finally:
-        stream.close()
-    assert mtype == MSG_HELLO_REPLY
-    return body[1]
 
 
 def test_start_loads_each_node_with_its_final_share_only(rig, monkeypatch):
     _, server, _ = rig
     sent = []
-    real_send = MessageStream.send
+    real_send_bytes = MessageStream.send_bytes
 
-    def spy(stream, mtype, *args, **kwargs):
-        sent.append(mtype)
-        return real_send(stream, mtype, *args, **kwargs)
+    def spy(stream, blob):
+        sent.append(pickle.loads(blob)[0])
+        return real_send_bytes(stream, blob)
 
-    monkeypatch.setattr(MessageStream, "send", spy)
+    monkeypatch.setattr(MessageStream, "send_bytes", spy)
     with VeriDPCluster(server, nodes=2, node_mode="thread") as cluster:
         coordinator = cluster.coordinator
-        assert MSG_PATCH not in sent
-        assert sent.count(MSG_RELOAD) == 2
+        assert "patch" not in sent
+        assert sent.count("reload") == 2
         assert coordinator.rebalance_patches == 0
         assert coordinator.rebalances == coordinator.moved_pairs == 0
         # A digest round trip rides each node's link behind its reload.
         assert cluster.converged()
         shares = [
-            _hello(cluster.frontend.link(node_id).handle.address)
+            len(cluster.frontend.link(node_id).member._node.replica.pairs)
             for node_id in cluster.nodes()
         ]
         assert shares == [
@@ -85,7 +69,7 @@ def test_resync_rounds_do_not_pin_old_tables(tmp_path):
             assert cluster.converged()
             bdd = server.hs.bdd
             for node_id in cluster.nodes():
-                replica = cluster.frontend.link(node_id).handle._node.replica
+                replica = cluster.frontend.link(node_id).member._node.replica
                 slice_ = coordinator._replica_of(node_id)
                 fresh = bdd.pool(
                     [root for key in sorted(slice_) for root in slice_[key][1].roots]

@@ -15,7 +15,8 @@ import threading
 import pytest
 
 from repro.cluster import VeriDPCluster
-from repro.cluster.protocol import MSG_BATCH_REPLY, MessageStream
+from repro.cluster.protocol import MessageStream
+from repro.core.replica import Delta
 from repro.core.reports import REPORT_SIZE, pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork
@@ -56,9 +57,9 @@ def test_failover_logs_redelivered_rows_once(rig, monkeypatch):
     replied, failed_over = threading.Event(), threading.Event()
     recv = MessageStream.recv
 
-    def held_recv(stream, timeout=None):
-        message = recv(stream, timeout)
-        if message[0] == MSG_BATCH_REPLY and stream is held.get("stream"):
+    def held_recv(stream):
+        message = recv(stream)
+        if isinstance(message, Delta) and stream is held.get("stream"):
             replied.set()
             failed_over.wait(DEADLINE)
         return message
@@ -71,7 +72,7 @@ def test_failover_logs_redelivered_rows_once(rig, monkeypatch):
             owners.setdefault(frontend.owner_of(frontend.routing_key(payload)), 0)
             owners[frontend.owner_of(frontend.routing_key(payload))] += 1
         victim = max(owners, key=owners.get)
-        held["stream"] = frontend.link(victim).stream
+        held["stream"] = frontend.link(victim).conn
         for payload in rows:
             assert cluster.submit(payload)
         cluster.flush()

@@ -1,5 +1,6 @@
 """Tests for the concurrent daemon and UDP listener."""
 
+import multiprocessing
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ from repro.core.daemon import (
     VeriDPDaemon,
     build_shard_specs,
 )
-from repro.core.replica import _shard_of
+from repro.core.replica import ShardReplica, _shard_of
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
@@ -663,22 +664,37 @@ class TestSupervisedShardedDaemon:
             == len(payloads)
         )
 
-    def test_wedged_worker_detected_by_heartbeat(self, rig):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the verify patch reaches the worker by fork",
+    )
+    def test_wedged_worker_detected_by_heartbeat(self, rig, monkeypatch):
         """An alive-but-unresponsive worker is restarted via heartbeat age."""
         scenario, server, net = rig
         payloads = collect_payloads(scenario, net, 20)
+        verify = ShardReplica.verify
+
+        def wedge_first_generation(replica, frame):
+            # Forked workers inherit the patch; generation 0 hangs in its
+            # first batch, alive but unresponsive.
+            while multiprocessing.current_process().name.endswith("-gen0"):
+                time.sleep(0.5)
+            return verify(replica, frame)
+
+        monkeypatch.setattr(ShardReplica, "verify", wedge_first_generation)
         with ShardedVeriDPDaemon(
             server, workers=1, batch_size=4, restart_budget=3,
             heartbeat_timeout=0.3, **FAST_BACKOFF
         ) as daemon:
-            daemon._links[0].send(("crash", "wedge"))
+            for payload in payloads[:4]:  # one batch, which wedges it
+                daemon.submit(payload)
             deadline = time.time() + 10
             while daemon.stats()["restarts"] < 1 and time.time() < deadline:
                 time.sleep(0.02)
             stats = daemon.stats()
             assert stats["restarts"] >= 1
             assert stats["wedged_restarts"] >= 1
-            for payload in payloads:
+            for payload in payloads[4:]:
                 daemon.submit(payload)
             daemon.join()
             assert daemon.stats()["verified"] >= len(payloads) - daemon.stats()["lost_in_restart"]

@@ -16,8 +16,9 @@ import threading
 import pytest
 
 from repro.cluster import VeriDPCluster
-from repro.cluster.protocol import MSG_BATCH_REPLY, MessageStream
+from repro.cluster.protocol import MessageStream
 from repro.core.daemon import ShardedVeriDPDaemon
+from repro.core.replica import Delta
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork
@@ -182,9 +183,9 @@ class TestReplyRacesFailover:
         replied, failed_over = threading.Event(), threading.Event()
         recv = MessageStream.recv
 
-        def held_recv(stream, timeout=None):
-            message = recv(stream, timeout)
-            if message[0] == MSG_BATCH_REPLY and stream is held.get("stream"):
+        def held_recv(stream):
+            message = recv(stream)
+            if isinstance(message, Delta) and stream is held.get("stream"):
                 replied.set()
                 failed_over.wait(DEADLINE)
             return message
@@ -193,7 +194,7 @@ class TestReplyRacesFailover:
         with VeriDPCluster(server, nodes=2, batch_size=1000) as cluster:
             frontend = cluster.frontend
             victim, rows = rows_for_one_node(cluster, payloads)
-            held["stream"] = frontend.link(victim).stream
+            held["stream"] = frontend.link(victim).conn
             for payload in rows:
                 cluster.submit(payload)
             frontend.flush_buffers()

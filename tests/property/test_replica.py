@@ -9,9 +9,15 @@ random frames mixing every row class (pass, tag mismatch, no path, unknown
 pair, bad version, irregular pair), on both sides of the
 kernel's ``MIN_BATCH`` crossover, in both unknown-pair modes — and require
 the same delta whether a frame is verified whole or split at any row.  The
-metric families the owners of the two remote transports fold the deltas
-into are pinned by name and label; the in-thread transport exports none.
+two remote transports are one member loop, ``serve_replica``: one message
+script gives the same replies over a ``multiprocessing`` pipe and over a
+cluster node's socket, thread or process.  The metric families the owners
+of the two remote transports fold the deltas into are pinned by name and
+label; the in-thread transport exports none.
 """
+
+import multiprocessing
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,13 +25,18 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.timing import wire_payloads_from_table
 from repro.bdd.headerspace import HeaderSpace
 from repro.cluster import VeriDPCluster
+from repro.cluster.node import start_node
+from repro.cluster.protocol import MessageStream
 from repro.core import vector as vec
 from repro.core.daemon import ShardedVeriDPDaemon, VeriDPDaemon
 from repro.core.pathtable import PathTableBuilder
 from repro.core.replica import (
+    Delta,
     ShardReplica,
     _verify_wire,
     build_shard_specs,
+    pack_specs,
+    serve_replica,
     wire_packing,
 )
 from repro.core.reports import REPORT_SIZE, pack_report
@@ -35,6 +46,7 @@ from repro.dataplane import DataPlaneNetwork
 from repro.topologies import build_figure5, build_linear
 
 PASS = Verdict.PASS.value
+MISMATCH = Verdict.FAIL_TAG_MISMATCH.value
 UNKNOWN = Verdict.FAIL_UNKNOWN_PAIR.value
 
 
@@ -153,6 +165,89 @@ def test_bad_version_row_of_unplaced_pair_is_malformed_at_any_size(rows):
     delta = replica.drain()
     assert (delta.malformed, delta.unknown) == (1, [unplaced])
     assert delta.malformed_sample == [bad]
+
+
+def _pair_of(payload):
+    return (int.from_bytes(payload[2:4], "big"), int.from_bytes(payload[4:6], "big"))
+
+
+def _script():
+    """reload with tenants; a batch with a failing row and an unknown pair;
+    a patch that drops a pair; digest; ping; a batch that meets the
+    dropped pair."""
+    healthy = [p for p in ROWS if _verify_wire(PAIRS, PACKING, p) == PASS]
+    failing = next(p for p in ROWS if _verify_wire(PAIRS, PACKING, p) == MISMATCH)
+    unknown = next(p for p in ROWS if _pair_of(p) == UNPLACED and p[0] != 99)
+    dropped = _pair_of(healthy[0])
+    tenants = {key: "red" for key in sorted(PAIRS)[::2]}
+    first = (healthy * 40)[:40] + [failing, unknown]
+    return [
+        ("reload", pack_specs(PAIRS), tenants),
+        ("batch", 1, b"".join(first)),
+        ("patch", {dropped: None}, {}),
+        ("digest", 7),
+        ("ping", 1),
+        ("batch", 2, b"".join(healthy[:3] + [failing])),
+    ]
+
+
+def _direct(script, set_aside_unknown):
+    """The replies the script's verbs give on an in-process replica."""
+    replica = ShardReplica("r", PACKING, set_aside_unknown=set_aside_unknown)
+    replies = []
+    for message in script:
+        if message[0] == "batch":
+            replica.verify(message[2])
+            replies.append(replica.drain(message[1]))
+        elif message[0] in ("patch", "reload"):
+            getattr(replica, message[0])(dict(message[1]), message[2])
+        elif message[0] == "digest":
+            replies.append(("digest", message[1], replica.digest()))
+        else:
+            replies.append(("pong",))
+    return replies
+
+
+def _untimed(reply):
+    """A reply without its source and timing."""
+    if isinstance(reply, Delta):
+        return reply._replace(source=None, seconds=0.0)
+    return reply
+
+
+@pytest.mark.parametrize("channel", ["pipe", "thread", "process"])
+def test_member_loop_replies_alike_over_every_channel(channel):
+    """One member loop over a shard worker's pipe and over a node's
+    socket (thread or process node) answers one script alike."""
+    script = _script()
+    if channel == "pipe":
+        conn, child = multiprocessing.Pipe()
+        member = threading.Thread(
+            target=serve_replica, args=(ShardReplica(0, PACKING), child)
+        )
+        member.start()
+    else:
+        member = start_node("n", PACKING, mode=channel)
+        conn = MessageStream.connect(member.address)
+    try:
+        replies = []
+        for message in script:
+            conn.send(message)
+            if message[0] not in ("patch", "reload"):
+                replies.append(conn.recv())
+    finally:
+        conn.close()  # the loop ends on EOF
+        member.join(timeout=10)
+    assert not member.is_alive()
+    # A shard worker's replica counts an unknown pair, a node's sets it
+    # aside: that mode is the only difference between the channels.
+    expected = _direct(script, set_aside_unknown=channel != "pipe")
+    assert [_untimed(r) for r in replies] == [_untimed(r) for r in expected]
+    first, digest, pong, last = replies
+    assert first.seq == 1 and len(first.failures) + len(first.unknown) == 2
+    assert first.tenants and digest[:2] == ("digest", 7) and pong == ("pong",)
+    # The patch dropped the first row's pair: that row is unknown now.
+    assert last.seq == 2 and last.counters[UNKNOWN] + len(last.unknown) >= 1
 
 
 SHARD_FAMILIES = {
