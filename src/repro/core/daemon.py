@@ -13,11 +13,10 @@ notes "we expect a higher throughput with multi-threading in the future"
   parallelism,
 * :class:`ShardedVeriDPDaemon` (:mod:`repro.core.sharded`) — a
   ``multiprocessing`` worker pool sharded by ``(inport, outport)`` hash,
-  each worker a queue transport over a
-  :class:`~repro.core.replica.ShardReplica`; the parent consolidates
-  counters and localizes the (rare) failures.  This is the mode that turns
-  the GIL-flat throughput curve into a scaling one when cores are
-  available,
+  each worker serving a :class:`~repro.core.replica.ShardReplica` over one
+  duplex pipe; the parent consolidates counters and localizes the (rare)
+  failures.  This is the mode that turns the GIL-flat throughput curve
+  into a scaling one when cores are available,
 * :class:`UdpReportListener` (:mod:`repro.core.listener`) — an optional
   real UDP socket (the paper's transport: "tag reports ... are
   encapsulated with plain UDP packets") that feeds received datagrams into
@@ -40,11 +39,10 @@ Resilience (the monitoring plane's own failure model — see DESIGN.md,
   detected (exitcode polling + heartbeat pings) and restarted with bounded
   exponential backoff, their compiled path-table replica resynchronised
   against the current :attr:`PathTable.version`; when restarts exceed the
-  budget the daemon degrades to a single-process :class:`VeriDPDaemon`
-  fallback rather than wedging,
-* each worker generation gets its *own* multiprocessing queues, so a
-  worker killed mid-``get``/``put`` cannot poison a shared queue lock for
-  its successor.
+  budget the daemon degrades rather than wedging, each shard's next
+  generation the same worker loop on a thread of the parent,
+* each worker generation gets its *own* pipe, so a worker killed
+  mid-message cannot corrupt the stream its successor reads.
 
 The verifying fast path shares one path table read-only; rule updates go
 through ``pause_and_refresh``, which quiesces the workers, rebuilds (and

@@ -52,11 +52,6 @@ _PASS = Verdict.PASS.value
 _VERIFY_MAX_ROWS = 4096
 
 
-def _log_frame(persist, frame: Frame) -> None:
-    """WAL a frame as one ``RT_REPORT_BATCH`` record (durable servers)."""
-    persist.log_report_frame(frame.payload())
-
-
 class VeriDPDaemon:
     """Multi-worker report verification on top of a :class:`VeriDPServer`.
 
@@ -85,8 +80,6 @@ class VeriDPDaemon:
         queue_size: int = 10_000,
         overflow: "OverflowPolicy | str" = OverflowPolicy.DROP_NEW,
         submit_timeout: Optional[float] = None,
-        dead_letter_capacity: int = 1024,
-        dead_letter_attempts: int = 3,
         obs: Optional[Observability] = None,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
@@ -94,10 +87,6 @@ class VeriDPDaemon:
         if workers <= 0:
             raise ValueError(f"need at least one worker, got {workers}")
         self.server = server
-        # Durable servers log payloads at submit time; the sharded daemon's
-        # thread fallback wraps the same server and clears this flag so a
-        # delegated submit is not logged twice.
-        self.record_reports = True
         self.obs = obs or server.obs
         self.overflow = OverflowPolicy.coerce(overflow)
         # Per-tenant queue quotas (multi-tenant deployments): one tenant's
@@ -127,9 +116,7 @@ class VeriDPDaemon:
         self._replica_lock = threading.Lock()
         self._replica_version = -1
         self._dirty_token: Optional[Tuple[int, int]] = None
-        self.dead_letters = DeadLetterQueue(
-            capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
-        )
+        self.dead_letters = DeadLetterQueue()
         self._register_metrics()
         self._endpoint: Optional[MetricsEndpoint] = None
         if metrics_port is not None:
@@ -347,7 +334,7 @@ class VeriDPDaemon:
         ``malformed``.
         """
         persist = self.server.persist
-        if persist is not None and self.record_reports:
+        if persist is not None:
             persist.log_report(payload)
         if len(payload) != REPORT_SIZE:
             self.dead_letters.add(
@@ -374,8 +361,8 @@ class VeriDPDaemon:
         if count == 0:
             return 0
         persist = self.server.persist
-        if persist is not None and self.record_reports:
-            _log_frame(persist, frame)
+        if persist is not None:
+            persist.log_report_frame(frame.payload())
         admitted = self._put_frame(frame)
         with self._lock:
             self.frames += 1

@@ -235,7 +235,8 @@ class Link(DeliveryBook):
     ``EOFError``/``OSError`` once the member is gone), ``poll()`` (whether
     a reply can be read without waiting on the channel's poll) and
     ``close()``.  ``member`` runs the member loop: a forked worker
-    process or a :class:`~repro.cluster.node.NodeHandle`, anything with
+    process, a degraded shard's thread or a
+    :class:`~repro.cluster.node.NodeHandle`, anything with
     ``is_alive()``, ``kill()`` and ``join(timeout)``; None when the link
     does not own its member.  ``pinged`` is when the first ping since the
     member's last reply went out (None once it answered anything), all

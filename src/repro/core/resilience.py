@@ -662,9 +662,10 @@ class DeadLetterQueue:
 class RestartBackoff:
     """Bounded exponential backoff: ``base * factor**n`` capped at ``cap``.
 
-    One instance per supervised worker; :meth:`reset` after a worker
-    survives ``healthy_after`` seconds so an old crash streak does not
-    penalise a now-stable worker forever.
+    One instance per supervised worker; :meth:`next_delay` forgets the
+    crash streak once a worker survived ``healthy_after`` seconds since its
+    last restart, so an old streak does not penalise a now-stable worker
+    forever.
     """
 
     def __init__(
@@ -699,10 +700,6 @@ class RestartBackoff:
         self._last_restart = now
         return delay
 
-    def reset(self) -> None:
-        self.failures = 0
-        self._last_restart = 0.0
-
 
 @dataclass
 class WorkerProbe:
@@ -723,8 +720,9 @@ class WorkerSupervisor:
     * ``probe()`` -> sequence of :class:`WorkerProbe` (alive + heartbeat age),
     * ``restart(worker_id)`` — tear down and relaunch one worker,
     * ``on_budget_exhausted()`` — called once when crash restarts exceed
-      ``restart_budget``; the owner degrades (e.g. falls back to a
-      single-process daemon) and the supervisor stops.
+      ``restart_budget``; the owner degrades (the sharded daemon serves
+      every shard on a thread of its own process) and the supervisor
+      stops.
 
     A worker is considered wedged when its heartbeat age exceeds
     ``heartbeat_timeout`` even though the process is alive; wedged workers

@@ -24,20 +24,23 @@ polling + heartbeat: a ping left unanswered too long) and restarted with
 bounded exponential backoff, their replica resynchronised against the
 current :attr:`PathTable.version`; the successor takes the dead
 generation's surrendered batches, so a worker killed mid-batch costs no
-verdict.  When restarts exceed the budget the daemon degrades to a
-single-process :class:`~repro.core.direct.VeriDPDaemon` fallback, which
-takes the same surrender.  Each generation gets its *own* pipe, so a
-worker killed mid-``recv``/``send`` cannot corrupt the stream of its
-successor.
+verdict.  When restarts exceed the budget the daemon degrades instead of
+wedging: every shard's next generation runs the same worker loop on a
+thread of the parent (:class:`_ShardThread`), over the same kind of pipe,
+link and book, and takes the same surrender.  Each generation gets its
+*own* pipe, so a worker killed mid-``recv``/``send`` cannot corrupt the
+stream of its successor.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import socket
+import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..obs import Observability
-from .direct import VeriDPDaemon, _log_frame
 from .dispatch import Books, Dispatcher, Link
 from .ingest import shard_split
 from .replica import (
@@ -73,14 +76,48 @@ def _shard_worker_main(
     packing: Tuple[Tuple[int, int], ...],
     port_limit: int,
 ) -> None:
-    """One shard worker process: its replica, served over its end of the
-    generation's duplex pipe by :func:`~repro.core.replica.serve_replica`.
+    """One shard worker (a process, or once degraded a thread): its replica,
+    served over its end of the generation's duplex pipe by
+    :func:`~repro.core.replica.serve_replica`.
 
     A shard replica covers its whole hash shard, so an unknown pair is a
     verdict.  The loop ends when the parent closes the pipe.
     """
     replica = ShardReplica(worker_id, packing, pairs, port_limit=port_limit)
     serve_replica(replica, conn)
+
+
+class _ShardThread(threading.Thread):
+    """A degraded shard's member: :func:`_shard_worker_main` on a thread of
+    the parent, over its end of the generation's duplex pipe.
+
+    It looks like a worker process to its :class:`~repro.core.dispatch.Link`:
+    :meth:`kill` shuts the thread's end of the pipe down, through a dup of
+    its fd taken at the start (never a reused fd), so both ends read EOF as
+    when a worker process dies, and the member loop ends.  A loop that
+    ends for any other reason shuts it down too.
+    """
+
+    def __init__(self, name: str, args: tuple) -> None:
+        super().__init__(target=_shard_worker_main, args=args, name=name, daemon=True)
+        self._conn = args[1]  # the worker's end of the pipe
+        self._end = socket.socket(fileno=os.dup(self._conn.fileno()))
+        self._end_lock = threading.Lock()
+
+    def run(self) -> None:
+        try:
+            super().run()
+        finally:
+            self.kill()
+            self._conn.close()
+
+    def kill(self) -> None:
+        with self._end_lock:
+            try:
+                self._end.shutdown(socket.SHUT_RDWR)
+            except OSError:  # killed before: the dup is closed
+                pass
+            self._end.close()
 
 
 class ShardedVeriDPDaemon(Dispatcher, Books):
@@ -111,8 +148,9 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
     from the *current* path table (and patching the other workers when
     :attr:`PathTable.version` moved meanwhile); the successor is handed
     what its predecessor had not answered.  Worker restarts beyond
-    ``restart_budget`` degrade the daemon to a single-process
-    :class:`VeriDPDaemon`, which takes every worker's rows through the
+    ``restart_budget`` degrade the daemon: every shard is restarted once
+    more, as a thread of this process running the same worker loop
+    (:class:`_ShardThread`), which takes its predecessor's rows through the
     same failure path, so ingestion survives a crash loop.  Each shard
     keeps at most ``max_pending_batches`` batches un-acked, under an
     explicit overflow policy — ``block`` (default, loss-free) or
@@ -132,9 +170,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         poll_interval: float = 0.05,
         heartbeat_timeout: float = 10.0,
         backoff: Optional[RestartBackoff] = None,
-        fallback_workers: int = 2,
-        dead_letter_capacity: int = 1024,
-        dead_letter_attempts: int = 3,
         obs: Optional[Observability] = None,
         metrics_port: Optional[int] = None,
         metrics_host: str = "127.0.0.1",
@@ -162,15 +197,12 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             self,
             server,
             VerdictFamilies(self.obs.registry, "shard"),
-            DeadLetterQueue(
-                capacity=dead_letter_capacity, max_attempts=dead_letter_attempts
-            ),
+            DeadLetterQueue(),
             shards=workers,
         )
         self.workers = workers
         self.max_pending_batches = max_pending_batches
-        self.fallback_workers = fallback_workers
-        #: The next worker generation per shard (its process name).
+        #: The next worker generation per shard (its member's name).
         self._generations = [0] * workers
         self._packing = wire_packing(server.hs.layout)
         #: Whether the workers' replicas compile the vector kernel.
@@ -181,11 +213,8 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         )
         self._running = False
         self._stopping = False
+        #: Past the restart budget: every shard's member is a thread.
         self.degraded = False
-        #: When False, dispatch skips durable report logging (re-ingest
-        #: streams whose payloads are already in the WAL).
-        self.record_reports = True
-        self._fallback: Optional[VeriDPDaemon] = None
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervise:
             self._supervisor = WorkerSupervisor(
@@ -217,9 +246,9 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             "mode": "thread-fallback" if self.degraded else "process",
             "workers": self.workers,
         }
-        # A daemon that burned its restart budget still ingests (via the
-        # fallback) but is operator-attention-worthy: report unhealthy.
-        return (self._running or self._fallback is not None) and not self.degraded, detail
+        # A daemon that burned its restart budget still ingests (on its
+        # shard threads) but is operator-attention-worthy: report unhealthy.
+        return self._running and not self.degraded, detail
 
     def _register_metrics(self) -> None:
         """Expose the consolidated parent-side view on the shared registry.
@@ -227,9 +256,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         Re-registers the ingestion families the server/threaded daemon may
         already own (latest owner wins); the per-shard ``veridp_shard_*``
         families are folded from every delta in :meth:`Books.settle`.
-        The callbacks read :meth:`stats`, which folds in the fallback
-        daemon's figures once degraded — the fallback itself runs on a
-        private registry so its own registrations cannot clobber these.
         """
         reg = self.obs.registry
 
@@ -251,16 +277,15 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             ("gauge", "veridp_queue_depth",
              lambda: sum(link.rows for link in list(self._links.values())),
              "Payloads buffered parent-side awaiting dispatch."),
-            ("gauge", "veridp_in_flight", self._in_flight,
+            ("gauge", "veridp_in_flight", lambda: self.flight.rows,
              "Payloads accepted that have no verdict yet."),
             ("counter", "veridp_lost_in_restart_total", stat("lost_in_restart"),
              "Payloads dispatched to a worker whose verdicts never returned "
              "(0: a restart redelivers them)."),
-            ("gauge", "veridp_workers",
-             lambda: self.fallback_workers if self.degraded else self.workers,
-             "Shard worker processes (fallback threads when degraded)."),
+            ("gauge", "veridp_workers", attr("workers"),
+             "Shard workers: processes, or threads once degraded."),
             ("gauge", "veridp_degraded", stat("degraded"),
-             "1 when the daemon fell back to the threaded single process."),
+             "1 once the restart budget ran out and the shards run on threads."),
             ("counter", "veridp_worker_restarts_total", stat("restarts"),
              "Shard workers the supervisor restarted (dead or wedged)."),
             ("counter", "veridp_wedged_restarts_total", stat("wedged_restarts"),
@@ -297,27 +322,15 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             callback=self._merged_verdicts,
         )
 
-    def _in_flight(self) -> int:
-        """Rows accepted and not yet given a verdict."""
-        fallback = self._fallback
-        if fallback is not None:
-            return fallback.stats()["queued"]
-        return self.flight.rows
-
     def _merged_verdicts(self) -> Dict[tuple, int]:
         with self._books_lock:
-            merged = dict(self.counters)
-        fallback = self._fallback
-        if fallback is not None:
-            for verdict, count in fallback.counters.items():
-                merged[verdict] += count
-        return {(v.value,): n for v, n in merged.items()}
+            return {(v.value,): n for v, n in self.counters.items()}
 
     def _log_rows(self, frame: bytes) -> None:
         """WAL-before-verify at batch granularity: a book's cut appends
         its new rows as one ``RT_REPORT_BATCH`` record."""
         persist = self.server.persist
-        if persist is not None and self.record_reports:
+        if persist is not None:
             persist.log_report_frame(frame)
 
     # -- lifecycle -----------------------------------------------------------
@@ -326,9 +339,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         """Replicate the (compiled) path table and fork the workers."""
         if self._endpoint is not None:
             self._endpoint.start()
-        if self._fallback is not None:
-            self._fallback.start()
-            return
         if self._running:
             return
         with self.server_lock:
@@ -340,58 +350,38 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         for shard in range(self.workers):
             self._spawn(shard, sync.specs[shard])
         self._running = True
-        if self._supervisor is not None:
+        if self._supervisor is not None and not self.degraded:
             self._supervisor.start()
 
-    def _spawn(self, shard: int, spec: Optional[Dict]) -> None:
-        """Fork the shard's next worker generation on a fresh duplex pipe
-        (``spec`` None: no successor, the shard's rows go to the fallback)
-        and hand it what the previous generation's book still held.
+    def _spawn(self, shard: int, spec: Dict) -> None:
+        """Start the shard's next worker generation on a fresh duplex pipe
+        — a forked process, or once degraded a :class:`_ShardThread` — and
+        hand it what the previous generation's book still held.
 
         A fresh pipe per generation matters: a worker killed mid-message
         would corrupt the stream for any successor.
         """
-        link = None
-        if spec is not None:
-            generation = self._generations[shard]
-            self._generations[shard] += 1
-            conn, child = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=_shard_worker_main,
-                args=(
-                    shard,
-                    child,
-                    spec,
-                    self._packing,
-                    # Undecodable-port rows count malformed in the shard's
-                    # own families, as in the daemon's books (the codec's
-                    # switches are the topology's, fixed when the server
-                    # was built).
-                    self.server.codec.id_limit,
-                ),
-                name=f"veridp-shard-{shard}-gen{generation}",
-                daemon=True,
+        generation = self._generations[shard]
+        self._generations[shard] += 1
+        conn, child = self._ctx.Pipe()
+        # Undecodable-port rows count malformed in the shard's own families,
+        # as in the daemon's books (the codec's switches are the topology's,
+        # fixed when the server was built).
+        args = (shard, child, spec, self._packing, self.server.codec.id_limit)
+        name = f"veridp-shard-{shard}-gen{generation}"
+        if self.degraded:
+            member = _ShardThread(name, args)
+            member.start()
+        else:
+            member = self._ctx.Process(
+                target=_shard_worker_main, args=args, name=name, daemon=True
             )
-            process.start()
+            member.start()
             child.close()  # the worker holds the only copy: its death reads EOF
-            link = Link(
-                shard, conn, process, self.flight, self.batch_size, self.log
-            )
+        link = Link(shard, conn, member, self.flight, self.batch_size, self.log)
         frames = self._swap(shard, link)
         if frames:
             self.redeliver(frames)
-
-    def redeliver(self, frames: List[bytes]) -> int:
-        """Route surrendered rows to their shards' successors, or, once
-        degraded, hand them to the fallback."""
-        fallback = self._fallback
-        if fallback is None:
-            return super().redeliver(frames)
-        for frame in frames:
-            # The rows leave this daemon's books for the fallback's.
-            self.flight.add(-(len(frame) // REPORT_SIZE))
-            fallback.submit_frame(Frame(frame))
-        return 0
 
     def stop(self) -> None:
         """Consolidate outstanding work and terminate the workers.
@@ -401,10 +391,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         """
         if self._endpoint is not None:
             self._endpoint.stop()
-        if self._fallback is not None:
-            self._fallback.stop()
-            self.close()
-            return
         if not self._running:
             return
         self._stopping = True
@@ -432,11 +418,10 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
     def submit(self, payload: bytes) -> bool:
         """Route one wire-format report to its shard as a one-row frame.
 
-        Every call increments :attr:`submitted` exactly once — including
-        post-degrade calls delegated to the fallback — so the accounting
-        identity in :meth:`stats` stays closed across the daemon's whole
-        life.  A payload that is not one report long is dead-lettered here
-        and counted in ``malformed``.
+        Every call increments :attr:`submitted` exactly once, so the
+        accounting identity in :meth:`stats` stays closed across the
+        daemon's whole life.  A payload that is not one report long is
+        dead-lettered here and counted in ``malformed``.
 
         Durable servers log reports at the *cut* (one batched WAL append
         per shard batch, see :class:`~repro.core.delivery.DeliveryBook`),
@@ -448,10 +433,10 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         """
         if len(payload) == REPORT_SIZE:
             return self.submit_frame(Frame(payload)) == 1
-        if self._fallback is None and not self._running:
+        if not self._running:
             raise RuntimeError("daemon is not running; call start() first")
         persist = self.server.persist
-        if persist is not None and self.record_reports:
+        if persist is not None:
             persist.log_report_batch([payload])
         self.dead_letters.add(
             payload, "decode", ReportDecodeError(payload_precheck(payload))
@@ -474,27 +459,13 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         count = frame.count
         if count == 0:
             return 0
-        if self._fallback is None:
-            if not self._running:
-                raise RuntimeError("daemon is not running; call start() first")
-            self._catch_up()
-            admitted = self._dispatch(frame.payload(), count)
-            if admitted is not None:
-                return admitted
-        # Degraded: the fallback's own logging is off (its stream mixes
-        # surrendered, already-logged rows), so new arrivals are logged
-        # here before delegation.
-        persist = self.server.persist
-        if persist is not None and self.record_reports:
-            _log_frame(persist, frame)
-        with self._lock:
-            self.submitted += count
-        return self._fallback.submit_frame(frame)
+        if not self._running:
+            raise RuntimeError("daemon is not running; call start() first")
+        self._catch_up()
+        return self._dispatch(frame.payload(), count)
 
-    def _route(self, clean: bytes) -> Optional[List[Tuple[Link, bytes, int]]]:
+    def _route(self, clean: bytes) -> List[Tuple[Link, bytes, int]]:
         """The shard hash: each shard's rows to its current generation."""
-        if self._fallback is not None:
-            return None
         return [
             (self._links[shard], chunk, len(chunk) // REPORT_SIZE)
             for shard, chunk in enumerate(shard_split(clean, self.workers))
@@ -522,22 +493,11 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
 
     def join(self, timeout: float = 60.0) -> None:
         """Dispatch the buffers and wait until every accepted row has its
-        verdict (:meth:`_in_flight` reads 0), reviving dead workers while
-        it waits (:meth:`Dispatcher.join_rows`, which raises
-        ``TimeoutError`` naming the shards still owing rows)."""
-        if self._fallback is None and self._running:
+        verdict (``in_flight`` reads 0), reviving dead workers while it
+        waits (:meth:`Dispatcher.join_rows`, which raises ``TimeoutError``
+        naming the shards still owing rows)."""
+        if self._running:
             self.join_rows(timeout)
-        # Degraded, before or while waiting: the fallback holds the rows.
-        if self._fallback is not None:
-            self._fallback.join()
-
-    def retry_dead_letters(self) -> Tuple[int, int]:
-        """Re-run pending dead letters through the parent-side pipeline."""
-        def handler(payload: bytes) -> None:
-            with self.server_lock:
-                self.server.receive_report_bytes(payload, record=False)
-
-        return self.dead_letters.retry(handler)
 
     def dead_letter_transport(self, payload: bytes, reason: str) -> None:
         """Transport-stage reject; see :meth:`VeriDPDaemon.dead_letter_transport`."""
@@ -553,12 +513,11 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
     def _restart_worker(self, shard: int) -> None:
         """Supervisor callback: replace one dead or wedged worker.
 
-        Takes the old generation down, forks a successor whose replica is
+        Takes the old generation down, starts a successor whose replica is
         compiled from the *current* path table — but only the dead shard's
         slice of it — and hands it everything the old generation's book
         still held: the un-acked batches (whose late replies, if any, find
-        them gone) and the buffer.  Once degraded there is no successor:
-        the rows go to the fallback.  If the table version moved since the
+        them gone) and the buffer.  If the table version moved since the
         last replication, the survivors are brought up to date in place
         via pair deltas (:meth:`resync_replicas`).
         """
@@ -566,55 +525,35 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         # Under the resync lock: no resync can patch the old generation
         # between the successor's spec build and its swap-in.
         with self._resync_lock:
-            spec = None
-            if self._fallback is None:
-                with self.server_lock:
-                    self.server.refresh_if_dirty()
-                    spec = build_one_shard_spec(
-                        self.server.table,
-                        self.server.hs,
-                        self.server.codec,
-                        self.workers,
-                        shard,
-                    )
+            with self.server_lock:
+                self.server.refresh_if_dirty()
+                spec = build_one_shard_spec(
+                    self.server.table,
+                    self.server.hs,
+                    self.server.codec,
+                    self.workers,
+                    shard,
+                )
             self._spawn(shard, spec)
         self.resync_replicas()
 
     def _degrade(self) -> None:
-        """Restart budget exhausted: fall back to the threaded daemon.
+        """Restart budget exhausted: serve every shard on a thread.
 
-        Ingestion must survive a worker crash loop; a single-process
-        :class:`VeriDPDaemon` over the same server is slower but cannot
-        lose a process.  Every worker then fails the way a dead one does,
-        with the fallback as the taker of its book: un-acked batches and
-        parent-side buffers alike, all in the WAL by then.
+        Ingestion must survive a worker crash loop; a thread of this
+        process is slower than a worker process but cannot lose one.  Each
+        shard is restarted once more, as a :class:`_ShardThread`, and its
+        successor takes the old generation's book as on any restart:
+        un-acked batches and buffer alike, all in the WAL by then.
         """
-        fallback = VeriDPDaemon(
-            self.server,
-            workers=self.fallback_workers,
-            queue_size=max(10_000, self.batch_size * self.workers * 4),
-            overflow=self.overflow,
-            dead_letter_capacity=self.dead_letters.capacity,
-            dead_letter_attempts=self.dead_letters.max_attempts,
-            # A private Observability: the fallback's own registrations must
-            # not clobber this daemon's families on the shared registry (the
-            # callbacks above already fold its figures in).
-            obs=Observability(),
-        )
-        # Surrendered rows were WAL-logged at their cut (or by the
-        # surrender), and future delegated payloads are logged by submit():
-        # the fallback must not log either a second time.
-        fallback.record_reports = False
-        fallback.start()
-        with self._lock:
-            self.degraded = True
-            self._fallback = fallback
+        self.degraded = True
         for shard in list(self._links):
             self._restart_worker(shard)
 
     def kill_worker(self, shard: int) -> None:
-        """Forcibly kill one shard worker (chaos/testing hook)."""
-        if self._fallback is not None or not self._running:
+        """Forcibly kill one shard worker (chaos/testing hook); a no-op
+        once degraded."""
+        if self.degraded or not self._running:
             return
         self._links[shard].end()
 
@@ -626,7 +565,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         replica, packed over one node table
         (:func:`~repro.core.replica.pack_specs`) and pickled once on its
         pipe.  ``resync_delta_bytes`` counts those messages' bytes."""
-        if self._fallback is not None or not self._running:
+        if not self._running:
             return 0
         return self.resync()
 
@@ -646,7 +585,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         Two fleets whose digests match verify every report identically
         (see :func:`~repro.core.replica.replica_digest`).
         """
-        if self._fallback is not None or not self._running:
+        if not self._running:
             raise RuntimeError("no shard workers to digest")
         digests = self.digests(timeout)
         return [digests[shard] for shard in range(self.workers)]
@@ -655,8 +594,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
 
     def pause_and_refresh(self) -> bool:
         """Quiesce workers, rebuild the path table if stale, re-replicate."""
-        if self._fallback is not None:
-            return self._fallback.pause_and_refresh()
         was_running = self._running
         if was_running:
             self.stop()
@@ -672,7 +609,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         reads 0 after :meth:`join`.  ``lost_in_restart`` reads 0: a worker
         restart hands every batch its predecessor had not answered to the
         successor.  The accounting identity after a completed ``join`` on a
-        non-degraded daemon is::
+        daemon is::
 
             submitted == processed + malformed + verify_errors
                          + dropped_new + lost_in_restart
@@ -707,24 +644,12 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             "dropped_oldest": 0,
             "block_timeouts": 0,
             "lost_in_restart": 0,
-            "in_flight": self._in_flight(),
+            "in_flight": self.flight.rows,
             "degraded": int(self.degraded),
             "vector": self.vector,
         }
         if self._supervisor is not None:
             stats.update(self._supervisor.stats())
         stats.update(self.dead_letters.stats())
-        fallback = self._fallback
-        if fallback is not None:
-            fb = fallback.stats()
-            for key in ("processed", "malformed", "verify_errors", "verified", "failed"):
-                stats[key] += fb[key]
-            for key in ("dropped_new", "dropped_oldest", "block_timeouts"):
-                stats[key] += fb[key]
-            stats["dead_lettered"] += fb["dead_lettered"]
-            stats["dead_letter_quarantined"] += fb["dead_letter_quarantined"]
-            stats["incidents"] = fb["incidents"]
-        stats["dropped"] = (
-            stats["dropped_new"] + stats["dropped_oldest"] + stats["block_timeouts"]
-        )
+        stats["dropped"] = dropped
         return stats

@@ -13,7 +13,7 @@ from repro.core.daemon import (
     VeriDPDaemon,
     build_shard_specs,
 )
-from repro.core.replica import ShardReplica, _shard_of
+from repro.core.replica import ShardReplica, _shard_of, replica_digest
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
@@ -308,6 +308,16 @@ from repro.core.resilience import OverflowPolicy, RestartBackoff
 from repro.dataplane import KillSwitch, StaleReplica, WorkerKill
 from repro.netmodel.rules import FlowRule, Forward, Match
 
+def expected_digests(server, workers):
+    """The digests of a fresh fleet of ``workers`` shards over the table."""
+    specs = build_shard_specs(server.table, server.hs, server.codec, workers)
+    return [replica_digest(spec) for spec in specs]
+
+
+def shard_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("veridp-shard-")]
+
+
 FAST_BACKOFF = dict(
     poll_interval=0.02,
     backoff=RestartBackoff(base=0.01, factor=2.0, cap=0.05),
@@ -437,16 +447,20 @@ class TestDeadLettering:
 
     def test_retry_quarantines_hopeless_payloads(self, rig):
         scenario, server, net = rig
-        with VeriDPDaemon(server, workers=1, dead_letter_attempts=2) as daemon:
+        with VeriDPDaemon(server, workers=1) as daemon:
             daemon.submit(b"utter garbage")
             daemon.join()
+            # Three attempts by default: the first retry keeps the letter
+            # pending, the second quarantines it.
+            assert daemon.retry_dead_letters() == (0, 0)
+            assert daemon.stats()["dead_letter_pending"] == 1
             recovered, quarantined = daemon.retry_dead_letters()
         assert (recovered, quarantined) == (0, 1)
         stats = daemon.stats()
         assert stats["dead_letter_quarantined"] == 1
         assert stats["dead_letter_pending"] == 0
         letters = daemon.dead_letters.drain_quarantined()
-        assert letters[0].attempts == 2
+        assert letters[0].attempts == daemon.dead_letters.max_attempts == 3
         assert letters[0].quarantined
 
     def test_sharded_dead_letters_malformed(self, rig):
@@ -632,26 +646,43 @@ class TestSupervisedShardedDaemon:
             daemon.join()
             assert daemon.stats()["failed"] == 0
 
-    def test_restart_budget_degrades_to_threaded_fallback(self, rig):
-        """Beyond the restart budget the daemon degrades instead of wedging."""
-        scenario, server, net = rig
+    def test_restart_budget_degrades_to_threaded_fallback(self, rig, tmp_path):
+        """Beyond the restart budget the daemon degrades instead of wedging:
+        every shard is served on a thread, behind the same dispatcher, so
+        digests, resyncs and the WAL's once-only logging carry on."""
+        scenario, _, net = rig
+        server = VeriDPServer(
+            scenario.topo, scenario.channel, state_dir=str(tmp_path), fsync="never"
+        )
+        wal = server.persist.wal
+        logged = wal.stats()["wal_records_report"]
         payloads = collect_payloads(scenario, net, 30)
         with ShardedVeriDPDaemon(
-            server, workers=2, batch_size=4, restart_budget=0,
-            fallback_workers=1, **FAST_BACKOFF
+            server, workers=2, batch_size=4, restart_budget=0, **FAST_BACKOFF
         ) as daemon:
             for payload in payloads[:10]:
                 daemon.submit(payload)
             daemon.kill_worker(0)
             deadline = time.time() + 10
-            while not daemon.degraded and time.time() < deadline:
+            # The degrade is done once both shards run on threads.
+            while len(shard_threads()) < 2 and time.time() < deadline:
                 time.sleep(0.02)
             assert daemon.degraded
-            # Ingestion survives: submits now flow through the fallback.
+            assert len(shard_threads()) == 2
+            # Ingestion survives: submits now flow to the shard threads.
             for payload in payloads[10:]:
                 assert daemon.submit(payload)
             daemon.join()
             stats = daemon.stats()
+            # The shard threads answer digests, one per shard, equal to a
+            # fresh fleet's over the same table...
+            before = daemon.replica_digests()
+            assert before == expected_digests(server, 2)
+            # ...and follow rule churn through resync patches.
+            server.apply_rule_update("S1", "10.50.0.0/16", 2)
+            assert daemon.resync_replicas()  # pairs patched, not a no-op
+            after = daemon.replica_digests()
+            assert after == expected_digests(server, 2) != before
         assert stats["mode"] == "thread-fallback"
         assert stats["degraded"] == 1
         assert stats["budget_exhausted"] == 1
@@ -663,6 +694,10 @@ class TestSupervisedShardedDaemon:
             + stats["lost_in_restart"]
             == len(payloads)
         )
+        # Logged once across the degrade: the surrendered rows are adopted,
+        # not logged again.
+        assert wal.stats()["wal_records_report"] - logged == stats["submitted"]
+        server.close()
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

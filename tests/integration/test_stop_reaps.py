@@ -7,11 +7,13 @@ process (and kills it if the join times out).  After
 the way — and after a process-mode ``VeriDPCluster.stop()`` — with one
 ``kill_node`` and one ``remove_node`` on the way — no worker or node pid
 is alive, not even as an unreaped zombie, and
-``multiprocessing.active_children()`` is empty.
+``multiprocessing.active_children()`` is empty.  A sharded daemon that
+degraded to shard threads stops them all the same way.
 """
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -82,6 +84,38 @@ def test_sharded_stop_reaps_every_worker(rig):
     daemon.join(timeout=DEADLINE)
     assert daemon.stats()["processed"] == len(payloads)
     daemon.stop()
+    assert_reaped(pids)
+
+
+def shard_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("veridp-shard-")]
+
+
+def test_degraded_sharded_stop_ends_every_shard_thread(rig):
+    server, payloads = rig
+    daemon = ShardedVeriDPDaemon(
+        server,
+        workers=2,
+        batch_size=16,
+        restart_budget=0,
+        poll_interval=0.02,
+        backoff=RestartBackoff(base=0.01, factor=2.0, cap=0.05),
+    )
+    daemon.start()
+    pids = children()
+    assert len(pids) == 2
+    daemon.kill_worker(0)
+    deadline = time.monotonic() + DEADLINE
+    while len(shard_threads()) < 2:
+        assert time.monotonic() < deadline, "the daemon did not degrade"
+        time.sleep(0.01)
+    assert daemon.degraded
+    for payload in payloads:
+        daemon.submit(payload)
+    daemon.join(timeout=DEADLINE)
+    assert daemon.stats()["processed"] == len(payloads)
+    daemon.stop()
+    assert shard_threads() == []
     assert_reaped(pids)
 
 
