@@ -104,13 +104,6 @@ class IncidentAggregator:
         """Failures per verdict class."""
         return dict(Counter(r.verdict for r in self._records))
 
-    def blame_tally(self) -> Dict[str, int]:
-        """Incidents per blamed switch (multi-blame counts each suspect)."""
-        tally: Counter = Counter()
-        for record in self._records:
-            tally.update(record.blamed)
-        return dict(tally)
-
     def failures_by_pair(self) -> Dict[Tuple[PortRef, PortRef], int]:
         """Incidents per (inport, outport) pair — the affected flows."""
         return dict(Counter(r.pair for r in self._records))

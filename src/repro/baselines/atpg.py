@@ -117,10 +117,3 @@ class AtpgProber:
             else:
                 report.failures.append(probe)
         return report
-
-    def covered_hops(self) -> Set[Hop]:
-        """Hops exercised by the probe set (the coverage metric)."""
-        covered: Set[Hop] = set()
-        for probe in self.probes:
-            covered |= set(probe.covers)
-        return covered

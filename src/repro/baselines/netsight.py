@@ -81,10 +81,6 @@ class NetSightCollector:
         """The assembled history of one packet, if any postcards arrived."""
         return self._histories.get(packet_id)
 
-    def histories(self) -> List[PacketHistory]:
-        """All packet histories."""
-        return list(self._histories.values())
-
     def traffic_bytes(self) -> int:
         """Total postcard bytes shipped to the collector."""
         return self.postcards_received * POSTCARD_BYTES

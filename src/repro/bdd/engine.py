@@ -706,21 +706,6 @@ class BDD:
         self._quant_cache[key] = result
         return result
 
-    def support(self, f: int) -> List[int]:
-        """Sorted list of variable levels that ``f`` actually depends on."""
-        seen = set()
-        levels = set()
-        stack = [f]
-        while stack:
-            u = stack.pop()
-            if u <= TRUE or u in seen:
-                continue
-            seen.add(u)
-            levels.add(self._level[u])
-            stack.append(self._low[u])
-            stack.append(self._high[u])
-        return sorted(levels)
-
     # ------------------------------------------------------------------
     # model counting and enumeration
     # ------------------------------------------------------------------

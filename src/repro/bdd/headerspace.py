@@ -105,15 +105,6 @@ class HeaderLayout:
         self.field(name)
         return self._offset[name]
 
-    def bit_level(self, name: str, bit_from_msb: int) -> int:
-        """BDD level of the ``bit_from_msb``-th bit (0 = MSB) of a field."""
-        field = self.field(name)
-        if not 0 <= bit_from_msb < field.width:
-            raise ValueError(
-                f"bit {bit_from_msb} out of range for {name} (width {field.width})"
-            )
-        return self._offset[name] + bit_from_msb
-
 
 class HeaderSpace:
     """Factory for header-set BDDs over a fixed :class:`HeaderLayout`.
@@ -172,24 +163,6 @@ class HeaderSpace:
             (base + i, bool((value >> (field.width - 1 - i)) & 1))
             for i in range(plen)
         ]
-        return self.bdd.cube(literals)
-
-    def wildcard(self, field_name: str, pattern: str) -> int:
-        """Headers matching a ternary pattern of ``0``/``1``/``x`` (MSB first)."""
-        field = self.layout.field(field_name)
-        if len(pattern) != field.width:
-            raise ValueError(
-                f"pattern length {len(pattern)} != width {field.width} of {field_name}"
-            )
-        base = self.layout.offset(field_name)
-        literals: List[Tuple[int, bool]] = []
-        for i, ch in enumerate(pattern):
-            if ch == "1":
-                literals.append((base + i, True))
-            elif ch == "0":
-                literals.append((base + i, False))
-            elif ch not in ("x", "X", "*"):
-                raise ValueError(f"bad wildcard character {ch!r} in {pattern!r}")
         return self.bdd.cube(literals)
 
     def range_(self, field_name: str, lo: int, hi: int) -> int:

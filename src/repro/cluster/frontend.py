@@ -151,10 +151,6 @@ class ClusterFrontend(Dispatcher):
 
     # -- routing -----------------------------------------------------------
 
-    def routing_key(self, payload: bytes) -> str:
-        pair_key = int.from_bytes(payload[2:6], "big")
-        return routing_key_of(pair_key, self.tenant_of.get(pair_key))
-
     def owner_of(self, key: str) -> Optional[str]:
         node = self.placement.get(key)
         if node is not None and node in self._links:

@@ -15,14 +15,12 @@ Intent compilers provided:
 * :meth:`Controller.install_path` — pin an explicit switch-level path for a
   match (waypoint / middlebox chaining, Figure 2),
 * :meth:`Controller.install_acl` — drop a header set at a switch (access
-  control, Section 2.3),
-* :meth:`Controller.install_te_split` — split a match across two explicit
-  paths (traffic engineering, Figure 3).
+  control, Section 2.3).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from collections import deque
 
@@ -94,22 +92,11 @@ class Controller:
         self.channel.send(FlowMod(FlowModOp.DELETE, switch_id, rule))
         return rule
 
-    def modify(self, switch_id: str, new_rule: FlowRule) -> FlowRule:
-        """Replace the rule with ``new_rule.rule_id`` and emit a MODIFY."""
-        table = self.topo.switch(switch_id).flow_table
-        if new_rule.rule_id not in table:
-            raise KeyError(
-                f"no rule {new_rule.rule_id} on {switch_id} to modify"
-            )
-        table.add(new_rule)  # same id -> in-place replace
-        self.channel.send(FlowMod(FlowModOp.MODIFY, switch_id, new_rule))
-        return new_rule
-
     def reissue(self, switch_id: str, rule_id: int) -> FlowRule:
         """Re-push an already-logical rule (a repair-time MODIFY).
 
-        Unlike :meth:`modify` this changes nothing logically — it re-asserts
-        the controller's copy against whatever the switch currently holds.
+        It changes nothing logically — it re-asserts the controller's copy
+        against whatever the switch currently holds.
         """
         rule = self.topo.switch(switch_id).flow_table.get(rule_id)
         if rule is None:
@@ -276,27 +263,3 @@ class Controller:
     ) -> FlowRule:
         """Drop ``match`` traffic at ``switch_id`` (an ACL deny as a rule)."""
         return self.install(switch_id, FlowRule(priority, match, Drop()))
-
-    def install_te_split(
-        self,
-        base_match: Match,
-        selector_a: Match,
-        path_a: Sequence[str],
-        selector_b: Match,
-        path_b: Sequence[str],
-        entry_port: int,
-        exit_port: int,
-        priority: int = PRIORITY_POLICY,
-    ) -> Tuple[List[FlowRule], List[FlowRule]]:
-        """Figure 3's traffic-engineering intent: split one aggregate over two paths.
-
-        ``selector_a``/``selector_b`` must partition ``base_match`` (e.g. by
-        source-port parity); each selected share is pinned to its path.
-        """
-        rules_a = self.install_path(
-            selector_a, path_a, entry_port, exit_port, priority=priority
-        )
-        rules_b = self.install_path(
-            selector_b, path_b, entry_port, exit_port, priority=priority
-        )
-        return rules_a, rules_b

@@ -108,7 +108,3 @@ class Channel:
     def history(self) -> List[Message]:
         """Every message ever sent (useful for replay and debugging)."""
         return list(self._log)
-
-    def flow_mods(self) -> List[FlowMod]:
-        """Just the FlowMods from the history, in order."""
-        return [m for m in self._log if isinstance(m, FlowMod)]

@@ -149,10 +149,6 @@ class BloomTagScheme:
         hop_filter = self.hop_filter(hop)
         return (hop_filter & tag) == hop_filter
 
-    def saturation(self, tag: int) -> float:
-        """Fraction of tag bits set — a diagnostic for path-length capacity."""
-        return bin(tag & self.tag_mask).count("1") / self.bits
-
     def false_positive_probability(self, path_length: int) -> float:
         """Analytic single-hop false-positive estimate for an n-hop tag.
 

@@ -235,15 +235,6 @@ class CoverageTracker:
             if resolve(inport, outport, entry) == tenant
         ]
 
-    def dark_switches(self, threshold: float = 0.5) -> List[str]:
-        """Switches with less than ``threshold`` of their hops verified."""
-        report = self.report()
-        return sorted(
-            switch
-            for switch, fraction in report.switch_coverage.items()
-            if fraction < threshold
-        )
-
     def reset(self) -> None:
         """Forget all coverage (e.g. after a configuration change)."""
         self._verified_entries.clear()

@@ -44,10 +44,9 @@ Resilience (the monitoring plane's own failure model — see DESIGN.md,
 * each worker generation gets its *own* pipe, so a worker killed
   mid-message cannot corrupt the stream its successor reads.
 
-The verifying fast path shares one path table read-only; rule updates go
-through ``pause_and_refresh``, which quiesces the workers, rebuilds (and
-for the sharded daemon re-replicates), and resumes — the classic
-read-mostly monitor structure.
+Replicas follow rule updates in place: before new rows reach them, each
+daemon patches the pairs the table's dirty journal names, or reloads a
+replica whole when the journal overflowed or the table was swapped.
 """
 
 from .direct import VeriDPDaemon

@@ -504,16 +504,6 @@ class VeriDPDaemon:
 
     # -- maintenance -----------------------------------------------------------
 
-    def pause_and_refresh(self) -> bool:
-        """Quiesce workers, rebuild the path table if stale, resume."""
-        was_running = self._running
-        if was_running:
-            self.stop()
-        refreshed = self.server.refresh_if_dirty()
-        if was_running:
-            self.start()
-        return refreshed
-
     def stats(self) -> Dict[str, int]:
         """Daemon-level counters, verdicts counted by the verdict of record.
 

@@ -156,21 +156,6 @@ class PrefixRuleTree:
                 return node
             node = nxt
 
-    def find(self, prefix: Tuple[int, int]) -> Optional[_Node]:
-        """The node with exactly this prefix, or ``None``."""
-        if prefix == (0, 0):
-            return self.root
-        node = self.root
-        while True:
-            for child in node.children:
-                if child.prefix == prefix:
-                    return child
-                if child.contains(prefix):
-                    node = child
-                    break
-            else:
-                return None
-
     # -- mutations -------------------------------------------------------------
 
     def add(self, prefix: Tuple[int, int], out_port: int) -> RuleDelta:
@@ -748,17 +733,6 @@ class IncrementalPathTable:
                     in_port=in_port,
                 )
             )
-
-    def rebuild(self) -> PathTable:
-        """Full Algorithm 2 rebuild (the baseline Figure 14 compares against).
-
-        Staged provider mutations are already live in the predicates, so a
-        rebuild absorbs them; the staging bookkeeping is simply cleared.
-        """
-        self._pending_events = 0
-        self._staged_preds = {}
-        self.table = self.builder.build()
-        return self.table
 
     # -- Section 4.4's two phases ---------------------------------------------
 

@@ -16,9 +16,9 @@ batched fast path:
   ``recv_into`` per datagram elsewhere,
 * :func:`screen_frame` — the vectorized equivalent of running
   :func:`~repro.core.reports.payload_precheck` over every row of a frame,
-* column extractors (:func:`pair_keys`, :func:`dst_ips`,
-  :func:`frame_columns`) and :func:`shard_split` — batch field access used
-  for shard routing and tenant LPM attribution.
+* column extractors (:func:`pair_keys`, :func:`dst_ips`) and
+  :func:`shard_split` — batch field access used for shard routing and
+  tenant LPM attribution.
 
 Everything degrades to a scalar loop when numpy is unavailable; results are
 bit-identical either way (the hypothesis parity suite pins this).
@@ -30,7 +30,7 @@ import ctypes
 import errno
 import socket
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .reports import REPORT_SIZE, REPORT_VERSION, payload_precheck
 
@@ -47,7 +47,6 @@ __all__ = [
     "FrameBuffer",
     "drain_socket",
     "screen_frame",
-    "frame_columns",
     "pair_keys",
     "dst_ips",
     "shard_split",
@@ -356,31 +355,6 @@ def screen_frame(payload: bytes) -> Tuple[bytes, List[Tuple[bytes, str]]]:
     if not rejected:
         return (payload if isinstance(payload, bytes) else bytes(payload)), []
     return b"".join(clean), rejected
-
-
-def frame_columns(payload: bytes) -> Dict[str, "np.ndarray"]:
-    """Every wire field of every row as a numpy column (requires numpy).
-
-    Keys mirror the ``pack_report`` layout: ``version``, ``flags``,
-    ``inport``, ``outport``, ``tag``, ``src_ip``, ``dst_ip``, ``proto``,
-    ``src_port``, ``dst_port`` — all native-order arrays of per-row values.
-    """
-    if not HAVE_NUMPY:
-        raise RuntimeError("frame_columns requires numpy")
-    _check_frame_len(payload)
-    raw = _rows_view(payload)
-    return {
-        "version": raw[:, 0].copy(),
-        "flags": raw[:, 1].copy(),
-        "inport": raw[:, 2:4].copy().view(">u2").ravel(),
-        "outport": raw[:, 4:6].copy().view(">u2").ravel(),
-        "tag": raw[:, 6:14].copy().view(">u8").ravel(),
-        "src_ip": raw[:, 14:18].copy().view(">u4").ravel(),
-        "dst_ip": raw[:, 18:22].copy().view(">u4").ravel(),
-        "proto": raw[:, 22].copy(),
-        "src_port": raw[:, 23:25].copy().view(">u2").ravel(),
-        "dst_port": raw[:, 25:27].copy().view(">u2").ravel(),
-    }
 
 
 def pair_keys(payload: bytes) -> "np.ndarray":

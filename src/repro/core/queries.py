@@ -192,16 +192,3 @@ class PolicyChecker:
             if bdd.and_(entry.headers, pred) != self.hs.empty:
                 longest = max(longest, entry.path_length())
         return longest
-
-    def all_pairs_reachability(
-        self, headers: Optional[Match] = None
-    ) -> Dict[Tuple[str, str], bool]:
-        """Host-to-host reachability matrix for the queried traffic."""
-        hosts = self.topo.hosts()
-        matrix: Dict[Tuple[str, str], bool] = {}
-        for src in hosts:
-            for dst in hosts:
-                if src == dst:
-                    continue
-                matrix[(src, dst)] = self.reachability(src, dst, headers).holds
-        return matrix

@@ -46,15 +46,6 @@ class RepairOutcome(enum.Enum):
     UNREPAIRABLE = "unrepairable"
     NOTHING_TO_DO = "nothing-to-do"  # the probe already verifies
 
-    @property
-    def fixed(self) -> bool:
-        """Did the network end up consistent again?"""
-        return self in (
-            RepairOutcome.FIXED_BY_REISSUE,
-            RepairOutcome.FIXED_BY_RESYNC,
-            RepairOutcome.NOTHING_TO_DO,
-        )
-
 
 @dataclass
 class RepairAction:
@@ -76,11 +67,6 @@ class RepairResult:
     outcome: RepairOutcome
     actions: List[RepairAction] = field(default_factory=list)
     probes_sent: int = 0
-
-    @property
-    def fixed(self) -> bool:
-        """Convenience mirror of ``outcome.fixed``."""
-        return self.outcome.fixed
 
     def __str__(self) -> str:
         steps = "; ".join(str(a) for a in self.actions) or "(none)"

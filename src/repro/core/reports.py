@@ -290,12 +290,6 @@ class Frame:
         for i in range(self.count):
             yield self.row(i)
 
-    def row_tenant(self, i: int) -> Optional[str]:
-        """Tenant attributed to row ``i`` of the window (None if unstamped)."""
-        if self.tenants is None:
-            return None
-        return self.tenants[self.start + i]
-
     def split(self, n: int) -> "Frame":
         """Carve the first ``n`` window rows into a new frame (shared buffer)
         and advance this frame's window past them."""

@@ -13,13 +13,12 @@ latency bound ``tau`` choose ``T_s^f <= tau - T_a^f``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 __all__ = [
     "FlowSampler",
     "AlwaysSampler",
     "NeverSampler",
-    "TenantSamplerMux",
     "sampling_interval_for",
     "worst_case_detection_latency",
 ]
@@ -74,21 +73,10 @@ class FlowSampler:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.default_interval = default_interval
         self.capacity = capacity
-        self._interval: Dict[Hashable, float] = {}
         # flow -> (last sampling instant, last hit instant)
         self._state: Dict[Hashable, Tuple[float, float]] = {}
         self.sampled_count = 0
         self.seen_count = 0
-
-    def set_interval(self, flow_key: Hashable, interval: float) -> None:
-        """Override ``T_s`` for one flow."""
-        if interval <= 0:
-            raise ValueError(f"sampling interval must be positive, got {interval}")
-        self._interval[flow_key] = interval
-
-    def interval_of(self, flow_key: Hashable) -> float:
-        """Effective ``T_s`` of a flow."""
-        return self._interval.get(flow_key, self.default_interval)
 
     def should_sample(self, flow_key: Hashable, now: float) -> bool:
         """Algorithm of Section 4.5: mark iff ``now - t_f > T_s^f``.
@@ -106,7 +94,7 @@ class FlowSampler:
             self.sampled_count += 1
             return True
         last_sampled, _ = state
-        if now - last_sampled > self.interval_of(flow_key):
+        if now - last_sampled > self.default_interval:
             self._state[flow_key] = (now, now)
             self.sampled_count += 1
             return True
@@ -124,80 +112,11 @@ class FlowSampler:
         del self._state[next(iter(self._state))]
 
     @property
-    def active_flows(self) -> int:
-        """Flows currently tracked."""
-        return len(self._state)
-
-    @property
     def sampling_rate(self) -> float:
         """Fraction of seen packets marked so far."""
         if self.seen_count == 0:
             return 0.0
         return self.sampled_count / self.seen_count
-
-
-class TenantSamplerMux:
-    """Per-tenant sampling budgets: one :class:`FlowSampler` per tenant.
-
-    Slice-aware entry switches must not let one tenant's sampling budget
-    starve another's detection-latency bound, so each tenant gets its own
-    sampler (own interval, own bounded flow table — eviction pressure from
-    a flow-heavy tenant stays inside its slice).  ``classify`` maps a flow
-    key to a tenant name (``None`` = unattributed, served by a shared
-    default sampler); ``intervals`` carries per-tenant ``T_s`` overrides,
-    e.g. :meth:`repro.slice.registry.SliceRegistry.sampling_intervals`.
-    """
-
-    def __init__(
-        self,
-        classify: Callable[[Hashable], Optional[str]],
-        default_interval: float = 1.0,
-        capacity: Optional[int] = None,
-        intervals: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self._classify = classify
-        self.default_interval = default_interval
-        self.capacity = capacity
-        self._intervals = dict(intervals or {})
-        self._samplers: Dict[Optional[str], FlowSampler] = {}
-
-    def sampler_for(self, tenant: Optional[str]) -> FlowSampler:
-        """The tenant's sampler, created on first use."""
-        sampler = self._samplers.get(tenant)
-        if sampler is None:
-            interval = self._intervals.get(tenant, self.default_interval)
-            sampler = FlowSampler(
-                default_interval=interval, capacity=self.capacity
-            )
-            self._samplers[tenant] = sampler
-        return sampler
-
-    def set_interval(self, tenant: str, interval: float) -> None:
-        """Retune one tenant's default ``T_s`` (existing flows included)."""
-        if interval <= 0:
-            raise ValueError(f"sampling interval must be positive, got {interval}")
-        self._intervals[tenant] = interval
-        sampler = self._samplers.get(tenant)
-        if sampler is not None:
-            sampler.default_interval = interval
-
-    def should_sample(self, flow_key: Hashable, now: float) -> bool:
-        """Section 4.5's check, against the owning tenant's budget."""
-        return self.sampler_for(self._classify(flow_key)).should_sample(
-            flow_key, now
-        )
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant seen/sampled/active-flow counters."""
-        out: Dict[str, Dict[str, float]] = {}
-        for tenant, sampler in self._samplers.items():
-            out[tenant if tenant is not None else ""] = {
-                "seen": sampler.seen_count,
-                "sampled": sampler.sampled_count,
-                "active_flows": sampler.active_flows,
-                "interval": sampler.default_interval,
-            }
-        return out
 
 
 class AlwaysSampler:

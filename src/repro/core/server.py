@@ -189,7 +189,6 @@ class VeriDPServer:
         #: under, so it holds nothing the log does not already hold.
         self._interned: Dict[bytes, Incident] = {}
         self._interned_epoch: object = None
-        self.decode_errors = 0
         self.localization_errors = 0
         self.localizations = 0
         #: Localizations an interned record or a stored class answered.
@@ -290,11 +289,6 @@ class VeriDPServer:
             callback=lambda: {
                 (v.value,): n for v, n in self.verifier.counters.items()
             },
-        )
-        reg.counter(
-            "veridp_decode_errors_total",
-            "Report payloads the server-side codec rejected.",
-            callback=lambda: self.decode_errors,
         )
         reg.counter(
             "veridp_localizations_total",
@@ -578,7 +572,11 @@ class VeriDPServer:
         if not self._dirty:
             return False
         self._provider.refresh(self.topo, self.hs)
+        stale_version = self.table.version
         self.table = self.builder.build()
+        # Replica holders compare versions only: the swapped-in table must
+        # not read as current to one synced with its predecessor.
+        self.table.version = max(self.table.version, stale_version + 1)
         self.table.compile_matchers(self.hs)
         # Swap the table under the existing verifier: its counters are part
         # of the server's long-lived statistics (and the repair engine
@@ -761,8 +759,8 @@ class VeriDPServer:
         """Parse a UDP report payload, then verify/localize it.
 
         Raises :class:`ReportDecodeError` on malformed payloads; callers
-        on a lossy transport should use :meth:`try_receive_report_bytes`
-        (or dead-letter the payload themselves, as the daemons do).
+        on a lossy transport dead-letter the payload themselves, as the
+        daemons do.
 
         In durable mode the payload is appended to the WAL *before* decode
         (replay must see exactly what the live path saw, including payloads
@@ -780,21 +778,6 @@ class VeriDPServer:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-
-    def try_receive_report_bytes(
-        self, payload: bytes, record: bool = True
-    ) -> Optional[Incident]:
-        """Like :meth:`receive_report_bytes`, but decode failure is data.
-
-        Returns ``None`` and increments :attr:`decode_errors` for payloads
-        that cannot be decoded — the transport-facing entry point for
-        ingestion paths without their own dead-letter handling.
-        """
-        try:
-            return self.receive_report_bytes(payload, record)
-        except ReportDecodeError:
-            self.decode_errors += 1
-            return None
 
     def receive_report_rows(self, payloads: Sequence[bytes]) -> List[object]:
         """Decode, verify, localize and log wire reports, in order.
@@ -1051,7 +1034,6 @@ class VeriDPServer:
             "incidents": len(self.incidents),
             "incidents_total": self.incidents_total,
             "incident_records": self.incident_records,
-            "decode_errors": self.decode_errors,
             "localizations": self.localizations,
             "localization_errors": self.localization_errors,
             "localization_cache_hits": self.localization_cache_hits,

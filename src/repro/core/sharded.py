@@ -592,16 +592,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
 
     # -- maintenance -----------------------------------------------------------
 
-    def pause_and_refresh(self) -> bool:
-        """Quiesce workers, rebuild the path table if stale, re-replicate."""
-        was_running = self._running
-        if was_running:
-            self.stop()
-        refreshed = self.server.refresh_if_dirty()
-        if was_running:
-            self.start()
-        return refreshed
-
     def stats(self) -> Dict[str, int]:
         """Consolidated counters (call :meth:`join` first for exact figures).
 

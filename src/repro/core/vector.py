@@ -75,7 +75,6 @@ __all__ = [
     "build_table_kernel",
     "WireBatchVerifier",
     "lanes_from_bytes",
-    "bloom_member_batch",
     "bloom_first_miss",
 ]
 
@@ -926,17 +925,6 @@ class WireBatchVerifier:
 # ---------------------------------------------------------------------------
 # Bloom membership as uint64 AND/compare over a batch
 # ---------------------------------------------------------------------------
-
-
-def bloom_member_batch(tags, hop_filter: int):
-    """``scheme.may_contain(tag, hop)`` for a whole batch of tags at once.
-
-    A tag may contain a hop iff the hop's filter bits are all set in the
-    tag: ``(tag & filter) == filter`` — one vectorized AND/compare.
-    """
-    hf = np.uint64(hop_filter)
-    t = np.asarray(tags, dtype=np.uint64)
-    return (t & hf) == hf
 
 
 def bloom_first_miss(tag: int, hop_filters) -> int:

@@ -111,11 +111,6 @@ class BatchVerificationResult:
         return self.counts.get(Verdict.PASS, 0)
 
     @property
-    def all_passed(self) -> bool:
-        """True iff every report in the batch passed."""
-        return self.passed_count == len(self.verdicts)
-
-    @property
     def mean_us(self) -> float:
         """Mean per-report verification time in microseconds."""
         if not self.verdicts:

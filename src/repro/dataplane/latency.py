@@ -108,22 +108,6 @@ class HardwarePipelineModel:
         """``T3 / T1`` of Table 4 (fractional, not percent)."""
         return self.tagging_delay(packet_size) / self.native_delay(packet_size)
 
-    def entry_switch_delay(self, packet_size: int) -> float:
-        """Total delay at an entry switch (native + sampling + tagging)."""
-        return (
-            self.native_delay(packet_size)
-            + self.sampling_delay(packet_size)
-            + self.tagging_delay(packet_size)
-        )
-
-    def internal_switch_delay(self, packet_size: int) -> float:
-        """Total delay at a non-entry switch (native + tagging only).
-
-        The paper notes sampling happens only at entry switches, so internal
-        switches carry just the tagging cost.
-        """
-        return self.native_delay(packet_size) + self.tagging_delay(packet_size)
-
     def table4_rows(
         self, sizes: Sequence[int] = PAPER_PACKET_SIZES
     ) -> Dict[str, List[float]]:

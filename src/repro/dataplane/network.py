@@ -216,21 +216,3 @@ class DataPlaneNetwork:
         self.emitted_reports = []
         return reports
 
-    def total_physical_rules(self) -> int:
-        """Rules actually installed across all switches (R' size)."""
-        return sum(len(s.table) for s in self.switches.values())
-
-    def link_utilization(self) -> Dict[tuple, int]:
-        """Bytes transmitted per physical link, both directions summed.
-
-        Keys are the sorted ``(PortRef, PortRef)`` link pairs of the
-        topology; values come from the transmit counters of both endpoint
-        ports.  Lets experiments (e.g. the Figure 3 TE scenario) see the
-        congestion picture VeriDP's verdicts explain.
-        """
-        usage: Dict[tuple, int] = {}
-        for a, b in self.topo.internal_links():
-            tx_a = self.switches[a.switch].port_counters[a.port].tx_bytes
-            tx_b = self.switches[b.switch].port_counters[b.port].tx_bytes
-            usage[(a, b)] = tx_a + tx_b
-        return usage

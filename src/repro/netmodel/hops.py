@@ -1,4 +1,4 @@
-"""Hops and forwarding paths.
+"""Hops.
 
 A *hop* is the paper's 3-tuple ``<input_port, switch_ID, output_port>``: the
 forwarding behaviour of one switch on one packet.  A *path* is an ordered
@@ -9,11 +9,10 @@ hop sequence alongside each tag so the localizer can reason hop-by-hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
 
 from .rules import DROP_PORT
 
-__all__ = ["Hop", "format_path", "path_switches"]
+__all__ = ["Hop"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -43,20 +42,7 @@ class Hop:
             + self.out_port.to_bytes(4, "big", signed=True)
         )
 
-    def is_drop(self) -> bool:
-        """Did this hop drop the packet?"""
-        return self.out_port == DROP_PORT
-
     def __str__(self) -> str:
         out = "⊥" if self.out_port == DROP_PORT else str(self.out_port)
         return f"<{self.in_port}|{self.switch}|{out}>"
 
-
-def format_path(hops: Sequence[Hop]) -> str:
-    """Human-readable rendering of a hop sequence."""
-    return " -> ".join(str(hop) for hop in hops) if hops else "(empty)"
-
-
-def path_switches(hops: Iterable[Hop]) -> List[str]:
-    """Switch ids along a path, in traversal order."""
-    return [hop.switch for hop in hops]

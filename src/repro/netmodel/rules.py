@@ -376,10 +376,6 @@ class FlowTable:
                 return rule
         return None
 
-    def rules_for_port(self, port: int) -> List[FlowRule]:
-        """All rules whose action outputs to ``port``."""
-        return [r for r in self.sorted_rules() if r.output_port() == port]
-
     def copy(self) -> "FlowTable":
         """A shallow copy (rules are immutable, so sharing them is safe)."""
         table = FlowTable()

@@ -311,10 +311,6 @@ class Topology:
         ]
         return sorted(result)
 
-    def host_edge_ports(self) -> List[PortRef]:
-        """Edge ports that actually have a host attached."""
-        return sorted(self._host_at_port)
-
     def internal_links(self) -> List[Tuple[PortRef, PortRef]]:
         """Each physical link once, as a sorted (low, high) pair."""
         seen = set()

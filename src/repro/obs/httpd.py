@@ -112,12 +112,6 @@ class MetricsEndpoint:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    @property
-    def url(self) -> str:
-        if self.address is None:
-            raise RuntimeError("endpoint is not started")
-        return f"http://{self.address[0]}:{self.address[1]}"
-
     # -- routing -----------------------------------------------------------
 
     def _route(self, path: str) -> Tuple[int, str, bytes]:

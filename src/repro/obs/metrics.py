@@ -131,9 +131,6 @@ class _GaugeChild(_Child):
         with metric._lock:
             metric._values[self._key] = metric._values.get(self._key, 0) + amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         metric = self._metric
@@ -265,9 +262,6 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1) -> None:
         self._default().inc(amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self._default().dec(amount)
 
     @property
     def value(self) -> float:
@@ -412,11 +406,6 @@ class MetricsRegistry:
         return self._register(
             Histogram, name, help, labelnames, None, buckets=buckets
         )
-
-    def unregister(self, name: str) -> bool:
-        """Drop one family (tests and component teardown)."""
-        with self._lock:
-            return self._metrics.pop(name, None) is not None
 
     def names(self) -> List[str]:
         with self._lock:

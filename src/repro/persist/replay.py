@@ -106,9 +106,6 @@ class ReplayResult:
     def first_failure_seq(self) -> Optional[int]:
         return self.incidents[0].seq if self.incidents else None
 
-    def incident_keys(self) -> List[Tuple]:
-        return [incident.key for incident in self.incidents]
-
     def summary(self) -> str:
         first = self.first_failure_seq
         return (

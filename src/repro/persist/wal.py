@@ -517,10 +517,6 @@ class WriteAheadLog:
                 return segment.first_seq
         return None
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
     def records(
         self, start_seq: int = 1, stop_seq: Optional[int] = None
     ) -> Iterator[WalRecord]:

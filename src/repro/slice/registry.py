@@ -263,14 +263,6 @@ class SliceRegistry:
 
     # -- per-tenant budget views -------------------------------------------
 
-    def sampling_intervals(self) -> Dict[str, float]:
-        """Tenants with an explicit ``T_s`` override."""
-        return {
-            t.name: t.spec.sampling_interval
-            for t in self.tenants.values()
-            if t.spec.sampling_interval is not None
-        }
-
     def queue_shares(self) -> Dict[str, float]:
         """Tenants with an explicit ingest-queue share."""
         return {

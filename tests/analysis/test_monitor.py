@@ -53,12 +53,6 @@ class TestIngestion:
 
 
 class TestRollups:
-    def test_blame_tally(self):
-        agg = IncidentAggregator()
-        agg.ingest(fake_incident(blamed=("S2",)))
-        agg.ingest(fake_incident(blamed=("S2", "S3")))
-        assert agg.blame_tally() == {"S2": 2, "S3": 1}
-
     def test_verdict_counts(self):
         agg = IncidentAggregator()
         agg.ingest(fake_incident(verdict=Verdict.FAIL_TAG_MISMATCH))

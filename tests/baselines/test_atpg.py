@@ -30,7 +30,7 @@ class TestProbeGeneration:
             if outport.port != DROP_PORT
             for hop in entry.hops
         }
-        assert prober.covered_hops() == all_hops
+        assert set().union(*(probe.covers for probe in prober.probes)) == all_hops
 
     def test_greedy_cover_reduces_probe_count(self, linear):
         _, prober, _ = linear

@@ -177,13 +177,6 @@ class TestRestrictAndSupport:
         f = bdd.var(2)
         assert bdd.restrict(f, {}) == f
 
-    def test_support(self, bdd):
-        f = bdd.and_(bdd.var(1), bdd.or_(bdd.var(4), bdd.var(6)))
-        assert bdd.support(f) == [1, 4, 6]
-
-    def test_support_of_terminal(self, bdd):
-        assert bdd.support(TRUE) == []
-
 
 class TestEnumeration:
     def test_cubes_cover_function(self, bdd):

@@ -54,13 +54,6 @@ class TestLayout:
         with pytest.raises(ValueError):
             HeaderField("z", 0)
 
-    def test_bit_level(self):
-        layout = HeaderLayout()
-        assert layout.bit_level("dst_ip", 0) == 32
-        assert layout.bit_level("dst_ip", 31) == 63
-        with pytest.raises(ValueError):
-            layout.bit_level("dst_ip", 32)
-
 
 class TestExact:
     def test_exact_contains_only_value(self, hs):
@@ -104,28 +97,6 @@ class TestPrefix:
     def test_bad_plen(self, hs):
         with pytest.raises(ValueError):
             hs.prefix("dst_ip", 0, 33)
-
-
-class TestWildcard:
-    def test_wildcard_all_x_is_true(self, hs):
-        assert hs.wildcard("proto", "x" * 8) == TRUE
-
-    def test_wildcard_equals_exact(self, hs):
-        assert hs.wildcard("proto", "00000110") == hs.exact("proto", 6)
-
-    def test_wildcard_mixed(self, hs):
-        pred = hs.wildcard("proto", "0000011x")
-        assert hs.contains(pred, make_header(proto=6))
-        assert hs.contains(pred, make_header(proto=7))
-        assert not hs.contains(pred, make_header(proto=8))
-
-    def test_wildcard_bad_length(self, hs):
-        with pytest.raises(ValueError):
-            hs.wildcard("proto", "xx")
-
-    def test_wildcard_bad_char(self, hs):
-        with pytest.raises(ValueError):
-            hs.wildcard("proto", "0000011z")
 
 
 class TestRange:

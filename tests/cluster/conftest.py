@@ -3,6 +3,7 @@ helpers that build wire payloads and node-shaped replica messages."""
 
 import pytest
 
+from repro.cluster.frontend import routing_key_of
 from repro.core.replica import build_pair_spec, wire_packing
 from repro.core.reports import pack_report
 from repro.core.server import VeriDPServer
@@ -47,3 +48,9 @@ def tagged_replica(server, tenant=""):
 
 def packing_of(server):
     return wire_packing(server.hs.layout)
+
+
+def routing_key(frontend, payload):
+    """The ring/placement key the frontend routes ``payload`` by."""
+    pair_key = int.from_bytes(payload[2:6], "big")
+    return routing_key_of(pair_key, frontend.tenant_of.get(pair_key))

@@ -12,7 +12,7 @@ from repro.core.direct import VeriDPDaemon
 from repro.core.listener import UdpReportListener
 from repro.core.reports import REPORT_SIZE
 
-from .conftest import healthy_payloads, packing_of
+from .conftest import healthy_payloads, packing_of, routing_key
 
 JOIN_DEADLINE = 20.0
 
@@ -78,7 +78,7 @@ class TestRouting:
         scenario, server, net = rig
         frontend, _ = fleet
         payload = healthy_payloads(scenario, net, 1)[0]
-        key = frontend.routing_key(payload)
+        key = routing_key(frontend, payload)
         ring_owner = frontend.ring.owner(key)
         other = next(n for n in frontend.nodes() if n != ring_owner)
         frontend.placement[key] = other
@@ -138,7 +138,7 @@ class TestDispatch:
         routed = {n: [] for n in frontend.nodes()}
         for payload in payloads:
             frontend.submit(payload)
-            owner = frontend.owner_of(frontend.routing_key(payload))
+            owner = frontend.owner_of(routing_key(frontend, payload))
             routed[owner].append(payload)
         victim = max(routed, key=lambda n: len(routed[n]))
         pending = frontend.detach_node(victim)
@@ -162,7 +162,7 @@ class TestDispatch:
         payloads = healthy_payloads(scenario, net, 64)
         routed = {n: [] for n in frontend.nodes()}
         for payload in payloads:
-            owner = frontend.owner_of(frontend.routing_key(payload))
+            owner = frontend.owner_of(routing_key(frontend, payload))
             routed[owner].append(payload)
         victim, survivor = sorted(routed, key=lambda n: -len(routed[n]))
         assert routed[survivor]
@@ -202,7 +202,7 @@ class TestSubmitFrame:
         # Scalar routing ground truth, computed without dispatching.
         expected = {n: 0 for n in frontend.nodes()}
         for payload in payloads:
-            expected[frontend.owner_of(frontend.routing_key(payload))] += 1
+            expected[frontend.owner_of(routing_key(frontend, payload))] += 1
         admitted = frontend.submit_frame(Frame(b"".join(payloads)))
         assert admitted == len(payloads)
         frontend.flush_buffers()

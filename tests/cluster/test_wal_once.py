@@ -22,6 +22,8 @@ from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork
 from repro.topologies import build_linear
 
+from .conftest import routing_key
+
 DEADLINE = 30.0
 ROWS = 96
 
@@ -69,8 +71,8 @@ def test_failover_logs_redelivered_rows_once(rig, monkeypatch):
         frontend = cluster.frontend
         owners = {}
         for payload in rows:
-            owners.setdefault(frontend.owner_of(frontend.routing_key(payload)), 0)
-            owners[frontend.owner_of(frontend.routing_key(payload))] += 1
+            owners.setdefault(frontend.owner_of(routing_key(frontend, payload)), 0)
+            owners[frontend.owner_of(routing_key(frontend, payload))] += 1
         victim = max(owners, key=owners.get)
         held["stream"] = frontend.link(victim).conn
         for payload in rows:

@@ -17,7 +17,7 @@ class TestPrimitives:
             "S1", FlowRule(10, Match.build(dst="10.0.0.0/8"), Forward(2))
         )
         assert rule.rule_id in scenario.topo.switch("S1").flow_table
-        mods = scenario.channel.flow_mods()
+        mods = scenario.channel.history
         assert mods[-1].op is FlowModOp.ADD
         assert mods[-1].rule is rule
 
@@ -29,21 +29,7 @@ class TestPrimitives:
         removed = scenario.controller.remove("S1", rule.rule_id)
         assert removed is rule
         assert rule.rule_id not in scenario.topo.switch("S1").flow_table
-        assert scenario.channel.flow_mods()[-1].op is FlowModOp.DELETE
-
-    def test_modify_requires_existing(self):
-        scenario = build_linear(3, install_routes=False)
-        with pytest.raises(KeyError):
-            scenario.controller.modify("S1", FlowRule(10, Match(), Forward(1)))
-
-    def test_modify_replaces_in_place(self):
-        scenario = build_linear(3, install_routes=False)
-        rule = scenario.controller.install("S1", FlowRule(10, Match(), Forward(2)))
-        new = FlowRule(10, Match(), Forward(1), rule_id=rule.rule_id)
-        scenario.controller.modify("S1", new)
-        table = scenario.topo.switch("S1").flow_table
-        assert len(table) == 1
-        assert table.get(rule.rule_id).action == Forward(1)
+        assert scenario.channel.history[-1].op is FlowModOp.DELETE
 
 
 class TestShortestPaths:
@@ -172,12 +158,16 @@ class TestExplicitPaths:
         scenario = build_grid(2, 2, install_routes=False)
         # Two corner-to-corner paths: via S1_0 and via S0_1.
         ctrl = scenario.controller
-        rules_a, rules_b = ctrl.install_te_split(
-            base_match=Match.build(dst="10.0.3.0/24"),
-            selector_a=Match.build(dst="10.0.3.0/24", src_port=(0, 32767)),
-            path_a=["S0_0", "S1_0", "S1_1"],
-            selector_b=Match.build(dst="10.0.3.0/24", src_port=(32768, 65535)),
-            path_b=["S0_0", "S0_1", "S1_1"],
+        # Disjoint selectors (source-port halves) of one aggregate.
+        rules_a = ctrl.install_path(
+            Match.build(dst="10.0.3.0/24", src_port=(0, 32767)),
+            ["S0_0", "S1_0", "S1_1"],
+            entry_port=1,
+            exit_port=1,
+        )
+        rules_b = ctrl.install_path(
+            Match.build(dst="10.0.3.0/24", src_port=(32768, 65535)),
+            ["S0_0", "S0_1", "S1_1"],
             entry_port=1,
             exit_port=1,
         )

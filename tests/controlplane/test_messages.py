@@ -27,13 +27,6 @@ class TestChannel:
         channel.send(m2)
         assert channel.history == [m1, m2]
 
-    def test_flow_mods_filters_barriers(self):
-        channel = Channel()
-        m1 = flowmod()
-        channel.send(m1)
-        channel.send(Barrier())
-        assert channel.flow_mods() == [m1]
-
     def test_late_subscriber_misses_nothing_new(self):
         channel = Channel()
         channel.send(flowmod())

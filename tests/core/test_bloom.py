@@ -86,10 +86,6 @@ class TestBloomTagScheme:
         assert narrow.hop_filter(HOP_A) <= 0xFF
         assert wide.hop_filter(HOP_A) != narrow.hop_filter(HOP_A)
 
-    def test_saturation(self, scheme):
-        assert scheme.saturation(0) == 0.0
-        assert scheme.saturation(scheme.tag_mask) == 1.0
-
     def test_false_positive_probability_monotone_in_path_length(self, scheme):
         probs = [scheme.false_positive_probability(n) for n in range(0, 10)]
         assert probs[0] == 0.0

@@ -113,22 +113,6 @@ class TestDaemon:
             daemon.join()
             assert daemon.stats()["processed"] == len(payloads)
 
-    def test_pause_and_refresh(self, rig):
-        scenario, server, net = rig
-        with VeriDPDaemon(server, workers=2) as daemon:
-            # A rule change makes the server dirty; refresh under quiesce.
-            from repro.netmodel.rules import FlowRule, Forward, Match
-
-            scenario.controller.install(
-                "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
-            )
-            assert daemon.pause_and_refresh() is True
-            # Still processes correctly afterwards.
-            for payload in collect_payloads(scenario, net, 5):
-                daemon.submit(payload)
-            daemon.join()
-            assert daemon.stats()["failed"] == 0
-
     def test_requires_workers(self, rig):
         _, server, _ = rig
         with pytest.raises(ValueError):
@@ -205,20 +189,6 @@ class TestShardedDaemon:
         s, t = sharded.stats(), threaded.stats()
         for key in ("processed", "verified", "failed", "malformed"):
             assert s[key] == t[key], key
-
-    def test_pause_and_refresh(self, rig):
-        scenario, server, net = rig
-        with ShardedVeriDPDaemon(server, workers=2) as daemon:
-            from repro.netmodel.rules import FlowRule, Forward, Match
-
-            scenario.controller.install(
-                "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
-            )
-            assert daemon.pause_and_refresh() is True
-            for payload in collect_payloads(scenario, net, 5):
-                daemon.submit(payload)
-            daemon.join()
-            assert daemon.stats()["failed"] == 0
 
     def test_requires_workers(self, rig):
         _, server, _ = rig
@@ -586,7 +556,8 @@ class TestSupervisedShardedDaemon:
 
         The dead network switch silently swallows packets (fewer reports);
         the dead daemon worker is restarted by the supervisor; and a rule
-        change afterwards still converges through pause_and_refresh.
+        change afterwards still converges: the resync reloads the fleet
+        from the rebuilt table.
         """
         scenario, server, net = rig
         healthy = collect_payloads(scenario, net, 20)
@@ -612,11 +583,18 @@ class TestSupervisedShardedDaemon:
             for payload in healthy[10:] + after_kill:
                 daemon.submit(payload)
             daemon.join()
-            # Rule change while running: pause_and_refresh still converges.
+            # Rule change while running: the rebuilt table is a new table,
+            # so the resync reloads every replica whole.  (This redirect
+            # rebuilds as many entries as before: the version must move
+            # anyway.)
             scenario.controller.install(
-                "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
+                "S1",
+                FlowRule(200, Match.build(dst=scenario.subnets["H1"]), Forward(3)),
             )
-            assert daemon.pause_and_refresh() is True
+            with daemon.server_lock:
+                assert server.refresh_if_dirty() is True
+            assert daemon.resync_replicas() is None
+            assert daemon.replica_digests() == expected_digests(server, 2)
             for payload in collect_payloads(scenario, net, 5):
                 daemon.submit(payload)
             daemon.join()

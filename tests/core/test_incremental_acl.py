@@ -126,7 +126,7 @@ class TestIncrementalAclEqualsRebuild:
         telnet = scenario.header_between("H1", "H3", dst_port=23).as_dict()
         matching = [e for e in drop_entries if hs.contains(e.headers, telnet)]
         assert matching
-        assert matching[0].hops[-1].is_drop()
+        assert matching[0].hops[-1].out_port == DROP_PORT
 
     def test_interleaved_prefix_and_acl_churn(self):
         scenario, hs, inc = routed_linear()

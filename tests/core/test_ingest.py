@@ -34,7 +34,6 @@ from repro.core.reports import (
     Frame,
     pack_report,
     payload_precheck,
-    unpack_report,
 )
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput
@@ -265,24 +264,6 @@ class TestShardSplit:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="column extraction requires numpy")
 class TestFrameColumns:
-    def test_columns_match_unpack_report(self, rig):
-        from repro.core.ingest import frame_columns
-
-        scenario, server, net = rig
-        payloads = collect_payloads(scenario, net, 20)
-        cols = frame_columns(b"".join(payloads))
-        for i, payload in enumerate(payloads):
-            report = unpack_report(payload, net.codec)
-            assert int(cols["version"][i]) == REPORT_VERSION
-            assert int(cols["tag"][i]) == report.tag
-            assert int(cols["src_ip"][i]) == report.header.src_ip
-            assert int(cols["dst_ip"][i]) == report.header.dst_ip
-            assert int(cols["proto"][i]) == report.header.proto
-            assert int(cols["src_port"][i]) == report.header.src_port
-            assert int(cols["dst_port"][i]) == report.header.dst_port
-            assert int(cols["inport"][i]) == net.codec.encode(report.inport)
-            assert int(cols["outport"][i]) == net.codec.encode(report.outport)
-
     def test_pair_keys_pack_inport_outport(self, rig):
         from repro.core.ingest import pair_keys
 

@@ -52,15 +52,6 @@ class TestReachability:
         dst = scenario.topo.host_port("H3")
         assert checker.reachability(src, dst).holds
 
-    def test_all_pairs_matrix(self):
-        scenario = build_linear(3)
-        hs = HeaderSpace()
-        table = PathTableBuilder(scenario.topo, hs).build()
-        checker = PolicyChecker(table, hs, scenario.topo)
-        matrix = checker.all_pairs_reachability()
-        assert len(matrix) == 6
-        assert all(matrix.values())
-
 
 class TestIsolation:
     def test_acl_enforced_isolation(self, figure5_checker):

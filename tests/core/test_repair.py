@@ -50,7 +50,6 @@ class TestReissuePath:
 
         result = engine.repair(incident)
         assert result.outcome is RepairOutcome.FIXED_BY_REISSUE
-        assert result.fixed
         assert any(a.kind == "reissue" and a.switch_id == "S2" for a in result.actions)
         # The flow really works again.
         final = net.inject_from_host("H1", scenario.header_between("H1", "H3"))
@@ -63,7 +62,7 @@ class TestReissuePath:
         ModifyRuleOutput("S2", rule.rule_id, 1).apply(net)
         incident = provoke(scenario, server, net)
         result = engine.repair(incident)
-        assert result.fixed
+        assert result.outcome is RepairOutcome.FIXED_BY_REISSUE
         assert net.switch("S2").table.get(rule.rule_id).action == rule.action
 
     def test_blackholed_rule_repaired(self, rig):
@@ -71,7 +70,7 @@ class TestReissuePath:
         rule = victim_rule(scenario, net)
         ModifyRuleOutput("S2", rule.rule_id, DROP_PORT).apply(net)
         incident = provoke(scenario, server, net)
-        assert engine.repair(incident).fixed
+        assert engine.repair(incident).outcome is RepairOutcome.FIXED_BY_REISSUE
 
 
 class TestResyncPath:
@@ -110,7 +109,6 @@ class TestUnrepairable:
 
         result = engine.repair(incident)
         assert result.outcome is RepairOutcome.UNREPAIRABLE
-        assert not result.fixed
 
     def test_priority_ignoring_switch_unrepairable(self, rig):
         """Broken lookup logic is not a table-content problem: reissue and

@@ -275,7 +275,7 @@ class TestTenantQuotaFrames:
         q.put_frame(mkframe(3), tenants=["red", "red", "blue"])
         frame = pop(q)
         assert isinstance(frame, Frame) and frame.count == 3
-        assert frame.row_tenant(0) == "red"
+        assert frame.tenants[frame.start] == "red"
         tenants = q.stats()["tenants"]
         assert tenants["red"]["queued"] == 0
         assert tenants["blue"]["queued"] == 0

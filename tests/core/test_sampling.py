@@ -64,14 +64,6 @@ class TestFlowSampler:
         sampler.should_sample("f1", now=0.0)
         assert sampler.should_sample("f2", now=0.5)
 
-    def test_per_flow_interval_override(self):
-        sampler = FlowSampler(default_interval=10.0)
-        sampler.set_interval("fast", 0.1)
-        sampler.should_sample("fast", now=0.0)
-        assert sampler.should_sample("fast", now=0.2)
-        assert sampler.interval_of("fast") == 0.1
-        assert sampler.interval_of("other") == 10.0
-
     def test_sampling_rate(self):
         sampler = FlowSampler(default_interval=10.0)
         sampler.should_sample("f", now=0.0)  # sampled
@@ -91,7 +83,7 @@ class TestFlowSampler:
         sampler.should_sample("b", now=1.0)
         sampler.should_sample("a", now=2.0)  # refresh a's hit time
         sampler.should_sample("c", now=3.0)  # evicts b
-        assert sampler.active_flows == 2
+        assert len(sampler._state) == 2
         # b returns as a "new" flow -> sampled again (over-sampling, never under)
         assert sampler.should_sample("b", now=4.0)
 
@@ -100,8 +92,6 @@ class TestFlowSampler:
             FlowSampler(default_interval=0)
         with pytest.raises(ValueError):
             FlowSampler(capacity=0)
-        with pytest.raises(ValueError):
-            FlowSampler().set_interval("f", 0)
 
 
 class TestTrivialSamplers:

@@ -227,9 +227,6 @@ class TestBloomHelpers:
     )
     @settings(max_examples=100, deadline=None)
     def test_vectorized_membership_matches_scalar(self, tags, filters):
-        for hf in filters:
-            got = vec.bloom_member_batch(tags, hf).tolist()
-            assert got == [(t & hf) == hf for t in tags]
         for tag in tags:
             miss = vec.bloom_first_miss(tag, filters)
             scalar = -1

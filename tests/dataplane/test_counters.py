@@ -6,7 +6,6 @@ from repro.dataplane import DataPlaneNetwork
 from repro.dataplane.switch import DataPlaneSwitch, PortCounters
 from repro.netmodel.packet import Header
 from repro.netmodel.rules import DROP_PORT
-from repro.netmodel.topology import PortRef
 from repro.topologies import build_linear
 
 
@@ -51,16 +50,3 @@ class TestNetworkCounters:
         bogus = scenario.header_between("H1", "H3").with_(dst_ip=0x01020304)
         net.inject_from_host("H1", bogus)
         assert net.switch("S1").dropped_packets == 1
-
-    def test_link_utilization(self):
-        scenario = build_linear(3)
-        net = DataPlaneNetwork(scenario.topo, scenario.channel)
-        for _ in range(3):
-            net.inject_from_host("H1", scenario.header_between("H1", "H3"), size=100)
-        usage = net.link_utilization()
-        s1_s2 = usage[(PortRef("S1", 2), PortRef("S2", 3))]
-        assert s1_s2 == 300
-        # Reverse traffic adds to the same link key.
-        net.inject_from_host("H3", scenario.header_between("H3", "H1"), size=50)
-        usage = net.link_utilization()
-        assert usage[(PortRef("S1", 2), PortRef("S2", 3))] == 350

@@ -58,18 +58,6 @@ class TestShapeClaims:
 
 
 class TestComposition:
-    def test_entry_switch_carries_both_modules(self, model):
-        assert model.entry_switch_delay(512) == pytest.approx(
-            model.native_delay(512)
-            + model.sampling_delay(512)
-            + model.tagging_delay(512)
-        )
-
-    def test_internal_switch_skips_sampling(self, model):
-        assert model.internal_switch_delay(512) == pytest.approx(
-            model.native_delay(512) + model.tagging_delay(512)
-        )
-
     def test_table4_rows_structure(self, model):
         rows = model.table4_rows()
         assert set(rows) == {

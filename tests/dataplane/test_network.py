@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane.messages import FlowMod, FlowModOp
 from repro.core.reports import unpack_report
 from repro.dataplane import (
     DataPlaneNetwork,
@@ -98,20 +99,20 @@ class TestLoops:
 class TestFlowModHandling:
     def test_live_flowmods_applied(self, linear):
         scenario, net = linear
-        before = net.total_physical_rules()
+        before = len(net.switch("S1").table)
         scenario.controller.install(
             "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
         )
-        assert net.total_physical_rules() == before + 1
+        assert len(net.switch("S1").table) == before + 1
 
     def test_flowmod_delete_applied(self, linear):
         scenario, net = linear
         rule = scenario.controller.install(
             "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
         )
-        before = net.total_physical_rules()
+        before = len(net.switch("S1").table)
         scenario.controller.remove("S1", rule.rule_id)
-        assert net.total_physical_rules() == before - 1
+        assert len(net.switch("S1").table) == before - 1
 
     def test_flowmod_modify_applied(self, linear):
         scenario, net = linear
@@ -119,13 +120,13 @@ class TestFlowModHandling:
             "S1", FlowRule(50, Match.build(dst="99.0.0.0/8"), Forward(2))
         )
         new_rule = FlowRule(50, rule.match, Forward(1), rule_id=rule.rule_id)
-        scenario.controller.modify("S1", new_rule)
+        scenario.channel.send(FlowMod(FlowModOp.MODIFY, "S1", new_rule))
         assert net.switch("S1").table.get(rule.rule_id).action == Forward(1)
 
     def test_history_replay_on_late_attach(self):
         scenario = build_linear(3)  # routes installed before net exists
         net = DataPlaneNetwork(scenario.topo, scenario.channel)
-        assert net.total_physical_rules() > 0
+        assert all(len(s.table) > 0 for s in net.switches.values())
         result = net.inject_from_host("H1", scenario.header_between("H1", "H3"))
         assert result.status == DeliveryStatus.DELIVERED
 

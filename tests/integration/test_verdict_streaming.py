@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.cluster import VeriDPCluster
+from repro.cluster.frontend import routing_key_of
 from repro.cluster.protocol import MessageStream
 from repro.core.daemon import ShardedVeriDPDaemon
 from repro.core.replica import Delta
@@ -132,7 +133,10 @@ def rows_for_one_node(cluster, payloads):
     frontend = cluster.frontend
     owners = {}
     for payload in payloads:
-        owner = frontend.owner_of(frontend.routing_key(payload))
+        pair_key = int.from_bytes(payload[2:6], "big")
+        owner = frontend.owner_of(
+            routing_key_of(pair_key, frontend.tenant_of.get(pair_key))
+        )
         owners.setdefault(owner, []).append(payload)
     victim = max(owners, key=lambda node: len(owners[node]))
     return victim, owners[victim]

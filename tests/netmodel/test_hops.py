@@ -1,6 +1,6 @@
 """Unit tests for hop and path helpers."""
 
-from repro.netmodel.hops import Hop, format_path, path_switches
+from repro.netmodel.hops import Hop
 from repro.netmodel.rules import DROP_PORT
 
 
@@ -9,10 +9,6 @@ class TestHop:
         a, b = Hop(1, "S1", 2), Hop(1, "S2", 2)
         assert a < b
         assert len({a, b, Hop(1, "S1", 2)}) == 2
-
-    def test_is_drop(self):
-        assert Hop(1, "S", DROP_PORT).is_drop()
-        assert not Hop(1, "S", 2).is_drop()
 
     def test_str_renders_drop_symbol(self):
         assert str(Hop(3, "S9", DROP_PORT)) == "<3|S9|⊥>"
@@ -26,15 +22,3 @@ class TestHop:
     def test_key_bytes_handles_drop_port(self):
         assert Hop(1, "S", DROP_PORT).key_bytes() != Hop(1, "S", 63).key_bytes()
 
-
-class TestPathHelpers:
-    def test_format_path(self):
-        hops = [Hop(1, "A", 2), Hop(3, "B", DROP_PORT)]
-        assert format_path(hops) == "<1|A|2> -> <3|B|⊥>"
-
-    def test_format_empty_path(self):
-        assert format_path([]) == "(empty)"
-
-    def test_path_switches(self):
-        hops = [Hop(1, "A", 2), Hop(3, "B", 1), Hop(1, "A", 4)]
-        assert path_switches(hops) == ["A", "B", "A"]

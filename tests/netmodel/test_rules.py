@@ -117,14 +117,6 @@ class TestFlowTable:
         assert len(table) == 1
         assert table.get(rule.rule_id).action == Forward(2)
 
-    def test_rules_for_port(self):
-        r1 = FlowRule(10, Match.build(dst="10.0.1.0/24"), Forward(1))
-        r2 = FlowRule(10, Match.build(dst="10.0.2.0/24"), Forward(2))
-        r3 = FlowRule(10, Match.build(dst="10.0.3.0/24"), Drop())
-        table = FlowTable([r1, r2, r3])
-        assert table.rules_for_port(1) == [r1]
-        assert table.rules_for_port(DROP_PORT) == [r3]
-
     def test_copy_is_independent(self):
         rule = FlowRule(10, Match(), Forward(1))
         table = FlowTable([rule])

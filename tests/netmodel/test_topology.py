@@ -78,9 +78,6 @@ class TestClassification:
         assert PortRef("S1", 3) not in edges
         assert edges == sorted(edges)
 
-    def test_host_edge_ports_only_hosts(self, triangle):
-        assert triangle.host_edge_ports() == [PortRef("S1", 1), PortRef("S3", 2)]
-
 
 class TestQueries:
     def test_host_lookup_round_trip(self, triangle):

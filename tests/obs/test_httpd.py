@@ -18,6 +18,11 @@ def fetch(url: str):
         return exc.code, exc.headers.get("Content-Type"), exc.read()
 
 
+def url(ep) -> str:
+    host, port = ep.address
+    return f"http://{host}:{port}"
+
+
 @pytest.fixture
 def obs():
     bundle = Observability()
@@ -30,7 +35,7 @@ def obs():
 class TestRoutes:
     def test_metrics_route(self, obs):
         with obs.endpoint(port=0) as ep:
-            status, ctype, body = fetch(ep.url + "/metrics")
+            status, ctype, body = fetch(url(ep) + "/metrics")
         assert status == 200
         assert ctype == CONTENT_TYPE_PROMETHEUS
         parsed = parse_prometheus_text(body.decode())
@@ -39,21 +44,21 @@ class TestRoutes:
 
     def test_healthz_defaults_ok(self, obs):
         with obs.endpoint(port=0) as ep:
-            status, ctype, body = fetch(ep.url + "/healthz")
+            status, ctype, body = fetch(url(ep) + "/healthz")
         assert (status, ctype) == (200, "application/json")
         assert json.loads(body) == {"status": "ok"}
 
     def test_healthz_unhealthy_is_503(self, obs):
         ep = obs.endpoint(port=0, health=lambda: (False, {"mode": "degraded"}))
         with ep:
-            status, _, body = fetch(ep.url + "/healthz")
+            status, _, body = fetch(url(ep) + "/healthz")
         assert status == 503
         assert json.loads(body) == {"status": "unhealthy", "mode": "degraded"}
 
     def test_varz_carries_spans_and_extra(self, obs):
         ep = obs.endpoint(port=0, varz=lambda: {"stats": {"processed": 9}})
         with ep:
-            status, _, body = fetch(ep.url + "/varz")
+            status, _, body = fetch(url(ep) + "/varz")
         assert status == 200
         payload = json.loads(body)
         assert payload["metrics"]["veridp_test_total"]["samples"][0]["value"] == 5
@@ -63,7 +68,7 @@ class TestRoutes:
 
     def test_unknown_path_is_404(self, obs):
         with obs.endpoint(port=0) as ep:
-            status, _, body = fetch(ep.url + "/nope")
+            status, _, body = fetch(url(ep) + "/nope")
         assert status == 404
         assert b"/metrics" in body
 
@@ -83,7 +88,3 @@ class TestLifecycle:
         assert ep.address == first
         ep.stop()
         ep.stop()
-
-    def test_url_before_start_raises(self, obs):
-        with pytest.raises(RuntimeError):
-            obs.endpoint(port=0).url

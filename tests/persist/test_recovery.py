@@ -236,7 +236,7 @@ class TestDurableServer:
         payload = pack_report(result.reports[0], net.codec)
         before = server.persist.wal.stats()["wal_records_report"]
         server.receive_report_bytes(payload)
-        server.try_receive_report_bytes(payload)
+        server.receive_report_bytes(payload)
         server.receive_report_bytes(payload, record=False)  # re-ingest path
         stats = server.persist.wal.stats()
         assert stats["wal_records_report"] == before + 2

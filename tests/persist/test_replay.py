@@ -20,6 +20,10 @@ def live_incident_keys(server):
     ]
 
 
+def incident_keys(result):
+    return [incident.key for incident in result.incidents]
+
+
 @pytest.fixture
 def recorded_campaign(tmp_path):
     """A durable server fed a stream containing real data-plane faults."""
@@ -62,7 +66,7 @@ class TestReplayReproducesIncidents:
         with PersistentState(state_dir, read_only=True) as state:
             result = replay(state, scenario.topo)
         assert result.source == "wal"
-        assert result.incident_keys() == live_keys
+        assert incident_keys(result) == live_keys
         assert result.first_failure_seq is not None
 
     def test_replay_is_deterministic(self, recorded_campaign):
@@ -71,7 +75,7 @@ class TestReplayReproducesIncidents:
             first = replay(state, scenario.topo)
         with PersistentState(state_dir, read_only=True) as state:
             second = replay(state, scenario.topo)
-        assert first.incident_keys() == second.incident_keys()
+        assert incident_keys(first) == incident_keys(second)
         assert first.replayed_reports == second.replayed_reports
         assert first.first_failure_seq == second.first_failure_seq
 
@@ -134,7 +138,7 @@ class TestBatchRecordedReplay:
             replayed = replay(state, scenario.topo, localize=False)
         assert replayed.replayed_reports == len(payloads)
         # Shard merge order is nondeterministic; compare as multisets.
-        assert sorted(replayed.incident_keys()) == sorted(live_keys)
+        assert sorted(incident_keys(replayed)) == sorted(live_keys)
 
 
 class TestBisection:
@@ -169,7 +173,7 @@ class TestBisection:
         # Controls before the window still applied (state must be correct)
         assert windowed.replayed_controls == full.replayed_controls
         assert windowed.skipped_reports > 0
-        assert windowed.incident_keys() == full.incident_keys()
+        assert incident_keys(windowed) == incident_keys(full)
 
 
 class TestPrunedWalBase:
@@ -201,7 +205,7 @@ class TestPrunedWalBase:
             assert state.wal.first_seq() not in (None, 1)
             replayed = replay(state, scenario.topo)
         assert replayed.source == "snapshot"
-        assert replayed.incident_keys() == live_keys
+        assert incident_keys(replayed) == live_keys
 
     def test_pruned_wal_without_snapshot_refused(self, tmp_path):
         scenario = build_linear(3)

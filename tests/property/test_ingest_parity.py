@@ -12,7 +12,6 @@ books as the same stream fed as frames.
 """
 
 import socket
-import struct
 import time
 from collections import Counter
 
@@ -84,26 +83,9 @@ class TestScreenParity:
 
 # -- column extraction parity ---------------------------------------------
 
-_ROW_STRUCT = struct.Struct(">BBHHQIIBHH")
-
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="column extraction requires numpy")
 class TestColumnParity:
-    @given(frame=frames)
-    @settings(max_examples=100, deadline=None)
-    def test_frame_columns_match_struct_unpack(self, frame):
-        from repro.core.ingest import frame_columns
-
-        cols = frame_columns(frame)
-        names = (
-            "version", "flags", "inport", "outport", "tag",
-            "src_ip", "dst_ip", "proto", "src_port", "dst_port",
-        )
-        for i in range(len(frame) // REPORT_SIZE):
-            row = frame[i * REPORT_SIZE : (i + 1) * REPORT_SIZE]
-            for name, value in zip(names, _ROW_STRUCT.unpack(row)):
-                assert int(cols[name][i]) == value, name
-
     @given(frame=frames)
     @settings(max_examples=100, deadline=None)
     def test_pair_keys_and_dst_ips_match_byte_slices(self, frame):
@@ -254,7 +236,7 @@ class TestSamplerLruParity:
             ), f"decision diverged at step {i} (key {key})"
             assert set(fast._state) == set(reference._state)
             assert fast._state == reference._state
-        assert fast.active_flows <= capacity
+        assert len(fast._state) <= capacity
 
     @given(
         keys=st.lists(
@@ -266,7 +248,7 @@ class TestSamplerLruParity:
         sampler = FlowSampler(default_interval=0.5)
         for i, key in enumerate(keys):
             sampler.should_sample(key, float(i))
-        assert sampler.active_flows == len(set(keys))
+        assert len(sampler._state) == len(set(keys))
         assert sampler.seen_count == len(keys)
 
 
@@ -525,7 +507,6 @@ def shape_books(daemon_cls, stream, **options):
         counters = dict(daemon.counters)
     keys = ("processed", "malformed", "verify_errors", "verified", "failed")
     ledger = {key: stats[key] for key in keys}
-    ledger["decode_errors"] = server.stats()["decode_errors"]
     return ledger, counters, incidents, letters
 
 

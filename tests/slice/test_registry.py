@@ -86,7 +86,6 @@ def test_edge_ports_derived_from_topology(registry, scenario, hosts):
 
 
 def test_budget_views(registry):
-    assert registry.sampling_intervals() == {"red": 0.5}
     assert registry.queue_shares() == {"red": 0.25}
 
 
@@ -124,7 +123,7 @@ def test_load_roundtrip(tmp_path, server, scenario, hosts):
     registry = SliceRegistry.load(str(path), server.hs, scenario.topo)
     assert sorted(registry.tenants) == ["blue", "red"]
     assert registry.queue_shares() == {"red": 0.5}
-    assert registry.sampling_intervals() == {"blue": 2.0}
+    assert registry.tenants["blue"].spec.sampling_interval == 2.0
     assert registry.tenants["red"].edge_ports == (
         scenario.topo.host_port(hosts[0]),
     )
