@@ -6,8 +6,9 @@ self-contained, pure-Python ROBDD implementation with:
 
 * hash-consed node storage (a *unique table*), so structural equality is
   pointer (integer id) equality,
-* memoized ``ite`` (if-then-else), the single primitive from which all binary
-  Boolean connectives are derived,
+* conjunction, disjunction, difference and complement as dedicated
+  memoized recursions (Bryant's apply, one per connective), with
+  exclusive-or built from them,
 * existential/universal quantification and variable restriction,
 * model counting and satisfying-cube enumeration.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["BDD", "FlatBDD", "NodePool", "FALSE", "TRUE", "pack_pools"]
+__all__ = ["BDD", "FlatBDD", "NodePool", "FALSE", "TRUE", "MAX_VARS", "pack_pools"]
 
 #: Terminal node id for the constant-false function (empty header set).
 FALSE = 0
@@ -51,9 +52,16 @@ _FLAT_TRUE = -2
 #: recomputation, never correctness.
 _OP_CACHE_MAX = 1 << 20
 
-#: Worklist frame tags for the iterative ``ite``/``not_`` (see below).
-_EXPAND = 0
-_COMBINE = 1
+#: Bits of one node id inside a packed memo or unique-table key (a manager
+#: stays far below 2**32 nodes).
+_ID_BITS = 32
+
+#: Largest ``num_vars`` a manager accepts.  The binary connectives recurse
+#: one Python frame per variable level, so this keeps their stack depth
+#: well under CPython's default recursion limit of 1,000 frames, with room
+#: for the caller's own stack.  Every header layout in the package has
+#: 104-116 variables.
+MAX_VARS = 512
 
 
 class FlatBDD:
@@ -240,8 +248,8 @@ class BDD:
     """
 
     def __init__(self, num_vars: int, op_cache_max: int = _OP_CACHE_MAX) -> None:
-        if num_vars <= 0:
-            raise ValueError(f"num_vars must be positive, got {num_vars}")
+        if not 0 < num_vars <= MAX_VARS:
+            raise ValueError(f"num_vars must be in [1, {MAX_VARS}], got {num_vars}")
         if op_cache_max < 2:
             raise ValueError(f"op_cache_max must be >= 2, got {op_cache_max}")
         self.num_vars = num_vars
@@ -250,16 +258,15 @@ class BDD:
         self._level: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._low: List[int] = [0, 1]
         self._high: List[int] = [0, 1]
-        # unique table: (level, low, high) -> node id
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # unique table: packed (level, low, high) -> node id (see _mk)
+        self._unique: Dict[int, int] = {}
         # operation caches (memos): each bounded at op_cache_max entries.
-        # The ite cache doubles as the apply memo — every binary connective
-        # funnels through ite, and the cache survives across calls until
-        # new_generation()/clear_caches() retires it.
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        # The apply memos are keyed by the packed operand pair and survive
+        # across calls until new_generation()/clear_caches() retires them.
         self._not_cache: Dict[int, int] = {}
-        self._and_memo: Dict[Tuple[int, int], int] = {}
-        self._or_memo: Dict[Tuple[int, int], int] = {}
+        self._and_memo: Dict[int, int] = {}
+        self._or_memo: Dict[int, int] = {}
+        self._diff_memo: Dict[int, int] = {}
         self._quant_cache: Dict[Tuple[int, int, frozenset], int] = {}
         self._count_cache: Dict[int, int] = {}
         # size() memo: node structure is immutable once allocated, so cached
@@ -284,7 +291,7 @@ class BDD:
         """Return the canonical node for ``(level, low, high)``."""
         if low == high:
             return low
-        key = (level, low, high)
+        key = (((level << _ID_BITS) | low) << _ID_BITS) | high
         node = self._unique.get(key)
         if node is None:
             node = len(self._level)
@@ -398,11 +405,11 @@ class BDD:
                 raise ValueError(f"corrupt node table at node {node}")
             if not 0 <= level < num_vars:
                 raise ValueError(f"corrupt level at node {node}")
-            unique[(level, low, high)] = node
+            unique[(((level << _ID_BITS) | low) << _ID_BITS) | high] = node
         return bdd
 
     # ------------------------------------------------------------------
-    # the ite primitive and derived connectives
+    # Boolean connectives
     # ------------------------------------------------------------------
 
     def _evict_half(self, cache: Dict) -> None:
@@ -416,168 +423,131 @@ class BDD:
             del cache[key]
         self.cache_evictions += drop
 
-    def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: the function ``(f AND g) OR (NOT f AND h)``.
-
-        Iterative worklist form: an explicit frame stack replaces the call
-        stack (no recursion-limit ceiling on deep BDDs, no per-call frame
-        overhead) and a value stack carries cofactor results up to their
-        ``_mk`` combine step.  The memo is bounded at ``op_cache_max``.
-        """
-        # terminal shortcuts (kept out of the loop for the hot trivial calls)
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        cache = self._ite_cache
-        results: List[int] = []
-        stack: List[Tuple] = [(_EXPAND, f, g, h)]
-        while stack:
-            frame = stack.pop()
-            if frame[0] == _EXPAND:
-                _, f, g, h = frame
-                if f == TRUE:
-                    results.append(g)
-                    continue
-                if f == FALSE:
-                    results.append(h)
-                    continue
-                if g == h:
-                    results.append(g)
-                    continue
-                if g == TRUE and h == FALSE:
-                    results.append(f)
-                    continue
-                key = (f, g, h)
-                cached = cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    results.append(cached)
-                    continue
-                self.cache_misses += 1
-                level = min(levels[f], levels[g], levels[h])
-                f0, f1 = (lows[f], highs[f]) if levels[f] == level else (f, f)
-                g0, g1 = (lows[g], highs[g]) if levels[g] == level else (g, g)
-                h0, h1 = (lows[h], highs[h]) if levels[h] == level else (h, h)
-                stack.append((_COMBINE, key, level))
-                stack.append((_EXPAND, f1, g1, h1))
-                stack.append((_EXPAND, f0, g0, h0))
-            else:
-                _, key, level = frame
-                hi = results.pop()
-                lo = results.pop()
-                node = self._mk(level, lo, hi)
-                if len(cache) >= self.op_cache_max:
-                    self._evict_half(cache)
-                cache[key] = node
-                results.append(node)
-        return results[-1]
+    # Every connective is its own memoized recursion, one frame per variable
+    # level (depth <= num_vars + 1 <= MAX_VARS + 1), with terminal rules of
+    # its own; the binary ones key their memo by the packed operand pair
+    # ``(f << 32) | g``, smaller id first for the commutative ones.
 
     def not_(self, f: int) -> int:
-        """Complement of ``f`` (iterative, memoized both directions)."""
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
+        """Complement of ``f`` (memoized both directions)."""
+        if f <= TRUE:
+            return TRUE - f
         cache = self._not_cache
-        cached = cache.get(f)
-        if cached is not None:
+        node = cache.get(f)
+        if node is not None:
             self.cache_hits += 1
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        results: List[int] = []
-        stack: List[Tuple[int, int]] = [(_EXPAND, f)]
-        while stack:
-            tag, u = stack.pop()
-            if tag == _EXPAND:
-                if u == FALSE:
-                    results.append(TRUE)
-                    continue
-                if u == TRUE:
-                    results.append(FALSE)
-                    continue
-                cached = cache.get(u)
-                if cached is not None:
-                    self.cache_hits += 1
-                    results.append(cached)
-                    continue
-                self.cache_misses += 1
-                stack.append((_COMBINE, u))
-                stack.append((_EXPAND, highs[u]))
-                stack.append((_EXPAND, lows[u]))
-            else:
-                hi = results.pop()
-                lo = results.pop()
-                node = self._mk(levels[u], lo, hi)
-                if len(cache) >= self.op_cache_max:
-                    self._evict_half(cache)
-                cache[u] = node
-                cache[node] = u
-                results.append(node)
-        return results[-1]
+            return node
+        self.cache_misses += 1
+        node = self._mk(self._level[f], self.not_(self._low[f]), self.not_(self._high[f]))
+        if len(cache) >= self.op_cache_max:
+            self._evict_half(cache)
+        cache[f] = node
+        cache[node] = f
+        return node
 
     def and_(self, f: int, g: int) -> int:
         """Conjunction (header-set intersection)."""
-        if f == TRUE:
-            return g
-        if g == TRUE:
-            return f
-        if f == FALSE or g == FALSE:
-            return FALSE
+        if f <= TRUE:
+            return g if f else FALSE
+        if g <= TRUE:
+            return f if g else FALSE
         if f == g:
             return f
-        # Commutative apply memo over the shared ite cache: catches the
-        # and_(g, f) flips the (f, g, FALSE) ite key cannot.
-        key = (f, g) if f < g else (g, f)
+        key = (f << _ID_BITS) | g if f < g else (g << _ID_BITS) | f
         memo = self._and_memo
-        cached = memo.get(key)
-        if cached is not None:
+        node = memo.get(key)
+        if node is not None:
             self.cache_hits += 1
-            return cached
-        result = self.ite(f, g, FALSE)
+            return node
+        self.cache_misses += 1
+        levels = self._level
+        lf = levels[f]
+        lg = levels[g]
+        if lf == lg:
+            lo = self.and_(self._low[f], self._low[g])
+            hi = self.and_(self._high[f], self._high[g])
+        elif lf < lg:
+            lo = self.and_(self._low[f], g)
+            hi = self.and_(self._high[f], g)
+        else:
+            lf = lg
+            lo = self.and_(f, self._low[g])
+            hi = self.and_(f, self._high[g])
+        node = self._mk(lf, lo, hi)
         if len(memo) >= self.op_cache_max:
             self._evict_half(memo)
-        memo[key] = result
-        return result
+        memo[key] = node
+        return node
 
     def or_(self, f: int, g: int) -> int:
         """Disjunction (header-set union)."""
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
-        if f == TRUE or g == TRUE:
-            return TRUE
+        if f <= TRUE:
+            return TRUE if f else g
+        if g <= TRUE:
+            return TRUE if g else f
         if f == g:
             return f
-        key = (f, g) if f < g else (g, f)
+        key = (f << _ID_BITS) | g if f < g else (g << _ID_BITS) | f
         memo = self._or_memo
-        cached = memo.get(key)
-        if cached is not None:
+        node = memo.get(key)
+        if node is not None:
             self.cache_hits += 1
-            return cached
-        result = self.ite(f, TRUE, g)
+            return node
+        self.cache_misses += 1
+        levels = self._level
+        lf = levels[f]
+        lg = levels[g]
+        if lf == lg:
+            lo = self.or_(self._low[f], self._low[g])
+            hi = self.or_(self._high[f], self._high[g])
+        elif lf < lg:
+            lo = self.or_(self._low[f], g)
+            hi = self.or_(self._high[f], g)
+        else:
+            lf = lg
+            lo = self.or_(f, self._low[g])
+            hi = self.or_(f, self._high[g])
+        node = self._mk(lf, lo, hi)
         if len(memo) >= self.op_cache_max:
             self._evict_half(memo)
-        memo[key] = result
-        return result
+        memo[key] = node
+        return node
+
+    def diff(self, f: int, g: int) -> int:
+        """Set difference ``f AND NOT g``, without building ``NOT g``."""
+        if f == FALSE or g == TRUE or f == g:
+            return FALSE
+        if g == FALSE:
+            return f
+        key = (f << _ID_BITS) | g
+        memo = self._diff_memo
+        node = memo.get(key)
+        if node is not None:
+            self.cache_hits += 1
+            return node
+        self.cache_misses += 1
+        levels = self._level
+        lf = levels[f]  # TRUE's terminal level sorts after every variable
+        lg = levels[g]
+        if lf == lg:
+            lo = self.diff(self._low[f], self._low[g])
+            hi = self.diff(self._high[f], self._high[g])
+        elif lf < lg:
+            lo = self.diff(self._low[f], g)
+            hi = self.diff(self._high[f], g)
+        else:
+            lf = lg
+            lo = self.diff(f, self._low[g])
+            hi = self.diff(f, self._high[g])
+        node = self._mk(lf, lo, hi)
+        if len(memo) >= self.op_cache_max:
+            self._evict_half(memo)
+        memo[key] = node
+        return node
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or (symmetric difference of header sets)."""
-        return self.ite(f, self.not_(g), g)
-
-    def diff(self, f: int, g: int) -> int:
-        """Set difference ``f AND NOT g``."""
-        return self.ite(f, self.not_(g), FALSE)
+        return self.or_(self.diff(f, g), self.diff(g, f))
 
     def implies(self, f: int, g: int) -> bool:
         """True iff every satisfying assignment of ``f`` also satisfies ``g``."""
@@ -855,17 +825,17 @@ class BDD:
         node ids stay valid.  The ``size()`` memo is kept: node structure is
         immutable, so it can never go stale.
         """
-        self._ite_cache.clear()
         self._not_cache.clear()
         self._and_memo.clear()
         self._or_memo.clear()
+        self._diff_memo.clear()
         self._quant_cache.clear()
         self._count_cache.clear()
 
     def new_generation(self) -> int:
         """Start a new build generation: retire the apply memos, keep nodes.
 
-        Apply memos (ite/not/and/or) survive across calls *within* one
+        Apply memos (not/and/or/diff) survive across calls *within* one
         generation, so repeated sub-expressions hit.  A generation is a
         piece of work whose operands nothing afterwards shares: the initial
         table build (``VeriDPServer.__init__``) and the initial slice proof
@@ -891,10 +861,10 @@ class BDD:
     def memo_sizes(self) -> Dict[str, int]:
         """Entries held by each operation memo :meth:`clear_caches` drops."""
         return {
-            "ite_cache": len(self._ite_cache),
             "not_cache": len(self._not_cache),
             "and_memo": len(self._and_memo),
             "or_memo": len(self._or_memo),
+            "diff_memo": len(self._diff_memo),
             "quant_cache": len(self._quant_cache),
             "count_cache": len(self._count_cache),
         }

@@ -118,6 +118,10 @@ class HeaderSpace:
         self.layout = layout or HeaderLayout()
         self.bdd = BDD(self.layout.total_bits)
         self._exact_cache: Dict[Tuple[str, int], int] = {}
+        #: Memo of :meth:`repro.netmodel.rules.Match.to_bdd`: match -> header
+        #: set.  Node ids never die, so an entry stays valid for the life of
+        #: the manager; rules of many switches share their matches.
+        self.match_bdds: Dict[object, int] = {}
 
     # -- constants -----------------------------------------------------
 

@@ -157,25 +157,18 @@ class SnapshotProvider:
 
     def __init__(self, topo: Topology, hs: HeaderSpace) -> None:
         self._preds: Dict[str, SwitchPredicates] = build_all_predicates(topo, hs)
-        self._action_cache: Dict[Tuple[str, int], List[TransferAction]] = {}
 
     def transfer_map(self, switch_id: str, in_port: int) -> Dict[int, int]:
         """Delegate to the per-switch snapshot."""
         return self._preds[switch_id].transfer_map(in_port)
 
     def transfer_actions(self, switch_id: str, in_port: int) -> List[TransferAction]:
-        """Rewrite-aware transfer slices (cached per ingress)."""
-        key = (switch_id, in_port)
-        cached = self._action_cache.get(key)
-        if cached is None:
-            cached = self._preds[switch_id].transfer_actions(in_port)
-            self._action_cache[key] = cached
-        return cached
+        """Rewrite-aware transfer slices (memoized by the snapshot)."""
+        return self._preds[switch_id].transfer_actions(in_port)
 
     def refresh(self, topo: Topology, hs: HeaderSpace) -> None:
         """Re-snapshot after flow-table changes."""
         self._preds = build_all_predicates(topo, hs)
-        self._action_cache = {}
 
 
 class PairFastIndex:

@@ -73,6 +73,7 @@ class SwitchPredicates:
         }
         self._fwd_by_inport: Dict[Optional[int], Dict[int, int]] = {}
         self._slices_by_inport: Dict[Optional[int], list] = {}
+        self._actions: Dict[Tuple[Optional[int], int], List[TransferAction]] = {}
         self._table = info.flow_table
         self._ingress_sensitive = any(
             rule.match.in_port is not None for rule in info.flow_table
@@ -114,7 +115,8 @@ class SwitchPredicates:
             effective = bdd.and_(remaining, match_bdd)
             if effective == self.hs.empty:
                 continue
-            remaining = bdd.diff(remaining, effective)
+            # R - (R & m) = R - m: subtract the match, not the slice.
+            remaining = bdd.diff(remaining, match_bdd)
             action = rule.action
             if isinstance(action, GotoTable):
                 if action.table_id <= table_id:  # defensive; ctor forbids it
@@ -182,9 +184,16 @@ class SwitchPredicates:
         packet *as sent*, so the egress ACL constraint is pulled back
         through the rewrite chain with
         :meth:`~repro.bdd.headerspace.HeaderSpace.preimage_sets`.
+
+        The actions depend on ``in_port`` only through its ingress class
+        and its inbound ACL, so ports that share both share one list.
         """
         bdd = self.hs.bdd
         p_in = self.in_pred(in_port)
+        memo_key = (in_port if self._ingress_sensitive else None, p_in)
+        cached = self._actions.get(memo_key)
+        if cached is not None:
+            return cached
         merged: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], int] = {}
         drop_pred = bdd.not_(p_in)
         for out, effective, rewrites in self._expand_slices(in_port):
@@ -205,6 +214,7 @@ class SwitchPredicates:
             for (out, rewrites), pred in sorted(merged.items())
         ]
         actions.append(TransferAction(DROP_PORT, drop_pred, ()))
+        self._actions[memo_key] = actions
         return actions
 
     # -- transfer predicates ------------------------------------------------

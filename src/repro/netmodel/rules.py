@@ -120,7 +120,12 @@ class Match:
 
     def to_bdd(self, hs: HeaderSpace) -> int:
         """Header-set BDD of this match (``in_port`` is *not* encoded here:
-        transfer-predicate computation handles ingress ports structurally)."""
+        transfer-predicate computation handles ingress ports structurally).
+
+        Memoized per header space (``hs.match_bdds``)."""
+        cached = hs.match_bdds.get(self)
+        if cached is not None:
+            return cached
         terms: List[int] = []
         if self.src_prefix is not None:
             terms.append(hs.prefix("src_ip", *self.src_prefix))
@@ -132,7 +137,9 @@ class Match:
             terms.append(hs.range_("src_port", *self.src_port_range))
         if self.dst_port_range is not None:
             terms.append(hs.range_("dst_port", *self.dst_port_range))
-        return hs.bdd.and_many(terms)
+        result = hs.bdd.and_many(terms)
+        hs.match_bdds[self] = result
+        return result
 
     def describe(self) -> str:
         """Compact human-readable form for logs and error messages."""

@@ -27,6 +27,9 @@ from ..netmodel.topology import PortRef, Topology
 
 __all__ = ["TenantSpec", "Tenant", "SliceRegistry"]
 
+#: The keys one tenant of a ``slices.json`` document may set.
+_SPEC_KEYS = frozenset({"name", "prefixes", "hosts", "queue_share"})
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -35,7 +38,6 @@ class TenantSpec:
     name: str
     prefixes: Tuple[str, ...]  # "a.b.c.d/len" destination prefixes owned
     hosts: Tuple[str, ...] = ()  # host ids whose attachment ports it owns
-    sampling_interval: Optional[float] = None  # per-tenant T_s override
     queue_share: Optional[float] = None  # fraction of the ingest queue
 
     def __post_init__(self) -> None:
@@ -47,10 +49,6 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: queue_share must be in (0, 1], "
                 f"got {self.queue_share}"
-            )
-        if self.sampling_interval is not None and self.sampling_interval <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: sampling_interval must be positive"
             )
 
 
@@ -294,20 +292,29 @@ class SliceRegistry:
             {"tenants": [{"name": "red",
                           "prefixes": ["10.0.1.0/24"],
                           "hosts": ["h1"],
-                          "sampling_interval": 0.5,
                           "queue_share": 0.5}, ...]}
+
+        A tenant key outside that shape is a ``ValueError`` naming it: a
+        setting the monitor does not act on must not load as if it did.
         """
         tenants = data.get("tenants")
         if not isinstance(tenants, list) or not tenants:
             raise ValueError("slices document needs a non-empty 'tenants' list")
         specs = []
         for raw in tenants:
+            if not isinstance(raw, dict):
+                raise ValueError(f"a tenant must be an object, got {raw!r}")
+            unknown = sorted(set(raw) - _SPEC_KEYS)
+            if unknown:
+                raise ValueError(
+                    f"tenant {raw.get('name')!r}: unsupported key(s) {unknown}; "
+                    f"a tenant takes {sorted(_SPEC_KEYS)}"
+                )
             specs.append(
                 TenantSpec(
                     name=raw["name"],
                     prefixes=tuple(raw["prefixes"]),
                     hosts=tuple(raw.get("hosts", ())),
-                    sampling_interval=raw.get("sampling_interval"),
                     queue_share=raw.get("queue_share"),
                 )
             )

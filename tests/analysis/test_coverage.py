@@ -4,10 +4,7 @@ import pytest
 
 from repro.analysis.coverage import CoverageTracker
 from repro.baselines import AtpgProber
-from repro.bdd.headerspace import HeaderSpace
-from repro.core.pathtable import PathTableBuilder
 from repro.core.server import VeriDPServer
-from repro.core.verifier import Verifier
 from repro.dataplane import DataPlaneNetwork
 from repro.topologies import build_fattree, build_linear
 

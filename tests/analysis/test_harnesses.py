@@ -1,7 +1,5 @@
 """Unit tests for the Section 6 experiment harnesses."""
 
-import random
-
 import pytest
 
 from repro.analysis import (

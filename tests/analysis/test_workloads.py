@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.workloads import (
     FlowSpec,
-    PacketEvent,
     cbr_arrivals,
     max_inter_arrival,
     merge_flows,

@@ -10,7 +10,6 @@ from repro.dataplane import DataPlaneNetwork
 from repro.netmodel.hops import Hop
 from repro.netmodel.packet import Header
 from repro.netmodel.rules import DROP_PORT, Drop, FlowRule, Forward, Match
-from repro.netmodel.topology import Topology
 from repro.topologies import build_linear
 
 

@@ -32,9 +32,9 @@ class TestConstruction:
         assert bdd.nvar(2) == bdd.not_(bdd.var(2))
 
     def test_reduction_no_redundant_node(self, bdd):
-        # ite(x, y, y) must collapse to y.
+        # (x AND y) OR (y AND NOT x) must collapse to y, with no x node.
         x, y = bdd.var(0), bdd.var(1)
-        assert bdd.ite(x, y, y) == y
+        assert bdd.or_(bdd.and_(x, y), bdd.diff(y, x)) == y
 
 
 class TestConnectives:
@@ -218,4 +218,6 @@ class TestMaintenance:
 
     def test_stats_keys(self, bdd):
         stats = bdd.stats()
-        assert {"nodes", "ite_cache", "not_cache", "quant_cache"} <= set(stats)
+        assert {
+            "nodes", "not_cache", "and_memo", "or_memo", "diff_memo", "quant_cache"
+        } <= set(stats)

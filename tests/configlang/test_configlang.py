@@ -15,8 +15,7 @@ from repro.core.pathtable import PathTableBuilder
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork
 from repro.netmodel.packet import Header, PROTO_TCP
-from repro.netmodel.rules import Acl, AclEntry, Drop, Forward, Match
-from repro.netmodel.topology import Topology
+from repro.netmodel.rules import Acl, AclEntry, Forward, Match
 from repro.topologies import build_internet2, build_linear
 
 SAMPLE = """

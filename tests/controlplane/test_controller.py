@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.controlplane.controller import Controller, RoutingError, ecmp_next_hops
-from repro.controlplane.messages import Channel, FlowModOp
+from repro.controlplane.controller import RoutingError, ecmp_next_hops
+from repro.controlplane.messages import FlowModOp
 from repro.dataplane import DataPlaneNetwork
-from repro.netmodel.rules import Drop, FlowRule, Forward, Match
-from repro.netmodel.topology import PortRef
+from repro.netmodel.rules import FlowRule, Forward, Match
 from repro.topologies import build_fattree, build_figure5, build_grid, build_linear
 
 

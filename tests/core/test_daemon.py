@@ -273,7 +273,6 @@ class TestUdpListener:
 # resilience layer
 # ---------------------------------------------------------------------------
 
-from repro.core.reports import ReportDecodeError, unpack_report
 from repro.core.resilience import OverflowPolicy, RestartBackoff
 from repro.dataplane import KillSwitch, StaleReplica, WorkerKill
 from repro.netmodel.rules import FlowRule, Forward, Match

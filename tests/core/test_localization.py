@@ -7,7 +7,7 @@ import pytest
 from repro.core.localization import PathInferLocalizer, StrawmanLocalizer
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, ModifyRuleOutput, random_misforward_fault
-from repro.netmodel.rules import DROP_PORT, Forward
+from repro.netmodel.rules import DROP_PORT
 from repro.netmodel.topology import PortRef
 from repro.topologies import build_fattree, build_linear
 

@@ -5,7 +5,6 @@ import pytest
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.pathtable import PathEntry, PathTable, PathTableBuilder
 from repro.netmodel.hops import Hop
-from repro.netmodel.packet import Header
 from repro.netmodel.rules import DROP_PORT
 from repro.netmodel.topology import PortRef
 from repro.topologies import build_figure5, build_linear, build_ring

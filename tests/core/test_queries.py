@@ -6,7 +6,6 @@ from repro.bdd.headerspace import HeaderSpace
 from repro.core.pathtable import PathTableBuilder
 from repro.core.queries import PolicyChecker
 from repro.netmodel.rules import Match
-from repro.netmodel.topology import PortRef
 from repro.topologies import build_fattree, build_figure5, build_linear, build_stanford
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.bdd.headerspace import HeaderSpace, parse_ipv4
 from repro.core.pathtable import PathTableBuilder
 from repro.core.server import VeriDPServer
-from repro.dataplane import DataPlaneNetwork, DropRuleInstall
+from repro.dataplane import DataPlaneNetwork
 from repro.netmodel.packet import Header
 from repro.netmodel.predicates import SwitchPredicates
 from repro.netmodel.rules import DROP_PORT, FlowRule, Forward, Match, Rewrite

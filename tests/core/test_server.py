@@ -215,14 +215,14 @@ class TestBuildMemosRetired:
 
         hs = HeaderSpace()
         table = PathTableBuilder(scenario.topo, hs).build()
-        return table_fingerprint(table, hs.bdd), hs.bdd.stats()["ite_cache"]
+        return table_fingerprint(table, hs.bdd), hs.bdd.stats()["and_memo"]
 
     @staticmethod
     def check(server, fingerprint, generation=1):
         from repro.persist.snapshot import table_fingerprint
 
         memos = server.hs.bdd.stats()
-        assert memos["ite_cache"] == memos["and_memo"] == memos["or_memo"] == 0
+        assert memos["and_memo"] == memos["or_memo"] == memos["diff_memo"] == 0
         assert memos["generation"] == generation
         assert server.stats()["bdd_generation"] == generation
         assert set(server.stats()["bdd_memos"].values()) == {0}
@@ -282,7 +282,7 @@ class TestBuildMemosRetired:
                     hosts=tuple(pair),
                 )
             )
-        assert server.hs.bdd.stats()["ite_cache"] > 0  # compiling footprints
+        assert server.hs.bdd.stats()["and_memo"] > 0  # compiling footprints
         server.set_slices(registry)
         assert server.isolation.full_checks == 1
         self.check(server, fingerprint, generation=2)

@@ -1,10 +1,7 @@
 """Tests for the per-port traffic counters."""
 
-import pytest
-
 from repro.dataplane import DataPlaneNetwork
 from repro.dataplane.switch import DataPlaneSwitch, PortCounters
-from repro.netmodel.packet import Header
 from repro.netmodel.rules import DROP_PORT
 from repro.topologies import build_linear
 

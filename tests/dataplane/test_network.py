@@ -8,7 +8,6 @@ from repro.dataplane import (
     DataPlaneNetwork,
     DeliveryStatus,
     KillSwitch,
-    ModifyRuleOutput,
 )
 from repro.netmodel.rules import DROP_PORT, FlowRule, Forward, Match
 from repro.netmodel.topology import PortRef

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.bloom import BloomTagScheme
 from repro.core.reports import PortCodec
 from repro.core.sampling import NeverSampler
 from repro.dataplane.pipeline import VeriDPPipeline
 from repro.netmodel.hops import Hop
 from repro.netmodel.packet import Header, Packet
 from repro.netmodel.rules import DROP_PORT
-from repro.netmodel.topology import PortRef, Topology
+from repro.netmodel.topology import PortRef
 from repro.topologies import build_linear
 
 

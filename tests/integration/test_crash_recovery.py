@@ -26,8 +26,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from repro.bdd.headerspace import HeaderSpace
 from repro.core.incremental import IncrementalPathTable, LpmProvider
 from repro.core.server import VeriDPServer

@@ -17,7 +17,6 @@ from repro.dataplane import DataPlaneNetwork
 from repro.netmodel.packet import Header
 from repro.netmodel.predicates import SwitchPredicates
 from repro.netmodel.rules import (
-    DROP_PORT,
     Drop,
     FlowRule,
     Forward,

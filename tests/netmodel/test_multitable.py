@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bdd.headerspace import HeaderSpace, parse_ipv4
-from repro.core.pathtable import PathTableBuilder
 from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork, DeleteRule
 from repro.dataplane.switch import DataPlaneSwitch
@@ -16,7 +15,6 @@ from repro.netmodel.rules import (
     Forward,
     GotoTable,
     Match,
-    Rewrite,
 )
 from repro.netmodel.topology import Topology
 from repro.topologies import build_linear

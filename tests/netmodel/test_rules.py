@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bdd.headerspace import HeaderSpace, parse_ipv4
+from repro.bdd.headerspace import HeaderSpace
 from repro.netmodel.packet import Header, PROTO_TCP, PROTO_UDP
 from repro.netmodel.rules import (
     Acl,

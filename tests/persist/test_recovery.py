@@ -12,9 +12,8 @@ from repro.core.server import VeriDPServer
 from repro.dataplane import DataPlaneNetwork
 from repro.persist import PersistentState, RecoveryError, lpm_rules_from_topology
 from repro.persist.snapshot import bdd_fingerprint
-from repro.persist.wal import RT_CONTROL, RT_REPORT, ControlEvent
+from repro.persist.wal import RT_CONTROL, ControlEvent
 from repro.topologies import build_linear
-from repro.topologies.base import lpm_ruleset_for
 
 
 def fingerprint_signature(table, hs):

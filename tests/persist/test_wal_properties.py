@@ -12,11 +12,10 @@ match what the chaos campaign injects on the transport.
 import os
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.report_faults import BitFlipReports, ReportStreamFaultInjector
-from repro.persist.wal import RT_REPORT, WriteAheadLog
+from repro.persist.wal import WriteAheadLog
 
 
 def _write_log(directory, payloads, **kwargs):

@@ -1,15 +1,18 @@
-"""Property tests for the iterative BDD fast path (ISSUE 5).
+"""Property tests for the BDD engine's connectives.
 
-The engine's ``ite``/``and_``/``or_``/``not_`` run as iterative worklists
-with bounded operation caches; these tests pin them to a reference
-recursive implementation across randomized operand trees, check that
-cache eviction never changes results, and that the ``export_nodes`` /
-``from_nodes`` round trip preserves semantic fingerprints.
+``and_``, ``or_``, ``diff`` and ``not_`` are each a memoized recursion
+(the binary ones on packed keys) and ``xor`` is built from them.  These
+tests pin every connective to a textbook recursive ``ite`` across
+randomized operand trees, at the default operation cache and at a
+two-entry one; check that cache eviction never changes results and that
+the ``export_nodes`` / ``from_nodes`` round trip preserves semantic
+fingerprints; and run the apply recursion at the ``num_vars`` ceiling.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd.engine import BDD, FALSE, TRUE
+from repro.bdd.engine import BDD, FALSE, MAX_VARS, TRUE
 from repro.persist.snapshot import bdd_fingerprint
 
 NUM_VARS = 6
@@ -21,6 +24,8 @@ exprs = st.recursive(
         st.tuples(st.just("not"), children),
         st.tuples(st.just("and"), children, children),
         st.tuples(st.just("or"), children, children),
+        st.tuples(st.just("diff"), children, children),
+        st.tuples(st.just("xor"), children, children),
         st.tuples(st.just("ite"), children, children, children),
     ),
     max_leaves=16,
@@ -31,8 +36,8 @@ def reference_ite(bdd: BDD, f: int, g: int, h: int) -> int:
     """Textbook recursive ite over the same node table, memo-free.
 
     Builds nodes through ``_mk`` only, so canonical hash-consing — not the
-    iterative worklist, not the op caches — is the single shared mechanism
-    with the production path.
+    per-connective recursions, not the op caches — is the single shared
+    mechanism with the production path.
     """
     if f == TRUE:
         return g
@@ -55,42 +60,47 @@ def reference_ite(bdd: BDD, f: int, g: int, h: int) -> int:
 
 
 def build_with(bdd: BDD, expr, use_reference: bool) -> int:
+    """Build ``expr`` with the engine's connectives, or with ``reference_ite``
+    alone; ``ite`` is the one kind the engine composes from the others."""
     kind = expr[0]
     if kind == "var":
         return bdd.var(expr[1])
     if kind == "const":
         return TRUE if expr[1] else FALSE
-    if kind == "not":
-        u = build_with(bdd, expr[1], use_reference)
-        if use_reference:
-            return reference_ite(bdd, u, FALSE, TRUE)
-        return bdd.not_(u)
-    if kind == "ite":
-        f = build_with(bdd, expr[1], use_reference)
-        g = build_with(bdd, expr[2], use_reference)
-        h = build_with(bdd, expr[3], use_reference)
-        if use_reference:
-            return reference_ite(bdd, f, g, h)
-        return bdd.ite(f, g, h)
-    f = build_with(bdd, expr[1], use_reference)
-    g = build_with(bdd, expr[2], use_reference)
+    args = [build_with(bdd, sub, use_reference) for sub in expr[1:]]
     if use_reference:
+        if kind == "not":
+            return reference_ite(bdd, args[0], FALSE, TRUE)
+        if kind == "ite":
+            return reference_ite(bdd, *args)
+        f, g = args
         if kind == "and":
             return reference_ite(bdd, f, g, FALSE)
-        return reference_ite(bdd, f, TRUE, g)
-    return bdd.and_(f, g) if kind == "and" else bdd.or_(f, g)
+        if kind == "or":
+            return reference_ite(bdd, f, TRUE, g)
+        if kind == "diff":
+            return reference_ite(bdd, g, FALSE, f)
+        return reference_ite(bdd, f, reference_ite(bdd, g, FALSE, TRUE), g)
+    if kind == "not":
+        return bdd.not_(args[0])
+    if kind == "ite":
+        f, g, h = args
+        return bdd.or_(bdd.and_(f, g), bdd.diff(h, f))
+    op = {"and": bdd.and_, "or": bdd.or_, "diff": bdd.diff, "xor": bdd.xor}[kind]
+    return op(*args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(exprs)
-def test_iterative_matches_reference_recursive(expr):
-    """Iterative worklist ite/apply ≡ reference recursive, same node ids.
+def test_connectives_match_reference_ite(expr):
+    """Every connective ≡ the reference recursive ite, same node ids.
 
     Sharing one manager means canonicity forces *id* equality, not just
-    semantic equivalence — the strongest possible check.
+    semantic equivalence — the strongest possible check.  A two-entry
+    cache evicts on nearly every insert, so the memos cannot carry it.
     """
-    bdd = BDD(NUM_VARS)
-    assert build_with(bdd, expr, False) == build_with(bdd, expr, True)
+    for bdd in (BDD(NUM_VARS), BDD(NUM_VARS, op_cache_max=2)):
+        assert build_with(bdd, expr, False) == build_with(bdd, expr, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,12 +144,12 @@ def test_cache_counters_move_and_eviction_bounds_cache():
     vars_ = [bdd.var(i) for i in range(NUM_VARS)]
     for i in range(NUM_VARS):
         for j in range(NUM_VARS):
-            bdd.ite(vars_[i], vars_[j], FALSE)
+            bdd.diff(bdd.or_(vars_[i], vars_[j]), vars_[(i + j) % NUM_VARS])
     counters = bdd.cache_counters()
     assert counters["misses"] > 0
     assert counters["evictions"] > 0
-    assert len(bdd._ite_cache) <= 8
-    # A repeated op right after is a hit (memo or ite cache).
+    assert len(bdd._or_memo) <= 8 and len(bdd._diff_memo) <= 8
+    # A repeated op right after is a memo hit.
     before = bdd.cache_counters()["hits"]
     bdd.and_(vars_[0], vars_[1])
     bdd.and_(vars_[0], vars_[1])
@@ -152,5 +162,30 @@ def test_new_generation_clears_op_caches_keeps_results_valid():
     before = bdd.and_(a, b)
     gen = bdd.generation
     assert bdd.new_generation() == gen + 1
-    assert not bdd._ite_cache and not bdd._and_memo
+    assert not bdd._and_memo and not bdd._or_memo and not bdd._diff_memo
     assert bdd.and_(a, b) == before
+
+
+def test_apply_recursion_reaches_the_num_vars_ceiling():
+    """Each connective recurses one frame per level: chains over all
+    ``MAX_VARS`` variables that part only at the last level meet there
+    without a RecursionError."""
+    bdd = BDD(MAX_VARS)
+    last = MAX_VARS - 1
+    stem = bdd.cube([(level, True) for level in range(last)])
+    up = bdd.cube([(level, True) for level in range(MAX_VARS)])
+    down = bdd.cube([(level, level != last) for level in range(MAX_VARS)])
+    assert bdd.and_(stem, bdd.var(last)) == up
+    assert bdd.and_(up, down) == FALSE
+    assert bdd.or_(up, down) == stem
+    assert bdd.diff(up, down) == up
+    assert bdd.diff(stem, down) == up
+    assert bdd.xor(up, down) == stem
+    assert bdd.and_(bdd.not_(up), up) == FALSE
+    assert bdd.count(stem) == 2
+
+
+def test_num_vars_ceiling_raises():
+    assert BDD(MAX_VARS).num_vars == MAX_VARS
+    with pytest.raises(ValueError):
+        BDD(MAX_VARS + 1)

@@ -15,7 +15,6 @@ over randomly generated networks and faults:
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bloom import BloomTagScheme

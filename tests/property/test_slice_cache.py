@@ -105,8 +105,14 @@ def test_long_lived_instance_equals_fresh_instance(info, calls):
 
 
 def test_stanford_build_creates_no_extra_bdd_nodes():
-    """15019 nodes / 1264 entries is what the uncached build (30afa45) made."""
+    """The exact work of the Stanford x2 server build, pinned.
+
+    The uncached build (30afa45) made 15019 nodes for 1264 entries; the
+    per-connective apply, which never builds ``NOT g`` for a difference,
+    makes 13901, with 27905 operation-memo misses.
+    """
     scenario = build_stanford(subnets_per_zone=2)
     server = VeriDPServer(scenario.topo, scenario.channel)
     assert server.table.num_paths() == 1264
-    assert server.hs.bdd.num_nodes() == 15019
+    assert server.hs.bdd.num_nodes() == 13901
+    assert server.hs.bdd.cache_counters()["misses"] == 27905

@@ -1,6 +1,5 @@
 """Property-based tests for VeriDP invariants (hypothesis)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.headerspace import HeaderSpace

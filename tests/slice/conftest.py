@@ -36,7 +36,6 @@ def two_tenant_registry(server, scenario, hosts):
             name="red",
             prefixes=(scenario.subnets[hosts[0]], scenario.subnets[hosts[1]]),
             hosts=(hosts[0], hosts[1]),
-            sampling_interval=0.5,
             queue_share=0.25,
         )
     )

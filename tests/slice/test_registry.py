@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bdd.headerspace import parse_prefix
-from repro.netmodel.topology import PortRef
 from repro.slice.registry import SliceRegistry, TenantSpec
 
 
@@ -18,8 +17,6 @@ def test_spec_validation():
         TenantSpec(name="t", prefixes=("10.0.0.0/24",), queue_share=0.0)
     with pytest.raises(ValueError):
         TenantSpec(name="t", prefixes=("10.0.0.0/24",), queue_share=1.5)
-    with pytest.raises(ValueError):
-        TenantSpec(name="t", prefixes=("10.0.0.0/24",), sampling_interval=-1)
 
 
 def test_register_rejects_overlap_and_duplicates(server):
@@ -114,7 +111,6 @@ def test_load_roundtrip(tmp_path, server, scenario, hosts):
                 "name": "blue",
                 "prefixes": [scenario.subnets[hosts[2]]],
                 "hosts": [hosts[2]],
-                "sampling_interval": 2.0,
             },
         ]
     }
@@ -123,7 +119,7 @@ def test_load_roundtrip(tmp_path, server, scenario, hosts):
     registry = SliceRegistry.load(str(path), server.hs, scenario.topo)
     assert sorted(registry.tenants) == ["blue", "red"]
     assert registry.queue_shares() == {"red": 0.5}
-    assert registry.tenants["blue"].spec.sampling_interval == 2.0
+    assert registry.tenants["blue"].spec.queue_share is None
     assert registry.tenants["red"].edge_ports == (
         scenario.topo.host_port(hosts[0]),
     )
@@ -134,3 +130,9 @@ def test_parse_specs_rejects_bad_document():
         SliceRegistry.parse_specs({})
     with pytest.raises(ValueError):
         SliceRegistry.parse_specs({"tenants": []})
+    # A key the monitor would not act on is refused by name, not ignored.
+    tenant = {"name": "t", "prefixes": ["10.0.0.0/24"], "sampling_interval": 0.5}
+    with pytest.raises(ValueError, match="sampling_interval"):
+        SliceRegistry.parse_specs({"tenants": [tenant]})
+    with pytest.raises(ValueError, match="object"):
+        SliceRegistry.parse_specs({"tenants": ["red"]})

@@ -1,17 +1,19 @@
-"""No ``src/`` module imports a name it never uses.
+"""No ``src/`` or ``tests/`` module imports a name it never uses.
 
-An AST scan of every module under ``src/repro``: each name a module-level
-import binds (``TYPE_CHECKING`` blocks included, ``from __future__``
-excluded) must be read somewhere in the module — in code or in a quoted
-annotation — or be listed in its ``__all__`` (a re-export).  A name that
-appears only in a docstring or a comment is unused.
+An AST scan of every module under ``src/repro`` and ``tests``: each name a
+module-level import binds (``TYPE_CHECKING`` blocks included, ``from
+__future__`` excluded) must be read somewhere in the module — in code or
+in a quoted annotation — or be listed in its ``__all__`` (a re-export).  A
+name that appears only in a docstring or a comment is unused; so is a
+fixture imported only for pytest to inject by parameter name.
 """
 
 import ast
 import os
 import re
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "repro")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, "..", "src", "repro")
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -76,12 +78,21 @@ def unused_imports(path):
     ]
 
 
-def test_no_src_module_imports_an_unused_name():
+def unused_imports_under(top):
+    """``"path:line name"`` for every unused import of a module under ``top``."""
     found = []
-    for root, _dirs, files in os.walk(SRC):
+    for root, _dirs, files in os.walk(top):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(root, name)
-                rel = os.path.relpath(path, SRC)
+                rel = os.path.relpath(path, top)
                 found += [f"{rel}:{line} {bound}" for bound, line in unused_imports(path)]
-    assert found == []
+    return found
+
+
+def test_no_src_module_imports_an_unused_name():
+    assert unused_imports_under(SRC) == []
+
+
+def test_no_test_module_imports_an_unused_name():
+    assert unused_imports_under(TESTS) == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dataplane import DataPlaneNetwork
-from repro.netmodel.topology import PortRef
 from repro.topologies import (
     build_figure5,
     build_grid,

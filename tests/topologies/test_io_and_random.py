@@ -1,7 +1,6 @@
 """Tests for topology serialisation and the random generators."""
 
 import json
-import os
 
 import pytest
 
