@@ -18,19 +18,28 @@ longest-prefix match each rule ``R`` actually matches::
 
 Deletion is the mirror image.
 
-**Path entry update.**  The header slice ``Δ`` used to flow out of ``y``
-and now flows out of ``x``:
+**Path entry update.**  Every change — a staged batch, one rule, one
+inbound-ACL deny — is one flush (:meth:`IncrementalPathTable.flush_updates`).
+At a switch's first touch the updater keeps its transfer maps: the base
+predicates, which every ingress with no deny forwards by, and the map of
+each ingress with a deny.  The flush diffs each against the current map,
+per egress port ``y``: ``lost_y = T_y ∧ ¬T'_y`` and ``gained_y = T'_y ∧
+¬T_y``.  Then:
 
 1. every path entry (and downstream reach record) whose path traverses the
-   hop ``<*, S, y>`` loses ``Δ`` from its header set (entries that become
-   empty are deleted);
-2. every header set that *reaches* ``S`` (the builder's reach records)
-   contributes ``h ∧ Δ``, which is re-traversed out of port ``x`` —
-   merging into existing path entries with the same hop sequence, creating
-   new entries (and new reach records) otherwise.
+   hop ``<p, S, y>`` loses ``lost_y`` of ingress ``p``'s map (entries that
+   become empty are deleted);
+2. every header set that *reaches* ``S`` at ``p`` (the builder's reach
+   records) re-enters the builder's Algorithm 2 step with ``h ∧
+   gained_y`` for each ``y`` — merging into existing path entries with
+   the same hop sequence, creating new entries (and new reach records)
+   otherwise.
 
+An inbound deny is the paper's "the incremental update can also be
+performed with ACL rules": it changes only its own ingress's map, so it
+moves the denied slice to ``⊥`` for paths entering there and no others.
 The result is bit-identical to a full rebuild (property-tested in
-``tests/core/test_incremental.py``).
+``tests/core/test_incremental.py`` and ``test_incremental_acl.py``).
 """
 
 from __future__ import annotations
@@ -38,10 +47,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.headerspace import HeaderSpace, format_ipv4, parse_prefix
 from ..netmodel.hops import Hop
+from ..netmodel.predicates import TransferAction
 from ..netmodel.rules import DROP_PORT
 from ..netmodel.topology import PortRef, Topology
 from .bloom import BloomTagScheme
@@ -64,9 +74,9 @@ _CHANGE_EPOCHS = itertools.count(1)
 
 @dataclass
 class UpdateFlushStats:
-    """What one coalesced flush did (feeds the veridp_update_* metrics)."""
+    """What one flush did (feeds the veridp_update_* metrics)."""
 
-    events: int  # staged rule events covered by this flush
+    events: int  # staged rule and ACL events covered by this flush
     dirty_switches: int  # switches whose predicates net-changed
     dirty_ports: int  # (switch, port) predicates with a net delta
     elapsed_s: float
@@ -94,18 +104,12 @@ class _Node:
 
 @dataclass
 class RuleDelta:
-    """The effect of one mutation: ``Δ`` moved between two ports.
-
-    ``in_port`` restricts the move to paths entering the switch on that
-    ingress (used by inbound-ACL updates, which are per-port); ``None``
-    means the move applies regardless of ingress (prefix-rule updates).
-    """
+    """The effect of one prefix-rule mutation: ``Δ`` moved between two ports."""
 
     switch_id: str
     delta: int  # BDD of the moved header set
     from_port: int
     to_port: int
-    in_port: Optional[int] = None
 
 
 class PrefixRuleTree:
@@ -273,6 +277,14 @@ class LpmProvider:
         entries = self._in_deny[switch_id].get(in_port, [])
         return self.hs.bdd.or_many(entries)
 
+    def denied_ingresses(self, switch_id: str) -> List[int]:
+        """The ingress ports of ``switch_id`` with a deny entry installed."""
+        return sorted(
+            in_port
+            for in_port, entries in self._in_deny[switch_id].items()
+            if entries
+        )
+
     def transfer_map(self, switch_id: str, in_port: int) -> Dict[int, int]:
         """Per-port predicates for one ingress: LPM minus the ingress denies."""
         base = self._preds[switch_id]
@@ -324,11 +336,7 @@ class LpmProvider:
     @property
     def has_inbound_denies(self) -> bool:
         """True when any ingress ACL deny is installed (not persisted)."""
-        return any(
-            entries
-            for per_port in self._in_deny.values()
-            for entries in per_port.values()
-        )
+        return any(map(self.denied_ingresses, self._in_deny))
 
     def add_rule(self, switch_id: str, prefix: str, out_port: int) -> RuleDelta:
         """Insert ``prefix -> out_port`` and patch the port predicates."""
@@ -352,11 +360,13 @@ class LpmProvider:
 
 
 class IncrementalPathTable:
-    """A path table kept synchronised with prefix-rule updates.
+    """A path table kept synchronised with prefix-rule and ACL updates.
 
-    Wraps a builder (with reach recording) and an :class:`LpmProvider`;
-    :meth:`add_rule`/:meth:`delete_rule` apply Section 4.4's two-phase
-    update and report the elapsed wall time (the Figure 14 metric).
+    Wraps a builder (with reach recording) and an :class:`LpmProvider`.
+    Every change is staged against the provider and folded into the table
+    by :meth:`flush_updates`; :meth:`add_rule`, :meth:`delete_rule` and the
+    inbound-deny calls are one-event flushes that report their wall time
+    (the Figure 14 metric).
     """
 
     def __init__(
@@ -367,26 +377,8 @@ class IncrementalPathTable:
         provider: Optional[LpmProvider] = None,
         max_path_length: Optional[int] = None,
     ) -> None:
-        self.topo = topo
-        self.hs = hs
-        self.scheme = scheme or BloomTagScheme()
-        self.provider = provider or LpmProvider(topo, hs)
-        self.builder = PathTableBuilder(
-            topo,
-            hs,
-            scheme=self.scheme,
-            provider=self.provider,
-            max_path_length=max_path_length,
-            record_reach=True,
-        )
+        self._adopt(topo, hs, scheme, provider, max_path_length)
         self.table: PathTable = self.builder.build()
-        self.last_update_s: float = 0.0
-        self._pending_events: int = 0
-        self._staged_preds: Dict[str, Dict[int, int]] = {}
-        self.last_flush: Optional[UpdateFlushStats] = None
-        self._change_feed: List[int] = []
-        self._change_log: List[int] = []
-        self._change_epoch: int = next(_CHANGE_EPOCHS)
 
     @classmethod
     def restore(
@@ -408,57 +400,82 @@ class IncrementalPathTable:
         ``provider``'s current predicates and ``hs``'s node table.
         """
         inst = cls.__new__(cls)
-        inst.topo = topo
-        inst.hs = hs
-        inst.scheme = scheme or BloomTagScheme()
-        inst.provider = provider or LpmProvider(topo, hs)
-        inst.builder = PathTableBuilder(
+        inst._adopt(topo, hs, scheme, provider, max_path_length)
+        inst.builder.reach_index = reach_index
+        inst.table = table
+        return inst
+
+    def _adopt(
+        self,
+        topo: Topology,
+        hs: HeaderSpace,
+        scheme: Optional[BloomTagScheme],
+        provider: Optional[LpmProvider],
+        max_path_length: Optional[int],
+    ) -> None:
+        """The builder and the empty update state, for both constructors."""
+        self.topo = topo
+        self.hs = hs
+        self.scheme = scheme or BloomTagScheme()
+        self.provider = provider or LpmProvider(topo, hs)
+        self.builder = PathTableBuilder(
             topo,
             hs,
-            scheme=inst.scheme,
-            provider=inst.provider,
+            scheme=self.scheme,
+            provider=self.provider,
             max_path_length=max_path_length,
             record_reach=True,
         )
-        inst.builder.reach_index = reach_index
-        inst.table = table
-        inst.last_update_s = 0.0
-        inst._pending_events = 0
-        inst._staged_preds = {}
-        inst.last_flush = None
-        inst._change_feed = []
-        inst._change_log = []
-        inst._change_epoch = next(_CHANGE_EPOCHS)
-        return inst
+        self.last_update_s: float = 0.0
+        self._pending_events: int = 0
+        # switch -> ingress key -> port predicates at the switch's first
+        # staged touch (the None key: the base, for ingresses with no deny).
+        self._staged: Dict[str, Dict[Optional[int], Dict[int, int]]] = {}
+        self.last_flush: Optional[UpdateFlushStats] = None
+        self._change_feed: List[int] = []
+        self._change_log: List[int] = []
+        self._change_epoch: int = next(_CHANGE_EPOCHS)
 
     # -- public update API ----------------------------------------------------
 
     def add_rule(self, switch_id: str, prefix: str, out_port: int) -> float:
-        """Install a prefix rule and update the path table incrementally.
+        """Install a prefix rule as a one-event flush.
 
         Returns the update's wall-clock seconds.
         """
-        if self._pending_events:
-            self.flush_updates()
-        started = time.perf_counter()
-        delta = self.provider.add_rule(switch_id, prefix, out_port)
-        self._apply_move(delta)
-        self._record_change(delta)
-        self.last_update_s = time.perf_counter() - started
-        return self.last_update_s
+        return self._apply(switch_id, self.provider.add_rule, prefix, out_port)
 
     def delete_rule(self, switch_id: str, prefix: str) -> float:
-        """Remove a prefix rule and update the path table incrementally."""
-        if self._pending_events:
-            self.flush_updates()
+        """Remove a prefix rule as a one-event flush."""
+        return self._apply(switch_id, self.provider.delete_rule, prefix)
+
+    def add_inbound_deny(self, switch_id: str, in_port: int, pred: int) -> float:
+        """Install an inbound-ACL deny entry as a one-event flush.
+
+        ``pred`` is the denied header set as a BDD (use
+        ``Match.to_bdd(hs)`` to build one from a match).  For paths
+        entering the switch at ``in_port``, the newly denied slice moves
+        from its forwarding ports to ``⊥``.
+        """
+        return self._apply(
+            switch_id, self.provider.add_inbound_deny, in_port, pred
+        )
+
+    def remove_inbound_deny(self, switch_id: str, in_port: int, pred: int) -> float:
+        """Remove an inbound-ACL deny entry as a one-event flush."""
+        return self._apply(
+            switch_id, self.provider.remove_inbound_deny, in_port, pred
+        )
+
+    def _apply(self, switch_id: str, change: Callable[..., object], *args) -> float:
+        """Stage one provider change and flush it with anything staged before."""
         started = time.perf_counter()
-        delta = self.provider.delete_rule(switch_id, prefix)
-        self._apply_move(delta)
-        self._record_change(delta)
+        self._stage(switch_id, change, *args)
+        self.flush_updates()
         self.last_update_s = time.perf_counter() - started
         return self.last_update_s
 
-    # -- coalesced (batched) updates ------------------------------------------
+    # -- staged updates ---------------------------------------------------------
 
     @property
     def pending_updates(self) -> int:
@@ -476,22 +493,34 @@ class IncrementalPathTable:
         coalescing window's staleness tradeoff; the WAL is written at stage
         time, so durability is unaffected).
         """
-        self._snapshot_preds(switch_id)
-        self.provider.add_rule(switch_id, prefix, out_port)
-        self._pending_events += 1
+        self._stage(switch_id, self.provider.add_rule, prefix, out_port)
 
     def stage_delete_rule(self, switch_id: str, prefix: str) -> None:
         """Remove a prefix rule, deferring table recompute to the flush."""
+        self._stage(switch_id, self.provider.delete_rule, prefix)
+
+    def _stage(self, switch_id: str, change: Callable[..., object], *args) -> None:
+        """Snapshot ``switch_id`` at first touch, then change the provider."""
         self._snapshot_preds(switch_id)
-        self.provider.delete_rule(switch_id, prefix)
+        change(switch_id, *args)
         self._pending_events += 1
 
     def _snapshot_preds(self, switch_id: str) -> None:
-        """Capture a switch's pre-batch predicates at first touch."""
-        if switch_id not in self._staged_preds:
-            self._staged_preds[switch_id] = dict(
-                self.provider.base_port_predicates(switch_id)
-            )
+        """Capture a switch's pre-batch transfer maps at first touch.
+
+        The ``None`` key keeps the base (pure LPM) predicates, which every
+        ingress without a deny forwards by; each ingress with a deny keeps
+        its own transfer map.
+        """
+        if switch_id in self._staged:
+            return
+        provider = self.provider
+        snapshot: Dict[Optional[int], Dict[int, int]] = {
+            None: dict(provider.base_port_predicates(switch_id))
+        }
+        for in_port in provider.denied_ingresses(switch_id):
+            snapshot[in_port] = dict(provider.transfer_map(switch_id, in_port))
+        self._staged[switch_id] = snapshot
 
     # -- change feed -----------------------------------------------------------
 
@@ -505,11 +534,6 @@ class IncrementalPathTable:
     #: :meth:`changes_since` and must treat all header space as changed,
     #: exactly like a dirty-pair journal overflow.
     CHANGE_LOG_CAP = 256
-
-    def _record_change(self, delta) -> None:
-        if delta.delta == self.hs.empty or delta.from_port == delta.to_port:
-            return
-        self._push_change(delta.delta)
 
     def _push_change(self, predicate: int) -> None:
         self._change_feed.append(predicate)
@@ -550,71 +574,83 @@ class IncrementalPathTable:
         return current, list(self._change_log[token[1] :])
 
     def drain_change_feed(self) -> List[int]:
-        """The header-set predicates every update since the last drain moved.
+        """The header-set predicates every flush since the last drain moved.
 
-        Each element is the union, over one update (or one coalesced
-        flush), of the slices that changed egress somewhere — ``lost ∪
-        gained`` across the touched switches.  The dirty-pair journal says
-        *which pairs* to re-examine; this feed says *which headers* within
-        them, letting the prober aim a witness inside the changed slice
-        even when hop-equivalence merged it into a wider entry.  Single
-        consumer: draining empties the feed.
+        Each element is the union, over one flush (a direct update is a
+        one-event flush), of the slices that changed egress somewhere —
+        ``lost ∪ gained`` across the touched switches and ingresses.  The
+        dirty-pair journal says *which pairs* to re-examine; this feed says
+        *which headers* within them, letting the prober aim a witness
+        inside the changed slice even when hop-equivalence merged it into
+        a wider entry.  Single consumer: draining empties the feed.
         """
         feed, self._change_feed = self._change_feed, []
         return feed
 
-    def flush_updates(self) -> UpdateFlushStats:
-        """Fold every staged event into the path table in one pass.
+    # -- Section 4.4's two phases ---------------------------------------------
 
-        Computes the batch's net per-(switch, port) predicate change —
-        ``lost = P_old ∧ ¬P_new`` and ``gained = P_new ∧ ¬P_old`` against
-        the predicates captured when each switch was first staged — then
-        runs *one* subtract scan over the table (each entry loses the union
-        of the lost slices along its hops) and one extend pass per dirty
-        switch.  Events that cancel out within the batch (add then delete)
-        produce empty deltas and cost nothing.  The result is BDD-identical
-        to applying the events one at a time (property-tested).
+    def flush_updates(self) -> UpdateFlushStats:
+        """Fold every staged change into the path table in one pass.
+
+        Per staged switch and per ingress key, compares the transfer map
+        captured at first touch with the current one: ``lost = T_old ∧
+        ¬T_new`` and ``gained = T_new ∧ ¬T_old`` per egress port.  The
+        ``None`` key covers every ingress with no deny (old base against
+        new base); a port key covers each ingress with a deny now or at the
+        snapshot (its old map against ``transfer_map(switch, in_port)``).
+        Then *one* subtract scan runs over the table (each entry and reach
+        record loses the union of the lost slices along its hops, each hop
+        read under its own ingress key or ``None``) and one extend per
+        dirty switch (the gained slices of each reach record that
+        predates the flush re-enter the builder's Algorithm 2 step).
+        Events that cancel out within the batch (add then delete) produce
+        empty deltas and cost nothing.
+        The result is BDD-identical to a full rebuild (property-tested).
         """
         started = time.perf_counter()
         events = self._pending_events
-        staged = self._staged_preds
+        staged = self._staged
         self._pending_events = 0
-        self._staged_preds = {}
-        empty = self.hs.empty
-        bdd = self.hs.bdd
-        minus: Dict[str, Dict[int, int]] = {}
-        plus: Dict[str, Dict[int, int]] = {}
+        self._staged = {}
+        provider = self.provider
+        minus: Dict[str, Dict[Optional[int], Dict[int, int]]] = {}
+        plus: Dict[str, Dict[Optional[int], Dict[int, int]]] = {}
         changed_terms: List[int] = []
-        for switch_id, old_preds in staged.items():
-            new_preds = self.provider.base_port_predicates(switch_id)
-            lost_ports: Dict[int, int] = {}
-            gained_ports: Dict[int, int] = {}
-            for port in old_preds.keys() | new_preds.keys():
-                old = old_preds.get(port, empty)
-                new = new_preds.get(port, empty)
-                if old == new:
-                    continue
-                lost = bdd.diff(old, new)
-                gained = bdd.diff(new, old)
-                if lost != empty:
-                    lost_ports[port] = lost
-                    changed_terms.append(lost)
-                if gained != empty:
-                    gained_ports[port] = gained
-                    changed_terms.append(gained)
-            if lost_ports:
-                minus[switch_id] = lost_ports
-            if gained_ports:
-                plus[switch_id] = gained_ports
-        dirty_ports = sum(len(v) for v in minus.values()) + sum(
-            len(v) for v in plus.values()
-        )
+        dirty_ports = 0
+        for switch_id, snapshot in staged.items():
+            denied = {key for key in snapshot if key is not None}
+            denied.update(provider.denied_ingresses(switch_id))
+            lost_by_key: Dict[Optional[int], Dict[int, int]] = {}
+            gained_by_key: Dict[Optional[int], Dict[int, int]] = {}
+            for key in [None, *sorted(denied)]:
+                new_map = (
+                    provider.base_port_predicates(switch_id)
+                    if key is None
+                    else provider.transfer_map(switch_id, key)
+                )
+                lost, gained = self._map_delta(
+                    snapshot.get(key, snapshot[None]), new_map
+                )
+                lost_by_key[key] = lost
+                gained_by_key[key] = gained
+                changed_terms.extend(lost.values())
+                changed_terms.extend(gained.values())
+                dirty_ports += len(lost) + len(gained)
+            if any(lost_by_key.values()):
+                minus[switch_id] = lost_by_key
+            if any(gained_by_key.values()):
+                plus[switch_id] = gained_by_key
         if minus or plus:
-            self._coalesced_subtract(minus)
-            self._coalesced_extend(plus)
+            self._subtract(minus)
+            self._extend(plus)
+            # Both phases mutate entry header sets in place (invisible to
+            # the table's own mutators), so bump the version for the pair
+            # fast-indexes and the server's failure epoch.  Every mutated
+            # pair was noted in the dirty journal, so delta consumers need
+            # not treat the bump as a full invalidation.
             self.table.touch(tracked=True)
         if changed_terms:
-            self._push_change(bdd.or_many(changed_terms))
+            self._push_change(self.hs.bdd.or_many(changed_terms))
         elapsed = time.perf_counter() - started
         self.last_update_s = elapsed
         stats = UpdateFlushStats(
@@ -626,7 +662,28 @@ class IncrementalPathTable:
         self.last_flush = stats
         return stats
 
-    def _coalesced_subtract(self, minus: Dict[str, Dict[int, int]]) -> None:
+    def _map_delta(
+        self, old_map: Dict[int, int], new_map: Dict[int, int]
+    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Per egress port, the headers ``old_map`` loses and gains."""
+        bdd = self.hs.bdd
+        empty = self.hs.empty
+        lost_ports: Dict[int, int] = {}
+        gained_ports: Dict[int, int] = {}
+        for port in old_map.keys() | new_map.keys():
+            old = old_map.get(port, empty)
+            new = new_map.get(port, empty)
+            if old == new:
+                continue
+            lost = bdd.diff(old, new)
+            gained = bdd.diff(new, old)
+            if lost != empty:
+                lost_ports[port] = lost
+            if gained != empty:
+                gained_ports[port] = gained
+        return lost_ports, gained_ports
+
+    def _subtract(self, minus: Dict[str, Dict[Optional[int], Dict[int, int]]]) -> None:
         """One table scan removing every lost slice along each path."""
         bdd = self.hs.bdd
         empty = self.hs.empty
@@ -634,9 +691,9 @@ class IncrementalPathTable:
         def removed_for(hops: Tuple[Hop, ...]) -> int:
             terms = []
             for hop in hops:
-                ports = minus.get(hop.switch)
-                if ports is not None:
-                    lost = ports.get(hop.out_port)
+                by_key = minus.get(hop.switch)
+                if by_key is not None:
+                    lost = by_key.get(hop.in_port, by_key[None]).get(hop.out_port)
                     if lost is not None:
                         terms.append(lost)
             if not terms:
@@ -663,218 +720,53 @@ class IncrementalPathTable:
                     kept.append(record)
             records[:] = kept
 
-    def _coalesced_extend(self, plus: Dict[str, Dict[int, int]]) -> None:
-        """Re-traverse each gained slice from the records reaching its switch."""
-        bdd = self.hs.bdd
-        empty = self.hs.empty
-        for switch_id in sorted(plus):
-            gained_ports = plus[switch_id]
-            for record in list(self.builder.reach_index.get(switch_id, ())):
-                transfer: Optional[Dict[int, int]] = None
-                for to_port in sorted(gained_ports):
-                    h = bdd.and_(record.headers, gained_ports[to_port])
-                    if h == empty:
-                        continue
-                    if transfer is None:
-                        transfer = self.provider.transfer_map(
-                            switch_id, record.in_port
-                        )
-                    h = bdd.and_(h, transfer.get(to_port, empty))
-                    if h == empty:
-                        continue
-                    self._extend_slice(record, to_port, h)
+    def _extend(self, plus: Dict[str, Dict[Optional[int], Dict[int, int]]]) -> None:
+        """Send each gained slice on from every record reaching its switch.
 
-    def add_inbound_deny(self, switch_id: str, in_port: int, pred: int) -> float:
-        """Install an inbound-ACL deny entry and update incrementally.
-
-        ``pred`` is the denied header set as a BDD (use
-        ``Match.to_bdd(hs)`` to build one from a match).  Per affected
-        egress port ``y``, the slice ``Δ ∧ P_y`` moves ``y -> ⊥`` for paths
-        entering the switch at ``in_port``.
+        Only records that predate the flush are extended: a record this
+        pass creates was traversed under the new maps already, and
+        extending it again would append duplicate downstream records.
         """
-        if self._pending_events:
-            self.flush_updates()
-        started = time.perf_counter()
-        delta = self.provider.add_inbound_deny(switch_id, in_port, pred)
-        self._apply_acl_delta(switch_id, in_port, delta, deny=True)
-        self.last_update_s = time.perf_counter() - started
-        return self.last_update_s
+        arrivals = {s: list(self.builder.reach_index.get(s, ())) for s in plus}
+        for switch_id in sorted(plus):
+            actions = {
+                key: [
+                    TransferAction(port, gained[port], ())
+                    for port in sorted(gained)
+                ]
+                for key, gained in plus[switch_id].items()
+            }
+            for record in arrivals[switch_id]:
+                gained = actions.get(record.in_port, actions[None])
+                if gained:
+                    self._extend_slice(record, gained)
 
-    def remove_inbound_deny(self, switch_id: str, in_port: int, pred: int) -> float:
-        """Remove an inbound-ACL deny entry and update incrementally."""
-        if self._pending_events:
-            self.flush_updates()
-        started = time.perf_counter()
-        delta = self.provider.remove_inbound_deny(switch_id, in_port, pred)
-        self._apply_acl_delta(switch_id, in_port, delta, deny=False)
-        self.last_update_s = time.perf_counter() - started
-        return self.last_update_s
-
-    def _apply_acl_delta(
-        self, switch_id: str, in_port: int, delta: int, deny: bool
-    ) -> None:
-        if delta == self.hs.empty:
-            return
-        bdd = self.hs.bdd
-        base = self.provider.base_port_predicates(switch_id)
-        for port in sorted(base):
-            if port == DROP_PORT:
-                continue  # ⊥-to-⊥ is a no-op
-            slice_ = bdd.and_(delta, base[port])
-            if slice_ == self.hs.empty:
-                continue
-            from_port, to_port = (port, DROP_PORT) if deny else (DROP_PORT, port)
-            self._apply_move(
-                RuleDelta(
-                    switch_id=switch_id,
-                    delta=slice_,
-                    from_port=from_port,
-                    to_port=to_port,
-                    in_port=in_port,
-                )
-            )
-
-    # -- Section 4.4's two phases ---------------------------------------------
-
-    def _apply_move(self, delta: RuleDelta) -> None:
-        if delta.delta == self.hs.empty or delta.from_port == delta.to_port:
-            return
-        self._subtract_phase(delta)
-        self._extend_phase(delta)
-        # Both phases mutate entry header sets in place (invisible to the
-        # table's own mutators), so bump the version for the pair
-        # fast-indexes and the server's failure epoch; matchers read the
-        # entry's live header set, so they need nothing.  Every mutated
-        # pair was noted in the dirty journal, so delta consumers need not
-        # treat the bump as a full invalidation.
-        self.table.touch(tracked=True)
-
-    def _subtract_phase(self, delta: RuleDelta) -> None:
-        """Remove ``Δ`` from paths (and reach records) through ``<S, from>``."""
-        bdd = self.hs.bdd
-        switch_id, from_port = delta.switch_id, delta.from_port
-        acl_in_port = delta.in_port
-
-        def diverts(hops: Tuple[Hop, ...]) -> bool:
-            return any(
-                hop.switch == switch_id
-                and hop.out_port == from_port
-                and (acl_in_port is None or hop.in_port == acl_in_port)
-                for hop in hops
-            )
-
-        for inport, outport, entry in list(self.table.all_entries()):
-            if diverts(entry.hops):
-                trimmed = bdd.diff(entry.headers, delta.delta)
-                if trimmed != entry.headers:
-                    entry.headers = trimmed
-                    self.table.note_dirty(inport, outport)
-        self.table.remove_empty(self.hs)
-
-        for records in self.builder.reach_index.values():
-            kept = []
-            for record in records:
-                if diverts(record.hops):
-                    record.headers = bdd.diff(record.headers, delta.delta)
-                if record.headers != self.hs.empty:
-                    kept.append(record)
-            records[:] = kept
-
-    def _extend_phase(self, delta: RuleDelta) -> None:
-        """Re-traverse ``h ∧ Δ`` out of the new port for every reach record."""
-        bdd = self.hs.bdd
-        switch_id, to_port = delta.switch_id, delta.to_port
-        records = list(self.builder.reach_index.get(switch_id, ()))
-        for record in records:
-            if delta.in_port is not None and record.in_port != delta.in_port:
-                continue
-            h = bdd.and_(record.headers, delta.delta)
-            if h == self.hs.empty:
-                continue
-            # Respect this ingress's post-update behaviour: a slice that the
-            # ingress ACL (still) denies must not be extended out of a
-            # forwarding port.
-            allowed = self.provider.transfer_map(switch_id, record.in_port).get(
-                to_port, self.hs.empty
-            )
-            h = bdd.and_(h, allowed)
-            if h == self.hs.empty:
-                continue
-            self._extend_slice(record, to_port, h)
-
-    def _extend_slice(self, record: ReachRecord, to_port: int, headers: int) -> None:
-        """Push one re-traversed slice out of ``to_port`` at the record's switch."""
-        switch_id = record.switch
-        hop = Hop(record.in_port, switch_id, to_port)
-        hops = record.hops + (hop,)
-        tag = self.scheme.add(record.tag, hop)
-        egress = PortRef(switch_id, to_port)
-        visited = {PortRef(h_.switch, h_.in_port) for h_ in record.hops}
-        visited.add(PortRef(switch_id, record.in_port))
-        if to_port == DROP_PORT or self.topo.is_edge_port(egress):
-            self._merge_entry(record.inport, egress, headers, hops, tag)
-            return
-        peer = self.topo.link(egress)
-        if peer is None:
-            self._merge_entry(record.inport, egress, headers, hops, tag)
-            return
-        self._continue_traverse(
-            record.inport, peer, headers, hops, tag, frozenset(visited)
+    def _extend_slice(self, record: ReachRecord, actions: List[TransferAction]) -> None:
+        """Re-enter the builder's split at the record's arrival with ``actions``."""
+        current = PortRef(record.switch, record.in_port)
+        visited = {PortRef(hop.switch, hop.in_port) for hop in record.hops}
+        visited.add(current)
+        self.builder._split(
+            self._merge_entry, record.inport, current, actions,
+            record.headers, record.headers, (), record.hops, record.tag,
+            frozenset(visited),
         )
-
-    def _continue_traverse(
-        self,
-        inport: PortRef,
-        current: PortRef,
-        headers: int,
-        hops: Tuple[Hop, ...],
-        tag: int,
-        visited: frozenset,
-    ) -> None:
-        """Algorithm 2's recursion, merging into the live table."""
-        if current in visited or len(hops) >= self.builder.max_path_length:
-            return
-        self.builder.reach_index.setdefault(current.switch, []).append(
-            ReachRecord(
-                inport=inport,
-                switch=current.switch,
-                in_port=current.port,
-                headers=headers,
-                hops=hops,
-                tag=tag,
-            )
-        )
-        visited = visited | {current}
-        bdd = self.hs.bdd
-        transfer = self.provider.transfer_map(current.switch, current.port)
-        for out_port in sorted(transfer):
-            h_next = bdd.and_(headers, transfer[out_port])
-            if h_next == self.hs.empty:
-                continue
-            hop = Hop(current.port, current.switch, out_port)
-            hops_next = hops + (hop,)
-            tag_next = self.scheme.add(tag, hop)
-            egress = PortRef(current.switch, out_port)
-            if (
-                out_port == DROP_PORT
-                or self.topo.is_edge_port(egress)
-                or self.topo.link(egress) is None
-            ):
-                self._merge_entry(inport, egress, h_next, hops_next, tag_next)
-                continue
-            self._continue_traverse(
-                inport, self.topo.link(egress), h_next, hops_next, tag_next, visited
-            )
 
     def _merge_entry(
         self,
         inport: PortRef,
         outport: PortRef,
         headers: int,
+        transformed: int,
+        chain: Tuple[Tuple[str, int], ...],
         hops: Tuple[Hop, ...],
         tag: int,
     ) -> None:
-        """Union into an existing same-hops entry, or append a new one."""
+        """Union into an existing same-hops entry, or append a new one.
+
+        The builder's terminal signature; prefix rules rewrite nothing, so
+        ``transformed`` is ``headers`` and ``chain`` is empty.
+        """
         bdd = self.hs.bdd
         for entry in self.table.lookup(inport, outport):
             if entry.hops == hops:

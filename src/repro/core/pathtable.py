@@ -22,10 +22,11 @@ switch without rebuilding the table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
 
 from ..bdd.engine import FALSE
 from ..bdd.headerspace import HeaderSpace
@@ -533,10 +534,11 @@ class PathTableBuilder:
         table = PathTable()
         self.reach_index = {}
         started = time.perf_counter()
+        terminal = functools.partial(self._add_entry, table)
         for inport in self.entry_ports():
             # Inject the all-match header set at the entry port.
             self._traverse(
-                table,
+                terminal,
                 inport=inport,
                 current=inport,
                 headers=self.hs.all_match,
@@ -564,7 +566,7 @@ class PathTableBuilder:
 
     def _traverse(
         self,
-        table: PathTable,
+        terminal: Callable[..., None],
         inport: PortRef,
         current: PortRef,
         headers: int,
@@ -574,12 +576,13 @@ class PathTableBuilder:
         tag: int,
         visited: frozenset,
     ) -> None:
-        """One recursive step: split the header set across the current switch.
+        """One recursive step: arrive at ``current`` and split across it.
 
         ``headers`` is the entry-relative set; ``transformed`` its image
         through the rewrite ``chain`` accumulated so far — the invariant
         ``transformed == image(headers, chain)`` is maintained using
-        ``image(A ∩ t⁻¹(B)) == image(A) ∩ B``.
+        ``image(A ∩ t⁻¹(B)) == image(A) ∩ B``.  ``terminal`` receives every
+        slice that leaves at an edge port or ``⊥``.
         """
         if current in visited:
             return  # loop cut (Section 6.1): port revisited on this path
@@ -596,9 +599,34 @@ class PathTableBuilder:
                     tag=tag,
                 )
             )
-        visited = visited | {current}
+        actions = self._actions_at(current.switch, current.port)
+        self._split(
+            terminal, inport, current, actions, headers, transformed, chain,
+            hops, tag, visited | {current},
+        )
+
+    def _split(
+        self,
+        terminal: Callable[..., None],
+        inport: PortRef,
+        current: PortRef,
+        actions: List[TransferAction],
+        headers: int,
+        transformed: int,
+        chain: Tuple[Tuple[str, int], ...],
+        hops: Tuple[Hop, ...],
+        tag: int,
+        visited: frozenset,
+    ) -> None:
+        """Push a header set that arrived at ``current`` through ``actions``.
+
+        Each slice either ends at an edge port or ``⊥`` (handed to
+        ``terminal``) or continues to the peer switch.  The incremental
+        updater re-enters here with the slices a rule change gained at a
+        recorded arrival, so there is one copy of Algorithm 2's step.
+        """
         bdd = self.hs.bdd
-        for action in self._actions_at(current.switch, current.port):
+        for action in actions:
             t_next = bdd.and_(transformed, action.pred)
             if t_next == self.hs.empty:
                 continue
@@ -622,19 +650,19 @@ class PathTableBuilder:
                 if action.out_port == DROP_PORT
                 else self.topo.link(egress)
             )
-            terminal = (
+            terminal_slice = (
                 action.out_port == DROP_PORT
                 or self.topo.is_edge_port(egress)
                 or peer is None  # defensive: unwired non-edge port
             )
-            if terminal:
-                self._add_entry(
-                    table, inport, egress, h_next, t_next, chain_next,
-                    hops_next, tag_next,
+            if terminal_slice:
+                terminal(
+                    inport, egress, h_next, t_next, chain_next, hops_next,
+                    tag_next,
                 )
                 continue
             self._traverse(
-                table, inport, peer, h_next, t_next, chain_next,
+                terminal, inport, peer, h_next, t_next, chain_next,
                 hops_next, tag_next, visited,
             )
 

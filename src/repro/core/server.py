@@ -95,9 +95,9 @@ class VeriDPServer:
         self.boot_source: Optional[str] = None
         self.snapshot_every = snapshot_every
         self._rules_since_snapshot = 0
-        #: ``> 0`` enables the coalescing window (durable mode): rule
-        #: updates are WAL-logged and staged immediately, but the path
-        #: table recomputes once per window instead of once per event.
+        #: Rule updates are WAL-logged (durable mode) and staged at once;
+        #: the path table recomputes once per ``coalesce_ms`` window, or
+        #: at every event when it is ``<= 0``.
         self.coalesce_ms = coalesce_ms
         self._flush_deadline: Optional[float] = None
         self.update_flushes = 0
@@ -368,17 +368,17 @@ class VeriDPServer:
         )
         reg.counter(
             "veridp_update_flushes_total",
-            "Coalesced flushes applied to the path table.",
+            "Flushes applied to the path table (one per update when not coalescing).",
             callback=lambda: self.update_flushes,
         )
         reg.counter(
             "veridp_update_flush_events_total",
-            "Rule events applied through coalesced flushes.",
+            "Rule events applied through flushes.",
             callback=lambda: self.update_flush_events,
         )
         reg.gauge(
             "veridp_update_dirty_switches",
-            "Switches the most recent coalesced flush recomputed.",
+            "Switches the most recent flush recomputed.",
             callback=lambda: self._last_flush_stat("dirty_switches"),
         )
         reg.gauge(
@@ -629,61 +629,58 @@ class VeriDPServer:
         return self.updater
 
     def apply_rule_update(self, switch: str, prefix: str, out_port: int) -> float:
-        """Log (when durable), then apply, one LPM rule installation.
+        """Log (when durable), then stage, one LPM rule installation.
 
         WAL-first ordering: the control record is durable (per the fsync
         policy) before the table changes, so a crash between the two replays
-        the event at boot instead of losing it.  Returns the update's
-        elapsed seconds (the Figure 14 metric).  In incremental
+        the event at boot instead of losing it.  In incremental
         (non-durable) mode the WAL step is skipped and the update applies
         in memory only.
 
-        With ``coalesce_ms > 0`` the event is *staged* (prefix-tree
-        mutation now, path-table recompute deferred); the table catches up
-        at :meth:`flush_pending_updates`, triggered when the window
-        expires, before any verification, snapshot or close.  Reports
-        verified strictly inside the window see the pre-batch table — the
-        window bounds that staleness.
+        The event is *staged* (prefix-tree mutation now, path-table
+        recompute deferred); the table catches up at
+        :meth:`flush_pending_updates`, triggered when the ``coalesce_ms``
+        window expires, before any verification, snapshot or close.  With
+        ``coalesce_ms <= 0`` the window expires at once, so every update
+        is a one-event flush.  Reports verified strictly inside the window
+        see the pre-batch table — the window bounds that staleness.
+        Returns the elapsed seconds of the stage plus any flush it ran (the
+        Figure 14 metric in immediate mode).
         """
         self._require_updater()
         if self.persist is not None:
             from ..persist.wal import ControlEvent
 
             self.persist.log_control(ControlEvent("add", switch, prefix, out_port))
-        if self.coalesce_ms > 0:
-            started = time.perf_counter()
-            self.updater.stage_add_rule(switch, prefix, out_port)
-            elapsed = time.perf_counter() - started
-            self._note_rule_staged()
-        else:
-            elapsed = self.updater.add_rule(switch, prefix, out_port)
+        started = time.perf_counter()
+        self.updater.stage_add_rule(switch, prefix, out_port)
+        self._note_rule_staged()
+        elapsed = time.perf_counter() - started
         self._note_rule_applied()
         return elapsed
 
     def apply_rule_delete(self, switch: str, prefix: str) -> float:
-        """Log (when durable), then apply, one LPM rule removal.
+        """Log (when durable), then stage, one LPM rule removal.
         See :meth:`apply_rule_update`."""
         self._require_updater()
         if self.persist is not None:
             from ..persist.wal import ControlEvent
 
             self.persist.log_control(ControlEvent("delete", switch, prefix))
-        if self.coalesce_ms > 0:
-            started = time.perf_counter()
-            self.updater.stage_delete_rule(switch, prefix)
-            elapsed = time.perf_counter() - started
-            self._note_rule_staged()
-        else:
-            elapsed = self.updater.delete_rule(switch, prefix)
+        started = time.perf_counter()
+        self.updater.stage_delete_rule(switch, prefix)
+        self._note_rule_staged()
+        elapsed = time.perf_counter() - started
         self._note_rule_applied()
         return elapsed
 
     def _note_rule_staged(self) -> None:
-        # Arm the window on the batch's first event; flush when it expires.
+        # Arm the window on the batch's first event; flush when it expires
+        # (at once when coalesce_ms <= 0).
         now = time.monotonic()
         if self._flush_deadline is None:
             self._flush_deadline = now + self.coalesce_ms / 1000.0
-        elif now >= self._flush_deadline:
+        if now >= self._flush_deadline:
             self.flush_pending_updates()
 
     def maybe_flush_updates(self):
@@ -701,7 +698,7 @@ class VeriDPServer:
         return None
 
     def flush_pending_updates(self):
-        """Apply every staged (coalesced) rule update to the path table now.
+        """Apply every staged rule update to the path table now.
 
         Returns the updater's :class:`~repro.core.incremental.UpdateFlushStats`
         (``None`` when nothing was staged).  Safe to call at any time; the
@@ -722,11 +719,7 @@ class VeriDPServer:
         # The path table mutated in place; its version bump already
         # invalidates the compiled-matcher index, and with state_version
         # below it moves _failure_epoch, which retires every remembered
-        # failure.
-        if self.coalesce_ms <= 0:
-            # Immediate-apply mode: the table just changed, so isolation
-            # re-proves now.  (Coalesced mode rechecks at the flush.)
-            self._recheck_isolation()
+        # failure.  Isolation re-proves at the flush.
         self.state_version += 1
         self._rules_since_snapshot += 1
         if (

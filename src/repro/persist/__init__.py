@@ -22,7 +22,6 @@ from .recovery import (
     BootResult,
     PersistentState,
     RecoveryError,
-    apply_control_event,
     capture_state,
     lpm_rules_from_topology,
     restore_state,
@@ -69,7 +68,6 @@ __all__ = [
     "RecoveryError",
     "capture_state",
     "restore_state",
-    "apply_control_event",
     "lpm_rules_from_topology",
     "ReplayResult",
     "ReplayIncident",

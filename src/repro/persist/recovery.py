@@ -55,7 +55,6 @@ __all__ = [
     "lpm_rules_from_topology",
     "capture_state",
     "restore_state",
-    "apply_control_event",
     "stage_control_event",
 ]
 
@@ -216,29 +215,14 @@ def restore_state(
     return hs, updater
 
 
-def apply_control_event(updater: IncrementalPathTable, event: ControlEvent) -> None:
-    """Apply one logged control record through the incremental updater."""
-    try:
-        if event.kind == "add":
-            updater.add_rule(event.switch, event.prefix, event.out_port)
-        elif event.kind == "delete":
-            updater.delete_rule(event.switch, event.prefix)
-        else:  # pragma: no cover - decode() only emits the two kinds
-            raise RecoveryError(f"unknown control kind {event.kind!r}")
-    except (KeyError, ValueError) as exc:
-        raise RecoveryError(
-            f"cannot apply logged control event {event}: {exc}"
-        ) from exc
-
-
 def stage_control_event(updater: IncrementalPathTable, event: ControlEvent) -> None:
-    """Stage one logged control record for a coalesced flush.
+    """Stage one logged control record for the caller's flush.
 
-    The prefix-tree mutation (and its validation — bad events still fail
-    here, at the same point :func:`apply_control_event` would) happens
-    immediately; the path-table recompute is deferred to the caller's
-    ``updater.flush_updates()``.  Boot-time WAL suffix replay uses this to
-    recompute each dirty region once per batch instead of once per record.
+    The prefix-tree mutation (and its validation — a bad event fails here)
+    happens immediately; the path-table recompute is deferred to the
+    caller's ``updater.flush_updates()``.  Boot-time WAL suffix replay and
+    ``repro replay`` use this to recompute each dirty region once per batch
+    instead of once per record.
     """
     try:
         if event.kind == "add":

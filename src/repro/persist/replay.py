@@ -31,7 +31,7 @@ from ..core.bloom import BloomTagScheme
 from ..core.localization import PathInferLocalizer
 from ..core.reports import PortCodec, ReportDecodeError, unpack_report
 from ..core.verifier import Verifier
-from .recovery import PersistentState, RecoveryError, apply_control_event, restore_state
+from .recovery import PersistentState, RecoveryError, restore_state, stage_control_event
 from .wal import (
     RT_CONTROL,
     RT_MALFORMED,
@@ -166,6 +166,9 @@ def replay(
     )
 
     def verify_payload(seq: int, payload: bytes) -> None:
+        if updater.pending_updates:
+            # The controls logged since the last report, in one flush.
+            updater.flush_updates()
         try:
             report = unpack_report(payload, codec)
         except ReportDecodeError:
@@ -192,7 +195,7 @@ def replay(
         if stop_seq is not None and record.seq > stop_seq:
             break
         if record.rtype == RT_CONTROL:
-            apply_control_event(updater, ControlEvent.decode(record.payload))
+            stage_control_event(updater, ControlEvent.decode(record.payload))
             result.replayed_controls += 1
         elif record.rtype == RT_REPORT:
             if record.seq < start_seq:

@@ -107,6 +107,24 @@ class TestCoalescedParity:
             ref.table, hs2.bdd
         )
 
+    def test_batched_flush_records_each_arrival_once(self, scenario):
+        # A batch dirties switches along one path; the extend at the
+        # downstream switch must not re-send what the upstream one did.
+        hs = HeaderSpace()
+        inc = IncrementalPathTable(scenario.topo, hs)
+        apply_staged(inc, base_operations(scenario))
+        rebuilt = PathTableBuilder(
+            scenario.topo, hs, provider=inc.provider, record_reach=True
+        )
+        rebuilt.build()
+
+        def arrivals(reach_index):
+            return sorted(
+                (str(r.inport), r.hops) for rs in reach_index.values() for r in rs
+            )
+
+        assert arrivals(inc.builder.reach_index) == arrivals(rebuilt.reach_index)
+
     def test_flush_with_nothing_staged_is_noop(self, scenario):
         inc = IncrementalPathTable(build_linear(3, install_routes=False).topo, HeaderSpace())
         stats = inc.flush_updates()

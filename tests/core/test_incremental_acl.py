@@ -169,9 +169,69 @@ class TestIncrementalAclEqualsRebuild:
         assert_matches_rebuild(inc)
 
 
+class TestRuleUnderLiveDeny:
+    """A prefix rule changes only what each ingress still forwards.
+
+    With a deny on ``S3``'s ingress 2, a rule that moves ``Δ`` off ``⊥``
+    must leave the denied part of ``Δ`` on ``⊥`` for paths entering at 2.
+    """
+
+    def unrouted_with_deny(self):
+        scenario = build_linear(3, install_routes=False)
+        hs = HeaderSpace()
+        inc = IncrementalPathTable(scenario.topo, hs)
+        inc.add_inbound_deny("S3", 2, Match.build(dst="10.3.0.0/16").to_bdd(hs))
+        assert_matches_rebuild(inc)
+        return inc
+
+    @pytest.mark.parametrize("prefix", ["10.3.0.0/16", "10.0.0.0/8"])
+    def test_rule_added_under_the_drop_rule(self, prefix):
+        inc = self.unrouted_with_deny()
+        inc.add_rule("S3", prefix, 1)
+        assert_matches_rebuild(inc)
+        inc.delete_rule("S3", prefix)
+        assert_matches_rebuild(inc)
+
+    @pytest.mark.parametrize("prefix", ["10.3.0.0/16", "10.0.0.0/8"])
+    def test_staged_rule_added_under_the_drop_rule(self, prefix):
+        inc = self.unrouted_with_deny()
+        inc.stage_add_rule("S3", prefix, 1)
+        inc.stage_add_rule("S1", prefix, 2)
+        inc.flush_updates()
+        assert_matches_rebuild(inc)
+
+    def test_deny_staged_between_rules_of_one_batch(self):
+        scenario = build_linear(3, install_routes=False)
+        hs = HeaderSpace()
+        inc = IncrementalPathTable(scenario.topo, hs)
+        inc.stage_add_rule("S3", "10.0.0.0/8", 1)
+        # The deny flushes the staged rule with it, in one pass.
+        inc.add_inbound_deny("S3", 2, Match.build(dst="10.3.0.0/16").to_bdd(hs))
+        assert inc.pending_updates == 0
+        assert inc.last_flush.events == 2
+        assert_matches_rebuild(inc)
+
+
+class TestAclChangeFeed:
+    def test_deny_reaches_the_change_log(self):
+        scenario, hs, inc = routed_linear()
+        token = inc.change_token()
+        deny = Match.build(dst="10.0.2.0/24").to_bdd(hs)
+        inc.add_inbound_deny("S1", 1, deny)
+        token, changes = inc.changes_since(token)
+        assert changes
+        changed = hs.bdd.or_many(changes)
+        assert hs.bdd.diff(deny, changed) == hs.empty
+        inc.remove_inbound_deny("S1", 1, deny)
+        _, changes = inc.changes_since(token)
+        assert changes
+        assert hs.bdd.diff(deny, hs.bdd.or_many(changes)) == hs.empty
+        assert inc.drain_change_feed()
+
+
 class TestPropertyAclChurn:
     @given(st.data())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_random_acl_and_prefix_sequences(self, data):
         scenario, hs, inc = routed_linear()
         live_denies = []
@@ -180,10 +240,43 @@ class TestPropertyAclChurn:
             ("S2", 3, Match.build(dst_port=23).to_bdd(hs)),
             ("S2", 2, Match.build(dst="10.0.0.0/24").to_bdd(hs)),
             ("S3", 3, Match.build(src="10.0.0.0/24").to_bdd(hs)),
+            ("S3", 2, Match.build(dst="10.3.0.0/16").to_bdd(hs)),
         ]
+        prefix_pool = [
+            ("S1", "10.3.0.0/16", 2),
+            ("S2", "10.0.2.128/25", 1),
+            ("S3", "10.3.0.0/16", 1),
+            ("S3", "10.0.0.0/8", 3),
+        ]
+        live_rules = set()
+
+        def toggle_rule(staged):
+            switch, prefix, port = prefix_pool[
+                data.draw(st.integers(0, len(prefix_pool) - 1))
+            ]
+            if (switch, prefix) in live_rules:
+                live_rules.discard((switch, prefix))
+                if staged:
+                    inc.stage_delete_rule(switch, prefix)
+                else:
+                    inc.delete_rule(switch, prefix)
+            else:
+                live_rules.add((switch, prefix))
+                if staged:
+                    inc.stage_add_rule(switch, prefix, port)
+                else:
+                    inc.add_rule(switch, prefix, port)
+
         n_ops = data.draw(st.integers(min_value=1, max_value=6))
         for _ in range(n_ops):
-            if live_denies and data.draw(st.booleans()):
+            kind = data.draw(st.sampled_from(["acl", "rule", "batch"]))
+            if kind == "rule":
+                toggle_rule(staged=False)
+            elif kind == "batch":
+                for _ in range(data.draw(st.integers(1, 3))):
+                    toggle_rule(staged=True)
+                inc.flush_updates()
+            elif live_denies and data.draw(st.booleans()):
                 entry = live_denies.pop(data.draw(
                     st.integers(0, len(live_denies) - 1)
                 ))

@@ -30,7 +30,7 @@ from repro.bdd.headerspace import HeaderSpace
 from repro.core.incremental import IncrementalPathTable, LpmProvider
 from repro.core.server import VeriDPServer
 from repro.persist import PersistentState
-from repro.persist.recovery import apply_control_event
+from repro.persist.recovery import stage_control_event
 from repro.persist.replay import replay
 from repro.persist.snapshot import bdd_fingerprint
 from repro.persist.wal import RT_CONTROL, ControlEvent
@@ -116,7 +116,8 @@ def rebuild_from_wal_controls(state_dir, scenario):
     with PersistentState(state_dir, read_only=True) as state:
         for record in state.wal.records():
             if record.rtype == RT_CONTROL:
-                apply_control_event(updater, ControlEvent.decode(record.payload))
+                stage_control_event(updater, ControlEvent.decode(record.payload))
+    updater.flush_updates()
     return hs, updater
 
 
