@@ -50,7 +50,6 @@ from ..core.replica import (
     resync_specs,
     wire_packing,
 )
-from ..core.resilience import DeadLetterQueue
 from .frontend import ClusterFrontend, routing_key_of
 from .node import start_node
 
@@ -84,7 +83,6 @@ class ClusterCoordinator(Books):
             self,
             server,
             VerdictFamilies(self.registry, "node", tenants=True),
-            DeadLetterQueue(),
             incidents=[],
         )
         self.node_mode = node_mode

@@ -5,9 +5,12 @@
 queued (up to ``_VERIFY_MAX_ROWS`` reports) and verifies it in one call to
 the daemon's :class:`~repro.core.replica.ShardReplica` — the replica the
 sharded daemon's workers and the cluster's nodes run, here covering every
-pair and called under one lock.  The rows it flags go to the server's
-intake (:meth:`~repro.core.server.VeriDPServer.receive_report_rows`).  A
-single payload is a one-row frame: there is no second, per-datagram path.
+pair and called under one lock.  The daemon keeps the same
+:class:`~repro.core.dispatch.Books` as the other shapes: each call first
+catches the server and the replica up (:meth:`Books.catch_up`), and its
+delta is settled by :meth:`Books.settle`, whose flagged rows go to the
+server's intake (:meth:`~repro.core.server.VeriDPServer.receive_report_rows`).
+A single payload is a one-row frame: there is no second, per-datagram path.
 CPU-bound verification is GIL-serialised in CPython, so threads buy
 concurrency (socket + verify overlap), not parallelism;
 :class:`~repro.core.sharded.ShardedVeriDPDaemon` is the parallel shape.
@@ -20,12 +23,11 @@ import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs import DEFAULT_BUCKETS, Observability
+from .dispatch import Books
 from .ingest import dst_ips as _frame_dst_ips
-from .dispatch import settle
-from .replica import ShardReplica, resync_specs, wire_packing
+from .replica import ShardReplica, wire_packing
 from .reports import REPORT_SIZE, Frame, ReportDecodeError, payload_precheck
 from .resilience import (
-    DeadLetterQueue,
     OverflowPolicy,
     PolicyQueue,
     QueueStopped,
@@ -52,16 +54,17 @@ _PASS = Verdict.PASS.value
 _VERIFY_MAX_ROWS = 4096
 
 
-class VeriDPDaemon:
+class VeriDPDaemon(Books):
     """Multi-worker report verification on top of a :class:`VeriDPServer`.
 
     Workers drain the queue in slices (whatever is queued, up to
     ``_VERIFY_MAX_ROWS`` reports) and hand each slice to one
     :class:`ShardReplica` covering every pair, under one replica lock: the
-    replica is brought current with the path table by pair deltas, verifies
-    the slice's frames in one call, and its flagged rows go through the
-    server's intake, whose verdicts these counters follow.  The replica is
-    compiled at the first frame, not at :meth:`start`.
+    server and the replica catch up (:meth:`Books.catch_up`: the coalescing
+    window, the rebuild after a FlowMod, then pair deltas), the replica
+    verifies the slice's frames in one call, and :meth:`Books.settle`
+    counts its delta by the server's verdicts.  The replica is compiled at
+    the first frame, not at :meth:`start`.
 
     The ingestion queue is a :class:`PolicyQueue`: ``overflow`` selects what
     a full queue does (``"block"``, ``"drop-oldest"``, ``"drop-new"``), and
@@ -86,7 +89,7 @@ class VeriDPDaemon:
     ) -> None:
         if workers <= 0:
             raise ValueError(f"need at least one worker, got {workers}")
-        self.server = server
+        Books.__init__(self, server)
         self.obs = obs or server.obs
         self.overflow = OverflowPolicy.coerce(overflow)
         # Per-tenant queue quotas (multi-tenant deployments): one tenant's
@@ -104,19 +107,12 @@ class VeriDPDaemon:
         self.workers = workers
         self.submit_timeout = submit_timeout
         self.rejected = 0  # wrong-length payloads refused by submit()
-        self.processed = 0
-        self.malformed = 0  # undecodable payloads (must not kill a worker)
-        self.verify_errors = 0  # payloads that crashed the verifier
         self.frames = 0  # frames handed over via submit_frame
         self._replica_pass = 0  # rows the replica passed without the server
         self._wire_pass = 0  # of those, rows the wire kernel passed in bulk
-        self.counters: Dict[Verdict, int] = {v: 0 for v in Verdict}
         self._packing = wire_packing(server.hs.layout)
         self._replica: Optional[ShardReplica] = None
         self._replica_lock = threading.Lock()
-        self._replica_version = -1
-        self._dirty_token: Optional[Tuple[int, int]] = None
-        self.dead_letters = DeadLetterQueue()
         self._register_metrics()
         self._endpoint: Optional[MetricsEndpoint] = None
         if metrics_port is not None:
@@ -153,8 +149,10 @@ class VeriDPDaemon:
     def _register_metrics(self) -> None:
         """Expose daemon state on the shared registry (callback-sourced).
 
-        Hot-path counters stay plain ints updated under :attr:`_lock`; the
-        registry reads them at scrape time.  The merged-fleet verification
+        Hot-path counters stay plain ints updated under :attr:`_lock` (the
+        books' under their own lock); the registry reads them at scrape
+        time, the books' families through :meth:`Books._register_books`.
+        The merged-fleet verification
         families re-register the ones :class:`VeriDPServer` owns by
         default — latest owner wins, and the daemon's view (the server's
         verifier, which re-verifies every flagged row, plus the replica's
@@ -166,21 +164,7 @@ class VeriDPDaemon:
             "Report payloads offered to the daemon (admitted or not).",
             callback=lambda: self.submitted,
         )
-        reg.counter(
-            "veridp_processed_total",
-            "Payloads fully verified by the worker pool.",
-            callback=lambda: self.processed,
-        )
-        reg.counter(
-            "veridp_malformed_total",
-            "Payloads the decoder rejected (dead-lettered, not fatal).",
-            callback=lambda: self.malformed,
-        )
-        reg.counter(
-            "veridp_verify_errors_total",
-            "Payloads that crashed the verifier (dead-lettered).",
-            callback=lambda: self.verify_errors,
-        )
+        self._register_books(reg)
         reg.gauge(
             "veridp_queue_depth",
             "Report payloads waiting in the ingestion queue.",
@@ -231,21 +215,6 @@ class VeriDPDaemon:
             ("verdict",),
             callback=self._merged_verdicts,
         )
-        reg.counter(
-            "veridp_dead_letters_total",
-            "Payloads dead-lettered since start.",
-            callback=lambda: self.dead_letters.total,
-        )
-        reg.gauge(
-            "veridp_dead_letter_pending",
-            "Dead letters awaiting retry.",
-            callback=lambda: self.dead_letters.pending,
-        )
-        reg.gauge(
-            "veridp_dead_letter_quarantined",
-            "Dead letters past the retry budget.",
-            callback=lambda: self.dead_letters.quarantined,
-        )
         self._batch_seconds = reg.histogram(
             "veridp_verify_batch_seconds",
             "Wall-clock seconds spent verifying one batch of reports.",
@@ -284,7 +253,7 @@ class VeriDPDaemon:
         if self._endpoint is not None:
             self._endpoint.start()
         self._queue.reopen()
-        self.server.refresh_if_dirty()
+        self.server.catch_up()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker,
@@ -342,6 +311,7 @@ class VeriDPDaemon:
             )
             with self._lock:
                 self.rejected += 1
+            with self._books_lock:
                 self.malformed += 1
             return True
         return self._put_frame(Frame(payload)) == 1
@@ -401,19 +371,6 @@ class VeriDPDaemon:
             lambda payload: self.server.receive_report_bytes(payload, record=False)
         )
 
-    def dead_letter_transport(self, payload: bytes, reason: str) -> None:
-        """Record a payload rejected before queue admission (wrong size or
-        version, or a submit that raised).  The transport keeps the evidence
-        instead of discarding it: dead-letter queue, malformed counter, and
-        the WAL's malformed stream on a durable server.
-        """
-        self.dead_letters.add(payload, "transport", ReportDecodeError(reason))
-        with self._lock:
-            self.malformed += 1
-        persist = self.server.persist
-        if persist is not None:
-            persist.log_malformed(payload)
-
     # -- worker loop -----------------------------------------------------------
 
     def _worker(self) -> None:
@@ -436,35 +393,24 @@ class VeriDPDaemon:
                 for frame in frames:
                     for payload in frame.rows():
                         self.dead_letters.add(payload, "verify", exc)
-                with self._lock:
+                with self._books_lock:
                     self.verify_errors += sum(f.count for f in frames)
             q.task_done(sum(f.count for f in frames))
 
-    def _synced_replica(self) -> ShardReplica:
-        """The replica, current with the path table (replica lock held).
-
-        Compiled whole at the first frame; after that only the pairs the
-        table's dirty journal names are recompiled, and a whole reload
-        happens only on journal overflow or a swapped table.
-        """
-        server = self.server
-        replica = self._replica
-        if replica is not None and server.table.version == self._replica_version:
-            return replica
-        sync = resync_specs(
-            server.table, server.hs, server.codec, 1, self._dirty_token
-        )
-        if replica is None:
+    def _ship_sync(self, sync) -> int:
+        """Apply a resync to the in-thread replica (replica lock held):
+        compiled whole at the first frame, then patched by the pairs the
+        table's dirty journal names, reloaded whole only on journal
+        overflow or a swapped table.  Nothing is pickled: 0 bytes."""
+        spec = sync.specs[0]
+        if self._replica is None:
             # Every malformed row is dead-lettered here, so keep them all.
-            replica = self._replica = ShardReplica(
-                0, self._packing, sync.specs[0], sample_cap=math.inf
-            )
+            self._replica = ShardReplica(0, self._packing, spec, sample_cap=math.inf)
         elif sync.full:
-            replica.reload(sync.specs[0])
+            self._replica.reload(spec)
         else:
-            replica.patch(sync.specs[0])
-        self._replica_version, self._dirty_token = sync.version, sync.token
-        return replica
+            self._replica.patch(spec)
+        return 0
 
     def _process_frames(self, frames: List[Frame]) -> None:
         """Verify a slice's frames in one replica call, then settle the
@@ -473,34 +419,18 @@ class VeriDPDaemon:
         payload = b"".join([frame.payload() for frame in frames])
         n = len(payload) // REPORT_SIZE
         with self._replica_lock:
-            replica = self._synced_replica()
+            self.catch_up()
+            replica = self._replica
             with self.obs.span("verify", reports=n):
                 wire_pass = replica.verify(payload)
             delta = replica.drain()
         self._batch_seconds.observe(delta.seconds)
         if replica.vector and n >= _VECTOR_MIN_BATCH:
             self._call_rows_hist.observe(n)
-        passed = delta.counters[_PASS]
         with self._lock:
-            self._replica_pass += passed
+            self._replica_pass += delta.counters[_PASS]
             self._wire_pass += wire_pass
-            if delta.processed == passed and not (delta.malformed or delta.crashed):
-                # Nothing flagged: no intake call.
-                self.processed += passed
-                self.counters[Verdict.PASS] += passed
-                return
-            # The intake shares the payload map and the localizer's classes
-            # across workers: one settle at a time.
-            processed, malformed, crashed, counters, letters, _ = settle(
-                self.server, delta
-            )
-            self.processed += processed
-            self.malformed += malformed
-            self.verify_errors += crashed
-            for verdict, count in counters.items():
-                self.counters[verdict] += count
-        for letter in letters:
-            self.dead_letters.add(*letter)
+        self.settle(delta)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -515,7 +445,7 @@ class VeriDPDaemon:
             submitted == processed + malformed + verify_errors + dropped
         """
         queue_stats = self._queue.stats()
-        with self._lock:
+        with self._lock, self._books_lock:
             merged = {
                 "submitted": queue_stats["puts"] + self.rejected,
                 "processed": self.processed,

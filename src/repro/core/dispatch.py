@@ -16,7 +16,7 @@ and does, for both:
   counts any reply as the member's heartbeat;
 * **settle** — :class:`Books`, the one set of verdict books, retires a
   batch under its book's lock and counts it by the server's verdict of
-  record (:func:`settle`);
+  record (:meth:`Books.settle`);
 * **replica upkeep** — pair deltas and reloads (:meth:`Dispatcher.ship`)
   and digests travel on the same link as the batches, so a patch applies
   before every batch sent after it;
@@ -39,8 +39,9 @@ or a TCP :class:`~repro.cluster.protocol.MessageStream` to a cluster node
     ("ping", token)               ("pong",)
 
 This module loads neither ``multiprocessing`` nor the server: the direct
-daemon takes :func:`settle` from it, and a cluster node's process imports
-the cluster package.
+daemon keeps :class:`Books` too (its in-thread replica synced by
+:meth:`Books.catch_up`, each worker call settled by :meth:`Books.settle`),
+and a cluster node's process imports the cluster package.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .reports import REPORT_SIZE, ReportDecodeError, payload_precheck
 from .resilience import DeadLetterQueue, OverflowPolicy, WorkerProbe
 from .verifier import Verdict
 
-__all__ = ["Books", "Dispatcher", "Link", "settle"]
+__all__ = ["Books", "Dispatcher", "Link"]
 
 _PASS = Verdict.PASS.value
 _NO_SWITCH = "a wire port id names no switch"
@@ -68,59 +69,19 @@ _NO_SWITCH = "a wire port id names no switch"
 Target = Tuple["Link", bytes, int]
 
 
-def settle(server, delta: Delta):
-    """Count a replica's delta by the server's verdict of record.
-
-    The replica's failures and the unknown-pair rows a cluster node set
-    aside go through :meth:`VeriDPServer.receive_report_rows` in one call
-    and are counted by its outcome, not the replica's: ``malformed`` when
-    the codec rejects one (a dead letter at ``decode``), ``crashed`` when
-    verification raised (at ``verify``), else ``processed`` under the
-    server's verdict (a stale replica's FAIL the current table passes
-    counts PASS).  The replica's PASS rows, malformed rows (its sample
-    dead-lettered at ``decode``) and crashes are taken as they are.
-    Returns ``(processed, malformed, crashed, counters, letters, failed)``:
-    ``counters`` by :class:`Verdict`, ``letters`` the ``(payload, stage,
-    error)`` dead letters, ``failed`` the ``(payload, verdict)`` of each
-    row the server failed.  The caller serialises calls.
-    """
-    rows = [payload for payload, _verdict in delta.failures] + delta.unknown
-    # Every non-PASS verdict the replica counted is one of its failures.
-    processed = delta.processed - len(delta.failures)
-    malformed = delta.malformed
-    crashed = len(delta.crashed)
-    counters = {Verdict.PASS: delta.counters[_PASS]}
-    letters = [(p, "verify", RuntimeError(error)) for p, error in delta.crashed]
-    letters += [
-        (p, "decode", ReportDecodeError(payload_precheck(p) or _NO_SWITCH))
-        for p in delta.malformed_sample
-    ]
-    failed = []
-    for payload, outcome in zip(rows, server.receive_report_rows(rows) if rows else ()):
-        if isinstance(outcome, ReportDecodeError):
-            malformed += 1
-            letters.append((payload, "decode", outcome))
-        elif isinstance(outcome, Exception):
-            crashed += 1
-            letters.append((payload, "verify", outcome))
-        else:
-            processed += 1
-            verdict = outcome.verdict
-            counters[verdict] = counters.get(verdict, 0) + 1
-            if verdict is not Verdict.PASS:
-                failed.append((payload, verdict))
-    return processed, malformed, crashed, counters, letters, failed
-
-
 class Books:
-    """The books of a multi-process shape: verdicts and replica versions.
+    """The one set of verdict books, and the replica versions, of every
+    deployment shape.
 
-    A mixin: the sharded daemon and the cluster coordinator keep these
-    attributes as their own.  :meth:`take` is the dispatcher's reply
-    handler, and :meth:`resync` brings the members' replicas current,
+    A mixin: the direct daemon, the sharded daemon and the cluster
+    coordinator keep these attributes as their own.  :meth:`take` is the
+    dispatcher's reply handler and :meth:`settle` counts a delta by the
+    server's verdict of record.  :meth:`catch_up` is the one catch-up: it
+    brings the server's table and then the members' replicas current,
     ``shards`` hash shards of the table at a time, through the shape's
-    ``_ship_sync(sync)`` (which sends a
+    ``_ship_sync(sync)`` (which applies or sends a
     :class:`~repro.core.replica.Resync` and returns the bytes shipped).
+    ``families``, when given, fold every batch reply :meth:`take` retires.
     ``incidents``, when a list, also collects ``(payload, verdict
     value)`` per row the server failed (the cluster's).
     """
@@ -128,17 +89,17 @@ class Books:
     def __init__(
         self,
         server,
-        families: VerdictFamilies,
-        dead_letters: DeadLetterQueue,
+        families: Optional[VerdictFamilies] = None,
         shards: int = 1,
         incidents: Optional[list] = None,
     ) -> None:
         self.server = server
         self.families = families
-        self.dead_letters = dead_letters
+        self.dead_letters = DeadLetterQueue()
         self.incidents = incidents
-        #: Serialises the server's intake, and the resyncs reading its table.
-        self.server_lock = threading.Lock()
+        #: The server's lock: it serialises the intake, the table's
+        #: writers and the resyncs reading the table.
+        self.server_lock = server.lock
         self._books_lock = threading.Lock()
         self.processed = 0
         self.malformed = 0
@@ -156,23 +117,70 @@ class Books:
         self.full_resyncs = 0
         self.resync_delta_bytes = 0
 
-    def resync(self) -> Optional[int]:
-        """Bring every member's replica up to date with the path table.
+    def _register_books(self, reg) -> None:
+        """Expose the books and the replica resyncs on a daemon's
+        registry (read at scrape time)."""
+        letters = self.dead_letters
+        for kind, name, owner, attr, text in (
+            ("counter", "veridp_processed_total", self, "processed",
+             "Payloads fully verified."),
+            ("counter", "veridp_malformed_total", self, "malformed",
+             "Payloads the decoder rejected (dead-lettered, not fatal)."),
+            ("counter", "veridp_verify_errors_total", self, "verify_errors",
+             "Payloads that crashed verification (dead-lettered)."),
+            ("counter", "veridp_dead_letters_total", letters, "total",
+             "Payloads dead-lettered since start."),
+            ("gauge", "veridp_dead_letter_pending", letters, "pending",
+             "Dead letters awaiting retry."),
+            ("gauge", "veridp_dead_letter_quarantined", letters, "quarantined",
+             "Dead letters past the retry budget."),
+            ("counter", "veridp_replica_resyncs_total", self, "resyncs",
+             "In-place replica resyncs (delta patches, no recompile)."),
+            ("counter", "veridp_replica_resync_pairs_total", self, "resync_pairs",
+             "Path-table pairs recompiled and shipped as resync deltas."),
+            ("counter", "veridp_replica_delta_bytes_total", self,
+             "resync_delta_bytes",
+             "Pickled bytes of the replica messages shipped on resync."),
+            ("counter", "veridp_replica_full_resyncs_total", self, "full_resyncs",
+             "Resyncs that had to fall back to a full replica reload."),
+        ):
+            getattr(reg, kind)(
+                name, text, callback=lambda o=owner, a=attr: getattr(o, a)
+            )
 
-        The pair deltas of :func:`~repro.core.replica.resync_specs` since
-        the last resync ship as ``patch`` messages, or, when the journal
-        overflowed or the table was swapped, whole replicas as
-        ``reload`` messages, each on its member's link ahead of any later
-        batch.  Returns the number of pairs patched, ``0`` if the replicas
-        were already current, or ``None`` when a full reload was required.
+    def catch_up(self) -> None:
+        """Bring the server's table, then every replica, current before
+        new rows reach a replica: a lock-free check, and :meth:`resync`
+        only when a window is armed, a FlowMod is pending or the table
+        moved since the last resync."""
+        server = self.server
+        if server.behind or server.table.version != self._replica_version:
+            self.resync()
+
+    def resync(self) -> Optional[int]:
+        """Bring the server's table and every member's replica up to date.
+
+        The server catches up first (:meth:`VeriDPServer.catch_up`: the
+        coalescing window, the rebuild after a FlowMod).  Then the pair
+        deltas of :func:`~repro.core.replica.resync_specs` since the last
+        resync ship as ``patch`` messages, or, when the journal overflowed
+        or the table was swapped, whole replicas as ``reload`` messages,
+        each on its member's link ahead of any later batch.  Returns the
+        number of pairs patched, ``0`` if the replicas were already
+        current, or ``None`` when a full reload was required.
         """
         with self._resync_lock:
             with self.server_lock:
                 server = self.server
+                server.catch_up()
                 if server.table.version == self._replica_version:
                     return 0
                 sync = resync_specs(
-                    server.table, server.hs, server.codec, self._shards, self._dirty_token
+                    server.table,
+                    server.hs,
+                    server.codec,
+                    self._shards,
+                    self._dirty_token,
                 )
             shipped = self._ship_sync(sync)
             # Current only now: a producer that saw the old version waits
@@ -189,30 +197,67 @@ class Books:
         return patched
 
     def take(self, link: "Link", delta: Delta) -> None:
-        """Retire a batch on its reply, settling it under the book's lock:
-        a failover cannot surrender it meanwhile, so it counts once."""
-        link.retire(delta.seq, lambda: self.settle(delta))
+        """Retire a batch on its reply, folding and settling it under the
+        book's lock: a failover cannot surrender it meanwhile, so it
+        counts once."""
+
+        def retire() -> None:
+            # Fold outside the books' lock: that takes registry locks, and
+            # a scrape's callbacks take the books' lock.
+            self.families.fold(delta)
+            self.settle(delta)
+
+        link.retire(delta.seq, retire)
 
     def settle(self, delta: Delta) -> None:
-        """Fold one delta into the families and the books."""
-        # Fold outside the books' lock: that takes registry locks, and a
-        # scrape's callbacks take the books' lock.
-        self.families.fold(delta)
-        if not (delta.failures or delta.crashed or delta.malformed or delta.unknown):
+        """Count a replica's delta by the server's verdict of record.
+
+        The replica's failures and the unknown-pair rows a cluster node set
+        aside go through :meth:`VeriDPServer.receive_report_rows` in one
+        call, once the server caught up, and are counted by its outcome,
+        not the replica's: ``malformed`` when the codec rejects one (a
+        dead letter at ``decode``), ``verify_errors`` when verification
+        raised (at ``verify``), else ``processed`` under the server's
+        verdict (a stale replica's FAIL the current table passes counts
+        PASS).  The replica's PASS rows, malformed rows (its sample
+        dead-lettered at ``decode``) and crashes are taken as they are.
+        """
+        rows = [payload for payload, _verdict in delta.failures] + delta.unknown
+        if not (rows or delta.crashed or delta.malformed):
             # Nothing flagged: no intake call.
             with self._books_lock:
                 self.processed += delta.processed
                 self.counters[Verdict.PASS] += delta.processed
             return
-        with self.server_lock:
-            if delta.failures or delta.unknown:
-                # The server's verdict is the one of record: bring it
-                # current first, as a report on the direct path would.
-                self.server.maybe_flush_updates()
-                self.server.refresh_if_dirty()
-            processed, malformed, crashed, counters, letters, failed = settle(
-                self.server, delta
-            )
+        outcomes = ()
+        if rows:
+            with self.server_lock:
+                self.server.catch_up()
+                outcomes = self.server.receive_report_rows(rows)
+        # Every non-PASS verdict the replica counted is one of its failures.
+        processed = delta.processed - len(delta.failures)
+        malformed = delta.malformed
+        crashed = len(delta.crashed)
+        counters = {Verdict.PASS: delta.counters[_PASS]}
+        letters = [(p, "verify", RuntimeError(error)) for p, error in delta.crashed]
+        letters += [
+            (p, "decode", ReportDecodeError(payload_precheck(p) or _NO_SWITCH))
+            for p in delta.malformed_sample
+        ]
+        failed = []
+        for payload, outcome in zip(rows, outcomes):
+            if isinstance(outcome, ReportDecodeError):
+                malformed += 1
+                letters.append((payload, "decode", outcome))
+            elif isinstance(outcome, Exception):
+                crashed += 1
+                letters.append((payload, "verify", outcome))
+            else:
+                processed += 1
+                verdict = outcome.verdict
+                counters[verdict] = counters.get(verdict, 0) + 1
+                if verdict is not Verdict.PASS:
+                    failed.append((payload, verdict.value))
         with self._books_lock:
             self.processed += processed
             self.malformed += malformed
@@ -221,9 +266,21 @@ class Books:
             for verdict, count in counters.items():
                 self.counters[verdict] += count
             if self.incidents is not None:
-                self.incidents.extend((p, v.value) for p, v in failed)
+                self.incidents.extend(failed)
         for letter in letters:
             self.dead_letters.add(*letter)
+
+    def dead_letter_transport(self, payload: bytes, reason: str) -> None:
+        """Record a payload rejected before admission (wrong size or
+        version, or a submit that raised).  The transport keeps the
+        evidence instead of discarding it: dead-letter queue, malformed
+        counter, and the WAL's malformed stream on a durable server."""
+        self.dead_letters.add(payload, "transport", ReportDecodeError(reason))
+        with self._books_lock:
+            self.malformed += 1
+        persist = self.server.persist
+        if persist is not None:
+            persist.log_malformed(payload)
 
 
 class Link(DeliveryBook):

@@ -432,7 +432,6 @@ class IncrementalPathTable:
         # staged touch (the None key: the base, for ingresses with no deny).
         self._staged: Dict[str, Dict[Optional[int], Dict[int, int]]] = {}
         self.last_flush: Optional[UpdateFlushStats] = None
-        self._change_feed: List[int] = []
         self._change_log: List[int] = []
         self._change_epoch: int = next(_CHANGE_EPOCHS)
 
@@ -522,38 +521,32 @@ class IncrementalPathTable:
             snapshot[in_port] = dict(provider.transfer_map(switch_id, in_port))
         self._staged[switch_id] = snapshot
 
-    # -- change feed -----------------------------------------------------------
+    # -- change log (multi-consumer) ------------------------------------------
 
-    #: Feed slots kept before old change predicates are OR-collapsed; the
-    #: feed is for an (optional) single consumer, so this only bounds the
-    #: memory of a run that never drains it.
-    CHANGE_FEED_CAP = 64
-
-    #: Cursor-log bound (multi-consumer API).  Past this the log resets and
-    #: the epoch bumps — every cursor holder then gets ``None`` from
-    #: :meth:`changes_since` and must treat all header space as changed,
-    #: exactly like a dirty-pair journal overflow.
+    #: Cursor-log bound.  Past this the log resets and the epoch bumps —
+    #: every cursor holder then gets ``None`` from :meth:`changes_since`
+    #: and must treat all header space as changed, exactly like a
+    #: dirty-pair journal overflow.
     CHANGE_LOG_CAP = 256
 
     def _push_change(self, predicate: int) -> None:
-        self._change_feed.append(predicate)
-        if len(self._change_feed) > self.CHANGE_FEED_CAP:
-            self._change_feed = [self.hs.bdd.or_many(self._change_feed)]
+        """Log the header-set predicate one flush moved: the union, over
+        the flush (a direct update is a one-event flush), of the slices
+        that changed egress somewhere — ``lost ∪ gained`` across the
+        touched switches and ingresses."""
         self._change_log.append(predicate)
         if len(self._change_log) > self.CHANGE_LOG_CAP:
             self._change_log.clear()
             self._change_epoch = next(_CHANGE_EPOCHS)
 
-    # -- cursor-based change log (multi-consumer) ------------------------------
-
     def change_token(self) -> Tuple[int, int]:
         """Opaque cursor over the change log, positioned at "now".
 
-        Unlike :meth:`drain_change_feed` (single consumer, destructive),
-        any number of consumers can hold independent cursors and call
-        :meth:`changes_since`; the isolation verifier and the prober can
-        therefore both ride rule churn without stealing each other's
-        updates.
+        Any number of consumers can hold independent cursors and call
+        :meth:`changes_since`; the isolation verifier and the prober both
+        ride rule churn without stealing each other's updates.  The dirty
+        journal says *which pairs* to re-examine; the log says *which
+        headers* within them.
         """
         return (self._change_epoch, len(self._change_log))
 
@@ -572,20 +565,6 @@ class IncrementalPathTable:
         if token is None or token[0] != self._change_epoch:
             return current, None
         return current, list(self._change_log[token[1] :])
-
-    def drain_change_feed(self) -> List[int]:
-        """The header-set predicates every flush since the last drain moved.
-
-        Each element is the union, over one flush (a direct update is a
-        one-event flush), of the slices that changed egress somewhere —
-        ``lost ∪ gained`` across the touched switches and ingresses.  The
-        dirty-pair journal says *which pairs* to re-examine; this feed says
-        *which headers* within them, letting the prober aim a witness
-        inside the changed slice even when hop-equivalence merged it into
-        a wider entry.  Single consumer: draining empties the feed.
-        """
-        feed, self._change_feed = self._change_feed, []
-        return feed
 
     # -- Section 4.4's two phases ---------------------------------------------
 

@@ -16,6 +16,7 @@ The server sits beside the controller.  It
 from __future__ import annotations
 
 import ctypes
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,6 +88,10 @@ class VeriDPServer:
     ) -> None:
         self.topo = topo
         self.obs = obs or Observability()
+        #: Serialises every writer of the path table (rule updates, the
+        #: flushes, the rebuild) and the intake reading it; the daemons'
+        #: books take it as their ``server_lock``.
+        self.lock = threading.RLock()
         self.scheme = scheme or BloomTagScheme()
         self.codec = codec or PortCodec(sorted(topo.switches))
         self.localize_failures = localize_failures
@@ -569,35 +574,36 @@ class VeriDPServer:
         """
         if self.updater is not None:
             return False
-        if not self._dirty:
-            return False
-        self._provider.refresh(self.topo, self.hs)
-        stale_version = self.table.version
-        self.table = self.builder.build()
-        # Replica holders compare versions only: the swapped-in table must
-        # not read as current to one synced with its predecessor.
-        self.table.version = max(self.table.version, stale_version + 1)
-        self.table.compile_matchers(self.hs)
-        # Swap the table under the existing verifier: its counters are part
-        # of the server's long-lived statistics (and the repair engine
-        # reads them across rebuilds).  Remembered failures need no flush:
-        # they are stamped with _failure_epoch, which the new table and
-        # state_version just moved.
-        self.verifier.table = self.table
-        # The rebuild replaced every entry object; accumulated coverage
-        # vouched for entries that no longer exist.
-        self.coverage.retarget(self.table)
-        self._tenant_cov_cache = None
-        # The rebuild swapped the table object: tenant views and the
-        # isolation verifier must re-anchor (and re-prove from scratch —
-        # their journal cursors died with the old table).
-        if self.isolation is not None:
-            for view in self.tenant_views.values():
-                view.retarget(self.table)
-            self._log_isolation(self.isolation.retarget(self.table))
-        self._dirty = False
-        self.state_version += 1
-        return True
+        with self.lock:
+            if not self._dirty:
+                return False
+            self._provider.refresh(self.topo, self.hs)
+            stale_version = self.table.version
+            self.table = self.builder.build()
+            # Replica holders compare versions only: the swapped-in table
+            # must not read as current to one synced with its predecessor.
+            self.table.version = max(self.table.version, stale_version + 1)
+            self.table.compile_matchers(self.hs)
+            # Swap the table under the existing verifier: its counters are
+            # part of the server's long-lived statistics (and the repair
+            # engine reads them across rebuilds).  Remembered failures need
+            # no flush: they are stamped with _failure_epoch, which the new
+            # table and state_version just moved.
+            self.verifier.table = self.table
+            # The rebuild replaced every entry object; accumulated coverage
+            # vouched for entries that no longer exist.
+            self.coverage.retarget(self.table)
+            self._tenant_cov_cache = None
+            # The rebuild swapped the table object: tenant views and the
+            # isolation verifier must re-anchor (and re-prove from scratch
+            # — their journal cursors died with the old table).
+            if self.isolation is not None:
+                for view in self.tenant_views.values():
+                    view.retarget(self.table)
+                self._log_isolation(self.isolation.retarget(self.table))
+            self._dirty = False
+            self.state_version += 1
+            return True
 
     def force_rebuild(self) -> None:
         """Unconditionally rebuild (e.g. after out-of-band topology edits)."""
@@ -647,54 +653,62 @@ class VeriDPServer:
         Returns the elapsed seconds of the stage plus any flush it ran (the
         Figure 14 metric in immediate mode).
         """
-        self._require_updater()
-        if self.persist is not None:
-            from ..persist.wal import ControlEvent
-
-            self.persist.log_control(ControlEvent("add", switch, prefix, out_port))
-        started = time.perf_counter()
-        self.updater.stage_add_rule(switch, prefix, out_port)
-        self._note_rule_staged()
-        elapsed = time.perf_counter() - started
-        self._note_rule_applied()
-        return elapsed
+        return self._stage_rule("add", switch, prefix, out_port)
 
     def apply_rule_delete(self, switch: str, prefix: str) -> float:
         """Log (when durable), then stage, one LPM rule removal.
         See :meth:`apply_rule_update`."""
-        self._require_updater()
-        if self.persist is not None:
-            from ..persist.wal import ControlEvent
+        return self._stage_rule("delete", switch, prefix)
 
-            self.persist.log_control(ControlEvent("delete", switch, prefix))
-        started = time.perf_counter()
-        self.updater.stage_delete_rule(switch, prefix)
-        self._note_rule_staged()
-        elapsed = time.perf_counter() - started
-        self._note_rule_applied()
+    def _stage_rule(
+        self, kind: str, switch: str, prefix: str, out_port: int = 0
+    ) -> float:
+        updater = self._require_updater()
+        with self.lock:
+            if self.persist is not None:
+                from ..persist.wal import ControlEvent
+
+                self.persist.log_control(ControlEvent(kind, switch, prefix, out_port))
+            started = time.perf_counter()
+            if kind == "add":
+                updater.stage_add_rule(switch, prefix, out_port)
+            else:
+                updater.stage_delete_rule(switch, prefix)
+            # Arm the window on the batch's first event; flush when it
+            # expires (at once when coalesce_ms <= 0).
+            now = time.monotonic()
+            if self._flush_deadline is None:
+                self._flush_deadline = now + self.coalesce_ms / 1000.0
+            if now >= self._flush_deadline:
+                self.flush_pending_updates()
+            elapsed = time.perf_counter() - started
+            # The path table mutated in place; its version bump already
+            # invalidates the compiled-matcher index, and with
+            # state_version below it moves _failure_epoch, which retires
+            # every remembered failure.  Isolation re-proves at the flush.
+            self.state_version += 1
+            self._rules_since_snapshot += 1
+            if (
+                self.snapshot_every is not None
+                and self._rules_since_snapshot >= self.snapshot_every
+            ):
+                self.snapshot_now()
         return elapsed
-
-    def _note_rule_staged(self) -> None:
-        # Arm the window on the batch's first event; flush when it expires
-        # (at once when coalesce_ms <= 0).
-        now = time.monotonic()
-        if self._flush_deadline is None:
-            self._flush_deadline = now + self.coalesce_ms / 1000.0
-        if now >= self._flush_deadline:
-            self.flush_pending_updates()
 
     def maybe_flush_updates(self):
         """Flush the coalescing window iff it has expired.
 
         There is no timer thread: report arrival is the tick that expires
-        the window, on the direct path (:meth:`receive_report_bytes`) and the
-        sharded daemon's ``submit`` alike.  Cheap when no window is armed.
+        the window, through :meth:`catch_up` on every deployment shape (a
+        daemon's worker call or ``submit``, the cluster's resync tick).
+        Cheap when no window is armed.
         """
-        if (
-            self._flush_deadline is not None
-            and time.monotonic() >= self._flush_deadline
-        ):
-            return self.flush_pending_updates()
+        with self.lock:
+            if (
+                self._flush_deadline is not None
+                and time.monotonic() >= self._flush_deadline
+            ):
+                return self.flush_pending_updates()
         return None
 
     def flush_pending_updates(self):
@@ -704,29 +718,38 @@ class VeriDPServer:
         (``None`` when nothing was staged).  Safe to call at any time; the
         verification, snapshot and close paths call it implicitly.
         """
-        self._flush_deadline = None
-        if self.updater is None or not self.updater.pending_updates:
-            return None
-        stats = self.updater.flush_updates()
-        self.update_flushes += 1
-        self.update_flush_events += stats.events
-        # The flush is the moment the table (and the change feed) moved:
-        # re-prove isolation for exactly the dirty slices.
-        self._recheck_isolation()
+        with self.lock:
+            self._flush_deadline = None
+            if self.updater is None or not self.updater.pending_updates:
+                return None
+            stats = self.updater.flush_updates()
+            self.update_flushes += 1
+            self.update_flush_events += stats.events
+            # The flush is the moment the table (and the change log)
+            # moved: re-prove isolation for exactly the dirty slices.
+            self._recheck_isolation()
         return stats
 
-    def _note_rule_applied(self) -> None:
-        # The path table mutated in place; its version bump already
-        # invalidates the compiled-matcher index, and with state_version
-        # below it moves _failure_epoch, which retires every remembered
-        # failure.  Isolation re-proves at the flush.
-        self.state_version += 1
-        self._rules_since_snapshot += 1
-        if (
-            self.snapshot_every is not None
-            and self._rules_since_snapshot >= self.snapshot_every
-        ):
-            self.snapshot_now()
+    @property
+    def behind(self) -> bool:
+        """Whether :meth:`catch_up` has work: a coalescing window armed,
+        or a FlowMod the lazily rebuilt table has not seen.  Read
+        without the lock, as a cheap pre-check."""
+        return self._flush_deadline is not None or (
+            self._dirty and self.updater is None
+        )
+
+    def catch_up(self) -> None:
+        """Bring the path table current before a verdict is made on it:
+        expire the coalescing window (:meth:`maybe_flush_updates`), then
+        rebuild after a FlowMod (:meth:`refresh_if_dirty`).  The one
+        catch-up of every deployment shape: the intake
+        (:meth:`receive_report_bytes`) and the daemons' and cluster's
+        books (:meth:`~repro.core.dispatch.Books.resync` and
+        :meth:`~repro.core.dispatch.Books.settle`) call it."""
+        with self.lock:
+            self.maybe_flush_updates()
+            self.refresh_if_dirty()
 
     def snapshot_now(self) -> str:
         """Checkpoint the current state; returns the snapshot path."""
@@ -763,11 +786,11 @@ class VeriDPServer:
 
         This is the one-row call of :meth:`receive_report_rows`.
         """
-        if record and self.persist is not None:
-            self.persist.log_report(payload)
-        self.maybe_flush_updates()
-        self.refresh_if_dirty()
-        (outcome,) = self.receive_report_rows((payload,))
+        with self.lock:
+            if record and self.persist is not None:
+                self.persist.log_report(payload)
+            self.catch_up()
+            (outcome,) = self.receive_report_rows((payload,))
         if isinstance(outcome, Exception):
             raise outcome
         return outcome

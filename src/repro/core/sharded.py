@@ -55,7 +55,6 @@ from .replica import (
 )
 from .reports import REPORT_SIZE, Frame, ReportDecodeError, payload_precheck
 from .resilience import (
-    DeadLetterQueue,
     OverflowPolicy,
     RestartBackoff,
     WorkerSupervisor,
@@ -194,11 +193,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         )
         self.obs = obs or server.obs
         Books.__init__(
-            self,
-            server,
-            VerdictFamilies(self.obs.registry, "shard"),
-            DeadLetterQueue(),
-            shards=workers,
+            self, server, VerdictFamilies(self.obs.registry, "shard"), workers
         )
         self.workers = workers
         self.max_pending_batches = max_pending_batches
@@ -254,26 +249,20 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         """Expose the consolidated parent-side view on the shared registry.
 
         Re-registers the ingestion families the server/threaded daemon may
-        already own (latest owner wins); the per-shard ``veridp_shard_*``
-        families are folded from every delta in :meth:`Books.settle`.
+        already own (latest owner wins); the books' families are
+        :meth:`Books._register_books`'s, and the per-shard
+        ``veridp_shard_*`` families are folded from every delta
+        :meth:`Books.take` retires.
         """
         reg = self.obs.registry
+        self._register_books(reg)
 
         def stat(key: str) -> Callable[[], int]:
             return lambda: self.stats().get(key, 0)
 
-        def attr(name: str) -> Callable[[], int]:
-            return lambda: getattr(self, name)
-
         for kind, name, read, text in (
-            ("counter", "veridp_submitted_total", stat("submitted"),
+            ("counter", "veridp_submitted_total", lambda: self.submitted,
              "Report payloads offered to the daemon (admitted or not)."),
-            ("counter", "veridp_processed_total", stat("processed"),
-             "Payloads fully verified by the shard workers."),
-            ("counter", "veridp_malformed_total", stat("malformed"),
-             "Payloads the decoder rejected (dead-lettered, not fatal)."),
-            ("counter", "veridp_verify_errors_total", stat("verify_errors"),
-             "Payloads that crashed verification (dead-lettered)."),
             ("gauge", "veridp_queue_depth",
              lambda: sum(link.rows for link in list(self._links.values())),
              "Payloads buffered parent-side awaiting dispatch."),
@@ -282,7 +271,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             ("counter", "veridp_lost_in_restart_total", stat("lost_in_restart"),
              "Payloads dispatched to a worker whose verdicts never returned "
              "(0: a restart redelivers them)."),
-            ("gauge", "veridp_workers", attr("workers"),
+            ("gauge", "veridp_workers", lambda: self.workers,
              "Shard workers: processes, or threads once degraded."),
             ("gauge", "veridp_degraded", stat("degraded"),
              "1 once the restart budget ran out and the shards run on threads."),
@@ -292,28 +281,13 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
              "Restarts triggered by heartbeat timeout rather than death."),
             ("gauge", "veridp_restart_budget", stat("restart_budget"),
              "Supervisor crash-restart budget before degrading."),
-            ("counter", "veridp_dead_letters_total", stat("dead_lettered"),
-             "Payloads dead-lettered since start."),
-            ("gauge", "veridp_dead_letter_pending", stat("dead_letter_pending"),
-             "Dead letters awaiting retry."),
-            ("gauge", "veridp_dead_letter_quarantined",
-             stat("dead_letter_quarantined"),
-             "Dead letters past the retry budget."),
-            ("counter", "veridp_replica_resyncs_total", attr("resyncs"),
-             "In-place worker replica resyncs (delta patches, no recompile)."),
-            ("counter", "veridp_replica_resync_pairs_total", attr("resync_pairs"),
-             "Path-table pairs recompiled and shipped as resync deltas."),
-            ("counter", "veridp_replica_delta_bytes_total", attr("resync_delta_bytes"),
-             "Pickled bytes of the replica messages shipped on resync."),
-            ("counter", "veridp_replica_full_resyncs_total", attr("full_resyncs"),
-             "Resyncs that had to fall back to a full replica reload."),
         ):
             getattr(reg, kind)(name, text, callback=read)
         reg.counter(
             "veridp_queue_dropped_total",
             "Payloads lost to backpressure, by overflow policy decision.",
             ("policy",),
-            callback=lambda: {("drop-new",): self.stats()["dropped"]},
+            callback=lambda: {("drop-new",): self.dropped_new},
         )
         reg.counter(
             "veridp_verifications_total",
@@ -342,7 +316,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         if self._running:
             return
         with self.server_lock:
-            self.server.refresh_if_dirty()
+            self.server.catch_up()
             sync = resync_specs(
                 self.server.table, self.server.hs, self.server.codec, self.workers
             )
@@ -453,15 +427,17 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         One vectorized :func:`~repro.core.ingest.shard_split` replaces
         ``frame.count`` scalar hash/route/append rounds; each shard's chunk
         lands in its book's buffer, which the cut concatenates into one
-        worker batch.  Returns the rows admitted: a batch the overflow
-        policy refuses counts wholly against the call that cut it.
+        worker batch.  The server and the worker replicas catch up first
+        (:meth:`Books.catch_up`), so no row reaches a stale replica.
+        Returns the rows admitted: a batch the overflow policy refuses
+        counts wholly against the call that cut it.
         """
         count = frame.count
         if count == 0:
             return 0
         if not self._running:
             raise RuntimeError("daemon is not running; call start() first")
-        self._catch_up()
+        self.catch_up()
         return self._dispatch(frame.payload(), count)
 
     def _route(self, clean: bytes) -> List[Tuple[Link, bytes, int]]:
@@ -471,20 +447,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
             for shard, chunk in enumerate(shard_split(clean, self.workers))
             if chunk
         ]
-
-    def _catch_up(self) -> None:
-        """Bring the fleet current before new rows can reach a replica."""
-        if self.server._flush_deadline is not None:
-            # Reports bypass the server here, so its coalescing window
-            # would never see a tick: expire it on arrival, exactly as
-            # receive_report_bytes does on the direct path.
-            with self.server_lock:
-                self.server.maybe_flush_updates()
-        if self.server.table.version != self._replica_version:
-            # Rule churn moved the table under the fleet: patch the worker
-            # replicas in place (pair deltas, no whole-table recompile)
-            # before a row can reach a stale replica.
-            self.resync_replicas()
 
     def _revive(self) -> None:
         """Run one synchronous supervision pass (restart dead workers)."""
@@ -498,15 +460,6 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         naming the shards still owing rows)."""
         if self._running:
             self.join_rows(timeout)
-
-    def dead_letter_transport(self, payload: bytes, reason: str) -> None:
-        """Transport-stage reject; see :meth:`VeriDPDaemon.dead_letter_transport`."""
-        self.dead_letters.add(payload, "transport", ReportDecodeError(reason))
-        with self._books_lock:
-            self.malformed += 1
-        persist = self.server.persist
-        if persist is not None:
-            persist.log_malformed(payload)
 
     # -- member failure --------------------------------------------------------
 
@@ -526,7 +479,7 @@ class ShardedVeriDPDaemon(Dispatcher, Books):
         # between the successor's spec build and its swap-in.
         with self._resync_lock:
             with self.server_lock:
-                self.server.refresh_if_dirty()
+                self.server.catch_up()
                 spec = build_one_shard_spec(
                     self.server.table,
                     self.server.hs,

@@ -115,10 +115,13 @@ class ActiveProber:
         self._token = None
         self._attempts: Dict[Tuple[Pair, int], int] = {}
         # One-shot probes aimed inside recently *changed* header slices
-        # (from the updater's change feed): hop-equivalence can merge a
-        # changed slice into a wider entry whose representative witness
-        # misses it, so changed slices get their own witness once.
+        # (from the updater's change log, read from this cursor on):
+        # hop-equivalence can merge a changed slice into a wider entry
+        # whose representative witness misses it, so changed slices get
+        # their own witness once.
         self._slice_queue: List[PlannedProbe] = []
+        updater = server.updater
+        self._change_token = None if updater is None else updater.change_token()
         # Lifetime counters (exported as veridp_probe_* metrics).
         self.probes_sent = 0
         self.probe_rounds = 0
@@ -221,19 +224,23 @@ class ActiveProber:
     def _queue_slice_probes(self, pairs: List[Pair]) -> None:
         """Aim one witness inside each changed slice on the given pairs.
 
-        Drains the updater's change feed (post-flush, so entry header sets
-        are current): any entry whose headers intersect a changed predicate
-        gets a one-shot probe drawn from the *intersection*, exercising the
-        exact slice the update moved even when the entry's own
-        representative witness lies outside it.
+        Reads the updater's change log from the prober's cursor
+        (post-flush, so entry header sets are current): any entry whose
+        headers intersect a changed predicate gets a one-shot probe drawn
+        from the *intersection*, exercising the exact slice the update
+        moved even when the entry's own representative witness lies
+        outside it.  A log that overflowed past the cursor changed
+        everything.
         """
         updater = self.server.updater
         if updater is None:
             return
-        changes = updater.drain_change_feed()
+        hs = self.server.hs
+        self._change_token, changes = updater.changes_since(self._change_token)
+        if changes is None:
+            changes = [hs.all_match]
         if not changes:
             return
-        hs = self.server.hs
         bdd = hs.bdd
         # Intersect per change, NOT with their union: a broad change (say a
         # table-wide install) unioned with a narrow one would widen the
